@@ -9,7 +9,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use latr_arch::{CpuMask, MachinePreset, Topology};
 use latr_core::rt::{RtInvalidation, RtRegistry};
 use latr_core::{LatrConfig, LatrState, StateKind, StateQueue};
-use latr_kernel::EngineBackend;
 use latr_kernel::MachineConfig;
 use latr_mem::{MmId, VaRange, Vpn};
 use latr_sim::{EventQueue, QueueBackend, Time, SECOND};
@@ -139,19 +138,12 @@ fn bench_event_queue_backends(c: &mut Criterion) {
     }
 }
 
-/// End-to-end sweep-heavy machine runs across all three engine stacks:
-/// the number the `hotpath` binary reports, in regression-gate form.
+/// End-to-end sweep-heavy machine runs on both engine stacks: the
+/// number the `hotpath` binary reports, in regression-gate form.
 fn bench_machine_sweep_storm(c: &mut Criterion) {
     for (name, backend) in [
-        ("machine_sweep_storm_16c_fast", EngineBackend::Fast),
-        (
-            "machine_sweep_storm_16c_reference",
-            EngineBackend::Reference,
-        ),
-        (
-            "machine_sweep_storm_16c_parallel4",
-            EngineBackend::Parallel(4),
-        ),
+        ("machine_sweep_storm_16c_fast", QueueBackend::Fast),
+        ("machine_sweep_storm_16c_reference", QueueBackend::Reference),
     ] {
         c.bench_function(name, |b| {
             b.iter(|| {
@@ -161,7 +153,7 @@ fn bench_machine_sweep_storm(c: &mut Criterion) {
                 config.trace_capacity = 0;
                 config.engine = backend;
                 let latr = LatrConfig {
-                    reference_sweep: backend == EngineBackend::Reference,
+                    reference_sweep: backend == QueueBackend::Reference,
                     ..LatrConfig::default()
                 };
                 let mut machine = latr_kernel::Machine::new(config);

@@ -6,7 +6,7 @@ use latr_arch::{
     CostModel, CpuId, CpuMask, IpiFabric, MachinePreset, Tlb, TlbEntry, Topology, PCID_NONE,
 };
 use latr_mem::{PageTable, Pfn, PteFlags, VaRange, Vpn};
-use latr_sim::{EventQueue, Histogram, LaneSet, SimRng, Time};
+use latr_sim::{EventQueue, Histogram, SimRng, Time};
 use std::hint::black_box;
 
 fn bench_tlb(c: &mut Criterion) {
@@ -60,17 +60,6 @@ fn bench_page_table(c: &mut Criterion) {
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_schedule_pop", |b| {
         let mut q: EventQueue<u64> = EventQueue::new();
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 1;
-            q.schedule(Time::from_ns(t), t);
-            black_box(q.pop())
-        })
-    });
-    // The lane-sharded engine on the same access pattern: measures the
-    // coordinator-side merge plus the amortized epoch-barrier cost.
-    c.bench_function("lane_set_schedule_pop_4w", |b| {
-        let mut q: LaneSet<u64> = LaneSet::new(4, 1_000_000, Box::new(|e: &u64| *e as usize));
         let mut t = 0u64;
         b.iter(|| {
             t += 1;

@@ -25,7 +25,7 @@ use latr_bench::hotpath::{
     hotpath_shapes, run_hotpath_point, speedups,
 };
 use latr_bench::print_title;
-use latr_kernel::EngineBackend;
+use latr_sim::QueueBackend;
 
 /// Fractional ticks/sec drop below the committed file that fails the
 /// `--guard` check.
@@ -45,25 +45,7 @@ fn main() {
             assert!(!baseline.is_empty(), "no fast points in {path}");
             baseline
         });
-    // `--engines fast,reference,parallel:4` narrows the sweep; default
-    // measures all three stacks so the parallel engine's fingerprint is
-    // cross-checked here too, not just in the differential suite.
-    let engines: Vec<EngineBackend> = std::env::args()
-        .skip_while(|a| a != "--engines")
-        .nth(1)
-        .map(|list| {
-            list.split(',')
-                .map(|s| EngineBackend::parse(s).unwrap_or_else(|| panic!("bad engine: {s}")))
-                .collect()
-        })
-        .unwrap_or_else(|| {
-            vec![
-                EngineBackend::Fast,
-                EngineBackend::Reference,
-                EngineBackend::Parallel(4),
-            ]
-        });
-    print_title("Hot-path throughput — fast vs reference vs parallel engines (sweep storm)");
+    print_title("Hot-path throughput — fast vs reference engines (sweep storm)");
     println!(
         "{:<11} {:>6} {:>12} {:>14} {:>14} {:>12}",
         "engine", "cores", "wall (ms)", "ticks/sec", "ops/sec", "events"
@@ -72,7 +54,7 @@ fn main() {
     let mut points = Vec::new();
     for (topology, cores) in hotpath_shapes() {
         let rounds = hotpath_rounds(cores, quick);
-        for &backend in &engines {
+        for backend in [QueueBackend::Fast, QueueBackend::Reference] {
             let p = run_hotpath_point(
                 backend,
                 topology.clone(),

@@ -5,8 +5,8 @@
 //! request) under Linux, ABIS, and Latr, plus Latr under two fault
 //! plans, and reports the p50/p99/p999 request- and shootdown-latency
 //! percentiles. Every variant is first gated by a small run repeated on
-//! the fast, `reference`, and parallel engines, which must fingerprint
-//! identically — a divergent engine disqualifies the curves.
+//! the fast and `reference` engines, which must fingerprint identically —
+//! a divergent engine disqualifies the curves.
 //!
 //! ```sh
 //! cargo run --release -p latr-bench --bin serving           # ~1M requests/policy
@@ -20,23 +20,18 @@ use latr_bench::serving::{
     run_serving_gate, run_serving_point, serving_json, serving_requests_per_worker,
     serving_variants,
 };
-use latr_kernel::EngineBackend;
+use latr_sim::QueueBackend;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let seed = 0xC0FF;
-    let engines = [
-        EngineBackend::Fast,
-        EngineBackend::Reference,
-        EngineBackend::Parallel(4),
-    ];
     print_title("Serving tail latency — open loop, 120 cores, per-policy percentiles");
 
     let variants = serving_variants();
     println!("cross-engine fingerprint gates (small runs):");
     let mut gates = Vec::new();
     for v in &variants {
-        let gate = run_serving_gate(v, &engines, seed);
+        let gate = run_serving_gate(v, seed);
         println!(
             "  {:<18} {}",
             gate.label,
@@ -53,7 +48,7 @@ fn main() {
     let mut curves = Vec::new();
     for v in &variants {
         let p = run_serving_point(
-            EngineBackend::Fast,
+            QueueBackend::Fast,
             v,
             serving_requests_per_worker(quick),
             seed,
@@ -78,7 +73,7 @@ fn main() {
     println!(
         "gates: {}",
         if all_passed {
-            "fingerprints identical on every engine for every variant"
+            "fingerprints identical on both engines for every variant"
         } else {
             "DIVERGED — see the differential suite"
         }

@@ -20,14 +20,14 @@ use std::time::Instant;
 
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
-use latr_kernel::{metrics, EngineBackend, Machine, MachineConfig};
-use latr_sim::SECOND;
+use latr_kernel::{metrics, Machine, MachineConfig};
+use latr_sim::{QueueBackend, SECOND};
 use latr_workloads::{PolicyKind, SweepStorm};
 
 /// One engine × machine-size measurement.
 #[derive(Clone, Debug)]
 pub struct HotpathPoint {
-    /// Engine label: `"fast"`, `"reference"`, or `"parallel:<n>"`.
+    /// Engine label: `"fast"` or `"reference"` (see [`engine_label`]).
     pub engine: String,
     /// Simulated cores.
     pub cores: usize,
@@ -87,10 +87,19 @@ pub fn hotpath_rounds(cores: usize, quick: bool) -> u32 {
     }
 }
 
+/// The label a bench row carries for an engine: `"fast"` or
+/// `"reference"`.
+pub fn engine_label(backend: QueueBackend) -> &'static str {
+    match backend {
+        QueueBackend::Fast => "fast",
+        QueueBackend::Reference => "reference",
+    }
+}
+
 /// Runs the sweep storm once on the chosen engine and measures it. The
 /// `Reference` engine also runs the reference (scan-every-queue) Latr
-/// sweep, so it measures the full PR-4 baseline stack; `Fast` and
-/// `Parallel(n)` both use the pending-bitmap sweep.
+/// sweep, so it measures the full PR-4 baseline stack; `Fast` uses the
+/// pending-bitmap sweep.
 ///
 /// Each point is run [`HOTPATH_REPS`] times and the fastest wall clock
 /// is kept — the standard best-of-N discipline. A single sample of a
@@ -104,7 +113,7 @@ pub fn hotpath_rounds(cores: usize, quick: bool) -> u32 {
 ///
 /// Panics if two repetitions of the same configuration diverge.
 pub fn run_hotpath_point(
-    backend: EngineBackend,
+    backend: QueueBackend,
     topology: Topology,
     cores: usize,
     rounds: u32,
@@ -121,7 +130,7 @@ pub fn run_hotpath_point(
         config.oracle = false;
         config.engine = backend;
         let latr = LatrConfig {
-            reference_sweep: backend == EngineBackend::Reference,
+            reference_sweep: backend == QueueBackend::Reference,
             ..LatrConfig::default()
         };
         let mut machine = Machine::new(config);
@@ -136,7 +145,7 @@ pub fn run_hotpath_point(
         let ops = machine.stats.counter(metrics::WORK_UNITS);
         let per_sec = |n: u64| n as f64 * 1e9 / wall as f64;
         let point = HotpathPoint {
-            engine: backend.label(),
+            engine: engine_label(backend).to_string(),
             cores,
             wall_ns: wall,
             sim_ticks,
@@ -377,11 +386,9 @@ mod tests {
     #[test]
     fn engines_agree_on_a_small_point() {
         let (topology, cores) = (Topology::new(2, 2), 4);
-        let fast = run_hotpath_point(EngineBackend::Fast, topology.clone(), cores, 3, 42);
-        let reference = run_hotpath_point(EngineBackend::Reference, topology.clone(), cores, 3, 42);
-        let parallel = run_hotpath_point(EngineBackend::Parallel(2), topology, cores, 3, 42);
+        let fast = run_hotpath_point(QueueBackend::Fast, topology.clone(), cores, 3, 42);
+        let reference = run_hotpath_point(QueueBackend::Reference, topology, cores, 3, 42);
         assert_eq!(fast.fingerprint, reference.fingerprint);
-        assert_eq!(fast.fingerprint, parallel.fingerprint);
         assert_eq!(fast.ops, (cores as u64) * 3);
         assert!(fast.sim_ticks > 0);
     }

@@ -21,7 +21,6 @@
 //! | `ablations`          | §4.1/§8 design-choice ablations |
 //! | `hotpath`            | fast vs `reference` engine throughput → `BENCH_hotpath.json` |
 //! | `serving`            | open-loop tail latency per policy (+ chaos) → `BENCH_serving.json` |
-//! | `par_sim`            | lane-sharded parallel engine vs fast, workers × cores → `BENCH_par_sim.json` |
 //! | `rt_scale`           | real-thread rt scaling, lazy vs sync-IPI → `BENCH_rt_scale.json` |
 //! | `soak`               | real-thread robustness soak under injected faults → `BENCH_soak.json` |
 //! | `pressure`           | allocation storms vs watermark escalation → `BENCH_pressure.json` |
@@ -30,7 +29,6 @@
 //! `--quick` for a shorter, less smooth sweep.
 
 pub mod hotpath;
-pub mod par_sim;
 pub mod pressure;
 pub mod rt_scale;
 pub mod serving;

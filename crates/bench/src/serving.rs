@@ -10,20 +10,20 @@
 //! percentiles, not the mean, are where the policies separate.
 //!
 //! Before the full-size measurement, every variant is gated: a small run
-//! is repeated on the fast, `reference`, and parallel engines and must
-//! produce bit-identical [`Machine::fingerprint`]s (the PR-4 pattern —
-//! a fast engine that changes the simulation disqualifies itself).
+//! is repeated on the fast and `reference` engines and must produce
+//! bit-identical [`Machine::fingerprint`]s (the PR-4 pattern — a fast
+//! engine that changes the simulation disqualifies itself).
 
 use std::time::Instant;
 
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
-use latr_kernel::{metrics, EngineBackend, Machine, MachineConfig};
-use latr_sim::{Summary, MILLISECOND, SECOND};
+use latr_kernel::{metrics, Machine, MachineConfig};
+use latr_sim::{QueueBackend, Summary, MILLISECOND, SECOND};
 use latr_workloads::{ArrivalProcess, PolicyKind, ServingWorkload};
 
-use crate::hotpath::fnv1a;
+use crate::hotpath::{engine_label, fnv1a};
 
 /// Which policy (and faults) one serving curve runs under.
 #[derive(Clone, Debug)]
@@ -109,7 +109,7 @@ pub fn serving_variants() -> Vec<ServingVariant> {
 pub struct ServingPoint {
     /// Variant label (see [`serving_variants`]).
     pub label: String,
-    /// Engine label: `"fast"`, `"reference"`, or `"parallel:<n>"`.
+    /// Engine label: `"fast"` or `"reference"`.
     pub engine: String,
     /// Simulated cores.
     pub cores: usize,
@@ -133,7 +133,7 @@ pub struct ServingPoint {
 /// also runs the reference (scan-every-queue) Latr sweep, measuring the
 /// full PR-4 baseline stack, exactly as the hotpath bench does.
 pub fn run_serving_point(
-    backend: EngineBackend,
+    backend: QueueBackend,
     variant: &ServingVariant,
     requests_per_worker: u64,
     seed: u64,
@@ -147,7 +147,7 @@ pub fn run_serving_point(
     config.faults = variant.faults.clone();
     let policy = match variant.policy {
         PolicyKind::Latr(_) => PolicyKind::Latr(LatrConfig {
-            reference_sweep: backend == EngineBackend::Reference,
+            reference_sweep: backend == QueueBackend::Reference,
             ..LatrConfig::default()
         }),
         other => other,
@@ -166,7 +166,7 @@ pub fn run_serving_point(
     let summary = |name: &str| machine.stats.histogram(name).map(|h| h.summary());
     ServingPoint {
         label: variant.label.to_string(),
-        engine: backend.label(),
+        engine: engine_label(backend).to_string(),
         cores,
         requests: machine.stats.counter(metrics::WORK_UNITS),
         wall_ns: wall,
@@ -178,8 +178,8 @@ pub fn run_serving_point(
     }
 }
 
-/// Cross-engine gate for one variant: the same small run on every
-/// engine, which must fingerprint identically.
+/// Cross-engine gate for one variant: the same small run on the fast and
+/// reference engines, which must fingerprint identically.
 #[derive(Clone, Debug)]
 pub struct ServingGate {
     /// Variant label.
@@ -196,14 +196,10 @@ impl ServingGate {
 }
 
 /// Runs the cross-engine fingerprint gate for `variant`.
-pub fn run_serving_gate(
-    variant: &ServingVariant,
-    engines: &[EngineBackend],
-    seed: u64,
-) -> ServingGate {
-    let fingerprints = engines
-        .iter()
-        .map(|&e| {
+pub fn run_serving_gate(variant: &ServingVariant, seed: u64) -> ServingGate {
+    let fingerprints = [QueueBackend::Fast, QueueBackend::Reference]
+        .into_iter()
+        .map(|e| {
             let p = run_serving_point(e, variant, serving_requests_per_worker(true), seed);
             (p.engine, p.fingerprint)
         })

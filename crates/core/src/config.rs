@@ -44,9 +44,8 @@ pub struct LatrConfig {
     /// Run the straightforward full-scan sweep (the executable spec)
     /// instead of the pending-bitmap fast path. Both produce bit-identical
     /// event streams — the differential suite asserts it — so this knob
-    /// only trades speed for obviousness. The default follows the
-    /// `reference` cargo feature.
-    #[serde(default = "default_reference_sweep")]
+    /// only trades speed for obviousness. Off by default.
+    #[serde(default)]
     pub reference_sweep: bool,
     /// Memory-pressure escalation (DESIGN.md §14): how many of the oldest
     /// gated reclamation packages are expedited — owner-local sweep plus
@@ -62,10 +61,6 @@ pub struct LatrConfig {
     /// `adaptive_fallback`.
     #[serde(default = "default_pressure_sync")]
     pub pressure_sync: bool,
-}
-
-fn default_reference_sweep() -> bool {
-    cfg!(feature = "reference")
 }
 
 fn default_expedite_batch() -> usize {
@@ -88,7 +83,7 @@ impl Default for LatrConfig {
             fallback_enter_pct: 94,
             fallback_exit_pct: 25,
             gate_reclaim: true,
-            reference_sweep: default_reference_sweep(),
+            reference_sweep: false,
             expedite_batch: default_expedite_batch(),
             pressure_sync: default_pressure_sync(),
         }

@@ -397,24 +397,14 @@ impl<T> ShardedReclaimer<T> {
 }
 
 /// Which reclaimer engine a [`Reclaimer`] runs — both stay available in
-/// every build; the `reference` cargo feature only flips the default
-/// (the PR 4 engine-selection pattern).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// every build and are selected at run time; `Sharded` is the default.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReclaimBackend {
     /// [`ShardedReclaimer`]: per-core shards + cached frontier.
+    #[default]
     Sharded,
     /// [`RtReclaimer`]: global mutex + O(cores) frontier scan.
     Reference,
-}
-
-impl Default for ReclaimBackend {
-    fn default() -> Self {
-        if cfg!(feature = "reference") {
-            ReclaimBackend::Reference
-        } else {
-            ReclaimBackend::Sharded
-        }
-    }
 }
 
 /// Runtime-selectable deferred reclamation: one call surface over the
@@ -729,15 +719,10 @@ mod tests {
     }
 
     #[test]
-    fn selectable_backend_defaults_follow_the_feature() {
-        let expected = if cfg!(feature = "reference") {
-            ReclaimBackend::Reference
-        } else {
-            ReclaimBackend::Sharded
-        };
-        assert_eq!(ReclaimBackend::default(), expected);
+    fn selectable_backend_defaults_to_sharded() {
+        assert_eq!(ReclaimBackend::default(), ReclaimBackend::Sharded);
         let rec: Reclaimer<u32> = Reclaimer::with_default_backend(2, 2);
-        assert_eq!(rec.backend(), expected);
+        assert_eq!(rec.backend(), ReclaimBackend::Sharded);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! the memory substrate, charging time from the calibrated
 //! [`latr_arch::CostModel`].
 
-mod engine;
 mod event;
 mod machine;
 mod mmlock;
@@ -33,7 +32,6 @@ mod policy_linux;
 mod shootdown;
 mod task;
 
-pub use engine::EngineBackend;
 pub use event::Event;
 pub use machine::{Core, InvariantViolation, Machine, MachineConfig, ReclaimPackage};
 pub use mmlock::{LockMode, MmLock};

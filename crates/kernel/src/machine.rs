@@ -8,7 +8,6 @@
 //! "time debt" injected into whatever op a core is executing when an IPI
 //! lands.
 
-use crate::engine::{EngineBackend, SimQueue};
 use crate::event::Event;
 use crate::mmlock::{LockMode, MmLock};
 use crate::numa::{NumaConfig, NumaRuntime, NumaStats};
@@ -21,7 +20,7 @@ use latr_mem::{
     AllocError, FileId, FrameAllocator, MapKind, MmId, MmStruct, PageCache, Pfn, Pressure, Prot,
     PteFlags, VaRange, Vpn,
 };
-use latr_sim::{Nanos, SimRng, StatsRegistry, Time, TraceRing};
+use latr_sim::{EventQueue, Nanos, QueueBackend, SimRng, StatsRegistry, Time, TraceRing};
 use std::collections::HashMap;
 
 /// Configuration of one simulation run.
@@ -58,13 +57,11 @@ pub struct MachineConfig {
     /// the injector's RNG is forked off the seed, never the main stream,
     /// and the IPI retransmit timer is only armed while a plan is active.
     pub faults: Option<FaultPlan>,
-    /// Which simulation engine drives the run: the two sequential engines
-    /// (`Fast` calendar queue, `Reference` heap — the executable spec) or
-    /// the lane-sharded `Parallel(n)` engine with `n` worker threads. All
+    /// Which event queue drives the run: `Fast` (calendar queue, the
+    /// default) or `Reference` (binary heap, the executable spec). Both
     /// deliver the exact same event order, so fingerprints are
-    /// bit-identical across engines; the default follows the `reference`
-    /// cargo feature.
-    pub engine: EngineBackend,
+    /// bit-identical across them.
+    pub engine: QueueBackend,
     /// Per-node low (early-warning) free-frame watermark. Crossing it
     /// fires the policy's [`TlbPolicy::on_memory_pressure`] hook so lazy
     /// reclamation can be expedited before the pool drains. `0` together
@@ -94,7 +91,7 @@ impl MachineConfig {
             numa: NumaConfig::disabled(),
             oracle: cfg!(feature = "oracle"),
             faults: None,
-            engine: EngineBackend::default(),
+            engine: QueueBackend::default(),
             low_watermark_frames: 0,
             min_watermark_frames: 0,
         }
@@ -174,9 +171,9 @@ fn fold_finish(h: u64) -> u64 {
 }
 
 /// Folds one delivered event into the running fingerprint: the delivery
-/// time plus a compact `(tag, a, b, c)` encoding of the payload. Engines
-/// deliver the exact same `(time, id)` sequence, so the fold is
-/// bit-identical across `fast`/`reference`/`parallel:<n>`.
+/// time plus a compact `(tag, a, b, c)` encoding of the payload. Both
+/// queue backends deliver the exact same `(time, id)` sequence, so the
+/// fold is bit-identical across `fast` and `reference`.
 fn fold_event(fold: &mut u64, time: Time, event: &Event) {
     let (tag, a, b, c) = match *event {
         Event::TaskStep(t) => (1, t.0 as u64, 0, 0),
@@ -219,7 +216,7 @@ pub struct Machine {
     topology: Topology,
     costs: CostModel,
     fabric: IpiFabric,
-    queue: SimQueue,
+    queue: EventQueue<Event>,
     /// Per-core state, indexed by CPU id.
     pub cores: Vec<Core>,
     /// The per-event core scalars, in structure-of-arrays layout.
@@ -327,7 +324,7 @@ impl Machine {
         #[allow(unused_mut)]
         let mut machine = Machine {
             fabric: IpiFabric::new(config.topology.clone(), config.costs.clone()),
-            queue: SimQueue::new(config.engine, ncpus, config.costs.sched_tick_period),
+            queue: EventQueue::with_backend(config.engine),
             cores,
             hot: CoreHot::new(ncpus),
             mms: Vec::new(),
@@ -2779,21 +2776,6 @@ impl Machine {
         self.queue.delivered()
     }
 
-    /// Test-only: switches a `Parallel` engine's cross-lane merge to the
-    /// unsound wall-clock-arrival order (the determinism suite's negative
-    /// control — see `tests/par_determinism.rs`). No-op on the sequential
-    /// engines. Call before [`Machine::run`].
-    #[doc(hidden)]
-    pub fn set_unsound_merge(&mut self, unsound: bool) {
-        self.queue.set_unsound_merge(unsound);
-    }
-
-    /// Fingerprints the run for determinism and differential comparisons:
-    /// final clock, delivered-event count, every counter, every histogram
-    /// summary, and the rendered trace ring. Two runs (or two engines) are
-    /// event-identical iff their fingerprints are byte-identical — counters
-    /// and histograms live in ordered maps, so the rendering is stable
-    /// across processes and builds.
     /// The incremental event-stream fingerprint: a polynomial fold over
     /// every delivered event's `(time, payload)`, updated in O(1) per
     /// event and finalized on read. Two runs deliver identical event
@@ -2805,6 +2787,12 @@ impl Machine {
         fold_finish(self.fold)
     }
 
+    /// Fingerprints the run for determinism and differential comparisons:
+    /// final clock, delivered-event count, every counter, every histogram
+    /// summary, and the rendered trace ring. Two runs are event-identical
+    /// iff their fingerprints are byte-identical — counters and histograms
+    /// live in ordered maps, so the rendering is stable across processes
+    /// and builds.
     pub fn fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -18,8 +18,7 @@
 //! The analysis is token-level and *conservative*: receivers it cannot
 //! attribute surface as diagnostics rather than silent passes. Checks
 //! run over every cfg branch (the protocol holds in every build); the
-//! cfg environment only affects the per-run covered-field accounting
-//! that the reference-parity test compares.
+//! cfg environment only affects the per-run covered-field accounting.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -86,8 +85,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// The cfg environment of one analysis run. Checks ignore it; coverage
-/// accounting uses it so two runs (default vs `--features reference`)
-/// can be compared field-for-field.
+/// accounting counts only atomic ops whose cfg guards hold under it.
 #[derive(Clone, Debug, Default)]
 pub struct CfgEnv {
     /// Enabled `feature = "..."` names.
@@ -97,14 +95,6 @@ pub struct CfgEnv {
 }
 
 impl CfgEnv {
-    /// An env with the given features enabled.
-    pub fn with_features(features: &[&str]) -> Self {
-        CfgEnv {
-            features: features.iter().map(|s| s.to_string()).collect(),
-            flags: BTreeSet::new(),
-        }
-    }
-
     /// Evaluates a canonicalized cfg expression (`feature="x"`,
     /// `not(loom)`, `any(a,b)`, `all(a,b)`); unknown predicates are
     /// false.

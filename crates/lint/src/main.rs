@@ -5,8 +5,7 @@
 //!   latr-lint --root DIR --protocol F  # lint an arbitrary tree against a spec
 //!
 //! Exits 0 when the code matches PROTOCOL.toml, 1 on any diagnostic,
-//! 2 on usage or I/O errors. Build with `--features reference` to run
-//! the coverage accounting under the reference-backend cfg set.
+//! 2 on usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -87,15 +86,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // The only effect of the `reference` feature: the cfg set used for
-    // covered-field accounting, compared across runs by the parity test.
-    let env = if cfg!(feature = "reference") {
-        CfgEnv::with_features(&["reference"])
-    } else {
-        CfgEnv::default()
-    };
-
-    let report = match analyze_dir(&spec, &root, &display_prefix, &env) {
+    let report = match analyze_dir(&spec, &root, &display_prefix, &CfgEnv::default()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("latr-lint: {e}");

@@ -1,7 +1,5 @@
 //! Dogfood: the real rt sources must be clean against the real
-//! PROTOCOL.toml, and the default and `--features reference` runs must
-//! cover the same spec fields (no atomic op hides from the spec behind
-//! the backend-flip feature).
+//! PROTOCOL.toml and cover every spec field outside `cfg(loom)`.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -34,26 +32,14 @@ fn real_rt_sources_are_protocol_clean() {
         "only {} atomic ops attributed — attribution regressed",
         report.atomic_ops
     );
-}
-
-#[test]
-fn reference_run_covers_the_same_spec_fields() {
-    let spec = load_spec();
-    let base = analyze_dir(&spec, &rt_dir(), "", &CfgEnv::default()).unwrap();
-    let reference =
-        analyze_dir(&spec, &rt_dir(), "", &CfgEnv::with_features(&["reference"])).unwrap();
-    assert_eq!(
-        base.covered_fields, reference.covered_fields,
-        "default and reference cfg runs cover different spec fields"
-    );
-    // The only entry allowed to go uncovered in *both* runs is the
-    // loom-only deterministic clock, whose ops sit behind cfg(loom).
+    // The only entry allowed to go uncovered is the loom-only
+    // deterministic clock, whose ops sit behind cfg(loom).
     let all: BTreeSet<String> = spec
         .fields
         .iter()
         .map(|f| format!("{}::{}", f.owner, f.name))
         .collect();
-    let missing: Vec<&String> = all.difference(&base.covered_fields).collect();
+    let missing: Vec<&String> = all.difference(&report.covered_fields).collect();
     assert_eq!(
         missing,
         vec!["FrontierWatchdog::clock_ns"],

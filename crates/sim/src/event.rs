@@ -15,9 +15,8 @@
 //!   The differential suite (`tests/differential.rs`) runs both backends
 //!   on identical inputs and asserts bit-identical behaviour.
 //!
-//! The default backend is `Fast`; building `latr-sim` with the
-//! `reference` cargo feature flips the default (both backends are always
-//! compiled, so one process can construct and compare the two).
+//! The default backend is `Fast`. Both backends are always compiled, so
+//! one process can construct and compare the two.
 
 use crate::time::Time;
 use std::cmp::Ordering;
@@ -29,15 +28,6 @@ use std::collections::{BinaryHeap, HashSet};
 /// event before it fires.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
-
-impl EventId {
-    /// Builds an id from its raw counter value. Only the queue
-    /// implementations in this crate mint ids; the raw value is the
-    /// schedule-order sequence number that tie-breaks same-instant events.
-    pub(crate) fn from_raw(raw: u64) -> Self {
-        EventId(raw)
-    }
-}
 
 /// An event plus its scheduling metadata, as stored inside the queue.
 #[derive(Debug)]
@@ -74,23 +64,13 @@ impl<E> Ord for ScheduledEvent<E> {
 }
 
 /// Which event-queue implementation an [`EventQueue`] runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueBackend {
-    /// Calendar/bucket queue: the production hot path.
+    /// Calendar/bucket queue: the production hot path and the default.
+    #[default]
     Fast,
     /// Binary heap with linear cancel-aware peek: the executable spec.
     Reference,
-}
-
-impl Default for QueueBackend {
-    /// `Fast`, unless the crate is built with the `reference` feature.
-    fn default() -> Self {
-        if cfg!(feature = "reference") {
-            QueueBackend::Reference
-        } else {
-            QueueBackend::Fast
-        }
-    }
 }
 
 /// Nanoseconds per calendar bucket (512 ns): small enough that a bucket
@@ -153,7 +133,7 @@ impl Ord for Entry {
 /// same-512ns-window events (a wide same-instant broadcast) ever grows,
 /// and that growth is monotone per slot.
 #[derive(Debug)]
-pub(crate) struct Calendar<E> {
+struct Calendar<E> {
     /// Ring of buckets, each sorted *descending* by `(time, id)` so the
     /// minimum pops from the end in O(1).
     buckets: Vec<Vec<Entry>>,
@@ -179,7 +159,7 @@ pub(crate) struct Calendar<E> {
 const _: () = assert!(OCC_WORDS == 64, "summary word covers the whole ring");
 
 impl<E> Calendar<E> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Calendar {
             buckets: (0..NUM_BUCKETS)
                 .map(|_| Vec::with_capacity(BUCKET_PREALLOC))
@@ -194,7 +174,7 @@ impl<E> Calendar<E> {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.near + self.far.len()
     }
 
@@ -240,7 +220,7 @@ impl<E> Calendar<E> {
         }
     }
 
-    pub(crate) fn insert(&mut self, ev: ScheduledEvent<E>, now: Time) {
+    fn insert(&mut self, ev: ScheduledEvent<E>, now: Time) {
         let b = Self::bucket_of(ev.time);
         if self.near == 0 {
             // Empty ring: re-anchor the cursor at the clock. Every future
@@ -320,7 +300,7 @@ impl<E> Calendar<E> {
     /// Removes and returns the minimum event. The cursor advances to its
     /// bucket; the caller re-anchors via `insert` if it discards events
     /// (lazy cancellation) without advancing the clock.
-    pub(crate) fn pop_min(&mut self) -> Option<ScheduledEvent<E>> {
+    fn pop_min(&mut self) -> Option<ScheduledEvent<E>> {
         if self.near == 0 {
             let f = self.far.peek()?;
             self.cur = Self::bucket_of(f.time);
@@ -340,128 +320,6 @@ impl<E> Calendar<E> {
             id: entry.id,
             payload: self.arena_take(entry.handle),
         })
-    }
-
-    /// Drains every pending event with `time < horizon` into `out`,
-    /// ascending by `(time, id)`, and advances the cursor to the horizon's
-    /// bucket. The lane engine calls this once per epoch barrier; inserts
-    /// after the call are guaranteed by the lane engine to be at or beyond
-    /// the previous horizon, so they never land behind the cursor.
-    ///
-    /// `scratch` is caller-owned reusable storage for merging far-heap
-    /// events that fall below the horizon (rare: only schedules placed
-    /// beyond the ring span ever reach the far heap). Only sound on a
-    /// calendar with no lazily-cancelled events pending — the lane engine
-    /// does not support cancellation.
-    pub(crate) fn extract_until(
-        &mut self,
-        horizon: Time,
-        out: &mut Vec<ScheduledEvent<E>>,
-        scratch: &mut Vec<ScheduledEvent<E>>,
-    ) {
-        let start = out.len();
-        let hb = Self::bucket_of(horizon);
-        while self.near > 0 {
-            let nb = self.next_occupied(self.cur);
-            if nb > hb {
-                break;
-            }
-            self.cur = nb;
-            let slot = (nb & BUCKET_MASK) as usize;
-            if nb < hb {
-                // Whole bucket is below the horizon: buckets are sorted
-                // descending, so draining from the back yields ascending
-                // order.
-                while let Some(entry) = self.buckets[slot].pop() {
-                    debug_assert!(entry.time < horizon);
-                    self.near -= 1;
-                    out.push(ScheduledEvent {
-                        time: entry.time,
-                        id: entry.id,
-                        payload: self.arena_take(entry.handle),
-                    });
-                }
-                self.occ_clear(slot);
-            } else {
-                // Boundary bucket: only the sub-horizon prefix comes out.
-                while self.buckets[slot]
-                    .last()
-                    .is_some_and(|entry| entry.time < horizon)
-                {
-                    let entry = self.buckets[slot].pop().expect("checked");
-                    self.near -= 1;
-                    out.push(ScheduledEvent {
-                        time: entry.time,
-                        id: entry.id,
-                        payload: self.arena_take(entry.handle),
-                    });
-                }
-                if self.buckets[slot].is_empty() {
-                    self.occ_clear(slot);
-                }
-                break;
-            }
-        }
-        // All remaining ring events are at or beyond the horizon's bucket,
-        // so the cursor may jump there even across long empty stretches.
-        self.cur = self.cur.max(hb);
-        // Far-heap events below the horizon. They were filed when they lay
-        // beyond the ring span from the then-cursor, but the cursor has
-        // moved since, so they may interleave with the ring events already
-        // drained — merge the two ascending runs.
-        if self.far.peek().is_some_and(|f| f.time < horizon) {
-            scratch.clear();
-            scratch.extend(out.drain(start..));
-            let mut far_below: Vec<Entry> = Vec::new();
-            while self.far.peek().is_some_and(|f| f.time < horizon) {
-                far_below.push(self.far.pop().expect("peeked"));
-            }
-            let mut ring = scratch.drain(..).peekable();
-            let mut far_it = far_below.into_iter().peekable();
-            loop {
-                let take_far = match (ring.peek(), far_it.peek()) {
-                    (Some(r), Some(f)) => (f.time, f.id) < (r.time, r.id),
-                    (None, Some(_)) => true,
-                    _ => false,
-                };
-                if take_far {
-                    let entry = far_it.next().expect("peeked");
-                    out.push(ScheduledEvent {
-                        time: entry.time,
-                        id: entry.id,
-                        payload: self.slots[entry.handle as usize]
-                            .take()
-                            .expect("live handle"),
-                    });
-                    self.free.push(entry.handle);
-                } else {
-                    match ring.next() {
-                        Some(ev) => out.push(ev),
-                        None => break,
-                    }
-                }
-            }
-        }
-        debug_assert!(out[start..]
-            .windows(2)
-            .all(|w| (w[0].time, w[0].id) < (w[1].time, w[1].id)));
-    }
-
-    /// The minimum pending `(time, id)` without popping or advancing the
-    /// cursor. Assumes no lazily-cancelled events (lane-engine use).
-    pub(crate) fn peek_min_key(&self) -> Option<(Time, EventId)> {
-        let near = if self.near > 0 {
-            let nb = self.next_occupied(self.cur);
-            let slot = (nb & BUCKET_MASK) as usize;
-            self.buckets[slot].last().map(|e| (e.time, e.id))
-        } else {
-            None
-        };
-        let far = self.far.peek().map(|e| (e.time, e.id));
-        match (near, far) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     /// The minimum pending `(time, id)` after dropping cancelled events
@@ -791,14 +649,9 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_tracks_feature() {
+    fn default_backend_is_fast() {
         let q: EventQueue<()> = EventQueue::new();
-        let expect = if cfg!(feature = "reference") {
-            QueueBackend::Reference
-        } else {
-            QueueBackend::Fast
-        };
-        assert_eq!(q.backend(), expect);
+        assert_eq!(q.backend(), QueueBackend::Fast);
     }
 
     #[test]

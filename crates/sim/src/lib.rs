@@ -24,14 +24,12 @@
 //! ```
 
 mod event;
-mod lanes;
 mod rng;
 mod stats;
 mod time;
 mod trace;
 
 pub use event::{EventId, EventQueue, QueueBackend, ScheduledEvent};
-pub use lanes::{EpochBarrier, LaneSet};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, StatsRegistry, Summary};
 pub use time::{Nanos, Time, MICROSECOND, MILLISECOND, SECOND};

@@ -5,9 +5,9 @@
 //!
 //! The snapshots are the determinism backstop for the hot-path work: any
 //! change to event ordering, sweep behaviour or cost accounting shows up
-//! as a diff here, whether it comes from the fast engines or the
-//! `reference` ones (the differential suite proves they agree, so one
-//! set of golden files pins both).
+//! as a diff here. Every scenario runs on the fast engine and on the
+//! reference engine (binary-heap queue plus full-scan sweep), so one set
+//! of golden files pins both.
 //!
 //! To re-bless after an *intentional* behaviour change:
 //!
@@ -21,8 +21,8 @@ use std::path::PathBuf;
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
-use latr_kernel::{EngineBackend, Machine, MachineConfig, Workload};
-use latr_sim::{MILLISECOND, SECOND};
+use latr_kernel::{Machine, MachineConfig, Workload};
+use latr_sim::{QueueBackend, MILLISECOND, SECOND};
 use latr_workloads::{
     ChaosShare, MigrationProfile, MigrationWorkload, MunmapMicrobench, PolicyKind, SweepStorm,
 };
@@ -71,11 +71,10 @@ fn check_golden(name: &str, machine: &Machine) {
 }
 
 /// Runs one golden scenario: fixed topology, seed, plan and workload.
-/// Every scenario runs on the default engine *and* the lane-sharded
-/// parallel engine; their fingerprints must be bit-identical, so the one
-/// committed golden file pins all engines (the differential suite covers
-/// the rest of the matrix). The default-engine machine is returned for
-/// the byte-for-byte golden comparison.
+/// Every scenario runs on the default (fast) engine *and* the reference
+/// engine — binary-heap queue plus full-scan sweep; their fingerprints
+/// must be bit-identical, so the one committed golden file pins both.
+/// The fast machine is returned for the byte-for-byte golden comparison.
 fn run_scenario(
     config: MachineConfig,
     seed: u64,
@@ -83,22 +82,26 @@ fn run_scenario(
     latr: LatrConfig,
     workload: &dyn Fn() -> Box<dyn Workload>,
 ) -> Machine {
-    let run_one = |engine: EngineBackend| {
+    let run_one = |engine: QueueBackend| {
         let mut config = config.clone();
         config.seed = seed;
         config.trace_capacity = 4096;
         config.faults = plan.clone();
         config.engine = engine;
+        let latr = LatrConfig {
+            reference_sweep: engine == QueueBackend::Reference,
+            ..latr
+        };
         let mut machine = Machine::new(config);
         machine.run(workload(), PolicyKind::Latr(latr).build(), SECOND);
         machine
     };
-    let machine = run_one(EngineBackend::default());
-    let parallel = run_one(EngineBackend::Parallel(2));
+    let machine = run_one(QueueBackend::default());
+    let reference = run_one(QueueBackend::Reference);
     assert_eq!(
         machine.fingerprint(),
-        parallel.fingerprint(),
-        "parallel engine diverged from the default engine on a golden scenario"
+        reference.fingerprint(),
+        "reference engine diverged from the fast engine on a golden scenario"
     );
     machine
 }

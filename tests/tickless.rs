@@ -5,8 +5,8 @@
 
 use latr_arch::{CpuId, MachinePreset, Topology};
 use latr_core::LatrConfig;
-use latr_kernel::{metrics, EngineBackend, Machine, MachineConfig, Op, TaskId, Workload};
-use latr_sim::{MILLISECOND, SECOND};
+use latr_kernel::{metrics, Machine, MachineConfig, Op, TaskId, Workload};
+use latr_sim::{QueueBackend, MILLISECOND, SECOND};
 use latr_workloads::PolicyKind;
 
 /// Four busy cores on a 16-core machine; the other twelve stay idle.
@@ -53,37 +53,37 @@ fn machine_last(machine: &Machine, task: TaskId) -> Option<latr_mem::VaRange> {
     machine.task(task).last_mmap
 }
 
-fn run_on(tickless: bool, engine: EngineBackend) -> Machine {
+fn run_on(tickless: bool, engine: QueueBackend) -> Machine {
     let mut config = MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C));
     config.tickless = tickless;
     config.engine = engine;
+    let latr = LatrConfig {
+        reference_sweep: engine == QueueBackend::Reference,
+        ..LatrConfig::default()
+    };
     let mut machine = Machine::new(config);
     machine.run(
         Box::new(FourBusyCores { remaining: vec![] }),
-        PolicyKind::Latr(LatrConfig::default()).build(),
+        PolicyKind::Latr(latr).build(),
         SECOND,
     );
     machine
 }
 
 fn run(tickless: bool) -> Machine {
-    run_on(tickless, EngineBackend::default())
+    run_on(tickless, QueueBackend::default())
 }
 
-/// Tickless mode interacts with the engine's epoch machinery — idle cores
-/// produce long event-free stretches the parallel engine must skip across
-/// without drifting — so the whole matrix must agree in both modes.
+/// Tickless idle cores produce long event-free stretches — the calendar
+/// queue's far-horizon path — so both engines must agree in both modes.
 #[test]
 fn tickless_is_identical_across_the_engine_matrix() {
     for tickless in [false, true] {
-        let baseline = run_on(tickless, EngineBackend::Fast).fingerprint();
-        for engine in [EngineBackend::Reference, EngineBackend::Parallel(4)] {
-            assert_eq!(
-                run_on(tickless, engine).fingerprint(),
-                baseline,
-                "{engine:?} diverged with tickless={tickless}"
-            );
-        }
+        assert_eq!(
+            run_on(tickless, QueueBackend::Reference).fingerprint(),
+            run_on(tickless, QueueBackend::Fast).fingerprint(),
+            "reference diverged with tickless={tickless}"
+        );
     }
 }
 

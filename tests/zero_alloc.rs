@@ -48,8 +48,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
-use latr_kernel::{EngineBackend, Machine, MachineConfig};
-use latr_sim::{Nanos, MILLISECOND};
+use latr_kernel::{Machine, MachineConfig};
+use latr_sim::{Nanos, QueueBackend, MILLISECOND};
 use latr_workloads::{PolicyKind, SweepStorm};
 
 /// Runs the bench-shaped sweep storm for `duration` and returns the
@@ -61,7 +61,7 @@ fn allocations_during(duration: Nanos) -> (u64, u64) {
     config.seed = 0x000a_110c;
     config.trace_capacity = 0;
     config.oracle = false;
-    config.engine = EngineBackend::Fast;
+    config.engine = QueueBackend::Fast;
     let mut machine = Machine::new(config);
     // Enough rounds that the storm is still publishing when the long
     // run ends: the extra window must contain real per-event work, not
