@@ -21,11 +21,11 @@
 //! the fresh results overwrite it) — the CI bench-regression guard.
 
 use latr_bench::hotpath::{
-    committed_fast_ticks, fingerprints_match, guard_failures, hotpath_json, hotpath_rounds,
-    hotpath_shapes, run_hotpath_point, speedups,
+    committed_fast_ticks, guard_failures, hotpath_json, hotpath_rounds, hotpath_shapes,
+    run_hotpath_point,
 };
 use latr_bench::print_title;
-use latr_sim::QueueBackend;
+use latr_bench::report::{fingerprints_agree, ratios, ENGINES};
 
 /// Fractional ticks/sec drop below the committed file that fails the
 /// `--guard` check.
@@ -54,7 +54,7 @@ fn main() {
     let mut points = Vec::new();
     for (topology, cores) in hotpath_shapes() {
         let rounds = hotpath_rounds(cores, quick);
-        for backend in [QueueBackend::Fast, QueueBackend::Reference] {
+        for backend in ENGINES {
             let p = run_hotpath_point(
                 backend,
                 topology.clone(),
@@ -76,10 +76,13 @@ fn main() {
     }
 
     println!();
-    for (cores, speedup) in speedups(&points) {
+    let speedups = ratios(&points, "fast", "reference", |p| {
+        (p.engine.as_str(), p.cores, p.ticks_per_sec)
+    });
+    for (cores, speedup) in speedups {
         println!("speedup at {cores:>3} cores: {speedup:.2}x (ticks/sec, fast ÷ reference)");
     }
-    let identical = fingerprints_match(&points);
+    let identical = fingerprints_agree(&points, |p| (p.cores, p.fingerprint));
     println!(
         "fingerprints: {}",
         if identical {

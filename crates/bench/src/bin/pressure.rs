@@ -36,8 +36,8 @@ fn main() {
         shape.pages,
         shape.hold,
         shape.frames_per_node,
-        shape.low,
-        shape.min
+        shape.low_watermark,
+        shape.min_watermark
     );
     println!(
         "{:<16} {:>8} {:>8} {:>8} {:>7} {:>5} {:>10} {:>10} {:>9} {:>7}",

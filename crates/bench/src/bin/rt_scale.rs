@@ -18,9 +18,10 @@
 //! disqualifies every speedup number in it.
 
 use latr_bench::print_title;
+use latr_bench::report::ratios;
 use latr_bench::rt_scale::{
-    canary_passed, ratios_vs, rt_scale_duration, rt_scale_json, rt_scale_threads,
-    run_rt_scale_point, ScaleEngine,
+    canary_passed, rt_scale_duration, rt_scale_json, rt_scale_threads, run_rt_scale_point,
+    RtScalePoint, ScaleEngine,
 };
 
 fn main() {
@@ -51,10 +52,11 @@ fn main() {
     }
 
     println!();
-    for (threads, r) in ratios_vs(&points, "lazy-reference") {
+    let key = |p: &RtScalePoint| (p.engine, p.threads, p.ops_per_sec);
+    for (threads, r) in ratios(&points, "lazy-sharded", "lazy-reference", key) {
         println!("sharded vs reference at {threads:>3} threads: {r:.2}x (ops/sec)");
     }
-    for (threads, r) in ratios_vs(&points, "sync-ipi") {
+    for (threads, r) in ratios(&points, "lazy-sharded", "sync-ipi", key) {
         println!("lazy vs sync-IPI     at {threads:>3} threads: {r:.2}x (ops/sec)");
     }
 

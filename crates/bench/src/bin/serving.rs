@@ -16,6 +16,7 @@
 //! Exits non-zero if any cross-engine gate fails.
 
 use latr_bench::print_title;
+use latr_bench::report::fingerprints_agree;
 use latr_bench::serving::{
     run_serving_gate, run_serving_point, serving_json, serving_requests_per_worker,
     serving_variants,
@@ -31,13 +32,14 @@ fn main() {
     println!("cross-engine fingerprint gates (small runs):");
     let mut gates = Vec::new();
     for v in &variants {
-        let gate = run_serving_gate(v, seed);
+        let runs = run_serving_gate(v, seed);
+        let agree = fingerprints_agree(&runs, |p| (&p.label, p.fingerprint));
         println!(
             "  {:<18} {}",
-            gate.label,
-            if gate.passed() { "ok" } else { "DIVERGED" }
+            v.label,
+            if agree { "ok" } else { "DIVERGED" }
         );
-        gates.push(gate);
+        gates.extend(runs);
     }
 
     println!();
@@ -54,7 +56,7 @@ fn main() {
             seed,
         );
         let us = |n: u64| n as f64 / 1e3;
-        let s = p.request_ns.clone().expect("requests served");
+        let s = p.request_ns.expect("requests served");
         println!(
             "{:<18} {:>10} {:>12.1} {:>10.1} {:>10.1} {:>10.1} {:>12}",
             p.label,
@@ -68,7 +70,7 @@ fn main() {
         curves.push(p);
     }
 
-    let all_passed = gates.iter().all(|g| g.passed());
+    let all_passed = fingerprints_agree(&gates, |p| (&p.label, p.fingerprint));
     println!();
     println!(
         "gates: {}",

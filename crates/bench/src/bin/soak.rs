@@ -20,8 +20,9 @@
 //! [`ThreadFaultInjector`]: latr_faults::ThreadFaultInjector
 
 use latr_bench::print_title;
+use latr_bench::rt_loop::LazyEngine;
 use latr_bench::soak::{
-    run_soak_point, soak_duration, soak_json, soak_passed, soak_plan, soak_threads, SoakEngine,
+    run_soak_point, soak_duration, soak_json, soak_passed, soak_plan, soak_threads,
 };
 
 fn main() {
@@ -42,7 +43,7 @@ fn main() {
 
     let mut points = Vec::new();
     for threads in soak_threads(quick) {
-        for engine in SoakEngine::all() {
+        for engine in LazyEngine::all() {
             let p = run_soak_point(
                 engine,
                 threads,
@@ -55,7 +56,7 @@ fn main() {
                 p.engine,
                 p.threads,
                 p.rounds,
-                p.lag_p99,
+                p.reclaim_lag_p99,
                 p.deaths_recovered,
                 p.deaths_fired,
                 p.max_recovery_ms,

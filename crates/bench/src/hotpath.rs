@@ -24,10 +24,12 @@ use latr_kernel::{metrics, Machine, MachineConfig};
 use latr_sim::{QueueBackend, SECOND};
 use latr_workloads::{PolicyKind, SweepStorm};
 
+use crate::report::{engine_label, fingerprints_agree, fnv1a, ratios, rows, Float, Object};
+
 /// One engine × machine-size measurement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HotpathPoint {
-    /// Engine label: `"fast"` or `"reference"` (see [`engine_label`]).
+    /// Engine label: `"fast"` or `"reference"`.
     pub engine: String,
     /// Simulated cores.
     pub cores: usize,
@@ -87,15 +89,6 @@ pub fn hotpath_rounds(cores: usize, quick: bool) -> u32 {
     }
 }
 
-/// The label a bench row carries for an engine: `"fast"` or
-/// `"reference"`.
-pub fn engine_label(backend: QueueBackend) -> &'static str {
-    match backend {
-        QueueBackend::Fast => "fast",
-        QueueBackend::Reference => "reference",
-    }
-}
-
 /// Runs the sweep storm once on the chosen engine and measures it. The
 /// `Reference` engine also runs the reference (scan-every-queue) Latr
 /// sweep, so it measures the full PR-4 baseline stack; `Fast` uses the
@@ -119,137 +112,88 @@ pub fn run_hotpath_point(
     rounds: u32,
     seed: u64,
 ) -> HotpathPoint {
-    let mut best: Option<HotpathPoint> = None;
-    for _ in 0..HOTPATH_REPS {
-        let mut config = MachineConfig::new(topology.clone());
-        config.seed = seed;
-        // Tracing and the coherence oracle off: both are pure observers
-        // with per-event costs that would drown the engine difference
-        // being measured (the differential suite runs them instead).
-        config.trace_capacity = 0;
-        config.oracle = false;
-        config.engine = backend;
-        let latr = LatrConfig {
-            reference_sweep: backend == QueueBackend::Reference,
-            ..LatrConfig::default()
-        };
-        let mut machine = Machine::new(config);
-        let start = Instant::now();
-        machine.run(
-            Box::new(SweepStorm::new(cores, rounds).with_publishers(hotpath_publishers(cores))),
-            PolicyKind::Latr(latr).build(),
-            10 * SECOND,
-        );
-        let wall = start.elapsed().as_nanos().max(1);
-        let sim_ticks = machine.stats.counter(metrics::SCHED_TICKS);
-        let ops = machine.stats.counter(metrics::WORK_UNITS);
-        let per_sec = |n: u64| n as f64 * 1e9 / wall as f64;
-        let point = HotpathPoint {
-            engine: engine_label(backend).to_string(),
-            cores,
-            wall_ns: wall,
-            sim_ticks,
-            events: machine.events_delivered(),
-            ops,
-            ticks_per_sec: per_sec(sim_ticks),
-            ops_per_sec: per_sec(ops),
-            fingerprint: fnv1a(&machine.fingerprint()),
-        };
-        best = Some(match best.take() {
-            Some(prev) => {
-                assert_eq!(
-                    prev.fingerprint, point.fingerprint,
-                    "{} at {cores} cores diverged between repetitions",
-                    point.engine
-                );
-                if point.wall_ns < prev.wall_ns {
-                    point
-                } else {
-                    prev
-                }
+    let reps: Vec<HotpathPoint> = (0..HOTPATH_REPS)
+        .map(|_| {
+            let mut config = MachineConfig::new(topology.clone());
+            config.seed = seed;
+            // Tracing and the coherence oracle off: both are pure observers
+            // with per-event costs that would drown the engine difference
+            // being measured (the differential suite runs them instead).
+            config.trace_capacity = 0;
+            config.oracle = false;
+            config.engine = backend;
+            let latr = LatrConfig {
+                reference_sweep: backend == QueueBackend::Reference,
+                ..LatrConfig::default()
+            };
+            let mut machine = Machine::new(config);
+            let start = Instant::now();
+            machine.run(
+                Box::new(SweepStorm::new(cores, rounds).with_publishers(hotpath_publishers(cores))),
+                PolicyKind::Latr(latr).build(),
+                10 * SECOND,
+            );
+            let wall = start.elapsed().as_nanos().max(1);
+            let sim_ticks = machine.stats.counter(metrics::SCHED_TICKS);
+            let ops = machine.stats.counter(metrics::WORK_UNITS);
+            let per_sec = |n: u64| n as f64 * 1e9 / wall as f64;
+            HotpathPoint {
+                engine: engine_label(backend).to_string(),
+                cores,
+                wall_ns: wall,
+                sim_ticks,
+                events: machine.events_delivered(),
+                ops,
+                ticks_per_sec: per_sec(sim_ticks),
+                ops_per_sec: per_sec(ops),
+                fingerprint: fnv1a(&machine.fingerprint()),
             }
-            None => point,
-        });
-    }
-    best.expect("HOTPATH_REPS > 0")
+        })
+        .collect();
+    assert!(
+        reps.windows(2)
+            .all(|w| w[0].fingerprint == w[1].fingerprint),
+        "{} at {cores} cores diverged between repetitions",
+        reps[0].engine
+    );
+    // The first of the fastest, as a strict best-so-far scan would keep.
+    reps.into_iter()
+        .min_by_key(|p| p.wall_ns)
+        .expect("HOTPATH_REPS > 0")
 }
 
 /// Repetitions per measured point (best wall clock wins).
 pub const HOTPATH_REPS: u32 = 5;
 
-/// FNV-1a over the fingerprint text: compact enough for a JSON field,
-/// collision-proof enough for "did the engines diverge".
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Renders the measurement set as the `BENCH_hotpath.json` document.
-/// Hand-rolled: the schema is flat and the vendored serde stub does not
-/// serialize.
 pub fn hotpath_json(points: &[HotpathPoint], quick: bool) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"hotpath\",");
-    let _ = writeln!(out, "  \"workload\": \"sweep-storm\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"engine\": \"{}\", \"cores\": {}, \"wall_ns\": {}, \
-             \"sim_ticks\": {}, \"events\": {}, \"ops\": {}, \
-             \"ticks_per_sec\": {:.1}, \"ops_per_sec\": {:.1}, \
-             \"fingerprint\": \"{:016x}\"}}{comma}",
-            p.engine,
-            p.cores,
-            p.wall_ns,
-            p.sim_ticks,
-            p.events,
-            p.ops,
-            p.ticks_per_sec,
-            p.ops_per_sec,
-            p.fingerprint,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"fingerprints_match\": {},",
-        fingerprints_match(points)
-    );
-    for (cores, speedup) in speedups(points) {
-        let _ = writeln!(out, "  \"speedup_at_{cores}_cores\": {speedup:.2},");
-    }
-    // Trim the trailing comma of the last speedup line.
-    if out.ends_with(",\n") {
-        out.truncate(out.len() - 2);
-        out.push('\n');
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Whether every fast/reference pair at the same core count produced the
-/// same fingerprint.
-pub fn fingerprints_match(points: &[HotpathPoint]) -> bool {
-    points.iter().all(|p| {
-        points
-            .iter()
-            .filter(|q| q.cores == p.cores)
-            .all(|q| q.fingerprint == p.fingerprint)
-    })
+    let speedups = ratios(points, "fast", "reference", |p| {
+        (p.engine.as_str(), p.cores, p.ticks_per_sec)
+    });
+    Object::new()
+        .field("bench", "hotpath")
+        .field("workload", "sweep-storm")
+        .field("quick", quick)
+        .field(
+            "points",
+            rows!(points; engine, cores, wall_ns, sim_ticks, events, ops, ticks_per_sec: 1,
+                          ops_per_sec: 1, fingerprint: hex),
+        )
+        .field(
+            "fingerprints_match",
+            fingerprints_agree(points, |p| (p.cores, p.fingerprint)),
+        )
+        .fields(
+            speedups
+                .into_iter()
+                .map(|(cores, s)| (format!("speedup_at_{cores}_cores"), Float(s, 2))),
+        )
+        .render()
 }
 
 /// Extracts `(cores, ticks_per_sec)` for every `fast` point from a
-/// committed `BENCH_hotpath.json` document. Hand-rolled to match
-/// [`hotpath_json`]'s flat one-point-per-line layout — the vendored
-/// serde stub does not deserialize either.
+/// committed `BENCH_hotpath.json` document, line by line:
+/// [`hotpath_json`] prints one point per line.
 pub fn committed_fast_ticks(json: &str) -> Vec<(usize, f64)> {
     let field = |line: &str, key: &str| -> Option<f64> {
         let tail = &line[line.find(key)? + key.len()..];
@@ -300,65 +244,36 @@ pub fn guard_failures(
     out
 }
 
-/// `(cores, fast ticks/sec ÷ reference ticks/sec)` per measured shape.
-pub fn speedups(points: &[HotpathPoint]) -> Vec<(usize, f64)> {
-    let mut out = Vec::new();
-    for p in points.iter().filter(|p| p.engine == "fast") {
-        if let Some(r) = points
-            .iter()
-            .find(|q| q.engine == "reference" && q.cores == p.cores)
-        {
-            out.push((p.cores, p.ticks_per_sec / r.ticks_per_sec.max(1e-9)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn point(engine: &str, cores: usize, tps: f64, fp: u64) -> HotpathPoint {
+    fn point(engine: &str, cores: usize, tps: f64, fingerprint: u64) -> HotpathPoint {
+        let engine = engine.to_string();
+        let ticks_per_sec = tps;
         HotpathPoint {
-            engine: engine.to_string(),
+            engine,
             cores,
-            wall_ns: 1,
-            sim_ticks: 1,
-            events: 1,
-            ops: 1,
-            ticks_per_sec: tps,
-            ops_per_sec: 1.0,
-            fingerprint: fp,
+            ticks_per_sec,
+            fingerprint,
+            ..HotpathPoint::default()
         }
     }
 
     #[test]
-    fn json_is_well_formed_and_reports_speedup() {
-        let points = [
+    fn fingerprint_mismatch_is_reported() {
+        let agree = [
             point("fast", 16, 300.0, 7),
             point("reference", 16, 100.0, 7),
         ];
-        let json = hotpath_json(&points, true);
-        assert!(json.contains("\"speedup_at_16_cores\": 3.00"));
+        let json = hotpath_json(&agree, true);
         assert!(json.contains("\"fingerprints_match\": true"));
-        assert!(!json.contains(",\n}"), "no trailing comma:\n{json}");
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn fingerprint_mismatch_is_reported() {
-        let points = [
+        assert!(json.contains("\"speedup_at_16_cores\": 3.00"));
+        let diverged = [
             point("fast", 16, 300.0, 7),
             point("reference", 16, 100.0, 8),
         ];
-        assert!(!fingerprints_match(&points));
-        assert!(hotpath_json(&points, false).contains("\"fingerprints_match\": false"));
+        assert!(hotpath_json(&diverged, false).contains("\"fingerprints_match\": false"));
     }
 
     #[test]

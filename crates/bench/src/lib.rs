@@ -27,9 +27,16 @@
 //!
 //! Run with `cargo run --release -p latr-bench --bin <name>`; pass
 //! `--quick` for a shorter, less smooth sweep.
+//!
+//! | Shared module | Used by |
+//! |---|---|
+//! | `report`  | every `BENCH_*.json` emitter: JSON writer, FNV-1a, fingerprint gate, ratios |
+//! | `rt_loop` | `rt_scale` and `soak`: the one real-thread worker loop and its canary |
 
 pub mod hotpath;
 pub mod pressure;
+pub mod report;
+pub mod rt_loop;
 pub mod rt_scale;
 pub mod serving;
 pub mod soak;

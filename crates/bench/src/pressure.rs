@@ -27,6 +27,8 @@ use latr_kernel::{metrics, Machine, MachineConfig};
 use latr_sim::SECOND;
 use latr_workloads::{AllocStorm, PolicyKind};
 
+use crate::report::{fnv1a, row, rows, Object};
+
 /// Shape of one benchmark run (scaled down by `--quick` for CI).
 #[derive(Clone, Copy, Debug)]
 pub struct StormShape {
@@ -41,9 +43,9 @@ pub struct StormShape {
     /// Physical frames per NUMA node.
     pub frames_per_node: u64,
     /// Low watermark (frames, per node).
-    pub low: u64,
+    pub low_watermark: u64,
     /// Min watermark (frames, per node).
-    pub min: u64,
+    pub min_watermark: u64,
     /// RNG seed for the machine.
     pub seed: u64,
 }
@@ -58,8 +60,8 @@ pub fn full_shape() -> StormShape {
         pages: 4,
         hold: 2,
         frames_per_node: 256,
-        low: 96,
-        min: 24,
+        low_watermark: 96,
+        min_watermark: 24,
         seed: 42,
     }
 }
@@ -73,8 +75,8 @@ pub fn quick_shape() -> StormShape {
         pages: 4,
         hold: 2,
         frames_per_node: 224,
-        low: 72,
-        min: 16,
+        low_watermark: 72,
+        min_watermark: 16,
         seed: 42,
     }
 }
@@ -88,7 +90,7 @@ pub fn quick_shape() -> StormShape {
 pub fn pressure_plan(shape: &StormShape) -> FaultPlan {
     let nodes = if shape.cores > 16 { 8u8 } else { 2 };
     let burst = shape.frames_per_node / 5;
-    let mut plan = FaultPlan::default().with_flap(3_000_000, 2_000_000, shape.min / 2);
+    let mut plan = FaultPlan::default().with_flap(3_000_000, 2_000_000, shape.min_watermark / 2);
     for (i, node) in (0..nodes).step_by(2).enumerate() {
         plan = plan.with_burst(node, 2_200_000 + 200_000 * i as u64, 3_000_000, burst);
     }
@@ -115,17 +117,17 @@ pub struct PressurePoint {
     /// Allocations that failed even after direct reclaim.
     pub oom_events: u64,
     /// Alloc-stall latency percentiles (ns; 0 when no stalls).
-    pub stall_p50: u64,
+    pub stall_p50_ns: u64,
     /// 99th percentile stall (ns).
-    pub stall_p99: u64,
+    pub stall_p99_ns: u64,
     /// 99.9th percentile stall (ns).
-    pub stall_p999: u64,
+    pub stall_p999_ns: u64,
     /// Pressure-expedited sweep escalations.
     pub expedited_sweeps: u64,
     /// IPIs those escalations cost.
     pub expedited_ipis: u64,
     /// Worst pressure-expedite release latency (ns).
-    pub expedite_latency_max: u64,
+    pub expedite_latency_max_ns: u64,
     /// Min-watermark forced entries into sync mode.
     pub pressure_sync_enters: u64,
     /// Package-ticks overdue frames sat gated (reclamation debt held up).
@@ -136,8 +138,9 @@ pub struct PressurePoint {
     pub oracle_clean: bool,
     /// Frames still allocated at the end (must be 0).
     pub leaked: usize,
-    /// Machine fingerprint — byte-identical across reruns of the arm.
-    pub fingerprint: String,
+    /// FNV-1a of the machine fingerprint — identical across reruns of
+    /// the arm.
+    pub fingerprint: u64,
 }
 
 /// Runs one arm of the storm and collects its point.
@@ -151,8 +154,8 @@ pub fn run_pressure_point(
     } else {
         MachinePreset::Commodity2S16C
     };
-    let mut config =
-        MachineConfig::new(Topology::preset(preset)).with_watermarks(shape.low, shape.min);
+    let mut config = MachineConfig::new(Topology::preset(preset))
+        .with_watermarks(shape.low_watermark, shape.min_watermark);
     config.frames_per_node = shape.frames_per_node;
     config.seed = shape.seed;
     config.faults = Some(pressure_plan(shape));
@@ -176,18 +179,18 @@ pub fn run_pressure_point(
         min_events: machine.stats.counter(metrics::MEM_PRESSURE_MIN_EVENTS),
         alloc_stalls: machine.stats.counter(metrics::ALLOC_STALLS),
         oom_events: machine.stats.counter(metrics::OOM_EVENTS),
-        stall_p50: stall_hist.map_or(0, |h| h.percentile(0.50)),
-        stall_p99: stall_hist.map_or(0, |h| h.percentile(0.99)),
-        stall_p999: stall_hist.map_or(0, |h| h.percentile(0.999)),
+        stall_p50_ns: stall_hist.map_or(0, |h| h.percentile(0.50)),
+        stall_p99_ns: stall_hist.map_or(0, |h| h.percentile(0.99)),
+        stall_p999_ns: stall_hist.map_or(0, |h| h.percentile(0.999)),
         expedited_sweeps: machine.stats.counter(metrics::LATR_EXPEDITED_SWEEPS),
         expedited_ipis: machine.stats.counter(metrics::LATR_EXPEDITED_IPIS),
-        expedite_latency_max: expedite_hist.map_or(0, |h| h.summary().max),
+        expedite_latency_max_ns: expedite_hist.map_or(0, |h| h.summary().max),
         pressure_sync_enters: machine.stats.counter(metrics::LATR_PRESSURE_SYNC_ENTERS),
         gate_held: machine.stats.counter(metrics::LATR_GATE_HELD),
         released_frames: machine.stats.counter(metrics::LATR_RECLAIM_RELEASED_FRAMES),
         oracle_clean: machine.oracle_violation().is_none(),
         leaked: machine.frames.allocated_count(),
-        fingerprint: machine.fingerprint(),
+        fingerprint: fnv1a(&machine.fingerprint()),
     }
 }
 
@@ -234,65 +237,29 @@ pub fn pressure_passed(points: &[PressurePoint]) -> bool {
         && full.gate_held <= bare.gate_held / 10
 }
 
-/// Renders the arms as the `BENCH_pressure.json` document. Hand-rolled
-/// like `soak_json`: the vendored serde stub does not serialize.
+/// Renders the arms as the `BENCH_pressure.json` document.
 pub fn pressure_json(points: &[PressurePoint], shape: &StormShape, quick: bool) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"pressure\",");
-    let _ = writeln!(
-        out,
-        "  \"workload\": \"seeded allocation storm under sweep stalls, bursts, and a watermark flap\","
-    );
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(
-        out,
-        "  \"shape\": {{\"cores\": {}, \"rounds\": {}, \"pages\": {}, \"hold\": {}, \
-         \"frames_per_node\": {}, \"low_watermark\": {}, \"min_watermark\": {}, \"seed\": {}}},",
-        shape.cores,
-        shape.rounds,
-        shape.pages,
-        shape.hold,
-        shape.frames_per_node,
-        shape.low,
-        shape.min,
-        shape.seed
-    );
-    let _ = writeln!(out, "  \"passed\": {},", pressure_passed(points));
-    let _ = writeln!(out, "  \"arms\": [");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"arm\": \"{}\", \"min_free\": {}, \"low_events\": {}, \
-             \"min_events\": {}, \"alloc_stalls\": {}, \"oom_events\": {}, \
-             \"stall_p50_ns\": {}, \"stall_p99_ns\": {}, \"stall_p999_ns\": {}, \
-             \"expedited_sweeps\": {}, \"expedited_ipis\": {}, \
-             \"expedite_latency_max_ns\": {}, \"pressure_sync_enters\": {}, \
-             \"gate_held\": {}, \"released_frames\": {}, \"oracle_clean\": {}, \
-             \"leaked\": {}, \"fingerprint\": \"{}\"}}{comma}",
-            p.arm,
-            p.min_free,
-            p.low_events,
-            p.min_events,
-            p.alloc_stalls,
-            p.oom_events,
-            p.stall_p50,
-            p.stall_p99,
-            p.stall_p999,
-            p.expedited_sweeps,
-            p.expedited_ipis,
-            p.expedite_latency_max,
-            p.pressure_sync_enters,
-            p.gate_held,
-            p.released_frames,
-            p.oracle_clean,
-            p.leaked,
-            p.fingerprint,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Object::new()
+        .field("bench", "pressure")
+        .field(
+            "workload",
+            "seeded allocation storm under sweep stalls, bursts, and a watermark flap",
+        )
+        .field("quick", quick)
+        .field(
+            "shape",
+            row!(shape; cores, rounds, pages, hold, frames_per_node, low_watermark,
+                 min_watermark, seed),
+        )
+        .field("passed", pressure_passed(points))
+        .field(
+            "arms",
+            rows!(points; arm, min_free, low_events, min_events, alloc_stalls, oom_events,
+                          stall_p50_ns, stall_p99_ns, stall_p999_ns, expedited_sweeps,
+                          expedited_ipis, expedite_latency_max_ns, pressure_sync_enters,
+                          gate_held, released_frames, oracle_clean, leaked, fingerprint: hex),
+        )
+        .render()
 }
 
 #[cfg(test)]
@@ -314,15 +281,5 @@ mod tests {
         );
         let first = points.iter().find(|p| p.arm == "latr-escalation").unwrap();
         assert_eq!(first.fingerprint, again.fingerprint, "rerun must replay");
-    }
-
-    #[test]
-    fn json_is_well_formed() {
-        let shape = quick_shape();
-        let points = run_pressure_bench(&shape);
-        let json = pressure_json(&points, &shape, true);
-        assert!(json.contains("\"bench\": \"pressure\""));
-        assert!(json.contains("latr-escalation"));
-        assert_eq!(json.matches("{").count(), json.matches("}").count());
     }
 }

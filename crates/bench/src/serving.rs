@@ -23,7 +23,7 @@ use latr_kernel::{metrics, Machine, MachineConfig};
 use latr_sim::{QueueBackend, Summary, MILLISECOND, SECOND};
 use latr_workloads::{ArrivalProcess, PolicyKind, ServingWorkload};
 
-use crate::hotpath::{engine_label, fnv1a};
+use crate::report::{engine_label, fingerprints_agree, fnv1a, rows, Hex, Object, Rows, ENGINES};
 
 /// Which policy (and faults) one serving curve runs under.
 #[derive(Clone, Debug)]
@@ -105,7 +105,7 @@ pub fn serving_variants() -> Vec<ServingVariant> {
 }
 
 /// One variant × engine measurement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServingPoint {
     /// Variant label (see [`serving_variants`]).
     pub label: String,
@@ -178,108 +178,45 @@ pub fn run_serving_point(
     }
 }
 
-/// Cross-engine gate for one variant: the same small run on the fast and
-/// reference engines, which must fingerprint identically.
-#[derive(Clone, Debug)]
-pub struct ServingGate {
-    /// Variant label.
-    pub label: String,
-    /// `(engine label, fingerprint)` per engine.
-    pub fingerprints: Vec<(String, u64)>,
+/// The cross-engine gate runs for `variant`: the same quick-size run on
+/// every engine, which must fingerprint identically
+/// ([`fingerprints_agree`]).
+pub fn run_serving_gate(variant: &ServingVariant, seed: u64) -> Vec<ServingPoint> {
+    ENGINES
+        .iter()
+        .map(|&e| run_serving_point(e, variant, serving_requests_per_worker(true), seed))
+        .collect()
 }
 
-impl ServingGate {
-    /// Whether every engine agreed.
-    pub fn passed(&self) -> bool {
-        self.fingerprints.windows(2).all(|w| w[0].1 == w[1].1)
-    }
-}
-
-/// Runs the cross-engine fingerprint gate for `variant`.
-pub fn run_serving_gate(variant: &ServingVariant, seed: u64) -> ServingGate {
-    let fingerprints = [QueueBackend::Fast, QueueBackend::Reference]
-        .into_iter()
-        .map(|e| {
-            let p = run_serving_point(e, variant, serving_requests_per_worker(true), seed);
-            (p.engine, p.fingerprint)
-        })
-        .collect();
-    ServingGate {
-        label: variant.label.to_string(),
-        fingerprints,
-    }
-}
-
-fn summary_json(s: &Option<Summary>) -> String {
-    match s {
-        None => "null".to_string(),
-        Some(s) => format!(
-            "{{\"count\": {}, \"mean\": {:.1}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}",
-            s.count, s.mean, s.p50, s.p90, s.p99, s.p999, s.max
-        ),
-    }
-}
-
-/// Renders the gate + curve set as the `BENCH_serving.json` document.
-/// Hand-rolled like `hotpath_json`: flat schema, vendored serde stub.
-pub fn serving_json(gates: &[ServingGate], curves: &[ServingPoint], quick: bool) -> String {
-    use std::fmt::Write as _;
+/// Renders the gate runs (grouped by variant, as [`run_serving_gate`]
+/// returns them) and the curves as the `BENCH_serving.json` document.
+pub fn serving_json(gates: &[ServingPoint], curves: &[ServingPoint], quick: bool) -> String {
     let (_, cores) = serving_shape();
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"serving\",");
-    let _ = writeln!(out, "  \"workload\": \"serving-open-loop\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"cores\": {cores},");
-    let _ = writeln!(out, "  \"procs\": {SERVING_PROCS},");
-    let _ = writeln!(
-        out,
-        "  \"requests_per_policy\": {},",
-        cores as u64 * serving_requests_per_worker(quick)
-    );
-    let _ = writeln!(out, "  \"gates\": [");
-    for (i, g) in gates.iter().enumerate() {
-        let comma = if i + 1 < gates.len() { "," } else { "" };
-        let fps: Vec<String> = g
-            .fingerprints
-            .iter()
-            .map(|(e, f)| format!("\"{e}\": \"{f:016x}\""))
-            .collect();
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"fingerprints_match\": {}, {}}}{comma}",
-            g.label,
-            g.passed(),
-            fps.join(", "),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"curves\": [");
-    for (i, p) in curves.iter().enumerate() {
-        let comma = if i + 1 < curves.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"engine\": \"{}\", \"requests\": {}, \
-             \"wall_ns\": {}, \"events\": {}, \"request_ns\": {}, \
-             \"shootdown_ns\": {}, \"munmap_ns\": {}, \"fingerprint\": \"{:016x}\"}}{comma}",
-            p.label,
-            p.engine,
-            p.requests,
-            p.wall_ns,
-            p.events,
-            summary_json(&p.request_ns),
-            summary_json(&p.shootdown_ns),
-            summary_json(&p.munmap_ns),
-            p.fingerprint,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"gates_passed\": {}",
-        gates.iter().all(ServingGate::passed)
-    );
-    out.push_str("}\n");
-    out
+    let by_label = |p: &ServingPoint| (p.label.clone(), p.fingerprint);
+    let gate_rows = gates.chunk_by(|a, b| a.label == b.label).map(|runs| {
+        let row = Object::new()
+            .field("label", &runs[0].label)
+            .field("fingerprints_match", fingerprints_agree(runs, by_label));
+        row.fields(runs.iter().map(|p| (p.engine.clone(), Hex(p.fingerprint))))
+    });
+    Object::new()
+        .field("bench", "serving")
+        .field("workload", "serving-open-loop")
+        .field("quick", quick)
+        .field("cores", cores)
+        .field("procs", SERVING_PROCS)
+        .field(
+            "requests_per_policy",
+            cores as u64 * serving_requests_per_worker(quick),
+        )
+        .field("gates", Rows(gate_rows.collect()))
+        .field(
+            "curves",
+            rows!(curves; label, engine, requests, wall_ns, events, request_ns, shootdown_ns,
+                          munmap_ns, fingerprint: hex),
+        )
+        .field("gates_passed", fingerprints_agree(gates, by_label))
+        .render()
 }
 
 #[cfg(test)]
@@ -297,49 +234,23 @@ mod tests {
         assert!(labels.contains(&"latr"));
     }
 
-    #[test]
-    fn json_is_well_formed() {
-        let gate = ServingGate {
-            label: "latr".to_string(),
-            fingerprints: vec![("fast".to_string(), 7), ("reference".to_string(), 7)],
-        };
-        let point = ServingPoint {
-            label: "latr".to_string(),
-            engine: "fast".to_string(),
-            cores: 120,
-            requests: 10,
-            wall_ns: 1,
-            events: 1,
-            request_ns: Some(Summary {
-                count: 10,
-                mean: 5.0,
-                min: 1,
-                p50: 4,
-                p90: 8,
-                p99: 9,
-                p999: 10,
-                max: 10,
-            }),
-            shootdown_ns: None,
-            munmap_ns: None,
-            fingerprint: 7,
-        };
-        let json = serving_json(&[gate], &[point], true);
-        assert!(json.contains("\"gates_passed\": true"));
-        assert!(json.contains("\"p999\": 10"));
-        assert!(json.contains("\"shootdown_ns\": null"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",\n}"), "no trailing comma:\n{json}");
+    fn gate_run(engine: &str, fingerprint: u64) -> ServingPoint {
+        let (label, engine) = ("latr".to_string(), engine.to_string());
+        ServingPoint {
+            label,
+            engine,
+            fingerprint,
+            ..ServingPoint::default()
+        }
     }
 
     #[test]
     fn gate_detects_divergence() {
-        let gate = ServingGate {
-            label: "latr".to_string(),
-            fingerprints: vec![("fast".to_string(), 7), ("reference".to_string(), 8)],
-        };
-        assert!(!gate.passed());
-        assert!(serving_json(&[gate], &[], true).contains("\"gates_passed\": false"));
+        let agree = [gate_run("fast", 7), gate_run("reference", 7)];
+        let json = serving_json(&agree, &agree[..1], true);
+        assert!(json.contains("\"fingerprints_match\": true, \"fast\": \"0000000000000007\""));
+        assert!(json.contains("\"gates_passed\": true"));
+        let diverged = [gate_run("fast", 7), gate_run("reference", 8)];
+        assert!(serving_json(&diverged, &[], true).contains("\"gates_passed\": false"));
     }
 }

@@ -143,7 +143,7 @@ mod tests {
         let mut fa = FrameAllocator::new(1, 8);
         let mut pc = PageCache::new();
         let f = pc.register_file(1);
-        pc.frame_for(f, 1, NodeId(0), &mut fa);
+        let _ = pc.frame_for(f, 1, NodeId(0), &mut fa);
     }
 
     #[test]

@@ -138,8 +138,8 @@ proptest! {
                     }
                 }
                 Step::SettleDebt => {
-                    for n in 0..NODES {
-                        if let Some(_p) = debt[n].pop() {
+                    for (n, d) in debt.iter_mut().enumerate() {
+                        if d.pop().is_some() {
                             fa.settle_debt(NodeId(n as u8), 1);
                             break;
                         }
@@ -150,13 +150,13 @@ proptest! {
             // ---- invariants, every step --------------------------------
             prop_assert!(fa.conservation_holds());
             let mut free_total = 0u64;
-            for n in 0..NODES {
+            for (n, d) in debt.iter().enumerate() {
                 let node = NodeId(n as u8);
                 let free = fa.free_on_node(node) as u64;
                 free_total += free;
                 let allocated = fa.allocated_on_node(node);
                 prop_assert_eq!(free + allocated, PER_NODE, "node {} totals", n);
-                prop_assert_eq!(fa.reclaim_debt(node), debt[n].len() as u64);
+                prop_assert_eq!(fa.reclaim_debt(node), d.len() as u64);
                 prop_assert!(fa.reclaim_debt(node) <= allocated);
                 // Pressure is a pure function of free vs the watermarks.
                 let expect = if free < min {
@@ -189,9 +189,9 @@ proptest! {
         }
 
         // Teardown: settle all debt, drop every reference; nothing leaks.
-        for n in 0..NODES {
+        for (n, d) in debt.iter().enumerate() {
             let node = NodeId(n as u8);
-            let owed = debt[n].len() as u64;
+            let owed = d.len() as u64;
             if owed > 0 {
                 fa.settle_debt(node, owed);
             }
