@@ -16,10 +16,8 @@
 //!
 //! The resulting miss ratio `misses / accesses` is what Table 4 reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated LLC access/miss counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total LLC accesses.
     pub accesses: u64,

@@ -17,12 +17,11 @@
 
 use crate::topology::Topology;
 use latr_sim::{Nanos, MILLISECOND};
-use serde::{Deserialize, Serialize};
 
 /// All latency constants used by the simulation. Fields are public by
 /// design: the cost model is passive configuration data, and ablation
 /// benches tweak individual entries.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
     // ---- IPI fabric -------------------------------------------------------
     /// Sender-side cost to issue one IPI via the APIC ICR to a destination

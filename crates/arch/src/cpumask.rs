@@ -6,7 +6,6 @@
 //! [`MAX_CPUS`] CPUs — enough for the paper's 120-core machine with room to
 //! spare.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of CPUs a [`CpuMask`] can represent.
@@ -15,7 +14,7 @@ pub const MAX_CPUS: usize = 256;
 const WORDS: usize = MAX_CPUS / 64;
 
 /// Index of a logical CPU (hardware thread); dense from 0.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CpuId(pub u16);
 
 impl CpuId {
@@ -44,7 +43,7 @@ impl fmt::Display for CpuId {
 /// m.clear(CpuId(3));
 /// assert_eq!(m.iter().collect::<Vec<_>>(), vec![CpuId(120)]);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CpuMask {
     words: [u64; WORDS],
 }

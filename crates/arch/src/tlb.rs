@@ -12,14 +12,12 @@
 //! Virtual page numbers and physical frame numbers are raw `u64`s at this
 //! layer; the memory crate wraps them in newtypes.
 
-use serde::{Deserialize, Serialize};
-
 /// PCID value used when process-context identifiers are disabled
 /// (Linux 4.10's default, §4.5).
 pub const PCID_NONE: u16 = 0;
 
 /// One cached translation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TlbEntry {
     /// Process-context identifier tag ([`PCID_NONE`] when unused).
     pub pcid: u16,
@@ -50,7 +48,7 @@ const INVALID_SLOT: Slot = Slot {
 };
 
 /// Hit/miss/flush counters for one TLB.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Lookups that hit in L1.
     pub l1_hits: u64,

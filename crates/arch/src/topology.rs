@@ -16,19 +16,18 @@
 //! three sockets (Fig. 7).
 
 use crate::cpumask::{CpuId, CpuMask, MAX_CPUS};
-use serde::{Deserialize, Serialize};
 
 /// Index of a CPU socket (package).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SocketId(pub u8);
 
 /// Index of a NUMA memory node. On both paper machines nodes and sockets
 /// coincide.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u8);
 
 /// The two evaluation machines from Table 3 of the paper.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MachinePreset {
     /// 2-socket, 16-core Xeon E5-2630 v3 — "a widely used configuration in
     /// modern data centers".
@@ -47,7 +46,7 @@ pub enum MachinePreset {
 /// assert_eq!(t.socket_of(CpuId(0)), t.socket_of(CpuId(7)));
 /// assert_ne!(t.socket_of(CpuId(0)), t.socket_of(CpuId(8)));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     sockets: u8,
     cores_per_socket: u16,

@@ -1,9 +1,7 @@
 //! Latr configuration knobs (§4.1, §8 and the ablation benches).
 
-use serde::{Deserialize, Serialize};
-
 /// Tunables of the Latr mechanism. Defaults match the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatrConfig {
     /// Latr states per core (§4.1: 64; §8 notes the trade-off between
     /// queue size and sweep cost — ablated in `bench --bin ablations`).
@@ -14,8 +12,6 @@ pub struct LatrConfig {
     /// Whether to also sweep on context switches (§4.1: tick *or* context
     /// switch, whichever comes first). Turning this off is an ablation.
     pub sweep_on_context_switch: bool,
-    /// Whether lazy handling of AutoNUMA hint-unmaps is enabled (§4.3).
-    pub lazy_migration: bool,
     /// Sweep watchdog: if a published state's CPU bitmask has not fully
     /// cleared after this many scheduler ticks, targeted IPIs finish the
     /// laggard cores, bounding reclamation latency under stalled sweepers
@@ -27,13 +23,9 @@ pub struct LatrConfig {
     /// Adaptive IPI fallback: under sustained queue-overflow pressure,
     /// route *new* shootdowns synchronously instead of burning a fallback
     /// round per overflow, returning to lazy mode once occupancy drains.
+    /// The hysteresis marks are the policy's `FALLBACK_ENTER_PCT` and
+    /// `FALLBACK_EXIT_PCT` constants.
     pub adaptive_fallback: bool,
-    /// Enter synchronous mode when a queue's occupancy reaches this
-    /// percentage of its capacity (hysteresis high-water mark).
-    pub fallback_enter_pct: u32,
-    /// Leave synchronous mode once every queue's occupancy has drained to
-    /// at most this percentage (hysteresis low-water mark).
-    pub fallback_exit_pct: u32,
     /// Gate each reclamation package on its covering Latr state: the
     /// package is not released — deadline or not — until the state's CPU
     /// bitmask has cleared. The deadline alone is only a proof of safety
@@ -45,30 +37,17 @@ pub struct LatrConfig {
     /// instead of the pending-bitmap fast path. Both produce bit-identical
     /// event streams — the differential suite asserts it — so this knob
     /// only trades speed for obviousness. Off by default.
-    #[serde(default)]
     pub reference_sweep: bool,
-    /// Memory-pressure escalation (DESIGN.md §14): how many of the oldest
-    /// gated reclamation packages are expedited — owner-local sweep plus
-    /// targeted IPIs, the watchdog's mechanism fired early — per pressure
-    /// event or allocation stall. `0` disables expedition entirely (the
-    /// pressure bench's "bare lazy" arm).
-    #[serde(default = "default_expedite_batch")]
-    pub expedite_batch: usize,
-    /// Below the min watermark, force the adaptive fallback into
-    /// synchronous mode so no *new* frees are parked while the reserve is
-    /// breached; exit waits for every node to recover to Normal pressure
-    /// in addition to the usual queue-drain hysteresis. Requires
-    /// `adaptive_fallback`.
-    #[serde(default = "default_pressure_sync")]
-    pub pressure_sync: bool,
-}
-
-fn default_expedite_batch() -> usize {
-    8
-}
-
-fn default_pressure_sync() -> bool {
-    true
+    /// Memory-pressure escalation (DESIGN.md §14). Each pressure event or
+    /// allocation stall expedites the policy's `EXPEDITE_BATCH` oldest
+    /// gated reclamation packages — owner-local sweep plus targeted IPIs,
+    /// the watchdog's mechanism fired early. Below the min watermark it
+    /// also forces the adaptive fallback into synchronous mode, so no
+    /// *new* frees are parked while the reserve is breached; exit waits
+    /// for every node to recover to Normal pressure in addition to the
+    /// usual queue-drain hysteresis (requires `adaptive_fallback`). Off is
+    /// the pressure bench's "bare lazy" arm.
+    pub pressure_escalation: bool,
 }
 
 impl Default for LatrConfig {
@@ -77,15 +56,11 @@ impl Default for LatrConfig {
             states_per_core: 64,
             reclaim_ticks: 2,
             sweep_on_context_switch: true,
-            lazy_migration: true,
             watchdog_ticks: 8,
             adaptive_fallback: true,
-            fallback_enter_pct: 94,
-            fallback_exit_pct: 25,
             gate_reclaim: true,
             reference_sweep: false,
-            expedite_batch: default_expedite_batch(),
-            pressure_sync: default_pressure_sync(),
+            pressure_escalation: true,
         }
     }
 }
@@ -115,8 +90,7 @@ impl LatrConfig {
     /// storm drives this configuration through its min watermark while
     /// the default configuration rides it out.
     pub fn without_escalation(mut self) -> Self {
-        self.expedite_batch = 0;
-        self.pressure_sync = false;
+        self.pressure_escalation = false;
         self
     }
 }
@@ -124,6 +98,7 @@ impl LatrConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{FALLBACK_ENTER_PCT, FALLBACK_EXIT_PCT};
 
     #[test]
     fn defaults_match_paper() {
@@ -131,7 +106,6 @@ mod tests {
         assert_eq!(c.states_per_core, 64);
         assert_eq!(c.reclaim_ticks, 2);
         assert!(c.sweep_on_context_switch);
-        assert!(c.lazy_migration);
         assert_eq!(LatrConfig::paper(), c);
     }
 
@@ -142,7 +116,7 @@ mod tests {
         // it never fires without injected faults.
         assert!(c.watchdog_ticks > c.reclaim_ticks + 1);
         assert!(c.adaptive_fallback);
-        assert!(c.fallback_enter_pct > c.fallback_exit_pct);
+        const { assert!(FALLBACK_ENTER_PCT > FALLBACK_EXIT_PCT) };
         assert!(c.gate_reclaim);
         let bare = c.without_degradation();
         assert_eq!(bare.watchdog_ticks, 0);
@@ -153,11 +127,9 @@ mod tests {
     #[test]
     fn escalation_defaults_and_bare_lazy() {
         let c = LatrConfig::default();
-        assert_eq!(c.expedite_batch, 8);
-        assert!(c.pressure_sync);
+        assert!(c.pressure_escalation);
         let bare = c.without_escalation();
-        assert_eq!(bare.expedite_batch, 0);
-        assert!(!bare.pressure_sync);
+        assert!(!bare.pressure_escalation);
         // Everything outside the escalation knobs is untouched.
         assert!(bare.gate_reclaim);
         assert_eq!(bare.watchdog_ticks, c.watchdog_ticks);

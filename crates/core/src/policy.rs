@@ -36,6 +36,18 @@ use latr_mem::{MmId, Pfn, Pressure, VaRange, Vpn};
 use latr_sim::{Nanos, Time};
 use std::collections::{HashMap, HashSet};
 
+/// Adaptive fallback high-water mark: enter synchronous mode when a
+/// queue's occupancy reaches this percentage of its capacity.
+pub(crate) const FALLBACK_ENTER_PCT: usize = 94;
+
+/// Adaptive fallback low-water mark: leave synchronous mode once every
+/// queue's occupancy has drained to at most this percentage.
+pub(crate) const FALLBACK_EXIT_PCT: usize = 25;
+
+/// Memory-pressure escalation: how many of the oldest gated reclamation
+/// packages one pressure event, stall or pressured tick expedites.
+const EXPEDITE_BATCH: usize = 8;
+
 /// The Latr policy. Plug into [`Machine::run`] in place of
 /// [`latr_kernel::LinuxPolicy`].
 pub struct LatrPolicy {
@@ -157,7 +169,7 @@ impl LatrPolicy {
             return;
         }
         let q = &self.queues[queue];
-        if q.active_count() * 100 >= self.config.fallback_enter_pct as usize * q.capacity() {
+        if q.active_count() * 100 >= FALLBACK_ENTER_PCT * q.capacity() {
             self.enter_sync_mode(machine, "queue occupancy above high-water mark");
         }
     }
@@ -276,11 +288,11 @@ impl LatrPolicy {
     /// that actually gate a parked package — the watchdog's mechanism,
     /// fired early — so the packages release at the next reclamation tick
     /// or allocation stall instead of waiting out the sweep schedule.
-    /// Bounded work: at most `batch` states per call, states already
+    /// Bounded work: at most [`EXPEDITE_BATCH`] states per call, states already
     /// being escalated are skipped, and states gating nothing are never
     /// touched (sweeping them frees no memory).
-    fn expedite_gated(&mut self, machine: &mut Machine, batch: usize) {
-        if batch == 0 {
+    fn expedite_gated(&mut self, machine: &mut Machine) {
+        if !self.config.pressure_escalation {
             return;
         }
         self.ensure_queues(machine.topology().num_cpus());
@@ -311,7 +323,7 @@ impl LatrPolicy {
         }
         // Oldest first; state id breaks publish-time ties deterministically.
         oldest.sort_by_key(|e| (e.0, e.2));
-        oldest.truncate(batch);
+        oldest.truncate(EXPEDITE_BATCH);
         for (_, qi, id, mm, range, kind, pte_done, cpus) in oldest {
             self.expedited_at.entry(id).or_insert(now);
             self.escalate_state(
@@ -665,11 +677,10 @@ impl TlbPolicy for LatrPolicy {
         // re-evaluate the adaptive fallback's low-water mark.
         self.run_watchdog(machine);
         if self.sync_mode && !machine.fault_storm_active() {
-            let exit = self.config.fallback_exit_pct as usize;
             let drained = self
                 .queues
                 .iter()
-                .all(|q| q.active_count() * 100 <= exit * q.capacity());
+                .all(|q| q.active_count() * 100 <= FALLBACK_EXIT_PCT * q.capacity());
             // A pressure-forced sync entry waits for every node to recover
             // to Normal on top of the queue-drain hysteresis: drained
             // queues alone are no proof the allocation storm has passed.
@@ -710,11 +721,11 @@ impl TlbPolicy for LatrPolicy {
         // Sustained pressure keeps expediting: `on_memory_pressure` only
         // fires on watermark *edges*, so a node camped below its low
         // watermark would otherwise get exactly one batch. Each tick under
-        // pressure expedites up to `expedite_batch` more of the oldest
+        // pressure expedites up to `EXPEDITE_BATCH` more of the oldest
         // gated packages — still bounded, still a no-op on healthy runs
         // (unconfigured watermarks report `Pressure::Normal`).
         if machine.worst_pressure() >= Pressure::Low {
-            self.expedite_gated(machine, self.config.expedite_batch);
+            self.expedite_gated(machine);
         }
     }
 
@@ -731,13 +742,16 @@ impl TlbPolicy for LatrPolicy {
             // Low watermark: expedite the oldest gated packages so their
             // frames come back within a bounded number of ticks.
             Pressure::Low => {
-                self.expedite_gated(machine, self.config.expedite_batch);
+                self.expedite_gated(machine);
             }
             // Min watermark: the reserve is breached — expedite harder
             // *and* stop parking new frees until the node recovers.
             Pressure::Min => {
-                self.expedite_gated(machine, self.config.expedite_batch);
-                if self.config.pressure_sync && self.config.adaptive_fallback && !self.sync_mode {
+                self.expedite_gated(machine);
+                if self.config.pressure_escalation
+                    && self.config.adaptive_fallback
+                    && !self.sync_mode
+                {
                     self.enter_sync_mode(machine, "free frames below the min watermark");
                     machine.stats.inc(metrics::LATR_PRESSURE_SYNC_ENTERS);
                     self.pressure_sync_active = true;
@@ -761,7 +775,7 @@ impl TlbPolicy for LatrPolicy {
         let blocked = self.blocked_ids();
         let released = self.release_due(machine, &blocked, "direct reclaim");
         self.scratch_blocked = blocked;
-        self.expedite_gated(machine, self.config.expedite_batch);
+        self.expedite_gated(machine);
         released
     }
 
@@ -808,9 +822,6 @@ impl TlbPolicy for LatrPolicy {
     }
 
     fn numa_hint_unmap(&mut self, machine: &mut Machine, cpu: CpuId, mm: MmId, vpn: Vpn) -> bool {
-        if !self.config.lazy_migration {
-            return false;
-        }
         self.ensure_queues(machine.topology().num_cpus());
         // "This state includes the CPU bitmask of all the cores" —
         // including the recording core, which unmaps at its own next tick.

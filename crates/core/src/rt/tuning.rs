@@ -1,7 +1,7 @@
 //! Adaptive self-tuning for the rt reclamation path.
 //!
 //! A hysteresis controller in the mold of the simulator's
-//! `fallback_enter_pct`/`fallback_exit_pct` pair: it watches the live
+//! `FALLBACK_ENTER_PCT`/`FALLBACK_EXIT_PCT` pair: it watches the live
 //! [`RtStats`] counters — the windowed overflow rate and the
 //! `reclaim_lag_ticks` signal — and retargets two knobs on the
 //! [`Reclaimer`]:

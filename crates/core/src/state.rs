@@ -14,10 +14,9 @@
 use latr_arch::{CpuId, CpuMask};
 use latr_mem::{MmId, VaRange};
 use latr_sim::Time;
-use serde::{Deserialize, Serialize};
 
 /// Why a state was published — the paper's `flags` field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StateKind {
     /// A free operation (munmap / madvise): PTEs already cleared, frames
     /// parked on the lazy-reclaim list.
@@ -28,7 +27,7 @@ pub enum StateKind {
 }
 
 /// One Latr state.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatrState {
     /// Run-unique id assigned by the publisher. Reclamation packages gate
     /// on it (a gated package is not released while this state's mask is

@@ -46,7 +46,16 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Bind `plan` to `rng`. The rng should be forked from the machine
     /// seed with [`crate::FAULT_STREAM`] so the main stream is unaffected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan fails [`FaultPlan::validate`] — an out-of-range
+    /// probability or an empty window would silently inject nonsense,
+    /// which is worse than failing loudly at construction.
     pub fn new(plan: FaultPlan, rng: SimRng) -> Self {
+        if let Err(e) = plan.validate() {
+            panic!("invalid FaultPlan: {e}");
+        }
         FaultInjector { plan, rng }
     }
 
@@ -152,6 +161,12 @@ mod tests {
                 TickFault::Run
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid FaultPlan: ipi.drop_prob must be in [0, 1]")]
+    fn new_rejects_an_invalid_plan() {
+        injector(FaultPlan::default().with_ipi_drop(1.5));
     }
 
     #[test]

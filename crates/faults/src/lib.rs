@@ -14,9 +14,8 @@
 //!   ([`OverflowStorm`]), and the memory-pressure sites — allocation
 //!   bursts ([`AllocBurst`]), reclamation-kthread stalls
 //!   ([`ReclaimStall`]) and watermark flaps ([`WatermarkFlap`]). Plans
-//!   round-trip through a stable text format
-//!   ([`FaultPlan::to_config_string`] / [`FaultPlan::parse`]) so chaos
-//!   runs can be named, diffed and replayed.
+//!   are built in code with the `FaultPlan::with_*` builders and checked
+//!   by [`FaultPlan::validate`] when an injector is made from them.
 //! * [`FaultInjector`] — the runtime half: a plan plus a forked
 //!   [`latr_sim::SimRng`] stream. Every probabilistic decision comes from
 //!   that stream, so an identical plan + seed reproduces the *exact same*
@@ -36,8 +35,8 @@ pub mod rt;
 
 pub use inject::{FaultInjector, IpiFault, TickFault};
 pub use plan::{
-    AllocBurst, FaultPlan, IpiFaults, OverflowStorm, PlanParseError, ReclaimStall, StalledCore,
-    TickFaults, WatermarkFlap,
+    AllocBurst, FaultPlan, IpiFaults, OverflowStorm, ReclaimStall, StalledCore, TickFaults,
+    WatermarkFlap,
 };
 pub use rt::{ThreadDeath, ThreadFault, ThreadFaultInjector, ThreadFaultPlan, ThreadFaultStream};
 

@@ -8,14 +8,10 @@
 //! time. Both halves are therefore fully deterministic for a fixed
 //! (plan, seed) pair.
 
-use std::fmt::Write as _;
-
 use latr_sim::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Probabilistic faults applied to every IPI delivery.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IpiFaults {
     /// Probability in `[0, 1]` that an individual IPI delivery is dropped
     /// outright (never arrives; the initiator must retransmit).
@@ -28,8 +24,7 @@ pub struct IpiFaults {
 }
 
 /// Probabilistic faults applied to every scheduler tick.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TickFaults {
     /// Probability in `[0, 1]` that a tick is skipped entirely (no sweep,
     /// no accounting — models a missed timer interrupt).
@@ -47,8 +42,7 @@ pub struct TickFaults {
 /// delivered during a stall — preemption being disabled does not mask
 /// interrupts — which is exactly what makes the watchdog's targeted-IPI
 /// escalation effective against stalled sweepers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StalledCore {
     /// Core that stalls.
     pub cpu: u16,
@@ -62,8 +56,7 @@ pub struct StalledCore {
 /// every Latr state publish is forced to fail as if the per-core queue
 /// were full, driving the policy onto its fallback path regardless of
 /// actual occupancy. Used to exercise the adaptive sync-mode hysteresis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OverflowStorm {
     /// Simulated time (ns) at which the storm begins.
     pub at: Nanos,
@@ -76,8 +69,7 @@ pub struct OverflowStorm {
 /// draining the node's free pool exactly the way another subsystem's
 /// allocation storm would. The pressure paths (watermarks, expedited
 /// sweeps, min-watermark sync fallback) are what it exists to exercise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AllocBurst {
     /// NUMA node whose pool the burst drains.
     pub node: u8,
@@ -101,8 +93,7 @@ impl AllocBurst {
 /// packages pile up while allocations keep draining the pool — the storm
 /// that separates "expedite on pressure" from "hope the kthread catches
 /// up".
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReclaimStall {
     /// Simulated time (ns) at which the stall begins.
     pub at: Nanos,
@@ -121,8 +112,7 @@ impl ReclaimStall {
 /// effective watermarks are raised by `boost` frames, making nodes near
 /// the line oscillate between pressure levels without any real
 /// allocation — hysteresis paths must not thrash on it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WatermarkFlap {
     /// Simulated time (ns) at which the flap begins.
     pub at: Nanos,
@@ -142,8 +132,7 @@ impl WatermarkFlap {
 /// A complete, deterministic description of the faults to inject into one
 /// simulation run. Construct with [`FaultPlan::default`] (no faults) and
 /// the chainable `with_*` builders.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// IPI delivery faults.
     pub ipi: IpiFaults,
@@ -252,9 +241,9 @@ impl FaultPlan {
     /// Range-check every knob: probabilities must lie in `[0, 1]` (NaN is
     /// rejected by the interval test), scheduled windows must have a
     /// non-zero duration, and a non-zero delay/jitter probability needs a
-    /// non-zero magnitude to have any effect. [`FaultPlan::parse`] calls
-    /// this, so a plan loaded from text is always well-formed; builders
-    /// stay unchecked for ergonomic test construction.
+    /// non-zero magnitude to have any effect. The builders stay unchecked
+    /// for ergonomic chaining; [`FaultInjector::new`](crate::FaultInjector::new)
+    /// calls this, so no malformed plan ever reaches a run.
     pub fn validate(&self) -> Result<(), String> {
         let prob = |name: &str, p: f64| {
             if (0.0..=1.0).contains(&p) {
@@ -315,172 +304,7 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// Serialize to the stable `key=value` text format accepted by
-    /// [`FaultPlan::parse`]. (The vendored serde is marker-only, so plans
-    /// carry their own wire format.) `f64` fields round-trip exactly:
-    /// Rust's `Display` for `f64` emits the shortest representation that
-    /// parses back to the same bits.
-    pub fn to_config_string(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "ipi.drop_prob={}", self.ipi.drop_prob);
-        let _ = writeln!(out, "ipi.delay_prob={}", self.ipi.delay_prob);
-        let _ = writeln!(out, "ipi.delay_max={}", self.ipi.delay_max);
-        let _ = writeln!(out, "tick.miss_prob={}", self.tick.miss_prob);
-        let _ = writeln!(out, "tick.jitter_prob={}", self.tick.jitter_prob);
-        let _ = writeln!(out, "tick.jitter_max={}", self.tick.jitter_max);
-        for s in &self.stalls {
-            let _ = writeln!(out, "stall=cpu{}@{}+{}", s.cpu, s.at, s.duration);
-        }
-        for s in &self.storms {
-            let _ = writeln!(out, "storm={}+{}", s.at, s.duration);
-        }
-        for b in &self.bursts {
-            let _ = writeln!(
-                out,
-                "burst=node{}@{}+{}*{}",
-                b.node, b.at, b.duration, b.frames
-            );
-        }
-        for s in &self.reclaim_stalls {
-            let _ = writeln!(out, "reclaim_stall={}+{}", s.at, s.duration);
-        }
-        for f in &self.flaps {
-            let _ = writeln!(out, "flap={}+{}*{}", f.at, f.duration, f.boost);
-        }
-        out
-    }
-
-    /// Parse the text format produced by [`FaultPlan::to_config_string`].
-    /// Blank lines and `#` comments are ignored; unknown keys are errors.
-    pub fn parse(text: &str) -> Result<FaultPlan, PlanParseError> {
-        let mut plan = FaultPlan::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |what: &str| PlanParseError {
-                line: lineno + 1,
-                message: format!("{what}: {line:?}"),
-            };
-            let (key, value) = line.split_once('=').ok_or_else(|| err("missing '='"))?;
-            match key.trim() {
-                "ipi.drop_prob" => plan.ipi.drop_prob = parse_f64(value, lineno)?,
-                "ipi.delay_prob" => plan.ipi.delay_prob = parse_f64(value, lineno)?,
-                "ipi.delay_max" => plan.ipi.delay_max = parse_u64(value, lineno)?,
-                "tick.miss_prob" => plan.tick.miss_prob = parse_f64(value, lineno)?,
-                "tick.jitter_prob" => plan.tick.jitter_prob = parse_f64(value, lineno)?,
-                "tick.jitter_max" => plan.tick.jitter_max = parse_u64(value, lineno)?,
-                "stall" => {
-                    // cpu<N>@<at>+<duration>
-                    let v = value.trim();
-                    let v = v
-                        .strip_prefix("cpu")
-                        .ok_or_else(|| err("stall needs cpu<N>@at+dur"))?;
-                    let (cpu, rest) = v.split_once('@').ok_or_else(|| err("stall needs '@'"))?;
-                    let (at, dur) = rest.split_once('+').ok_or_else(|| err("stall needs '+'"))?;
-                    plan.stalls.push(StalledCore {
-                        cpu: cpu.parse().map_err(|_| err("bad stall cpu"))?,
-                        at: parse_u64(at, lineno)?,
-                        duration: parse_u64(dur, lineno)?,
-                    });
-                }
-                "storm" => {
-                    // <at>+<duration>
-                    let (at, dur) = value
-                        .split_once('+')
-                        .ok_or_else(|| err("storm needs '+'"))?;
-                    plan.storms.push(OverflowStorm {
-                        at: parse_u64(at, lineno)?,
-                        duration: parse_u64(dur, lineno)?,
-                    });
-                }
-                "burst" => {
-                    // node<N>@<at>+<duration>*<frames>
-                    let v = value.trim();
-                    let v = v
-                        .strip_prefix("node")
-                        .ok_or_else(|| err("burst needs node<N>@at+dur*frames"))?;
-                    let (node, rest) = v.split_once('@').ok_or_else(|| err("burst needs '@'"))?;
-                    let (at, rest) = rest.split_once('+').ok_or_else(|| err("burst needs '+'"))?;
-                    let (dur, frames) =
-                        rest.split_once('*').ok_or_else(|| err("burst needs '*'"))?;
-                    plan.bursts.push(AllocBurst {
-                        node: node.parse().map_err(|_| err("bad burst node"))?,
-                        at: parse_u64(at, lineno)?,
-                        duration: parse_u64(dur, lineno)?,
-                        frames: parse_u64(frames, lineno)?,
-                    });
-                }
-                "reclaim_stall" => {
-                    // <at>+<duration>
-                    let (at, dur) = value
-                        .split_once('+')
-                        .ok_or_else(|| err("reclaim_stall needs '+'"))?;
-                    plan.reclaim_stalls.push(ReclaimStall {
-                        at: parse_u64(at, lineno)?,
-                        duration: parse_u64(dur, lineno)?,
-                    });
-                }
-                "flap" => {
-                    // <at>+<duration>*<boost>
-                    let (at, rest) = value.split_once('+').ok_or_else(|| err("flap needs '+'"))?;
-                    let (dur, boost) = rest.split_once('*').ok_or_else(|| err("flap needs '*'"))?;
-                    plan.flaps.push(WatermarkFlap {
-                        at: parse_u64(at, lineno)?,
-                        duration: parse_u64(dur, lineno)?,
-                        boost: parse_u64(boost, lineno)?,
-                    });
-                }
-                other => {
-                    return Err(PlanParseError {
-                        line: lineno + 1,
-                        message: format!("unknown key {other:?}"),
-                    })
-                }
-            }
-        }
-        plan.validate().map_err(|message| PlanParseError {
-            // Whole-plan errors (cross-field constraints) have no single
-            // offending line; report them as line 0.
-            line: 0,
-            message,
-        })?;
-        Ok(plan)
-    }
 }
-
-fn parse_f64(value: &str, lineno: usize) -> Result<f64, PlanParseError> {
-    value.trim().parse().map_err(|_| PlanParseError {
-        line: lineno + 1,
-        message: format!("bad float {:?}", value.trim()),
-    })
-}
-
-fn parse_u64(value: &str, lineno: usize) -> Result<u64, PlanParseError> {
-    value.trim().parse().map_err(|_| PlanParseError {
-        line: lineno + 1,
-        message: format!("bad integer {:?}", value.trim()),
-    })
-}
-
-/// Error produced by [`FaultPlan::parse`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fault plan line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for PlanParseError {}
 
 #[cfg(test)]
 mod tests {
@@ -491,6 +315,7 @@ mod tests {
         assert!(!FaultPlan::default().is_active());
         assert!(FaultPlan::default().with_ipi_drop(0.1).is_active());
         assert!(FaultPlan::default().with_stall(1, 0, 1000).is_active());
+        assert!(FaultPlan::default().with_flap(0, 1000, 8).is_active());
     }
 
     #[test]
@@ -509,73 +334,29 @@ mod tests {
     }
 
     #[test]
-    fn config_string_round_trips() {
-        let plan = FaultPlan::default()
-            .with_ipi_drop(0.3)
-            .with_ipi_delay(0.123456789, 31_337)
-            .with_tick_miss(0.05)
-            .with_tick_jitter(1.0 / 3.0, 400_000)
-            .with_stall(1, 1_000_000, 9_000_000)
-            .with_stall(3, 2_500_000, 250_000)
-            .with_storm(2_000_000, 3_000_000);
-        let text = plan.to_config_string();
-        assert_eq!(FaultPlan::parse(&text), Ok(plan));
-    }
-
-    #[test]
-    fn parse_ignores_comments_and_blank_lines() {
-        let plan = FaultPlan::parse("# a comment\n\nipi.drop_prob=0.5\n").unwrap();
-        assert_eq!(plan.ipi.drop_prob, 0.5);
-    }
-
-    #[test]
-    fn parse_rejects_unknown_keys_with_line_numbers() {
-        let err = FaultPlan::parse("ipi.drop_prob=0.1\nbogus=1\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("bogus"));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_stall() {
-        assert!(FaultPlan::parse("stall=1@2+3").is_err()); // missing cpu prefix
-        assert!(FaultPlan::parse("stall=cpu1@2").is_err()); // missing '+'
-        assert!(FaultPlan::parse("storm=5").is_err()); // missing '+'
-    }
-
-    #[test]
-    fn parse_rejects_out_of_range_probabilities() {
-        let err = FaultPlan::parse("ipi.drop_prob=1.5\n").unwrap_err();
-        assert_eq!(err.line, 0);
-        assert!(err.message.contains("[0, 1]"), "{}", err.message);
-        assert!(FaultPlan::parse("tick.miss_prob=-0.1\n").is_err());
-        assert!(FaultPlan::parse("ipi.delay_prob=NaN\n").is_err());
-    }
-
-    #[test]
-    fn parse_rejects_zero_duration_windows() {
-        let err = FaultPlan::parse("stall=cpu1@5+0\n").unwrap_err();
-        assert!(err.message.contains("zero duration"), "{}", err.message);
-        assert!(FaultPlan::parse("storm=5+0\n").is_err());
-    }
-
-    #[test]
-    fn parse_rejects_probability_without_magnitude() {
-        assert!(FaultPlan::parse("ipi.delay_prob=0.5\n").is_err());
-        assert!(FaultPlan::parse("ipi.delay_prob=0.5\nipi.delay_max=100\n").is_ok());
-        assert!(FaultPlan::parse("tick.jitter_prob=0.5\n").is_err());
-        assert!(FaultPlan::parse("tick.jitter_prob=0.5\ntick.jitter_max=100\n").is_ok());
-    }
-
-    #[test]
-    fn pressure_sites_round_trip() {
-        let plan = FaultPlan::default()
-            .with_burst(1, 2_000_000, 5_000_000, 4096)
-            .with_burst(0, 9_000_000, 1_000_000, 128)
-            .with_reclaim_stall(3_000_000, 2_000_000)
-            .with_flap(4_000_000, 500_000, 64);
-        assert!(plan.is_active());
-        let text = plan.to_config_string();
-        assert_eq!(FaultPlan::parse(&text), Ok(plan));
+    fn validate_rejects_malformed_plans() {
+        let d = FaultPlan::default;
+        let cases = [
+            (d().with_ipi_drop(1.5), "ipi.drop_prob must be in [0, 1]"),
+            (d().with_tick_miss(-0.1), "tick.miss_prob must be in [0, 1]"),
+            (d().with_ipi_delay(f64::NAN, 9), "[0, 1], got NaN"),
+            (d().with_ipi_delay(0.5, 0), "requires ipi.delay_max > 0"),
+            (d().with_tick_jitter(0.5, 0), "requires tick.jitter_max > 0"),
+            (d().with_stall(1, 5, 0), "cpu1 at 5 has zero duration"),
+            (d().with_storm(5, 0), "storm at 5 has zero duration"),
+            (d().with_burst(0, 5, 0, 9), "node0 at 5 has zero duration"),
+            (d().with_burst(0, 5, 9, 0), "node0 at 5 grabs zero frames"),
+            (d().with_reclaim_stall(5, 0), "reclaim stall at 5 has zero"),
+            (d().with_flap(5, 0, 4), "flap at 5 has zero duration"),
+            (d().with_flap(5, 9, 0), "flap at 5 has zero boost"),
+        ];
+        for (plan, want) in cases {
+            let err = plan.validate().expect_err(want);
+            assert!(err.contains(want), "{err:?} lacks {want:?}");
+        }
+        // A probability with its magnitude is well-formed.
+        assert_eq!(d().with_ipi_delay(0.5, 100).validate(), Ok(()));
+        assert_eq!(d().with_tick_jitter(0.5, 100).validate(), Ok(()));
     }
 
     #[test]
@@ -598,42 +379,6 @@ mod tests {
         assert!(f.active_at(10) && f.active_at(14) && !f.active_at(15));
         let s = ReclaimStall { at: 0, duration: 1 };
         assert!(s.active_at(0) && !s.active_at(1));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_pressure_sites() {
-        // Missing pieces of the burst grammar, one at a time.
-        assert!(FaultPlan::parse("burst=1@2+3*4").is_err()); // missing node prefix
-        assert!(FaultPlan::parse("burst=node1@2+3").is_err()); // missing '*frames'
-        assert!(FaultPlan::parse("burst=node1@2*3").is_err()); // missing '+'
-        assert!(FaultPlan::parse("burst=node1+2*3").is_err()); // missing '@'
-        assert!(FaultPlan::parse("reclaim_stall=5").is_err()); // missing '+'
-        assert!(FaultPlan::parse("flap=5+6").is_err()); // missing '*boost'
-        assert!(FaultPlan::parse("flap=5*6").is_err()); // missing '+'
-                                                        // Unknown keys near the new grammar stay errors with line numbers.
-        let err = FaultPlan::parse("burst=node0@1+2*3\nbursts=node0@1+2*3\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("bursts"));
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_pressure_windows() {
-        let err = FaultPlan::parse("burst=node0@5+0*16\n").unwrap_err();
-        assert!(err.message.contains("zero duration"), "{}", err.message);
-        let err = FaultPlan::parse("burst=node0@5+100*0\n").unwrap_err();
-        assert!(err.message.contains("zero frames"), "{}", err.message);
-        let err = FaultPlan::parse("reclaim_stall=5+0\n").unwrap_err();
-        assert!(err.message.contains("zero duration"), "{}", err.message);
-        let err = FaultPlan::parse("flap=5+0*4\n").unwrap_err();
-        assert!(err.message.contains("zero duration"), "{}", err.message);
-        let err = FaultPlan::parse("flap=5+100*0\n").unwrap_err();
-        assert!(err.message.contains("zero boost"), "{}", err.message);
-        // The builders stay unchecked, but validate() catches them too.
-        assert!(FaultPlan::default()
-            .with_burst(0, 5, 100, 0)
-            .validate()
-            .is_err());
-        assert!(FaultPlan::default().with_flap(5, 0, 4).validate().is_err());
     }
 
     #[test]

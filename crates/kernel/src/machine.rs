@@ -47,9 +47,9 @@ pub struct MachineConfig {
     pub tickless: bool,
     /// AutoNUMA configuration.
     pub numa: NumaConfig,
-    /// Whether the translation-coherence oracle shadows the run (needs the
-    /// `oracle` cargo feature, on by default). The oracle is a pure
-    /// observer; it costs some memory and time but never changes behaviour.
+    /// Whether the translation-coherence oracle shadows the run (on by
+    /// default). The oracle is a pure observer; it costs some memory and
+    /// time but never changes behaviour.
     pub oracle: bool,
     /// Deterministic fault plan to inject (chaos testing). `None` — and
     /// any plan for which [`FaultPlan::is_active`] is false — leaves the
@@ -89,7 +89,7 @@ impl MachineConfig {
             pcid_enabled: false,
             tickless: false,
             numa: NumaConfig::disabled(),
-            oracle: cfg!(feature = "oracle"),
+            oracle: true,
             faults: None,
             engine: QueueBackend::default(),
             low_watermark_frames: 0,
@@ -294,7 +294,6 @@ pub struct Machine {
     // Whether each watermark-flap window has been counted.
     flap_counted: Vec<bool>,
     // The coherence oracle shadowing this run, when enabled.
-    #[cfg(feature = "oracle")]
     oracle: Option<latr_verify::CoherenceOracle>,
 }
 
@@ -302,8 +301,6 @@ impl Machine {
     /// Builds a machine from its configuration.
     pub fn new(config: MachineConfig) -> Self {
         let ncpus = config.topology.num_cpus();
-        #[cfg(feature = "oracle")]
-        let oracle_on = config.oracle;
         let cores = (0..ncpus)
             .map(|i| Core {
                 id: CpuId(i as u16),
@@ -321,7 +318,6 @@ impl Machine {
             .as_ref()
             .map_or((0, 0), |p| (p.bursts.len(), p.flaps.len()));
         let num_nodes = config.topology.num_nodes();
-        #[allow(unused_mut)]
         let mut machine = Machine {
             fabric: IpiFabric::new(config.topology.clone(), config.costs.clone()),
             queue: EventQueue::with_backend(config.engine),
@@ -374,10 +370,10 @@ impl Machine {
             burst_held: vec![Vec::new(); num_bursts],
             burst_applied: vec![false; num_bursts],
             flap_counted: vec![false; num_flaps],
-            #[cfg(feature = "oracle")]
-            oracle: oracle_on.then(|| latr_verify::CoherenceOracle::new(ncpus)),
+            oracle: config
+                .oracle
+                .then(|| latr_verify::CoherenceOracle::new(ncpus)),
         };
-        #[cfg(feature = "oracle")]
         if machine.oracle.is_some() {
             // Exact shadow mirroring needs the TLB to report capacity
             // evictions; the wrappers drain the log after every fill.
@@ -508,20 +504,18 @@ impl Machine {
     //
     // Every TLB and frame-lifetime mutation below goes through a thin
     // wrapper that mirrors the action into the shadow oracle
-    // (crates/verify) when it is enabled. The `oracle_note_*` methods are
-    // always present — policies call them unconditionally — but compile to
-    // no-ops without the `oracle` feature.
+    // (crates/verify) when it is enabled. Policies call the
+    // `oracle_note_*` methods unconditionally; they do nothing while the
+    // oracle is off.
 
     /// The oracle's verdict: the first coherence violation detected, if
     /// any. `None` when the run is clean (or the oracle is disabled).
-    #[cfg(feature = "oracle")]
     pub fn oracle_violation(&self) -> Option<&latr_verify::Violation> {
         self.oracle.as_ref().and_then(|o| o.violation())
     }
 
     /// How many events the oracle observed (0 when disabled); lets tests
     /// assert the oracle actually shadowed the run.
-    #[cfg(feature = "oracle")]
     pub fn oracle_events_observed(&self) -> u64 {
         self.oracle.as_ref().map_or(0, |o| o.events_observed())
     }
@@ -536,36 +530,23 @@ impl Machine {
         targets: CpuMask,
         migration: bool,
     ) {
-        #[cfg(feature = "oracle")]
-        {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_publish(initiator, mm, range, targets, migration, now);
-            }
+        if let Some(o) = self.oracle.as_mut() {
+            o.note_publish(initiator, mm, range, targets, migration, self.queue.now());
         }
-        #[cfg(not(feature = "oracle"))]
-        let _ = (initiator, mm, range, targets, migration);
     }
 
     /// Called by the policy when `cpu` sweeps the states covering
     /// `(mm, range)`: its local invalidations are done and its bits clear.
     pub fn oracle_note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange) {
-        #[cfg(feature = "oracle")]
-        {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_sweep(cpu, mm, range, now);
-            }
+        if let Some(o) = self.oracle.as_mut() {
+            o.note_sweep(cpu, mm, range, self.queue.now());
         }
-        #[cfg(not(feature = "oracle"))]
-        let _ = (cpu, mm, range);
     }
 
     /// Installs a translation into `cpu`'s TLB, mirroring the fill — and
     /// any capacity evictions it displaced — into the oracle.
     fn tlb_insert(&mut self, cpu: CpuId, entry: TlbEntry) {
         self.cores[cpu.index()].tlb.insert(entry);
-        #[cfg(feature = "oracle")]
         if self.oracle.is_some() {
             let now = self.now();
             let evicted = self.cores[cpu.index()].tlb.take_evicted();
@@ -588,7 +569,6 @@ impl Machine {
     /// cached translation (the oracle checks the frame is still live).
     fn tlb_lookup(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn) -> Option<TlbEntry> {
         let hit = self.cores[cpu.index()].tlb.lookup(pcid, vpn.0);
-        #[cfg(feature = "oracle")]
         if self.oracle.is_some() {
             let now = self.now();
             // An L2→L1 promotion can itself displace an L1 slot.
@@ -607,12 +587,8 @@ impl Machine {
     /// Invalidates one page of `cpu`'s TLB (`INVLPG`).
     fn tlb_invalidate(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn) -> bool {
         let any = self.cores[cpu.index()].tlb.invalidate_page(pcid, vpn.0);
-        #[cfg(feature = "oracle")]
-        {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_invalidate(cpu, pcid, vpn, now);
-            }
+        if let Some(o) = self.oracle.as_mut() {
+            o.note_invalidate(cpu, pcid, vpn, self.queue.now());
         }
         any
     }
@@ -620,12 +596,8 @@ impl Machine {
     /// Flushes `cpu`'s whole TLB.
     fn tlb_flush_all(&mut self, cpu: CpuId) {
         self.cores[cpu.index()].tlb.flush_all();
-        #[cfg(feature = "oracle")]
-        {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_flush_all(cpu, now);
-            }
+        if let Some(o) = self.oracle.as_mut() {
+            o.note_flush_all(cpu, self.queue.now());
         }
     }
 
@@ -633,15 +605,9 @@ impl Machine {
     /// against the oracle's shadow TLBs.
     fn frame_alloc(&mut self, cpu: CpuId, node: latr_arch::NodeId) -> Result<Pfn, AllocError> {
         let pfn = self.frames.alloc(node);
-        #[cfg(feature = "oracle")]
-        if let Ok(p) = pfn {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_alloc(latr_verify::Ctx::Cpu(cpu), p, now);
-            }
+        if let (Ok(p), Some(o)) = (pfn, self.oracle.as_mut()) {
+            o.note_alloc(latr_verify::Ctx::Cpu(cpu), p, self.queue.now());
         }
-        #[cfg(not(feature = "oracle"))]
-        let _ = cpu;
         pfn
     }
 
@@ -652,15 +618,9 @@ impl Machine {
         node: latr_arch::NodeId,
     ) -> Result<Pfn, AllocError> {
         let pfn = self.frames.alloc_exact(node);
-        #[cfg(feature = "oracle")]
-        if let Ok(p) = pfn {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_alloc(latr_verify::Ctx::Cpu(cpu), p, now);
-            }
+        if let (Ok(p), Some(o)) = (pfn, self.oracle.as_mut()) {
+            o.note_alloc(latr_verify::Ctx::Cpu(cpu), p, self.queue.now());
         }
-        #[cfg(not(feature = "oracle"))]
-        let _ = cpu;
         pfn
     }
 
@@ -669,12 +629,8 @@ impl Machine {
     /// external consumer draining the node (another subsystem's storm).
     fn frame_alloc_exact_kthread(&mut self, node: latr_arch::NodeId) -> Result<Pfn, AllocError> {
         let pfn = self.frames.alloc_exact(node);
-        #[cfg(feature = "oracle")]
-        if let Ok(p) = pfn {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_alloc(latr_verify::Ctx::Kthread, p, now);
-            }
+        if let (Ok(p), Some(o)) = (pfn, self.oracle.as_mut()) {
+            o.note_alloc(latr_verify::Ctx::Kthread, p, self.queue.now());
         }
         pfn
     }
@@ -693,16 +649,10 @@ impl Machine {
             .frames
             .dec_ref(pfn)
             .unwrap_or_else(|e| panic!("kernel frame bookkeeping broken: {e}"));
-        #[cfg(feature = "oracle")]
-        if rc == 0 {
-            let now = self.now();
+        if let (0, Some(o)) = (rc, self.oracle.as_mut()) {
             let ctx = cpu.map_or(latr_verify::Ctx::Kthread, latr_verify::Ctx::Cpu);
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_free(ctx, pfn, now);
-            }
+            o.note_free(ctx, pfn, self.queue.now());
         }
-        #[cfg(not(feature = "oracle"))]
-        let _ = cpu;
         rc
     }
 
@@ -716,22 +666,15 @@ impl Machine {
         page: u64,
         node: latr_arch::NodeId,
     ) -> Result<Pfn, AllocError> {
-        #[cfg(feature = "oracle")]
         let before = self.frames.total_allocations();
         let pfn = self
             .page_cache
             .frame_for(file, page, node, &mut self.frames);
-        #[cfg(feature = "oracle")]
-        if let Ok(p) = pfn {
+        if let (Ok(p), Some(o)) = (pfn, self.oracle.as_mut()) {
             if self.frames.total_allocations() > before {
-                let now = self.now();
-                if let Some(o) = self.oracle.as_mut() {
-                    o.note_alloc(latr_verify::Ctx::Cpu(cpu), p, now);
-                }
+                o.note_alloc(latr_verify::Ctx::Cpu(cpu), p, self.queue.now());
             }
         }
-        #[cfg(not(feature = "oracle"))]
-        let _ = cpu;
         pfn
     }
 
@@ -1072,7 +1015,6 @@ impl Machine {
 
         // The run is over: the shutdown drain below frees parked frames
         // "after the final event", which is not a race — stop checking.
-        #[cfg(feature = "oracle")]
         if let Some(o) = self.oracle.as_mut() {
             o.close();
         }
@@ -2154,12 +2096,8 @@ impl Machine {
             self.queue
                 .schedule(start + self.costs.sched_tick_period, Event::TxnRetry(id));
         }
-        #[cfg(feature = "oracle")]
-        {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_ipi_send(initiator, id.0, targets, now);
-            }
+        if let Some(o) = self.oracle.as_mut() {
+            o.note_ipi_send(initiator, id.0, targets, self.queue.now());
         }
         let reclaim = self.pending_reclaim.take();
         let (frames_to_release, va_to_unblock) = match reclaim {
@@ -2251,14 +2189,10 @@ impl Machine {
             .add(crate::metrics::IPIS_SENT, pending.count() as u64);
         let start = self.now();
         self.schedule_ipi_deliveries(initiator, &pending, start, txn_id);
-        #[cfg(feature = "oracle")]
-        {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                // Overwrites the txn's send clock with a later one — safe:
-                // the retransmitted IPIs happen-after this instant.
-                o.note_ipi_send(initiator, txn_id.0, pending, now);
-            }
+        if let Some(o) = self.oracle.as_mut() {
+            // Overwrites the txn's send clock with a later one — safe:
+            // the retransmitted IPIs happen-after this instant.
+            o.note_ipi_send(initiator, txn_id.0, pending, self.queue.now());
         }
         self.queue.schedule(
             start + self.costs.sched_tick_period,
@@ -2301,12 +2235,8 @@ impl Machine {
         };
         // The handler happens-after the initiator's send: join clocks
         // before mirroring the handler's invalidations.
-        #[cfg(feature = "oracle")]
-        {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_ipi_deliver(target, txn_id.0, now);
-            }
+        if let Some(o) = self.oracle.as_mut() {
+            o.note_ipi_deliver(target, txn_id.0, self.queue.now());
         }
         if pages.len() as u32 > self.costs.full_flush_threshold {
             self.tlb_flush_all(target);
@@ -2351,15 +2281,9 @@ impl Machine {
             (txn.initiator, txn.pending.is_empty())
         };
         // The initiator happens-after the acknowledging core's handler.
-        #[cfg(feature = "oracle")]
-        {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_ack(initiator, from, txn_id.0, done, now);
-            }
+        if let Some(o) = self.oracle.as_mut() {
+            o.note_ack(initiator, from, txn_id.0, done, self.queue.now());
         }
-        #[cfg(not(feature = "oracle"))]
-        let _ = initiator;
         if !done {
             return;
         }
@@ -2654,12 +2578,8 @@ impl Machine {
         // The policy has just allowed this hint fault to proceed; the
         // oracle checks every bit of any covering migration state cleared
         // first (§4.4).
-        #[cfg(feature = "oracle")]
-        {
-            let now = self.now();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_migration_proceed(cpu, mm_id, vpn, now);
-            }
+        if let Some(o) = self.oracle.as_mut() {
+            o.note_migration_proceed(cpu, mm_id, vpn, self.queue.now());
         }
 
         let Some(pte) = self.mms[mm_id.0 as usize].page_table.lookup(vpn) else {

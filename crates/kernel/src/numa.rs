@@ -11,11 +11,10 @@
 use latr_arch::NodeId;
 use latr_mem::{MapKind, MmId, MmStruct, Vpn};
 use latr_sim::{Nanos, MILLISECOND};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// AutoNUMA configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NumaConfig {
     /// Whether balancing runs at all (§6.1 disables it except for the
     /// Fig. 11 experiments).
@@ -52,7 +51,7 @@ impl NumaConfig {
 }
 
 /// Counters kept by the NUMA runtime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NumaStats {
     /// Hint-unmaps performed (sync or lazy).
     pub hint_unmaps: u64,

@@ -2,10 +2,9 @@
 
 use latr_arch::CpuId;
 use latr_mem::{MmId, VaRange};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a task (thread), dense from 0.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -17,7 +16,7 @@ impl TaskId {
 }
 
 /// Lifecycle state of a task.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TaskState {
     /// Executing ops.
     Running,

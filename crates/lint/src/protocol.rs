@@ -15,11 +15,9 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A memory ordering name, spelled exactly as in
 /// `std::sync::atomic::Ordering`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OrderingName {
     /// `Ordering::Relaxed`
     Relaxed,
@@ -75,8 +73,7 @@ impl fmt::Display for OrderingName {
 
 /// One atomic field's contract: who owns it, what it is, and which
 /// orderings each access kind admits.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FieldSpec {
     /// The struct that declares the field (spec entries are keyed by
     /// `(owner, name)` — `active` on `Slot` and on `RtQueue` are
@@ -109,8 +106,7 @@ pub struct FieldSpec {
 }
 
 /// One lock's contract.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LockSpec {
     /// The struct that declares the mutex field.
     pub owner: String,
@@ -130,8 +126,7 @@ pub struct LockSpec {
 }
 
 /// The hot-path allocation contract.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HotPathSpec {
     /// `Owner::fn` names that must carry `#[latr::hot_path]`; the lint
     /// fails if an annotation is deleted. Extra annotations in code are
@@ -143,8 +138,7 @@ pub struct HotPathSpec {
 }
 
 /// The whole protocol: `crates/core/src/rt/PROTOCOL.toml`, parsed.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProtocolSpec {
     /// Format version; currently always 1.
     pub version: u32,
@@ -161,7 +155,7 @@ pub struct ProtocolSpec {
 }
 
 /// A spec parse error with the 1-based line it was found on (line 0 =
-/// whole-spec validation), mirroring `PlanParseError`.
+/// whole-spec validation).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecParseError {
     /// 1-based line number; 0 for whole-spec validation errors.

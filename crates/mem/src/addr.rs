@@ -6,7 +6,6 @@
 //! [`PhysAddr`] are byte addresses; [`VaRange`] is a contiguous,
 //! page-aligned virtual range — the unit every unmap/shootdown operates on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Base-2 log of the page size.
@@ -15,19 +14,19 @@ pub const PAGE_SHIFT: u64 = 12;
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 
 /// A virtual byte address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(pub u64);
 
 /// A physical byte address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
 /// A virtual page number (`VirtAddr >> PAGE_SHIFT`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Vpn(pub u64);
 
 /// A physical frame number (`PhysAddr >> PAGE_SHIFT`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pfn(pub u64);
 
 impl VirtAddr {
@@ -120,7 +119,7 @@ impl fmt::Debug for Pfn {
 /// assert!(!r.contains(Vpn(0x103)));
 /// assert_eq!(r.iter().count(), 3);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VaRange {
     /// First page of the range.
     pub start: Vpn,

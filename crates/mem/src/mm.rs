@@ -13,10 +13,9 @@ use crate::page_cache::FileId;
 use crate::page_table::PageTable;
 use crate::vma::{MapKind, Prot, Vma, VmaTree};
 use latr_arch::{CpuId, CpuMask};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an address space (process).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MmId(pub u32);
 
 /// Default lowest page of the mmap area (0x0000_5555_0000 >> 12).

@@ -9,11 +9,10 @@
 use crate::addr::Pfn;
 use crate::frame::{AllocError, FrameAllocator};
 use latr_arch::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a cached file.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FileId(pub u32);
 
 /// The page cache: file pages resident in memory.

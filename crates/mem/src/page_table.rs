@@ -10,7 +10,6 @@
 //! become empty, so sparse address spaces stay cheap.
 
 use crate::addr::{Pfn, VaRange, Vpn};
-use serde::{Deserialize, Serialize};
 
 const LEVEL_BITS: u64 = 9;
 const FANOUT: usize = 1 << LEVEL_BITS; // 512
@@ -18,7 +17,7 @@ const LEVELS: u32 = 4;
 const INDEX_MASK: u64 = FANOUT as u64 - 1;
 
 /// Permission and status bits of one leaf PTE.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct PteFlags {
     /// Write permission.
     pub writable: bool,
@@ -32,7 +31,7 @@ pub struct PteFlags {
 }
 
 /// One leaf page-table entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Pte {
     /// The mapped physical frame.
     pub pfn: Pfn,

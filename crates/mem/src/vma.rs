@@ -9,10 +9,9 @@
 
 use crate::addr::{VaRange, Vpn};
 use crate::page_cache::FileId;
-use serde::{Deserialize, Serialize};
 
 /// Mapping protection bits (a subset of `mmap`'s `PROT_*`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Prot {
     /// Readable.
     pub read: bool,
@@ -34,7 +33,7 @@ impl Prot {
 }
 
 /// What backs a mapping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MapKind {
     /// Anonymous memory (heap, scratch buffers).
     Anon,
@@ -49,7 +48,7 @@ pub enum MapKind {
 }
 
 /// One virtual memory area.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Vma {
     /// The pages this VMA covers.
     pub range: VaRange,

@@ -2,10 +2,8 @@
 //!
 //! [`SimRng`] wraps a small, fast xoshiro256**-style generator seeded
 //! explicitly, so that every simulation run is exactly reproducible from its
-//! configuration. It also implements [`rand::RngCore`] so workloads can use
-//! the full `rand` distribution machinery on top of it.
-
-use rand::RngCore;
+//! configuration. It carries every distribution the simulator draws from
+//! (uniform, Bernoulli, exponential, normal) itself.
 
 /// A deterministic, seedable pseudo-random generator (xoshiro256**).
 ///
@@ -124,26 +122,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,13 +230,5 @@ mod tests {
         let mut b = root.fork(1);
         let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut r = SimRng::new(29);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

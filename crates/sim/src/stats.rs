@@ -4,13 +4,12 @@
 //! harness reads the resulting [`Summary`] values to print the paper's
 //! tables and figures.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -55,7 +54,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(h.count(), 5);
 /// assert!(h.percentile(0.50) >= 290 && h.percentile(0.50) <= 310);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     // 64 sub-buckets per each of 58 powers of two above 64.
     buckets: Vec<u64>,
@@ -204,7 +203,7 @@ impl Histogram {
 }
 
 /// A compact distribution summary produced by [`Histogram::summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: u64,

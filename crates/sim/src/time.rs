@@ -6,7 +6,6 @@
 //! terse, while the [`Time`] newtype prevents accidentally mixing instants
 //! with durations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -32,7 +31,7 @@ pub const SECOND: Nanos = 1_000_000_000;
 /// assert_eq!(t.as_ns(), 5_000);
 /// assert_eq!(t - Time::ZERO, 5_000);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 impl Time {

@@ -2,7 +2,7 @@
 //!
 //! This crate is the *correctness layer* of the workspace: a shadow state
 //! machine ([`CoherenceOracle`]) that the kernel crate threads through its
-//! event loop (behind the default-on `oracle` feature of `latr-kernel`).
+//! event loop whenever `MachineConfig::oracle` is set (the default).
 //! It mirrors TLB contents per core, tracks published Latr states and
 //! synchronous-shootdown transactions, and maintains vector clocks
 //! ([`VClock`]) along the happens-before edges the protocol actually

@@ -371,9 +371,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
     /// The acceptance bar: 100 random (seed, shape, plan) tuples, each
-    /// run on both engines, all bit-identical. Plans round-trip through
-    /// their config-string form first so the comparison also covers the
-    /// parser the chaos suite relies on.
+    /// run on both engines, all bit-identical.
     #[test]
     fn engines_agree_on_random_storms_and_plans(
         seed in any::<u64>(),
@@ -386,7 +384,6 @@ proptest! {
         let plan = FaultPlan::default()
             .with_ipi_drop(f64::from(drop_pct) / 100.0)
             .with_tick_miss(f64::from(miss_pct) / 100.0);
-        let plan = FaultPlan::parse(&plan.to_config_string()).expect("round-trip");
         let cores = usize::from(cores);
         let rounds = u32::from(rounds);
         let run = |backend| run_engine(
