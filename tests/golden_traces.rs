@@ -1,13 +1,19 @@
-//! Golden-trace snapshots (ISSUE 4): six seeded scenarios whose full
+//! Golden-trace snapshots: seeded scenarios whose full
 //! [`latr_kernel::Machine::fingerprint`] — end time, delivered-event
 //! count, every counter, every histogram summary and the rendered trace —
 //! is pinned byte-for-byte against committed files under `tests/golden/`.
 //!
+//! Six Latr scenarios cover sweeps, munmap storms, migration, overflow
+//! fallback and chaos plans. The `table1_*` set runs one op script per
+//! Table 1 class (free, permission, swap, dedup, compaction, remap, fork)
+//! under Linux, ABIS and Latr, so every PTE-invalidating path in the
+//! machine is pinned under every policy.
+//!
 //! The snapshots are the determinism backstop for the hot-path work: any
 //! change to event ordering, sweep behaviour or cost accounting shows up
 //! as a diff here. Every scenario runs on the fast engine and on the
-//! reference engine (binary-heap queue plus full-scan sweep), so one set
-//! of golden files pins both.
+//! reference engine (binary-heap queue plus, under Latr, full-scan
+//! sweep), so one set of golden files pins both.
 //!
 //! To re-bless after an *intentional* behaviour change:
 //!
@@ -16,8 +22,11 @@
 //! git diff tests/golden/   # review every hunk before committing
 //! ```
 
+mod common;
+
 use std::path::PathBuf;
 
+use common::{ScriptStep, Scripted};
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
@@ -70,16 +79,17 @@ fn check_golden(name: &str, machine: &Machine) {
     }
 }
 
-/// Runs one golden scenario: fixed topology, seed, plan and workload.
-/// Every scenario runs on the default (fast) engine *and* the reference
-/// engine — binary-heap queue plus full-scan sweep; their fingerprints
-/// must be bit-identical, so the one committed golden file pins both.
-/// The fast machine is returned for the byte-for-byte golden comparison.
+/// Runs one golden scenario: fixed topology, seed, plan, policy and
+/// workload. Every scenario runs on the default (fast) engine *and* the
+/// reference engine — binary-heap queue plus, under Latr, full-scan
+/// sweep; their fingerprints must be bit-identical, so the one committed
+/// golden file pins both. The fast machine is returned for the
+/// byte-for-byte golden comparison.
 fn run_scenario(
     config: MachineConfig,
     seed: u64,
     plan: Option<FaultPlan>,
-    latr: LatrConfig,
+    policy: PolicyKind,
     workload: &dyn Fn() -> Box<dyn Workload>,
 ) -> Machine {
     let run_one = |engine: QueueBackend| {
@@ -88,12 +98,15 @@ fn run_scenario(
         config.trace_capacity = 4096;
         config.faults = plan.clone();
         config.engine = engine;
-        let latr = LatrConfig {
-            reference_sweep: engine == QueueBackend::Reference,
-            ..latr
+        let policy = match policy {
+            PolicyKind::Latr(latr) => PolicyKind::Latr(LatrConfig {
+                reference_sweep: engine == QueueBackend::Reference,
+                ..latr
+            }),
+            other => other,
         };
         let mut machine = Machine::new(config);
-        machine.run(workload(), PolicyKind::Latr(latr).build(), SECOND);
+        machine.run(workload(), policy.build(), SECOND);
         machine
     };
     let machine = run_one(QueueBackend::default());
@@ -116,7 +129,7 @@ fn golden_sweep_storm() {
         commodity16(),
         0x601D_0001,
         None,
-        LatrConfig::default(),
+        PolicyKind::latr_default(),
         &|| Box::new(SweepStorm::new(8, 5)),
     );
     check_golden("sweep_storm", &m);
@@ -128,7 +141,7 @@ fn golden_munmap_storm() {
         commodity16(),
         0x601D_0002,
         None,
-        LatrConfig::default(),
+        PolicyKind::latr_default(),
         &|| Box::new(MunmapMicrobench::new(8, 16, 20)),
     );
     check_golden("munmap_storm", &m);
@@ -141,7 +154,7 @@ fn golden_migration() {
         profile.machine_config(Topology::preset(MachinePreset::Commodity2S16C)),
         0x601D_0003,
         None,
-        LatrConfig::default(),
+        PolicyKind::latr_default(),
         &|| Box::new(MigrationWorkload::new(profile, 8, 30)),
     );
     check_golden("migration", &m);
@@ -155,9 +168,13 @@ fn golden_overflow_fallback() {
         states_per_core: 4,
         ..LatrConfig::default()
     };
-    let m = run_scenario(commodity16(), 0x601D_0004, None, latr, &|| {
-        Box::new(SweepStorm::new(8, 12).with_sleep(0))
-    });
+    let m = run_scenario(
+        commodity16(),
+        0x601D_0004,
+        None,
+        PolicyKind::Latr(latr),
+        &|| Box::new(SweepStorm::new(8, 12).with_sleep(0)),
+    );
     check_golden("overflow_fallback", &m);
 }
 
@@ -167,7 +184,7 @@ fn golden_chaos_drop() {
         commodity16(),
         0x601D_0005,
         Some(FaultPlan::default().with_ipi_drop(0.30)),
-        LatrConfig::default(),
+        PolicyKind::latr_default(),
         &|| Box::new(ChaosShare::new(4, 12)),
     );
     check_golden("chaos_drop", &m);
@@ -186,8 +203,59 @@ fn golden_chaos_soup() {
         commodity16(),
         0x601D_0006,
         Some(plan),
-        LatrConfig::default(),
+        PolicyKind::latr_default(),
         &|| Box::new(ChaosShare::new(4, 12)),
     );
     check_golden("chaos_soup", &m);
+}
+
+/// Runs one Table 1 script under Linux, ABIS and Latr, checking each
+/// policy's fingerprint against `table1_{name}_{policy}.txt`.
+fn check_table1(name: &str, seed: u64, script: fn() -> Vec<ScriptStep>) {
+    for policy in [
+        PolicyKind::Linux,
+        PolicyKind::Abis,
+        PolicyKind::latr_default(),
+    ] {
+        let m = run_scenario(common::table1_config(), seed, None, policy, &|| {
+            Box::new(Scripted::new(script()))
+        });
+        assert!(m.oracle_violation().is_none(), "{}", policy.label());
+        check_golden(&format!("table1_{name}_{}", policy.label()), &m);
+    }
+}
+
+#[test]
+fn golden_table1_free() {
+    check_table1("free", 0x601D_0011, common::free_script);
+}
+
+#[test]
+fn golden_table1_mprotect() {
+    check_table1("mprotect", 0x601D_0012, common::mprotect_script);
+}
+
+#[test]
+fn golden_table1_swap() {
+    check_table1("swap", 0x601D_0013, common::swap_script);
+}
+
+#[test]
+fn golden_table1_dedup() {
+    check_table1("dedup", 0x601D_0014, common::dedup_script);
+}
+
+#[test]
+fn golden_table1_compact() {
+    check_table1("compact", 0x601D_0015, common::compact_script);
+}
+
+#[test]
+fn golden_table1_mremap() {
+    check_table1("mremap", 0x601D_0016, common::mremap_script);
+}
+
+#[test]
+fn golden_table1_fork() {
+    check_table1("fork", 0x601D_0017, common::fork_script);
 }
