@@ -39,18 +39,7 @@ impl TlbPolicy for LinuxPolicy {
         _kind: FlushKind,
         start_delay: latr_sim::Nanos,
     ) -> FlushOutcome {
-        let mut targets = machine.mm(mm).cpumask;
-        targets.clear(initiator);
-        if targets.is_empty() || pages.is_empty() {
-            // Nothing cached remotely: purely local flush.
-            return FlushOutcome::Deferred {
-                local_ns: 0,
-                defer_reclaim: false,
-            };
-        }
-        let vpns: Vec<Vpn> = pages.iter().map(|&(v, _)| v).collect();
-        let txn = machine.begin_sync_shootdown(initiator, mm, vpns, targets, start_delay);
-        FlushOutcome::Sync { txn, local_ns: 0 }
+        machine.sync_flush(initiator, mm, pages, start_delay)
     }
 }
 
