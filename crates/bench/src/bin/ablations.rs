@@ -85,7 +85,7 @@ fn main() {
         );
         let peak_parked = machine
             .stats
-            .histogram("latr_parked_bytes")
+            .histogram(metrics::LATR_PARKED_BYTES)
             .map_or(0, |h| h.max());
         // Frames still held by the shared page cache are resident file
         // pages, not leaks.

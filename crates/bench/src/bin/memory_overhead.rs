@@ -30,7 +30,7 @@ fn main() {
         );
         let peak = machine
             .stats
-            .histogram("latr_parked_bytes")
+            .histogram(metrics::LATR_PARKED_BYTES)
             .map_or(0, |h| h.max());
         println!(
             "{:<8} {:<8} {:>18} {:>16} {:>14}",

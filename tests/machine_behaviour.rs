@@ -144,7 +144,7 @@ fn mmap_sem_serializes_writers() {
         SECOND,
     );
     assert!(
-        m.stats.counter("mmap_sem_waits") > 0,
+        m.stats.counter(metrics::MMAP_SEM_WAITS) > 0,
         "interleaved unmaps of one mm must contend on mmap_sem"
     );
     assert_eq!(m.check_reclamation_invariant(), None);

@@ -18,7 +18,7 @@
 
 use latr_arch::{CpuId, MachinePreset, Topology};
 use latr_core::LatrConfig;
-use latr_kernel::{Machine, MachineConfig, Op, OpResult, TaskId, Workload};
+use latr_kernel::{metrics, Machine, MachineConfig, Op, OpResult, TaskId, Workload};
 use latr_mem::VaRange;
 use latr_sim::{MILLISECOND, SECOND};
 use latr_workloads::PolicyKind;
@@ -146,13 +146,15 @@ impl Workload for StaleWindow {
         } else {
             match (self.step1, &result.op) {
                 (2, Op::Access { .. }) => {
-                    self.obs.segfaults_after_early_touch = Some(machine.stats.counter("segfaults"));
+                    self.obs.segfaults_after_early_touch =
+                        Some(machine.stats.counter(metrics::SEGFAULTS));
                     self.obs.invariant_after_early_touch =
                         machine.check_reclamation_invariant().map(|v| v.to_string());
                     self.early_touch_done = true;
                 }
                 (4, Op::Access { .. }) => {
-                    self.obs.segfaults_after_late_touch = Some(machine.stats.counter("segfaults"));
+                    self.obs.segfaults_after_late_touch =
+                        Some(machine.stats.counter(metrics::SEGFAULTS));
                 }
                 _ => {}
             }

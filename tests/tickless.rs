@@ -92,7 +92,7 @@ fn idle_cores_skip_ticks_when_tickless() {
     let ticking = run(false);
     let tickless = run(true);
     assert!(
-        tickless.stats.counter("ticks_skipped_idle") > 0,
+        tickless.stats.counter(metrics::TICKS_SKIPPED_IDLE) > 0,
         "12 idle cores must skip ticks"
     );
     assert!(
@@ -124,8 +124,8 @@ fn tickless_work_matches_ticking_work() {
         a.stats.counter(metrics::LATR_STATES_SAVED),
         b.stats.counter(metrics::LATR_STATES_SAVED)
     );
-    assert_eq!(a.stats.counter("segfaults"), 0);
-    assert_eq!(b.stats.counter("segfaults"), 0);
+    assert_eq!(a.stats.counter(metrics::SEGFAULTS), 0);
+    assert_eq!(b.stats.counter(metrics::SEGFAULTS), 0);
 }
 
 #[test]
