@@ -100,9 +100,9 @@ pub trait TlbPolicy: std::any::Any {
     /// remote TLBs may be stale. Must decide sync vs lazy. `start_delay`
     /// is the initiator-side work (syscall, PTE clears, local
     /// invalidation) that precedes any remote activity — synchronous
-    /// policies pass it (plus their own overhead) to
-    /// [`Machine::begin_sync_shootdown`] so IPIs leave only after the
-    /// local work completes.
+    /// policies pass it to [`Machine::sync_flush`] (or, with their own
+    /// targets and overhead, to [`Machine::begin_sync_shootdown`]) so IPIs
+    /// leave only after the local work completes.
     #[allow(clippy::too_many_arguments)]
     fn flush_others(
         &mut self,
