@@ -1,16 +1,17 @@
 //! Criterion regression gate for the PR-4 hot paths: the publish probe,
-//! the sweep tick, the overflow fallback and the event queue, each
-//! benchmarked on the fast implementation and (where it survives as an
-//! executable spec) its reference twin. The fast/reference pairs double
-//! as a visible record of what the optimisation buys; `cargo bench -p
-//! latr-bench --bench hotpath` prints both columns.
+//! the sweep tick, the overflow fallback, the event queue and the
+//! blocked-VA search, each benchmarked on the fast implementation and
+//! (where it survives as an executable spec) its reference twin. The
+//! fast/reference pairs double as a visible record of what the
+//! optimisation buys; `cargo bench -p latr-bench --bench hotpath` prints
+//! both columns.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use latr_arch::{CpuMask, MachinePreset, Topology};
 use latr_core::rt::{RtInvalidation, RtRegistry};
 use latr_core::{LatrConfig, LatrState, StateKind, StateQueue};
 use latr_kernel::MachineConfig;
-use latr_mem::{MmId, VaRange, Vpn};
+use latr_mem::{MmId, MmStruct, Prot, VaRange, Vpn};
 use latr_sim::{EventQueue, QueueBackend, Time, SECOND};
 use latr_workloads::{PolicyKind, SweepStorm};
 
@@ -191,6 +192,39 @@ fn bench_machine_overflow_fallback(c: &mut Criterion) {
     });
 }
 
+/// An address space shaped like a serving process at `depth` lazily
+/// blocked ranges: 1- and 2-page buffers packed from the mmap floor with a
+/// 1-page hole every 32 ranges (too small for the probe), then a few live
+/// buffers past the run.
+fn serving_mm(depth: usize) -> MmStruct {
+    let mut mm = MmStruct::new(MmId(1));
+    let mut at = mm.find_free_va(1).start;
+    for i in 0..depth {
+        if i % 32 == 16 {
+            at = at.offset(1);
+        }
+        let range = VaRange::new(at, 1 + i as u64 % 2);
+        mm.block_va(range);
+        at = range.end();
+    }
+    for _ in 0..5 {
+        mm.mmap_anon(2, Prot::READ_WRITE);
+    }
+    mm
+}
+
+/// The mmap-time search of the blocked-VA list at the depths serving
+/// reaches (mean ~160, max ~300): a 2-page probe walks the whole run.
+fn bench_mm_find_free_va(c: &mut Criterion) {
+    for depth in [0, 160, 300] {
+        let mm = serving_mm(depth);
+        assert_eq!(mm.blocked_ranges().len(), depth);
+        c.bench_function(&format!("mm_find_free_va_depth_{depth}"), |b| {
+            b.iter(|| black_box(mm.find_free_va(black_box(2))))
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_state_queue_publish,
@@ -198,6 +232,7 @@ criterion_group!(
     bench_rt_publish_batch,
     bench_event_queue_backends,
     bench_machine_sweep_storm,
-    bench_machine_overflow_fallback
+    bench_machine_overflow_fallback,
+    bench_mm_find_free_va
 );
 criterion_main!(benches);

@@ -300,8 +300,12 @@ impl Machine {
         if pkg.frames.capacity() > 0 && self.frame_vec_pool.len() < 64 {
             self.frame_vec_pool.push(pkg.frames);
         }
+        // Every package blocked its range when it was staged, so a miss
+        // means the list and the staged packages disagree: some range is
+        // then blocked forever, or was released before its shootdown.
         if let Some(va) = pkg.va {
-            self.mms[pkg.mm.0 as usize].unblock_va(&va);
+            let unblocked = self.mms[pkg.mm.0 as usize].unblock_va(&va);
+            assert!(unblocked, "reclaim package's VA {va:?} was not blocked");
         }
     }
 }

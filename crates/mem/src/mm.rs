@@ -36,6 +36,9 @@ pub struct MmStruct {
     /// ([`latr_arch::PCID_NONE`] when PCIDs are disabled, as in
     /// Linux 4.10).
     pub pcid: u16,
+    // Sorted by start; may hold overlapping and duplicate ranges. A flat
+    // vector for the reason `VmaTree` gives: it keeps its capacity, so the
+    // block/unblock steady state performs no heap allocation.
     blocked: Vec<VaRange>,
     va_floor: Vpn,
 }
@@ -57,21 +60,29 @@ impl MmStruct {
     /// Finds a free virtual range of `pages` pages, skipping both existing
     /// VMAs and the blocked (lazily reclaimed) list. Does not insert
     /// anything.
+    ///
+    /// First fit: the result is the lowest start at or above the mmap floor
+    /// whose `pages` pages overlap no VMA and no non-empty blocked range.
+    /// Candidates only move up, and a blocked range the cursor has passed
+    /// either ended at or before the candidate or bumped the candidate past
+    /// its end, so it can overlap no later candidate: one forward pass over
+    /// the start-sorted list, plus one [`VmaTree::find_gap`] per bump.
     pub fn find_free_va(&self, pages: u64) -> VaRange {
         assert!(pages > 0, "cannot allocate an empty range");
         let mut floor = self.va_floor;
+        let mut next = 0;
         loop {
-            let start = self.vmas.find_gap(floor, pages);
-            let candidate = VaRange::new(start, pages);
-            match self
-                .blocked
-                .iter()
-                .filter(|b| b.overlaps(&candidate))
-                .map(|b| b.end())
-                .max()
-            {
+            let candidate = VaRange::new(self.vmas.find_gap(floor, pages), pages);
+            let mut bump = None;
+            while let Some(b) = self.blocked.get(next).filter(|b| b.start < candidate.end()) {
+                if b.overlaps(&candidate) {
+                    bump = bump.max(Some(b.end()));
+                }
+                next += 1;
+            }
+            match bump {
                 None => return candidate,
-                Some(bump) => floor = bump,
+                Some(end) => floor = end,
             }
         }
     }
@@ -115,21 +126,33 @@ impl MmStruct {
     /// [`unblock_va`](Self::unblock_va) — the lazy-reclamation list.
     pub fn block_va(&mut self, range: VaRange) {
         debug_assert!(!range.is_empty());
-        self.blocked.push(range);
+        self.insert_blocked(range);
+    }
+
+    /// Inserts into the start-sorted list after any equal starts. Overlapping
+    /// and duplicate ranges are kept as they come: each is one pending
+    /// reclamation.
+    fn insert_blocked(&mut self, range: VaRange) {
+        let pos = self.blocked.partition_point(|b| b.start <= range.start);
+        self.blocked.insert(pos, range);
     }
 
     /// Releases a previously blocked range for reuse. Returns whether the
-    /// range was found.
+    /// range was found. Of duplicate ranges, one is released per call.
     pub fn unblock_va(&mut self, range: &VaRange) -> bool {
-        if let Some(pos) = self.blocked.iter().position(|b| b == range) {
-            self.blocked.swap_remove(pos);
-            true
-        } else {
-            false
+        let lo = self.blocked.partition_point(|b| b.start < range.start);
+        let found = self.blocked[lo..]
+            .iter()
+            .take_while(|b| b.start == range.start)
+            .position(|b| b == range);
+        if let Some(pos) = found {
+            self.blocked.remove(lo + pos);
         }
+        found.is_some()
     }
 
-    /// Currently blocked ranges (test/debug aid).
+    /// Currently blocked ranges, sorted by start. The benchmark samples the
+    /// list's depth at every mmap.
     pub fn blocked_ranges(&self) -> &[VaRange] {
         &self.blocked
     }
@@ -160,6 +183,140 @@ impl std::fmt::Debug for MmStruct {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl MmStruct {
+        /// The unindexed search: rescan every blocked range after each
+        /// bump. It ignores list order, so it is the executable spec for
+        /// [`find_free_va`](MmStruct::find_free_va).
+        fn find_free_va_linear(&self, pages: u64) -> VaRange {
+            assert!(pages > 0, "cannot allocate an empty range");
+            let mut floor = self.va_floor;
+            loop {
+                let start = self.vmas.find_gap(floor, pages);
+                let candidate = VaRange::new(start, pages);
+                match self
+                    .blocked
+                    .iter()
+                    .filter(|b| b.overlaps(&candidate))
+                    .map(|b| b.end())
+                    .max()
+                {
+                    None => return candidate,
+                    Some(bump) => floor = bump,
+                }
+            }
+        }
+    }
+
+    /// One scripted step against an address space. Offsets are pages above
+    /// the mmap floor, kept small so ranges collide.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Mmap(u64),
+        /// Unmap `[offset, offset + pages)`, then block it as the kernel's
+        /// munmap does, or leave a plain hole.
+        Munmap {
+            offset: u64,
+            pages: u64,
+            block: bool,
+        },
+        /// Block an arbitrary range; `pages == 0` is an empty range, which
+        /// only a release build lets through `block_va`.
+        Block {
+            offset: u64,
+            pages: u64,
+        },
+        /// Block the i-th model entry again: a duplicate.
+        BlockAgain(usize),
+        /// Unblock an arbitrary range, usually one never blocked.
+        Unblock {
+            offset: u64,
+            pages: u64,
+        },
+        /// Unblock the i-th model entry.
+        UnblockKnown(usize),
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (1u64..10).prop_map(Step::Mmap),
+            (0u64..96, 1u64..12, any::<bool>()).prop_map(|(offset, pages, block)| Step::Munmap {
+                offset,
+                pages,
+                block
+            }),
+            (0u64..96, 0u64..12).prop_map(|(offset, pages)| Step::Block { offset, pages }),
+            any::<usize>().prop_map(Step::BlockAgain),
+            (0u64..96, 0u64..12).prop_map(|(offset, pages)| Step::Unblock { offset, pages }),
+            any::<usize>().prop_map(Step::UnblockKnown),
+        ]
+    }
+
+    fn near_floor(offset: u64, pages: u64) -> VaRange {
+        VaRange::new(MMAP_FLOOR.offset(offset), pages)
+    }
+
+    /// `ranges` as a multiset: sorted `(start, pages)` keys.
+    fn multiset(ranges: &[VaRange]) -> Vec<(u64, u64)> {
+        let mut keys: Vec<_> = ranges.iter().map(|r| (r.start.0, r.pages)).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    proptest! {
+        #[test]
+        fn sorted_search_matches_the_linear_reference(
+            steps in prop::collection::vec((step_strategy(), 1u64..16), 1..200),
+        ) {
+            let mut mm = MmStruct::new(MmId(1));
+            // The blocked list as a multiset, in insertion order.
+            let mut model: Vec<VaRange> = Vec::new();
+            for (step, probe) in steps {
+                match step {
+                    Step::Mmap(pages) => {
+                        mm.mmap_anon(pages, Prot::READ_WRITE);
+                    }
+                    Step::Munmap { offset, pages, block } => {
+                        let range = near_floor(offset, pages);
+                        mm.munmap_vmas(&range);
+                        if block {
+                            mm.block_va(range);
+                            model.push(range);
+                        }
+                    }
+                    Step::Block { offset, pages } => {
+                        let range = near_floor(offset, pages);
+                        mm.insert_blocked(range);
+                        model.push(range);
+                    }
+                    Step::BlockAgain(i) if !model.is_empty() => {
+                        let range = model[i % model.len()];
+                        mm.insert_blocked(range);
+                        model.push(range);
+                    }
+                    Step::BlockAgain(_) => {}
+                    Step::Unblock { offset, pages } => {
+                        let range = near_floor(offset, pages);
+                        let known = model.iter().position(|b| *b == range);
+                        if let Some(pos) = known {
+                            model.remove(pos);
+                        }
+                        prop_assert_eq!(mm.unblock_va(&range), known.is_some());
+                    }
+                    Step::UnblockKnown(i) if !model.is_empty() => {
+                        let range = model.remove(i % model.len());
+                        prop_assert!(mm.unblock_va(&range));
+                    }
+                    Step::UnblockKnown(_) => {}
+                }
+                let blocked = mm.blocked_ranges();
+                prop_assert!(blocked.windows(2).all(|w| w[0].start <= w[1].start));
+                prop_assert_eq!(multiset(blocked), multiset(&model));
+                prop_assert_eq!(mm.find_free_va(probe), mm.find_free_va_linear(probe));
+            }
+        }
+    }
 
     #[test]
     fn mmap_anon_allocates_disjoint_ranges() {

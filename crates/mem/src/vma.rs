@@ -270,10 +270,11 @@ impl VmaTree {
     /// Finds the lowest free gap of `pages` pages at or above `floor`.
     pub fn find_gap(&self, floor: Vpn, pages: u64) -> Vpn {
         let mut candidate = floor;
-        for vma in &self.vmas {
-            if vma.range.end() <= candidate {
-                continue;
-            }
+        // VMAs are disjoint, so their ends are sorted too: skip straight to
+        // the first one reaching past `floor`. From there each VMA ends past
+        // `candidate`, so none needs skipping.
+        let first = self.vmas.partition_point(|v| v.range.end() <= floor);
+        for vma in &self.vmas[first..] {
             if vma.range.start.0 >= candidate.0 + pages {
                 break; // gap before this VMA fits
             }
@@ -286,6 +287,45 @@ impl VmaTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The from-zero scan: the executable spec for
+    /// [`VmaTree::find_gap`]'s binary-searched start.
+    fn find_gap_linear(t: &VmaTree, floor: Vpn, pages: u64) -> Vpn {
+        let mut candidate = floor;
+        for vma in &t.vmas {
+            if vma.range.end() <= candidate {
+                continue;
+            }
+            if vma.range.start.0 >= candidate.0 + pages {
+                break;
+            }
+            candidate = vma.range.end();
+        }
+        candidate
+    }
+
+    proptest! {
+        #[test]
+        fn find_gap_matches_the_from_zero_scan(
+            inserts in prop::collection::vec((0u64..200, 1u64..12), 0..40),
+            probes in prop::collection::vec((0u64..220, 1u64..16), 1..20),
+        ) {
+            let mut t = VmaTree::new();
+            for (start, pages) in inserts {
+                let range = VaRange::new(Vpn(start), pages);
+                if t.is_range_free(&range) {
+                    t.insert(Vma { range, kind: MapKind::Anon, prot: Prot::READ_WRITE });
+                }
+            }
+            for (floor, pages) in probes {
+                prop_assert_eq!(
+                    t.find_gap(Vpn(floor), pages),
+                    find_gap_linear(&t, Vpn(floor), pages)
+                );
+            }
+        }
+    }
 
     fn anon(start: u64, pages: u64) -> Vma {
         Vma {
