@@ -1,7 +1,8 @@
 //! Criterion regression gate for the PR-4 hot paths: the publish probe,
-//! the sweep tick, the overflow fallback, the event queue and the
-//! blocked-VA search, each benchmarked on the fast implementation and
-//! (where it survives as an executable spec) its reference twin. The
+//! the sweep tick, the overflow fallback, the event queue, the
+//! blocked-VA search and the oracle's sweep, each benchmarked on the fast
+//! implementation and (where it survives as an executable spec) its
+//! reference twin. The
 //! fast/reference pairs double as a visible record of what the
 //! optimisation buys; `cargo bench -p latr-bench --bench hotpath` prints
 //! both columns.
@@ -13,6 +14,7 @@ use latr_core::{LatrConfig, LatrState, StateKind, StateQueue};
 use latr_kernel::MachineConfig;
 use latr_mem::{MmId, MmStruct, Prot, VaRange, Vpn};
 use latr_sim::{EventQueue, QueueBackend, Time, SECOND};
+use latr_verify::CoherenceOracle;
 use latr_workloads::{PolicyKind, SweepStorm};
 
 fn state(id: u64, cpus: CpuMask) -> LatrState {
@@ -225,6 +227,29 @@ fn bench_mm_find_free_va(c: &mut Criterion) {
     }
 }
 
+/// The oracle's side of one Latr sweep on the 120-core preset: publish a
+/// state naming cpu1, then cpu1 sweeps it, with 0 or 3,000 other states
+/// live (serving under the oracle peaks at ~3,100). The keyed state table
+/// makes the sweep independent of the live count.
+fn bench_oracle_sweep(c: &mut Criterion) {
+    let (cpu1, cpu2) = (latr_arch::CpuId(1), latr_arch::CpuId(2));
+    let (only1, only2) = (CpuMask::from_cpus([cpu1]), CpuMask::from_cpus([cpu2]));
+    let swept = VaRange::new(Vpn(0x10), 1);
+    for live in [0u64, 3000] {
+        let mut oracle = CoherenceOracle::new(120);
+        for i in 0..live {
+            let range = VaRange::new(Vpn(0x1000 + i), 1);
+            oracle.note_publish(cpu2, MmId(1), range, only2, false, Time::ZERO);
+        }
+        c.bench_function(&format!("oracle_sweep_live_{live}"), |b| {
+            b.iter(|| {
+                oracle.note_publish(cpu2, MmId(1), swept, only1, false, Time::ZERO);
+                oracle.note_sweep(cpu1, MmId(1), black_box(swept), Time::ZERO);
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_state_queue_publish,
@@ -233,6 +258,7 @@ criterion_group!(
     bench_event_queue_backends,
     bench_machine_sweep_storm,
     bench_machine_overflow_fallback,
-    bench_mm_find_free_va
+    bench_mm_find_free_va,
+    bench_oracle_sweep
 );
 criterion_main!(benches);

@@ -41,6 +41,11 @@ impl VClock {
         self.0.get(i).copied().unwrap_or(0)
     }
 
+    /// Overwrites `self` with `other`, reusing `self`'s allocation.
+    pub fn copy_from(&mut self, other: &VClock) {
+        self.0.clone_from(&other.0);
+    }
+
     /// Pointwise maximum with `other` (receiving a message).
     pub fn join(&mut self, other: &VClock) {
         if self.0.len() < other.0.len() {

@@ -95,14 +95,15 @@ struct ShadowEntry {
     /// The caching core's own clock component when the fill happened —
     /// the fill's position in that core's local order.
     filled_component: u64,
-    filled_seq: u64,
 }
 
-/// A published Latr state the oracle still tracks.
+/// A published Latr state the oracle still tracks. Its `(mm, range)` is
+/// the key of the bucket holding it; `pending` is never empty.
 #[derive(Clone, Debug)]
 struct TrackedState {
-    mm: MmId,
-    range: VaRange,
+    /// The publish event's sequence number: a migration violation names
+    /// the first-published blocking state.
+    order: u64,
     pending: CpuMask,
     migration: bool,
     /// Publisher's clock at publish time; sweepers join it.
@@ -122,8 +123,10 @@ pub struct CoherenceOracle {
     shadow: Vec<HashMap<(u16, u64), ShadowEntry>>,
     /// Reverse index: pfn → set of (core, pcid, vpn) caching it.
     by_pfn: HashMap<u64, HashSet<(usize, u16, u64)>>,
-    /// Published states still carrying pending CPU bits.
-    states: Vec<TrackedState>,
+    /// Published states still carrying pending CPU bits, keyed by
+    /// `(mm, range)` so a sweep touches only its own bucket. Each bucket is
+    /// in publish order and is removed once empty.
+    states: HashMap<(MmId, VaRange), Vec<TrackedState>>,
     /// Initiator clock snapshots of in-flight shootdown transactions.
     txn_clocks: HashMap<u64, VClock>,
     history: VecDeque<EventRecord>,
@@ -144,7 +147,7 @@ impl CoherenceOracle {
             clocks: vec![VClock::new(nctx); nctx],
             shadow: vec![HashMap::new(); ncpus],
             by_pfn: HashMap::new(),
-            states: Vec::new(),
+            states: HashMap::new(),
             txn_clocks: HashMap::new(),
             history: VecDeque::new(),
             violation: None,
@@ -184,33 +187,42 @@ impl CoherenceOracle {
     }
 
     /// Advances `ctx`'s clock, appends the event to the ring, and returns
-    /// a clone of the record (for violation construction).
-    fn record(&mut self, ctx: Ctx, at: Time, kind: EventKind) -> EventRecord {
+    /// its sequence number and `ctx`'s own clock component after it. Once
+    /// the ring is full the oldest record is overwritten in place, so
+    /// recording allocates nothing.
+    fn record(&mut self, ctx: Ctx, at: Time, kind: EventKind) -> (u64, u64) {
         let i = self.ctx_index(ctx);
-        self.clocks[i].tick(i);
+        let own = self.clocks[i].tick(i);
         self.seq += 1;
-        let rec = EventRecord {
-            seq: self.seq,
-            at,
-            ctx,
-            clock: self.clocks[i].clone(),
-            kind,
+        let rec = if self.history.len() == HISTORY_CAPACITY {
+            let mut rec = self.history.pop_front().expect("the ring is full");
+            rec.seq = self.seq;
+            rec.at = at;
+            rec.ctx = ctx;
+            rec.clock.copy_from(&self.clocks[i]);
+            rec.kind = kind;
+            rec
+        } else {
+            EventRecord {
+                seq: self.seq,
+                at,
+                ctx,
+                clock: self.clocks[i].clone(),
+                kind,
+            }
         };
-        if self.history.len() == HISTORY_CAPACITY {
-            self.history.pop_front();
-        }
-        self.history.push_back(rec.clone());
-        rec
+        self.history.push_back(rec);
+        (self.seq, own)
     }
 
-    /// `pfn`/`vpn` are the relevance keys used to pick trace events out of
-    /// the history ring (a `Free` record alone carries no vpn, so callers
-    /// supply the cached page explicitly).
+    /// Reports the event just recorded as a violation. `pfn`/`vpn` are the
+    /// relevance keys used to pick trace events out of the history ring (a
+    /// `Free` record alone carries no vpn, so callers supply the cached
+    /// page explicitly).
     fn flag(
         &mut self,
         kind: ViolationKind,
         headline: String,
-        offending: EventRecord,
         race: String,
         pfn: Option<u64>,
         vpn: Option<u64>,
@@ -222,6 +234,11 @@ impl CoherenceOracle {
             self.suppressed += 1;
             return;
         }
+        let offending = self
+            .history
+            .back()
+            .expect("the offending event was just recorded")
+            .clone();
         let history: Vec<EventRecord> = self
             .history
             .iter()
@@ -260,17 +277,25 @@ impl CoherenceOracle {
         }
     }
 
-    /// Describes the set of shadow entries caching `pfn`, for headlines.
+    /// Describes the set of shadow entries caching `pfn`, for headlines,
+    /// in numeric `(core, pcid, vpn)` order.
     fn cachers_of(&self, pfn: u64) -> String {
         let Some(set) = self.by_pfn.get(&pfn) else {
             return String::new();
         };
-        let mut parts: Vec<String> = set
+        let mut keys: Vec<(usize, u16, u64)> = set.iter().copied().collect();
+        keys.sort_unstable();
+        let parts: Vec<String> = keys
             .iter()
             .map(|&(core, pcid, vpn)| format!("cpu{core} vpn {vpn:#x} (pcid {pcid})"))
             .collect();
-        parts.sort();
         parts.join(", ")
+    }
+
+    /// The smallest `(core, pcid, vpn)` still caching `pfn`: the entry a
+    /// frame-reuse verdict names, the same in every process.
+    fn first_cacher(&self, pfn: u64) -> Option<(usize, u16, u64)> {
+        self.by_pfn.get(&pfn)?.iter().min().copied()
     }
 
     fn shadow_remove(&mut self, core: usize, pcid: u16, vpn: u64) {
@@ -298,7 +323,7 @@ impl CoherenceOracle {
         at: Time,
     ) {
         let core = cpu.index();
-        let rec = self.record(
+        let (_, filled_component) = self.record(
             Ctx::Cpu(cpu),
             at,
             EventKind::Fill {
@@ -309,13 +334,11 @@ impl CoherenceOracle {
         );
         // Overwriting fill of the same page = invalidate + fill.
         self.shadow_remove(core, pcid, vpn.0);
-        let filled_component = rec.clock.get(core);
         self.shadow[core].insert(
             (pcid, vpn.0),
             ShadowEntry {
                 pfn: pfn.0,
                 filled_component,
-                filled_seq: rec.seq,
             },
         );
         self.by_pfn
@@ -331,7 +354,6 @@ impl CoherenceOracle {
             self.flag(
                 ViolationKind::FillOfFreedFrame,
                 headline,
-                rec,
                 "the page table still maps a frame whose last reference was dropped".to_owned(),
                 Some(pfn.0),
                 Some(vpn.0),
@@ -350,7 +372,7 @@ impl CoherenceOracle {
         at: Time,
     ) {
         let core = cpu.index();
-        let rec = self.record(
+        let (_, own) = self.record(
             Ctx::Cpu(cpu),
             at,
             EventKind::Hit {
@@ -364,8 +386,7 @@ impl CoherenceOracle {
             .entry((pcid, vpn.0))
             .or_insert(ShadowEntry {
                 pfn: pfn.0,
-                filled_component: rec.clock.get(core),
-                filled_seq: rec.seq,
+                filled_component: own,
             });
         self.by_pfn
             .entry(pfn.0)
@@ -381,7 +402,6 @@ impl CoherenceOracle {
             self.flag(
                 ViolationKind::AccessThroughFreedFrame,
                 headline,
-                rec,
                 race,
                 Some(pfn.0),
                 Some(vpn.0),
@@ -431,50 +451,43 @@ impl CoherenceOracle {
 
     /// A frame left the free list.
     pub fn note_alloc(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
-        let rec = self.record(ctx, at, EventKind::Alloc { pfn: pfn.0 });
-        if let Some(set) = self.by_pfn.get(&pfn.0) {
-            if let Some(&(core, pcid, vpn)) = set.iter().next() {
-                let entry = self.shadow[core][&(pcid, vpn)];
-                let headline = format!(
-                    "frame {:#x} handed out again while still cached: {}",
-                    pfn.0,
-                    self.cachers_of(pfn.0)
-                );
-                let race = self.race_verdict(ctx, core, entry.filled_component);
-                self.flag(
-                    ViolationKind::ReusedWhileCached,
-                    headline,
-                    rec,
-                    race,
-                    Some(pfn.0),
-                    Some(vpn),
-                );
-            }
+        self.record(ctx, at, EventKind::Alloc { pfn: pfn.0 });
+        if let Some((core, pcid, vpn)) = self.first_cacher(pfn.0) {
+            let entry = self.shadow[core][&(pcid, vpn)];
+            let headline = format!(
+                "frame {:#x} handed out again while still cached: {}",
+                pfn.0,
+                self.cachers_of(pfn.0)
+            );
+            let race = self.race_verdict(ctx, core, entry.filled_component);
+            self.flag(
+                ViolationKind::ReusedWhileCached,
+                headline,
+                race,
+                Some(pfn.0),
+                Some(vpn),
+            );
         }
     }
 
     /// A frame's last reference was dropped (it is reusable from now on).
     pub fn note_free(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
-        let rec = self.record(ctx, at, EventKind::Free { pfn: pfn.0 });
-        if let Some(set) = self.by_pfn.get(&pfn.0) {
-            if let Some(&(core, pcid, vpn)) = set.iter().next() {
-                let entry = self.shadow[core][&(pcid, vpn)];
-                let headline = format!(
-                    "frame {:#x} freed while still cached: {}",
-                    pfn.0,
-                    self.cachers_of(pfn.0)
-                );
-                let race = self.race_verdict(ctx, core, entry.filled_component);
-                let _ = entry.filled_seq;
-                self.flag(
-                    ViolationKind::FreedWhileCached,
-                    headline,
-                    rec,
-                    race,
-                    Some(pfn.0),
-                    Some(vpn),
-                );
-            }
+        self.record(ctx, at, EventKind::Free { pfn: pfn.0 });
+        if let Some((core, pcid, vpn)) = self.first_cacher(pfn.0) {
+            let entry = self.shadow[core][&(pcid, vpn)];
+            let headline = format!(
+                "frame {:#x} freed while still cached: {}",
+                pfn.0,
+                self.cachers_of(pfn.0)
+            );
+            let race = self.race_verdict(ctx, core, entry.filled_component);
+            self.flag(
+                ViolationKind::FreedWhileCached,
+                headline,
+                race,
+                Some(pfn.0),
+                Some(vpn),
+            );
         }
     }
 
@@ -490,7 +503,7 @@ impl CoherenceOracle {
         migration: bool,
         at: Time,
     ) {
-        let rec = self.record(
+        let (order, _) = self.record(
             Ctx::Cpu(initiator),
             at,
             EventKind::Publish {
@@ -500,72 +513,92 @@ impl CoherenceOracle {
                 migration,
             },
         );
-        self.states.push(TrackedState {
-            mm,
-            range,
+        // A state naming no core is already retired: no sweep can join it
+        // and no migration check can be blocked by it.
+        if targets.is_empty() {
+            return;
+        }
+        let state = TrackedState {
+            order,
             pending: targets,
             migration,
-            publish_clock: rec.clock,
-        });
+            publish_clock: self.clocks[initiator.index()].clone(),
+        };
+        self.states
+            .entry((mm, range))
+            .or_insert_with(|| Vec::with_capacity(1))
+            .push(state);
     }
 
     /// `cpu` swept every active state naming it that covers `(mm, range)`:
     /// it invalidated locally and cleared its bit.
     pub fn note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange, at: Time) {
         self.record(Ctx::Cpu(cpu), at, EventKind::Sweep { mm, range });
-        let core = cpu.index();
-        let mut joins: Vec<VClock> = Vec::new();
-        self.states.retain_mut(|s| {
-            if s.mm == mm && s.range == range && s.pending.test(cpu) {
+        let Some(bucket) = self.states.get_mut(&(mm, range)) else {
+            return;
+        };
+        // Joins are pointwise maxima, so their order cannot matter.
+        let clock = &mut self.clocks[cpu.index()];
+        bucket.retain_mut(|s| {
+            if s.pending.test(cpu) {
                 s.pending.clear(cpu);
-                joins.push(s.publish_clock.clone());
+                clock.join(&s.publish_clock);
             }
             !s.pending.is_empty()
         });
-        for c in joins {
-            self.clocks[core].join(&c);
+        if bucket.is_empty() {
+            self.states.remove(&(mm, range));
         }
     }
 
     /// A NUMA hint fault on `(mm, vpn)` was allowed to proceed.
     pub fn note_migration_proceed(&mut self, cpu: CpuId, mm: MmId, vpn: Vpn, at: Time) {
-        let rec = self.record(Ctx::Cpu(cpu), at, EventKind::MigrationProceed { mm, vpn });
-        let blocking: Option<CpuMask> = self
+        self.record(Ctx::Cpu(cpu), at, EventKind::MigrationProceed { mm, vpn });
+        let blocking = self
             .states
             .iter()
-            .find(|s| s.migration && s.mm == mm && s.range.contains(vpn) && !s.pending.is_empty())
+            .filter(|((m, r), _)| *m == mm && r.contains(vpn))
+            .flat_map(|(_, bucket)| bucket)
+            .filter(|s| s.migration)
+            .min_by_key(|s| s.order)
             .map(|s| s.pending);
         if let Some(mask) = blocking {
-            let pending: Vec<String> = mask.iter().map(|c| format!("{c}")).collect();
-            let headline = format!(
-                "migration fault on mm{} vpn {:#x} proceeded while {} had not swept \
-                 the migration state",
-                mm.0,
-                vpn.0,
-                pending.join(", ")
-            );
-            let race = format!(
-                "§4.4 requires every bit of the migration state's bitmask to clear \
-                 before the fault may proceed; pending mask still has {} bit(s)",
-                mask.count()
-            );
-            self.flag(
-                ViolationKind::MigrationBeforeSweepComplete,
-                headline,
-                rec,
-                race,
-                None,
-                Some(vpn.0),
-            );
+            self.flag_migration(mm, vpn, mask);
         }
+    }
+
+    /// Reports a migration fault on `(mm, vpn)` that proceeded while
+    /// `mask` had not swept the blocking migration state.
+    fn flag_migration(&mut self, mm: MmId, vpn: Vpn, mask: CpuMask) {
+        let pending: Vec<String> = mask.iter().map(|c| format!("{c}")).collect();
+        let headline = format!(
+            "migration fault on mm{} vpn {:#x} proceeded while {} had not swept \
+             the migration state",
+            mm.0,
+            vpn.0,
+            pending.join(", ")
+        );
+        let race = format!(
+            "§4.4 requires every bit of the migration state's bitmask to clear \
+             before the fault may proceed; pending mask still has {} bit(s)",
+            mask.count()
+        );
+        self.flag(
+            ViolationKind::MigrationBeforeSweepComplete,
+            headline,
+            race,
+            None,
+            Some(vpn.0),
+        );
     }
 
     // ---- synchronous shootdown edges ------------------------------------
 
     /// A shootdown's IPIs were multicast by `initiator`.
     pub fn note_ipi_send(&mut self, initiator: CpuId, txn: u64, targets: CpuMask, at: Time) {
-        let rec = self.record(Ctx::Cpu(initiator), at, EventKind::IpiSend { txn, targets });
-        self.txn_clocks.insert(txn, rec.clock);
+        self.record(Ctx::Cpu(initiator), at, EventKind::IpiSend { txn, targets });
+        let clock = self.clocks[initiator.index()].clone();
+        self.txn_clocks.insert(txn, clock);
     }
 
     /// A shootdown IPI was handled on `target`.
@@ -585,6 +618,94 @@ impl CoherenceOracle {
         self.clocks[initiator.index()].join(&c);
         if done {
             self.txn_clocks.remove(&txn);
+        }
+    }
+}
+
+/// The linear state list the keyed table replaced, kept as its executable
+/// spec: publish appends, a sweep scans every live state, and a migration
+/// check takes the first match in publish order.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    struct LinearState {
+        mm: MmId,
+        range: VaRange,
+        pending: CpuMask,
+        migration: bool,
+        publish_clock: VClock,
+    }
+
+    /// A [`CoherenceOracle`] whose Latr states live in the linear list;
+    /// every other event goes to the wrapped oracle unchanged.
+    pub(super) struct ReferenceOracle {
+        pub(super) inner: CoherenceOracle,
+        states: Vec<LinearState>,
+    }
+
+    impl ReferenceOracle {
+        pub(super) fn new(ncpus: usize) -> Self {
+            ReferenceOracle {
+                inner: CoherenceOracle::new(ncpus),
+                states: Vec::new(),
+            }
+        }
+
+        pub(super) fn note_publish(
+            &mut self,
+            initiator: CpuId,
+            mm: MmId,
+            range: VaRange,
+            targets: CpuMask,
+            migration: bool,
+            at: Time,
+        ) {
+            let kind = EventKind::Publish {
+                mm,
+                range,
+                targets,
+                migration,
+            };
+            self.inner.record(Ctx::Cpu(initiator), at, kind);
+            self.states.push(LinearState {
+                mm,
+                range,
+                pending: targets,
+                migration,
+                publish_clock: self.inner.clocks[initiator.index()].clone(),
+            });
+        }
+
+        pub(super) fn note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange, at: Time) {
+            self.inner
+                .record(Ctx::Cpu(cpu), at, EventKind::Sweep { mm, range });
+            let mut joins: Vec<VClock> = Vec::new();
+            self.states.retain_mut(|s| {
+                if s.mm == mm && s.range == range && s.pending.test(cpu) {
+                    s.pending.clear(cpu);
+                    joins.push(s.publish_clock.clone());
+                }
+                !s.pending.is_empty()
+            });
+            for c in joins {
+                self.inner.clocks[cpu.index()].join(&c);
+            }
+        }
+
+        pub(super) fn note_migration_proceed(&mut self, cpu: CpuId, mm: MmId, vpn: Vpn, at: Time) {
+            self.inner
+                .record(Ctx::Cpu(cpu), at, EventKind::MigrationProceed { mm, vpn });
+            let blocking = self
+                .states
+                .iter()
+                .find(|s| {
+                    s.migration && s.mm == mm && s.range.contains(vpn) && !s.pending.is_empty()
+                })
+                .map(|s| s.pending);
+            if let Some(mask) = blocking {
+                self.inner.flag_migration(mm, vpn, mask);
+            }
         }
     }
 }
@@ -730,6 +851,49 @@ mod tests {
     }
 
     #[test]
+    fn multi_cacher_free_verdict_is_deterministic() {
+        // cpu1's fill is ordered before the free by an ACK edge; cpu2's
+        // and cpu10's are not. The verdict must name the smallest cacher
+        // and the headline must list cachers in numeric order, whatever
+        // each fresh oracle's hash seeds are.
+        for _ in 0..20 {
+            let mut o = CoherenceOracle::new(11);
+            o.note_fill(CpuId(10), 0, vpn(0x30), Pfn(0x2a), true, T);
+            o.note_fill(CpuId(2), 0, vpn(0x20), Pfn(0x2a), true, T);
+            o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(0x2a), true, T);
+            o.note_ack(CpuId(0), CpuId(1), 1, true, T);
+            o.note_free(Ctx::Cpu(CpuId(0)), Pfn(0x2a), T);
+            let v = o.violation().expect("violation");
+            assert_eq!(
+                v.headline,
+                "frame 0x2a freed while still cached: cpu1 vpn 0x10 (pcid 0), \
+                 cpu2 vpn 0x20 (pcid 0), cpu10 vpn 0x30 (pcid 0)"
+            );
+            assert_eq!(
+                v.race,
+                "ordered: cpu0 had a happens-before path from cpu1's fill \
+                 (clock component 1) yet no invalidation intervened \
+                 — the protocol retired the entry's cover without clearing it"
+            );
+        }
+    }
+
+    #[test]
+    fn full_history_ring_overwrites_the_oldest_record() {
+        let mut o = CoherenceOracle::new(1);
+        for i in 0..HISTORY_CAPACITY as u64 + 3 {
+            o.note_invalidate(CpuId(0), 0, vpn(i), T);
+        }
+        assert_eq!(o.history.len(), HISTORY_CAPACITY);
+        let oldest = o.history.front().expect("full");
+        assert_eq!(oldest.seq, 4);
+        assert_eq!(oldest.kind, EventKind::Invalidate { pcid: 0, vpn: 3 });
+        let newest = o.history.back().expect("full");
+        assert_eq!(newest.seq, HISTORY_CAPACITY as u64 + 3);
+        assert_eq!(newest.clock, o.clocks[0]);
+    }
+
+    #[test]
     fn ipi_edges_order_the_free() {
         // Linux-style: fill on cpu1, IPI invalidates it, ACK returns, then
         // the free — ordered, no violation; and the initiator's clock
@@ -743,5 +907,157 @@ mod tests {
         o.note_free(Ctx::Cpu(CpuId(0)), Pfn(3), T);
         assert!(o.violation().is_none());
         assert!(o.clocks[0].dominates(&o.clocks[1]));
+    }
+
+    /// One step of the differential spec below.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Publish {
+            cpu: u16,
+            mm: u32,
+            range: usize,
+            targets: u64,
+            migration: bool,
+        },
+        Sweep {
+            cpu: u16,
+            mm: u32,
+            range: usize,
+        },
+        MigrationProceed {
+            cpu: u16,
+            mm: u32,
+            vpn: u64,
+        },
+        Fill {
+            cpu: u16,
+            vpn: u64,
+            pfn: u64,
+            allocated: bool,
+        },
+        Free {
+            /// `NCPUS` stands for the reclamation kthread.
+            ctx: u16,
+            pfn: u64,
+        },
+    }
+
+    const NCPUS: u16 = 4;
+
+    /// Overlapping ranges so a migration check can match several buckets;
+    /// the last is never published, so sweeps of it find nothing.
+    fn spec_range(i: usize) -> VaRange {
+        [
+            VaRange::new(vpn(0x10), 2),
+            VaRange::new(vpn(0x11), 2),
+            VaRange::new(vpn(0x20), 1),
+            VaRange::new(vpn(0x30), 1),
+        ][i]
+    }
+
+    fn op_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        let vpns = || prop_oneof![0x10u64..0x13, Just(0x20u64), Just(0x30u64)];
+        prop_oneof![
+            // Few ranges and masks, so duplicate (mm, range) publishes and
+            // empty masks (targets 0) are common.
+            ((0..NCPUS, 0u32..2), 0usize..3, 0u64..16, any::<bool>()).prop_map(
+                |((cpu, mm), range, targets, migration)| Op::Publish {
+                    cpu,
+                    mm,
+                    range,
+                    targets,
+                    migration,
+                }
+            ),
+            (0..NCPUS, 0u32..2, 0usize..4).prop_map(|(cpu, mm, range)| Op::Sweep {
+                cpu,
+                mm,
+                range
+            }),
+            (0..NCPUS, 0u32..2, 0usize..4).prop_map(|(cpu, mm, range)| Op::Sweep {
+                cpu,
+                mm,
+                range
+            }),
+            (0..NCPUS, 0u32..2, vpns()).prop_map(|(cpu, mm, vpn)| Op::MigrationProceed {
+                cpu,
+                mm,
+                vpn
+            }),
+            (0..NCPUS, vpns(), 0u64..3, 0u8..8).prop_map(|(cpu, vpn, pfn, a)| Op::Fill {
+                cpu,
+                vpn,
+                pfn,
+                allocated: a != 0,
+            }),
+            (0..NCPUS + 1, 0u64..3).prop_map(|(ctx, pfn)| Op::Free { ctx, pfn }),
+        ]
+    }
+
+    fn targets_mask(bits: u64) -> CpuMask {
+        CpuMask::from_cpus((0..NCPUS).filter(|c| bits >> c & 1 == 1).map(CpuId))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The keyed state table against the linear list it replaced: the
+        /// same clocks, the same first violation and the same suppressed
+        /// count after every step.
+        #[test]
+        fn keyed_state_table_matches_the_linear_reference(
+            ops in proptest::collection::vec(op_strategy(), 1..120)
+        ) {
+            let mut keyed = CoherenceOracle::new(NCPUS.into());
+            let mut reference = reference::ReferenceOracle::new(NCPUS.into());
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Publish { cpu, mm, range, targets, migration } => {
+                        let (cpu, mm, range) = (CpuId(cpu), MmId(mm), spec_range(range));
+                        let targets = targets_mask(targets);
+                        keyed.note_publish(cpu, mm, range, targets, migration, T);
+                        reference.note_publish(cpu, mm, range, targets, migration, T);
+                    }
+                    Op::Sweep { cpu, mm, range } => {
+                        let (cpu, mm, range) = (CpuId(cpu), MmId(mm), spec_range(range));
+                        keyed.note_sweep(cpu, mm, range, T);
+                        reference.note_sweep(cpu, mm, range, T);
+                    }
+                    Op::MigrationProceed { cpu, mm, vpn: v } => {
+                        keyed.note_migration_proceed(CpuId(cpu), MmId(mm), vpn(v), T);
+                        reference.note_migration_proceed(CpuId(cpu), MmId(mm), vpn(v), T);
+                    }
+                    Op::Fill { cpu, vpn: v, pfn, allocated } => {
+                        keyed.note_fill(CpuId(cpu), 0, vpn(v), Pfn(pfn), allocated, T);
+                        reference
+                            .inner
+                            .note_fill(CpuId(cpu), 0, vpn(v), Pfn(pfn), allocated, T);
+                    }
+                    Op::Free { ctx, pfn } => {
+                        let ctx = if ctx == NCPUS {
+                            Ctx::Kthread
+                        } else {
+                            Ctx::Cpu(CpuId(ctx))
+                        };
+                        keyed.note_free(ctx, Pfn(pfn), T);
+                        reference.inner.note_free(ctx, Pfn(pfn), T);
+                    }
+                }
+                proptest::prop_assert_eq!(&keyed.clocks, &reference.inner.clocks, "clocks after step {}", step);
+                proptest::prop_assert_eq!(
+                    keyed.violation().map(|v| v.to_string()),
+                    reference.inner.violation().map(|v| v.to_string()),
+                    "violation after step {}",
+                    step
+                );
+                proptest::prop_assert_eq!(
+                    keyed.suppressed_count(),
+                    reference.inner.suppressed_count(),
+                    "suppressed after step {}",
+                    step
+                );
+            }
+        }
     }
 }
