@@ -4,7 +4,7 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatrConfig {
     /// Latr states per core (§4.1: 64; §8 notes the trade-off between
-    /// queue size and sweep cost — ablated in `bench --bin ablations`).
+    /// queue size and sweep cost — ablated in `latr-bench`'s `paper ablations`).
     pub states_per_core: usize,
     /// Scheduler ticks to wait before reclaiming virtual and physical
     /// pages (§4.2: two ticks = 2 ms).
