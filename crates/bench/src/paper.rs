@@ -1,6 +1,6 @@
 //! The paper's evaluation (§6) as one table of experiments.
 //!
-//! The `paper` binary runs the entries of [`EXPERIMENTS`] by name:
+//! The `paper` binary runs the entries of `EXPERIMENTS` by name:
 //!
 //! ```sh
 //! cargo run --release -p latr-bench --bin paper                  # every experiment

@@ -6,8 +6,8 @@
 //! per line, [`Rows`] one row per line, and every row or nested object
 //! inline. Strings are escaped; a float prints through [`Float`] with the
 //! decimals its field names — `f64` has no [`Json`] impl, so a float
-//! field cannot forget its precision. [`row!`] builds a row from a
-//! struct's fields, keyed by field name; [`rows!`] maps it over a slice.
+//! field cannot forget its precision. `row!` builds a row from a
+//! struct's fields, keyed by field name; `rows!` maps it over a slice.
 
 use latr_sim::{QueueBackend, Summary};
 

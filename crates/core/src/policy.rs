@@ -147,7 +147,7 @@ impl LatrPolicy {
             return;
         }
         self.sync_mode = true;
-        machine.stats.inc(metrics::LATR_ADAPTIVE_ENTERS);
+        machine.stats.inc(metrics::id::LATR_ADAPTIVE_ENTERS);
         if machine.trace.is_enabled() {
             let now = machine.now();
             machine.trace.push(
@@ -215,8 +215,8 @@ impl LatrPolicy {
         let (mm, range, kind, pte_done, cpus) = (s.mm, s.range, s.kind, s.pte_done, s.cpus);
         let now = machine.now();
         match why {
-            Escalation::Watchdog => machine.stats.inc(metrics::LATR_WATCHDOG_ESCALATIONS),
-            Escalation::Pressure => machine.stats.inc(metrics::LATR_EXPEDITED_SWEEPS),
+            Escalation::Watchdog => machine.stats.inc(metrics::id::LATR_WATCHDOG_ESCALATIONS),
+            Escalation::Pressure => machine.stats.inc(metrics::id::LATR_EXPEDITED_SWEEPS),
         }
         let owner = CpuId(qi as u16);
         let pages: Vec<Vpn> = range.iter().collect();
@@ -246,8 +246,11 @@ impl LatrPolicy {
             return;
         }
         let (ipi_metric, verb) = match why {
-            Escalation::Watchdog => (metrics::LATR_WATCHDOG_IPIS, "watchdog escalates"),
-            Escalation::Pressure => (metrics::LATR_EXPEDITED_IPIS, "memory pressure expedites"),
+            Escalation::Watchdog => (metrics::id::LATR_WATCHDOG_IPIS, "watchdog escalates"),
+            Escalation::Pressure => (
+                metrics::id::LATR_EXPEDITED_IPIS,
+                "memory pressure expedites",
+            ),
         };
         machine.stats.add(ipi_metric, laggards.count() as u64);
         if machine.trace.is_enabled() {
@@ -334,18 +337,19 @@ impl LatrPolicy {
             .due_into(now, |id| blocked.contains(&id), &mut due);
         for entry in due.drain(..) {
             machine.stats.record(
-                metrics::LATR_RECLAIM_LATENCY_NS,
+                metrics::id::LATR_RECLAIM_LATENCY_NS,
                 now.saturating_since(entry.published),
             );
             machine.stats.add(
-                metrics::LATR_RECLAIM_RELEASED_FRAMES,
+                metrics::id::LATR_RECLAIM_RELEASED_FRAMES,
                 entry.pkg.frames.len() as u64,
             );
             // The escalation tick bound: pressure → release, per package.
             if let Some(t) = entry.gate.and_then(|g| self.expedited_at.remove(&g)) {
-                machine
-                    .stats
-                    .record(metrics::LATR_EXPEDITE_LATENCY_NS, now.saturating_since(t));
+                machine.stats.record(
+                    metrics::id::LATR_EXPEDITE_LATENCY_NS,
+                    now.saturating_since(t),
+                );
             }
             released += entry.pkg.frames.len() as u64;
             let pkg = entry.pkg;
@@ -483,7 +487,7 @@ impl LatrPolicy {
         }
         machine.llc.charge_latr_sweep(nq as u64);
         if hits > 0 {
-            machine.stats.add(metrics::LATR_SWEEP_HITS, hits);
+            machine.stats.add(metrics::id::LATR_SWEEP_HITS, hits);
         }
         cost
     }
@@ -527,8 +531,8 @@ impl TlbPolicy for LatrPolicy {
         // Adaptive fallback: while sync mode is on, don't burn a failed
         // publish per op — route straight to IPIs.
         if self.config.adaptive_fallback && self.sync_mode {
-            machine.stats.inc(metrics::LATR_FALLBACK_IPIS);
-            machine.stats.inc(metrics::LATR_ADAPTIVE_SYNC_OPS);
+            machine.stats.inc(metrics::id::LATR_FALLBACK_IPIS);
+            machine.stats.inc(metrics::id::LATR_ADAPTIVE_SYNC_OPS);
             return machine.sync_flush(initiator, mm, pages, start_delay);
         }
 
@@ -553,7 +557,7 @@ impl TlbPolicy for LatrPolicy {
             Some(slot) => {
                 self.pending.mark(&targets, initiator);
                 machine.oracle_note_publish(initiator, mm, range, targets, false);
-                machine.stats.inc(metrics::LATR_STATES_SAVED);
+                machine.stats.inc(metrics::id::LATR_STATES_SAVED);
                 machine.llc.charge_latr_save();
                 if machine.trace.is_enabled() {
                     let now = machine.now();
@@ -574,7 +578,7 @@ impl TlbPolicy for LatrPolicy {
                 if let Some(pkg) = machine.take_pending_reclaim() {
                     machine
                         .stats
-                        .add(metrics::LATR_DEFERRED_FRAMES, pkg.frames.len() as u64);
+                        .add(metrics::id::LATR_DEFERRED_FRAMES, pkg.frames.len() as u64);
                     let now = machine.now();
                     let deadline =
                         now + self.config.reclaim_ticks as u64 * machine.tick_period() + 1;
@@ -595,7 +599,7 @@ impl TlbPolicy for LatrPolicy {
                 // Queue full: fall back to the IPI mechanism (§4.2), and
                 // under adaptive fallback stay synchronous until occupancy
                 // drains.
-                machine.stats.inc(metrics::LATR_FALLBACK_IPIS);
+                machine.stats.inc(metrics::id::LATR_FALLBACK_IPIS);
                 self.enter_sync_mode(machine, "state queue overflow");
                 machine.sync_flush(initiator, mm, pages, start_delay)
             }
@@ -638,7 +642,7 @@ impl TlbPolicy for LatrPolicy {
             if drained && recovered {
                 self.sync_mode = false;
                 self.pressure_sync_active = false;
-                machine.stats.inc(metrics::LATR_ADAPTIVE_EXITS);
+                machine.stats.inc(metrics::id::LATR_ADAPTIVE_EXITS);
                 if machine.trace.is_enabled() {
                     let now = machine.now();
                     machine.trace.push(
@@ -653,7 +657,7 @@ impl TlbPolicy for LatrPolicy {
         // is parked awaiting reclamation before releasing what is due.
         machine
             .stats
-            .record(metrics::LATR_PARKED_BYTES, self.reclaim.parked_bytes());
+            .record(metrics::id::LATR_PARKED_BYTES, self.reclaim.parked_bytes());
         // Release everything past its deadline whose covering state has
         // retired (empty mask). Blocked ids are the still-live states.
         let blocked = self.blocked_ids();
@@ -663,7 +667,7 @@ impl TlbPolicy for LatrPolicy {
             .reclaim
             .overdue_gated(machine.now(), |id| blocked.contains(&id));
         if held > 0 {
-            machine.stats.add(metrics::LATR_GATE_HELD, held as u64);
+            machine.stats.add(metrics::id::LATR_GATE_HELD, held as u64);
         }
         self.release_due(machine, &blocked, "background reclaim");
         self.scratch_blocked = blocked;
@@ -702,7 +706,7 @@ impl TlbPolicy for LatrPolicy {
                     && !self.sync_mode
                 {
                     self.enter_sync_mode(machine, "free frames below the min watermark");
-                    machine.stats.inc(metrics::LATR_PRESSURE_SYNC_ENTERS);
+                    machine.stats.inc(metrics::id::LATR_PRESSURE_SYNC_ENTERS);
                     self.pressure_sync_active = true;
                 }
             }
@@ -777,12 +781,12 @@ impl TlbPolicy for LatrPolicy {
         // Adaptive fallback covers migration unmaps too: decline lazily
         // and let the machine run the synchronous hint-unmap.
         if self.config.adaptive_fallback && self.sync_mode {
-            machine.stats.inc(metrics::LATR_FALLBACK_IPIS);
-            machine.stats.inc(metrics::LATR_ADAPTIVE_SYNC_OPS);
+            machine.stats.inc(metrics::id::LATR_FALLBACK_IPIS);
+            machine.stats.inc(metrics::id::LATR_ADAPTIVE_SYNC_OPS);
             return false;
         }
         if machine.fault_force_overflow() {
-            machine.stats.inc(metrics::LATR_FALLBACK_IPIS);
+            machine.stats.inc(metrics::id::LATR_FALLBACK_IPIS);
             self.enter_sync_mode(machine, "state queue overflow");
             return false;
         }
@@ -799,7 +803,7 @@ impl TlbPolicy for LatrPolicy {
             Some(slot) => {
                 self.pending.mark(&targets, cpu);
                 machine.oracle_note_publish(cpu, mm, VaRange::new(vpn, 1), targets, true);
-                machine.stats.inc(metrics::LATR_STATES_SAVED);
+                machine.stats.inc(metrics::id::LATR_STATES_SAVED);
                 machine.llc.charge_latr_save();
                 machine.charge_debt(cpu, machine.costs().latr_state_save);
                 if machine.trace.is_enabled() {
@@ -814,7 +818,7 @@ impl TlbPolicy for LatrPolicy {
                 true
             }
             None => {
-                machine.stats.inc(metrics::LATR_FALLBACK_IPIS);
+                machine.stats.inc(metrics::id::LATR_FALLBACK_IPIS);
                 self.enter_sync_mode(machine, "state queue overflow");
                 false
             }

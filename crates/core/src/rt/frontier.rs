@@ -106,11 +106,10 @@ impl ReclaimFrontier {
 /// rejoining).
 ///
 /// Timestamps are nanoseconds since the watchdog's construction. Under
-/// `cfg(loom)` the clock is virtual ([`advance_clock`]) so model runs
+/// `cfg(loom)` the clock is virtual (`advance_clock`) so model runs
 /// stay deterministic.
 ///
 /// [`RtRegistry::check_watchdog`]: crate::rt::RtRegistry::check_watchdog
-/// [`advance_clock`]: FrontierWatchdog::advance_clock
 #[derive(Debug)]
 pub struct FrontierWatchdog {
     timeout_ns: u64,

@@ -129,8 +129,8 @@ impl Machine {
     /// final clock, delivered-event count, every counter, every histogram
     /// summary, and the rendered trace ring. Two runs are event-identical
     /// iff their fingerprints are byte-identical — counters and histograms
-    /// live in ordered maps, so the rendering is stable across processes
-    /// and builds.
+    /// print in name order (the metric table's order), so the rendering is
+    /// stable across processes and builds.
     pub fn fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -30,7 +30,7 @@ impl Machine {
         match pte {
             Some(pte) if pte.flags.numa_hint => {
                 // NUMA hint fault (§4.3).
-                self.stats.inc(crate::metrics::HINT_FAULTS);
+                self.stats.inc(crate::metrics::id::HINT_FAULTS);
                 let proceed = self.with_policy(|p, m| p.numa_fault_may_proceed(m, mm_id, vpn));
                 if !proceed {
                     return AccessOutcome::BlockedOnNuma;
@@ -57,7 +57,7 @@ impl Machine {
                     } else {
                         // True protection fault.
                         cost += self.costs.page_fault;
-                        self.stats.inc(crate::metrics::PROTECTION_FAULTS);
+                        self.stats.inc(crate::metrics::id::PROTECTION_FAULTS);
                     }
                 }
                 self.mms[mm_id.0 as usize].page_table.update(vpn, |p| {
@@ -95,7 +95,7 @@ impl Machine {
         let mm_id = task.mm;
         let node = self.topology.node_of(cpu);
         let mut cost = self.costs.page_fault;
-        self.stats.inc(crate::metrics::COW_BREAKS);
+        self.stats.inc(crate::metrics::id::COW_BREAKS);
         let old = pte.pfn;
         if self.frames.refcount(old) > 1 {
             let (alloc, stall) = self.frame_alloc_stalling(cpu, node);
@@ -143,7 +143,7 @@ impl Machine {
     }
 
     fn demand_fault(&mut self, task_id: TaskId, vpn: Vpn, write: bool) -> Nanos {
-        self.stats.inc(crate::metrics::PAGE_FAULTS);
+        self.stats.inc(crate::metrics::id::PAGE_FAULTS);
         let task = &self.tasks[task_id.index()];
         let cpu = task.core;
         let mm_id = task.mm;
@@ -156,7 +156,7 @@ impl Machine {
                 // Access to unmapped VA: a segfault. The paper's §4.4 notes
                 // Latr turns use-after-unmap into a (delayed) fault; we
                 // count it and treat the op as a no-op.
-                self.stats.inc(crate::metrics::SEGFAULTS);
+                self.stats.inc(crate::metrics::id::SEGFAULTS);
                 return cost;
             }
         };
@@ -164,7 +164,7 @@ impl Machine {
             // Swap-in: the page's previous contents come back from the
             // backing store.
             cost += self.costs.swap_in;
-            self.stats.inc(crate::metrics::SWAP_INS);
+            self.stats.inc(crate::metrics::id::SWAP_INS);
         }
         let pfn = match vma.kind {
             MapKind::Anon => {
@@ -186,7 +186,7 @@ impl Machine {
                         cost += self.alloc_stall(cpu, node);
                         let retry = self.page_cache_frame_for(cpu, file, page, node);
                         if retry.is_err() {
-                            self.stats.inc(crate::metrics::OOM_EVENTS);
+                            self.stats.inc(crate::metrics::id::OOM_EVENTS);
                         }
                         self.poll_pressure();
                         retry
@@ -361,7 +361,7 @@ impl Machine {
                     p.flags.accessed = true;
                 });
                 self.frame_dec_ref(Some(cpu), old);
-                self.stats.inc(crate::metrics::MIGRATIONS);
+                self.stats.inc(crate::metrics::id::MIGRATIONS);
                 self.numa.note_migration();
             } else {
                 // Target node full: abort the migration, keep the page.

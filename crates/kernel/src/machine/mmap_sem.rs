@@ -20,7 +20,7 @@ impl Machine {
             self.lock_held.insert(task.0, mode);
             true
         } else {
-            self.stats.inc(crate::metrics::MMAP_SEM_WAITS);
+            self.stats.inc(crate::metrics::id::MMAP_SEM_WAITS);
             false
         }
     }

@@ -34,7 +34,7 @@ use crate::task::{Task, TaskId, TaskState};
 use latr_arch::{CostModel, CpuId, IpiFabric, LlcModel, Tlb, Topology};
 use latr_faults::{FaultInjector, FaultPlan, TickFault};
 use latr_mem::{FileId, FrameAllocator, MmId, MmStruct, PageCache, Pfn, Prot, Vpn};
-use latr_sim::{EventQueue, Nanos, QueueBackend, SimRng, StatsRegistry, Time, TraceRing};
+use latr_sim::{EventQueue, Nanos, QueueBackend, SimRng, Time, TraceRing};
 use std::collections::HashMap;
 
 /// Configuration of one simulation run.
@@ -186,7 +186,7 @@ pub struct Machine {
     pub page_cache: PageCache,
     tasks: Vec<Task>,
     /// Metric counters and histograms for the run.
-    pub stats: StatsRegistry,
+    pub stats: crate::metrics::Registry,
     /// Debug trace ring.
     pub trace: TraceRing,
     /// The run's deterministic RNG.
@@ -279,7 +279,7 @@ impl Machine {
             frames,
             page_cache: PageCache::new(),
             tasks: Vec::new(),
-            stats: StatsRegistry::new(),
+            stats: crate::metrics::Registry::default(),
             trace: TraceRing::with_capacity(config.trace_capacity),
             rng: SimRng::new(config.seed),
             llc: LlcModel::new(config.llc_base_miss_ratio),
@@ -593,13 +593,13 @@ impl Machine {
                     .schedule_after(ns.max(1), Event::TaskStep(task_id));
             }
             Op::Yield => {
-                self.stats.inc(crate::metrics::CONTEXT_SWITCHES);
+                self.stats.inc(crate::metrics::id::CONTEXT_SWITCHES);
                 let mut cost = self.costs.context_switch;
                 // An injected sweep stall suppresses the context-switch
                 // sweep too (the core is inside a non-preemptible section;
                 // the "switch" models involuntary kernel work).
                 if self.fault_stalled(cpu) {
-                    self.stats.inc(crate::metrics::FAULTS_SWEEP_STALLS);
+                    self.stats.inc(crate::metrics::id::FAULTS_SWEEP_STALLS);
                 } else {
                     cost += self.with_policy(|p, m| p.on_context_switch(m, cpu));
                 }
@@ -750,8 +750,8 @@ impl Machine {
         self.tasks[task.index()].ops_completed += 1;
         self.release_mm_lock(task);
         match op {
-            Op::Munmap { .. } => self.stats.record(crate::metrics::MUNMAP_NS, latency),
-            Op::MadviseFree { .. } => self.stats.record(crate::metrics::MADVISE_NS, latency),
+            Op::Munmap { .. } => self.stats.record(crate::metrics::id::MUNMAP_NS, latency),
+            Op::MadviseFree { .. } => self.stats.record(crate::metrics::id::MADVISE_NS, latency),
             _ => {}
         }
         self.with_workload(|w, m| w.on_op_complete(m, task, OpResult { op, latency }));
@@ -780,7 +780,7 @@ impl Machine {
         // is in no mm_cpumask, so no Latr state can name it, and its TLB
         // was flushed when it went idle.
         if self.tickless && self.cores[cpu.index()].current.is_none() {
-            self.stats.inc(crate::metrics::TICKS_SKIPPED_IDLE);
+            self.stats.inc(crate::metrics::id::TICKS_SKIPPED_IDLE);
             self.queue.schedule_after(period, Event::SchedTick(cpu));
             return;
         }
@@ -796,23 +796,23 @@ impl Machine {
                 .map_or(TickFault::Run, |inj| inj.tick_fault(cpu.index(), now));
             match fault {
                 TickFault::Stalled => {
-                    self.stats.inc(crate::metrics::FAULTS_SWEEP_STALLS);
+                    self.stats.inc(crate::metrics::id::FAULTS_SWEEP_STALLS);
                     self.queue.schedule_after(period, Event::SchedTick(cpu));
                     return;
                 }
                 TickFault::Miss => {
-                    self.stats.inc(crate::metrics::FAULTS_TICKS_MISSED);
+                    self.stats.inc(crate::metrics::id::FAULTS_TICKS_MISSED);
                     self.queue.schedule_after(period, Event::SchedTick(cpu));
                     return;
                 }
                 TickFault::Jitter(d) => {
-                    self.stats.inc(crate::metrics::FAULTS_TICK_JITTER);
+                    self.stats.inc(crate::metrics::id::FAULTS_TICK_JITTER);
                     next_in = period + d;
                 }
                 TickFault::Run => {}
             }
         }
-        self.stats.inc(crate::metrics::SCHED_TICKS);
+        self.stats.inc(crate::metrics::id::SCHED_TICKS);
         let mut cost = self.costs.sched_tick_work;
         cost += self.with_policy(|p, m| p.on_sched_tick(m, cpu));
         self.charge_debt(cpu, cost);

@@ -17,7 +17,7 @@ impl Machine {
             .as_ref()
             .is_some_and(|inj| inj.storm_active(now));
         if forced {
-            self.stats.inc(crate::metrics::FAULTS_FORCED_OVERFLOWS);
+            self.stats.inc(crate::metrics::id::FAULTS_FORCED_OVERFLOWS);
         }
         forced
     }
@@ -121,12 +121,12 @@ impl Machine {
             }
             self.pressure_level[n] = level;
             match level {
-                Pressure::Min => self.stats.inc(crate::metrics::MEM_PRESSURE_MIN_EVENTS),
+                Pressure::Min => self.stats.inc(crate::metrics::id::MEM_PRESSURE_MIN_EVENTS),
                 Pressure::Low if prev == Pressure::Normal => {
-                    self.stats.inc(crate::metrics::MEM_PRESSURE_LOW_EVENTS);
+                    self.stats.inc(crate::metrics::id::MEM_PRESSURE_LOW_EVENTS);
                 }
                 Pressure::Low => {} // easing back from Min; recovery counts at Normal
-                Pressure::Normal => self.stats.inc(crate::metrics::MEM_PRESSURE_RECOVERIES),
+                Pressure::Normal => self.stats.inc(crate::metrics::id::MEM_PRESSURE_RECOVERIES),
             }
             if self.trace.is_enabled() {
                 let now = self.now();
@@ -148,7 +148,7 @@ impl Machine {
     /// direct-reclaim analogue). Returns the stall time to charge to the
     /// faulting op; the caller retries the allocation once afterwards.
     pub(super) fn alloc_stall(&mut self, cpu: CpuId, node: latr_arch::NodeId) -> Nanos {
-        self.stats.inc(crate::metrics::ALLOC_STALLS);
+        self.stats.inc(crate::metrics::id::ALLOC_STALLS);
         let released = if self.policy.is_some() {
             self.with_policy(|p, m| p.on_alloc_stall(m, cpu, node))
         } else {
@@ -163,7 +163,7 @@ impl Machine {
             // scheduler tick hoping background reclamation catches up.
             self.costs.sched_tick_period
         };
-        self.stats.record(crate::metrics::ALLOC_STALL_NS, stall);
+        self.stats.record(crate::metrics::id::ALLOC_STALL_NS, stall);
         if self.trace.is_enabled() {
             let now = self.now();
             self.trace.push(
@@ -196,7 +196,7 @@ impl Machine {
                 let stall = self.alloc_stall(cpu, node);
                 let retry = self.frame_alloc(latr_verify::Ctx::Cpu(cpu), node, false);
                 if retry.is_err() {
-                    self.stats.inc(crate::metrics::OOM_EVENTS);
+                    self.stats.inc(crate::metrics::id::OOM_EVENTS);
                 }
                 self.poll_pressure();
                 (retry, stall)
@@ -248,13 +248,13 @@ impl Machine {
             None => return,
         };
         if stalled {
-            self.stats.inc(crate::metrics::FAULTS_RECLAIM_STALLS);
+            self.stats.inc(crate::metrics::id::FAULTS_RECLAIM_STALLS);
         }
         for (i, b) in bursts.iter().enumerate() {
             let active = b.active_at(now.as_ns());
             if active && !self.burst_applied[i] {
                 self.burst_applied[i] = true;
-                self.stats.inc(crate::metrics::FAULTS_ALLOC_BURSTS);
+                self.stats.inc(crate::metrics::id::FAULTS_ALLOC_BURSTS);
                 let node = latr_arch::NodeId(b.node);
                 for _ in 0..b.frames {
                     match self.frame_alloc(latr_verify::Ctx::Kthread, node, true) {
@@ -292,7 +292,7 @@ impl Machine {
         for (i, f) in flaps.iter().enumerate() {
             if f.active_at(now.as_ns()) && !self.flap_counted[i] {
                 self.flap_counted[i] = true;
-                self.stats.inc(crate::metrics::FAULTS_WATERMARK_FLAPS);
+                self.stats.inc(crate::metrics::id::FAULTS_WATERMARK_FLAPS);
             }
         }
     }

@@ -70,7 +70,7 @@ impl Machine {
         assert!(!targets.is_empty(), "sync shootdown needs targets");
         let id = TxnId(self.next_txn);
         self.next_txn += 1;
-        self.stats.inc(crate::metrics::SHOOTDOWNS);
+        self.stats.inc(crate::metrics::id::SHOOTDOWNS);
         let start = self.now() + start_delay;
         self.send_ipis(initiator, targets, start, id);
         let (frames_to_release, va_to_unblock) = self
@@ -118,7 +118,7 @@ impl Machine {
     /// happen-after it.
     fn send_ipis(&mut self, initiator: CpuId, targets: CpuMask, start: Time, txn: TxnId) {
         self.stats
-            .add(crate::metrics::IPIS_SENT, targets.count() as u64);
+            .add(crate::metrics::id::IPIS_SENT, targets.count() as u64);
         let schedule = self.fabric.multicast(initiator, &targets, start);
         for &(target, at) in &schedule.deliveries {
             let fault = self
@@ -127,7 +127,7 @@ impl Machine {
                 .map_or(IpiFault::Deliver, FaultInjector::ipi_fault);
             let at = match fault {
                 IpiFault::Drop => {
-                    self.stats.inc(crate::metrics::FAULTS_IPI_DROPPED);
+                    self.stats.inc(crate::metrics::id::FAULTS_IPI_DROPPED);
                     if self.trace.is_enabled() {
                         let now = self.now();
                         self.trace
@@ -136,7 +136,7 @@ impl Machine {
                     continue;
                 }
                 IpiFault::Delay(d) => {
-                    self.stats.inc(crate::metrics::FAULTS_IPI_DELAYED);
+                    self.stats.inc(crate::metrics::id::FAULTS_IPI_DELAYED);
                     at + d
                 }
                 IpiFault::Deliver => at,
@@ -165,7 +165,7 @@ impl Machine {
         if pending.is_empty() {
             return;
         }
-        self.stats.inc(crate::metrics::IPI_RETRIES);
+        self.stats.inc(crate::metrics::id::IPI_RETRIES);
         let start = self.now();
         self.send_ipis(initiator, pending, start, txn_id);
         if self.trace.is_enabled() {
@@ -191,7 +191,7 @@ impl Machine {
             }
             None => return, // already completed (shouldn't happen)
         };
-        self.stats.inc(crate::metrics::IPIS_HANDLED);
+        self.stats.inc(crate::metrics::id::IPIS_HANDLED);
         self.llc.charge_interrupt();
 
         // "Handling interrupts on remote cores ... might be delayed due
@@ -250,7 +250,7 @@ impl Machine {
         }
         let txn = self.txns.remove(&txn_id.0).expect("txn present");
         let wait = self.now().saturating_since(txn.wait_started);
-        self.stats.record(crate::metrics::SHOOTDOWN_NS, wait);
+        self.stats.record(crate::metrics::id::SHOOTDOWN_NS, wait);
         // Tell the policy before releasing: a watchdog-escalated round
         // must clear the escalated state's bits so gated reclamation sees
         // it retired.
@@ -283,8 +283,7 @@ impl Machine {
     /// Releases a reclaim package: drops one reference per frame and
     /// unblocks the VA range. Frees are attributed to the reclamation
     /// kthread (callers are `kreclaimd`-style deferred paths; the
-    /// synchronous-ACK path uses [`release_reclaim_on`](Self::release_reclaim_on)
-    /// internally).
+    /// synchronous-ACK path uses `release_reclaim_on` internally).
     pub fn release_reclaim(&mut self, pkg: ReclaimPackage) {
         self.release_reclaim_on(None, pkg);
     }

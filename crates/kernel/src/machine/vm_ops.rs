@@ -217,7 +217,7 @@ impl Machine {
             );
         }
         self.tasks[task_id.index()].last_mmap = Some(new_range);
-        self.stats.inc(crate::metrics::MREMAPS);
+        self.stats.inc(crate::metrics::id::MREMAPS);
 
         let mut local = self.costs.syscall_overhead + 2 * self.costs.vma_op;
         local += 2 * self.costs.pte_op * moved.len() as u64;
@@ -246,7 +246,7 @@ impl Machine {
             self.swapped.insert((mm_id.0, vpn.0));
         }
         self.stats
-            .add(crate::metrics::SWAP_OUTS, removed.len() as u64);
+            .add(crate::metrics::id::SWAP_OUTS, removed.len() as u64);
 
         let mut local = self.costs.syscall_overhead;
         local += (self.costs.pte_op + self.costs.swap_out) * removed.len() as u64;
@@ -310,7 +310,7 @@ impl Machine {
             dup_frames.push(pb.pfn);
             lazy_pages.push((b, pb.pfn));
             local += 3 * self.costs.pte_op;
-            self.stats.inc(crate::metrics::DEDUP_MERGES);
+            self.stats.inc(crate::metrics::id::DEDUP_MERGES);
         }
         local += self.costs.local_invalidation(protected);
         // The protection change must be system-wide before merging is
@@ -348,7 +348,7 @@ impl Machine {
             .collect();
         for vpn in candidates {
             self.compact_pending.insert((mm_id.0, vpn.0));
-            self.stats.inc(crate::metrics::COMPACT_PAGES);
+            self.stats.inc(crate::metrics::id::COMPACT_PAGES);
             local += self.costs.pte_op / 2; // scan + isolate bookkeeping
             self.hint_unmap(cpu, mm_id, vpn);
         }
@@ -365,7 +365,7 @@ impl Machine {
         let parent = task.mm;
         let pcid = self.pcid_of(parent);
         let child = self.create_process();
-        self.stats.inc(crate::metrics::FORKS);
+        self.stats.inc(crate::metrics::id::FORKS);
 
         let vmas: Vec<latr_mem::Vma> = self.mms[parent.0 as usize].vmas.iter().copied().collect();
         let mut downgraded: Vec<(Vpn, Pfn)> = Vec::new();

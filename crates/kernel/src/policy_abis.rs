@@ -80,7 +80,7 @@ impl TlbPolicy for AbisPolicy {
         let overhead = costs.abis_track_per_page * pages.len() as u64 + costs.abis_sharer_lookup;
         machine
             .stats
-            .add(crate::metrics::ABIS_TRACK_OPS, pages.len() as u64);
+            .add(crate::metrics::id::ABIS_TRACK_OPS, pages.len() as u64);
 
         let targets = Self::sharers(machine, initiator, mm, pages);
         if targets.is_empty() {

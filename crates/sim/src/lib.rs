@@ -2,8 +2,10 @@
 //!
 //! This crate provides the foundation every other crate in the Latr
 //! reproduction builds on: simulated time, a deterministic event queue,
-//! a seedable random-number generator, statistics collection (counters and
-//! log-scale histograms), and a lightweight trace ring for debugging.
+//! a seedable random-number generator, log-scale histograms with their
+//! summaries, and a lightweight trace ring for debugging. The metric
+//! registry that names the machine's counters and histograms lives in
+//! `latr-kernel`, its only user.
 //!
 //! The engine is deliberately generic: it knows nothing about cores, TLBs or
 //! page tables. The kernel crate defines the event payload type and drives
@@ -31,6 +33,6 @@ mod trace;
 
 pub use event::{EventId, EventQueue, QueueBackend, ScheduledEvent};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, StatsRegistry, Summary};
+pub use stats::{Histogram, Summary};
 pub use time::{Nanos, Time, MICROSECOND, MILLISECOND, SECOND};
 pub use trace::{TraceEntry, TraceRing};

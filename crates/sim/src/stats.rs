@@ -1,51 +1,18 @@
-//! Statistics collection: counters, log-scale histograms and summaries.
+//! Statistics: log-scale histograms and their summaries.
 //!
-//! Experiments accumulate measurements into a [`StatsRegistry`]; the bench
-//! harness reads the resulting [`Summary`] values to print the paper's
-//! tables and figures.
+//! The kernel's metric registry keeps one [`Histogram`] per histogram
+//! metric; the bench harness reads the resulting [`Summary`] values to print
+//! the paper's tables and figures.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// An HdrHistogram-style log-bucketed histogram of `u64` samples
 /// (latencies in nanoseconds, sizes in pages, ...).
 ///
 /// Buckets have ~1.6% relative width (64 sub-buckets per power of two),
-/// giving accurate percentiles across nine orders of magnitude with a fixed
-/// 4 KiB footprint.
+/// giving accurate percentiles across nine orders of magnitude. The
+/// buckets are a fixed 3,712 `u64`s (29 KiB), allocated when the histogram
+/// is created.
 ///
 /// ```
 /// use latr_sim::Histogram;
@@ -233,168 +200,9 @@ impl fmt::Display for Summary {
     }
 }
 
-/// FNV-1a over the key bytes: metric names are short static strings inside
-/// a single-process simulator, so a keyed DoS-resistant hash buys nothing
-/// and costs ~3× per lookup on the event hot path.
-#[derive(Debug)]
-pub struct FnvNameHasher(u64);
-
-impl Default for FnvNameHasher {
-    fn default() -> Self {
-        FnvNameHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvNameHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type NameMap = HashMap<Box<str>, u32, BuildHasherDefault<FnvNameHasher>>;
-
-/// A named collection of counters and histograms.
-///
-/// Experiment code records into well-known metric names; the harness reads
-/// them out after the run. Readout iterates in name order so output is
-/// deterministic; the *write* path interns each name once and then runs on
-/// a hash probe plus an index — no per-record allocation, which is what the
-/// zero-steady-state-allocation contract of the fast engine requires
-/// (`tests/zero_alloc.rs`).
-#[derive(Debug, Default)]
-pub struct StatsRegistry {
-    counter_idx: NameMap,
-    counter_names: Vec<Box<str>>,
-    counter_vals: Vec<Counter>,
-    hist_idx: NameMap,
-    hist_names: Vec<Box<str>>,
-    hist_vals: Vec<Histogram>,
-}
-
-impl StatsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[cold]
-    fn intern_counter(&mut self, name: &str) -> usize {
-        let i = self.counter_vals.len() as u32;
-        self.counter_idx.insert(name.into(), i);
-        self.counter_names.push(name.into());
-        self.counter_vals.push(Counter::new());
-        i as usize
-    }
-
-    #[cold]
-    fn intern_hist(&mut self, name: &str) -> usize {
-        let i = self.hist_vals.len() as u32;
-        self.hist_idx.insert(name.into(), i);
-        self.hist_names.push(name.into());
-        self.hist_vals.push(Histogram::new());
-        i as usize
-    }
-
-    /// Increments the named counter by one, creating it if needed.
-    #[inline]
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Adds `n` to the named counter, creating it if needed.
-    #[inline]
-    pub fn add(&mut self, name: &str, n: u64) {
-        let i = match self.counter_idx.get(name) {
-            Some(&i) => i as usize,
-            None => self.intern_counter(name),
-        };
-        self.counter_vals[i].add(n);
-    }
-
-    /// Current value of the named counter (0 if never written).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counter_idx
-            .get(name)
-            .map_or(0, |&i| self.counter_vals[i as usize].get())
-    }
-
-    /// Records a sample into the named histogram, creating it if needed.
-    #[inline]
-    pub fn record(&mut self, name: &str, value: u64) {
-        let i = match self.hist_idx.get(name) {
-            Some(&i) => i as usize,
-            None => self.intern_hist(name),
-        };
-        self.hist_vals[i].record(value);
-    }
-
-    /// Returns the named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hist_idx
-            .get(name)
-            .map(|&i| &self.hist_vals[i as usize])
-    }
-
-    /// Indices of `names` sorted by name (readout is cold; the write path
-    /// never pays for ordering).
-    fn name_order(names: &[Box<str>]) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..names.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| names[a as usize].cmp(&names[b as usize]));
-        order
-    }
-
-    /// Iterates over all counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        Self::name_order(&self.counter_names)
-            .into_iter()
-            .map(move |i| {
-                (
-                    &*self.counter_names[i as usize],
-                    self.counter_vals[i as usize].get(),
-                )
-            })
-    }
-
-    /// Iterates over all histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        Self::name_order(&self.hist_names)
-            .into_iter()
-            .map(move |i| (&*self.hist_names[i as usize], &self.hist_vals[i as usize]))
-    }
-
-    /// Removes all recorded data while keeping the registry usable.
-    pub fn clear(&mut self) {
-        self.counter_idx.clear();
-        self.counter_names.clear();
-        self.counter_vals.clear();
-        self.hist_idx.clear();
-        self.hist_names.clear();
-        self.hist_vals.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
 
     #[test]
     fn histogram_exact_for_small_values() {
@@ -480,22 +288,5 @@ mod tests {
         let mut h = Histogram::new();
         h.record(5);
         assert!(h.summary().to_string().contains("n=1"));
-    }
-
-    #[test]
-    fn registry_counters_and_histograms() {
-        let mut r = StatsRegistry::new();
-        r.inc("shootdowns");
-        r.add("shootdowns", 2);
-        r.record("munmap_ns", 1500);
-        r.record("munmap_ns", 2500);
-        assert_eq!(r.counter("shootdowns"), 3);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.histogram("munmap_ns").unwrap().count(), 2);
-        assert!(r.histogram("missing").is_none());
-        let names: Vec<&str> = r.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["shootdowns"]);
-        r.clear();
-        assert_eq!(r.counter("shootdowns"), 0);
     }
 }

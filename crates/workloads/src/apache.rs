@@ -139,7 +139,7 @@ impl Workload for ApacheWorkload {
             }
             Op::Munmap { .. } => {
                 // One request served end to end.
-                machine.stats.inc(metrics::WORK_UNITS);
+                machine.stats.inc(metrics::id::WORK_UNITS);
             }
             _ => {}
         }
@@ -149,13 +149,14 @@ impl Workload for ApacheWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{config_for, run_experiment, PolicyKind};
+    use crate::harness::{run_experiment, PolicyKind};
     use latr_arch::{MachinePreset, Topology};
+    use latr_kernel::MachineConfig;
     use latr_sim::MILLISECOND;
 
     fn throughput(policy: PolicyKind, workers: usize) -> crate::ExperimentResult {
         let (res, machine) = run_experiment(
-            config_for(Topology::preset(MachinePreset::Commodity2S16C)),
+            MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             policy,
             Box::new(ApacheWorkload::new(workers)),
             400 * MILLISECOND,

@@ -1,6 +1,5 @@
 //! One-call experiment runner shared by benches, examples and tests.
 
-use latr_arch::Topology;
 use latr_core::{LatrConfig, LatrPolicy};
 use latr_kernel::{metrics, AbisPolicy, LinuxPolicy, Machine, MachineConfig, TlbPolicy, Workload};
 use latr_sim::{Nanos, Summary};
@@ -111,16 +110,10 @@ pub fn run_experiment(
     (result, machine)
 }
 
-/// Convenience: a [`MachineConfig`] for the given topology with the
-/// calibrated cost model.
-pub fn config_for(topology: Topology) -> MachineConfig {
-    MachineConfig::new(topology)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latr_arch::MachinePreset;
+    use latr_arch::{MachinePreset, Topology};
 
     #[test]
     fn policy_kinds_build() {
@@ -134,7 +127,7 @@ mod tests {
     fn run_experiment_produces_throughput() {
         let wl = crate::MunmapMicrobench::new(2, 1, 5);
         let (res, machine) = run_experiment(
-            config_for(Topology::preset(MachinePreset::Commodity2S16C)),
+            MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             PolicyKind::Linux,
             Box::new(wl),
             latr_sim::SECOND,

@@ -136,7 +136,7 @@ impl Workload for MunmapMicrobench {
                 }
             }
             Op::Munmap { .. } => {
-                machine.stats.inc(metrics::WORK_UNITS);
+                machine.stats.inc(metrics::id::WORK_UNITS);
                 self.round += 1;
                 self.mapped = None;
                 self.unmap_issued = false;
@@ -150,13 +150,14 @@ impl Workload for MunmapMicrobench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{config_for, run_experiment, PolicyKind};
+    use crate::harness::{run_experiment, PolicyKind};
     use latr_arch::{MachinePreset, Topology};
+    use latr_kernel::MachineConfig;
     use latr_sim::{MICROSECOND, SECOND};
 
     fn run(policy: PolicyKind, sharers: usize, pages: u64, iters: u64) -> crate::ExperimentResult {
         let (res, machine) = run_experiment(
-            config_for(Topology::preset(MachinePreset::Commodity2S16C)),
+            MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             policy,
             Box::new(MunmapMicrobench::new(sharers, pages, iters)),
             10 * SECOND,
@@ -230,7 +231,7 @@ mod tests {
     #[test]
     fn fig7_large_numa_machine_anchors() {
         let (linux, _) = run_experiment(
-            config_for(Topology::preset(MachinePreset::LargeNuma8S120C)),
+            MachineConfig::new(Topology::preset(MachinePreset::LargeNuma8S120C)),
             PolicyKind::Linux,
             Box::new(MunmapMicrobench::new(120, 1, 40)),
             10 * SECOND,
@@ -241,7 +242,7 @@ mod tests {
             "Linux 120-core munmap {mean:.0}ns, paper reports >120 µs"
         );
         let (latr, _) = run_experiment(
-            config_for(Topology::preset(MachinePreset::LargeNuma8S120C)),
+            MachineConfig::new(Topology::preset(MachinePreset::LargeNuma8S120C)),
             PolicyKind::latr_default(),
             Box::new(MunmapMicrobench::new(120, 1, 40)),
             10 * SECOND,

@@ -229,7 +229,7 @@ impl Workload for MigrationWorkload {
             }
             Op::Compute(_) => {
                 self.done[i] += 1;
-                machine.stats.inc(metrics::WORK_UNITS);
+                machine.stats.inc(metrics::id::WORK_UNITS);
             }
             _ => {}
         }

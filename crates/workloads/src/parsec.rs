@@ -336,7 +336,7 @@ impl Workload for ParsecWorkload {
             Op::Compute(_) => {
                 // The grain's completion ends the iteration.
                 self.done[i] += 1;
-                machine.stats.inc(metrics::WORK_UNITS);
+                machine.stats.inc(metrics::id::WORK_UNITS);
             }
             _ => {}
         }
@@ -346,14 +346,15 @@ impl Workload for ParsecWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{config_for, run_experiment, PolicyKind};
+    use crate::harness::{run_experiment, PolicyKind};
     use latr_arch::{MachinePreset, Topology};
+    use latr_kernel::MachineConfig;
     use latr_sim::SECOND;
 
     fn run_profile(name: &str, policy: PolicyKind, iters: u64) -> (f64, crate::ExperimentResult) {
         let profile = ParsecProfile::by_name(name).unwrap();
         let (res, machine) = run_experiment(
-            config_for(Topology::preset(MachinePreset::Commodity2S16C)),
+            MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             policy,
             Box::new(ParsecWorkload::new(profile, 16, iters)),
             30 * SECOND,

@@ -290,8 +290,10 @@ impl Workload for ServingWorkload {
             Op::Munmap { .. } => {
                 // One request served end to end: arrival → unmap done.
                 let latency = machine.now().as_ns().saturating_sub(self.arrival[i]);
-                machine.stats.record(metrics::SERVING_REQUEST_NS, latency);
-                machine.stats.inc(metrics::WORK_UNITS);
+                machine
+                    .stats
+                    .record(metrics::id::SERVING_REQUEST_NS, latency);
+                machine.stats.inc(metrics::id::WORK_UNITS);
                 self.served[i] += 1;
             }
             _ => {}
@@ -302,14 +304,15 @@ impl Workload for ServingWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{config_for, run_experiment, PolicyKind};
+    use crate::harness::{run_experiment, PolicyKind};
     use latr_arch::{MachinePreset, Topology};
+    use latr_kernel::MachineConfig;
     use latr_sim::SECOND;
 
     fn run(policy: PolicyKind, arrivals: ArrivalProcess) -> (crate::ExperimentResult, Machine) {
         let wl = ServingWorkload::new(16, 4, 40).with_arrivals(arrivals);
         let (res, machine) = run_experiment(
-            config_for(Topology::preset(MachinePreset::Commodity2S16C)),
+            MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             policy,
             Box::new(wl),
             10 * SECOND,
@@ -369,7 +372,7 @@ mod tests {
         // grow well past the per-request service time.
         let wl = ServingWorkload::new(4, 2, 30).with_mean_interarrival(2_000);
         let (res, machine) = run_experiment(
-            config_for(Topology::preset(MachinePreset::Commodity2S16C)),
+            MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             PolicyKind::Linux,
             Box::new(wl),
             10 * SECOND,

@@ -139,7 +139,7 @@ impl Workload for SweepStorm {
 
     fn on_op_complete(&mut self, machine: &mut Machine, _task: TaskId, result: OpResult) {
         if matches!(result.op, Op::Munmap { .. }) {
-            machine.stats.inc(metrics::WORK_UNITS);
+            machine.stats.inc(metrics::id::WORK_UNITS);
         }
     }
 }
@@ -147,14 +147,15 @@ impl Workload for SweepStorm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{config_for, run_experiment, PolicyKind};
+    use crate::harness::{run_experiment, PolicyKind};
     use latr_arch::{MachinePreset, Topology};
+    use latr_kernel::MachineConfig;
     use latr_sim::SECOND;
 
     #[test]
     fn completes_every_round_on_every_core() {
         let (res, machine) = run_experiment(
-            config_for(Topology::preset(MachinePreset::Commodity2S16C)),
+            MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             PolicyKind::latr_default(),
             Box::new(SweepStorm::new(8, 5)),
             SECOND,
@@ -167,7 +168,7 @@ mod tests {
     #[test]
     fn storm_is_sweep_dominated_not_overflow_dominated() {
         let (_, machine) = run_experiment(
-            config_for(Topology::preset(MachinePreset::Commodity2S16C)),
+            MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             PolicyKind::latr_default(),
             Box::new(SweepStorm::new(16, 10)),
             SECOND,
@@ -186,7 +187,7 @@ mod tests {
     #[test]
     fn sparse_publishers_complete_while_sweepers_sleep() {
         let (res, machine) = run_experiment(
-            config_for(Topology::preset(MachinePreset::Commodity2S16C)),
+            MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             PolicyKind::latr_default(),
             Box::new(SweepStorm::new(16, 6).with_publishers(4)),
             SECOND,
