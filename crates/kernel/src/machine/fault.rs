@@ -295,7 +295,7 @@ impl Machine {
         if !self.tasks[task_id.index()].is_live() {
             return;
         }
-        let Some(&(blocked_vpn, write)) = self.blocked_faults.get(&task_id.0) else {
+        let Some((blocked_vpn, write)) = self.slots[task_id.index()].blocked_fault else {
             return;
         };
         debug_assert_eq!(blocked_vpn, vpn);
@@ -312,7 +312,7 @@ impl Machine {
             );
             return;
         }
-        self.blocked_faults.remove(&task_id.0);
+        self.slots[task_id.index()].blocked_fault = None;
         let cost = self.numa_hint_fault(task_id, vpn, write);
         let cpu = self.tasks[task_id.index()].core;
         self.complete_after(cpu, task_id, cost.max(1));

@@ -12,12 +12,12 @@ impl Machine {
     /// task that already holds the requested mode (re-execution after a
     /// grant).
     pub(super) fn acquire_mm_lock(&mut self, task: TaskId, mode: LockMode) -> bool {
-        if self.lock_held.get(&task.0).copied() == Some(mode) {
+        if self.slots[task.index()].lock_held == Some(mode) {
             return true;
         }
         let mm = self.tasks[task.index()].mm;
         if self.locks[mm.0 as usize].acquire(task, mode) {
-            self.lock_held.insert(task.0, mode);
+            self.slots[task.index()].lock_held = Some(mode);
             true
         } else {
             self.stats.inc(crate::metrics::id::MMAP_SEM_WAITS);
@@ -26,7 +26,7 @@ impl Machine {
     }
 
     pub(super) fn release_mm_lock(&mut self, task: TaskId) {
-        if self.lock_held.remove(&task.0).is_some() {
+        if self.slots[task.index()].lock_held.take().is_some() {
             self.pass_mm_lock(task);
         }
     }
@@ -55,11 +55,9 @@ impl Machine {
         } else {
             LockMode::Read
         };
-        self.lock_held.insert(task.0, mode);
-        let op = self
-            .parked
-            .remove(&task.0)
-            .expect("granted task has a parked op");
+        let slot = &mut self.slots[task.index()];
+        slot.lock_held = Some(mode);
+        let op = slot.parked.take().expect("granted task has a parked op");
         self.execute_op(task, op);
     }
 

@@ -46,7 +46,9 @@ pub struct MachineConfig {
     pub costs: CostModel,
     /// RNG seed; same seed + same workload = identical run.
     pub seed: u64,
-    /// Physical frames per NUMA node.
+    /// Physical frames per NUMA node. This is a capacity, not a cost:
+    /// frames cost nothing until a run touches them, so the default 4 GiB
+    /// per node allocates nothing at construction.
     pub frames_per_node: u64,
     /// Trace ring capacity (0 = tracing off).
     pub trace_capacity: usize,
@@ -150,6 +152,21 @@ struct CoreHot {
     op_started: Vec<Time>,
 }
 
+/// The kernel's per-task bookkeeping, one slot per [`TaskId`] (pushed by
+/// `spawn_task`, indexed by `TaskId::index`).
+#[derive(Debug, Default)]
+struct TaskSlot {
+    /// The op executing or blocked on a hint fault, until it completes.
+    in_flight: Option<Op>,
+    /// The op waiting for the mmap_sem, until the lock is granted.
+    parked: Option<Op>,
+    /// The mmap_sem mode this task holds.
+    lock_held: Option<LockMode>,
+    /// A hint fault `(vpn, write)` waiting for a lazy NUMA unmap to
+    /// finish (§4.4).
+    blocked_fault: Option<(Vpn, bool)>,
+}
+
 impl CoreHot {
     fn new(ncpus: usize) -> CoreHot {
         CoreHot {
@@ -185,6 +202,8 @@ pub struct Machine {
     /// The shared page cache.
     pub page_cache: PageCache,
     tasks: Vec<Task>,
+    /// Per-task kernel bookkeeping, parallel to `tasks`.
+    slots: Vec<TaskSlot>,
     /// Metric counters and histograms for the run.
     pub stats: crate::metrics::Registry,
     /// Debug trace ring.
@@ -203,20 +222,12 @@ pub struct Machine {
     tickless: bool,
     live_tasks: usize,
     end_time: Time,
-    // Hint faults waiting for a lazy NUMA unmap to finish (§4.4).
-    blocked_faults: HashMap<u32, (Vpn, bool)>,
-    // Per-task in-flight ops (keyed by raw task id).
-    in_flight: HashMap<u32, Op>,
     // Pages currently swapped out, keyed by (mm, vpn).
     swapped: std::collections::HashSet<(u32, u64)>,
     // Pages the compactor wants migrated on their next (hint) fault.
     compact_pending: std::collections::HashSet<(u32, u64)>,
     // Per-mm mmap_sem locks, parallel to `mms`.
     locks: Vec<MmLock>,
-    // mmap_sem holds per task.
-    lock_held: HashMap<u32, LockMode>,
-    // Ops waiting for the mmap_sem.
-    parked: HashMap<u32, Op>,
     // Scratch vectors for the unmap/op-completion hot paths: taken with
     // `mem::take`, cleared, filled, and put back, so their capacity
     // survives across events and the steady state never allocates.
@@ -279,6 +290,7 @@ impl Machine {
             frames,
             page_cache: PageCache::new(),
             tasks: Vec::new(),
+            slots: Vec::new(),
             stats: crate::metrics::Registry::default(),
             trace: TraceRing::with_capacity(config.trace_capacity),
             rng: SimRng::new(config.seed),
@@ -295,13 +307,9 @@ impl Machine {
             end_time: Time::MAX,
             topology: config.topology,
             costs: config.costs,
-            blocked_faults: HashMap::new(),
-            in_flight: HashMap::new(),
             swapped: std::collections::HashSet::new(),
             compact_pending: std::collections::HashSet::new(),
             locks: Vec::new(),
-            lock_held: HashMap::new(),
-            parked: HashMap::new(),
             scratch_removed: Vec::new(),
             scratch_pages: Vec::new(),
             scratch_vmas: Vec::new(),
@@ -433,6 +441,7 @@ impl Machine {
         );
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(Task::new(id, mm, core));
+        self.slots.push(TaskSlot::default());
         self.cores[core.index()].current = Some(id);
         self.mms[mm.0 as usize].cpu_activated(core);
         self.live_tasks += 1;
@@ -572,7 +581,7 @@ impl Machine {
     fn execute_op(&mut self, task_id: TaskId, op: Op) {
         if let Some(mode) = self.lock_mode_for(task_id, &op) {
             if !self.acquire_mm_lock(task_id, mode) {
-                self.parked.insert(task_id.0, op);
+                self.slots[task_id.index()].parked = Some(op);
                 return;
             }
         }
@@ -615,7 +624,7 @@ impl Machine {
                     AccessOutcome::Done(cost) => self.begin_op(cpu, task_id, op, cost.max(1)),
                     AccessOutcome::BlockedOnNuma => {
                         // Op stays in flight; a NumaFaultRetry will finish it.
-                        self.blocked_faults.insert(task_id.0, (vpn, write));
+                        self.slots[task_id.index()].blocked_fault = Some((vpn, write));
                         self.start_op(cpu, task_id, op);
                         let retry = self.numa.config().fault_retry;
                         self.queue.schedule_after(
@@ -673,7 +682,7 @@ impl Machine {
             Op::Fork => self.do_fork(task_id, op),
             Op::Exit => {
                 debug_assert!(
-                    !self.lock_held.contains_key(&task_id.0),
+                    self.slots[task_id.index()].lock_held.is_none(),
                     "task exits while holding mmap_sem"
                 );
                 let t = &mut self.tasks[task_id.index()];
@@ -703,7 +712,7 @@ impl Machine {
         let i = cpu.index();
         self.hot.busy[i] = true;
         self.hot.op_started[i] = self.now();
-        self.in_flight.insert(task.0, op);
+        self.slots[task.index()].in_flight = Some(op);
     }
 
     /// Starts an op of the given CPU cost; completion is scheduled and may
@@ -743,9 +752,9 @@ impl Machine {
         }
         self.hot.busy[i] = false;
         let latency = now - self.hot.op_started[i];
-        let op = self
+        let op = self.slots[task.index()]
             .in_flight
-            .remove(&task.0)
+            .take()
             .expect("completed op was in flight");
         self.tasks[task.index()].ops_completed += 1;
         self.release_mm_lock(task);

@@ -1,6 +1,7 @@
 //! Physical frame allocator.
 //!
-//! A per-NUMA-node free-list allocator with per-frame reference counts.
+//! A per-NUMA-node allocator with per-frame reference counts that pays
+//! only for the frames a run touches (see [`FrameAllocator`]).
 //! Reference counting is what enforces the paper's key invariant for free
 //! operations: "since the physical page reference count is non-zero, Latr
 //! ensures that the physical pages are not reused" (§4.2). A frame returns
@@ -30,7 +31,6 @@
 
 use crate::addr::Pfn;
 use latr_arch::NodeId;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why a frame allocation failed.
@@ -113,6 +113,15 @@ pub enum Pressure {
 
 /// The per-node, refcounting physical frame allocator.
 ///
+/// Frames cost nothing until a run touches them. Each node hands out
+/// frames from two places: a LIFO stack of freed frames, and a
+/// fresh-frame frontier that walks up from the node's base PFN. An
+/// allocation pops the stack first and otherwise takes the frontier, so
+/// the lowest never-used PFN comes out first and freed frames are reused
+/// last-in-first-out. Refcounts live in a dense vector over the touched
+/// prefix `[base, base + frontier)`, so the allocator's memory scales
+/// with the frames a run uses, not with `frames_per_node`.
+///
 /// ```
 /// use latr_mem::FrameAllocator;
 /// use latr_arch::NodeId;
@@ -128,25 +137,36 @@ pub enum Pressure {
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     frames_per_node: u64,
-    free: Vec<Vec<Pfn>>,
-    refcounts: HashMap<Pfn, u32>,
-    /// Frames currently allocated on each node (`free + allocated == total`).
-    allocated: Vec<u64>,
-    /// Freed-but-parked frames per node: the VM dropped its last mapping but
-    /// a lazy-reclamation queue still holds the final reference.
-    debt: Vec<u64>,
-    /// Low-water mark of each node's free list over the allocator's life.
-    min_free: Vec<u64>,
+    nodes: Vec<NodeFrames>,
     low_watermark: u64,
     min_watermark: u64,
     allocations: u64,
     frees: u64,
 }
 
+/// One node's frames: `refcounts.len()` is the frontier.
+#[derive(Debug, Clone)]
+struct NodeFrames {
+    /// PFN of the node's first frame.
+    base: u64,
+    /// Refcount of each touched frame, indexed by `pfn - base`.
+    refcounts: Vec<u32>,
+    /// Freed frames below the frontier, reused last-in-first-out.
+    freed: Vec<Pfn>,
+    /// Frames currently allocated (`free + allocated == total`).
+    allocated: u64,
+    /// Freed-but-parked frames: the VM dropped its last mapping but a
+    /// lazy-reclamation queue still holds the final reference.
+    debt: u64,
+    /// Low-water mark of the free count over the allocator's life.
+    min_free: u64,
+}
+
 impl FrameAllocator {
     /// Creates an allocator with `nodes` NUMA nodes of `frames_per_node`
     /// frames each. Watermarks default to zero (pressure never reported);
-    /// see [`FrameAllocator::set_watermarks`].
+    /// see [`FrameAllocator::set_watermarks`]. Construction allocates
+    /// nothing per frame.
     ///
     /// # Panics
     ///
@@ -156,21 +176,18 @@ impl FrameAllocator {
             nodes > 0 && frames_per_node > 0,
             "allocator must own memory"
         );
-        let free: Vec<Vec<Pfn>> = (0..nodes)
-            .map(|n| {
-                // Stack ordered so low frame numbers pop first; purely
-                // cosmetic but keeps runs deterministic and debuggable.
-                let base = n as u64 * frames_per_node;
-                (0..frames_per_node).rev().map(|i| Pfn(base + i)).collect()
-            })
-            .collect();
         FrameAllocator {
             frames_per_node,
-            free,
-            refcounts: HashMap::new(),
-            allocated: vec![0; nodes],
-            debt: vec![0; nodes],
-            min_free: vec![frames_per_node; nodes],
+            nodes: (0..nodes as u64)
+                .map(|n| NodeFrames {
+                    base: n * frames_per_node,
+                    refcounts: Vec::new(),
+                    freed: Vec::new(),
+                    allocated: 0,
+                    debt: 0,
+                    min_free: frames_per_node,
+                })
+                .collect(),
             low_watermark: 0,
             min_watermark: 0,
             allocations: 0,
@@ -180,7 +197,7 @@ impl FrameAllocator {
 
     /// Number of NUMA nodes.
     pub fn nodes(&self) -> usize {
-        self.free.len()
+        self.nodes.len()
     }
 
     /// Frames each node owns.
@@ -236,7 +253,7 @@ impl FrameAllocator {
     pub fn node_of(&self, pfn: Pfn) -> NodeId {
         let node = pfn.0 / self.frames_per_node;
         assert!(
-            (node as usize) < self.free.len(),
+            (node as usize) < self.nodes.len(),
             "frame {pfn:?} outside machine"
         );
         NodeId(node as u8)
@@ -247,11 +264,10 @@ impl FrameAllocator {
     /// [`AllocError::OutOfMemory`] when the whole machine is out of frames.
     pub fn alloc(&mut self, node: NodeId) -> Result<Pfn, AllocError> {
         let n = node.0 as usize;
-        assert!(n < self.free.len(), "no such node {node:?}");
-        let order = std::iter::once(n).chain((0..self.free.len()).filter(|&i| i != n));
+        assert!(n < self.nodes.len(), "no such node {node:?}");
+        let order = std::iter::once(n).chain((0..self.nodes.len()).filter(|&i| i != n));
         for candidate in order {
-            if let Some(pfn) = self.free[candidate].pop() {
-                self.note_alloc(candidate, pfn);
+            if let Some(pfn) = self.take(candidate) {
                 return Ok(pfn);
             }
         }
@@ -263,29 +279,53 @@ impl FrameAllocator {
     /// than migrating to a different node).
     pub fn alloc_exact(&mut self, node: NodeId) -> Result<Pfn, AllocError> {
         let n = node.0 as usize;
-        assert!(n < self.free.len(), "no such node {node:?}");
-        match self.free[n].pop() {
+        assert!(n < self.nodes.len(), "no such node {node:?}");
+        self.take(n).ok_or(AllocError::NodeExhausted { node })
+    }
+
+    /// Takes a frame from node `n` with refcount 1: the most recently
+    /// freed one, else the frontier's. `None` when the node is out.
+    fn take(&mut self, n: usize) -> Option<Pfn> {
+        let fpn = self.frames_per_node;
+        let node = &mut self.nodes[n];
+        let pfn = match node.freed.pop() {
             Some(pfn) => {
-                self.note_alloc(n, pfn);
-                Ok(pfn)
+                node.refcounts[(pfn.0 - node.base) as usize] = 1;
+                pfn
             }
-            None => Err(AllocError::NodeExhausted { node }),
-        }
-    }
-
-    fn note_alloc(&mut self, node: usize, pfn: Pfn) {
-        self.refcounts.insert(pfn, 1);
-        self.allocated[node] += 1;
+            None if (node.refcounts.len() as u64) < fpn => {
+                let pfn = Pfn(node.base + node.refcounts.len() as u64);
+                node.refcounts.push(1);
+                pfn
+            }
+            None => return None,
+        };
+        node.allocated += 1;
+        node.min_free = node.min_free.min(fpn - node.allocated);
         self.allocations += 1;
-        let free = self.free[node].len() as u64;
-        if free < self.min_free[node] {
-            self.min_free[node] = free;
-        }
+        Some(pfn)
     }
 
-    /// Current reference count of a frame (0 when free).
+    /// Mutable refcount slot of an allocated frame (refcount above zero).
+    fn live_slot(&mut self, pfn: Pfn) -> Option<&mut u32> {
+        let node = self
+            .nodes
+            .get_mut((pfn.0 / self.frames_per_node) as usize)?;
+        node.refcounts
+            .get_mut((pfn.0 - node.base) as usize)
+            .filter(|rc| **rc > 0)
+    }
+
+    /// Current reference count of a frame (0 when free, which includes
+    /// every frame beyond its node's frontier).
     pub fn refcount(&self, pfn: Pfn) -> u32 {
-        self.refcounts.get(&pfn).copied().unwrap_or(0)
+        let Some(node) = self.nodes.get((pfn.0 / self.frames_per_node) as usize) else {
+            return 0;
+        };
+        node.refcounts
+            .get((pfn.0 - node.base) as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Whether a frame is currently allocated.
@@ -296,34 +336,25 @@ impl FrameAllocator {
     /// Adds a reference (page shared by another mapping). Referencing a
     /// free frame is a hard [`FreeError::RefOnFree`]. Returns the new count.
     pub fn inc_ref(&mut self, pfn: Pfn) -> Result<u32, FreeError> {
-        match self.refcounts.get_mut(&pfn) {
-            Some(rc) => {
-                *rc += 1;
-                Ok(*rc)
-            }
-            None => Err(FreeError::RefOnFree { pfn }),
-        }
+        let rc = self.live_slot(pfn).ok_or(FreeError::RefOnFree { pfn })?;
+        *rc += 1;
+        Ok(*rc)
     }
 
     /// Drops a reference; when the count reaches zero the frame returns to
-    /// its home node's free list. Returns the new count. Dropping a
+    /// its home node's free stack. Returns the new count. Dropping a
     /// reference on a free frame is a hard [`FreeError::DoubleFree`].
     pub fn dec_ref(&mut self, pfn: Pfn) -> Result<u32, FreeError> {
-        let rc = self
-            .refcounts
-            .get_mut(&pfn)
-            .ok_or(FreeError::DoubleFree { pfn })?;
+        let rc = self.live_slot(pfn).ok_or(FreeError::DoubleFree { pfn })?;
         *rc -= 1;
-        if *rc == 0 {
-            self.refcounts.remove(&pfn);
-            let node = self.node_of(pfn);
-            self.free[node.0 as usize].push(pfn);
-            self.allocated[node.0 as usize] -= 1;
+        let rc = *rc;
+        if rc == 0 {
+            let node = &mut self.nodes[(pfn.0 / self.frames_per_node) as usize];
+            node.freed.push(pfn);
+            node.allocated -= 1;
             self.frees += 1;
-            Ok(0)
-        } else {
-            Ok(*rc)
         }
+        Ok(rc)
     }
 
     /// Records `frames` frames on `node` entering lazy reclamation: freed
@@ -334,13 +365,13 @@ impl FrameAllocator {
     /// Panics if debt would exceed the node's allocated frames — debt is a
     /// subset of allocations by construction.
     pub fn note_debt(&mut self, node: NodeId, frames: u64) {
-        let n = node.0 as usize;
-        self.debt[n] += frames;
+        let n = &mut self.nodes[node.0 as usize];
+        n.debt += frames;
         assert!(
-            self.debt[n] <= self.allocated[n],
+            n.debt <= n.allocated,
             "reclamation debt {} exceeds allocated {} on {node:?}",
-            self.debt[n],
-            self.allocated[n],
+            n.debt,
+            n.allocated,
         );
     }
 
@@ -351,51 +382,57 @@ impl FrameAllocator {
     ///
     /// Panics on underflow — settling debt that was never noted.
     pub fn settle_debt(&mut self, node: NodeId, frames: u64) {
-        let n = node.0 as usize;
+        let n = &mut self.nodes[node.0 as usize];
         assert!(
-            self.debt[n] >= frames,
+            n.debt >= frames,
             "settling {frames} frames of debt on {node:?} but only {} noted",
-            self.debt[n],
+            n.debt,
         );
-        self.debt[n] -= frames;
+        n.debt -= frames;
     }
 
     /// Frames on `node` currently parked in lazy reclamation.
     pub fn reclaim_debt(&self, node: NodeId) -> u64 {
-        self.debt[node.0 as usize]
+        self.nodes[node.0 as usize].debt
     }
 
     /// Machine-wide reclamation debt.
     pub fn reclaim_debt_total(&self) -> u64 {
-        self.debt.iter().sum()
+        self.nodes.iter().map(|n| n.debt).sum()
     }
 
-    /// Frames currently free on `node`.
+    /// Frames currently free on `node`: the freed stack plus everything
+    /// beyond the frontier.
     pub fn free_on_node(&self, node: NodeId) -> usize {
-        self.free[node.0 as usize].len()
+        let n = &self.nodes[node.0 as usize];
+        n.freed.len() + (self.frames_per_node - n.refcounts.len() as u64) as usize
     }
 
     /// Frames currently allocated on `node` (including reclamation debt).
     pub fn allocated_on_node(&self, node: NodeId) -> u64 {
-        self.allocated[node.0 as usize]
+        self.nodes[node.0 as usize].allocated
     }
 
     /// The fewest free frames `node` has ever had.
     pub fn min_free_on_node(&self, node: NodeId) -> u64 {
-        self.min_free[node.0 as usize]
+        self.nodes[node.0 as usize].min_free
     }
 
     /// The fewest free frames any node has ever had.
     pub fn min_free(&self) -> u64 {
-        self.min_free.iter().copied().min().unwrap_or(0)
+        self.nodes.iter().map(|n| n.min_free).min().unwrap_or(0)
     }
 
-    /// Checks per-node conservation: `free + allocated == total` and
-    /// `debt <= allocated` on every node. The proptest suite leans on this.
+    /// Checks per-node conservation: every touched frame is either
+    /// allocated or on the freed stack (so `free + allocated == total`),
+    /// and `debt <= allocated`. O(touched frames); the proptest suite
+    /// leans on this.
     pub fn conservation_holds(&self) -> bool {
-        (0..self.free.len()).all(|n| {
-            self.free[n].len() as u64 + self.allocated[n] == self.frames_per_node
-                && self.debt[n] <= self.allocated[n]
+        self.nodes.iter().all(|n| {
+            let live = n.refcounts.iter().filter(|&&rc| rc > 0).count();
+            live as u64 == n.allocated
+                && n.freed.len() + live == n.refcounts.len()
+                && n.debt <= n.allocated
         })
     }
 
@@ -411,7 +448,7 @@ impl FrameAllocator {
 
     /// Number of currently allocated frames.
     pub fn allocated_count(&self) -> usize {
-        self.refcounts.len()
+        self.nodes.iter().map(|n| n.allocated as usize).sum()
     }
 }
 

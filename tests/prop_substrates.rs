@@ -2,9 +2,9 @@
 //! each structure is driven with random operation sequences and compared
 //! against a trivially-correct reference model.
 
-use latr_arch::{CpuId, CpuMask, Tlb, TlbEntry, PCID_NONE};
+use latr_arch::{CpuId, CpuMask, NodeId, Tlb, TlbEntry, PCID_NONE};
 use latr_mem::{
-    FrameAllocator, MapKind, PageTable, Pfn, Prot, PteFlags, VaRange, Vma, VmaTree, Vpn,
+    AllocError, FrameAllocator, MapKind, PageTable, Pfn, Prot, PteFlags, VaRange, Vma, VmaTree, Vpn,
 };
 use latr_sim::Histogram;
 use proptest::prelude::*;
@@ -192,20 +192,65 @@ proptest! {
 
 // ---- FrameAllocator refcount conservation ----------------------------------------------
 
+/// The eager allocator the lazy one must behave like: per node, a stack
+/// of free frames seeded high to low (so the lowest PFN pops first), a
+/// pop per allocation, a push when the last reference drops, and a
+/// fallback to the other nodes in order after the requested one.
+struct EagerFrameModel {
+    free: Vec<Vec<Pfn>>,
+}
+
+impl EagerFrameModel {
+    fn new(nodes: u64, per_node: u64) -> Self {
+        let free = (0..nodes)
+            .map(|n| (0..per_node).rev().map(|i| Pfn(n * per_node + i)).collect())
+            .collect();
+        EagerFrameModel { free }
+    }
+
+    fn alloc(&mut self, node: u8) -> Result<Pfn, AllocError> {
+        let n = node as usize;
+        let order = std::iter::once(n).chain((0..self.free.len()).filter(|&i| i != n));
+        for candidate in order {
+            if let Some(pfn) = self.free[candidate].pop() {
+                return Ok(pfn);
+            }
+        }
+        Err(AllocError::OutOfMemory { node: NodeId(node) })
+    }
+
+    fn alloc_exact(&mut self, node: u8) -> Result<Pfn, AllocError> {
+        self.free[node as usize]
+            .pop()
+            .ok_or(AllocError::NodeExhausted { node: NodeId(node) })
+    }
+}
+
 proptest! {
     #[test]
-    fn frame_allocator_conserves_frames(ops in prop::collection::vec(0u8..4, 0..300)) {
-        let total = 64u64;
-        let mut fa = FrameAllocator::new(2, total / 2);
+    fn frame_allocator_conserves_frames(ops in prop::collection::vec(0u8..8, 0..300)) {
+        let (nodes, per_node) = (2u64, 32u64);
+        let total = nodes * per_node;
+        let mut fa = FrameAllocator::new(nodes as usize, per_node);
+        let mut model = EagerFrameModel::new(nodes, per_node);
         let mut live: Vec<Pfn> = Vec::new();
+        let mut touched: HashSet<u64> = HashSet::new();
         for op in ops {
             match op {
-                0 | 1 => {
-                    if let Ok(p) = fa.alloc(latr_arch::NodeId(op % 2)) {
+                0..=3 => {
+                    let node = op % 2;
+                    let (got, want) = if op < 2 {
+                        (fa.alloc(NodeId(node)), model.alloc(node))
+                    } else {
+                        (fa.alloc_exact(NodeId(node)), model.alloc_exact(node))
+                    };
+                    prop_assert_eq!(got, want);
+                    if let Ok(p) = got {
                         live.push(p);
+                        touched.insert(p.0);
                     }
                 }
-                2 => {
+                4 => {
                     if let Some(&p) = live.first() {
                         fa.inc_ref(p).expect("live frame takes a reference");
                         live.push(p);
@@ -213,21 +258,30 @@ proptest! {
                 }
                 _ => {
                     if let Some(p) = live.pop() {
-                        fa.dec_ref(p).expect("dropping a tracked reference");
+                        let left = live.iter().filter(|q| **q == p).count() as u32;
+                        prop_assert_eq!(fa.dec_ref(p), Ok(left));
+                        if left == 0 {
+                            model.free[(p.0 / per_node) as usize].push(p);
+                        }
                     }
                 }
             }
-            // Conservation: allocated + free == total.
-            let free: usize = (0..2)
-                .map(|n| fa.free_on_node(latr_arch::NodeId(n)))
-                .sum();
+            // Conservation: allocated + free == total, node by node.
+            for n in 0..nodes as u8 {
+                prop_assert_eq!(fa.free_on_node(NodeId(n)), model.free[n as usize].len());
+            }
+            let free: usize = model.free.iter().map(Vec::len).sum();
             let distinct_live: HashSet<u64> = live.iter().map(|p| p.0).collect();
             prop_assert_eq!(fa.allocated_count(), distinct_live.len());
             prop_assert_eq!(free + distinct_live.len(), total as usize);
-            // Refcounts match the model multiset.
-            for &p in &distinct_live {
+            // Refcounts match the model multiset; a frame never handed
+            // out reads as free.
+            for p in 0..total {
                 let expected = live.iter().filter(|q| q.0 == p).count() as u32;
                 prop_assert_eq!(fa.refcount(Pfn(p)), expected);
+                if !touched.contains(&p) {
+                    prop_assert_eq!(fa.refcount(Pfn(p)), 0);
+                }
             }
         }
     }
