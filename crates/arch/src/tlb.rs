@@ -275,7 +275,7 @@ impl Tlb {
 
     /// Enables (or disables) capacity-eviction tracking. While enabled,
     /// entries that fall out of *both* levels record themselves in a log
-    /// drained by [`take_evicted`](Self::take_evicted). Off by default —
+    /// drained by [`drain_evicted`](Self::drain_evicted). Off by default —
     /// the coherence oracle turns it on so its shadow TLB mirror stays
     /// exact without scanning every slot per event.
     pub fn set_eviction_tracking(&mut self, on: bool) {
@@ -285,9 +285,10 @@ impl Tlb {
         }
     }
 
-    /// Drains the pending capacity-eviction log.
-    pub fn take_evicted(&mut self) -> Vec<TlbEntry> {
-        std::mem::take(&mut self.evicted)
+    /// Drains the pending capacity-eviction log in place: the log keeps
+    /// its buffer, so draining after every fill allocates nothing.
+    pub fn drain_evicted(&mut self) -> std::vec::Drain<'_, TlbEntry> {
+        self.evicted.drain(..)
     }
 
     /// Records `displaced` victims that are now absent from both levels.
@@ -542,7 +543,7 @@ mod tests {
         for v in 0..4096 {
             tlb.insert(entry(v));
         }
-        let evicted = tlb.take_evicted();
+        let evicted: Vec<TlbEntry> = tlb.drain_evicted().collect();
         assert!(!evicted.is_empty(), "thrashing must evict something");
         // Every reported victim is really gone from both levels, and every
         // entry absent from both levels was reported exactly once.
@@ -562,10 +563,10 @@ mod tests {
             .count();
         assert_eq!(survivors + evicted.len(), 4096);
         // Draining leaves the log empty; disabling clears any remainder.
-        assert!(tlb.take_evicted().is_empty());
+        assert!(tlb.drain_evicted().as_slice().is_empty());
         tlb.set_eviction_tracking(false);
         tlb.insert(entry(9999));
-        assert!(tlb.take_evicted().is_empty());
+        assert!(tlb.drain_evicted().as_slice().is_empty());
     }
 
     #[test]
@@ -578,12 +579,12 @@ mod tests {
         for v in 0..512 {
             tlb.insert(entry(v));
         }
-        tlb.take_evicted();
+        tlb.drain_evicted();
         for v in 0..512 {
             assert!(tlb.lookup(PCID_NONE, v).is_some());
         }
         assert!(
-            tlb.take_evicted().is_empty(),
+            tlb.drain_evicted().as_slice().is_empty(),
             "promotion displacements must not be reported while the victim survives in L2"
         );
     }

@@ -65,9 +65,11 @@ pub struct MachineConfig {
     pub numa: NumaConfig,
     /// Whether the translation-coherence oracle shadows the run (on by
     /// default). The oracle is a pure observer; it costs some memory and
-    /// time but never changes behaviour. Measured on a 120-core serving
-    /// run (2-vCPU x86-64 host): ~1.2 µs of host time per simulated event,
-    /// making the run 2.4× as slow as with the oracle off.
+    /// time but never changes behaviour. Measured on a 2-vCPU x86-64 host:
+    /// ~130 ns of host time per simulated event on the 120-core
+    /// `serving-latr-oracle` benchmark (~1.5× the oracle-off run), and
+    /// 1.0–2.6× the oracle-off time across the `paper` experiments (1.7×
+    /// for the whole bin at full scale).
     pub oracle: bool,
     /// Deterministic fault plan to inject (chaos testing). `None` — and
     /// any plan for which [`FaultPlan::is_active`] is false — leaves the

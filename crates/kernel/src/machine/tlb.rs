@@ -52,10 +52,10 @@ impl Machine {
         self.cores[cpu.index()].tlb.insert(entry);
         if self.oracle.is_some() {
             let now = self.now();
-            let evicted = self.cores[cpu.index()].tlb.take_evicted();
             let allocated = self.frames.is_allocated(Pfn(entry.pfn));
+            let evicted = self.cores[cpu.index()].tlb.drain_evicted();
             if let Some(o) = self.oracle.as_mut() {
-                o.note_evictions(cpu, &evicted, now);
+                o.note_evictions(cpu, evicted.as_slice(), now);
                 o.note_fill(
                     cpu,
                     entry.pcid,
@@ -74,11 +74,11 @@ impl Machine {
         let hit = self.cores[cpu.index()].tlb.lookup(pcid, vpn.0);
         if self.oracle.is_some() {
             let now = self.now();
-            // An L2→L1 promotion can itself displace an L1 slot.
-            let evicted = self.cores[cpu.index()].tlb.take_evicted();
             let allocated = hit.map(|e| self.frames.is_allocated(Pfn(e.pfn)));
+            // An L2→L1 promotion can itself displace an L1 slot.
+            let evicted = self.cores[cpu.index()].tlb.drain_evicted();
             if let Some(o) = self.oracle.as_mut() {
-                o.note_evictions(cpu, &evicted, now);
+                o.note_evictions(cpu, evicted.as_slice(), now);
                 if let (Some(e), Some(allocated)) = (hit, allocated) {
                     o.note_hit(cpu, pcid, vpn, Pfn(e.pfn), allocated, now);
                 }

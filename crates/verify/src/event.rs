@@ -1,10 +1,10 @@
 //! The oracle's event vocabulary.
 //!
 //! Every translation-coherence-relevant action in the machine's event loop
-//! is mirrored as one [`EventRecord`] in a bounded history ring. When a
-//! check fires, the offending record plus the history establishing (or
+//! is mirrored as one [`EventKind`] record in a bounded history ring. When
+//! a check fires, the offending record plus the history establishing (or
 //! failing to establish) the happens-before edges become the violation
-//! trace.
+//! trace, each as an [`EventRecord`] with its vector clock rebuilt.
 
 use crate::clock::VClock;
 use latr_arch::{CpuId, CpuMask};
@@ -176,26 +176,11 @@ impl fmt::Display for EventKind {
     }
 }
 
-/// One entry of the oracle's history ring.
-#[derive(Clone, Debug)]
-pub struct EventRecord {
-    /// Global sequence number (total order of oracle observations).
-    pub seq: u64,
-    /// Simulated time of the event.
-    pub at: Time,
-    /// The context the event is attributed to.
-    pub ctx: Ctx,
-    /// The context's vector clock *after* the event.
-    pub clock: VClock,
-    /// What happened.
-    pub kind: EventKind,
-}
-
-impl EventRecord {
-    /// Whether this record is relevant when explaining an incident about
+impl EventKind {
+    /// Whether this event is relevant when explaining an incident about
     /// `pfn` and/or `vpn`.
     pub fn touches(&self, pfn: Option<u64>, vpn: Option<u64>) -> bool {
-        match self.kind {
+        match *self {
             EventKind::Fill { vpn: v, pfn: p, .. }
             | EventKind::Hit { vpn: v, pfn: p, .. }
             | EventKind::Evict { vpn: v, pfn: p, .. } => pfn == Some(p) || vpn == Some(v),
@@ -211,6 +196,21 @@ impl EventRecord {
             }
         }
     }
+}
+
+/// One event of a violation report.
+#[derive(Clone, Debug)]
+pub struct EventRecord {
+    /// Global sequence number (total order of oracle observations).
+    pub seq: u64,
+    /// Simulated time of the event.
+    pub at: Time,
+    /// The context the event is attributed to.
+    pub ctx: Ctx,
+    /// The context's vector clock *after* the event.
+    pub clock: VClock,
+    /// What happened.
+    pub kind: EventKind,
 }
 
 impl fmt::Display for EventRecord {

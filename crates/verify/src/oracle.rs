@@ -12,21 +12,75 @@
 //! pair was ordered by any happens-before edge at all.
 //!
 //! The oracle is a pure observer — it never mutates the machine and never
-//! panics on a violation, so enabling it cannot perturb a run's
-//! determinism. Tests read the verdict via `violation()`.
+//! panics, so enabling it cannot perturb a run's determinism. Tests read
+//! the verdict via `violation()`.
+//!
+//! The bookkeeping is sized for the common case, where nothing fires:
+//! - The shadow TLBs, the state table and the shootdown clocks hash their
+//!   integer keys with `WordHasher`, not SipHash.
+//! - The per-frame reverse index is only a count of cachers. A report
+//!   scans the shadow TLBs to name them.
+//! - The vector clocks live in one `ClockArena`. A history record keeps a
+//!   `Stamp` into it instead of a copy of its context's clock, and the
+//!   clock is rebuilt only when a report renders it. A context's clock is
+//!   copied only when a join changes it while records still share it.
+//!   Publish and IPI-send clocks are stamps too, so the steady state
+//!   allocates nothing.
 
-use crate::clock::VClock;
+use crate::clock::{ClockArena, Stamp};
 use crate::event::{Ctx, EventKind, EventRecord};
 use latr_arch::{CpuId, CpuMask, TlbEntry};
 use latr_mem::{MmId, Pfn, VaRange, Vpn};
 use latr_sim::Time;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How many event records the history ring keeps.
 const HISTORY_CAPACITY: usize = 4096;
 /// How many prior events a violation trace shows.
 const TRACE_EVENTS: usize = 12;
+
+/// A multiply-rotate hasher for the oracle's integer keys: one multiply
+/// per word where SipHash runs several rounds. The keys come from the
+/// simulation, not from an adversary, so flooding resistance buys nothing.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    /// The multiply leaves its best bits on top; the table indexes by the
+    /// low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// What kind of coherence violation was detected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,6 +151,31 @@ struct ShadowEntry {
     filled_component: u64,
 }
 
+/// How many shadow entries translate to each frame; a frame with none
+/// has no key. The shadow TLBs are the truth, and this is derived from
+/// them entry by entry.
+#[derive(Debug, Default)]
+struct Cachers(FastMap<u64, u32>);
+
+impl Cachers {
+    fn add(&mut self, pfn: u64) {
+        *self.0.entry(pfn).or_insert(0) += 1;
+    }
+
+    fn remove(&mut self, pfn: u64) {
+        if let Entry::Occupied(mut e) = self.0.entry(pfn) {
+            *e.get_mut() -= 1;
+            if *e.get() == 0 {
+                e.remove();
+            }
+        }
+    }
+
+    fn any(&self, pfn: u64) -> bool {
+        self.0.contains_key(&pfn)
+    }
+}
+
 /// A published Latr state the oracle still tracks. Its `(mm, range)` is
 /// the key of the bucket holding it; `pending` is never empty.
 #[derive(Clone, Debug)]
@@ -107,7 +186,17 @@ struct TrackedState {
     pending: CpuMask,
     migration: bool,
     /// Publisher's clock at publish time; sweepers join it.
-    publish_clock: VClock,
+    publish_clock: Stamp,
+}
+
+/// One entry of the history ring: an event and its context's clock after
+/// it. The ring's records have consecutive sequence numbers, ending at
+/// the oracle's, and the stamp names the context.
+#[derive(Debug)]
+struct Record {
+    at: Time,
+    clock: Stamp,
+    kind: EventKind,
 }
 
 /// The coherence oracle. One per [`Machine`]; see the module docs.
@@ -117,19 +206,24 @@ struct TrackedState {
 pub struct CoherenceOracle {
     ncpus: usize,
     seq: u64,
-    /// Per-context clocks: one per core plus [`Ctx::Kthread`] last.
-    clocks: Vec<VClock>,
+    /// Per-context clocks, as the slot each context owns in `clocks`: one
+    /// per core plus [`Ctx::Kthread`] last.
+    live: Vec<u32>,
+    /// Every clock a context, a record, a state or a transaction holds.
+    clocks: ClockArena,
     /// Per-core shadow TLB: (pcid, vpn) → entry.
-    shadow: Vec<HashMap<(u16, u64), ShadowEntry>>,
-    /// Reverse index: pfn → set of (core, pcid, vpn) caching it.
-    by_pfn: HashMap<u64, HashSet<(usize, u16, u64)>>,
+    shadow: Vec<FastMap<(u16, u64), ShadowEntry>>,
+    /// Reverse index: how many shadow entries cache each frame.
+    cachers: Cachers,
     /// Published states still carrying pending CPU bits, keyed by
     /// `(mm, range)` so a sweep touches only its own bucket. Each bucket is
     /// in publish order and is removed once empty.
-    states: HashMap<(MmId, VaRange), Vec<TrackedState>>,
-    /// Initiator clock snapshots of in-flight shootdown transactions.
-    txn_clocks: HashMap<u64, VClock>,
-    history: VecDeque<EventRecord>,
+    states: FastMap<(MmId, VaRange), Vec<TrackedState>>,
+    /// Emptied buckets, kept for the next new `(mm, range)`.
+    spare_buckets: Vec<Vec<TrackedState>>,
+    /// Initiator clocks of in-flight shootdown transactions.
+    txn_clocks: FastMap<u64, Stamp>,
+    history: VecDeque<Record>,
     violation: Option<Violation>,
     /// Checks that fired after the first violation froze the oracle.
     suppressed: u64,
@@ -141,14 +235,17 @@ impl CoherenceOracle {
     /// An oracle over `ncpus` cores.
     pub fn new(ncpus: usize) -> Self {
         let nctx = ncpus + 1;
+        let mut clocks = ClockArena::new(nctx);
         CoherenceOracle {
             ncpus,
             seq: 0,
-            clocks: vec![VClock::new(nctx); nctx],
-            shadow: vec![HashMap::new(); ncpus],
-            by_pfn: HashMap::new(),
-            states: HashMap::new(),
-            txn_clocks: HashMap::new(),
+            live: (0..nctx).map(|_| clocks.zero()).collect(),
+            clocks,
+            shadow: (0..ncpus).map(|_| FastMap::default()).collect(),
+            cachers: Cachers::default(),
+            states: FastMap::default(),
+            spare_buckets: Vec::new(),
+            txn_clocks: FastMap::default(),
             history: VecDeque::new(),
             violation: None,
             suppressed: 0,
@@ -187,32 +284,65 @@ impl CoherenceOracle {
     }
 
     /// Advances `ctx`'s clock, appends the event to the ring, and returns
-    /// its sequence number and `ctx`'s own clock component after it. Once
-    /// the ring is full the oldest record is overwritten in place, so
-    /// recording allocates nothing.
-    fn record(&mut self, ctx: Ctx, at: Time, kind: EventKind) -> (u64, u64) {
+    /// the stamp of `ctx`'s clock after it (`self.seq` is the event's
+    /// sequence number). Once the ring is full the oldest record is
+    /// dropped, releasing its clock, so recording allocates nothing.
+    fn record(&mut self, ctx: Ctx, at: Time, kind: EventKind) -> Stamp {
         let i = self.ctx_index(ctx);
-        let own = self.clocks[i].tick(i);
+        let live = self.live[i];
+        let own = self.clocks.tick(live, i);
+        self.clocks.retain(live);
         self.seq += 1;
-        let rec = if self.history.len() == HISTORY_CAPACITY {
-            let mut rec = self.history.pop_front().expect("the ring is full");
-            rec.seq = self.seq;
-            rec.at = at;
-            rec.ctx = ctx;
-            rec.clock.copy_from(&self.clocks[i]);
-            rec.kind = kind;
-            rec
-        } else {
-            EventRecord {
-                seq: self.seq,
-                at,
-                ctx,
-                clock: self.clocks[i].clone(),
-                kind,
-            }
+        let clock = Stamp {
+            snap: live,
+            ctx: i as u32,
+            own,
         };
-        self.history.push_back(rec);
-        (self.seq, own)
+        if self.history.len() == HISTORY_CAPACITY {
+            let old = self.history.pop_front().expect("the ring is full");
+            self.clocks.release(old.clock.snap);
+        }
+        self.history.push_back(Record { at, clock, kind });
+        clock
+    }
+
+    /// The stamp of the event just recorded, held by a state or a
+    /// transaction until it is released.
+    fn hold(&mut self, stamp: Stamp) -> Stamp {
+        self.clocks.retain(stamp.snap);
+        stamp
+    }
+
+    /// The record `back` places before the newest, as a report shows it.
+    fn render(&self, back: usize) -> EventRecord {
+        let r = &self.history[self.history.len() - 1 - back];
+        let i = r.clock.ctx as usize;
+        EventRecord {
+            seq: self.seq - back as u64,
+            at: r.at,
+            ctx: if i == self.ncpus {
+                Ctx::Kthread
+            } else {
+                Ctx::Cpu(CpuId(i as u16))
+            },
+            clock: r.clock.clock(&self.clocks),
+            kind: r.kind.clone(),
+        }
+    }
+
+    /// Whether a check that just fired becomes the report: not once the
+    /// oracle is closed, and not after the first violation (the check is
+    /// counted as suppressed instead). Callers build the report only when
+    /// this says so.
+    fn reporting(&mut self) -> bool {
+        if self.closed {
+            return false;
+        }
+        if self.violation.is_some() {
+            self.suppressed += 1;
+            return false;
+        }
+        true
     }
 
     /// Reports the event just recorded as a violation. `pfn`/`vpn` are the
@@ -227,25 +357,16 @@ impl CoherenceOracle {
         pfn: Option<u64>,
         vpn: Option<u64>,
     ) {
-        if self.closed {
-            return;
-        }
-        if self.violation.is_some() {
-            self.suppressed += 1;
-            return;
-        }
-        let offending = self
-            .history
-            .back()
-            .expect("the offending event was just recorded")
-            .clone();
+        let offending = self.render(0);
         let history: Vec<EventRecord> = self
             .history
             .iter()
             .rev()
-            .filter(|e| e.seq != offending.seq && e.touches(pfn, vpn))
+            .enumerate()
+            .skip(1)
+            .filter(|(_, r)| r.kind.touches(pfn, vpn))
             .take(TRACE_EVENTS)
-            .cloned()
+            .map(|(back, _)| self.render(back))
             .collect();
         self.violation = Some(Violation {
             kind,
@@ -262,7 +383,7 @@ impl CoherenceOracle {
     /// action?
     fn race_verdict(&self, ctx: Ctx, core: usize, filled_component: u64) -> String {
         let i = self.ctx_index(ctx);
-        if self.clocks[i].get(core) >= filled_component {
+        if self.clocks.get(self.live[i])[core] >= filled_component {
             format!(
                 "ordered: {ctx} had a happens-before path from cpu{core}'s fill \
                  (clock component {filled_component}) yet no invalidation intervened \
@@ -277,35 +398,49 @@ impl CoherenceOracle {
         }
     }
 
-    /// Describes the set of shadow entries caching `pfn`, for headlines,
-    /// in numeric `(core, pcid, vpn)` order.
-    fn cachers_of(&self, pfn: u64) -> String {
-        let Some(set) = self.by_pfn.get(&pfn) else {
-            return String::new();
-        };
-        let mut keys: Vec<(usize, u16, u64)> = set.iter().copied().collect();
-        keys.sort_unstable();
-        let parts: Vec<String> = keys
+    /// Every shadow entry caching `pfn`, as `(core, pcid, vpn, entry)` in
+    /// numeric key order: the first is the entry a frame verdict names,
+    /// the same in every process. Scans every shadow TLB, which only a
+    /// report does.
+    fn cachers_of(&self, pfn: u64) -> Vec<(usize, u16, u64, ShadowEntry)> {
+        let mut found: Vec<_> = self
+            .shadow
             .iter()
-            .map(|&(core, pcid, vpn)| format!("cpu{core} vpn {vpn:#x} (pcid {pcid})"))
+            .enumerate()
+            .flat_map(|(core, shadow)| {
+                shadow
+                    .iter()
+                    .filter(|(_, e)| e.pfn == pfn)
+                    .map(move |(&(pcid, vpn), &e)| (core, pcid, vpn, e))
+            })
             .collect();
-        parts.join(", ")
+        found.sort_unstable_by_key(|&(core, pcid, vpn, _)| (core, pcid, vpn));
+        found
     }
 
-    /// The smallest `(core, pcid, vpn)` still caching `pfn`: the entry a
-    /// frame-reuse verdict names, the same in every process.
-    fn first_cacher(&self, pfn: u64) -> Option<(usize, u16, u64)> {
-        self.by_pfn.get(&pfn)?.iter().min().copied()
+    /// Reports a frame-lifetime event on `pfn` by `ctx` while some shadow
+    /// TLB still caches the frame.
+    fn flag_cached(&mut self, kind: ViolationKind, ctx: Ctx, pfn: u64, what: &str) {
+        if !self.cachers.any(pfn) || !self.reporting() {
+            return;
+        }
+        let cachers = self.cachers_of(pfn);
+        let (core, _, vpn, entry) = cachers[0];
+        let names: Vec<String> = cachers
+            .iter()
+            .map(|&(core, pcid, vpn, _)| format!("cpu{core} vpn {vpn:#x} (pcid {pcid})"))
+            .collect();
+        let headline = format!(
+            "frame {pfn:#x} {what} while still cached: {}",
+            names.join(", ")
+        );
+        let race = self.race_verdict(ctx, core, entry.filled_component);
+        self.flag(kind, headline, race, Some(pfn), Some(vpn));
     }
 
     fn shadow_remove(&mut self, core: usize, pcid: u16, vpn: u64) {
         if let Some(e) = self.shadow[core].remove(&(pcid, vpn)) {
-            if let Some(set) = self.by_pfn.get_mut(&e.pfn) {
-                set.remove(&(core, pcid, vpn));
-                if set.is_empty() {
-                    self.by_pfn.remove(&e.pfn);
-                }
-            }
+            self.cachers.remove(e.pfn);
         }
     }
 
@@ -323,7 +458,7 @@ impl CoherenceOracle {
         at: Time,
     ) {
         let core = cpu.index();
-        let (_, filled_component) = self.record(
+        let stamp = self.record(
             Ctx::Cpu(cpu),
             at,
             EventKind::Fill {
@@ -333,19 +468,15 @@ impl CoherenceOracle {
             },
         );
         // Overwriting fill of the same page = invalidate + fill.
-        self.shadow_remove(core, pcid, vpn.0);
-        self.shadow[core].insert(
-            (pcid, vpn.0),
-            ShadowEntry {
-                pfn: pfn.0,
-                filled_component,
-            },
-        );
-        self.by_pfn
-            .entry(pfn.0)
-            .or_default()
-            .insert((core, pcid, vpn.0));
-        if !allocated {
+        let entry = ShadowEntry {
+            pfn: pfn.0,
+            filled_component: stamp.own,
+        };
+        if let Some(old) = self.shadow[core].insert((pcid, vpn.0), entry) {
+            self.cachers.remove(old.pfn);
+        }
+        self.cachers.add(pfn.0);
+        if !allocated && self.reporting() {
             let headline = format!(
                 "{cpu} installed a translation vpn {:#x} -> pfn {:#x} but the frame \
                  is on the free list",
@@ -362,6 +493,12 @@ impl CoherenceOracle {
     }
 
     /// An access was served from `cpu`'s TLB without a walk.
+    ///
+    /// The shadow entry wins over the hit's `pfn`: a hit on a page the
+    /// shadow already caches leaves that entry (its frame and its fill's
+    /// clock component) as it is, and `pfn` only labels the record and
+    /// the report. A hit on a page the shadow lacks installs it at `pfn`,
+    /// healing a mirror whose fill predated the oracle.
     pub fn note_hit(
         &mut self,
         cpu: CpuId,
@@ -372,7 +509,7 @@ impl CoherenceOracle {
         at: Time,
     ) {
         let core = cpu.index();
-        let (_, own) = self.record(
+        let stamp = self.record(
             Ctx::Cpu(cpu),
             at,
             EventKind::Hit {
@@ -381,18 +518,17 @@ impl CoherenceOracle {
                 pfn: pfn.0,
             },
         );
-        // Self-heal the mirror if the fill predated the oracle.
-        let entry = *self.shadow[core]
-            .entry((pcid, vpn.0))
-            .or_insert(ShadowEntry {
-                pfn: pfn.0,
-                filled_component: own,
-            });
-        self.by_pfn
-            .entry(pfn.0)
-            .or_default()
-            .insert((core, pcid, vpn.0));
-        if !allocated {
+        let entry = match self.shadow[core].entry((pcid, vpn.0)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.cachers.add(pfn.0);
+                *e.insert(ShadowEntry {
+                    pfn: pfn.0,
+                    filled_component: stamp.own,
+                })
+            }
+        };
+        if !allocated && self.reporting() {
             let headline = format!(
                 "{cpu} accessed vpn {:#x} through a stale translation to pfn {:#x}, \
                  which was already reclaimed",
@@ -424,9 +560,8 @@ impl CoherenceOracle {
     pub fn note_flush_all(&mut self, cpu: CpuId, at: Time) {
         let core = cpu.index();
         self.record(Ctx::Cpu(cpu), at, EventKind::FlushAll);
-        let keys: Vec<(u16, u64)> = self.shadow[core].keys().copied().collect();
-        for (pcid, vpn) in keys {
-            self.shadow_remove(core, pcid, vpn);
+        for (_, e) in self.shadow[core].drain() {
+            self.cachers.remove(e.pfn);
         }
     }
 
@@ -452,43 +587,18 @@ impl CoherenceOracle {
     /// A frame left the free list.
     pub fn note_alloc(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
         self.record(ctx, at, EventKind::Alloc { pfn: pfn.0 });
-        if let Some((core, pcid, vpn)) = self.first_cacher(pfn.0) {
-            let entry = self.shadow[core][&(pcid, vpn)];
-            let headline = format!(
-                "frame {:#x} handed out again while still cached: {}",
-                pfn.0,
-                self.cachers_of(pfn.0)
-            );
-            let race = self.race_verdict(ctx, core, entry.filled_component);
-            self.flag(
-                ViolationKind::ReusedWhileCached,
-                headline,
-                race,
-                Some(pfn.0),
-                Some(vpn),
-            );
-        }
+        self.flag_cached(
+            ViolationKind::ReusedWhileCached,
+            ctx,
+            pfn.0,
+            "handed out again",
+        );
     }
 
     /// A frame's last reference was dropped (it is reusable from now on).
     pub fn note_free(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
         self.record(ctx, at, EventKind::Free { pfn: pfn.0 });
-        if let Some((core, pcid, vpn)) = self.first_cacher(pfn.0) {
-            let entry = self.shadow[core][&(pcid, vpn)];
-            let headline = format!(
-                "frame {:#x} freed while still cached: {}",
-                pfn.0,
-                self.cachers_of(pfn.0)
-            );
-            let race = self.race_verdict(ctx, core, entry.filled_component);
-            self.flag(
-                ViolationKind::FreedWhileCached,
-                headline,
-                race,
-                Some(pfn.0),
-                Some(vpn),
-            );
-        }
+        self.flag_cached(ViolationKind::FreedWhileCached, ctx, pfn.0, "freed");
     }
 
     // ---- Latr protocol edges ---------------------------------------------
@@ -503,7 +613,7 @@ impl CoherenceOracle {
         migration: bool,
         at: Time,
     ) {
-        let (order, _) = self.record(
+        let stamp = self.record(
             Ctx::Cpu(initiator),
             at,
             EventKind::Publish {
@@ -519,15 +629,22 @@ impl CoherenceOracle {
             return;
         }
         let state = TrackedState {
-            order,
+            order: self.seq,
             pending: targets,
             migration,
-            publish_clock: self.clocks[initiator.index()].clone(),
+            publish_clock: self.hold(stamp),
         };
-        self.states
-            .entry((mm, range))
-            .or_insert_with(|| Vec::with_capacity(1))
-            .push(state);
+        let buckets = self.states.len() + self.spare_buckets.len();
+        let spare = &mut self.spare_buckets;
+        let bucket = self.states.entry((mm, range)).or_insert_with(|| {
+            spare.pop().unwrap_or_else(|| {
+                // Room for every bucket to be spare at once, so retiring
+                // one never allocates.
+                spare.reserve(buckets + 1);
+                Vec::with_capacity(1)
+            })
+        });
+        bucket.push(state);
     }
 
     /// `cpu` swept every active state naming it that covers `(mm, range)`:
@@ -538,16 +655,22 @@ impl CoherenceOracle {
             return;
         };
         // Joins are pointwise maxima, so their order cannot matter.
-        let clock = &mut self.clocks[cpu.index()];
+        let live = &mut self.live[cpu.index()];
+        let clocks = &mut self.clocks;
         bucket.retain_mut(|s| {
             if s.pending.test(cpu) {
                 s.pending.clear(cpu);
-                clock.join(&s.publish_clock);
+                clocks.join_live(live, s.publish_clock);
             }
-            !s.pending.is_empty()
+            let pending = !s.pending.is_empty();
+            if !pending {
+                clocks.release(s.publish_clock.snap);
+            }
+            pending
         });
         if bucket.is_empty() {
-            self.states.remove(&(mm, range));
+            let bucket = self.states.remove(&(mm, range)).expect("present");
+            self.spare_buckets.push(bucket);
         }
     }
 
@@ -570,6 +693,9 @@ impl CoherenceOracle {
     /// Reports a migration fault on `(mm, vpn)` that proceeded while
     /// `mask` had not swept the blocking migration state.
     fn flag_migration(&mut self, mm: MmId, vpn: Vpn, mask: CpuMask) {
+        if !self.reporting() {
+            return;
+        }
         let pending: Vec<String> = mask.iter().map(|c| format!("{c}")).collect();
         let headline = format!(
             "migration fault on mm{} vpn {:#x} proceeded while {} had not swept \
@@ -596,17 +722,18 @@ impl CoherenceOracle {
 
     /// A shootdown's IPIs were multicast by `initiator`.
     pub fn note_ipi_send(&mut self, initiator: CpuId, txn: u64, targets: CpuMask, at: Time) {
-        self.record(Ctx::Cpu(initiator), at, EventKind::IpiSend { txn, targets });
-        let clock = self.clocks[initiator.index()].clone();
-        self.txn_clocks.insert(txn, clock);
+        let stamp = self.record(Ctx::Cpu(initiator), at, EventKind::IpiSend { txn, targets });
+        let stamp = self.hold(stamp);
+        if let Some(old) = self.txn_clocks.insert(txn, stamp) {
+            self.clocks.release(old.snap);
+        }
     }
 
     /// A shootdown IPI was handled on `target`.
     pub fn note_ipi_deliver(&mut self, target: CpuId, txn: u64, at: Time) {
         self.record(Ctx::Cpu(target), at, EventKind::IpiDeliver { txn });
-        if let Some(c) = self.txn_clocks.get(&txn) {
-            let c = c.clone();
-            self.clocks[target.index()].join(&c);
+        if let Some(&sent) = self.txn_clocks.get(&txn) {
+            self.clocks.join_live(&mut self.live[target.index()], sent);
         }
     }
 
@@ -614,10 +741,13 @@ impl CoherenceOracle {
     /// target's handler.
     pub fn note_ack(&mut self, initiator: CpuId, from: CpuId, txn: u64, done: bool, at: Time) {
         self.record(Ctx::Cpu(initiator), at, EventKind::Ack { txn, from });
-        let c = self.clocks[from.index()].clone();
-        self.clocks[initiator.index()].join(&c);
+        let handler = self.clocks.stamp(self.live[from.index()], from.index());
+        self.clocks
+            .join_live(&mut self.live[initiator.index()], handler);
         if done {
-            self.txn_clocks.remove(&txn);
+            if let Some(old) = self.txn_clocks.remove(&txn) {
+                self.clocks.release(old.snap);
+            }
         }
     }
 }
@@ -634,7 +764,7 @@ mod reference {
         range: VaRange,
         pending: CpuMask,
         migration: bool,
-        publish_clock: VClock,
+        publish_clock: Stamp,
     }
 
     /// A [`CoherenceOracle`] whose Latr states live in the linear list;
@@ -667,29 +797,30 @@ mod reference {
                 targets,
                 migration,
             };
-            self.inner.record(Ctx::Cpu(initiator), at, kind);
+            let stamp = self.inner.record(Ctx::Cpu(initiator), at, kind);
             self.states.push(LinearState {
                 mm,
                 range,
                 pending: targets,
                 migration,
-                publish_clock: self.inner.clocks[initiator.index()].clone(),
+                publish_clock: self.inner.hold(stamp),
             });
         }
 
         pub(super) fn note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange, at: Time) {
             self.inner
                 .record(Ctx::Cpu(cpu), at, EventKind::Sweep { mm, range });
-            let mut joins: Vec<VClock> = Vec::new();
+            let mut joins: Vec<Stamp> = Vec::new();
             self.states.retain_mut(|s| {
                 if s.mm == mm && s.range == range && s.pending.test(cpu) {
                     s.pending.clear(cpu);
-                    joins.push(s.publish_clock.clone());
+                    joins.push(s.publish_clock);
                 }
                 !s.pending.is_empty()
             });
+            let inner = &mut self.inner;
             for c in joins {
-                self.inner.clocks[cpu.index()].join(&c);
+                inner.clocks.join_live(&mut inner.live[cpu.index()], c);
             }
         }
 
@@ -715,6 +846,13 @@ mod tests {
     use super::*;
 
     const T: Time = Time::ZERO;
+
+    /// Every context's clock as it stands.
+    fn clocks(o: &CoherenceOracle) -> Vec<crate::VClock> {
+        (0..o.live.len())
+            .map(|i| o.clocks.stamp(o.live[i], i).clock(&o.clocks))
+            .collect()
+    }
 
     fn vpn(v: u64) -> Vpn {
         Vpn(v)
@@ -885,12 +1023,83 @@ mod tests {
             o.note_invalidate(CpuId(0), 0, vpn(i), T);
         }
         assert_eq!(o.history.len(), HISTORY_CAPACITY);
-        let oldest = o.history.front().expect("full");
+        let oldest = o.render(HISTORY_CAPACITY - 1);
         assert_eq!(oldest.seq, 4);
         assert_eq!(oldest.kind, EventKind::Invalidate { pcid: 0, vpn: 3 });
-        let newest = o.history.back().expect("full");
+        let newest = o.render(0);
         assert_eq!(newest.seq, HISTORY_CAPACITY as u64 + 3);
-        assert_eq!(newest.clock, o.clocks[0]);
+        assert_eq!(newest.clock, clocks(&o)[0]);
+    }
+
+    #[test]
+    fn a_hit_disagreeing_with_the_shadow_leaves_the_shadow_entry() {
+        // The hit names pfn 4 for a page the shadow holds at pfn 3. The
+        // shadow entry wins: pfn 4 was never cached, and after the
+        // invalidation nothing is.
+        let mut o = CoherenceOracle::new(2);
+        o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(3), true, T);
+        o.note_hit(CpuId(1), 0, vpn(0x10), Pfn(4), true, T);
+        o.note_invalidate(CpuId(1), 0, vpn(0x10), T);
+        o.note_alloc(Ctx::Kthread, Pfn(4), T);
+        o.note_alloc(Ctx::Kthread, Pfn(3), T);
+        assert!(o.violation().is_none(), "{:?}", o.violation());
+
+        // Before the invalidation the page is cached at pfn 3 alone.
+        let mut o = CoherenceOracle::new(2);
+        o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(3), true, T);
+        o.note_hit(CpuId(1), 0, vpn(0x10), Pfn(4), true, T);
+        o.note_alloc(Ctx::Kthread, Pfn(4), T);
+        assert!(o.violation().is_none(), "{:?}", o.violation());
+        o.note_alloc(Ctx::Kthread, Pfn(3), T);
+        let v = o.violation().expect("pfn 3 is still cached");
+        assert_eq!(
+            v.headline,
+            "frame 0x3 handed out again while still cached: cpu1 vpn 0x10 (pcid 0)"
+        );
+    }
+
+    /// Every clock slot's refcount equals the number of holders: history
+    /// records, contexts, live states and in-flight transactions.
+    fn assert_refcounts_match_holders(o: &CoherenceOracle) {
+        let mut holders = vec![0u32; o.clocks.refcounts().len()];
+        let held = o
+            .history
+            .iter()
+            .map(|r| r.clock.snap)
+            .chain(o.live.iter().copied())
+            .chain(o.states.values().flatten().map(|s| s.publish_clock.snap))
+            .chain(o.txn_clocks.values().map(|s| s.snap));
+        for snap in held {
+            holders[snap as usize] += 1;
+        }
+        assert_eq!(o.clocks.refcounts(), holders);
+    }
+
+    #[test]
+    fn clock_slots_are_held_exactly_as_long_as_something_refers_to_them() {
+        let mut o = CoherenceOracle::new(4);
+        let mut rng = latr_sim::SimRng::new(7);
+        let mut txn = 0;
+        for step in 0..3 * HISTORY_CAPACITY {
+            let cpu = CpuId(rng.below(4) as u16);
+            let r = VaRange::new(vpn(rng.below(3)), 1);
+            let targets = CpuMask::from_cpus((0..4).filter(|_| rng.below(2) == 0).map(CpuId));
+            match rng.below(6) {
+                0 => o.note_publish(cpu, MmId(0), r, targets, false, T),
+                1 => o.note_sweep(cpu, MmId(0), r, T),
+                2 => {
+                    txn += 1;
+                    o.note_ipi_send(cpu, txn, targets, T);
+                }
+                3 => o.note_ipi_deliver(cpu, txn, T),
+                4 => o.note_ack(cpu, CpuId(rng.below(4) as u16), txn, rng.below(2) == 0, T),
+                _ => o.note_invalidate(cpu, 0, vpn(step as u64), T),
+            }
+            if step % 97 == 0 {
+                assert_refcounts_match_holders(&o);
+            }
+        }
+        assert_refcounts_match_holders(&o);
     }
 
     #[test]
@@ -906,7 +1115,8 @@ mod tests {
         o.note_ack(CpuId(0), CpuId(1), 7, true, T);
         o.note_free(Ctx::Cpu(CpuId(0)), Pfn(3), T);
         assert!(o.violation().is_none());
-        assert!(o.clocks[0].dominates(&o.clocks[1]));
+        let clocks = clocks(&o);
+        assert!(clocks[0].dominates(&clocks[1]));
     }
 
     /// One step of the differential spec below.
@@ -1044,7 +1254,7 @@ mod tests {
                         reference.inner.note_free(ctx, Pfn(pfn), T);
                     }
                 }
-                proptest::prop_assert_eq!(&keyed.clocks, &reference.inner.clocks, "clocks after step {}", step);
+                proptest::prop_assert_eq!(clocks(&keyed), clocks(&reference.inner), "clocks after step {}", step);
                 proptest::prop_assert_eq!(
                     keyed.violation().map(|v| v.to_string()),
                     reference.inner.violation().map(|v| v.to_string()),

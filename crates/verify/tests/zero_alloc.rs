@@ -1,11 +1,14 @@
 //! The oracle's record path is allocation-free in steady state.
 //!
-//! Every observed event appends one record, carrying a copy of a vector
-//! clock, to a bounded history ring. Once the ring is full the oldest
-//! record is overwritten in place, so an event that touches no other
-//! state — here, invalidating a page no TLB caches — must allocate
-//! nothing. A counting global allocator pins that; this file holds a
-//! single test so no other test thread allocates while it counts.
+//! Every observed event appends one record to a bounded history ring. A
+//! record holds a stamp into a shared arena of clock snapshots, not a
+//! copy of its context's vector clock. Once the ring is full the oldest
+//! record is dropped and its snapshot released, so an event that touches
+//! no other state — here, invalidating a page no TLB caches — must
+//! allocate nothing. A counting global allocator pins that; this file
+//! holds a single test so no other test thread allocates while it
+//! counts. `tests/zero_alloc.rs` at the workspace root pins the same for
+//! whole oracle-on machine runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -14,8 +14,11 @@
 //! benchmark's 120-core storm, whose same-instant wakeup bursts are what
 //! once grew calendar buckets.
 //!
-//! Tracing and the oracle are off (both are diagnostic layers with their
-//! own buffers), matching the `BENCH_hotpath.json` configuration.
+//! Tracing is off, matching the `BENCH_hotpath.json` configuration. Each
+//! shape runs twice: with the coherence oracle off, and with it on. The
+//! oracle's shadow TLBs, state table and clock snapshots reuse their
+//! storage once grown, so its steady state must add no allocations
+//! either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,15 +81,16 @@ const SHAPES: [Shape; 2] = [
     (MachinePreset::LargeNuma8S120C, large_storm),
 ];
 
-/// Runs `shape`'s sweep storm for `duration` and returns the number of
-/// heap allocations performed *during the run* (setup — `Machine::new`
-/// and the workload constructor — is excluded; warmup is not, which is
-/// exactly why the short run is subtracted).
-fn allocations_during((preset, storm): Shape, duration: Nanos) -> (u64, u64) {
+/// Runs `shape`'s sweep storm for `duration`, with or without the
+/// `oracle`, and returns the number of heap allocations performed *during
+/// the run* (setup — `Machine::new` and the workload constructor — is
+/// excluded; warmup is not, which is exactly why the short run is
+/// subtracted).
+fn allocations_during((preset, storm): Shape, oracle: bool, duration: Nanos) -> (u64, u64) {
     let mut config = MachineConfig::new(Topology::preset(preset));
     config.seed = 0x000a_110c;
     config.trace_capacity = 0;
-    config.oracle = false;
+    config.oracle = oracle;
     config.engine = QueueBackend::Fast;
     let mut machine = Machine::new(config);
     // Enough rounds that the storm is still publishing when the long
@@ -105,24 +109,26 @@ fn sweep_storm_steady_state_allocates_nothing_per_event() {
     let short = 50 * MILLISECOND;
     let long = 250 * MILLISECOND;
     for shape in SHAPES {
-        let (short_allocs, short_events) = allocations_during(shape, short);
-        let (long_allocs, long_events) = allocations_during(shape, long);
-        assert!(
-            long_events > short_events + 10_000,
-            "{:?}: the long run must actually deliver more events \
-             ({long_events} vs {short_events}) or the delta proves nothing",
-            shape.0,
-        );
-        assert_eq!(
-            long_allocs - short_allocs,
-            0,
-            "{:?}: steady state must be allocation-free on the fast engine: \
-             {short_allocs} allocations in {short_events} events (warmup \
-             included) vs {long_allocs} in {long_events} — the extra \
-             {} events allocated {} times",
-            shape.0,
-            long_events - short_events,
-            long_allocs - short_allocs,
-        );
+        for oracle in [false, true] {
+            let (short_allocs, short_events) = allocations_during(shape, oracle, short);
+            let (long_allocs, long_events) = allocations_during(shape, oracle, long);
+            assert!(
+                long_events > short_events + 10_000,
+                "{:?} (oracle {oracle}): the long run must actually deliver more \
+                 events ({long_events} vs {short_events}) or the delta proves nothing",
+                shape.0,
+            );
+            assert_eq!(
+                long_allocs - short_allocs,
+                0,
+                "{:?} (oracle {oracle}): steady state must be allocation-free on \
+                 the fast engine: {short_allocs} allocations in {short_events} \
+                 events (warmup included) vs {long_allocs} in {long_events} — the \
+                 extra {} events allocated {} times",
+                shape.0,
+                long_events - short_events,
+                long_allocs - short_allocs,
+            );
+        }
     }
 }
