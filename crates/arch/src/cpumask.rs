@@ -111,6 +111,21 @@ impl CpuMask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Number of set bits among CPUs `cpus.start..cpus.end`.
+    pub fn count_in(&self, cpus: std::ops::Range<usize>) -> usize {
+        let (mut lo, hi) = (cpus.start, cpus.end.min(MAX_CPUS));
+        let mut n = 0;
+        while lo < hi {
+            let w = lo / 64;
+            let end = hi.min((w + 1) * 64);
+            let width = end - lo;
+            let bits = if width == 64 { !0 } else { (1u64 << width) - 1 };
+            n += (self.words[w] & (bits << (lo % 64))).count_ones() as usize;
+            lo = end;
+        }
+        n
+    }
+
     /// Whether no bits are set.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -226,6 +241,19 @@ impl fmt::Display for CpuMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn count_in_matches_per_bit_count() {
+        let m = CpuMask::from_cpus([0, 5, 63, 64, 100, 127, 128, 200, 255].map(CpuId));
+        for lo in 0..=MAX_CPUS {
+            for hi in [lo, lo + 1, lo + 15, lo + 64, lo + 130, MAX_CPUS + 7] {
+                let want = (lo..hi.min(MAX_CPUS))
+                    .filter(|&c| m.test(CpuId(c as u16)))
+                    .count();
+                assert_eq!(m.count_in(lo..hi), want, "{lo}..{hi}");
+            }
+        }
+    }
 
     #[test]
     fn set_test_clear_roundtrip() {

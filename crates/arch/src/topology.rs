@@ -161,6 +161,13 @@ impl Topology {
         (base..base + self.cores_per_socket as usize).map(|i| CpuId(i as u16))
     }
 
+    /// How many CPUs of `mask` sit on `socket`.
+    #[inline]
+    pub fn count_on_socket(&self, mask: &CpuMask, socket: SocketId) -> usize {
+        let base = socket.0 as usize * self.cores_per_socket as usize;
+        mask.count_in(base..base + self.cores_per_socket as usize)
+    }
+
     /// A mask of the first `n` CPUs, the convention all experiments use for
     /// "running on n cores".
     pub fn cpu_mask_first(&self, n: usize) -> CpuMask {

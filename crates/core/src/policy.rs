@@ -71,8 +71,6 @@ pub struct LatrPolicy {
     /// (feeds the `latr_expedite_latency_ns` tick-bound histogram when
     /// the gated package finally releases).
     expedited_at: HashMap<u64, Time>,
-    /// Reusable arenas for the sweep hot path (no per-sweep allocation).
-    scratch_relevant: Vec<(MmId, VaRange, StateKind, bool)>,
     /// Reusable gate-id set for the reclaim paths (no per-tick allocation).
     scratch_blocked: HashSet<u64>,
     /// Reusable due-package vector for the reclaim paths.
@@ -104,7 +102,6 @@ impl LatrPolicy {
             pending: PendingSweepMap::new(),
             pressure_sync_active: false,
             expedited_at: HashMap::new(),
-            scratch_relevant: Vec::new(),
             scratch_blocked: HashSet::new(),
             scratch_due: Vec::new(),
         }
@@ -372,78 +369,57 @@ impl LatrPolicy {
 
     /// Visits one state queue during a sweep by `cpu`: invalidate and
     /// trace every state naming `cpu`, clear our bit, retire emptied
-    /// slots. Returns `(cost, hits)` — `(sweep_empty, 0)` when nothing in
-    /// the queue named us. Shared by the reference full scan and the
+    /// slots — all in the queue's one walk ([`StateQueue::sweep_cpu`]).
+    /// Returns `(cost, hits)` — `(sweep_empty, 0)` when nothing in the
+    /// queue named us. Shared by the reference full scan and the
     /// pending-bitmap fast path so the two cannot drift.
     fn sweep_queue(&mut self, machine: &mut Machine, cpu: CpuId, qi: usize) -> (Nanos, u64) {
-        let mut relevant = std::mem::take(&mut self.scratch_relevant);
-        relevant.clear();
-        // One fused pass: snapshot the fields the apply loop needs (in
-        // particular `pte_done` *before* this sweep marks it), clear our
-        // bit, and mark migration PTEs done. The machine-side apply loop
-        // below never reads the queues, so folding the old second
-        // clear-bits pass into the gather is invisible to it.
-        self.queues[qi].for_each_active_mut(|state| {
-            if state.cpus.test(cpu) {
-                relevant.push((state.mm, state.range, state.kind, state.pte_done));
-                state.cpus.clear(cpu);
-                if state.kind == StateKind::Migration {
-                    state.pte_done = true;
-                }
-            }
-        });
-        if relevant.is_empty() {
-            self.scratch_relevant = relevant;
-            return (machine.costs().latr_sweep_empty, 0);
-        }
         let mut cost = 0;
-        let mut hits = 0u64;
-        // Batch-apply per `(mm, tick)` group: consecutive states from the
-        // same address space — the common shape when one hot mm published
-        // a burst of ops inside a tick window — share a single PCID
-        // resolution and skip the per-state scratch page vector. Per-state
-        // cost, trace, and oracle calls are unchanged, so a grouped sweep
-        // is bit-identical to the one-call-per-state form.
-        let mut gi = 0;
-        while gi < relevant.len() {
-            let mm = relevant[gi].0;
-            let mut ge = gi + 1;
-            while ge < relevant.len() && relevant[ge].0 == mm {
-                ge += 1;
-            }
-            let pcid = machine.sweep_pcid(mm);
-            for &(_, range, kind, pte_done) in &relevant[gi..ge] {
-                cost += machine.costs().latr_sweep_hit;
-                if kind == StateKind::Migration && !pte_done {
-                    // First sweeper performs the page-table unmap (§4.3).
-                    machine.apply_numa_hint(cpu, mm, range.start);
-                    cost += machine.costs().pte_op;
-                    if machine.trace.is_enabled() {
-                        let now = machine.now();
-                        machine.trace.push(
-                            now,
-                            "latr",
-                            format!("{cpu} sweeps {range:?}: first core, clears PTE"),
-                        );
-                    }
-                } else if machine.trace.is_enabled() {
+        // Consecutive states from the same address space — the common
+        // shape when one hot mm published a burst of ops inside a tick
+        // window — share a single PCID resolution. The apply step never
+        // reads the queues, so running it inside the walk, before the
+        // slot retires, is invisible to it.
+        let mut last_pcid: Option<(MmId, u16)> = None;
+        let hits = self.queues[qi].sweep_cpu(cpu, |hit| {
+            let pcid = match last_pcid {
+                Some((mm, pcid)) if mm == hit.mm => pcid,
+                _ => {
+                    let pcid = machine.sweep_pcid(hit.mm);
+                    last_pcid = Some((hit.mm, pcid));
+                    pcid
+                }
+            };
+            let range = hit.range;
+            cost += machine.costs().latr_sweep_hit;
+            if hit.kind == StateKind::Migration && !hit.pte_done {
+                // First sweeper performs the page-table unmap (§4.3).
+                machine.apply_numa_hint(cpu, hit.mm, range.start);
+                cost += machine.costs().pte_op;
+                if machine.trace.is_enabled() {
                     let now = machine.now();
                     machine.trace.push(
                         now,
                         "latr",
-                        format!("{cpu} sweeps {range:?}: local TLB invalidation"),
+                        format!("{cpu} sweeps {range:?}: first core, clears PTE"),
                     );
                 }
-                machine.invalidate_tlb_range_pcid(cpu, pcid, range);
-                machine.oracle_note_sweep(cpu, mm, range);
-                cost += machine.costs().local_invalidation(range.pages as u32);
-                hits += 1;
+            } else if machine.trace.is_enabled() {
+                let now = machine.now();
+                machine.trace.push(
+                    now,
+                    "latr",
+                    format!("{cpu} sweeps {range:?}: local TLB invalidation"),
+                );
             }
-            gi = ge;
+            machine.invalidate_tlb_range_pcid(cpu, pcid, range);
+            machine.oracle_note_sweep(cpu, hit.mm, range);
+            cost += machine.costs().local_invalidation(range.pages as u32);
+        });
+        if hits == 0 {
+            return (machine.costs().latr_sweep_empty, 0);
         }
-        self.scratch_relevant = relevant;
-        self.queues[qi].retire_completed();
-        (cost, hits)
+        (cost, hits as u64)
     }
 
     /// The sweep (§4.1): for each active state naming `cpu`, invalidate

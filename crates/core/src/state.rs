@@ -48,6 +48,34 @@ pub struct LatrState {
     pub published: Time,
 }
 
+/// The slot indices named by occupancy word `w`, whose bits are `word`,
+/// in ascending order. Takes the word by value, so a walk may free slots
+/// as it goes.
+fn occupied(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let idx = w * 64 + word.trailing_zeros() as usize;
+            word &= word - 1;
+            idx
+        })
+    })
+}
+
+/// What [`StateQueue::sweep_cpu`] hands its callback for each state
+/// naming the sweeper: the fields the apply step needs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SweepHit {
+    /// The address space the state belongs to.
+    pub mm: MmId,
+    /// The virtual range to invalidate.
+    pub range: VaRange,
+    /// Why the shootdown is needed.
+    pub kind: StateKind,
+    /// The state's `pte_done` before this sweep: a migration state with
+    /// `false` here makes this sweeper the first, which clears the PTE.
+    pub pte_done: bool,
+}
+
 /// A per-core cyclic queue of Latr states with a fixed number of slots.
 ///
 /// ```
@@ -70,7 +98,7 @@ pub struct LatrState {
 /// assert!(q.publish(state.clone()).is_some());
 /// assert!(q.publish(state).is_none()); // full -> caller falls back to IPIs
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StateQueue {
     slots: Vec<Option<LatrState>>,
     head: usize,
@@ -170,26 +198,65 @@ impl StateQueue {
         self.slots.iter_mut().filter_map(|s| s.as_mut())
     }
 
-    /// Visits every active state mutably, walking the occupancy bitmap
-    /// instead of probing each slot's discriminant. A mostly-empty queue
-    /// costs one word read per 64 slots rather than a cache line per
-    /// slot — the shape a sweeping core sees on almost every tick.
-    pub fn for_each_active_mut(&mut self, mut f: impl FnMut(&mut LatrState)) {
-        for w in 0..self.occ.len() {
-            let mut bits = self.occ[w];
-            while bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(self.slots[idx]
-                    .as_mut()
-                    .expect("occupancy bit names an active slot"));
-            }
-        }
+    /// Iterates over active states in slot order, walking the occupancy
+    /// bitmap: a mostly-empty queue costs one word read per 64 slots.
+    pub fn iter_active(&self) -> impl Iterator<Item = &LatrState> {
+        self.occ
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| occupied(w, word))
+            .map(|idx| {
+                self.slots[idx]
+                    .as_ref()
+                    .expect("occupancy bit names an active slot")
+            })
     }
 
-    /// Iterates over active states.
-    pub fn iter_active(&self) -> impl Iterator<Item = &LatrState> {
-        self.slots.iter().filter_map(|s| s.as_ref())
+    /// The sweep by `cpu` over this queue, in one walk of the occupancy
+    /// bits. For each active state naming `cpu` it clears the bit,
+    /// snapshots the state (with `pte_done` as it was *before* this
+    /// sweep), marks a migration's PTE done and hands the snapshot to
+    /// `f`. Every state whose mask is empty after that step is retired,
+    /// exactly as a following [`retire_completed`] would — on a visit
+    /// with no hit too, where the two-pass sweep this replaced skipped
+    /// the retire. That only matters for a state emptied out of band and
+    /// left active, which only [`clear_cpu_everywhere`] does. Returns how
+    /// many states named `cpu`.
+    ///
+    /// `f` runs before the state's slot is retired, so it must not need
+    /// the queue; the policy's apply step only touches the machine.
+    ///
+    /// [`retire_completed`]: StateQueue::retire_completed
+    /// [`clear_cpu_everywhere`]: StateQueue::clear_cpu_everywhere
+    pub fn sweep_cpu(&mut self, cpu: CpuId, mut f: impl FnMut(SweepHit)) -> usize {
+        let mut hits = 0;
+        for w in 0..self.occ.len() {
+            for idx in occupied(w, self.occ[w]) {
+                let s = self.slots[idx]
+                    .as_mut()
+                    .expect("occupancy bit names an active slot");
+                if s.cpus.test(cpu) {
+                    s.cpus.clear(cpu);
+                    let hit = SweepHit {
+                        mm: s.mm,
+                        range: s.range,
+                        kind: s.kind,
+                        pte_done: s.pte_done,
+                    };
+                    if s.kind == StateKind::Migration {
+                        s.pte_done = true;
+                    }
+                    hits += 1;
+                    f(hit);
+                }
+                if s.cpus.is_empty() {
+                    let kind = s.kind;
+                    self.slots[idx] = None;
+                    self.mark_free(idx, kind);
+                }
+            }
+        }
+        hits
     }
 
     /// Deactivates every state whose CPU mask has emptied (the "last core
@@ -197,10 +264,7 @@ impl StateQueue {
     pub fn retire_completed(&mut self) -> usize {
         let mut retired = 0;
         for w in 0..self.occ.len() {
-            let mut bits = self.occ[w];
-            while bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for idx in occupied(w, self.occ[w]) {
                 let s = self.slots[idx]
                     .as_ref()
                     .expect("occupancy bit names an active slot");
@@ -216,7 +280,10 @@ impl StateQueue {
     }
 
     /// Clears `cpu`'s bit in every active state, without invalidating
-    /// anything — used when a core goes away (task exit flushes its TLB).
+    /// anything and without retiring the states it empties (a later
+    /// [`retire_completed`](StateQueue::retire_completed) or sweep does).
+    /// No simulator path calls it: the tests use it to model an
+    /// out-of-band mask clear.
     pub fn clear_cpu_everywhere(&mut self, cpu: CpuId) {
         for s in self.iter_active_mut() {
             s.cpus.clear(cpu);
@@ -297,6 +364,30 @@ mod tests {
         q.clear_cpu_everywhere(CpuId(1));
         let remaining: Vec<usize> = q.iter_active().map(|s| s.cpus.count()).collect();
         assert_eq!(remaining, vec![1, 0]);
+    }
+
+    #[test]
+    fn sweep_cpu_snapshots_then_retires_emptied_states() {
+        let mut q = StateQueue::new(3);
+        let mut mig = state(&[1]);
+        mig.kind = StateKind::Migration;
+        mig.pte_done = false;
+        q.publish(mig);
+        q.publish(state(&[1, 2]));
+        q.publish(state(&[2]));
+        let mut seen = Vec::new();
+        assert_eq!(q.sweep_cpu(CpuId(1), |hit| seen.push(hit)), 2);
+        // The snapshot carries `pte_done` from before the sweep.
+        assert_eq!(
+            seen.iter()
+                .map(|h| (h.kind, h.pte_done))
+                .collect::<Vec<_>>(),
+            vec![(StateKind::Migration, false), (StateKind::Free, true)]
+        );
+        // The migration state emptied and retired; the others live on.
+        assert_eq!((q.active_count(), q.active_migrations()), (2, 0));
+        assert_eq!(q.sweep_cpu(CpuId(1), |_| unreachable!()), 0);
+        assert_eq!(q.publish(state(&[1])), Some(0));
     }
 
     #[test]

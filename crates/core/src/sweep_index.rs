@@ -12,11 +12,14 @@
 //!
 //! Bits may be **stale-set** but never **stale-clear**:
 //!
-//! * A bit can outlive its reason — a watchdog escalation or a task-exit
-//!   [`crate::StateQueue::clear_cpu_everywhere`] may clear the sweeper's
-//!   mask bit directly, leaving the pending bit set. The next sweep
-//!   visits the queue, finds nothing relevant, and the visit costs the
-//!   same as the reference scan's empty-queue probe. Harmless.
+//! * A bit can outlive its reason — a watchdog or memory-pressure
+//!   escalation, or its sync round's completion, clears the sweeper's
+//!   mask bit directly (and retires the state if its mask emptied),
+//!   leaving the pending bit set. The next sweep visits the queue, finds
+//!   nothing relevant, and the visit costs the same as the reference
+//!   scan's empty-queue probe. Harmless. Nothing else clears a mask bit:
+//!   [`crate::StateQueue::clear_cpu_everywhere`] has no caller outside
+//!   tests, which use it to model these clears in bulk.
 //! * A bit is never missing while relevant: publishing is the *only*
 //!   operation that adds a CPU to a state's bitmask, and every publish
 //!   marks all targets; a sweep clears its own row only while also

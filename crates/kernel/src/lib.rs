@@ -56,7 +56,7 @@ mod shootdown;
 mod task;
 
 pub use event::Event;
-pub use machine::{Core, InvariantViolation, Machine, MachineConfig, ReclaimPackage};
+pub use machine::{ConfigError, Core, InvariantViolation, Machine, MachineConfig, ReclaimPackage};
 pub use mmlock::{LockMode, MmLock};
 pub use numa::{NumaConfig, NumaStats};
 pub use ops::{Op, OpResult, Workload};

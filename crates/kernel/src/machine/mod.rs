@@ -124,7 +124,58 @@ impl MachineConfig {
         self.min_watermark_frames = min;
         self
     }
+
+    /// Checks the configuration for values no run can use.
+    ///
+    /// ```
+    /// use latr_arch::{MachinePreset, Topology};
+    /// use latr_kernel::{ConfigError, MachineConfig};
+    /// let mut config = MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C));
+    /// assert_eq!(config.validate(), Ok(()));
+    /// config.costs.sched_tick_period = 0;
+    /// assert_eq!(config.validate(), Err(ConfigError::ZeroTickPeriod));
+    /// ```
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.costs.sched_tick_period == 0 {
+            return Err(ConfigError::ZeroTickPeriod);
+        }
+        let (low, min) = (self.low_watermark_frames, self.min_watermark_frames);
+        if min > low {
+            return Err(ConfigError::MinWatermarkAboveLow { low, min });
+        }
+        Ok(())
+    }
 }
+
+/// Why [`MachineConfig::validate`] refuses a configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `costs.sched_tick_period` is zero: every scheduler and reclaim
+    /// tick would reschedule itself at the same instant, so a run would
+    /// never end.
+    ZeroTickPeriod,
+    /// The min (reserve floor) watermark sits above the low
+    /// (early-warning) one.
+    MinWatermarkAboveLow {
+        /// `low_watermark_frames`.
+        low: u64,
+        /// `min_watermark_frames`.
+        min: u64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::ZeroTickPeriod => write!(f, "costs.sched_tick_period must be nonzero"),
+            ConfigError::MinWatermarkAboveLow { low, min } => {
+                write!(f, "min watermark {min} above low watermark {low}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Per-core execution state.
 #[derive(Debug)]
@@ -262,7 +313,14 @@ pub struct Machine {
 
 impl Machine {
     /// Builds a machine from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`MachineConfig::validate`] refuses `config`.
     pub fn new(config: MachineConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid MachineConfig: {e}");
+        }
         let ncpus = config.topology.num_cpus();
         let cores = (0..ncpus)
             .map(|i| Core {
@@ -496,11 +554,10 @@ impl Machine {
             }
         }
 
-        while let Some(next) = self.queue.peek_time() {
-            if next > self.end_time || self.live_tasks == 0 {
+        while self.live_tasks > 0 {
+            let Some((time, event)) = self.queue.pop_until(self.end_time) else {
                 break;
-            }
-            let (time, event) = self.queue.pop().expect("peeked");
+            };
             fold_event(&mut self.fold, time, &event);
             self.handle(event);
         }
@@ -828,5 +885,44 @@ impl Machine {
         cost += self.with_policy(|p, m| p.on_sched_tick(m, cpu));
         self.charge_debt(cpu, cost);
         self.queue.schedule_after(next_in, Event::SchedTick(cpu));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use latr_arch::MachinePreset;
+
+    fn config() -> MachineConfig {
+        MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C))
+    }
+
+    #[test]
+    fn validate_accepts_the_defaults() {
+        assert_eq!(config().validate(), Ok(()));
+        assert_eq!(config().with_watermarks(16, 16).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_tick_period() {
+        let mut config = config();
+        config.costs.sched_tick_period = 0;
+        assert_eq!(config.validate(), Err(ConfigError::ZeroTickPeriod));
+    }
+
+    #[test]
+    fn validate_rejects_min_watermark_above_low() {
+        assert_eq!(
+            config().with_watermarks(8, 24).validate(),
+            Err(ConfigError::MinWatermarkAboveLow { low: 8, min: 24 })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MachineConfig: costs.sched_tick_period must be nonzero")]
+    fn machine_new_refuses_an_invalid_config() {
+        let mut config = config();
+        config.costs.sched_tick_period = 0;
+        Machine::new(config);
     }
 }

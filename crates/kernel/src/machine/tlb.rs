@@ -202,10 +202,10 @@ impl Machine {
         self.invalidate_pages(cpu, pcid, pages.len(), pages.iter().copied())
     }
 
-    /// The PCID a sweep burst invalidates under — resolved once per
-    /// `(mm, tick)` group by the policy's batch-apply path and fed to
+    /// The PCID a sweep burst invalidates under — resolved once per run
+    /// of consecutive same-mm hits by the policy's sweep and fed to
     /// [`invalidate_tlb_range_pcid`](Self::invalidate_tlb_range_pcid)
-    /// for every state in the group.
+    /// for every state in the run.
     pub fn sweep_pcid(&self, mm: MmId) -> u16 {
         self.pcid_of(mm)
     }

@@ -9,7 +9,7 @@ use super::{Machine, ReclaimPackage};
 use crate::ops::Op;
 use crate::shootdown::{FlushKind, FlushOutcome};
 use crate::task::{TaskId, TaskState};
-use latr_arch::CpuId;
+use latr_arch::{CostModel, CpuId, CpuMask, SocketId, Topology};
 use latr_mem::{MmId, Pfn, Prot, VaRange, Vpn};
 use latr_sim::Nanos;
 
@@ -122,14 +122,12 @@ impl Machine {
         // bookkeeping, local TLB invalidation.
         let mut local = self.costs.syscall_overhead + self.costs.vma_op;
         local += self.costs.pte_op * removed.len() as u64;
-        let sharer_mask = self.mms[mm_id.0 as usize].cpumask;
-        for sharer in sharer_mask.iter() {
-            if sharer != cpu {
-                local += self
-                    .costs
-                    .unmap_per_sharer(self.topology.cpu_hops(cpu, sharer));
-            }
-        }
+        local += sharer_cost(
+            &self.topology,
+            &self.costs,
+            cpu,
+            self.mms[mm_id.0 as usize].cpumask,
+        );
         local += self.costs.local_invalidation(removed.len() as u32);
         let pcid = self.pcid_of(mm_id);
         self.invalidate_pages(cpu, pcid, pages.len(), pages.iter().map(|&(v, _)| v));
@@ -430,6 +428,56 @@ impl Machine {
             for vpn in range.iter() {
                 self.swapped.remove(&(mm_id.0, vpn.0));
                 self.compact_pending.remove(&(mm_id.0, vpn.0));
+            }
+        }
+    }
+}
+
+/// The initiator-side munmap bookkeeping for the other CPUs of `sharers`:
+/// [`CostModel::unmap_per_sharer`] by hop distance from `cpu`, summed per
+/// socket as `n × cost(hops)` over the `n` sharers there. Integer-identical
+/// to the per-sharer sum, without a socket division per sharer.
+fn sharer_cost(topology: &Topology, costs: &CostModel, cpu: CpuId, mut sharers: CpuMask) -> Nanos {
+    sharers.clear(cpu);
+    let home = topology.socket_of(cpu);
+    (0..topology.num_sockets())
+        .map(|s| {
+            let socket = SocketId(s as u8);
+            let n = topology.count_on_socket(&sharers, socket) as u64;
+            n * costs.unmap_per_sharer(topology.socket_hops(home, socket))
+        })
+        .sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use latr_arch::MachinePreset;
+    use latr_sim::SimRng;
+
+    #[test]
+    fn per_socket_sharer_cost_equals_per_sharer_sum() {
+        let costs = CostModel::calibrated();
+        let mut rng = SimRng::new(0x5AA7E);
+        for preset in [
+            MachinePreset::Commodity2S16C,
+            MachinePreset::LargeNuma8S120C,
+        ] {
+            let topology = Topology::preset(preset);
+            let ncpus = topology.num_cpus() as u64;
+            for _ in 0..2_000 {
+                let density = rng.range(1, 100);
+                let sharers: CpuMask = (0..ncpus)
+                    .filter(|_| rng.below(100) < density)
+                    .map(|c| CpuId(c as u16))
+                    .collect();
+                let cpu = CpuId(rng.below(ncpus) as u16);
+                let per_sharer: Nanos = sharers
+                    .iter()
+                    .filter(|&s| s != cpu)
+                    .map(|s| costs.unmap_per_sharer(topology.cpu_hops(cpu, s)))
+                    .sum();
+                assert_eq!(sharer_cost(&topology, &costs, cpu, sharers), per_sharer);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! configuration:
 //!
 //! * [`QueueBackend::Fast`] — a calendar (bucket) queue keyed on the event
-//!   instant. `schedule`/`pop`/`peek_time` are O(1) amortised: the heap
+//!   instant. `schedule`/`pop`/`pop_until` are O(1) amortised: the heap
 //!   that used to dominate large-topology runs is gone from the hot path.
 //!   Each bucket is a FIFO list threaded through one free-listed event
 //!   arena, so steady-state operation does not touch the allocator.
@@ -355,19 +355,28 @@ impl<E> Calendar<E> {
         from + dist
     }
 
-    /// Removes and returns the minimum event. The cursor advances to its
-    /// bucket, which is the clock's bucket once the caller delivers it.
-    fn pop_min(&mut self) -> Option<ScheduledEvent<E>> {
+    /// Removes and returns the minimum event if it fires at or before
+    /// `limit`, in one probe. The cursor advances to its bucket, which is
+    /// the clock's bucket once the caller delivers it. Returns `None`
+    /// otherwise, leaving the cursor where it was, so earlier-but-future
+    /// events can still be filed.
+    fn pop_min(&mut self, limit: Time) -> Option<ScheduledEvent<E>> {
         if self.near == 0 {
             let f = self.far.peek()?;
+            if f.time > limit {
+                return None;
+            }
             self.cur = Self::bucket_of(f.time);
         }
         self.drain_far();
         debug_assert!(self.near > 0);
         let nb = self.next_occupied(self.cur);
-        self.cur = nb;
         let slot = (nb & BUCKET_MASK) as usize;
         let head = self.buckets[slot].head;
+        if self.nodes[head as usize].time > limit {
+            return None;
+        }
+        self.cur = nb;
         let next = self.nodes[head as usize].next;
         self.buckets[slot].head = next;
         if next == NIL {
@@ -376,19 +385,6 @@ impl<E> Calendar<E> {
         }
         self.near -= 1;
         Some(self.arena_take(head))
-    }
-
-    /// The minimum pending instant. Unlike `pop_min` this never advances
-    /// the cursor, so it is safe to schedule earlier-but-future events
-    /// afterwards.
-    fn peek(&mut self) -> Option<Time> {
-        if self.near == 0 {
-            return self.far.peek().map(|e| e.time);
-        }
-        self.drain_far();
-        let nb = self.next_occupied(self.cur);
-        let head = self.buckets[(nb & BUCKET_MASK) as usize].head;
-        Some(self.nodes[head as usize].time)
     }
 }
 
@@ -514,25 +510,29 @@ impl<E> EventQueue<E> {
     ///
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(Time, E)> {
+        self.pop_until(Time::MAX)
+    }
+
+    /// Pops the earliest pending event if it fires at or before `limit`,
+    /// advancing the clock to its instant, in one probe of the queue.
+    ///
+    /// Returns `None` — leaving the clock and the queue's order
+    /// untouched — when the queue is exhausted or its earliest event
+    /// lies past `limit`.
+    pub fn pop_until(&mut self, limit: Time) -> Option<(Time, E)> {
         let ev = match &mut self.backend {
-            Backend::Fast(c) => c.pop_min(),
-            Backend::Reference(h) => h.pop(),
+            Backend::Fast(c) => c.pop_min(limit),
+            Backend::Reference(h) => {
+                if h.peek()?.time > limit {
+                    return None;
+                }
+                h.pop()
+            }
         }?;
         debug_assert!(ev.time >= self.now, "event queue time went backwards");
         self.now = ev.time;
         self.popped += 1;
         Some((ev.time, ev.payload))
-    }
-
-    /// The instant of the earliest pending event, if any.
-    ///
-    /// Takes `&mut self` because the fast backend migrates far-heap events
-    /// that now fit the ring horizon into it (an observable no-op).
-    pub fn peek_time(&mut self) -> Option<Time> {
-        match &mut self.backend {
-            Backend::Fast(c) => c.peek(),
-            Backend::Reference(h) => h.peek().map(|ev| ev.time),
-        }
     }
 }
 
@@ -626,7 +626,6 @@ mod tests {
         q.schedule(Time::from_ns(50_000_000), 'z');
         q.schedule(Time::from_ns(10), 'a');
         q.schedule(Time::from_ns(3_000_000), 'm'); // beyond horizon from t=0
-        assert_eq!(q.peek_time(), Some(Time::from_ns(10)));
         assert_eq!(q.pop().unwrap().1, 'a');
         // After the clock advances, 'm' migrates into the ring.
         assert_eq!(q.pop().unwrap(), (Time::from_ns(3_000_000), 'm'));
@@ -638,16 +637,30 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_corrupt_cursor_for_earlier_schedules() {
-        let mut q = EventQueue::with_backend(QueueBackend::Fast);
-        q.schedule(Time::from_ns(100), 0);
-        q.pop();
-        // Peek at a far-ahead event, then schedule something earlier (but
-        // still in the future). It must pop first.
-        q.schedule(Time::from_ns(2_000_000), 9);
-        assert_eq!(q.peek_time(), Some(Time::from_ns(2_000_000)));
-        q.schedule(Time::from_ns(200), 1);
-        assert_eq!(q.pop().unwrap(), (Time::from_ns(200), 1));
+    fn pop_until_stops_at_the_limit_without_moving_the_cursor() {
+        for b in backends() {
+            let mut q = EventQueue::with_backend(b);
+            q.schedule(Time::from_ns(100), 0);
+            assert_eq!(
+                q.pop_until(Time::from_ns(100)),
+                Some((Time::from_ns(100), 0))
+            );
+            q.schedule(Time::from_ns(2_000_000), 9);
+            q.schedule(Time::from_ns(50_000_000), 8); // beyond the ring
+            assert_eq!(q.pop_until(Time::from_ns(1_999_999)), None);
+            assert_eq!(q.now(), Time::from_ns(100));
+            // A refused pop leaves room for an earlier-but-future event.
+            q.schedule(Time::from_ns(200), 1);
+            assert_eq!(
+                q.pop_until(Time::from_ns(200)),
+                Some((Time::from_ns(200), 1))
+            );
+            assert_eq!(q.pop_until(Time::from_ns(2_000_000)).unwrap().1, 9);
+            assert_eq!(q.pop_until(Time::from_ns(49_999_999)), None);
+            assert_eq!(q.pop_until(Time::MAX).unwrap().1, 8);
+            assert_eq!(q.pop_until(Time::MAX), None);
+            assert_eq!(q.delivered(), 4);
+        }
     }
 
     /// The two backends must deliver identical `(time, id, payload)`
@@ -692,8 +705,13 @@ mod tests {
                             schedule(&mut fast, &mut refq, delta);
                         }
                     }
+                    7 => {
+                        // A bounded pop, refused as often as not.
+                        let limit = fast.now() + rng.below(4_000);
+                        assert_eq!(fast.pop_until(limit), refq.pop_until(limit));
+                        assert_eq!(fast.now(), refq.now());
+                    }
                     _ => {
-                        assert_eq!(fast.peek_time(), refq.peek_time());
                         assert_eq!(fast.pop(), refq.pop());
                         assert_eq!(fast.now(), refq.now());
                     }
