@@ -108,10 +108,6 @@ pub struct CostModel {
     /// the other socket's LLC, so the scan is not free — this is what makes
     /// context-switch-heavy canneal ~1.7% slower under Latr (Fig. 10).
     pub latr_sweep_empty: Nanos,
-    /// Number of Latr states per core (§4.1; 64 in the paper).
-    pub latr_states_per_core: usize,
-    /// Reclamation delay in scheduler ticks (§4.2; two ticks = 2 ms).
-    pub latr_reclaim_ticks: u32,
 
     // ---- ABIS (baseline) -----------------------------------------------------
     /// Per-tracked-access overhead of ABIS's page-table access-bit
@@ -161,8 +157,6 @@ impl CostModel {
             latr_state_save: 132,
             latr_sweep_hit: 158,
             latr_sweep_empty: 40,
-            latr_states_per_core: 64,
-            latr_reclaim_ticks: 2,
             abis_track_per_page: 1_700,
             abis_sharer_lookup: 900,
         }
@@ -320,8 +314,6 @@ mod tests {
     #[test]
     fn latr_defaults_match_paper() {
         let cm = CostModel::calibrated();
-        assert_eq!(cm.latr_states_per_core, 64);
-        assert_eq!(cm.latr_reclaim_ticks, 2);
         assert_eq!(cm.sched_tick_period, MILLISECOND);
     }
 }

@@ -45,7 +45,7 @@ pub const SAMPLE_ROUNDS: u64 = 8;
 /// The two lazy engine stacks the rt benches drive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LazyEngine {
-    /// Pending-bitmap sweep + sharded wheel reclaimer + cached frontier.
+    /// Pending-bitmap sweep + sharded FIFO reclaimer + cached frontier.
     Sharded,
     /// Full-scan sweep + mutexed reference reclaimer + O(cores) scans.
     Reference,

@@ -6,7 +6,7 @@
 //! stacks are compared:
 //!
 //! * **`lazy-sharded`** — the scaling path: pending-bitmap sweep,
-//!   `ReclaimBackend::Sharded` (per-core wheel shards gated on the
+//!   `ReclaimBackend::Sharded` (per-core FIFO shards gated on the
 //!   cached reclamation frontier).
 //! * **`lazy-reference`** — the PR-4-style reference: full-scan sweep,
 //!   `ReclaimBackend::Reference` (one global mutexed deque, an

@@ -8,16 +8,15 @@
 //! outright — one by panic mid-sweep (exercising the [`SweepGuard`]
 //! panic fence), one by silent exit (exercising the [`FrontierWatchdog`]
 //! path). A monitor thread plays the role of a kernel housekeeping
-//! timer: it runs the watchdog scan and feeds live [`RtStats`] into an
-//! [`RtTuner`] that retunes the reclaimer wheel on the fly.
+//! timer: it runs the watchdog scan and books death recoveries and stuck
+//! exclusions for the report. The reclaimer runs at the fixed grace
+//! [`GRACE`]; nothing is retuned during a run.
 //!
 //! Every run is gated by the loop's ground-truth canary, whose exclusion
 //! epoch makes windows spanning an exclusion or rejoin skip only the
 //! *strict* check (the structural guarantees are still loom/proptest
 //! checked). A trip means memory was handed back while a live core could
-//! still hold a stale translation, and the soak fails. The tuner runs
-//! with `min_grace == base_grace == GRACE`, so adaptive runs never
-//! shrink grace under the dues already recorded.
+//! still hold a stale translation, and the soak fails.
 //!
 //! Pass criteria ([`soak_passed`]): zero canary trips, every *fired*
 //! thread death excluded within the recovery bound (twice the watchdog
@@ -28,20 +27,17 @@
 //!
 //! [`SweepGuard`]: latr_core::rt::SweepGuard
 //! [`FrontierWatchdog`]: latr_core::rt::FrontierWatchdog
-//! [`RtStats`]: latr_core::rt::RtStats
-//! [`RtTuner`]: latr_core::rt::RtTuner
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use latr_core::rt::{RtTuner, RtTuningConfig};
 use latr_faults::{ThreadFaultInjector, ThreadFaultPlan};
 
 use crate::report::{percentile, rows, Object};
 use crate::rt_loop::{run_window, LazyEngine, Rig, ThreadStats, GRACE};
 
-/// Monitor (watchdog + tuner) cadence.
+/// Monitor (watchdog scan) cadence.
 const MONITOR_PERIOD: Duration = Duration::from_millis(25);
 
 /// One engine × thread-count soak measurement.
@@ -95,14 +91,6 @@ pub struct SoakPoint {
     /// observed by the monitor during the window (teardown-time
     /// exclusions of already-exited workers never count).
     pub unrecovered_stalls: usize,
-    /// Wall-clock milliseconds the tuner spent in degraded mode.
-    pub degraded_ms: f64,
-    /// Tuner wheel widenings.
-    pub tuner_widenings: u64,
-    /// Tuner wheel narrowings.
-    pub tuner_narrowings: u64,
-    /// Reclaimer wheel slots at the end of the run (0 for reference).
-    pub final_wheel_slots: usize,
 }
 
 /// The thread counts a soak run drives.
@@ -173,11 +161,6 @@ pub fn run_soak_point(
     let recovery_bound = soak_recovery_bound(threads);
     let rig = Rig::new(threads, engine, Some(soak_watchdog_timeout(threads)));
     let registry = &rig.registry;
-    let tuner = RtTuner::new(RtTuningConfig {
-        base_grace: GRACE,
-        min_grace: GRACE,
-        ..RtTuningConfig::default()
-    });
     let injector = ThreadFaultInjector::new(plan.clone(), seed);
     let dead: Vec<usize> = plan
         .deaths
@@ -195,13 +178,11 @@ pub fn run_soak_point(
     let epoch = Instant::now();
 
     // The monitor: the housekeeping timer a kernel would run. Watchdog
-    // scan + adaptive retune every period, plus death-recovery and
-    // stuck-exclusion bookkeeping for the report.
+    // scan every period, plus death-recovery and stuck-exclusion
+    // bookkeeping for the report.
     let monitor = || {
-        let mut degraded = Duration::ZERO;
         let mut excluded_since: Vec<Option<Instant>> = vec![None; threads];
         let mut stuck = vec![false; threads];
-        let mut last = Instant::now();
         while !rig.stop.load(Ordering::Relaxed) {
             std::thread::sleep(MONITOR_PERIOD);
             if rig.stop.load(Ordering::Relaxed) {
@@ -211,13 +192,7 @@ pub fn run_soak_point(
                 break;
             }
             registry.check_watchdog();
-            tuner.observe(&registry.stats());
-            tuner.apply(&rig.reclaimer);
             let now = Instant::now();
-            if tuner.degraded() {
-                degraded += now - last;
-            }
-            last = now;
             for core in 0..threads {
                 if death_at[core].load(Ordering::Acquire) != 0
                     && recovered_at[core].load(Ordering::Relaxed) == 0
@@ -241,7 +216,7 @@ pub fn run_soak_point(
                 }
             }
         }
-        (degraded, stuck.iter().filter(|&&s| s).count())
+        stuck.iter().filter(|&&s| s).count()
     };
 
     let worker = |core: usize| {
@@ -259,7 +234,7 @@ pub fn run_soak_point(
     };
     // The monitor is joined first, so no watchdog scan runs while workers
     // drain (their ageing timestamps would read as stalls).
-    let ((degraded, unrecovered_stalls), joined, wall) =
+    let (unrecovered_stalls, joined, wall) =
         run_window(threads, duration, &rig.stop, worker, monitor);
     let panicked_workers = joined.iter().filter(|r| r.is_err()).count();
 
@@ -347,10 +322,6 @@ pub fn run_soak_point(
         frontier_stall_recoveries: run_stats.rejoins,
         reaped_states: run_stats.reaped_states,
         unrecovered_stalls,
-        degraded_ms: degraded.as_nanos() as f64 / 1e6,
-        tuner_widenings: tuner.widenings(),
-        tuner_narrowings: tuner.narrowings(),
-        final_wheel_slots: rig.reclaimer.wheel_slots(),
     }
 }
 
@@ -378,8 +349,7 @@ pub fn soak_json(points: &[SoakPoint], quick: bool) -> String {
                           overflow_rate: 4, reclaim_lag_p50, reclaim_lag_p99, reclaim_lag_max,
                           canary_ok, deaths_fired, deaths_recovered, max_recovery_ms: 1,
                           recovery_bound_ms: 1, stall_exclusions, panic_poisons,
-                          frontier_stall_recoveries, reaped_states, unrecovered_stalls, degraded_ms:
-                          1, tuner_widenings, tuner_narrowings, final_wheel_slots),
+                          frontier_stall_recoveries, reaped_states, unrecovered_stalls),
         )
         .field("soak_passed", soak_passed(points))
         .render()

@@ -32,14 +32,10 @@ mod queue;
 mod reclaim;
 mod soft_tlb;
 pub mod sync;
-pub mod tuning;
 
 pub use frontier::{FrontierWatchdog, ReclaimFrontier};
 pub use mask::AtomicCpuMask;
 pub use pad::CachePadded;
 pub use queue::{PublishError, RtInvalidation, RtQueue, RtRegistry, RtStats, SweepGuard, NO_SLOT};
-pub use reclaim::{
-    ReclaimBackend, Reclaimer, RtReclaimer, ShardedReclaimer, DEFAULT_WHEEL_SLOTS, MAX_WHEEL_SLOTS,
-};
+pub use reclaim::{ReclaimBackend, Reclaimer, RtReclaimer, ShardedReclaimer};
 pub use soft_tlb::{SoftTlb, SoftTlbTable, SweepMode};
-pub use tuning::{RtTuner, RtTuningConfig, TuningReport};

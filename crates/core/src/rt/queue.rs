@@ -293,8 +293,8 @@ struct RobustCounters {
 }
 
 /// Unified snapshot of every rt runtime counter, taken in one pass with
-/// saturating aggregation. This is the one API benches, tests, and the
-/// adaptive tuner read instead of poking individual counters.
+/// saturating aggregation. This is the one API benches, tests and
+/// monitors read instead of poking individual counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RtStats {
     /// Number of cores in the registry.
@@ -315,7 +315,7 @@ pub struct RtStats {
     pub cached_frontier: u64,
     /// How far the fastest sweeper leads the cached frontier
     /// (`max_tick - cached_frontier`, saturating) — the live reclaim-lag
-    /// signal the adaptive tuner sizes the grace wheel from.
+    /// signal: how long the fastest core's fresh defers will wait.
     pub reclaim_lag_ticks: u64,
     /// Cores currently excluded from the frontier.
     pub excluded_cores: usize,

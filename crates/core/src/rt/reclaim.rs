@@ -15,9 +15,9 @@
 //!   executable spec the differential suite compares against.
 //! * [`ShardedReclaimer`] — the **scaling** engine: per-core shards
 //!   (each on its own cache line, each behind an uncontended per-shard
-//!   lock) parking items by the *calling core's* local tick into a small
-//!   calendar of due-buckets. `defer` touches only the caller's shard
-//!   and never reads the global frontier; `collect` gates on the cached
+//!   lock) parking items in a FIFO by the *calling core's* local tick.
+//!   `defer` touches only the caller's shard and never reads the global
+//!   frontier; `collect` gates on the cached
 //!   [`RtRegistry::cached_frontier`] — one atomic load instead of the
 //!   scan.
 //!
@@ -29,7 +29,6 @@
 
 use crate::rt::pad::CachePadded;
 use crate::rt::queue::RtRegistry;
-use crate::rt::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::rt::sync::Mutex;
 use std::collections::VecDeque;
 
@@ -60,11 +59,8 @@ use std::collections::VecDeque;
 /// locks in this stall behaviour.
 #[derive(Debug)]
 pub struct RtReclaimer<T> {
-    /// Grace in sweep cycles; atomic so the adaptive tuner can retarget
-    /// it live (relaxed loads — a defer races with retuning benignly:
-    /// either grace value is a sound "every core sweeps this many more
-    /// times" promise).
-    grace: AtomicU64,
+    /// Grace in sweep cycles.
+    grace: u64,
     pending: Mutex<VecDeque<(u64, T)>>,
 }
 
@@ -73,20 +69,9 @@ impl<T> RtReclaimer<T> {
     /// uses 2).
     pub fn new(grace: u64) -> Self {
         RtReclaimer {
-            grace: AtomicU64::new(grace),
+            grace,
             pending: Mutex::new(VecDeque::new()),
         }
-    }
-
-    /// The current grace period in sweep cycles.
-    pub fn grace(&self) -> u64 {
-        self.grace.load(Ordering::Relaxed)
-    }
-
-    /// Retargets the grace period (adaptive tuning). Only affects items
-    /// deferred after the store; parked items keep their recorded due.
-    pub fn set_grace(&self, grace: u64) {
-        self.grace.store(grace, Ordering::Relaxed);
     }
 
     /// Parks `item` until every core has swept `grace` more times.
@@ -97,7 +82,7 @@ impl<T> RtReclaimer<T> {
     /// live cores already passed, reclaiming before they swept even once
     /// after this defer.
     pub fn defer(&self, registry: &RtRegistry, item: T) {
-        let due = registry.min_live_tick() + self.grace();
+        let due = registry.min_live_tick() + self.grace;
         self.pending.lock().push_back((due, item));
     }
 
@@ -138,92 +123,18 @@ impl<T> RtReclaimer<T> {
     }
 }
 
-/// Default calendar buckets a shard keeps inline; dues beyond this
-/// horizon (a core far ahead of the frontier) overflow into a side list.
-pub const DEFAULT_WHEEL_SLOTS: usize = 8;
+/// One core's slice of the sharded reclaimer: `(due, item)` pairs in
+/// defer order, which is also due order (see [`ShardedReclaimer`]).
+type Shard<T> = VecDeque<(u64, T)>;
 
-/// Upper clamp on the adaptive wheel size (a runaway tuner must not
-/// allocate unbounded calendars).
-pub const MAX_WHEEL_SLOTS: usize = 1024;
-
-/// One core's slice of the sharded reclaimer.
-#[derive(Debug)]
-struct Shard<T> {
-    /// Every due `< next_due` has been drained; the wheel covers dues in
-    /// `[next_due, next_due + wheel.len())`.
-    next_due: u64,
-    /// The due-bucket calendar: due `d` parks at `wheel[d % wheel.len()]`.
-    /// Buffers are recycled on drain, so steady state allocates nothing.
-    /// The length is the shard's current wheel size; it follows the
-    /// reclaimer-wide target lazily (resynced under the shard lock).
-    wheel: Vec<Vec<T>>,
-    /// `(due, item)` pairs beyond the wheel horizon.
-    overflow: VecDeque<(u64, T)>,
-    /// Total items parked in this shard.
-    len: usize,
-}
-
-impl<T> Shard<T> {
-    fn new(slots: usize) -> Self {
-        Shard {
-            next_due: 0,
-            wheel: (0..slots).map(|_| Vec::new()).collect(),
-            overflow: VecDeque::new(),
-            len: 0,
-        }
-    }
-
-    /// Rebuilds the calendar at `new_slots` buckets, preserving every
-    /// item's due. Dues inside the old window stay distinct modulo the
-    /// new size iff they fit the new window; anything beyond it moves to
-    /// the overflow list (and overflow items newly within the horizon
-    /// move in). Called only when the tuner retargets, never on the
-    /// steady-state path.
-    fn resize_wheel(&mut self, new_slots: usize) {
-        let old = self.wheel.len() as u64;
-        let mut moved: Vec<(u64, Vec<T>)> = Vec::new();
-        for offset in 0..old {
-            let due = self.next_due + offset;
-            let idx = (due % old) as usize;
-            if !self.wheel[idx].is_empty() {
-                moved.push((due, std::mem::take(&mut self.wheel[idx])));
-            }
-        }
-        self.wheel.clear();
-        self.wheel.resize_with(new_slots, Vec::new);
-        let horizon = new_slots as u64;
-        for (due, mut items) in moved {
-            if due - self.next_due < horizon {
-                // Window dues are distinct mod the window size, so the
-                // target bucket is empty; append keeps order regardless.
-                let idx = (due % horizon) as usize;
-                self.wheel[idx].append(&mut items);
-            } else {
-                for item in items.drain(..) {
-                    self.overflow.push_back((due, item));
-                }
-            }
-        }
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let due = self.overflow[i].0;
-            if due >= self.next_due && due - self.next_due < horizon {
-                let (due, item) = self.overflow.remove(i).expect("index checked");
-                self.wheel[(due % horizon) as usize].push(item);
-            } else {
-                i += 1;
-            }
-        }
-    }
-}
-
-/// The sharded, grace-bucketed reclaimer: the scaling engine.
+/// The sharded reclaimer: the scaling engine.
 ///
-/// Each core parks and collects through **its own** shard, so `defer`
-/// costs one uncontended per-shard lock plus one load of the *caller's
-/// own* (padded) tick counter — no global mutex, no O(cores) frontier
-/// scan. `collect` gates the shard's calendar on the registry's cached
-/// frontier: a single atomic load.
+/// Each core parks and collects through **its own** shard, one FIFO of
+/// `(due, item)` pairs, so `defer` costs one uncontended per-shard lock
+/// plus one load of the *caller's own* (padded) tick counter — no global
+/// mutex, no O(cores) frontier scan. `collect` pops the shard's front
+/// while its due is at most the registry's cached frontier: a single
+/// atomic load.
 ///
 /// Safety matches [`RtReclaimer`] conservatively: an item deferred on
 /// `core` is due at `tick_of(core) + grace ≥ min_tick() + grace`, and is
@@ -231,14 +142,28 @@ impl<T> Shard<T> {
 /// `min_tick() ≥ due` (the cache never leads the scan). The reference
 /// engine's liveness assumption carries over unchanged: a core that
 /// never sweeps pins the frontier and parks every item forever.
+///
+/// # Why one FIFO per shard is exact
+///
+/// Only `core` itself defers onto shard `core`, and the dues it records
+/// never decrease, so the shard is sorted by due and popping the front
+/// while `due ≤ cached_frontier()` releases *every* item that is due —
+/// nothing due waits behind a later item:
+///
+/// * a live core's tick only grows;
+/// * under exclusions the base is clamped up to the cached frontier,
+///   which only grows and never leads a live core's tick, so the clamp
+///   moves no base below one the core recorded before;
+/// * [`RtRegistry::rejoin`] fast-forwards a rejoining core's tick to the
+///   frontier, so the base it records after rejoining is at least the
+///   clamped base it recorded while excluded.
+///
+/// Even if a due ever stepped down, the FIFO would only delay the
+/// smaller item behind the larger one; it never returns an item early.
 #[derive(Debug)]
 pub struct ShardedReclaimer<T> {
-    /// Grace in sweep cycles, atomic for live retuning (see
-    /// [`RtReclaimer`]'s field docs).
-    grace: AtomicU64,
-    /// Reclaimer-wide wheel-size target; shards resync to it lazily
-    /// under their own lock (one relaxed load per defer/collect).
-    target_slots: AtomicUsize,
+    /// Grace in sweep cycles.
+    grace: u64,
     shards: Box<[CachePadded<Mutex<Shard<T>>>]>,
 }
 
@@ -247,44 +172,10 @@ impl<T> ShardedReclaimer<T> {
     /// sweep cycles (the paper uses 2).
     pub fn new(grace: u64, cores: usize) -> Self {
         ShardedReclaimer {
-            grace: AtomicU64::new(grace),
-            target_slots: AtomicUsize::new(DEFAULT_WHEEL_SLOTS),
+            grace,
             shards: (0..cores.max(1))
-                .map(|_| CachePadded::new(Mutex::new(Shard::new(DEFAULT_WHEEL_SLOTS))))
+                .map(|_| CachePadded::new(Mutex::new(Shard::new())))
                 .collect(),
-        }
-    }
-
-    /// The current grace period in sweep cycles.
-    pub fn grace(&self) -> u64 {
-        self.grace.load(Ordering::Relaxed)
-    }
-
-    /// Retargets the grace period (adaptive tuning). Only affects items
-    /// deferred after the store; parked items keep their recorded due.
-    pub fn set_grace(&self, grace: u64) {
-        self.grace.store(grace, Ordering::Relaxed);
-    }
-
-    /// The current wheel-size target.
-    pub fn wheel_slots(&self) -> usize {
-        self.target_slots.load(Ordering::Relaxed)
-    }
-
-    /// Retargets the calendar size, clamped to
-    /// `[1, `[`MAX_WHEEL_SLOTS`]`]`. Shards rebucket lazily the next time
-    /// each is locked; dues are preserved exactly, so safety is untouched
-    /// — a wider wheel only moves far dues off the O(n) overflow list.
-    pub fn set_wheel_slots(&self, slots: usize) {
-        self.target_slots
-            .store(slots.clamp(1, MAX_WHEEL_SLOTS), Ordering::Relaxed);
-    }
-
-    /// Resyncs a locked shard's wheel to the reclaimer-wide target.
-    fn sync_shard(&self, s: &mut Shard<T>) {
-        let want = self.target_slots.load(Ordering::Relaxed);
-        if want != s.wheel.len() {
-            s.resize_wheel(want);
         }
     }
 
@@ -299,24 +190,9 @@ impl<T> ShardedReclaimer<T> {
         if registry.has_exclusions() {
             base = base.max(registry.cached_frontier());
         }
-        let due = base + self.grace();
-        let mut s = self.shards[core].lock();
-        self.sync_shard(&mut s);
-        let horizon = s.wheel.len() as u64;
-        if due < s.next_due {
-            // The grace already elapsed relative to the drained window
-            // (e.g. grace 0 right after a collect). Park on the overflow
-            // list under the *true* due so the very next collect with
-            // frontier ≥ due hands it back — bumping it into the wheel
-            // would wait on a future sweep that may never come.
-            s.overflow.push_back((due, item));
-        } else if due - s.next_due < horizon {
-            let idx = (due % horizon) as usize;
-            s.wheel[idx].push(item);
-        } else {
-            s.overflow.push_back((due, item));
-        }
-        s.len += 1;
+        self.shards[core]
+            .lock()
+            .push_back((base + self.grace, item));
     }
 
     /// Collects every item on `core`'s shard whose grace elapsed,
@@ -328,49 +204,21 @@ impl<T> ShardedReclaimer<T> {
     }
 
     /// Allocation-free [`collect`](Self::collect): appends to `out` (not
-    /// cleared first), recycling the shard's bucket buffers.
+    /// cleared first).
     pub fn collect_into(&self, registry: &RtRegistry, core: usize, out: &mut Vec<T>) {
         let frontier = registry.cached_frontier();
-        let mut s = self.shards[core].lock();
-        self.sync_shard(&mut s);
-        self.drain_due(&mut s, frontier, out);
-    }
-
-    fn drain_due(&self, s: &mut Shard<T>, frontier: u64, out: &mut Vec<T>) {
-        if s.next_due <= frontier {
-            // The wheel only holds dues within wheel.len() of next_due,
-            // so at most that many buckets can be non-empty below the
-            // frontier; the window then jumps straight to frontier + 1.
-            let horizon = s.wheel.len() as u64;
-            let steps = (frontier - s.next_due + 1).min(horizon);
-            for _ in 0..steps {
-                let idx = (s.next_due % horizon) as usize;
-                let mut bucket = std::mem::take(&mut s.wheel[idx]);
-                s.len -= bucket.len();
-                out.append(&mut bucket);
-                s.wheel[idx] = bucket;
-                s.next_due += 1;
+        let mut shard = self.shards[core].lock();
+        while let Some(&(due, _)) = shard.front() {
+            if due > frontier {
+                break;
             }
-            s.next_due = s.next_due.max(frontier + 1);
-        }
-        // The overflow list holds far-future dues AND already-elapsed
-        // ones (see `defer`), so it is scanned even when the wheel window
-        // sits ahead of the frontier; due items release in arrival order.
-        let mut i = 0;
-        while i < s.overflow.len() {
-            if s.overflow[i].0 <= frontier {
-                let (_, item) = s.overflow.remove(i).expect("index checked");
-                out.push(item);
-                s.len -= 1;
-            } else {
-                i += 1;
-            }
+            out.push(shard.pop_front().expect("front exists").1);
         }
     }
 
     /// Items still parked, summed across every shard.
     pub fn pending_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Drains everything unconditionally (shutdown), shard by shard, in
@@ -378,19 +226,7 @@ impl<T> ShardedReclaimer<T> {
     pub fn drain_all(&self) -> Vec<T> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
-            let mut s = shard.lock();
-            let horizon = s.wheel.len() as u64;
-            for offset in 0..horizon {
-                let idx = ((s.next_due + offset) % horizon) as usize;
-                let mut bucket = std::mem::take(&mut s.wheel[idx]);
-                s.len -= bucket.len();
-                out.append(&mut bucket);
-                s.wheel[idx] = bucket;
-            }
-            while let Some((_, item)) = s.overflow.pop_front() {
-                out.push(item);
-                s.len -= 1;
-            }
+            out.extend(shard.lock().drain(..).map(|(_, t)| t));
         }
         out
     }
@@ -508,39 +344,6 @@ impl<T> Reclaimer<T> {
             Engine::Sharded(s) => s.drain_all(),
         }
     }
-
-    /// The current grace period in sweep cycles.
-    pub fn grace(&self) -> u64 {
-        match &self.engine {
-            Engine::Reference(r) => r.grace(),
-            Engine::Sharded(s) => s.grace(),
-        }
-    }
-
-    /// Retargets the grace period on either engine (adaptive tuning).
-    pub fn set_grace(&self, grace: u64) {
-        match &self.engine {
-            Engine::Reference(r) => r.set_grace(grace),
-            Engine::Sharded(s) => s.set_grace(grace),
-        }
-    }
-
-    /// Retargets the sharded engine's calendar size; a no-op on the
-    /// reference engine (its queue has no wheel).
-    pub fn set_wheel_slots(&self, slots: usize) {
-        if let Engine::Sharded(s) = &self.engine {
-            s.set_wheel_slots(slots);
-        }
-    }
-
-    /// The sharded engine's wheel-size target (0 for the reference
-    /// engine, which has no calendar).
-    pub fn wheel_slots(&self) -> usize {
-        match &self.engine {
-            Engine::Reference(_) => 0,
-            Engine::Sharded(s) => s.wheel_slots(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -651,27 +454,53 @@ mod tests {
     }
 
     #[test]
-    fn sharded_far_future_dues_overflow_and_return() {
-        // A single core races 20 ticks ahead of a fresh shard: the due
-        // lands beyond the calendar horizon and must take the overflow
-        // path, then come back in order once the frontier catches up.
+    fn sharded_racing_core_dues_return_in_order() {
+        // A single core races 20 ticks ahead of a fresh shard: its dues
+        // wait in the FIFO, then come back in order once the frontier
+        // catches up.
         let registry = RtRegistry::new(1, 8);
         let rec: ShardedReclaimer<u32> = ShardedReclaimer::new(2, 1);
         for _ in 0..20 {
             registry.sweep(0);
         }
-        rec.defer(&registry, 0, 7); // due 22, next_due 0: overflow
+        rec.defer(&registry, 0, 7); // due 22
         rec.defer(&registry, 0, 8);
         assert_eq!(rec.pending_count(), 2);
         assert!(rec.collect(&registry, 0).is_empty(), "due 22 > frontier 20");
         registry.sweep(0);
         registry.sweep(0);
         assert_eq!(rec.collect(&registry, 0), vec![7, 8]);
-        // The shard window is re-anchored: a fresh defer uses the wheel.
         rec.defer(&registry, 0, 9);
         registry.sweep(0);
         registry.sweep(0);
         assert_eq!(rec.collect(&registry, 0), vec![9]);
+    }
+
+    #[test]
+    fn rejoined_core_keeps_its_shard_dues_in_order() {
+        // Core 1 defers (due 2), is excluded, defers again while excluded
+        // (clamped to frontier 10 + 2), rejoins (tick fast-forwarded to
+        // 10) and defers once more (due 12): the shard stays sorted, so
+        // one collect at frontier 12 releases all three.
+        let registry = RtRegistry::new(2, 8);
+        let rec: ShardedReclaimer<u32> = ShardedReclaimer::new(2, 2);
+        rec.defer(&registry, 1, 1);
+        for _ in 0..10 {
+            registry.sweep(0);
+        }
+        registry.exclude_core(1);
+        assert_eq!(registry.cached_frontier(), 10);
+        rec.defer(&registry, 1, 2);
+        assert_eq!(rec.collect(&registry, 1), vec![1], "due 2 ≤ 10");
+        assert!(registry.rejoin(1));
+        assert_eq!(registry.tick_of(1), 10);
+        rec.defer(&registry, 1, 3);
+        registry.sweep(0);
+        registry.sweep(1);
+        assert!(rec.collect(&registry, 1).is_empty(), "frontier 11 < 12");
+        registry.sweep(0);
+        registry.sweep(1);
+        assert_eq!(rec.collect(&registry, 1), vec![2, 3]);
     }
 
     #[test]
@@ -810,82 +639,6 @@ mod tests {
         }
         registry.advance_frontier();
         assert_eq!(rec.collect(&registry, 1), vec![42]);
-    }
-
-    #[test]
-    fn retuned_grace_applies_to_new_defers_only() {
-        let registry = RtRegistry::new(1, 8);
-        let rec: RtReclaimer<u32> = RtReclaimer::new(4);
-        rec.defer(&registry, 1); // due 4
-        rec.set_grace(1);
-        assert_eq!(rec.grace(), 1);
-        rec.defer(&registry, 2); // due 1
-        registry.sweep(0);
-        // Item 1's recorded due (4) still gates it; the queue is FIFO so
-        // item 2 parks behind it — conservative, never early.
-        assert!(rec.collect(&registry).is_empty());
-        for _ in 0..3 {
-            registry.sweep(0);
-        }
-        assert_eq!(rec.collect(&registry), vec![1, 2]);
-    }
-
-    #[test]
-    fn wheel_resize_preserves_dues_both_directions() {
-        let registry = RtRegistry::new(1, 8);
-        let rec: ShardedReclaimer<u32> = ShardedReclaimer::new(2, 1);
-        assert_eq!(rec.wheel_slots(), DEFAULT_WHEEL_SLOTS);
-        // Park items across the window and beyond it.
-        for _ in 0..4 {
-            registry.sweep(0);
-        }
-        rec.defer(&registry, 0, 1); // due 6, in-window
-        for _ in 0..16 {
-            registry.sweep(0);
-        }
-        rec.defer(&registry, 0, 2); // due 22
-                                    // Widen: overflow items within the new horizon move into the
-                                    // wheel with dues intact; item 1 (due 6 ≤ frontier 20) is due,
-                                    // item 2 (due 22) is not.
-        rec.set_wheel_slots(64);
-        let mut got = rec.collect(&registry, 0);
-        assert_eq!(got, vec![1]);
-        // Shrink below the spread: wheel items past the new horizon move
-        // back to overflow, dues still intact.
-        rec.set_wheel_slots(2);
-        assert_eq!(rec.wheel_slots(), 2);
-        assert_eq!(rec.pending_count(), 1);
-        for _ in 0..8 {
-            registry.sweep(0);
-        }
-        registry.advance_frontier();
-        got.extend(rec.collect(&registry, 0));
-        assert_eq!(got, vec![1, 2], "every item survives both resizes");
-        assert_eq!(rec.pending_count(), 0);
-    }
-
-    #[test]
-    fn wheel_resize_is_clamped() {
-        let rec: ShardedReclaimer<u32> = ShardedReclaimer::new(2, 1);
-        rec.set_wheel_slots(0);
-        assert_eq!(rec.wheel_slots(), 1);
-        rec.set_wheel_slots(1 << 20);
-        assert_eq!(rec.wheel_slots(), MAX_WHEEL_SLOTS);
-    }
-
-    #[test]
-    fn reclaimer_front_tunes_both_engines() {
-        for backend in [ReclaimBackend::Reference, ReclaimBackend::Sharded] {
-            let rec: Reclaimer<u32> = Reclaimer::new(backend, 2, 2);
-            assert_eq!(rec.grace(), 2);
-            rec.set_grace(5);
-            assert_eq!(rec.grace(), 5, "{backend:?}");
-            rec.set_wheel_slots(32);
-            match backend {
-                ReclaimBackend::Sharded => assert_eq!(rec.wheel_slots(), 32),
-                ReclaimBackend::Reference => assert_eq!(rec.wheel_slots(), 0),
-            }
-        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! * **Equivalence at quiescence** — once every core has swept past
 //!   every due, both engines have reclaimed exactly the full deferred
 //!   multiset.
+//! * **Exactness, per collect** — after a sharded collect on core `c`,
+//!   no item left on shard `c` is due by the cached frontier. The engine
+//!   due (`tick_of(c)`, clamped up to `cached_frontier()` while cores are
+//!   excluded, plus grace) never decreases along a shard, so the shard's
+//!   FIFO never parks a due item behind a later one.
 //!
 //! ISSUE 6 adds thread death to the schedule: a [`Op::Kill`] excludes a
 //! core on *both* registries (as the frontier watchdog or the sweep
@@ -23,10 +28,14 @@
 //! exclusion is that a dead core's frozen tick stops gating reclamation
 //! ("leak, never corrupt": its undelivered states are reaped, its
 //! deferred items still drain through the quiescent collects).
+//!
+//! [`Op::Rejoin`] brings an excluded core back on both registries, the
+//! way a stalled core flushes its local cache and rejoins on its next
+//! tick. Its fast-forwarded tick is what keeps the shard dues monotone.
 
 use latr_core::rt::{ReclaimBackend, Reclaimer, RtRegistry};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 const CORES: usize = 4;
 
@@ -39,9 +48,12 @@ enum Op {
     Sweep(u8, bool),
     /// `core` collects whatever its engine considers due.
     Collect(u8),
-    /// `core` dies: excluded on both registries, silent forever after.
-    /// Ignored if it would kill the last live core.
+    /// `core` is excluded on both registries and stays silent until it
+    /// rejoins. Ignored if it would exclude the last live core.
     Kill(u8),
+    /// An excluded `core` flushes and rejoins on both registries.
+    /// Ignored if the core is live.
+    Rejoin(u8),
 }
 
 fn ops() -> impl Strategy<Value = (u64, Vec<Op>)> {
@@ -49,7 +61,8 @@ fn ops() -> impl Strategy<Value = (u64, Vec<Op>)> {
     let defer = core.clone().prop_map(Op::Defer);
     let sweep = (core.clone(), 0u8..2).prop_map(|(c, p)| Op::Sweep(c, p == 1));
     let collect = core.clone().prop_map(Op::Collect);
-    let kill = core.prop_map(Op::Kill);
+    let kill = core.clone().prop_map(Op::Kill);
+    let rejoin = core.prop_map(Op::Rejoin);
     (
         0u64..4, // grace
         prop::collection::vec(
@@ -61,7 +74,8 @@ fn ops() -> impl Strategy<Value = (u64, Vec<Op>)> {
                 sweep,
                 collect.clone(),
                 collect,
-                kill
+                kill,
+                rejoin
             ],
             0..250,
         ),
@@ -77,7 +91,8 @@ proptest! {
         let rec_sh: Reclaimer<u64> = Reclaimer::new(ReclaimBackend::Sharded, grace, CORES);
 
         let mut next_item = 0u64;
-        let mut dues_sharded: HashMap<u64, u64> = HashMap::new();
+        // Items still parked on each sharded shard, with their engine due.
+        let mut parked: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); CORES];
         let mut got_ref: BTreeSet<u64> = BTreeSet::new();
         let mut got_sh: BTreeSet<u64> = BTreeSet::new();
         let mut killed: BTreeSet<usize> = BTreeSet::new();
@@ -90,12 +105,17 @@ proptest! {
                     if killed.contains(&core) {
                         continue;
                     }
-                    // The deferring core is live, so its own tick bounds
-                    // every base either engine may anchor to — the
-                    // recorded due is conservative for the safety check
-                    // and an upper bound for the quiescence target.
-                    let due = reg_sh.tick_of(core) + grace;
-                    dues_sharded.insert(next_item, due);
+                    // The sharded engine's own due: the deferring core's
+                    // tick, clamped up to the cached frontier while any
+                    // core is excluded. It is conservative for the safety
+                    // check and, with the reference's due, bounds the
+                    // quiescence target.
+                    let mut base = reg_sh.tick_of(core);
+                    if reg_sh.has_exclusions() {
+                        base = base.max(reg_sh.cached_frontier());
+                    }
+                    let due = base + grace;
+                    parked[core].insert(next_item, due);
                     max_due = max_due.max(due).max(reg_ref.min_live_tick() + grace);
                     rec_ref.defer(&reg_ref, core, next_item);
                     rec_sh.defer(&reg_sh, core, next_item);
@@ -128,11 +148,21 @@ proptest! {
                     }
                     for item in rec_sh.collect(&reg_sh, core) {
                         prop_assert!(got_sh.insert(item), "sharded reclaimed {item} twice");
-                        let due = dues_sharded[&item];
+                        let due = parked[core].remove(&item);
+                        prop_assert!(due.is_some(), "sharded returned {item} from the wrong shard");
+                        let due = due.expect("checked above");
                         prop_assert!(
                             reg_sh.min_live_tick() >= due,
                             "sharded reclaimed {item} early: due {due}, live min {}",
                             reg_sh.min_live_tick()
+                        );
+                    }
+                    // Exactness: the FIFO left nothing due on this shard.
+                    let frontier = reg_sh.cached_frontier();
+                    for (&item, &due) in &parked[core] {
+                        prop_assert!(
+                            due > frontier,
+                            "item {item} (due {due}) still parked at frontier {frontier}"
                         );
                     }
                     // The cached frontier never leads the live scan, so
@@ -151,6 +181,17 @@ proptest! {
                     killed.insert(core);
                     prop_assert!(reg_ref.exclude_core(core));
                     prop_assert!(reg_sh.exclude_core(core));
+                }
+                Op::Rejoin(core) => {
+                    let core = core as usize;
+                    if !killed.remove(&core) {
+                        continue;
+                    }
+                    // The core keeps no local cache in this model, so its
+                    // flush before rejoining is empty.
+                    prop_assert!(reg_ref.rejoin(core));
+                    prop_assert!(reg_sh.rejoin(core));
+                    prop_assert_eq!(reg_ref.tick_of(core), reg_sh.tick_of(core));
                 }
             }
         }

@@ -552,7 +552,7 @@ impl ProtocolSpec {
         out
     }
 
-    /// Whole-spec validation, mirroring `RtTuningConfig::validate`.
+    /// Whole-spec validation: structural invariants no parse can check.
     ///
     /// # Errors
     ///

@@ -165,6 +165,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "time went backwards")]
     fn subtract_reversed_panics_in_debug() {
         let _ = Time::from_ns(1) - Time::from_ns(2);

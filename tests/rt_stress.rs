@@ -135,7 +135,7 @@ fn wide_mask_retirement_at(cores: usize, sweep: fn(&RtRegistry, usize, &mut Vec<
 /// Full pipeline: publisher frees "objects" through the reclaimer while
 /// sweepers tick; no object may be handed back before every core has
 /// ticked twice past its deferral. Runs under both the reference
-/// (mutexed VecDeque + full scan) and sharded (per-core wheel + cached
+/// (mutexed VecDeque + full scan) and sharded (per-core FIFO + cached
 /// frontier) engines.
 #[test]
 fn reclaim_pipeline_respects_grace_under_concurrency() {
