@@ -52,9 +52,10 @@ fn bench_state_queue_publish(c: &mut Criterion) {
 }
 
 /// One scheduler tick's sweep on a busy 120-core machine, fast
-/// (pending-bitmap drain) vs reference (scan all 120 queues): the
-/// O(cores²·slots) term PR 4 removes, measured at the rt layer where the
-/// two paths are directly callable.
+/// (`sweep_into`'s pending-row drain) vs reference (`full_scan_into`
+/// over all 120 queues): the O(cores²·slots) term the pending row
+/// removes, measured at the rt layer where the runtime sweep and its
+/// spec are both public.
 fn bench_rt_sweep_tick(c: &mut Criterion) {
     let cores = 120;
     for (name, pending) in [
@@ -62,6 +63,7 @@ fn bench_rt_sweep_tick(c: &mut Criterion) {
         ("rt_sweep_tick_120c_reference_scan", false),
     ] {
         let registry = RtRegistry::new(cores, 64);
+        let mut buf = Vec::with_capacity(1);
         c.bench_function(name, |b| {
             b.iter(|| {
                 // One state targeted at core 1, then core 1's tick.
@@ -76,46 +78,16 @@ fn bench_rt_sweep_tick(c: &mut Criterion) {
                         0b10,
                     )
                     .unwrap();
+                buf.clear();
                 if pending {
-                    black_box(registry.sweep_pending(1))
+                    registry.sweep_into(1, &mut buf);
                 } else {
-                    black_box(registry.sweep(1))
+                    registry.full_scan_into(1, &mut buf);
                 }
+                black_box(buf.len())
             })
         });
     }
-}
-
-/// Same-tick publish batching: k states appended with one fence vs k
-/// separate publishes.
-fn bench_rt_publish_batch(c: &mut Criterion) {
-    let registry = RtRegistry::new(8, 256);
-    let inv = |mm: u64| RtInvalidation {
-        mm,
-        start: 0x1000,
-        end: 0x2000,
-    };
-    let targets = [0b1111_1110u64, 0, 0, 0];
-    c.bench_function("rt_publish_8_separate", |b| {
-        b.iter(|| {
-            for i in 0..8 {
-                registry.publish_wide(0, inv(i), targets).unwrap();
-            }
-            for core in 1..8 {
-                black_box(registry.sweep_pending(core));
-            }
-        })
-    });
-    let batch: Vec<_> = (0..8).map(|i| (inv(i), targets)).collect();
-    let mut slots = Vec::with_capacity(8);
-    c.bench_function("rt_publish_batch_of_8_one_fence", |b| {
-        b.iter(|| {
-            registry.publish_batch(0, &batch, &mut slots).unwrap();
-            for core in 1..8 {
-                black_box(registry.sweep_pending(core));
-            }
-        })
-    });
 }
 
 /// The event queue under the simulator's actual access pattern —
@@ -254,7 +226,6 @@ criterion_group!(
     benches,
     bench_state_queue_publish,
     bench_rt_sweep_tick,
-    bench_rt_publish_batch,
     bench_event_queue_backends,
     bench_machine_sweep_storm,
     bench_machine_overflow_fallback,

@@ -4,7 +4,9 @@
 //! baseline (paper: 1594.2 ns for Linux's IPI round).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use latr_core::rt::{CachePadded, RtInvalidation, RtReclaimer, RtRegistry, SoftTlb, SoftTlbTable};
+use latr_core::rt::{
+    CachePadded, RtInvalidation, RtRegistry, ShardedReclaimer, SoftTlb, SoftTlbTable,
+};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,15 +52,15 @@ fn bench_sweep_empty(c: &mut Criterion) {
 
 fn bench_reclaimer(c: &mut Criterion) {
     let registry = RtRegistry::new(2, 64);
-    let reclaimer: RtReclaimer<u64> = RtReclaimer::new(2);
+    let reclaimer: ShardedReclaimer<u64> = ShardedReclaimer::new(2, 2);
     c.bench_function("rt_reclaim_defer_collect", |b| {
         b.iter(|| {
-            reclaimer.defer(&registry, black_box(7));
+            reclaimer.defer(&registry, 0, black_box(7));
             registry.sweep(0);
             registry.sweep(1);
             registry.sweep(0);
             registry.sweep(1);
-            black_box(reclaimer.collect(&registry));
+            black_box(reclaimer.collect(&registry, 0));
         })
     });
 }
@@ -111,7 +113,7 @@ fn bench_contended_sweep(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     buf.clear();
-                    registry.sweep_pending_into(0, &mut buf);
+                    registry.sweep_into(0, &mut buf);
                     black_box(buf.len())
                 })
             },

@@ -1,12 +1,11 @@
 //! Real-thread scaling benchmark: the lock-free rt runtime at 4–120 OS
 //! threads, emitted as `BENCH_rt_scale.json`.
 //!
-//! Runs the munmap-heavy soft-TLB loop of [`latr_bench::rt_scale`] on
-//! three engine stacks — the sharded/cached-frontier scaling path, the
-//! reference mutex-and-scan path, and a synchronous mailbox "IPI"
-//! baseline — and writes the measurements to `BENCH_rt_scale.json` in
-//! the current directory. See EXPERIMENTS.md ("rt scaling") for how to
-//! read the file.
+//! Runs the munmap-heavy soft-TLB loop of [`latr_bench::rt_scale`] on the
+//! rt runtime stack (pending-row sweep, sharded reclaimer, cached
+//! frontier) and on a synchronous mailbox "IPI" baseline, and writes the
+//! measurements to `BENCH_rt_scale.json` in the current directory. See
+//! EXPERIMENTS.md ("rt scaling") for how to read the file.
 //!
 //! ```sh
 //! cargo run --release -p latr-bench --bin rt_scale           # full run
@@ -26,7 +25,7 @@ use latr_bench::rt_scale::{
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    print_title("rt scaling — real threads, lazy engines vs sync-IPI baseline");
+    print_title("rt scaling — real threads, lazy runtime vs sync-IPI baseline");
     println!(
         "{:<15} {:>8} {:>13} {:>10} {:>12} {:>12} {:>10} {:>7}",
         "engine", "threads", "ops/sec", "unmaps", "sweep p50", "sweep p99", "lag", "canary"
@@ -53,11 +52,8 @@ fn main() {
 
     println!();
     let key = |p: &RtScalePoint| (p.engine, p.threads, p.ops_per_sec);
-    for (threads, r) in ratios(&points, "lazy-sharded", "lazy-reference", key) {
-        println!("sharded vs reference at {threads:>3} threads: {r:.2}x (ops/sec)");
-    }
     for (threads, r) in ratios(&points, "lazy-sharded", "sync-ipi", key) {
-        println!("lazy vs sync-IPI     at {threads:>3} threads: {r:.2}x (ops/sec)");
+        println!("lazy vs sync-IPI at {threads:>3} threads: {r:.2}x (ops/sec)");
     }
 
     let json = rt_scale_json(&points, quick);

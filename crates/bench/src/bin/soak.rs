@@ -1,11 +1,11 @@
 //! Robustness soak: the lock-free rt runtime surviving injected thread
 //! faults for minutes, emitted as `BENCH_soak.json`.
 //!
-//! Runs the munmap-heavy soft-TLB loop of [`latr_bench::soak`] on both
-//! lazy engine stacks (sharded/cached-frontier and reference) at 16, 64
-//! and 120 real threads while a seeded [`ThreadFaultInjector`] stalls
-//! sweepers, drops wakeups, suppresses announces, and kills two threads
-//! per shape — one by panic mid-sweep, one silently. See EXPERIMENTS.md
+//! Runs the munmap-heavy soft-TLB loop of [`latr_bench::soak`] on the rt
+//! runtime stack (pending-row sweep, sharded reclaimer, cached frontier)
+//! at 16, 64 and 120 real threads while a seeded [`ThreadFaultInjector`]
+//! stalls sweepers, drops wakeups, suppresses announces, and kills two
+//! threads per shape — one by panic mid-sweep, one silently. See EXPERIMENTS.md
 //! ("Soak") for how to read the output file.
 //!
 //! ```sh
@@ -20,7 +20,6 @@
 //! [`ThreadFaultInjector`]: latr_faults::ThreadFaultInjector
 
 use latr_bench::print_title;
-use latr_bench::rt_loop::LazyEngine;
 use latr_bench::soak::{
     run_soak_point, soak_duration, soak_json, soak_passed, soak_plan, soak_threads,
 };
@@ -43,29 +42,26 @@ fn main() {
 
     let mut points = Vec::new();
     for threads in soak_threads(quick) {
-        for engine in LazyEngine::all() {
-            let p = run_soak_point(
-                engine,
-                threads,
-                soak_duration(quick),
-                soak_plan(threads),
-                0xA5_0AC + threads as u64,
-            );
-            println!(
-                "{:<10} {:>8} {:>10} {:>9} {:>3}/{:<3} {:>7.0}ms {:>10} {:>9} {:>7}",
-                p.engine,
-                p.threads,
-                p.rounds,
-                p.reclaim_lag_p99,
-                p.deaths_recovered,
-                p.deaths_fired,
-                p.max_recovery_ms,
-                p.frontier_stall_recoveries,
-                p.reaped_states,
-                if p.canary_ok { "ok" } else { "FAIL" },
-            );
-            points.push(p);
-        }
+        let p = run_soak_point(
+            threads,
+            soak_duration(quick),
+            soak_plan(threads),
+            0xA5_0AC + threads as u64,
+        );
+        println!(
+            "{:<10} {:>8} {:>10} {:>9} {:>3}/{:<3} {:>7.0}ms {:>10} {:>9} {:>7}",
+            p.engine,
+            p.threads,
+            p.rounds,
+            p.reclaim_lag_p99,
+            p.deaths_recovered,
+            p.deaths_fired,
+            p.max_recovery_ms,
+            p.frontier_stall_recoveries,
+            p.reaped_states,
+            if p.canary_ok { "ok" } else { "FAIL" },
+        );
+        points.push(p);
     }
 
     let json = soak_json(&points, quick);

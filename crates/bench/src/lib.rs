@@ -11,8 +11,8 @@
 //! | `paper`     | every §6 table and figure, by name (see [`paper`]) → `results/<name>.txt` |
 //! | `hotpath`   | fast vs `reference` engine throughput → `BENCH_hotpath.json` |
 //! | `serving`   | open-loop tail latency per policy (+ chaos) → `BENCH_serving.json` |
-//! | `rt_scale`  | real-thread rt scaling, lazy vs sync-IPI → `BENCH_rt_scale.json` |
-//! | `soak`      | real-thread robustness soak under injected faults → `BENCH_soak.json` |
+//! | `rt_scale`  | real-thread rt scaling, the rt runtime stack vs sync-IPI → `BENCH_rt_scale.json` |
+//! | `soak`      | the rt runtime stack under injected thread faults → `BENCH_soak.json` |
 //! | `pressure`  | allocation storms vs watermark escalation → `BENCH_pressure.json` |
 //!
 //! Run with `cargo run --release -p latr-bench --bin <name>`; pass
@@ -21,7 +21,7 @@
 //! | Shared module | Used by |
 //! |---|---|
 //! | `report`  | every `BENCH_*.json` emitter: JSON writer, FNV-1a, fingerprint gate, ratios |
-//! | `rt_loop` | `rt_scale` and `soak`: the one real-thread worker loop and its canary |
+//! | `rt_loop` | `rt_scale` and `soak`: the one real-thread worker loop (pending-row sweep, sharded reclaimer) and its canary |
 
 pub mod hotpath;
 pub mod paper;

@@ -2,7 +2,9 @@
 //!
 //! Every worker hammers a [`SoftTlb`] lookup loop, sweeps at its tick,
 //! and unmaps/remaps one key per round — deferring the "page" into the
-//! reclaimer and collecting it back once its grace elapses. `rt_scale`
+//! [`ShardedReclaimer`] and collecting it back once its grace elapses.
+//! This is the one rt runtime stack: the pending-row sweep, the sharded
+//! reclaimer gated on the cached frontier, and `publish_wide`. `rt_scale`
 //! runs the loop healthy and measures throughput; `soak` hands each
 //! worker a [`ThreadFaultStream`] and measures survival.
 //!
@@ -21,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use latr_core::rt::{ReclaimBackend, Reclaimer, RtRegistry, SoftTlb, SoftTlbTable, SweepMode};
+use latr_core::rt::{RtRegistry, ShardedReclaimer, SoftTlb, SoftTlbTable};
 use latr_faults::{ThreadFault, ThreadFaultStream};
 
 /// Keys in the shared table; lookups and unmaps cycle over this space.
@@ -41,38 +43,6 @@ pub const QUEUE_SLOTS: usize = 512;
 /// the exhaustive versions of the same property live in the loom and
 /// differential suites.
 pub const SAMPLE_ROUNDS: u64 = 8;
-
-/// The two lazy engine stacks the rt benches drive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LazyEngine {
-    /// Pending-bitmap sweep + sharded FIFO reclaimer + cached frontier.
-    Sharded,
-    /// Full-scan sweep + mutexed reference reclaimer + O(cores) scans.
-    Reference,
-}
-
-impl LazyEngine {
-    /// The label used in rows and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            LazyEngine::Sharded => "sharded",
-            LazyEngine::Reference => "reference",
-        }
-    }
-
-    /// Both engines, in report order.
-    pub fn all() -> [LazyEngine; 2] {
-        [LazyEngine::Sharded, LazyEngine::Reference]
-    }
-
-    /// The sweep mode and reclaimer backend this stack runs.
-    pub fn stack(self) -> (SweepMode, ReclaimBackend) {
-        match self {
-            LazyEngine::Sharded => (SweepMode::Pending, ReclaimBackend::Sharded),
-            LazyEngine::Reference => (SweepMode::FullScan, ReclaimBackend::Reference),
-        }
-    }
-}
 
 /// One worker's tallies.
 #[derive(Default)]
@@ -116,19 +86,17 @@ pub struct Rig {
     /// The soft-TLB table, every key mapped.
     pub table: Arc<SoftTlbTable>,
     /// Items carry `(conservative due tick, exclusion epoch at defer)`.
-    pub reclaimer: Reclaimer<(u64, u64)>,
+    pub reclaimer: ShardedReclaimer<(u64, u64)>,
     /// Raised when the measured window closes.
     pub stop: AtomicBool,
     /// Cleared by the first sampled collect that fails the canary.
     pub canary_ok: AtomicBool,
-    mode: SweepMode,
 }
 
 impl Rig {
-    /// A rig for `threads` cores on `engine`, with the frontier watchdog
-    /// armed at `watchdog` if given.
-    pub fn new(threads: usize, engine: LazyEngine, watchdog: Option<Duration>) -> Self {
-        let (mode, backend) = engine.stack();
+    /// A rig for `threads` cores, with the frontier watchdog armed at
+    /// `watchdog` if given.
+    pub fn new(threads: usize, watchdog: Option<Duration>) -> Self {
         let registry = Arc::new(match watchdog {
             Some(t) => RtRegistry::with_watchdog(threads, QUEUE_SLOTS, t.as_nanos() as u64),
             None => RtRegistry::new(threads, QUEUE_SLOTS),
@@ -140,10 +108,9 @@ impl Rig {
         Rig {
             registry,
             table,
-            reclaimer: Reclaimer::new(backend, GRACE, threads),
+            reclaimer: ShardedReclaimer::new(GRACE, threads),
             stop: AtomicBool::new(false),
             canary_ok: AtomicBool::new(true),
-            mode,
         }
     }
 
@@ -169,7 +136,7 @@ impl Rig {
         mut faults: Option<ThreadFaultStream>,
     ) -> (ThreadStats, Option<bool>) {
         let registry = &self.registry;
-        let mut tlb = SoftTlb::new(core, Arc::clone(&self.table)).with_sweep_mode(self.mode);
+        let mut tlb = SoftTlb::new(core, Arc::clone(&self.table));
         let mut stats = ThreadStats::default();
         let mut collect_buf: Vec<(u64, u64)> = Vec::new();
         let mut round = 0u64;
@@ -203,14 +170,14 @@ impl Rig {
                 stats.sweep_ns.push(t0.elapsed().as_nanos() as u64);
             }
             // Munmap-heavy: *every* thread unmaps each round — the
-            // per-round cost the engines price so differently.
+            // per-round cost laziness takes off the critical path.
             let key = (core as u64).wrapping_mul(31).wrapping_add(round) % KEYSPACE;
             match self.table.unmap_lazy(core, key) {
                 Ok(_) => {
                     stats.unmaps += 1;
                     stats.ops += 1;
-                    // A due every engine must respect: the slowest live
-                    // core's tick now, plus grace.
+                    // The due the reclaimer must respect: the slowest
+                    // live core's tick now, plus grace.
                     let due = registry.min_live_tick() + GRACE;
                     self.reclaimer
                         .defer(registry, core, (due, registry.exclusion_events()));

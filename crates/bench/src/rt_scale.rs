@@ -2,15 +2,13 @@
 //!
 //! Unlike the simulator benches, this one runs *real* `std::thread`
 //! threads — one per "core" at 4, 16, 64 and 120 — through the
-//! munmap-heavy [`crate::rt_loop`] worker loop, fault-free. Three engine
-//! stacks are compared:
+//! munmap-heavy [`crate::rt_loop`] worker loop, fault-free. Two engines
+//! are compared:
 //!
-//! * **`lazy-sharded`** — the scaling path: pending-bitmap sweep,
-//!   `ReclaimBackend::Sharded` (per-core FIFO shards gated on the
-//!   cached reclamation frontier).
-//! * **`lazy-reference`** — the PR-4-style reference: full-scan sweep,
-//!   `ReclaimBackend::Reference` (one global mutexed deque, an
-//!   O(cores) `min_tick` scan per defer/collect).
+//! * **`lazy-sharded`** — the rt runtime stack: pending-row sweep and
+//!   `ShardedReclaimer` (per-core FIFO shards gated on the cached
+//!   reclamation frontier). The full-scan sweep and the mutexed
+//!   `RtReclaimer` are executable specs for the tests, not engines here.
 //! * **`sync-ipi`** — the synchronous baseline Latr removes: every unmap
 //!   rendezvouses with every other thread through per-thread padded
 //!   mailboxes (request/ack sequence numbers) before returning.
@@ -23,9 +21,8 @@
 //!
 //! The machine running this is almost certainly smaller than 120
 //! hardware threads; the point of the oversubscribed shapes is the
-//! *contention structure* (mutex vs shards, O(cores) scans vs a cached
-//! load, shared vs padded lines), which oversubscription amplifies
-//! rather than hides.
+//! *contention structure* (lazy sweeps vs a rendezvous with every other
+//! thread), which oversubscription amplifies rather than hides.
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -36,15 +33,13 @@ use latr_core::rt::CachePadded;
 use parking_lot::RwLock;
 
 use crate::report::{percentile, ratios, rows, Float, Object};
-use crate::rt_loop::{
-    run_window, LazyEngine, Rig, ThreadStats, GRACE, KEYSPACE, LOOKUPS_PER_ROUND,
-};
+use crate::rt_loop::{run_window, Rig, ThreadStats, GRACE, KEYSPACE, LOOKUPS_PER_ROUND};
 
-/// The engine stacks the benchmark compares.
+/// The engines the benchmark compares.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScaleEngine {
-    /// One of the lazy stacks, run through the shared worker loop.
-    Lazy(LazyEngine),
+    /// The rt runtime stack, run through the shared worker loop.
+    Lazy,
     /// Synchronous mailbox rendezvous on every unmap.
     SyncIpi,
 }
@@ -53,19 +48,14 @@ impl ScaleEngine {
     /// The label used in rows and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            ScaleEngine::Lazy(LazyEngine::Sharded) => "lazy-sharded",
-            ScaleEngine::Lazy(LazyEngine::Reference) => "lazy-reference",
+            ScaleEngine::Lazy => "lazy-sharded",
             ScaleEngine::SyncIpi => "sync-ipi",
         }
     }
 
     /// All engines, in report order.
-    pub fn all() -> [ScaleEngine; 3] {
-        [
-            ScaleEngine::Lazy(LazyEngine::Sharded),
-            ScaleEngine::Lazy(LazyEngine::Reference),
-            ScaleEngine::SyncIpi,
-        ]
+    pub fn all() -> [ScaleEngine; 2] {
+        [ScaleEngine::Lazy, ScaleEngine::SyncIpi]
     }
 }
 
@@ -82,7 +72,7 @@ pub struct RtScalePoint {
     pub ops: u64,
     /// Unmap rounds completed.
     pub unmaps: u64,
-    /// Publishes refused on a full queue (lazy engines only).
+    /// Publishes refused on a full queue (lazy engine only).
     pub overflows: u64,
     /// Items the reclaimer handed back during the window.
     pub collected: u64,
@@ -131,8 +121,8 @@ fn measure(
 /// Runs one (engine, thread-count) point for `duration` and measures it.
 pub fn run_rt_scale_point(engine: ScaleEngine, threads: usize, duration: Duration) -> RtScalePoint {
     let (per_thread, wall_ns, canary_ok, overflows) = match engine {
-        ScaleEngine::Lazy(lazy) => {
-            let rig = Rig::new(threads, lazy, None);
+        ScaleEngine::Lazy => {
+            let rig = Rig::new(threads, None);
             let worker = |core| rig.worker(core, None).0;
             let (per_thread, wall_ns) = measure(threads, duration, &rig.stop, worker);
             // Queue-side counters come from the registry's unified
@@ -276,14 +266,12 @@ pub fn canary_passed(points: &[RtScalePoint]) -> bool {
 
 /// Renders the measurement set as the `BENCH_rt_scale.json` document.
 pub fn rt_scale_json(points: &[RtScalePoint], quick: bool) -> String {
-    // lazy-sharded ops/sec ÷ the other engine's, per thread count.
-    let ratio_fields = |prefix: &'static str, other| {
-        ratios(points, "lazy-sharded", other, |p| {
-            (p.engine, p.threads, p.ops_per_sec)
-        })
-        .into_iter()
-        .map(move |(threads, r)| (format!("{prefix}_at_{threads}"), Float(r, 2)))
-    };
+    // lazy-sharded ops/sec ÷ sync-ipi's, per thread count.
+    let lazy_vs_sync = ratios(points, "lazy-sharded", "sync-ipi", |p| {
+        (p.engine, p.threads, p.ops_per_sec)
+    })
+    .into_iter()
+    .map(|(threads, r)| (format!("lazy_vs_sync_at_{threads}"), Float(r, 2)));
     Object::new()
         .field("bench", "rt_scale")
         .field("workload", "munmap-heavy soft-tlb loop")
@@ -295,8 +283,7 @@ pub fn rt_scale_json(points: &[RtScalePoint], quick: bool) -> String {
                           1, sweep_p50_ns, sweep_p99_ns, reclaim_lag_ticks: 2, canary_ok),
         )
         .field("canary_passed", canary_passed(points))
-        .fields(ratio_fields("sharded_vs_reference", "lazy-reference"))
-        .fields(ratio_fields("lazy_vs_sync", "sync-ipi"))
+        .fields(lazy_vs_sync)
         .render()
 }
 
@@ -323,12 +310,10 @@ mod tests {
     fn canary_failure_is_reported() {
         let healthy = [
             point("lazy-sharded", 16, 400.0, true),
-            point("lazy-reference", 16, 100.0, true),
             point("sync-ipi", 16, 50.0, true),
         ];
         let json = rt_scale_json(&healthy, true);
         assert!(json.contains("\"canary_passed\": true"));
-        assert!(json.contains("\"sharded_vs_reference_at_16\": 4.00"));
         assert!(json.contains("\"lazy_vs_sync_at_16\": 8.00"));
         let points = [point("lazy-sharded", 4, 1.0, false)];
         assert!(!canary_passed(&points));

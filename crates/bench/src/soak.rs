@@ -9,8 +9,10 @@
 //! panic fence), one by silent exit (exercising the [`FrontierWatchdog`]
 //! path). A monitor thread plays the role of a kernel housekeeping
 //! timer: it runs the watchdog scan and books death recoveries and stuck
-//! exclusions for the report. The reclaimer runs at the fixed grace
-//! [`GRACE`]; nothing is retuned during a run.
+//! exclusions for the report. Every point runs the one rt runtime stack
+//! (labelled `sharded`: pending-row sweep, `ShardedReclaimer`, cached
+//! frontier) at the fixed grace [`GRACE`]; nothing is retuned during a
+//! run.
 //!
 //! Every run is gated by the loop's ground-truth canary, whose exclusion
 //! epoch makes windows spanning an exclusion or rejoin skip only the
@@ -35,15 +37,15 @@ use std::time::{Duration, Instant};
 use latr_faults::{ThreadFaultInjector, ThreadFaultPlan};
 
 use crate::report::{percentile, rows, Object};
-use crate::rt_loop::{run_window, LazyEngine, Rig, ThreadStats, GRACE};
+use crate::rt_loop::{run_window, Rig, ThreadStats, GRACE};
 
 /// Monitor (watchdog scan) cadence.
 const MONITOR_PERIOD: Duration = Duration::from_millis(25);
 
-/// One engine × thread-count soak measurement.
+/// One thread-count soak measurement.
 #[derive(Clone, Debug, Default)]
 pub struct SoakPoint {
-    /// Engine label.
+    /// Engine label (always `sharded`, so rows pair with earlier files).
     pub engine: &'static str,
     /// Real OS threads driven.
     pub threads: usize,
@@ -102,7 +104,7 @@ pub fn soak_threads(quick: bool) -> Vec<usize> {
     }
 }
 
-/// The soak window per (engine, shape) point.
+/// The soak window per shape.
 pub fn soak_duration(quick: bool) -> Duration {
     if quick {
         Duration::from_secs(4)
@@ -149,17 +151,16 @@ pub fn soak_plan(threads: usize) -> ThreadFaultPlan {
     plan
 }
 
-/// Runs one (engine, thread-count) soak point for `duration` under
-/// `plan`, seeded with `seed`.
+/// Runs one thread-count soak point for `duration` under `plan`,
+/// seeded with `seed`.
 pub fn run_soak_point(
-    engine: LazyEngine,
     threads: usize,
     duration: Duration,
     plan: ThreadFaultPlan,
     seed: u64,
 ) -> SoakPoint {
     let recovery_bound = soak_recovery_bound(threads);
-    let rig = Rig::new(threads, engine, Some(soak_watchdog_timeout(threads)));
+    let rig = Rig::new(threads, Some(soak_watchdog_timeout(threads)));
     let registry = &rig.registry;
     let injector = ThreadFaultInjector::new(plan.clone(), seed);
     let dead: Vec<usize> = plan
@@ -296,7 +297,7 @@ pub fn run_soak_point(
     let t = ThreadStats::total(results.into_inner().expect("stats lock"));
     let denom = run_stats.overflows + run_stats.states_saved;
     SoakPoint {
-        engine: engine.name(),
+        engine: "sharded",
         threads,
         wall_ns: wall,
         ops: t.ops,
@@ -390,29 +391,23 @@ mod tests {
     }
 
     #[test]
-    fn tiny_faulted_run_survives_on_both_engines() {
+    fn tiny_faulted_run_survives() {
         // A miniature soak: 4 threads, a panic death and a silent death
         // early on. The panic excludes its core instantly via the sweep
         // guard; the silent one rides the 500 ms watchdog (mostly in the
-        // post-run recovery wait), so each engine takes around a second.
+        // post-run recovery wait), so the run takes around a second.
         let plan = ThreadFaultPlan::default()
             .with_stalls(0.001, 50)
             .with_wakeup_drops(0.01)
             .with_announce_delays(0.05)
             .with_death(3, 50, true)
             .with_death(2, 90, false);
-        for engine in LazyEngine::all() {
-            let p = run_soak_point(engine, 4, Duration::from_millis(300), plan.clone(), 7);
-            assert!(p.ops > 0, "{} did no work", p.engine);
-            assert_eq!(p.deaths_fired, 2, "{}: both deaths fire", p.engine);
-            assert!(
-                p.panic_poisons >= 1,
-                "{}: panic fence never fired",
-                p.engine
-            );
-            // Canary held, every death excluded within its bound, no
-            // stuck exclusion.
-            assert!(soak_passed(std::slice::from_ref(&p)), "{p:#?}");
-        }
+        let p = run_soak_point(4, Duration::from_millis(300), plan, 7);
+        assert!(p.ops > 0, "did no work");
+        assert_eq!(p.deaths_fired, 2, "both deaths fire");
+        assert!(p.panic_poisons >= 1, "panic fence never fired");
+        // Canary held, every death excluded within its bound, no stuck
+        // exclusion.
+        assert!(soak_passed(std::slice::from_ref(&p)), "{p:#?}");
     }
 }

@@ -11,13 +11,14 @@
 use crate::rt::frontier::{FrontierWatchdog, ReclaimFrontier, REFRESH_TICKS};
 use crate::rt::mask::{mask_first_n_except, AtomicCpuMask};
 use crate::rt::pad::CachePadded;
-use crate::rt::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::rt::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::rt::sync::Mutex;
 
-/// Sentinel slot index returned by a publish whose entire target mask was
-/// excluded cores: the invalidation is moot (a dead core has no cache to
-/// keep coherent, and an excluded core must flush before rejoining), so
-/// no queue slot was consumed.
+/// Sentinel slot index returned by a publish whose target mask named no
+/// live core — only excluded cores or bits at or above the core count:
+/// the invalidation is moot (a dead core has no cache to keep coherent,
+/// an excluded core must flush before rejoining, and a missing core has
+/// nothing to sweep), so no queue slot was consumed.
 pub const NO_SLOT: usize = usize::MAX;
 
 /// The payload of one invalidation: which address space and which virtual
@@ -133,69 +134,6 @@ impl RtQueue {
             return Ok(idx);
         }
         Err(PublishError)
-    }
-
-    /// Publishes a batch of same-tick invalidations with **one** memory
-    /// barrier instead of one release-store per entry: all fields of all
-    /// claimed slots are written plain, a single release fence orders
-    /// them, then the activation flags flip. All-or-nothing: either every
-    /// entry gets a slot or none does and the caller falls back to its
-    /// synchronous path for the whole batch. Only the owning core may
-    /// call this (single producer), and `out` receives the claimed slot
-    /// indices in batch order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PublishError`] when fewer than `batch.len()` slots are
-    /// free.
-    pub fn publish_batch(
-        &self,
-        batch: &[(RtInvalidation, [u64; 4])],
-        out: &mut Vec<usize>,
-    ) -> Result<(), PublishError> {
-        out.clear();
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let n = self.slots.len();
-        if batch.len() > n {
-            return Err(PublishError);
-        }
-        // Claim free slots cyclically from the head. Single producer: a
-        // slot observed inactive stays claimable (only we activate), so
-        // probing and writing need no CAS.
-        let head = self.head.load(Ordering::Relaxed);
-        for probe in 0..n {
-            let idx = (head + probe) % n;
-            if !self.slots[idx].active.load(Ordering::Acquire) {
-                out.push(idx);
-                if out.len() == batch.len() {
-                    break;
-                }
-            }
-        }
-        if out.len() < batch.len() {
-            out.clear();
-            return Err(PublishError);
-        }
-        for (&idx, (inv, words)) in out.iter().zip(batch) {
-            let slot = &self.slots[idx];
-            slot.start.store(inv.start, Ordering::Relaxed);
-            slot.end.store(inv.end, Ordering::Relaxed);
-            slot.mm.store(inv.mm, Ordering::Relaxed);
-            slot.cpus.store_words(*words, Ordering::Relaxed);
-        }
-        self.active.fetch_add(batch.len(), Ordering::Release);
-        // The batch's one barrier: a sweeper's acquire load of any
-        // activation flag below synchronizes with this fence, making all
-        // the plain field writes above visible.
-        fence(Ordering::Release);
-        for &idx in out.iter() {
-            self.slots[idx].active.store(true, Ordering::Relaxed);
-        }
-        self.head
-            .store((out[out.len() - 1] + 1) % n, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Sweeps this queue on behalf of `cpu`: collects every active state
@@ -329,22 +267,6 @@ pub struct RtStats {
     pub reaped_states: u64,
     /// Exclusion epoch (see [`RtRegistry::exclusion_events`]).
     pub exclusion_events: u64,
-    /// Items parked awaiting their grace period — the real-thread
-    /// analogue of the simulator's reclamation-debt ledger. The registry
-    /// has no reclaimer handle, so [`RtRegistry::stats`] reports 0 here;
-    /// harnesses fill it in with
-    /// [`with_reclaim_debt`](RtStats::with_reclaim_debt) from
-    /// [`Reclaimer::debt`](crate::rt::Reclaimer::debt).
-    pub reclaim_debt: u64,
-}
-
-impl RtStats {
-    /// Returns the snapshot with the reclamation debt filled in (see the
-    /// [`reclaim_debt`](RtStats::reclaim_debt) field).
-    pub fn with_reclaim_debt(mut self, debt: u64) -> Self {
-        self.reclaim_debt = debt;
-        self
-    }
 }
 
 /// RAII panic fence around a sweep/reclaim critical section: if the
@@ -388,15 +310,18 @@ pub struct RtRegistry {
     queues: Vec<RtQueue>,
     /// Pending-sweep bitmap, one row per target core: bit *q* of row *c*
     /// means "queue *q* may hold a state naming core *c*". Publishers set
-    /// bits *after* activating their slots; [`sweep_pending`] drains its
+    /// bits *after* activating their slots; [`sweep_into`] drains its
     /// row atomically and visits only the flagged queues. Bits can be
     /// stale-set (a visit that finds nothing) but never stale-clear.
     ///
-    /// [`sweep_pending`]: RtRegistry::sweep_pending
+    /// [`sweep_into`]: RtRegistry::sweep_into
     ///
     /// Each row is cache-line-padded: a publisher flagging core A's row
     /// must not ping-pong the line core B drains every tick.
     pending: Box<[CachePadded<AtomicCpuMask>]>,
+    /// CPUs `0..cores` as mask words: publish targets are clipped to it,
+    /// since no sweep would ever clear a bit at or above `cores`.
+    core_words: [u64; 4],
     /// Per-core tick counters, one cache line each — the hottest state in
     /// the registry (bumped on every sweep, scanned by the frontier).
     ticks: Box<[CachePadded<AtomicU64>]>,
@@ -438,6 +363,10 @@ impl RtRegistry {
     /// Creates the registry for `cores` cores with `states_per_core` slots
     /// each. The frontier watchdog is disabled; panic poisoning via
     /// [`sweep_guard`](Self::sweep_guard) still works.
+    ///
+    /// # Panics
+    ///
+    /// If `cores` exceeds 256, the width of a CPU mask.
     pub fn new(cores: usize, states_per_core: usize) -> Self {
         Self::build(cores, states_per_core, None)
     }
@@ -448,6 +377,10 @@ impl RtRegistry {
     /// (also run in-band from the periodic forced refresh), so a dead or
     /// wedged thread pins reclamation for at most the timeout plus one
     /// detection interval instead of forever.
+    ///
+    /// # Panics
+    ///
+    /// If `cores` exceeds 256, the width of a CPU mask.
     pub fn with_watchdog(cores: usize, states_per_core: usize, watchdog_timeout_ns: u64) -> Self {
         Self::build(
             cores,
@@ -457,11 +390,16 @@ impl RtRegistry {
     }
 
     fn build(cores: usize, states_per_core: usize, watchdog: Option<FrontierWatchdog>) -> Self {
+        assert!(
+            cores <= 256,
+            "RtRegistry supports at most 256 cores (4 mask words), got {cores}"
+        );
         RtRegistry {
             queues: (0..cores).map(|_| RtQueue::new(states_per_core)).collect(),
             pending: (0..cores)
                 .map(|_| CachePadded::new(AtomicCpuMask::new()))
                 .collect(),
+            core_words: mask_first_n_except(cores, usize::MAX),
             ticks: (0..cores)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -481,18 +419,17 @@ impl RtRegistry {
     }
 
     /// Flags `core`'s queue in the pending row of every CPU named in
-    /// `target_words`. Must run *after* the slots were activated: the
-    /// release `fetch_or` pairs with the sweep's draining swap, so a
-    /// sweeper that takes a bit is guaranteed to see the activation.
+    /// `target_words` (already clipped to `0..cores`). Must run *after*
+    /// the slots were activated: the release `fetch_or` pairs with the
+    /// sweep's draining swap, so a sweeper that takes a bit is guaranteed
+    /// to see the activation.
     fn mark_pending(&self, core: usize, target_words: [u64; 4]) {
         for (w, word) in target_words.into_iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let cpu = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if cpu < self.pending.len() {
-                    self.pending[cpu].set_bit(core);
-                }
+                self.pending[cpu].set_bit(core);
             }
         }
     }
@@ -524,16 +461,21 @@ impl RtRegistry {
 
     /// [`publish`](Self::publish) with a full 256-bit target mask.
     ///
-    /// Excluded cores are filtered out of the target mask (their caches
-    /// are gone or will be flushed before rejoin, so delivering to them
-    /// is moot); a mask that empties entirely consumes no slot and
-    /// returns [`NO_SLOT`]. On overflow while cores are excluded the
-    /// queue is reaped of dead bits and the publish retried once — a dead
-    /// core must not be able to pin every slot of a live publisher.
+    /// Targets at or above [`cores`](Self::cores) are dropped (no sweep
+    /// would ever clear them, so they would pin the slot forever), and so
+    /// are excluded cores (their caches are gone or will be flushed
+    /// before rejoin, so delivering to them is moot). A mask left empty
+    /// consumes no slot and returns [`NO_SLOT`]. On overflow while cores
+    /// are excluded the queue is reaped of dead bits and the publish
+    /// retried once — a dead core must not be able to pin every slot of
+    /// a live publisher.
     ///
     /// # Errors
     ///
     /// Returns [`PublishError`] on queue overflow.
+    // Hot-path root: the publish every unmap takes (`publish` and
+    // `publish_broadcast` funnel here).
+    #[latr::hot_path]
     pub fn publish_wide(
         &self,
         core: usize,
@@ -541,16 +483,19 @@ impl RtRegistry {
         target_words: [u64; 4],
     ) -> Result<usize, PublishError> {
         let mut words = target_words;
+        for (w, c) in words.iter_mut().zip(self.core_words) {
+            *w &= c;
+        }
         let degraded = self.excluded_count.load(Ordering::Relaxed) > 0;
         if degraded {
             let ex = self.excluded.load_words(Ordering::Acquire);
             for (w, e) in words.iter_mut().zip(ex) {
                 *w &= !e;
             }
-            if words == [0u64; 4] {
-                self.saved[core].fetch_add(1, Ordering::Relaxed);
-                return Ok(NO_SLOT);
-            }
+        }
+        if words == [0u64; 4] {
+            self.saved[core].fetch_add(1, Ordering::Relaxed);
+            return Ok(NO_SLOT);
         }
         match self.queues[core].publish(inv, words) {
             Ok(idx) => {
@@ -579,101 +524,6 @@ impl RtRegistry {
         }
     }
 
-    /// Publishes a batch of same-tick invalidations from `core` with a
-    /// single barrier (see [`RtQueue::publish_batch`]), then flags the
-    /// pending rows of every targeted CPU. All-or-nothing; `out` receives
-    /// the claimed slot indices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PublishError`] when the batch doesn't fit; the whole
-    /// batch falls back to the synchronous path and counts one overflow.
-    ///
-    /// While cores are excluded, each entry's mask is filtered like
-    /// [`publish_wide`](Self::publish_wide); entries whose masks empty
-    /// report [`NO_SLOT`] in `out` (batch order is preserved).
-    #[latr::hot_path]
-    pub fn publish_batch(
-        &self,
-        core: usize,
-        batch: &[(RtInvalidation, [u64; 4])],
-        out: &mut Vec<usize>,
-    ) -> Result<(), PublishError> {
-        if self.excluded_count.load(Ordering::Relaxed) > 0 {
-            return self.publish_batch_degraded(core, batch, out);
-        }
-        match self.queues[core].publish_batch(batch, out) {
-            Ok(()) => {
-                for &(_, words) in batch {
-                    self.mark_pending(core, words);
-                }
-                self.saved[core].fetch_add(batch.len() as u64, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                self.overflows[core].fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    }
-
-    /// [`publish_batch`](Self::publish_batch), exclusion-filtered slow
-    /// path. Only taken while at least one core is excluded, so the
-    /// allocation is off the healthy hot path.
-    // alloc_ok: only reachable while at least one core is excluded, so
-    // the filtered-batch buffers are off the healthy hot path by
-    // construction (the `excluded_count` gate above this call).
-    #[latr::alloc_ok]
-    fn publish_batch_degraded(
-        &self,
-        core: usize,
-        batch: &[(RtInvalidation, [u64; 4])],
-        out: &mut Vec<usize>,
-    ) -> Result<(), PublishError> {
-        let ex = self.excluded.load_words(Ordering::Acquire);
-        let mut filtered: Vec<(RtInvalidation, [u64; 4])> = Vec::with_capacity(batch.len());
-        let mut live_mask = Vec::with_capacity(batch.len());
-        for &(inv, words) in batch {
-            let mut w = words;
-            for (wi, e) in w.iter_mut().zip(ex) {
-                *wi &= !e;
-            }
-            let live = w != [0u64; 4];
-            live_mask.push(live);
-            if live {
-                filtered.push((inv, w));
-            }
-        }
-        let mut claimed = Vec::with_capacity(filtered.len());
-        let published = match self.queues[core].publish_batch(&filtered, &mut claimed) {
-            Ok(()) => true,
-            // Dead-core bits may be pinning slots; reap and retry once.
-            Err(_) if self.reap_queue_of_excluded(core) > 0 => self.queues[core]
-                .publish_batch(&filtered, &mut claimed)
-                .is_ok(),
-            Err(_) => false,
-        };
-        if !published {
-            out.clear();
-            self.overflows[core].fetch_add(1, Ordering::Relaxed);
-            return Err(PublishError);
-        }
-        for &(_, words) in &filtered {
-            self.mark_pending(core, words);
-        }
-        self.saved[core].fetch_add(batch.len() as u64, Ordering::Relaxed);
-        out.clear();
-        let mut next = claimed.into_iter();
-        for live in live_mask {
-            out.push(if live {
-                next.next().expect("one claimed slot per live entry")
-            } else {
-                NO_SLOT
-            });
-        }
-        Ok(())
-    }
-
     /// Publishes to every core except the initiator.
     ///
     /// # Errors
@@ -687,24 +537,25 @@ impl RtRegistry {
         self.publish_wide(core, inv, mask_first_n_except(self.cores(), core))
     }
 
-    /// The sweep (§4.1), reference form: scans *every* core's queue for
-    /// states naming `core`, clears its bits, bumps its tick counter, and
-    /// returns the invalidations the caller must apply locally.
+    /// The sweep (§4.1): drains `core`'s pending row, visits only the
+    /// flagged queues, clears `core`'s bits, bumps its tick counter, and
+    /// returns the invalidations the caller must apply locally. The
+    /// allocating convenience form of [`sweep_into`](Self::sweep_into).
     pub fn sweep(&self, core: usize) -> Vec<RtInvalidation> {
         let mut out = Vec::new();
         self.sweep_into(core, &mut out);
         out
     }
 
-    /// Allocation-free [`sweep`](Self::sweep): appends the invalidations
-    /// to `out` (not cleared first) so a tick loop can reuse one buffer
-    /// across its whole lifetime.
+    /// The runtime sweep: appends the invalidations to `out` (not cleared
+    /// first) so a tick loop can reuse one buffer across its whole
+    /// lifetime. A publisher flags the row only after activating its
+    /// slots, so every state naming `core` is covered by a bit; a
+    /// stale-set bit just costs one empty queue scan. Bits set
+    /// concurrently with the drain survive into the next sweep.
     #[latr::hot_path]
     pub fn sweep_into(&self, core: usize, out: &mut Vec<RtInvalidation>) {
-        for q in &self.queues {
-            q.sweep_for(core, out);
-        }
-        self.finish_sweep(core, true);
+        self.sweep_inner(core, out, true);
     }
 
     /// [`sweep_into`](Self::sweep_into) without the frontier announce:
@@ -715,39 +566,10 @@ impl RtRegistry {
     /// lags further), and other cores' forced refreshes eventually pick
     /// the progress up.
     pub fn sweep_into_unannounced(&self, core: usize, out: &mut Vec<RtInvalidation>) {
-        for q in &self.queues {
-            q.sweep_for(core, out);
-        }
-        self.finish_sweep(core, false);
+        self.sweep_inner(core, out, false);
     }
 
-    /// The fast sweep: drains `core`'s pending row and visits only the
-    /// flagged queues. Equivalent to [`sweep`](Self::sweep) — a publisher
-    /// flags the row only after activating its slots, so every state
-    /// naming `core` is covered by a bit; a stale-set bit just costs one
-    /// empty queue scan. Bits set concurrently with the drain survive
-    /// into the next sweep.
-    pub fn sweep_pending(&self, core: usize) -> Vec<RtInvalidation> {
-        let mut out = Vec::new();
-        self.sweep_pending_into(core, &mut out);
-        out
-    }
-
-    /// Allocation-free [`sweep_pending`](Self::sweep_pending): appends to
-    /// `out` (not cleared first) for buffer reuse in tick loops.
-    #[latr::hot_path]
-    pub fn sweep_pending_into(&self, core: usize, out: &mut Vec<RtInvalidation>) {
-        self.sweep_pending_inner(core, out, true);
-    }
-
-    /// [`sweep_pending_into`](Self::sweep_pending_into) without the
-    /// frontier announce (see
-    /// [`sweep_into_unannounced`](Self::sweep_into_unannounced)).
-    pub fn sweep_pending_into_unannounced(&self, core: usize, out: &mut Vec<RtInvalidation>) {
-        self.sweep_pending_inner(core, out, false);
-    }
-
-    fn sweep_pending_inner(&self, core: usize, out: &mut Vec<RtInvalidation>, announce: bool) {
+    fn sweep_inner(&self, core: usize, out: &mut Vec<RtInvalidation>, announce: bool) {
         let row = self.pending[core].take_words();
         for (w, word) in row.into_iter().enumerate() {
             let mut bits = word;
@@ -760,6 +582,18 @@ impl RtRegistry {
             }
         }
         self.finish_sweep(core, announce);
+    }
+
+    /// The reference sweep, kept as the executable spec of
+    /// [`sweep_into`](Self::sweep_into): scans *every* core's queue for
+    /// states naming `core` instead of draining the pending row (which it
+    /// leaves stale-set), then finishes the tick the same way. Tests
+    /// compare the two; no runtime path calls this.
+    pub fn full_scan_into(&self, core: usize, out: &mut Vec<RtInvalidation>) {
+        for q in &self.queues {
+            q.sweep_for(core, out);
+        }
+        self.finish_sweep(core, true);
     }
 
     /// Bumps `core`'s tick and announces it to the cached frontier:
@@ -1114,7 +948,6 @@ impl RtRegistry {
             rejoins: self.robust.rejoins.load(Ordering::Relaxed),
             reaped_states: self.robust.reaped_states.load(Ordering::Relaxed),
             exclusion_events: self.robust.exclusion_events.load(Ordering::Acquire),
-            reclaim_debt: 0,
         }
     }
 }
@@ -1225,9 +1058,8 @@ mod tests {
         r.sweep_into(1, &mut buf);
         assert_eq!(buf, vec![inv(99), inv(1)]);
         r.publish(0, inv(2), 0b10).unwrap();
-        buf.clear();
-        r.sweep_pending_into(1, &mut buf);
-        assert_eq!(buf, vec![inv(2)]);
+        r.full_scan_into(1, &mut buf);
+        assert_eq!(buf, vec![inv(99), inv(1), inv(2)]);
     }
 
     #[test]
@@ -1240,57 +1072,6 @@ mod tests {
         assert_eq!(r.publish(0, inv(4), 0b10), Err(PublishError));
         assert_eq!(r.publish(2, inv(5), 0b10), Err(PublishError));
         assert_eq!(r.overflows(), 2);
-    }
-
-    #[test]
-    fn publish_batch_claims_slots_in_order_with_one_fence() {
-        let r = RtRegistry::new(3, 4);
-        let batch = [
-            (inv(1), [0b110u64, 0, 0, 0]),
-            (inv(2), [0b110u64, 0, 0, 0]),
-            (inv(3), [0b010u64, 0, 0, 0]),
-        ];
-        let mut slots = Vec::new();
-        r.publish_batch(0, &batch, &mut slots).unwrap();
-        assert_eq!(slots, vec![0, 1, 2]);
-        assert_eq!(r.queue(0).active_count(), 3);
-        assert_eq!(r.states_saved(), 3);
-        assert_eq!(r.sweep_pending(1).len(), 3);
-        assert_eq!(r.sweep_pending(2).len(), 2);
-        assert_eq!(r.queue(0).active_count(), 0);
-        // Rows drained: nothing left to visit.
-        assert!(r.sweep_pending(1).is_empty());
-    }
-
-    #[test]
-    fn publish_batch_is_all_or_nothing() {
-        let r = RtRegistry::new(2, 3);
-        r.publish(0, inv(1), 0b10).unwrap();
-        let batch = [
-            (inv(2), [0b10u64, 0, 0, 0]),
-            (inv(3), [0b10u64, 0, 0, 0]),
-            (inv(4), [0b10u64, 0, 0, 0]),
-        ];
-        let mut slots = Vec::new();
-        // 3 entries, 2 free slots: nothing may be published.
-        assert_eq!(r.publish_batch(0, &batch, &mut slots), Err(PublishError));
-        assert!(slots.is_empty());
-        assert_eq!(r.queue(0).active_count(), 1);
-        assert_eq!(r.overflows(), 1);
-        // The two-entry prefix fits.
-        r.publish_batch(0, &batch[..2], &mut slots).unwrap();
-        assert_eq!(slots.len(), 2);
-        assert_eq!(r.sweep_pending(1).len(), 3);
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let r = RtRegistry::new(2, 2);
-        let mut slots = vec![99];
-        r.publish_batch(0, &[], &mut slots).unwrap();
-        assert!(slots.is_empty());
-        assert_eq!(r.states_saved(), 0);
-        assert_eq!(r.queue(0).active_count(), 0);
     }
 
     #[test]
@@ -1309,14 +1090,16 @@ mod tests {
         };
         let full = build();
         let fast = build();
-        let mut a = full.sweep(1);
-        let mut b = fast.sweep_pending(1);
+        let mut a = Vec::new();
+        full.full_scan_into(1, &mut a);
+        let mut b = fast.sweep(1);
         a.sort_unstable_by_key(|i| i.mm);
         b.sort_unstable_by_key(|i| i.mm);
         assert_eq!(a, b);
         assert_eq!(b.len(), 3);
+        assert_eq!(full.tick_of(1), fast.tick_of(1));
         // A second pending sweep is an empty row, not a rescan.
-        assert!(fast.sweep_pending(1).is_empty());
+        assert!(fast.sweep(1).is_empty());
     }
 
     #[test]
@@ -1325,61 +1108,13 @@ mod tests {
         r.publish(0, inv(1), 0b0110).unwrap();
         // Core 2 sweeps via the full scan, which clears its mask bit but
         // leaves its pending bit stale-set.
-        assert_eq!(r.sweep(2).len(), 1);
+        let mut buf = Vec::new();
+        r.full_scan_into(2, &mut buf);
+        assert_eq!(buf.len(), 1);
         // The stale bit costs one empty visit and is dropped.
-        assert!(r.sweep_pending(2).is_empty());
+        assert!(r.sweep(2).is_empty());
         // Core 1's bit is still live.
-        assert_eq!(r.sweep_pending(1).len(), 1);
-    }
-
-    #[test]
-    fn concurrent_batch_publish_and_pending_sweep_loses_nothing() {
-        // One publisher batching 4 states at a time, three pending-sweep
-        // consumers. Every state targets all three; each must deliver
-        // every mm exactly once.
-        let r = Arc::new(RtRegistry::new(4, 1024));
-        let total = 500u64;
-        let publisher = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                let mut slots = Vec::new();
-                let mut published = 0;
-                while published < total {
-                    let k = (total - published).min(4);
-                    let batch: Vec<_> = (published..published + k)
-                        .map(|mm| (inv(mm), [0b1110u64, 0, 0, 0]))
-                        .collect();
-                    if r.publish_batch(0, &batch, &mut slots).is_ok() {
-                        published += k;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        };
-        let sweepers: Vec<_> = (1..4)
-            .map(|core| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    let mut seen = Vec::new();
-                    while seen.len() < total as usize {
-                        for w in r.sweep_pending(core) {
-                            seen.push(w.mm);
-                        }
-                        std::thread::yield_now();
-                    }
-                    seen.sort_unstable();
-                    seen
-                })
-            })
-            .collect();
-        publisher.join().unwrap();
-        for s in sweepers {
-            let seen = s.join().unwrap();
-            assert_eq!(seen, (0..total).collect::<Vec<_>>());
-        }
-        assert_eq!(r.queue(0).active_count(), 0);
-        assert_eq!(r.states_saved(), total);
+        assert_eq!(r.sweep(1).len(), 1);
     }
 
     #[test]
@@ -1475,24 +1210,30 @@ mod tests {
     }
 
     #[test]
-    fn batch_publish_filters_excluded_targets_in_order() {
-        let r = RtRegistry::new(3, 4);
-        r.exclude_core(2);
-        let batch = [
-            (inv(1), [0b110u64, 0, 0, 0]),
-            (inv(2), [0b100u64, 0, 0, 0]), // only the dead core
-            (inv(3), [0b010u64, 0, 0, 0]),
-        ];
-        let mut slots = Vec::new();
-        r.publish_batch(0, &batch, &mut slots).unwrap();
-        assert_eq!(slots.len(), 3);
-        assert_eq!(slots[1], NO_SLOT);
-        assert_ne!(slots[0], NO_SLOT);
-        assert_ne!(slots[2], NO_SLOT);
-        assert_eq!(r.queue(0).active_count(), 2);
-        assert_eq!(r.states_saved(), 3);
-        assert_eq!(r.sweep(1).len(), 2);
+    fn out_of_range_targets_never_pin_a_slot() {
+        // Bit 5 names no core of a 4-core registry: no sweep would ever
+        // clear it, so it must not reach the slot's mask.
+        let r = RtRegistry::new(4, 2);
+        assert_ne!(r.publish(0, inv(1), 0b10_0010).unwrap(), NO_SLOT);
+        for core in 0..4 {
+            r.sweep(core);
+        }
+        assert_eq!(r.queue(0).active_count(), 0, "core 1's sweep retires it");
+        // A mask naming only missing cores consumes no slot at all.
+        assert_eq!(r.publish(0, inv(2), 0b11_0000).unwrap(), NO_SLOT);
+        assert_eq!(r.publish_wide(0, inv(3), [0, 1, 0, 0]).unwrap(), NO_SLOT);
         assert_eq!(r.queue(0).active_count(), 0);
+        // Both slots stay free for valid publishes.
+        r.publish(0, inv(4), 0b10).unwrap();
+        r.publish(0, inv(5), 0b100).unwrap();
+        assert_eq!(r.overflows(), 0);
+        assert_eq!(r.states_saved(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 cores")]
+    fn more_cores_than_a_mask_holds_is_rejected() {
+        RtRegistry::new(257, 1);
     }
 
     #[test]
@@ -1590,12 +1331,6 @@ mod tests {
         r.sweep(1);
         r.advance_frontier();
         assert_eq!(r.cached_frontier(), 2);
-
-        // Pending flavor too.
-        r.publish(0, inv(2), 0b10).unwrap();
-        buf.clear();
-        r.sweep_pending_into_unannounced(1, &mut buf);
-        assert_eq!(buf, vec![inv(2)]);
     }
 
     #[test]

@@ -6,20 +6,20 @@
 //! dropped in between — the runtime twin of "Latr waits two full cycles of
 //! TLB invalidations".
 //!
-//! Two engines implement the rule, runtime-selectable behind
-//! [`Reclaimer`] (the same pattern as the PR 4 hot-path engines):
+//! Two types implement the rule and share no queue code:
 //!
-//! * [`RtReclaimer`] — the **reference** engine: one global
-//!   `Mutex<VecDeque>`, every `defer`/`collect` pays the O(cores)
-//!   [`RtRegistry::min_tick`] scan. Simple, obviously correct, and the
-//!   executable spec the differential suite compares against.
-//! * [`ShardedReclaimer`] — the **scaling** engine: per-core shards
+//! * [`ShardedReclaimer`] — the runtime engine: per-core shards
 //!   (each on its own cache line, each behind an uncontended per-shard
 //!   lock) parking items in a FIFO by the *calling core's* local tick.
 //!   `defer` touches only the caller's shard and never reads the global
 //!   frontier; `collect` gates on the cached
 //!   [`RtRegistry::cached_frontier`] — one atomic load instead of the
 //!   scan.
+//! * [`RtReclaimer`] — the **reference** engine, kept as the executable
+//!   spec: one global `Mutex<VecDeque>`, every `defer`/`collect` pays
+//!   the O(cores) [`RtRegistry::min_live_tick`] scan. Simple and
+//!   obviously correct; the differential suite (`reclaim_diff`), loom
+//!   and `rt_stress` drive both types directly.
 //!
 //! The sharded engine is *conservative* relative to the reference: it
 //! parks at `tick_of(core) + grace ≥ min_tick() + grace`, so nothing is
@@ -232,120 +232,6 @@ impl<T> ShardedReclaimer<T> {
     }
 }
 
-/// Which reclaimer engine a [`Reclaimer`] runs — both stay available in
-/// every build and are selected at run time; `Sharded` is the default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReclaimBackend {
-    /// [`ShardedReclaimer`]: per-core shards + cached frontier.
-    #[default]
-    Sharded,
-    /// [`RtReclaimer`]: global mutex + O(cores) frontier scan.
-    Reference,
-}
-
-/// Runtime-selectable deferred reclamation: one call surface over the
-/// [`ShardedReclaimer`] scaling engine and the [`RtReclaimer`] reference
-/// engine, so embedders (and the differential/bench harnesses) pick an
-/// engine per instance.
-///
-/// The reference engine ignores `core` (its queue and frontier are
-/// global); the sharded engine requires `defer`/`collect` to be called
-/// with the calling core's id.
-#[derive(Debug)]
-pub struct Reclaimer<T> {
-    engine: Engine<T>,
-}
-
-#[derive(Debug)]
-enum Engine<T> {
-    Reference(RtReclaimer<T>),
-    Sharded(ShardedReclaimer<T>),
-}
-
-impl<T> Reclaimer<T> {
-    /// Creates a reclaimer on `backend` waiting `grace` sweep cycles,
-    /// sized for `cores` cores.
-    pub fn new(backend: ReclaimBackend, grace: u64, cores: usize) -> Self {
-        Reclaimer {
-            engine: match backend {
-                ReclaimBackend::Reference => Engine::Reference(RtReclaimer::new(grace)),
-                ReclaimBackend::Sharded => Engine::Sharded(ShardedReclaimer::new(grace, cores)),
-            },
-        }
-    }
-
-    /// [`new`](Self::new) with the build's default backend.
-    pub fn with_default_backend(grace: u64, cores: usize) -> Self {
-        Self::new(ReclaimBackend::default(), grace, cores)
-    }
-
-    /// The engine this instance runs.
-    pub fn backend(&self) -> ReclaimBackend {
-        match self.engine {
-            Engine::Reference(_) => ReclaimBackend::Reference,
-            Engine::Sharded(_) => ReclaimBackend::Sharded,
-        }
-    }
-
-    /// Parks `item` until every core has swept `grace` more times.
-    pub fn defer(&self, registry: &RtRegistry, core: usize, item: T) {
-        match &self.engine {
-            Engine::Reference(r) => r.defer(registry, item),
-            Engine::Sharded(s) => s.defer(registry, core, item),
-        }
-    }
-
-    /// Collects every due item visible to `core` (everything for the
-    /// reference engine, `core`'s shard for the sharded one).
-    pub fn collect(&self, registry: &RtRegistry, core: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        self.collect_into(registry, core, &mut out);
-        out
-    }
-
-    /// Allocation-free [`collect`](Self::collect): appends to `out`.
-    pub fn collect_into(&self, registry: &RtRegistry, core: usize, out: &mut Vec<T>) {
-        match &self.engine {
-            Engine::Reference(r) => r.collect_into(registry, out),
-            Engine::Sharded(s) => s.collect_into(registry, core, out),
-        }
-    }
-
-    /// Items still parked.
-    pub fn pending_count(&self) -> usize {
-        match &self.engine {
-            Engine::Reference(r) => r.pending_count(),
-            Engine::Sharded(s) => s.pending_count(),
-        }
-    }
-
-    /// Reclamation debt: items parked awaiting their grace period — the
-    /// real-thread analogue of the simulator's per-node debt ledger.
-    /// Harnesses splice it into a registry snapshot with
-    /// [`RtStats::with_reclaim_debt`](crate::rt::RtStats::with_reclaim_debt).
-    pub fn debt(&self) -> u64 {
-        self.pending_count() as u64
-    }
-
-    /// Memory-pressure expedition: force-refreshes the cached reclamation
-    /// frontier so items parked behind a *stale* cache become collectable
-    /// now instead of at the next laggard announce or periodic refresh.
-    /// Safety is unchanged — the frontier never passes the slowest live
-    /// core's tick, so only debt that was already safe is released early.
-    /// Returns the frontier after the push.
-    pub fn expedite(&self, registry: &RtRegistry) -> u64 {
-        registry.advance_frontier()
-    }
-
-    /// Drains everything unconditionally (shutdown).
-    pub fn drain_all(&self) -> Vec<T> {
-        match &self.engine {
-            Engine::Reference(r) => r.drain_all(),
-            Engine::Sharded(s) => s.drain_all(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,31 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn selectable_backend_defaults_to_sharded() {
-        assert_eq!(ReclaimBackend::default(), ReclaimBackend::Sharded);
-        let rec: Reclaimer<u32> = Reclaimer::with_default_backend(2, 2);
-        assert_eq!(rec.backend(), ReclaimBackend::Sharded);
-    }
-
-    #[test]
-    fn selectable_front_runs_both_engines() {
-        for backend in [ReclaimBackend::Reference, ReclaimBackend::Sharded] {
-            let registry = RtRegistry::new(2, 8);
-            let rec: Reclaimer<u32> = Reclaimer::new(backend, 2, 2);
-            rec.defer(&registry, 0, 5);
-            assert!(rec.collect(&registry, 0).is_empty());
-            for _ in 0..2 {
-                registry.sweep(0);
-                registry.sweep(1);
-            }
-            assert_eq!(rec.collect(&registry, 0), vec![5], "{backend:?}");
-            rec.defer(&registry, 1, 6);
-            assert_eq!(rec.pending_count(), 1);
-            assert_eq!(rec.drain_all(), vec![6], "{backend:?}");
-        }
-    }
-
-    #[test]
     fn excluded_core_stops_pinning_reference_reclamation() {
         // The robustness counterpart of
         // `never_sweeping_core_pins_frontier_forever`: once the dead core
@@ -678,59 +539,21 @@ mod tests {
     }
 
     #[test]
-    fn debt_tracks_parked_items_on_both_engines() {
-        for backend in [ReclaimBackend::Reference, ReclaimBackend::Sharded] {
-            let registry = RtRegistry::new(2, 8);
-            let rec: Reclaimer<u32> = Reclaimer::new(backend, 2, 2);
-            assert_eq!(rec.debt(), 0);
-            rec.defer(&registry, 0, 1);
-            rec.defer(&registry, 1, 2);
-            assert_eq!(rec.debt(), 2, "{backend:?}: parked items are debt");
-            for _ in 0..3 {
-                registry.sweep(0);
-                registry.sweep(1);
-            }
-            let mut got = rec.collect(&registry, 0);
-            got.extend(rec.collect(&registry, 1));
-            got.sort_unstable();
-            assert_eq!(got, vec![1, 2]);
-            assert_eq!(rec.debt(), 0, "{backend:?}: collected debt is settled");
-        }
-    }
-
-    #[test]
-    fn expedite_releases_debt_parked_behind_a_stale_frontier() {
+    fn stale_cached_frontier_holds_items_until_a_refresh() {
+        // Both cores sweep past the grace without announcing (the
+        // delayed-announce fault): the cached frontier stays at 0, so the
+        // item stays parked although every tick says it is safe. A forced
+        // refresh releases it with no further sweeps.
         let registry = RtRegistry::new(2, 8);
-        let rec: Reclaimer<u32> = Reclaimer::with_default_backend(2, 2);
+        let rec: ShardedReclaimer<u32> = ShardedReclaimer::new(2, 2);
         rec.defer(&registry, 0, 9);
-        // Both cores sweep past the grace period, but without announcing:
-        // the cached frontier stays at 0, so the item stays parked even
-        // though every core's tick says it is safe.
         let mut sink = Vec::new();
         for _ in 0..4 {
             registry.sweep_into_unannounced(0, &mut sink);
             registry.sweep_into_unannounced(1, &mut sink);
         }
-        assert!(
-            rec.collect(&registry, 0).is_empty(),
-            "stale cached frontier holds safe debt"
-        );
-        assert_eq!(rec.debt(), 1);
-        // Memory pressure force-refreshes the cache; the debt flows out
-        // with no further sweeps.
-        assert!(rec.expedite(&registry) >= 3);
+        assert!(rec.collect(&registry, 0).is_empty(), "stale cache gates");
+        assert_eq!(registry.advance_frontier(), 4);
         assert_eq!(rec.collect(&registry, 0), vec![9]);
-        assert_eq!(rec.debt(), 0);
-    }
-
-    #[test]
-    fn stats_snapshot_carries_spliced_reclaim_debt() {
-        let registry = RtRegistry::new(1, 8);
-        let rec: Reclaimer<u32> = Reclaimer::with_default_backend(4, 1);
-        rec.defer(&registry, 0, 1);
-        rec.defer(&registry, 0, 2);
-        assert_eq!(registry.stats().reclaim_debt, 0, "registry alone: unfilled");
-        let st = registry.stats().with_reclaim_debt(rec.debt());
-        assert_eq!(st.reclaim_debt, 2);
     }
 }

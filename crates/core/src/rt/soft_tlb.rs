@@ -69,25 +69,12 @@ impl SoftTlbTable {
     }
 }
 
-/// How a [`SoftTlb`] sweeps at its tick.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SweepMode {
-    /// [`RtRegistry::sweep_into`]: the reference full scan of every
-    /// core's queue.
-    #[default]
-    FullScan,
-    /// [`RtRegistry::sweep_pending_into`]: drain the pending row and
-    /// visit only the flagged queues — the scaling path.
-    Pending,
-}
-
 /// One thread's software TLB.
 #[derive(Debug)]
 pub struct SoftTlb {
     core: usize,
     table: Arc<SoftTlbTable>,
     cache: HashMap<u64, u64>,
-    sweep_mode: SweepMode,
     /// Reused across ticks so the tick loop allocates nothing.
     scratch: Vec<RtInvalidation>,
     hits: u64,
@@ -96,24 +83,17 @@ pub struct SoftTlb {
 }
 
 impl SoftTlb {
-    /// Creates the cache for `core` (reference full-scan sweep).
+    /// Creates the cache for `core`.
     pub fn new(core: usize, table: Arc<SoftTlbTable>) -> Self {
         SoftTlb {
             core,
             table,
             cache: HashMap::new(),
-            sweep_mode: SweepMode::default(),
             scratch: Vec::new(),
             hits: 0,
             misses: 0,
             stale_hits_possible: 0,
         }
-    }
-
-    /// Selects how [`tick`](Self::tick) sweeps.
-    pub fn with_sweep_mode(mut self, mode: SweepMode) -> Self {
-        self.sweep_mode = mode;
-        self
     }
 
     /// Looks `key` up, consulting the private cache first (a cached entry
@@ -130,8 +110,9 @@ impl SoftTlb {
         Some(v)
     }
 
-    /// The scheduler-tick hook: sweeps the registry and drops every cached
-    /// key named by an invalidation. Returns how many entries were
+    /// The scheduler-tick hook: sweeps the registry
+    /// ([`RtRegistry::sweep_into`]) and drops every cached key named by an
+    /// invalidation. Returns how many entries were
     /// dropped. Allocation-free in steady state: the sweep reuses one
     /// scratch buffer for the whole lifetime of the TLB.
     ///
@@ -172,13 +153,10 @@ impl SoftTlb {
         let mut work = std::mem::take(&mut self.scratch);
         work.clear();
         let guard = registry.sweep_guard(self.core);
-        match (self.sweep_mode, announce) {
-            (SweepMode::FullScan, true) => registry.sweep_into(self.core, &mut work),
-            (SweepMode::FullScan, false) => registry.sweep_into_unannounced(self.core, &mut work),
-            (SweepMode::Pending, true) => registry.sweep_pending_into(self.core, &mut work),
-            (SweepMode::Pending, false) => {
-                registry.sweep_pending_into_unannounced(self.core, &mut work)
-            }
+        if announce {
+            registry.sweep_into(self.core, &mut work);
+        } else {
+            registry.sweep_into_unannounced(self.core, &mut work);
         }
         let mut dropped = flushed;
         for inv in &work {
@@ -242,9 +220,11 @@ mod tests {
     fn lazy_unmap_leaves_bounded_staleness() {
         let (table, mut tlbs) = setup(2);
         table.map_key(10, 100);
-        // Both cores cache the mapping.
+        table.map_key(11, 110);
+        // Both cores cache the mapping; core 1 also caches an unrelated key.
         assert_eq!(tlbs[0].lookup(10), Some(100));
         assert_eq!(tlbs[1].lookup(10), Some(100));
+        assert_eq!(tlbs[1].lookup(11), Some(110));
 
         // Core 0 unmaps lazily.
         assert_eq!(table.unmap_lazy(0, 10).unwrap(), Some(100));
@@ -252,9 +232,12 @@ mod tests {
         // Before core 1 ticks: stale hit returns the OLD value.
         assert_eq!(tlbs[1].lookup(10), Some(100));
 
-        // After the tick the entry is gone and lookups miss.
+        // The tick drops only the invalidated entry; lookups of it miss.
         assert_eq!(tlbs[1].tick(), 1);
+        assert_eq!(tlbs[1].cached(), 1, "unrelated entry survives");
         assert_eq!(tlbs[1].lookup(10), None);
+        assert_eq!(tlbs[1].lookup(11), Some(110));
+        assert_eq!(tlbs[1].tick(), 0, "pending row drained: nothing to drop");
     }
 
     #[test]
@@ -279,23 +262,6 @@ mod tests {
         // mapping.
         assert_eq!(table.unmap_lazy(0, 2), Err(PublishError));
         assert_eq!(table.walk(2), Some(20));
-    }
-
-    #[test]
-    fn pending_sweep_mode_matches_the_full_scan() {
-        let registry = Arc::new(RtRegistry::new(2, 64));
-        let table = Arc::new(SoftTlbTable::new(registry));
-        table.map_key(10, 100);
-        table.map_key(11, 110);
-        let mut tlb = SoftTlb::new(1, Arc::clone(&table)).with_sweep_mode(SweepMode::Pending);
-        assert_eq!(tlb.lookup(10), Some(100));
-        assert_eq!(tlb.lookup(11), Some(110));
-        table.unmap_lazy(0, 10).unwrap();
-        assert_eq!(tlb.lookup(10), Some(100), "stale until the tick");
-        assert_eq!(tlb.tick(), 1);
-        assert_eq!(tlb.lookup(10), None);
-        assert_eq!(tlb.lookup(11), Some(110), "unrelated entry survives");
-        assert_eq!(tlb.tick(), 0, "pending row drained: nothing to visit");
     }
 
     #[test]

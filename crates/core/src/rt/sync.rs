@@ -21,13 +21,13 @@
 //! check-then-act), not memory-ordering relaxation bugs. See
 //! `third_party/loom` for details.
 
-/// Atomic integer and boolean types plus `Ordering` and `fence`.
+/// Atomic integer and boolean types plus `Ordering`.
 pub mod atomic {
     #[cfg(not(loom))]
-    pub use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
     #[cfg(loom)]
-    pub use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 }
 
 #[cfg(not(loom))]

@@ -14,6 +14,12 @@
 //! proves the *interleaving* properties (exactly-once retirement, no
 //! torn activation, grace-period gating), not memory-ordering
 //! relaxations; see `third_party/loom`.
+//!
+//! The frontier and reclaimer models never publish, so they tick through
+//! the reference [`RtRegistry::full_scan_into`]: its tick bookkeeping is
+//! the runtime sweep's, and its one load per idle queue keeps the
+//! explored state space smaller than the runtime sweep's four-word row
+//! drain.
 #![cfg(loom)]
 
 use latr_core::rt::{RtInvalidation, RtQueue, RtReclaimer, RtRegistry, ShardedReclaimer};
@@ -137,49 +143,17 @@ fn pending_bitmap_publish_and_drain_race_loses_nothing() {
                 reg.publish(0, inv(5), 0b10).unwrap();
             })
         };
-        let mut seen = reg.sweep_pending(1);
+        let mut seen = reg.sweep(1);
         for s in &seen {
             assert_eq!(*s, inv(5), "pending sweep observed a torn payload");
         }
         publisher.join().unwrap();
-        seen.extend(reg.sweep_pending(1));
+        seen.extend(reg.sweep(1));
         assert_eq!(
             seen.len(),
             1,
             "state must be swept exactly once across racing + final drains"
         );
-        assert_eq!(reg.queue(0).active_count(), 0);
-    });
-}
-
-/// Same race with a *batched* publish: the single release fence must
-/// cover every slot of the batch — a pending sweep racing the batch sees
-/// each state either not at all or with its complete payload, and a
-/// final drain mops up whatever the racing sweep missed.
-#[test]
-fn batched_publish_fence_covers_every_slot() {
-    loom::model(|| {
-        let reg = Arc::new(RtRegistry::new(2, 4));
-        let publisher = {
-            let reg = Arc::clone(&reg);
-            thread::spawn(move || {
-                let batch = [(inv(7), [0b10u64, 0, 0, 0]), (inv(8), [0b10u64, 0, 0, 0])];
-                let mut slots = Vec::new();
-                reg.publish_batch(0, &batch, &mut slots).unwrap();
-            })
-        };
-        let mut seen = reg.sweep_pending(1);
-        for s in &seen {
-            assert!(
-                *s == inv(7) || *s == inv(8),
-                "sweep observed a torn batched payload: {s:?}"
-            );
-        }
-        publisher.join().unwrap();
-        seen.extend(reg.sweep_pending(1));
-        let mut mms: Vec<u64> = seen.iter().map(|i| i.mm).collect();
-        mms.sort_unstable();
-        assert_eq!(mms, vec![7, 8], "both batched states swept exactly once");
         assert_eq!(reg.queue(0).active_count(), 0);
     });
 }
@@ -196,12 +170,12 @@ fn cached_frontier_never_passes_an_unswept_core() {
         let sweeper = {
             let reg = Arc::clone(&reg);
             thread::spawn(move || {
-                reg.sweep_into(1, &mut Vec::new());
+                reg.full_scan_into(1, &mut Vec::new());
                 reg.advance_frontier();
             })
         };
         // Core 0 sweeps once, concurrently with core 1's sweep+advance.
-        reg.sweep_into(0, &mut Vec::new());
+        reg.full_scan_into(0, &mut Vec::new());
         let cached = reg.cached_frontier();
         let min = reg.min_tick();
         assert!(
@@ -230,14 +204,14 @@ fn sharded_reclaimer_never_collects_before_grace_on_every_core() {
         let sweeper = {
             let reg = Arc::clone(&reg);
             thread::spawn(move || {
-                reg.sweep_into(1, &mut Vec::new());
+                reg.full_scan_into(1, &mut Vec::new());
             })
         };
         // Concurrent with core 1's sweep: core 0 has not swept yet, so
         // min_tick is 0 < due — nothing may come back.
         let early = rec.collect(&reg, 0);
         assert!(early.is_empty(), "collected before core 0 swept: {early:?}");
-        reg.sweep_into(0, &mut Vec::new());
+        reg.full_scan_into(0, &mut Vec::new());
         sweeper.join().unwrap();
         // Both cores at tick 1 = due; converge the cache and collect
         // exactly once.
@@ -260,18 +234,18 @@ fn never_sweeping_core_pins_cached_frontier_and_sharded_reclaimer() {
         let other = {
             let (reg, rec) = (Arc::clone(&reg), Arc::clone(&rec));
             thread::spawn(move || {
-                reg.sweep_into(0, &mut Vec::new());
+                reg.full_scan_into(0, &mut Vec::new());
                 assert!(rec.collect(&reg, 0).is_empty());
             })
         };
-        reg.sweep_into(0, &mut Vec::new());
+        reg.full_scan_into(0, &mut Vec::new());
         reg.advance_frontier();
         assert_eq!(reg.cached_frontier(), 0, "straggler pins the cache");
         assert!(rec.collect(&reg, 0).is_empty());
         other.join().unwrap();
         assert_eq!(rec.pending_count(), 1, "item stays parked");
         // Only the straggler itself unpins reclamation.
-        reg.sweep_into(1, &mut Vec::new());
+        reg.full_scan_into(1, &mut Vec::new());
         reg.advance_frontier();
         assert_eq!(rec.collect(&reg, 0), vec![7]);
     });
@@ -291,7 +265,7 @@ fn excluded_dead_core_never_blocks_reclamation() {
         let rec: Arc<ShardedReclaimer<u32>> = Arc::new(ShardedReclaimer::new(1, 2));
         // Clock 500: core 0 sweeps (freshly stamped), core 1 never will.
         reg.watchdog().unwrap().advance_clock(500);
-        reg.sweep_into(0, &mut Vec::new());
+        reg.full_scan_into(0, &mut Vec::new());
         rec.defer(&reg, 0, 9); // due = tick_of(0) + 1 = 2
                                // Clock 1500: core 1 is 1500 ns stale (> timeout); core 0 is at
                                // most 1000 ns stale (= timeout, not past it) whether the racing
@@ -301,7 +275,7 @@ fn excluded_dead_core_never_blocks_reclamation() {
             let reg = Arc::clone(&reg);
             thread::spawn(move || reg.check_watchdog())
         };
-        reg.sweep_into(0, &mut Vec::new());
+        reg.full_scan_into(0, &mut Vec::new());
         let excluded = killer.join().unwrap();
         assert_eq!(excluded, 1, "exactly the dead core gets excluded");
         assert!(reg.is_excluded(1) && !reg.is_excluded(0));
@@ -328,12 +302,12 @@ fn grace_period_frontier_gates_collection() {
         let sweeper = {
             let reg = Arc::clone(&reg);
             thread::spawn(move || {
-                reg.sweep(1);
-                reg.sweep(1);
+                reg.full_scan_into(1, &mut Vec::new());
+                reg.full_scan_into(1, &mut Vec::new());
             })
         };
 
-        reg.sweep(0);
+        reg.full_scan_into(0, &mut Vec::new());
         // Concurrent with the sweeper: core 0 has swept once, so the
         // frontier is at most 1 (< due = 2) — nothing may be collected.
         let early = rec.collect(&reg);
@@ -341,7 +315,7 @@ fn grace_period_frontier_gates_collection() {
             early.is_empty(),
             "collected before core 0 reached the grace frontier"
         );
-        reg.sweep(0);
+        reg.full_scan_into(0, &mut Vec::new());
         sweeper.join().unwrap();
         // All cores at tick 2: the item must now be due, exactly once.
         assert_eq!(rec.collect(&reg), vec![42]);

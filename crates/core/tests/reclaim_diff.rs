@@ -1,6 +1,8 @@
 //! Differential property test: sharded vs reference reclaimer (ISSUE 5).
 //!
-//! Both engines are driven through the identical random schedule of
+//! [`ShardedReclaimer`] (the runtime engine) and [`RtReclaimer`] (its
+//! executable spec) are called directly — they share no queue code. Both
+//! engines are driven through the identical random schedule of
 //! defer/sweep/collect ops on identically-shaped registries (same sweep
 //! schedule ⇒ identical per-core ticks ⇒ identical frontiers), and must
 //! agree on the reclaimed multiset:
@@ -33,7 +35,7 @@
 //! way a stalled core flushes its local cache and rejoins on its next
 //! tick. Its fast-forwarded tick is what keeps the shard dues monotone.
 
-use latr_core::rt::{ReclaimBackend, Reclaimer, RtRegistry};
+use latr_core::rt::{RtReclaimer, RtRegistry, ShardedReclaimer};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,8 +45,8 @@ const CORES: usize = 4;
 enum Op {
     /// `core` defers the next sequential item.
     Defer(u8),
-    /// `core` sweeps — via the full scan or the pending-bitmap drain
-    /// (both bump the tick identically).
+    /// `core` sweeps — via the reference full scan or the runtime
+    /// pending-row drain (both bump the tick identically).
     Sweep(u8, bool),
     /// `core` collects whatever its engine considers due.
     Collect(u8),
@@ -87,8 +89,8 @@ proptest! {
     fn sharded_and_reference_reclaim_the_same_multiset((grace, ops) in ops()) {
         let reg_ref = RtRegistry::new(CORES, 8);
         let reg_sh = RtRegistry::new(CORES, 8);
-        let rec_ref: Reclaimer<u64> = Reclaimer::new(ReclaimBackend::Reference, grace, CORES);
-        let rec_sh: Reclaimer<u64> = Reclaimer::new(ReclaimBackend::Sharded, grace, CORES);
+        let rec_ref: RtReclaimer<u64> = RtReclaimer::new(grace);
+        let rec_sh: ShardedReclaimer<u64> = ShardedReclaimer::new(grace, CORES);
 
         let mut next_item = 0u64;
         // Items still parked on each sharded shard, with their engine due.
@@ -117,7 +119,7 @@ proptest! {
                     let due = base + grace;
                     parked[core].insert(next_item, due);
                     max_due = max_due.max(due).max(reg_ref.min_live_tick() + grace);
-                    rec_ref.defer(&reg_ref, core, next_item);
+                    rec_ref.defer(&reg_ref, next_item);
                     rec_sh.defer(&reg_sh, core, next_item);
                     next_item += 1;
                 }
@@ -128,11 +130,11 @@ proptest! {
                     }
                     let mut buf = Vec::new();
                     if pending {
-                        reg_ref.sweep_pending_into(core, &mut buf);
-                        reg_sh.sweep_pending_into(core, &mut buf);
-                    } else {
                         reg_ref.sweep_into(core, &mut buf);
                         reg_sh.sweep_into(core, &mut buf);
+                    } else {
+                        reg_ref.full_scan_into(core, &mut buf);
+                        reg_sh.full_scan_into(core, &mut buf);
                     }
                     // Identical schedules keep the ground-truth frontiers
                     // in lock-step.
@@ -143,7 +145,9 @@ proptest! {
                     if killed.contains(&core) {
                         continue;
                     }
-                    for item in rec_ref.collect(&reg_ref, core) {
+                    // The reference queue is global: any core collects
+                    // everything due.
+                    for item in rec_ref.collect(&reg_ref) {
                         prop_assert!(got_ref.insert(item), "reference reclaimed {item} twice");
                     }
                     for item in rec_sh.collect(&reg_sh, core) {
@@ -222,7 +226,7 @@ proptest! {
         }
         reg_sh.advance_frontier();
         for core in 0..CORES {
-            got_ref.extend(rec_ref.collect(&reg_ref, core));
+            got_ref.extend(rec_ref.collect(&reg_ref));
             got_sh.extend(rec_sh.collect(&reg_sh, core));
         }
         let all: BTreeSet<u64> = (0..next_item).collect();

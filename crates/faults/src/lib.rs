@@ -38,7 +38,10 @@ pub use plan::{
     AllocBurst, FaultPlan, IpiFaults, OverflowStorm, ReclaimStall, StalledCore, TickFaults,
     WatermarkFlap,
 };
-pub use rt::{ThreadDeath, ThreadFault, ThreadFaultInjector, ThreadFaultPlan, ThreadFaultStream};
+pub use rt::{
+    ThreadDeath, ThreadFault, ThreadFaultInjector, ThreadFaultPlan, ThreadFaultStream,
+    ThreadPlanError,
+};
 
 /// Stream tag used to fork the injector's RNG off the machine seed; any
 /// fixed constant works, it only has to be stable across runs.

@@ -16,9 +16,9 @@
 //! * **Sweeper stalls** — a preemption window: the thread keeps running
 //!   but must skip its sweep for a span of rounds, starving the cached
 //!   frontier until the [`FrontierWatchdog`] excludes it.
-//! * **Dropped wakeups** — a `publish_batch` completes but the publisher
-//!   skips whatever notification it would have sent, so sweepers only
-//!   notice the work on their own schedule.
+//! * **Dropped wakeups** — a publish completes but the publisher skips
+//!   whatever notification it would have sent, so sweepers only notice
+//!   the work on their own schedule.
 //! * **Delayed announces** — the sweeper sweeps but suppresses its
 //!   frontier announce (an *unannounced* sweep), so the cached frontier
 //!   lags until a forced refresh.
@@ -108,29 +108,74 @@ impl ThreadFaultPlan {
     /// probability needs a non-zero stall length, and at most one death
     /// per thread (a thread only dies once).
     ///
+    /// ```
+    /// use latr_faults::{ThreadFaultPlan, ThreadPlanError};
+    ///
+    /// let plan = ThreadFaultPlan::default().with_stalls(0.5, 0);
+    /// assert_eq!(plan.validate(), Err(ThreadPlanError::StallWithoutLength));
+    /// ```
+    ///
     /// [`FaultPlan::validate`]: crate::FaultPlan::validate
-    pub fn validate(&self) -> Result<(), String> {
-        let prob = |name: &str, p: f64| {
-            if (0.0..=1.0).contains(&p) {
+    pub fn validate(&self) -> Result<(), ThreadPlanError> {
+        let prob = |name: &'static str, value: f64| {
+            if (0.0..=1.0).contains(&value) {
                 Ok(())
             } else {
-                Err(format!("{name} must be in [0, 1], got {p}"))
+                Err(ThreadPlanError::ProbabilityOutOfRange { name, value })
             }
         };
         prob("stall_prob", self.stall_prob)?;
         prob("wakeup_drop_prob", self.wakeup_drop_prob)?;
         prob("announce_delay_prob", self.announce_delay_prob)?;
         if self.stall_prob > 0.0 && self.stall_rounds == 0 {
-            return Err("stall_prob > 0 requires stall_rounds > 0".into());
+            return Err(ThreadPlanError::StallWithoutLength);
         }
         for (i, d) in self.deaths.iter().enumerate() {
             if self.deaths[..i].iter().any(|e| e.thread == d.thread) {
-                return Err(format!("thread {} has more than one death", d.thread));
+                return Err(ThreadPlanError::DuplicateDeath { thread: d.thread });
             }
         }
         Ok(())
     }
 }
+
+/// Why [`ThreadFaultPlan::validate`] refuses a plan.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ThreadPlanError {
+    /// A probability lies outside `[0, 1]` or is NaN.
+    ProbabilityOutOfRange {
+        /// The plan field, e.g. `"stall_prob"`.
+        name: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
+    /// `stall_prob > 0` with `stall_rounds == 0`: a stall would open and
+    /// close in the same round, injecting nothing.
+    StallWithoutLength,
+    /// The thread is scheduled to die more than once.
+    DuplicateDeath {
+        /// The worker index.
+        thread: u16,
+    },
+}
+
+impl std::fmt::Display for ThreadPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ThreadPlanError::ProbabilityOutOfRange { name, value } => {
+                write!(f, "{name} must be in [0, 1], got {value}")
+            }
+            ThreadPlanError::StallWithoutLength => {
+                write!(f, "stall_prob > 0 requires stall_rounds > 0")
+            }
+            ThreadPlanError::DuplicateDeath { thread } => {
+                write!(f, "thread {thread} has more than one death")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ThreadPlanError {}
 
 /// Outcome of consulting a [`ThreadFaultStream`] for one round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -328,27 +373,25 @@ mod tests {
 
     #[test]
     fn invalid_plans_are_rejected() {
-        assert!(ThreadFaultPlan::default()
-            .with_stalls(1.5, 10)
-            .validate()
-            .is_err());
-        assert!(ThreadFaultPlan::default()
-            .with_stalls(0.5, 0)
-            .validate()
-            .is_err());
-        assert!(ThreadFaultPlan::default()
-            .with_wakeup_drops(-0.1)
-            .validate()
-            .is_err());
-        assert!(ThreadFaultPlan::default()
-            .with_announce_delays(f64::NAN)
-            .validate()
-            .is_err());
-        assert!(ThreadFaultPlan::default()
-            .with_death(1, 5, true)
-            .with_death(1, 9, false)
-            .validate()
-            .is_err());
+        let d = ThreadFaultPlan::default;
+        let out_of_range = |plan: ThreadFaultPlan, want: &str| match plan.validate() {
+            Err(ThreadPlanError::ProbabilityOutOfRange { name, .. }) => assert_eq!(name, want),
+            other => panic!("{want}: expected ProbabilityOutOfRange, got {other:?}"),
+        };
+        out_of_range(d().with_stalls(1.5, 10), "stall_prob");
+        out_of_range(d().with_wakeup_drops(-0.1), "wakeup_drop_prob");
+        out_of_range(d().with_announce_delays(f64::NAN), "announce_delay_prob");
+        assert_eq!(
+            d().with_stalls(0.5, 0).validate(),
+            Err(ThreadPlanError::StallWithoutLength)
+        );
+        assert_eq!(
+            d().with_death(1, 5, true)
+                .with_death(1, 9, false)
+                .validate(),
+            Err(ThreadPlanError::DuplicateDeath { thread: 1 })
+        );
+        assert_eq!(d().with_stalls(0.5, 3).validate(), Ok(()));
     }
 
     #[test]

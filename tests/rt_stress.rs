@@ -4,7 +4,7 @@
 //! recycling under pressure. Every sweep loop goes through the `_into`
 //! variants with a reused buffer — the steady state allocates nothing.
 
-use latr_core::rt::{ReclaimBackend, Reclaimer, RtInvalidation, RtRegistry};
+use latr_core::rt::{RtInvalidation, RtReclaimer, RtRegistry, ShardedReclaimer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -23,23 +23,24 @@ fn inv(tag: u64) -> RtInvalidation {
 /// covered.
 const SHAPES: [usize; 3] = [4, 16, 120];
 
-/// Broadcast states to every other core; the emptiness observation races
-/// across mask words at the larger shapes, so retirement must stay
-/// exactly-once (the counter would underflow loudly otherwise).
+/// Broadcast states to every other core, swept by the reference full
+/// scan; the emptiness observation races across mask words at the larger
+/// shapes, so retirement must stay exactly-once (the counter would
+/// underflow loudly otherwise).
 #[test]
 fn wide_mask_retirement_is_exactly_once() {
     for cores in [4, 16, 120, 136] {
-        wide_mask_retirement_at(cores, RtRegistry::sweep_into);
+        wide_mask_retirement_at(cores, RtRegistry::full_scan_into);
     }
 }
 
-/// The same broadcast race driven through the pending-bitmap drain
-/// instead of the full scan: the fast path must deliver each state to
-/// each target exactly once at every shape too.
+/// The same broadcast race driven through the runtime sweep's
+/// pending-row drain: it must deliver each state to each target exactly
+/// once at every shape too.
 #[test]
 fn wide_mask_retirement_is_exactly_once_via_pending_sweep() {
     for cores in [4, 16, 120, 136] {
-        wide_mask_retirement_at(cores, RtRegistry::sweep_pending_into);
+        wide_mask_retirement_at(cores, RtRegistry::sweep_into);
     }
 }
 
@@ -134,29 +135,51 @@ fn wide_mask_retirement_at(cores: usize, sweep: fn(&RtRegistry, usize, &mut Vec<
 
 /// Full pipeline: publisher frees "objects" through the reclaimer while
 /// sweepers tick; no object may be handed back before every core has
-/// ticked twice past its deferral. Runs under both the reference
-/// (mutexed VecDeque + full scan) and sharded (per-core FIFO + cached
-/// frontier) engines.
+/// ticked twice past its deferral. Runs both reclaimers, called
+/// directly: the reference `RtReclaimer` (mutexed VecDeque + O(cores)
+/// scan) and the runtime `ShardedReclaimer` (per-core FIFO + cached
+/// frontier).
 #[test]
 fn reclaim_pipeline_respects_grace_under_concurrency() {
-    for backend in [ReclaimBackend::Reference, ReclaimBackend::Sharded] {
-        for cores in SHAPES {
-            // Fewer objects at the bigger shapes: the frontier needs every
-            // one of `cores - 1` ticker threads to advance, so each object
-            // costs more wall-clock as the machine grows.
-            let total = match cores {
-                0..=8 => 2_000u64,
-                9..=32 => 800,
-                _ => 150,
-            };
-            reclaim_pipeline_at(cores, total, backend);
-        }
+    for cores in SHAPES {
+        // Fewer objects at the bigger shapes: the frontier needs every
+        // one of `cores - 1` ticker threads to advance, so each object
+        // costs more wall-clock as the machine grows.
+        let total = match cores {
+            0..=8 => 2_000u64,
+            9..=32 => 800,
+            _ => 150,
+        };
+        let reference = RtReclaimer::new(2);
+        reclaim_pipeline_at(
+            cores,
+            total,
+            "reference",
+            |r, item| reference.defer(r, item),
+            |r, out| reference.collect_into(r, out),
+        );
+        let sharded = ShardedReclaimer::new(2, cores);
+        reclaim_pipeline_at(
+            cores,
+            total,
+            "sharded",
+            |r, item| sharded.defer(r, 0, item),
+            |r, out| sharded.collect_into(r, 0, out),
+        );
     }
 }
 
-fn reclaim_pipeline_at(cores: usize, total: u64, backend: ReclaimBackend) {
+/// Drives one reclaimer through the pipeline from core 0: `defer` parks
+/// an `(object, frontier at deferral)` pair, `collect_into` appends what
+/// is due.
+fn reclaim_pipeline_at(
+    cores: usize,
+    total: u64,
+    engine: &str,
+    defer: impl Fn(&RtRegistry, (u64, u64)),
+    collect_into: impl Fn(&RtRegistry, &mut Vec<(u64, u64)>),
+) {
     let registry = Arc::new(RtRegistry::new(cores, 256));
-    let reclaimer: Arc<Reclaimer<(u64, u64)>> = Arc::new(Reclaimer::new(backend, 2, cores));
     let stop = Arc::new(AtomicBool::new(false));
 
     let tickers: Vec<_> = (1..cores)
@@ -180,11 +203,11 @@ fn reclaim_pipeline_at(cores: usize, total: u64, backend: ReclaimBackend) {
     for i in 0..total {
         // Defer the object recording the tick frontier at deferral time.
         let frontier = registry.min_tick();
-        reclaimer.defer(&registry, 0, (i, frontier));
+        defer(&registry, (i, frontier));
         sweep_buf.clear();
         registry.sweep_into(0, &mut sweep_buf);
         due.clear();
-        reclaimer.collect_into(&registry, 0, &mut due);
+        collect_into(&registry, &mut due);
         for &(obj, deferred_at) in &due {
             // Grace: every core ticked at least twice since deferral.
             assert!(
@@ -211,8 +234,10 @@ fn reclaim_pipeline_at(cores: usize, total: u64, backend: ReclaimBackend) {
         }
     }
     registry.advance_frontier();
-    collected.extend(reclaimer.collect(&registry, 0).into_iter().map(|(o, _)| o));
-    assert_eq!(collected.len() as u64, total, "{cores} cores {backend:?}");
+    due.clear();
+    collect_into(&registry, &mut due);
+    collected.extend(due.iter().map(|&(o, _)| o));
+    assert_eq!(collected.len() as u64, total, "{cores} cores {engine}");
     assert!(collected.windows(2).all(|w| w[0] < w[1]), "FIFO order");
     // With no exclusions the live minimum and the all-core minimum are
     // the same frontier, and the cache never leads either.
