@@ -8,36 +8,13 @@
 //!
 //! [`IpiFabric::multicast`] converts (initiator, target set, start time)
 //! into a deterministic per-target delivery schedule the kernel turns into
-//! events.
+//! events: when each target receives its interrupt, in target order
+//! (ascending CPU id, the order Linux iterates the cpumask).
 
 use crate::costs::CostModel;
 use crate::cpumask::{CpuId, CpuMask};
 use crate::topology::Topology;
 use latr_sim::{Nanos, Time};
-
-/// The delivery schedule of one multicast IPI, produced by
-/// [`IpiFabric::multicast`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IpiSchedule {
-    /// When each target receives its interrupt, in target order
-    /// (ascending CPU id, the order Linux iterates the cpumask).
-    pub deliveries: Vec<(CpuId, Time)>,
-    /// When the sender finishes programming the last ICR write and can
-    /// proceed to wait for ACKs.
-    pub sender_free: Time,
-}
-
-impl IpiSchedule {
-    /// The latest delivery instant, or `sender_free` if there were no
-    /// targets.
-    pub fn last_delivery(&self) -> Time {
-        self.deliveries
-            .iter()
-            .map(|&(_, t)| t)
-            .max()
-            .unwrap_or(self.sender_free)
-    }
-}
 
 /// The IPI delivery fabric for one machine.
 #[derive(Debug, Clone)]
@@ -64,9 +41,17 @@ impl IpiFabric {
 
     /// Computes the delivery schedule for a multicast from `initiator` to
     /// every CPU in `targets` (the initiator itself is skipped if present),
-    /// starting at `start`.
-    pub fn multicast(&self, initiator: CpuId, targets: &CpuMask, start: Time) -> IpiSchedule {
-        let mut deliveries = Vec::with_capacity(targets.count());
+    /// starting at `start`: appends `(target, delivery time)` pairs to
+    /// `deliveries`, a caller-owned buffer so a reused one makes the call
+    /// allocation-free. Returns when the sender finishes programming the
+    /// last ICR write and can proceed to wait for ACKs.
+    pub fn multicast(
+        &self,
+        initiator: CpuId,
+        targets: &CpuMask,
+        start: Time,
+        deliveries: &mut Vec<(CpuId, Time)>,
+    ) -> Time {
         let mut send_clock = start;
         for target in targets.iter() {
             if target == initiator {
@@ -77,10 +62,7 @@ impl IpiFabric {
             let delivered = send_clock + self.costs.ipi_wire(hops);
             deliveries.push((target, delivered));
         }
-        IpiSchedule {
-            deliveries,
-            sender_free: send_clock,
-        }
+        send_clock
     }
 
     /// ACK latency from `responder` back to `initiator` (a cache-line
@@ -107,13 +89,28 @@ mod tests {
         IpiFabric::new(Topology::preset(preset), CostModel::calibrated())
     }
 
+    /// The deliveries of a multicast and the sender's free time.
+    fn schedule(f: &IpiFabric, targets: &CpuMask, start: Time) -> (Vec<(CpuId, Time)>, Time) {
+        let mut deliveries = Vec::new();
+        let sender_free = f.multicast(CpuId(0), targets, start, &mut deliveries);
+        (deliveries, sender_free)
+    }
+
+    /// The latest delivery instant.
+    fn last_delivery(deliveries: &[(CpuId, Time)]) -> u64 {
+        deliveries
+            .iter()
+            .map(|&(_, t)| t.as_ns())
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn empty_multicast_is_free() {
         let f = fabric(MachinePreset::Commodity2S16C);
-        let s = f.multicast(CpuId(0), &CpuMask::empty(), Time::from_ns(100));
-        assert!(s.deliveries.is_empty());
-        assert_eq!(s.sender_free, Time::from_ns(100));
-        assert_eq!(s.last_delivery(), Time::from_ns(100));
+        let (deliveries, sender_free) = schedule(&f, &CpuMask::empty(), Time::from_ns(100));
+        assert!(deliveries.is_empty());
+        assert_eq!(sender_free, Time::from_ns(100));
     }
 
     #[test]
@@ -122,24 +119,24 @@ mod tests {
         let mut m = CpuMask::empty();
         m.set(CpuId(0));
         m.set(CpuId(1));
-        let s = f.multicast(CpuId(0), &m, Time::ZERO);
-        assert_eq!(s.deliveries.len(), 1);
-        assert_eq!(s.deliveries[0].0, CpuId(1));
+        let (deliveries, _) = schedule(&f, &m, Time::ZERO);
+        assert_eq!(deliveries.len(), 1);
+        assert_eq!(deliveries[0].0, CpuId(1));
     }
 
     #[test]
     fn sends_serialize_at_sender() {
         let f = fabric(MachinePreset::Commodity2S16C);
         let m = CpuMask::first_n(16);
-        let s = f.multicast(CpuId(0), &m, Time::ZERO);
-        assert_eq!(s.deliveries.len(), 15);
+        let (deliveries, sender_free) = schedule(&f, &m, Time::ZERO);
+        assert_eq!(deliveries.len(), 15);
         // Deliveries to successive same-socket targets are spaced by at
         // least the send serialization cost.
-        let d1 = s.deliveries[0].1;
-        let d2 = s.deliveries[1].1;
+        let d1 = deliveries[0].1;
+        let d2 = deliveries[1].1;
         assert!(d2 - d1 >= f.costs().ipi_send_same_socket);
         // Sender stays busy for the whole send train.
-        assert!(s.sender_free.as_ns() >= 15 * f.costs().ipi_send_same_socket);
+        assert!(sender_free.as_ns() >= 15 * f.costs().ipi_send_same_socket);
     }
 
     #[test]
@@ -149,16 +146,15 @@ mod tests {
         near.set(CpuId(1));
         let mut far = CpuMask::empty();
         far.set(CpuId(9)); // other socket
-        let sn = f.multicast(CpuId(0), &near, Time::ZERO);
-        let sf = f.multicast(CpuId(0), &far, Time::ZERO);
-        assert!(sf.deliveries[0].1 > sn.deliveries[0].1);
+        let (near, _) = schedule(&f, &near, Time::ZERO);
+        let (far, _) = schedule(&f, &far, Time::ZERO);
+        assert!(far[0].1 > near[0].1);
     }
 
     #[test]
     fn sixteen_core_schedule_is_about_6us() {
         let f = fabric(MachinePreset::Commodity2S16C);
-        let s = f.multicast(CpuId(0), &CpuMask::first_n(16), Time::ZERO);
-        let last = s.last_delivery().as_ns();
+        let last = last_delivery(&schedule(&f, &CpuMask::first_n(16), Time::ZERO).0);
         // Delivery alone (without handler + ACK) is a bit under the paper's
         // 6 µs end-to-end number.
         assert!((4_000..6_500).contains(&last), "last delivery {last}");
@@ -167,8 +163,7 @@ mod tests {
     #[test]
     fn hundred_twenty_core_schedule_is_about_80us() {
         let f = fabric(MachinePreset::LargeNuma8S120C);
-        let s = f.multicast(CpuId(0), &CpuMask::first_n(120), Time::ZERO);
-        let last = s.last_delivery().as_ns();
+        let last = last_delivery(&schedule(&f, &CpuMask::first_n(120), Time::ZERO).0);
         assert!((65_000..90_000).contains(&last), "last delivery {last}");
     }
 

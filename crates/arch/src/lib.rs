@@ -28,6 +28,6 @@ mod topology;
 pub use cache::{CacheStats, LlcModel};
 pub use costs::CostModel;
 pub use cpumask::{CpuId, CpuMask, MAX_CPUS};
-pub use ipi::{IpiFabric, IpiSchedule};
+pub use ipi::IpiFabric;
 pub use tlb::{Tlb, TlbEntry, TlbStats, PCID_NONE};
 pub use topology::{MachinePreset, NodeId, SocketId, Topology};

@@ -188,13 +188,32 @@ fn serving_mm(depth: usize) -> MmStruct {
 }
 
 /// The mmap-time search of the blocked-VA list at the depths serving
-/// reaches (mean ~160, max ~300): a 2-page probe walks the whole run.
+/// reaches (mean ~160, max ~300). The search walks the list's coverage
+/// edges, not its ranges: the packed ranges cancel into one run per
+/// 1-page hole, so a 2-page probe takes `depth / 32 + 1` steps past the
+/// blocked runs, then the live buffers.
 fn bench_mm_find_free_va(c: &mut Criterion) {
     for depth in [0, 160, 300] {
         let mm = serving_mm(depth);
         assert_eq!(mm.blocked_ranges().len(), depth);
         c.bench_function(&format!("mm_find_free_va_depth_{depth}"), |b| {
             b.iter(|| black_box(mm.find_free_va(black_box(2))))
+        });
+    }
+}
+
+/// The cost the edge index moves into the list's updates: block the range
+/// the next 2-page mmap would take, then unblock it — one munmap and one
+/// reclamation — at serving depths.
+fn bench_mm_block_unblock(c: &mut Criterion) {
+    for depth in [160, 300] {
+        let mut mm = serving_mm(depth);
+        let next = mm.find_free_va(2);
+        c.bench_function(&format!("mm_block_unblock_depth_{depth}"), |b| {
+            b.iter(|| {
+                mm.block_va(black_box(next));
+                black_box(mm.unblock_va(&next))
+            })
         });
     }
 }
@@ -230,6 +249,7 @@ criterion_group!(
     bench_machine_sweep_storm,
     bench_machine_overflow_fallback,
     bench_mm_find_free_va,
+    bench_mm_block_unblock,
     bench_oracle_sweep
 );
 criterion_main!(benches);

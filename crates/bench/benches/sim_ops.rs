@@ -75,8 +75,12 @@ fn bench_ipi_schedule(c: &mut Criterion) {
         CostModel::calibrated(),
     );
     let targets = CpuMask::first_n(120);
+    let mut deliveries = Vec::with_capacity(120);
     c.bench_function("ipi_multicast_schedule_120", |b| {
-        b.iter(|| black_box(fabric.multicast(CpuId(0), &targets, Time::ZERO)))
+        b.iter(|| {
+            deliveries.clear();
+            black_box(fabric.multicast(CpuId(0), &targets, Time::ZERO, &mut deliveries))
+        })
     });
 }
 

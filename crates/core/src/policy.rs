@@ -260,7 +260,7 @@ impl LatrPolicy {
                 ),
             );
         }
-        let txn = machine.begin_sync_shootdown(owner, mm, pages, laggards, 0);
+        let txn = machine.begin_sync_shootdown(owner, mm, &pages, laggards, 0);
         self.watchdog_rounds.insert(txn.0, id);
         self.escalated.insert(id);
     }

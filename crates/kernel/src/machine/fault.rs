@@ -160,7 +160,7 @@ impl Machine {
                 return cost;
             }
         };
-        if self.swapped.remove(&(mm_id.0, vpn.0)) {
+        if !self.swapped.is_empty() && self.swapped.remove(&(mm_id.0, vpn.0)) {
             // Swap-in: the page's previous contents come back from the
             // backing store.
             cost += self.costs.swap_in;
@@ -271,7 +271,7 @@ impl Machine {
             self.pending_reclaim.is_none(),
             "a NUMA hint-unmap round carries no reclaim package"
         );
-        self.begin_sync_shootdown(cpu, mm_id, vec![vpn], targets, 0);
+        self.begin_sync_shootdown(cpu, mm_id, &[vpn], targets, 0);
         // The scanner runs in task context: the initiating CPU eats the
         // synchronous wait as debt.
         let est = self
@@ -338,7 +338,8 @@ impl Machine {
             return cost;
         };
         let home = self.frames.node_of(pte.pfn);
-        let force_compact = self.compact_pending.remove(&(mm_id.0, vpn.0));
+        let force_compact =
+            !self.compact_pending.is_empty() && self.compact_pending.remove(&(mm_id.0, vpn.0));
         // Compaction migrates within the home node (defragmentation);
         // NUMA balancing migrates toward the accessing node.
         let target = if force_compact { home } else { node };

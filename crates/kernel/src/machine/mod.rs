@@ -29,13 +29,12 @@ use crate::event::Event;
 use crate::mmlock::{LockMode, MmLock};
 use crate::numa::{NumaConfig, NumaRuntime, NumaStats};
 use crate::ops::{Op, OpResult, Workload};
-use crate::shootdown::{ShootdownTxn, TlbPolicy};
+use crate::shootdown::TlbPolicy;
 use crate::task::{Task, TaskId, TaskState};
 use latr_arch::{CostModel, CpuId, IpiFabric, LlcModel, Tlb, Topology};
 use latr_faults::{FaultInjector, FaultPlan, TickFault};
 use latr_mem::{FileId, FrameAllocator, MmId, MmStruct, PageCache, Pfn, Prot, Vpn};
 use latr_sim::{EventQueue, Nanos, QueueBackend, SimRng, Time, TraceRing};
-use std::collections::HashMap;
 
 /// Configuration of one simulation run.
 #[derive(Clone, Debug)]
@@ -267,7 +266,7 @@ pub struct Machine {
     pub llc: LlcModel,
     policy: Option<Box<dyn TlbPolicy>>,
     workload: Option<Box<dyn Workload>>,
-    txns: HashMap<u64, ShootdownTxn>,
+    txns: txn::TxnTable,
     next_txn: u64,
     pending_reclaim: Option<ReclaimPackage>,
     numa: NumaRuntime,
@@ -288,9 +287,13 @@ pub struct Machine {
     scratch_pages: Vec<(Vpn, Pfn)>,
     scratch_vmas: Vec<latr_mem::Vma>,
     scratch_granted: Vec<TaskId>,
+    scratch_deliveries: Vec<(CpuId, Time)>,
     // Recycled `ReclaimPackage::frames` vectors: `release_reclaim` parks
     // the emptied vector here and the next unmap reuses it.
     frame_vec_pool: Vec<Vec<Pfn>>,
+    // Recycled `ShootdownTxn::pages` vectors, parked when a round
+    // completes and refilled by the next one.
+    page_vec_pool: Vec<Vec<Vpn>>,
     // Running FNV-1a fold over the delivered event stream (time + payload
     // per event) — the O(1) incremental fingerprint.
     fold: u64,
@@ -298,9 +301,6 @@ pub struct Machine {
     injector: Option<FaultInjector>,
     // Last-signalled pressure per node (edge detection for watermark events).
     pressure_level: Vec<latr_mem::Pressure>,
-    // Frames whose final reference is parked in a lazy-reclamation queue
-    // (the reclamation-debt ledger; see `note_reclaim_debt`).
-    debt_parked: std::collections::HashSet<Pfn>,
     // Frames grabbed by injected allocation bursts, one slot per plan site.
     burst_held: Vec<Vec<Pfn>>,
     // Whether each burst window has been applied (edge detection).
@@ -357,7 +357,7 @@ impl Machine {
             llc: LlcModel::new(config.llc_base_miss_ratio),
             policy: None,
             workload: None,
-            txns: HashMap::new(),
+            txns: txn::TxnTable::default(),
             next_txn: 0,
             pending_reclaim: None,
             numa: NumaRuntime::new(config.numa),
@@ -374,7 +374,9 @@ impl Machine {
             scratch_pages: Vec::new(),
             scratch_vmas: Vec::new(),
             scratch_granted: Vec::new(),
+            scratch_deliveries: Vec::new(),
             frame_vec_pool: Vec::new(),
+            page_vec_pool: Vec::new(),
             fold: FNV_OFFSET,
             injector: config.faults.filter(FaultPlan::is_active).map(|plan| {
                 // The injector's randomness comes from a fork keyed off the
@@ -384,7 +386,6 @@ impl Machine {
                 FaultInjector::new(plan, root.fork(latr_faults::FAULT_STREAM))
             }),
             pressure_level: vec![latr_mem::Pressure::Normal; num_nodes],
-            debt_parked: std::collections::HashSet::new(),
             burst_held: vec![Vec::new(); num_bursts],
             burst_applied: vec![false; num_bursts],
             flap_counted: vec![false; num_flaps],

@@ -211,10 +211,7 @@ impl Machine {
     /// [`release_reclaim_deferred`](Self::release_reclaim_deferred).
     pub fn note_reclaim_debt(&mut self, pkg: &ReclaimPackage) {
         for &pfn in &pkg.frames {
-            if self.frames.refcount(pfn) == 1 && self.debt_parked.insert(pfn) {
-                let node = self.frames.node_of(pfn);
-                self.frames.note_debt(node, 1);
-            }
+            self.frames.park_debt(pfn);
         }
     }
 
@@ -224,10 +221,7 @@ impl Machine {
     /// recovery is signalled as soon as the pool refills.
     pub fn release_reclaim_deferred(&mut self, pkg: ReclaimPackage) {
         for &pfn in &pkg.frames {
-            if self.debt_parked.remove(&pfn) {
-                let node = self.frames.node_of(pfn);
-                self.frames.settle_debt(node, 1);
-            }
+            self.frames.unpark_debt(pfn);
         }
         self.release_reclaim(pkg);
         self.poll_pressure();

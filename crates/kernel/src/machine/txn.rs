@@ -9,6 +9,7 @@ use latr_arch::{CpuId, CpuMask};
 use latr_faults::{FaultInjector, IpiFault};
 use latr_mem::{MmId, Pfn, VaRange, Vpn};
 use latr_sim::{Nanos, Time};
+use std::collections::VecDeque;
 
 /// A deferred-release package: the frames and VA range whose reuse must
 /// wait for the TLB shootdown to complete.
@@ -20,6 +21,53 @@ pub struct ReclaimPackage {
     pub frames: Vec<Pfn>,
     /// VA range to unblock.
     pub va: Option<VaRange>,
+}
+
+/// The synchronous transactions in flight, indexed by id. Ids are handed
+/// out in increasing order and each is inserted as it is created, so the
+/// live ones lie in the window `[base, base + slots.len())`: a lookup is
+/// one subtraction and a bounds check, and completed slots at the front
+/// retire as the window slides. The deque keeps its capacity, so the
+/// steady state allocates nothing.
+#[derive(Debug, Default)]
+pub(super) struct TxnTable {
+    base: u64,
+    slots: VecDeque<Option<ShootdownTxn>>,
+}
+
+impl TxnTable {
+    fn insert(&mut self, txn: ShootdownTxn) {
+        assert_eq!(
+            txn.id.0,
+            self.base + self.slots.len() as u64,
+            "transaction ids are inserted in order"
+        );
+        self.slots.push_back(Some(txn));
+    }
+
+    fn slot(&self, id: TxnId) -> Option<usize> {
+        let i = usize::try_from(id.0.checked_sub(self.base)?).ok()?;
+        (i < self.slots.len()).then_some(i)
+    }
+
+    pub(super) fn get(&self, id: TxnId) -> Option<&ShootdownTxn> {
+        self.slots[self.slot(id)?].as_ref()
+    }
+
+    pub(super) fn get_mut(&mut self, id: TxnId) -> Option<&mut ShootdownTxn> {
+        let i = self.slot(id)?;
+        self.slots[i].as_mut()
+    }
+
+    fn remove(&mut self, id: TxnId) -> Option<ShootdownTxn> {
+        let i = self.slot(id)?;
+        let txn = self.slots[i].take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        txn
+    }
 }
 
 impl Machine {
@@ -45,8 +93,9 @@ impl Machine {
                 defer_reclaim: false,
             };
         }
-        let vpns = pages.iter().map(|&(v, _)| v).collect();
-        let txn = self.begin_sync_shootdown(initiator, mm, vpns, targets, start_delay);
+        let mut vpns = self.page_vec_pool.pop().unwrap_or_default();
+        vpns.extend(pages.iter().map(|&(v, _)| v));
+        let txn = self.start_sync_round(initiator, mm, vpns, targets, start_delay);
         FlushOutcome::Sync { txn, local_ns: 0 }
     }
 
@@ -60,6 +109,22 @@ impl Machine {
     /// Panics if `targets` is empty — policies must handle that case as a
     /// purely local flush.
     pub fn begin_sync_shootdown(
+        &mut self,
+        initiator: CpuId,
+        mm: MmId,
+        pages: &[Vpn],
+        targets: CpuMask,
+        start_delay: Nanos,
+    ) -> TxnId {
+        let mut vpns = self.page_vec_pool.pop().unwrap_or_default();
+        vpns.extend_from_slice(pages);
+        self.start_sync_round(initiator, mm, vpns, targets, start_delay)
+    }
+
+    /// [`begin_sync_shootdown`](Self::begin_sync_shootdown) on a page list
+    /// taken from `page_vec_pool`, where the round returns it when it
+    /// completes.
+    fn start_sync_round(
         &mut self,
         initiator: CpuId,
         mm: MmId,
@@ -77,25 +142,22 @@ impl Machine {
             .pending_reclaim
             .take()
             .map_or((Vec::new(), None), |pkg| (pkg.frames, pkg.va));
-        self.txns.insert(
-            id.0,
-            ShootdownTxn {
-                id,
-                initiator,
-                blocked_task: None,
-                mm,
-                pending: {
-                    let mut m = targets;
-                    m.clear(initiator);
-                    m
-                },
-                pages,
-                frames_to_release,
-                va_to_unblock,
-                started: self.now(),
-                wait_started: start,
+        self.txns.insert(ShootdownTxn {
+            id,
+            initiator,
+            blocked_task: None,
+            mm,
+            pending: {
+                let mut m = targets;
+                m.clear(initiator);
+                m
             },
-        );
+            pages,
+            frames_to_release,
+            va_to_unblock,
+            started: self.now(),
+            wait_started: start,
+        });
         if self.trace.is_enabled() {
             self.trace.push(
                 self.now(),
@@ -119,8 +181,11 @@ impl Machine {
     fn send_ipis(&mut self, initiator: CpuId, targets: CpuMask, start: Time, txn: TxnId) {
         self.stats
             .add(crate::metrics::id::IPIS_SENT, targets.count() as u64);
-        let schedule = self.fabric.multicast(initiator, &targets, start);
-        for &(target, at) in &schedule.deliveries {
+        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
+        deliveries.clear();
+        self.fabric
+            .multicast(initiator, &targets, start, &mut deliveries);
+        for &(target, at) in &deliveries {
             let fault = self
                 .injector
                 .as_mut()
@@ -143,6 +208,7 @@ impl Machine {
             };
             self.queue.schedule(at, Event::IpiDeliver { target, txn });
         }
+        self.scratch_deliveries = deliveries;
         if self.injector.is_some() {
             self.queue
                 .schedule(start + self.costs.sched_tick_period, Event::TxnRetry(txn));
@@ -158,7 +224,7 @@ impl Machine {
     /// dropped by the `txns` lookup, and re-clearing a pending bit is
     /// idempotent. Only runs under an active fault plan.
     pub(super) fn txn_retry(&mut self, txn_id: TxnId) {
-        let (initiator, pending) = match self.txns.get(&txn_id.0) {
+        let (initiator, pending) = match self.txns.get(txn_id) {
             Some(t) => (t.initiator, t.pending),
             None => return, // completed; let the timer die
         };
@@ -184,7 +250,7 @@ impl Machine {
         // Take the page list out of the transaction instead of cloning it
         // (one heap allocation per IPI otherwise); it is restored before
         // this handler returns.
-        let (initiator, pages, pcid) = match self.txns.get_mut(&txn_id.0) {
+        let (initiator, pages, pcid) = match self.txns.get_mut(txn_id) {
             Some(t) => {
                 let pcid = self.mm_pcid[t.mm.0 as usize];
                 (t.initiator, std::mem::take(&mut t.pages), pcid)
@@ -230,13 +296,13 @@ impl Machine {
                 format!("{target} handles shootdown IPI ({} pages)", pages.len()),
             );
         }
-        if let Some(t) = self.txns.get_mut(&txn_id.0) {
+        if let Some(t) = self.txns.get_mut(txn_id) {
             t.pages = pages;
         }
     }
 
     pub(super) fn ack_arrive(&mut self, txn_id: TxnId, from: CpuId) {
-        let Some(txn) = self.txns.get_mut(&txn_id.0) else {
+        let Some(txn) = self.txns.get_mut(txn_id) else {
             return;
         };
         txn.pending.clear(from);
@@ -248,13 +314,16 @@ impl Machine {
         if !done {
             return;
         }
-        let txn = self.txns.remove(&txn_id.0).expect("txn present");
+        let mut txn = self.txns.remove(txn_id).expect("txn present");
         let wait = self.now().saturating_since(txn.wait_started);
         self.stats.record(crate::metrics::id::SHOOTDOWN_NS, wait);
         // Tell the policy before releasing: a watchdog-escalated round
         // must clear the escalated state's bits so gated reclamation sees
         // it retired.
         self.with_policy(|p, m| p.on_sync_complete(m, &txn));
+        let mut pages = std::mem::take(&mut txn.pages);
+        pages.clear();
+        self.page_vec_pool.push(pages);
         // Frames free on the initiating core, after every ACK (the sync
         // protocol's guarantee).
         self.release_reclaim_on(
@@ -294,9 +363,11 @@ impl Machine {
         for pfn in pkg.frames.drain(..) {
             self.frame_dec_ref(on, pfn);
         }
-        // Park the emptied frames vector for the next unmap to reuse (the
-        // pool is bounded by the number of packages concurrently staged).
-        if pkg.frames.capacity() > 0 && self.frame_vec_pool.len() < 64 {
+        // Park the emptied frames vector for the next unmap to reuse.
+        // Every package that stages frames takes its vector from the pool,
+        // and a fresh one only when the pool is empty, so the pool never
+        // holds more than the most packages ever staged at once.
+        if pkg.frames.capacity() > 0 {
             self.frame_vec_pool.push(pkg.frames);
         }
         // Every package blocked its range when it was staged, so a miss

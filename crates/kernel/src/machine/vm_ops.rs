@@ -61,7 +61,7 @@ impl Machine {
                 let wait_start = self.now() + local + extra;
                 let t = self
                     .txns
-                    .get_mut(&txn.0)
+                    .get_mut(txn)
                     .expect("sync outcome with unknown txn");
                 t.blocked_task = Some(task_id);
                 t.wait_started = wait_start;
@@ -112,11 +112,7 @@ impl Machine {
         let mut pages = std::mem::take(&mut self.scratch_pages);
         pages.clear();
         pages.extend(removed.iter().map(|&(v, pte)| (v, pte.pfn)));
-        // Unmapping cancels any swap/compaction bookkeeping for the range.
-        for vpn in range.iter() {
-            self.swapped.remove(&(mm_id.0, vpn.0));
-            self.compact_pending.remove(&(mm_id.0, vpn.0));
-        }
+        self.forget_page_marks(mm_id, range);
 
         // Initiator-side cost: syscall, VMA surgery, PTE clears, per-sharer
         // bookkeeping, local TLB invalidation.
@@ -251,9 +247,11 @@ impl Machine {
         local += self.costs.local_invalidation(removed.len() as u32);
         let pages: Vec<(Vpn, Pfn)> = removed.iter().map(|&(v, p)| (v, p.pfn)).collect();
         self.invalidate_pages(cpu, pcid, pages.len(), pages.iter().map(|&(v, _)| v));
+        let mut frames = self.frame_vec_pool.pop().unwrap_or_default();
+        frames.extend(pages.iter().map(|&(_, p)| p));
         let pkg = ReclaimPackage {
             mm: mm_id,
-            frames: pages.iter().map(|&(_, p)| p).collect(),
+            frames,
             va: None,
         };
         self.remote_flush(task_id, op, range, &pages, local, pkg);
@@ -272,7 +270,7 @@ impl Machine {
 
         let mut local = self.costs.syscall_overhead;
         let mut lazy_pages: Vec<(Vpn, Pfn)> = Vec::new();
-        let mut dup_frames: Vec<Pfn> = Vec::new();
+        let mut dup_frames = self.frame_vec_pool.pop().unwrap_or_default();
         let mut protected = 0u32;
         let mut k = 0;
         while k + 1 < range.pages {
@@ -425,9 +423,18 @@ impl Machine {
             for (_, pte) in removed {
                 self.frame_dec_ref(on, pte.pfn);
             }
-            for vpn in range.iter() {
-                self.swapped.remove(&(mm_id.0, vpn.0));
-                self.compact_pending.remove(&(mm_id.0, vpn.0));
+            self.forget_page_marks(mm_id, range);
+        }
+    }
+
+    /// Unmapping cancels any swap/compaction bookkeeping for `range`. Most
+    /// runs never swap or compact, so empty sets skip the per-page hashing.
+    fn forget_page_marks(&mut self, mm_id: MmId, range: VaRange) {
+        for marks in [&mut self.swapped, &mut self.compact_pending] {
+            if !marks.is_empty() {
+                for vpn in range.iter() {
+                    marks.remove(&(mm_id.0, vpn.0));
+                }
             }
         }
     }

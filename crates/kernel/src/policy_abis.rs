@@ -91,7 +91,7 @@ impl TlbPolicy for AbisPolicy {
         }
         let vpns: Vec<Vpn> = pages.iter().map(|&(v, _)| v).collect();
         let txn =
-            machine.begin_sync_shootdown(initiator, mm, vpns, targets, start_delay + overhead);
+            machine.begin_sync_shootdown(initiator, mm, &vpns, targets, start_delay + overhead);
         FlushOutcome::Sync {
             txn,
             local_ns: overhead,

@@ -118,8 +118,9 @@ pub enum Pressure {
 /// fresh-frame frontier that walks up from the node's base PFN. An
 /// allocation pops the stack first and otherwise takes the frontier, so
 /// the lowest never-used PFN comes out first and freed frames are reused
-/// last-in-first-out. Refcounts live in a dense vector over the touched
-/// prefix `[base, base + frontier)`, so the allocator's memory scales
+/// last-in-first-out. Each touched frame has one `u32` slot in a dense
+/// vector over the prefix `[base, base + frontier)`, holding its refcount
+/// and its reclamation-debt parked bit, so the allocator's memory scales
 /// with the frames a run uses, not with `frames_per_node`.
 ///
 /// ```
@@ -144,13 +145,22 @@ pub struct FrameAllocator {
     frees: u64,
 }
 
-/// One node's frames: `refcounts.len()` is the frontier.
+/// A frame slot's parked bit: the frame's final reference sits in a lazy
+/// reclamation queue and is counted in its node's debt. The bit survives
+/// the frame's free and reuse until [`FrameAllocator::unpark_debt`]
+/// clears it.
+const PARKED: u32 = 1 << 31;
+/// A frame slot's refcount bits.
+const REFS: u32 = PARKED - 1;
+
+/// One node's frames: `slots.len()` is the frontier.
 #[derive(Debug, Clone)]
 struct NodeFrames {
     /// PFN of the node's first frame.
     base: u64,
-    /// Refcount of each touched frame, indexed by `pfn - base`.
-    refcounts: Vec<u32>,
+    /// Refcount and parked bit of each touched frame, indexed by
+    /// `pfn - base`.
+    slots: Vec<u32>,
     /// Freed frames below the frontier, reused last-in-first-out.
     freed: Vec<Pfn>,
     /// Frames currently allocated (`free + allocated == total`).
@@ -181,7 +191,7 @@ impl FrameAllocator {
             nodes: (0..nodes as u64)
                 .map(|n| NodeFrames {
                     base: n * frames_per_node,
-                    refcounts: Vec::new(),
+                    slots: Vec::new(),
                     freed: Vec::new(),
                     allocated: 0,
                     debt: 0,
@@ -290,12 +300,13 @@ impl FrameAllocator {
         let node = &mut self.nodes[n];
         let pfn = match node.freed.pop() {
             Some(pfn) => {
-                node.refcounts[(pfn.0 - node.base) as usize] = 1;
+                let slot = &mut node.slots[(pfn.0 - node.base) as usize];
+                *slot = (*slot & PARKED) | 1;
                 pfn
             }
-            None if (node.refcounts.len() as u64) < fpn => {
-                let pfn = Pfn(node.base + node.refcounts.len() as u64);
-                node.refcounts.push(1);
+            None if (node.slots.len() as u64) < fpn => {
+                let pfn = Pfn(node.base + node.slots.len() as u64);
+                node.slots.push(1);
                 pfn
             }
             None => return None,
@@ -306,14 +317,17 @@ impl FrameAllocator {
         Some(pfn)
     }
 
-    /// Mutable refcount slot of an allocated frame (refcount above zero).
-    fn live_slot(&mut self, pfn: Pfn) -> Option<&mut u32> {
+    /// Mutable slot of a touched frame.
+    fn slot_mut(&mut self, pfn: Pfn) -> Option<&mut u32> {
         let node = self
             .nodes
             .get_mut((pfn.0 / self.frames_per_node) as usize)?;
-        node.refcounts
-            .get_mut((pfn.0 - node.base) as usize)
-            .filter(|rc| **rc > 0)
+        node.slots.get_mut((pfn.0 - node.base) as usize)
+    }
+
+    /// Mutable slot of an allocated frame (refcount above zero).
+    fn live_slot(&mut self, pfn: Pfn) -> Option<&mut u32> {
+        self.slot_mut(pfn).filter(|slot| **slot & REFS > 0)
     }
 
     /// Current reference count of a frame (0 when free, which includes
@@ -322,10 +336,9 @@ impl FrameAllocator {
         let Some(node) = self.nodes.get((pfn.0 / self.frames_per_node) as usize) else {
             return 0;
         };
-        node.refcounts
+        node.slots
             .get((pfn.0 - node.base) as usize)
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |slot| slot & REFS)
     }
 
     /// Whether a frame is currently allocated.
@@ -336,18 +349,18 @@ impl FrameAllocator {
     /// Adds a reference (page shared by another mapping). Referencing a
     /// free frame is a hard [`FreeError::RefOnFree`]. Returns the new count.
     pub fn inc_ref(&mut self, pfn: Pfn) -> Result<u32, FreeError> {
-        let rc = self.live_slot(pfn).ok_or(FreeError::RefOnFree { pfn })?;
-        *rc += 1;
-        Ok(*rc)
+        let slot = self.live_slot(pfn).ok_or(FreeError::RefOnFree { pfn })?;
+        *slot += 1;
+        Ok(*slot & REFS)
     }
 
     /// Drops a reference; when the count reaches zero the frame returns to
     /// its home node's free stack. Returns the new count. Dropping a
     /// reference on a free frame is a hard [`FreeError::DoubleFree`].
     pub fn dec_ref(&mut self, pfn: Pfn) -> Result<u32, FreeError> {
-        let rc = self.live_slot(pfn).ok_or(FreeError::DoubleFree { pfn })?;
-        *rc -= 1;
-        let rc = *rc;
+        let slot = self.live_slot(pfn).ok_or(FreeError::DoubleFree { pfn })?;
+        *slot -= 1;
+        let rc = *slot & REFS;
         if rc == 0 {
             let node = &mut self.nodes[(pfn.0 / self.frames_per_node) as usize];
             node.freed.push(pfn);
@@ -364,7 +377,7 @@ impl FrameAllocator {
     ///
     /// Panics if debt would exceed the node's allocated frames — debt is a
     /// subset of allocations by construction.
-    pub fn note_debt(&mut self, node: NodeId, frames: u64) {
+    fn note_debt(&mut self, node: NodeId, frames: u64) {
         let n = &mut self.nodes[node.0 as usize];
         n.debt += frames;
         assert!(
@@ -381,7 +394,7 @@ impl FrameAllocator {
     /// # Panics
     ///
     /// Panics on underflow — settling debt that was never noted.
-    pub fn settle_debt(&mut self, node: NodeId, frames: u64) {
+    fn settle_debt(&mut self, node: NodeId, frames: u64) {
         let n = &mut self.nodes[node.0 as usize];
         assert!(
             n.debt >= frames,
@@ -389,6 +402,30 @@ impl FrameAllocator {
             n.debt,
         );
         n.debt -= frames;
+    }
+
+    /// Parks `pfn` in the reclamation-debt ledger when its caller holds the
+    /// final reference (refcount 1) and it is not parked already, noting
+    /// one frame of debt on its home node. Returns whether it was parked
+    /// now.
+    pub fn park_debt(&mut self, pfn: Pfn) -> bool {
+        match self.slot_mut(pfn) {
+            Some(slot) if *slot == 1 => *slot |= PARKED,
+            _ => return false,
+        }
+        self.note_debt(self.node_of(pfn), 1);
+        true
+    }
+
+    /// Takes `pfn` out of the reclamation-debt ledger, settling one frame
+    /// of debt on its home node. Returns whether it was parked.
+    pub fn unpark_debt(&mut self, pfn: Pfn) -> bool {
+        match self.slot_mut(pfn) {
+            Some(slot) if *slot & PARKED != 0 => *slot &= !PARKED,
+            _ => return false,
+        }
+        self.settle_debt(self.node_of(pfn), 1);
+        true
     }
 
     /// Frames on `node` currently parked in lazy reclamation.
@@ -405,7 +442,7 @@ impl FrameAllocator {
     /// beyond the frontier.
     pub fn free_on_node(&self, node: NodeId) -> usize {
         let n = &self.nodes[node.0 as usize];
-        n.freed.len() + (self.frames_per_node - n.refcounts.len() as u64) as usize
+        n.freed.len() + (self.frames_per_node - n.slots.len() as u64) as usize
     }
 
     /// Frames currently allocated on `node` (including reclamation debt).
@@ -429,9 +466,9 @@ impl FrameAllocator {
     /// leans on this.
     pub fn conservation_holds(&self) -> bool {
         self.nodes.iter().all(|n| {
-            let live = n.refcounts.iter().filter(|&&rc| rc > 0).count();
+            let live = n.slots.iter().filter(|&&slot| slot & REFS > 0).count();
             live as u64 == n.allocated
-                && n.freed.len() + live == n.refcounts.len()
+                && n.freed.len() + live == n.slots.len()
                 && n.debt <= n.allocated
         })
     }
@@ -611,6 +648,34 @@ mod tests {
         assert_eq!(fa.reclaim_debt_total(), 0);
         assert_eq!(fa.free_on_node(NodeId(0)), 4);
         assert!(fa.conservation_holds());
+    }
+
+    #[test]
+    fn parked_bit_keeps_the_debt_ledger() {
+        let mut fa = FrameAllocator::new(2, 4);
+        let a = fa.alloc(NodeId(1)).unwrap();
+        let shared = fa.alloc(NodeId(1)).unwrap();
+        fa.inc_ref(shared).unwrap();
+        // Only a final reference parks, and only once.
+        assert!(fa.park_debt(a));
+        assert!(!fa.park_debt(a));
+        assert!(!fa.park_debt(shared));
+        assert!(!fa.park_debt(Pfn(3)), "an untouched frame parks nothing");
+        assert_eq!(fa.reclaim_debt(NodeId(1)), 1);
+        // The bit is not part of the refcount.
+        assert_eq!(fa.refcount(a), 1);
+        assert_eq!(fa.inc_ref(a).unwrap(), 2);
+        assert_eq!(fa.dec_ref(a).unwrap(), 1);
+        assert!(fa.conservation_holds());
+        // It survives the frame's free and reuse until unparked.
+        assert_eq!(fa.dec_ref(a).unwrap(), 0);
+        assert_eq!(fa.alloc(NodeId(1)).unwrap(), a);
+        assert!(!fa.park_debt(a));
+        assert!(fa.unpark_debt(a));
+        assert!(!fa.unpark_debt(a));
+        assert!(!fa.unpark_debt(shared));
+        assert_eq!(fa.reclaim_debt_total(), 0);
+        assert_eq!(fa.refcount(a), 1);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::addr::Pfn;
 use crate::frame::{AllocError, FrameAllocator};
 use latr_arch::NodeId;
-use std::collections::HashMap;
 
 /// Identifier of a cached file.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -29,9 +28,19 @@ pub struct FileId(pub u32);
 /// ```
 #[derive(Debug, Default)]
 pub struct PageCache {
-    frames: HashMap<(FileId, u64), Pfn>,
-    file_pages: HashMap<FileId, u64>,
-    next_file: u32,
+    /// One entry per registered file, indexed by `FileId`.
+    files: Vec<CachedFile>,
+    /// Resident pages across all files.
+    resident: usize,
+}
+
+/// One file's size and resident frames.
+#[derive(Debug)]
+struct CachedFile {
+    pages: u64,
+    /// The frame backing each page, indexed by file page; grown on first
+    /// touch, so it spans the file's highest resident page, not its size.
+    frames: Vec<Option<Pfn>>,
 }
 
 impl PageCache {
@@ -42,10 +51,26 @@ impl PageCache {
 
     /// Registers a file of `pages` pages and returns its id.
     pub fn register_file(&mut self, pages: u64) -> FileId {
-        let id = FileId(self.next_file);
-        self.next_file += 1;
-        self.file_pages.insert(id, pages);
+        let id = FileId(self.files.len() as u32);
+        self.files.push(CachedFile {
+            pages,
+            frames: Vec::new(),
+        });
         id
+    }
+
+    fn file(&self, file: FileId) -> &CachedFile {
+        self.files
+            .get(file.0 as usize)
+            .unwrap_or_else(|| panic!("unknown file {file:?}"))
+    }
+
+    /// The frame slot of `(file, page)`, if the slot exists yet.
+    fn slot(&mut self, file: FileId, page: u64) -> Option<&mut Option<Pfn>> {
+        self.files
+            .get_mut(file.0 as usize)?
+            .frames
+            .get_mut(usize::try_from(page).ok()?)
     }
 
     /// Size of a file in pages.
@@ -54,10 +79,7 @@ impl PageCache {
     ///
     /// Panics for an unregistered file.
     pub fn file_pages(&self, file: FileId) -> u64 {
-        *self
-            .file_pages
-            .get(&file)
-            .unwrap_or_else(|| panic!("unknown file {file:?}"))
+        self.file(file).pages
     }
 
     /// Returns the resident frame for `(file, page)`, reading it in (one
@@ -78,23 +100,32 @@ impl PageCache {
             page < self.file_pages(file),
             "page {page} beyond end of {file:?}"
         );
-        if let Some(&pfn) = self.frames.get(&(file, page)) {
+        if let Some(&mut Some(pfn)) = self.slot(file, page) {
             return Ok(pfn);
         }
         let pfn = frames.alloc(node)?;
-        self.frames.insert((file, page), pfn);
+        let cached = &mut self.files[file.0 as usize].frames;
+        if cached.len() as u64 <= page {
+            cached.resize(page as usize + 1, None);
+        }
+        cached[page as usize] = Some(pfn);
+        self.resident += 1;
         Ok(pfn)
     }
 
     /// Whether `(file, page)` is resident.
     pub fn is_resident(&self, file: FileId, page: u64) -> bool {
-        self.frames.contains_key(&(file, page))
+        self.files
+            .get(file.0 as usize)
+            .and_then(|f| f.frames.get(usize::try_from(page).ok()?))
+            .is_some_and(Option::is_some)
     }
 
     /// Evicts one file page, dropping the cache's frame reference. Returns
     /// the frame that backed it, if it was resident.
     pub fn evict(&mut self, file: FileId, page: u64, frames: &mut FrameAllocator) -> Option<Pfn> {
-        let pfn = self.frames.remove(&(file, page))?;
+        let pfn = self.slot(file, page)?.take()?;
+        self.resident -= 1;
         frames
             .dec_ref(pfn)
             .expect("page cache held a reference on its resident frame");
@@ -103,7 +134,7 @@ impl PageCache {
 
     /// Number of resident pages across all files.
     pub fn resident_pages(&self) -> usize {
-        self.frames.len()
+        self.resident
     }
 }
 

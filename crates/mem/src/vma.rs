@@ -267,66 +267,17 @@ impl VmaTree {
         self.vmas.iter()
     }
 
-    /// Finds the lowest free gap of `pages` pages at or above `floor`.
-    pub fn find_gap(&self, floor: Vpn, pages: u64) -> Vpn {
-        let mut candidate = floor;
-        // VMAs are disjoint, so their ends are sorted too: skip straight to
-        // the first one reaching past `floor`. From there each VMA ends past
-        // `candidate`, so none needs skipping.
+    /// The VMAs ending above `floor`, in address order. VMAs are disjoint,
+    /// so their ends are sorted too: one binary search finds the first.
+    pub fn ending_after(&self, floor: Vpn) -> &[Vma] {
         let first = self.vmas.partition_point(|v| v.range.end() <= floor);
-        for vma in &self.vmas[first..] {
-            if vma.range.start.0 >= candidate.0 + pages {
-                break; // gap before this VMA fits
-            }
-            candidate = vma.range.end();
-        }
-        candidate
+        &self.vmas[first..]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// The from-zero scan: the executable spec for
-    /// [`VmaTree::find_gap`]'s binary-searched start.
-    fn find_gap_linear(t: &VmaTree, floor: Vpn, pages: u64) -> Vpn {
-        let mut candidate = floor;
-        for vma in &t.vmas {
-            if vma.range.end() <= candidate {
-                continue;
-            }
-            if vma.range.start.0 >= candidate.0 + pages {
-                break;
-            }
-            candidate = vma.range.end();
-        }
-        candidate
-    }
-
-    proptest! {
-        #[test]
-        fn find_gap_matches_the_from_zero_scan(
-            inserts in prop::collection::vec((0u64..200, 1u64..12), 0..40),
-            probes in prop::collection::vec((0u64..220, 1u64..16), 1..20),
-        ) {
-            let mut t = VmaTree::new();
-            for (start, pages) in inserts {
-                let range = VaRange::new(Vpn(start), pages);
-                if t.is_range_free(&range) {
-                    t.insert(Vma { range, kind: MapKind::Anon, prot: Prot::READ_WRITE });
-                }
-            }
-            for (floor, pages) in probes {
-                prop_assert_eq!(
-                    t.find_gap(Vpn(floor), pages),
-                    find_gap_linear(&t, Vpn(floor), pages)
-                );
-            }
-        }
-    }
-
     fn anon(start: u64, pages: u64) -> Vma {
         Vma {
             range: VaRange::new(Vpn(start), pages),
@@ -470,14 +421,21 @@ mod tests {
     }
 
     #[test]
-    fn find_gap_skips_existing_vmas() {
+    fn ending_after_skips_vmas_at_or_below_the_floor() {
         let mut t = VmaTree::new();
         t.insert(anon(10, 5)); // [10,15)
         t.insert(anon(17, 3)); // [17,20)
-        assert_eq!(t.find_gap(Vpn(0), 5), Vpn(0));
-        assert_eq!(t.find_gap(Vpn(10), 2), Vpn(15));
-        assert_eq!(t.find_gap(Vpn(10), 3), Vpn(20));
-        assert_eq!(t.find_gap(Vpn(18), 1), Vpn(20));
+        let starts = |floor| -> Vec<u64> {
+            t.ending_after(Vpn(floor))
+                .iter()
+                .map(|v| v.range.start.0)
+                .collect()
+        };
+        assert_eq!(starts(0), vec![10, 17]);
+        assert_eq!(starts(14), vec![10, 17]);
+        assert_eq!(starts(15), vec![17]);
+        assert_eq!(starts(19), vec![17]);
+        assert_eq!(starts(20), Vec::<u64>::new());
     }
 
     #[test]

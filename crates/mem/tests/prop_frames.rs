@@ -125,24 +125,22 @@ proptest! {
                     }
                 }
                 Step::NoteDebt => {
-                    // Pick a live single-reference frame with no debt yet —
-                    // mirrors the machine's `debt_parked` ledger, which
-                    // only notes refcount-1 frames once.
+                    // Park a live single-reference frame with no debt yet,
+                    // as the machine does for a deferred package's final
+                    // references; parking it twice is refused.
                     let cand = order.iter().copied().find(|p| {
                         refs[&p.0] == 1 && !debt[fa.node_of(*p).0 as usize].contains(p)
                     });
                     if let Some(p) = cand {
-                        let node = fa.node_of(p);
-                        fa.note_debt(node, 1);
-                        debt[node.0 as usize].push(p);
+                        prop_assert!(fa.park_debt(p));
+                        prop_assert!(!fa.park_debt(p));
+                        debt[fa.node_of(p).0 as usize].push(p);
                     }
                 }
                 Step::SettleDebt => {
-                    for (n, d) in debt.iter_mut().enumerate() {
-                        if d.pop().is_some() {
-                            fa.settle_debt(NodeId(n as u8), 1);
-                            break;
-                        }
+                    if let Some(p) = debt.iter_mut().find_map(Vec::pop) {
+                        prop_assert!(fa.unpark_debt(p));
+                        prop_assert!(!fa.unpark_debt(p));
                     }
                 }
             }
@@ -189,12 +187,8 @@ proptest! {
         }
 
         // Teardown: settle all debt, drop every reference; nothing leaks.
-        for (n, d) in debt.iter().enumerate() {
-            let node = NodeId(n as u8);
-            let owed = d.len() as u64;
-            if owed > 0 {
-                fa.settle_debt(node, owed);
-            }
+        for p in debt.into_iter().flatten() {
+            prop_assert!(fa.unpark_debt(p));
         }
         for p in order {
             fa.dec_ref(p).expect("teardown reference");

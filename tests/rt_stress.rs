@@ -134,11 +134,12 @@ fn wide_mask_retirement_at(cores: usize, sweep: fn(&RtRegistry, usize, &mut Vec<
 }
 
 /// Full pipeline: publisher frees "objects" through the reclaimer while
-/// sweepers tick; no object may be handed back before every core has
-/// ticked twice past its deferral. Runs both reclaimers, called
-/// directly: the reference `RtReclaimer` (mutexed VecDeque + O(cores)
-/// scan) and the runtime `ShardedReclaimer` (per-core FIFO + cached
-/// frontier).
+/// sweepers tick; no object may be handed back before the tick frontier
+/// reaches the due the engine itself stamped at deferral. Runs both
+/// reclaimers, called directly: the reference `RtReclaimer` (mutexed
+/// VecDeque + O(cores) scan, due `min_live_tick() + grace`) and the
+/// runtime `ShardedReclaimer` (per-core FIFO + cached frontier, due
+/// `tick_of(core) + grace`).
 #[test]
 fn reclaim_pipeline_respects_grace_under_concurrency() {
     for cores in SHAPES {
@@ -150,32 +151,41 @@ fn reclaim_pipeline_respects_grace_under_concurrency() {
             9..=32 => 800,
             _ => 150,
         };
-        let reference = RtReclaimer::new(2);
+        let reference = RtReclaimer::new(GRACE);
         reclaim_pipeline_at(
             cores,
             total,
             "reference",
+            // Other cores may raise the minimum before `defer` reads it,
+            // so the engine's due is at least this one.
+            |r| r.min_live_tick() + GRACE,
             |r, item| reference.defer(r, item),
             |r, out| reference.collect_into(r, out),
         );
-        let sharded = ShardedReclaimer::new(2, cores);
+        let sharded = ShardedReclaimer::new(GRACE, cores);
         reclaim_pipeline_at(
             cores,
             total,
             "sharded",
+            // Exactly the engine's due: only this thread ticks core 0.
+            |r| r.tick_of(0) + GRACE,
             |r, item| sharded.defer(r, 0, item),
             |r, out| sharded.collect_into(r, 0, out),
         );
     }
 }
 
-/// Drives one reclaimer through the pipeline from core 0: `defer` parks
-/// an `(object, frontier at deferral)` pair, `collect_into` appends what
-/// is due.
+/// The grace both engines wait, in sweep cycles (the paper's two).
+const GRACE: u64 = 2;
+
+/// Drives one reclaimer through the pipeline from core 0: `due` is the
+/// tick the engine will release an object deferred now at, `defer` parks
+/// an `(object, due)` pair, `collect_into` appends what is due.
 fn reclaim_pipeline_at(
     cores: usize,
     total: u64,
     engine: &str,
+    due: impl Fn(&RtRegistry) -> u64,
     defer: impl Fn(&RtRegistry, (u64, u64)),
     collect_into: impl Fn(&RtRegistry, &mut Vec<(u64, u64)>),
 ) {
@@ -198,26 +208,27 @@ fn reclaim_pipeline_at(
         .collect();
 
     let mut collected = Vec::new();
-    let mut due = Vec::new();
-    let mut sweep_buf = Vec::new();
-    for i in 0..total {
-        // Defer the object recording the tick frontier at deferral time.
-        let frontier = registry.min_tick();
-        defer(&registry, (i, frontier));
-        sweep_buf.clear();
-        registry.sweep_into(0, &mut sweep_buf);
-        due.clear();
-        collect_into(&registry, &mut due);
-        for &(obj, deferred_at) in &due {
-            // Grace: every core ticked at least twice since deferral.
+    let mut released = Vec::new();
+    // Collects what is due; the frontier must have reached each object's
+    // due by then.
+    let mut collect = |collected: &mut Vec<u64>| {
+        released.clear();
+        collect_into(&registry, &mut released);
+        for &(obj, due) in &released {
             assert!(
-                registry.min_tick() >= deferred_at + 2,
-                "object {obj} released early: frontier {} deferred at {}",
+                registry.min_tick() >= due,
+                "{engine}: object {obj} released early: frontier {} due {due}",
                 registry.min_tick(),
-                deferred_at
             );
             collected.push(obj);
         }
+    };
+    let mut sweep_buf = Vec::new();
+    for i in 0..total {
+        defer(&registry, (i, due(&registry)));
+        sweep_buf.clear();
+        registry.sweep_into(0, &mut sweep_buf);
+        collect(&mut collected);
     }
     stop.store(true, Ordering::Release);
     for t in tickers {
@@ -225,18 +236,21 @@ fn reclaim_pipeline_at(
     }
     // Quiesce: the sharded engine stamps dues off the *publisher's* tick
     // (conservative), so every core must catch up to core 0 plus grace
-    // before the stragglers become due.
-    let target = registry.tick_of(0) + 2;
+    // before the stragglers become due. Each round sweeps every core once,
+    // so the frontier steps through every value up to the target, and a
+    // collect after each round sees the instant one tick before each
+    // straggler's due: an engine releasing a tick early is caught here
+    // even when the ticker threads lagged core 0 throughout the run.
+    let target = registry.tick_of(0) + GRACE;
     while registry.min_tick() < target {
+        collect(&mut collected);
         for core in 0..cores {
             sweep_buf.clear();
             registry.sweep_into(core, &mut sweep_buf);
         }
     }
     registry.advance_frontier();
-    due.clear();
-    collect_into(&registry, &mut due);
-    collected.extend(due.iter().map(|&(o, _)| o));
+    collect(&mut collected);
     assert_eq!(collected.len() as u64, total, "{cores} cores {engine}");
     assert!(collected.windows(2).all(|w| w[0] < w[1]), "FIFO order");
     // With no exclusions the live minimum and the all-core minimum are
