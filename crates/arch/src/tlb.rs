@@ -29,24 +29,6 @@ pub struct TlbEntry {
     pub writable: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    entry: TlbEntry,
-    valid: bool,
-    last_use: u64,
-}
-
-const INVALID_SLOT: Slot = Slot {
-    entry: TlbEntry {
-        pcid: 0,
-        vpn: 0,
-        pfn: 0,
-        writable: false,
-    },
-    valid: false,
-    last_use: 0,
-};
-
 /// Hit/miss/flush counters for one TLB.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TlbStats {
@@ -79,14 +61,75 @@ impl TlbStats {
     }
 }
 
-/// A set-associative array used for both TLB levels.
+/// Bits of a key word below the VPN: the PCID tag.
+const PCID_BITS: u32 = 16;
+
+/// Largest VPN a key word holds. x86-64 VPNs are at most 45 bits (a
+/// 57-bit virtual address under 5-level paging, less the 12-bit page
+/// offset), well inside the 48 bits left above the PCID.
+const VPN_MAX: u64 = u64::MAX >> PCID_BITS;
+
+/// Largest PFN a value word holds: 63 bits, with the writable bit below.
+const PFN_MAX: u64 = u64::MAX >> 1;
+
+/// Ways per set at most: the valid mask is a `u16`, and the recency
+/// order packs one 4-bit way index per way into a `u32`.
+const MAX_WAYS: usize = 8;
+
+/// A slot's key word: what a probe compares.
+#[inline]
+fn key(pcid: u16, vpn: u64) -> u64 {
+    vpn << PCID_BITS | u64::from(pcid)
+}
+
+#[inline]
+fn decode(key: u64, val: u64) -> TlbEntry {
+    TlbEntry {
+        pcid: key as u16,
+        vpn: key >> PCID_BITS,
+        pfn: val >> 1,
+        writable: val & 1 != 0,
+    }
+}
+
+/// Moves `way` to the most-recent end of a set's recency order (the low
+/// nibble), shifting the ways that were more recent than it down one
+/// place.
+#[inline]
+fn promote(order: u32, way: usize) -> u32 {
+    // `way`'s nibble is the lowest zero nibble of the XOR; the SWAR
+    // zero test is exact for the lowest one.
+    let x = order ^ (way as u32).wrapping_mul(0x1111_1111);
+    let zeros = x.wrapping_sub(0x1111_1111) & !x & 0x8888_8888;
+    let pos = zeros.trailing_zeros() & !3;
+    let below = order & ((1 << pos) - 1);
+    let above = order & !((1u32 << pos << 4).wrapping_sub(1));
+    above | below << 4 | way as u32
+}
+
+/// A set-associative array used for both TLB levels, as a structure of
+/// arrays: per slot a key word `vpn << 16 | pcid` and a value word
+/// `pfn << 1 | writable` (16 B), per set a valid mask and a recency
+/// order. A probe reads only the set's key words — one cache line for
+/// eight ways.
+///
+/// Replacement is LRU, exact: the victim is the first invalid way, else
+/// the tail of the recency order. Every lookup hit and insert moves its
+/// way to the head, so the valid ways stand in the order of their last
+/// use; invalidation leaves a way where it is, which no choice reads
+/// while the way is invalid.
 #[derive(Clone, Debug)]
-struct SetAssoc {
-    slots: Vec<Slot>,
+struct SetAssoc<const WAYS: usize> {
+    keys: Vec<u64>,
+    vals: Vec<u64>,
+    /// Per set: bit `w` is set while way `w` holds a translation.
+    valid: Vec<u16>,
+    /// Per set: way indices from most to least recently used, 4 bits
+    /// each from the low end; nibbles past `WAYS` hold `0xF`.
+    order: Vec<u32>,
     sets: usize,
-    ways: usize,
     /// `sets - 1` when `sets` is a power of two (every real TLB shape),
-    /// letting `set_range` mask instead of paying a division per probe;
+    /// letting `set_of` mask instead of paying a division per probe;
     /// 0 otherwise, falling back to the modulo.
     set_mask: usize,
     /// Valid-entry count per PCID, grown on demand. `count(p) == 0`
@@ -98,14 +141,21 @@ struct SetAssoc {
     pcid_count: Vec<u32>,
 }
 
-impl SetAssoc {
-    fn new(entries: usize, ways: usize) -> Self {
-        assert!(entries > 0 && ways > 0 && entries.is_multiple_of(ways));
-        let sets = entries / ways;
+impl<const WAYS: usize> SetAssoc<WAYS> {
+    fn new(entries: usize) -> Self {
+        const { assert!(WAYS > 0 && WAYS <= MAX_WAYS) };
+        assert!(entries > 0 && entries.is_multiple_of(WAYS));
+        let sets = entries / WAYS;
+        // Identity order 0, 1, .., WAYS - 1 from the low nibble up.
+        let order = (0..MAX_WAYS).fold(0u32, |o, w| {
+            o | (if w < WAYS { w as u32 } else { 0xF }) << (4 * w)
+        });
         SetAssoc {
-            slots: vec![INVALID_SLOT; entries],
+            keys: vec![0; entries],
+            vals: vec![0; entries],
+            valid: vec![0; sets],
+            order: vec![order; sets],
             sets,
-            ways,
             set_mask: if sets.is_power_of_two() { sets - 1 } else { 0 },
             pcid_count: Vec::new(),
         }
@@ -126,92 +176,97 @@ impl SetAssoc {
     }
 
     #[inline]
-    fn count_dec(&mut self, pcid: u16) {
-        self.pcid_count[pcid as usize] -= 1;
-    }
-
-    #[inline]
-    fn set_range(&self, vpn: u64) -> std::ops::Range<usize> {
+    fn set_of(&self, vpn: u64) -> usize {
         // Simple hash to decorrelate strided workloads.
         let h = vpn.wrapping_mul(0x9E3779B97F4A7C15) >> 32;
-        let set = if self.set_mask != 0 {
+        if self.set_mask != 0 {
             h as usize & self.set_mask
         } else {
             (h as usize) % self.sets
-        };
-        set * self.ways..(set + 1) * self.ways
+        }
     }
 
-    fn lookup(&mut self, pcid: u16, vpn: u64, clock: u64) -> Option<TlbEntry> {
-        if self.count(pcid) == 0 {
+    /// The valid way of `set` whose key word is `key`.
+    #[inline]
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
+        let mut hits = 0u32;
+        for (w, &k) in self.keys[set * WAYS..][..WAYS].iter().enumerate() {
+            hits |= u32::from(k == key) << w;
+        }
+        hits &= u32::from(self.valid[set]);
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
+    /// The set and way caching `(pcid, vpn)`. A VPN past [`VPN_MAX`] is
+    /// never cached: `Tlb::insert` refuses it.
+    #[inline]
+    fn probe(&self, pcid: u16, vpn: u64) -> Option<(usize, usize)> {
+        if vpn > VPN_MAX || self.count(pcid) == 0 {
             return None;
         }
-        let range = self.set_range(vpn);
-        for slot in &mut self.slots[range] {
-            if slot.valid && slot.entry.vpn == vpn && slot.entry.pcid == pcid {
-                slot.last_use = clock;
-                return Some(slot.entry);
-            }
-        }
-        None
+        let set = self.set_of(vpn);
+        self.find(set, key(pcid, vpn)).map(|way| (set, way))
+    }
+
+    fn lookup(&mut self, pcid: u16, vpn: u64) -> Option<TlbEntry> {
+        let (set, way) = self.probe(pcid, vpn)?;
+        self.order[set] = promote(self.order[set], way);
+        let i = set * WAYS + way;
+        Some(decode(self.keys[i], self.vals[i]))
+    }
+
+    fn peek(&self, pcid: u16, vpn: u64) -> Option<TlbEntry> {
+        let (set, way) = self.probe(pcid, vpn)?;
+        let i = set * WAYS + way;
+        Some(decode(self.keys[i], self.vals[i]))
     }
 
     /// Returns the valid entry of a *different* page this insert displaced,
-    /// if any (a capacity eviction at this level).
-    fn insert(&mut self, entry: TlbEntry, clock: u64) -> Option<TlbEntry> {
-        let range = self.set_range(entry.vpn);
+    /// if any (a capacity eviction at this level). The caller has checked
+    /// the packing bounds.
+    fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
+        let set = self.set_of(entry.vpn);
+        let key = key(entry.pcid, entry.vpn);
+        let val = entry.pfn << 1 | u64::from(entry.writable);
+        let mut displaced = None;
         // Replace an existing mapping of the same page first.
-        let mut victim = range.start;
-        let mut victim_use = u64::MAX;
-        for i in range {
-            let slot = &self.slots[i];
-            if slot.valid && slot.entry.vpn == entry.vpn && slot.entry.pcid == entry.pcid {
-                victim = i;
-                break;
+        let way = match self.find(set, key) {
+            Some(way) => way,
+            None => {
+                let empty = !self.valid[set] & ((1 << WAYS) - 1);
+                let way = if empty != 0 {
+                    empty.trailing_zeros() as usize
+                } else {
+                    (self.order[set] >> (4 * (WAYS - 1)) & 0xF) as usize
+                };
+                let i = set * WAYS + way;
+                if self.valid[set] & 1 << way != 0 {
+                    let old = decode(self.keys[i], self.vals[i]);
+                    self.pcid_count[old.pcid as usize] -= 1;
+                    displaced = Some(old);
+                }
+                self.count_inc(entry.pcid);
+                self.keys[i] = key;
+                self.valid[set] |= 1 << way;
+                way
             }
-            let use_score = if slot.valid { slot.last_use } else { 0 };
-            if use_score < victim_use {
-                victim_use = use_score;
-                victim = i;
-            }
-        }
-        let slot = &self.slots[victim];
-        let displaced = (slot.valid
-            && (slot.entry.vpn != entry.vpn || slot.entry.pcid != entry.pcid))
-            .then_some(slot.entry);
-        if slot.valid {
-            let old = slot.entry.pcid;
-            self.count_dec(old);
-        }
-        self.count_inc(entry.pcid);
-        self.slots[victim] = Slot {
-            entry,
-            valid: true,
-            last_use: clock,
         };
+        self.vals[set * WAYS + way] = val;
+        self.order[set] = promote(self.order[set], way);
         displaced
     }
 
     fn invalidate(&mut self, pcid: u16, vpn: u64) -> bool {
-        if self.count(pcid) == 0 {
+        let Some((set, way)) = self.probe(pcid, vpn) else {
             return false;
-        }
-        let mut cleared = 0u32;
-        let range = self.set_range(vpn);
-        for slot in &mut self.slots[range] {
-            if slot.valid && slot.entry.vpn == vpn && slot.entry.pcid == pcid {
-                slot.valid = false;
-                cleared += 1;
-            }
-        }
-        self.pcid_count[pcid as usize] -= cleared;
-        cleared > 0
+        };
+        self.valid[set] &= !(1 << way);
+        self.pcid_count[pcid as usize] -= 1;
+        true
     }
 
     fn flush_all(&mut self) {
-        for slot in &mut self.slots {
-            slot.valid = false;
-        }
+        self.valid.fill(0);
         self.pcid_count.fill(0);
     }
 
@@ -219,16 +274,24 @@ impl SetAssoc {
         if self.count(pcid) == 0 {
             return;
         }
-        for slot in &mut self.slots {
-            if slot.valid && slot.entry.pcid == pcid {
-                slot.valid = false;
+        for (set, valid) in self.valid.iter_mut().enumerate() {
+            let keys = &self.keys[set * WAYS..(set + 1) * WAYS];
+            let mut live = *valid;
+            while live != 0 {
+                let way = live.trailing_zeros() as usize;
+                live &= live - 1;
+                if keys[way] as u16 == pcid {
+                    *valid &= !(1 << way);
+                }
             }
         }
         self.pcid_count[pcid as usize] = 0;
     }
 
-    fn iter_valid(&self) -> impl Iterator<Item = &TlbEntry> {
-        self.slots.iter().filter(|s| s.valid).map(|s| &s.entry)
+    fn iter_valid(&self) -> impl Iterator<Item = TlbEntry> + '_ {
+        (0..self.keys.len())
+            .filter(|&i| self.valid[i / WAYS] & 1 << (i % WAYS) != 0)
+            .map(|i| decode(self.keys[i], self.vals[i]))
     }
 }
 
@@ -246,9 +309,8 @@ impl SetAssoc {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    l1: SetAssoc,
-    l2: SetAssoc,
-    clock: u64,
+    l1: SetAssoc<4>,
+    l2: SetAssoc<8>,
     stats: TlbStats,
     track_evictions: bool,
     evicted: Vec<TlbEntry>,
@@ -264,9 +326,8 @@ impl Tlb {
     /// associativity.
     pub fn new(l1_entries: usize, l2_entries: usize) -> Self {
         Tlb {
-            l1: SetAssoc::new(l1_entries, 4),
-            l2: SetAssoc::new(l2_entries, 8),
-            clock: 0,
+            l1: SetAssoc::new(l1_entries),
+            l2: SetAssoc::new(l2_entries),
             stats: TlbStats::default(),
             track_evictions: false,
             evicted: Vec::new(),
@@ -306,14 +367,13 @@ impl Tlb {
     /// hit/miss statistics. Returns `None` on a full miss (the caller walks
     /// the page table and calls [`insert`](Self::insert)).
     pub fn lookup(&mut self, pcid: u16, vpn: u64) -> Option<TlbEntry> {
-        self.clock += 1;
-        if let Some(e) = self.l1.lookup(pcid, vpn, self.clock) {
+        if let Some(e) = self.l1.lookup(pcid, vpn) {
             self.stats.l1_hits += 1;
             return Some(e);
         }
-        if let Some(e) = self.l2.lookup(pcid, vpn, self.clock) {
+        if let Some(e) = self.l2.lookup(pcid, vpn) {
             self.stats.l2_hits += 1;
-            let displaced = self.l1.insert(e, self.clock);
+            let displaced = self.l1.insert(e);
             if self.track_evictions {
                 self.note_displaced([displaced, None]);
             }
@@ -327,25 +387,22 @@ impl Tlb {
     /// Used by invariant checkers and by ABIS's sharer-set lookup; probes
     /// only the two sets `vpn` can live in, so it is O(associativity).
     pub fn peek(&self, pcid: u16, vpn: u64) -> Option<TlbEntry> {
-        for level in [&self.l1, &self.l2] {
-            if level.count(pcid) == 0 {
-                continue;
-            }
-            let found = level.slots[level.set_range(vpn)]
-                .iter()
-                .find(|s| s.valid && s.entry.vpn == vpn && s.entry.pcid == pcid);
-            if let Some(slot) = found {
-                return Some(slot.entry);
-            }
-        }
-        None
+        self.l1.peek(pcid, vpn).or_else(|| self.l2.peek(pcid, vpn))
     }
 
     /// Installs a translation into both levels (inclusive hierarchy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry.vpn` needs more than 48 bits or `entry.pfn` more
+    /// than 63: the packed slot words would truncate them.
     pub fn insert(&mut self, entry: TlbEntry) {
-        self.clock += 1;
-        let d1 = self.l1.insert(entry, self.clock);
-        let d2 = self.l2.insert(entry, self.clock);
+        assert!(
+            entry.vpn <= VPN_MAX && entry.pfn <= PFN_MAX,
+            "TLB entry {entry:?} exceeds the 48-bit VPN / 63-bit PFN slot packing"
+        );
+        let d1 = self.l1.insert(entry);
+        let d2 = self.l2.insert(entry);
         if self.track_evictions {
             self.note_displaced([d1, d2]);
         }
@@ -376,7 +433,7 @@ impl Tlb {
 
     /// Iterates over every valid cached translation (both levels,
     /// duplicates possible). For invariant checking and debugging.
-    pub fn iter_entries(&self) -> impl Iterator<Item = &TlbEntry> {
+    pub fn iter_entries(&self) -> impl Iterator<Item = TlbEntry> + '_ {
         self.l1.iter_valid().chain(self.l2.iter_valid())
     }
 
@@ -396,9 +453,223 @@ impl Tlb {
     }
 }
 
+/// The 40-byte-slot layout this module replaced, kept as the executable
+/// spec: `u64` use stamps from a per-TLB clock, the victim the valid way
+/// with the least stamp, else the first invalid way.
+/// `matches_the_stamped_reference` drives both with the same streams.
+#[cfg(test)]
+mod reference {
+    use super::{TlbEntry, TlbStats};
+
+    #[derive(Clone, Copy, Debug)]
+    struct Slot {
+        entry: TlbEntry,
+        valid: bool,
+        last_use: u64,
+    }
+
+    const INVALID_SLOT: Slot = Slot {
+        entry: TlbEntry {
+            pcid: 0,
+            vpn: 0,
+            pfn: 0,
+            writable: false,
+        },
+        valid: false,
+        last_use: 0,
+    };
+
+    struct SetAssoc {
+        slots: Vec<Slot>,
+        sets: usize,
+        ways: usize,
+    }
+
+    impl SetAssoc {
+        fn new(entries: usize, ways: usize) -> Self {
+            SetAssoc {
+                slots: vec![INVALID_SLOT; entries],
+                sets: entries / ways,
+                ways,
+            }
+        }
+
+        fn set_range(&self, vpn: u64) -> std::ops::Range<usize> {
+            let h = vpn.wrapping_mul(0x9E3779B97F4A7C15) >> 32;
+            let set = (h as usize) % self.sets;
+            set * self.ways..(set + 1) * self.ways
+        }
+
+        fn find(&self, pcid: u16, vpn: u64) -> Option<usize> {
+            self.set_range(vpn).find(|&i| {
+                let s = &self.slots[i];
+                s.valid && s.entry.vpn == vpn && s.entry.pcid == pcid
+            })
+        }
+
+        fn lookup(&mut self, pcid: u16, vpn: u64, clock: u64) -> Option<TlbEntry> {
+            let i = self.find(pcid, vpn)?;
+            self.slots[i].last_use = clock;
+            Some(self.slots[i].entry)
+        }
+
+        fn insert(&mut self, entry: TlbEntry, clock: u64) -> Option<TlbEntry> {
+            let range = self.set_range(entry.vpn);
+            let mut victim = range.start;
+            let mut victim_use = u64::MAX;
+            for i in range {
+                let slot = &self.slots[i];
+                if slot.valid && slot.entry.vpn == entry.vpn && slot.entry.pcid == entry.pcid {
+                    victim = i;
+                    break;
+                }
+                let use_score = if slot.valid { slot.last_use } else { 0 };
+                if use_score < victim_use {
+                    victim_use = use_score;
+                    victim = i;
+                }
+            }
+            let slot = &self.slots[victim];
+            let displaced = (slot.valid
+                && (slot.entry.vpn != entry.vpn || slot.entry.pcid != entry.pcid))
+                .then_some(slot.entry);
+            self.slots[victim] = Slot {
+                entry,
+                valid: true,
+                last_use: clock,
+            };
+            displaced
+        }
+
+        fn invalidate(&mut self, pcid: u16, vpn: u64) -> bool {
+            let mut any = false;
+            for i in self.set_range(vpn) {
+                let slot = &mut self.slots[i];
+                if slot.valid && slot.entry.vpn == vpn && slot.entry.pcid == pcid {
+                    slot.valid = false;
+                    any = true;
+                }
+            }
+            any
+        }
+
+        fn flush(&mut self, pcid: Option<u16>) {
+            for slot in &mut self.slots {
+                if pcid.is_none_or(|p| slot.entry.pcid == p) {
+                    slot.valid = false;
+                }
+            }
+        }
+
+        fn iter_valid(&self) -> impl Iterator<Item = TlbEntry> + '_ {
+            self.slots.iter().filter(|s| s.valid).map(|s| s.entry)
+        }
+    }
+
+    /// The reference two-level TLB, with `super::Tlb`'s interface.
+    pub(super) struct Tlb {
+        l1: SetAssoc,
+        l2: SetAssoc,
+        clock: u64,
+        stats: TlbStats,
+        track_evictions: bool,
+        evicted: Vec<TlbEntry>,
+    }
+
+    impl Tlb {
+        pub(super) fn new(l1_entries: usize, l2_entries: usize) -> Self {
+            Tlb {
+                l1: SetAssoc::new(l1_entries, 4),
+                l2: SetAssoc::new(l2_entries, 8),
+                clock: 0,
+                stats: TlbStats::default(),
+                track_evictions: false,
+                evicted: Vec::new(),
+            }
+        }
+
+        pub(super) fn set_eviction_tracking(&mut self, on: bool) {
+            self.track_evictions = on;
+        }
+
+        pub(super) fn drain_evicted(&mut self) -> Vec<TlbEntry> {
+            std::mem::take(&mut self.evicted)
+        }
+
+        fn note_displaced(&mut self, displaced: [Option<TlbEntry>; 2]) {
+            for e in displaced.into_iter().flatten() {
+                if self.peek(e.pcid, e.vpn).is_none() {
+                    self.evicted.push(e);
+                }
+            }
+        }
+
+        pub(super) fn lookup(&mut self, pcid: u16, vpn: u64) -> Option<TlbEntry> {
+            self.clock += 1;
+            if let Some(e) = self.l1.lookup(pcid, vpn, self.clock) {
+                self.stats.l1_hits += 1;
+                return Some(e);
+            }
+            if let Some(e) = self.l2.lookup(pcid, vpn, self.clock) {
+                self.stats.l2_hits += 1;
+                let displaced = self.l1.insert(e, self.clock);
+                if self.track_evictions {
+                    self.note_displaced([displaced, None]);
+                }
+                return Some(e);
+            }
+            self.stats.misses += 1;
+            None
+        }
+
+        pub(super) fn peek(&self, pcid: u16, vpn: u64) -> Option<TlbEntry> {
+            [&self.l1, &self.l2]
+                .into_iter()
+                .find_map(|level| level.find(pcid, vpn).map(|i| level.slots[i].entry))
+        }
+
+        pub(super) fn insert(&mut self, entry: TlbEntry) {
+            self.clock += 1;
+            let d1 = self.l1.insert(entry, self.clock);
+            let d2 = self.l2.insert(entry, self.clock);
+            if self.track_evictions {
+                self.note_displaced([d1, d2]);
+            }
+        }
+
+        pub(super) fn invalidate_page(&mut self, pcid: u16, vpn: u64) -> bool {
+            self.stats.invalidations += 1;
+            let a = self.l1.invalidate(pcid, vpn);
+            let b = self.l2.invalidate(pcid, vpn);
+            a || b
+        }
+
+        pub(super) fn flush_all(&mut self) {
+            self.stats.full_flushes += 1;
+            self.l1.flush(None);
+            self.l2.flush(None);
+        }
+
+        pub(super) fn flush_pcid(&mut self, pcid: u16) {
+            self.stats.full_flushes += 1;
+            self.l1.flush(Some(pcid));
+            self.l2.flush(Some(pcid));
+        }
+
+        pub(super) fn iter_entries(&self) -> impl Iterator<Item = TlbEntry> + '_ {
+            self.l1.iter_valid().chain(self.l2.iter_valid())
+        }
+
+        pub(super) fn stats(&self) -> TlbStats {
+            self.stats
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(vpn: u64) -> TlbEntry {
         TlbEntry {
@@ -407,6 +678,125 @@ mod tests {
             pfn: vpn + 1000,
             writable: true,
         }
+    }
+
+    /// Every preset's shape, plus one whose set counts (3 and 3) are not
+    /// powers of two, so the modulo path runs too.
+    const SHAPES: [(usize, usize); 3] = [(64, 1024), (64, 512), (12, 24)];
+
+    /// One step of a random stream: `(op, pcid, vpn, (pfn, writable))`,
+    /// with `op` weighting inserts and lookups over the rest.
+    type Step = (u8, u16, u64, (u64, bool));
+
+    /// Runs `steps` on the packed TLB and the stamped reference and
+    /// compares every return value, the statistics, the cached entries
+    /// way for way and the eviction logs after each step.
+    fn same_as_reference(
+        (l1, l2): (usize, usize),
+        track: bool,
+        vpn_base: u64,
+        vpn_spread: u64,
+        steps: &[Step],
+    ) -> Result<(), TestCaseError> {
+        let mut tlb = Tlb::new(l1, l2);
+        let mut spec = reference::Tlb::new(l1, l2);
+        tlb.set_eviction_tracking(track);
+        spec.set_eviction_tracking(track);
+        for (n, &(op, pcid, vpn, (pfn, writable))) in steps.iter().enumerate() {
+            let vpn = vpn_base + vpn % vpn_spread;
+            let at = format!("step {n} of {l1}/{l2}: op {op} pcid {pcid} vpn {vpn:#x}");
+            match op {
+                0..=5 => {
+                    let e = TlbEntry {
+                        pcid,
+                        vpn,
+                        pfn,
+                        writable,
+                    };
+                    tlb.insert(e);
+                    spec.insert(e);
+                }
+                6..=9 => prop_assert_eq!(tlb.lookup(pcid, vpn), spec.lookup(pcid, vpn), "{}", at),
+                10 | 11 => prop_assert_eq!(tlb.peek(pcid, vpn), spec.peek(pcid, vpn), "{}", at),
+                12 | 13 => prop_assert_eq!(
+                    tlb.invalidate_page(pcid, vpn),
+                    spec.invalidate_page(pcid, vpn),
+                    "{}",
+                    at
+                ),
+                14 => {
+                    tlb.flush_all();
+                    spec.flush_all();
+                }
+                _ => {
+                    tlb.flush_pcid(pcid);
+                    spec.flush_pcid(pcid);
+                }
+            }
+            prop_assert_eq!(tlb.stats(), spec.stats(), "{}", at);
+            prop_assert!(
+                tlb.iter_entries().eq(spec.iter_entries()),
+                "{}: cached entries differ",
+                at
+            );
+            let evicted: Vec<TlbEntry> = tlb.drain_evicted().collect();
+            prop_assert_eq!(evicted, spec.drain_evicted(), "{}", at);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn matches_the_stamped_reference(
+            (shape, track, high, spread) in (0usize..SHAPES.len(), any::<bool>(), any::<bool>(), 0u32..4),
+            steps in prop::collection::vec(
+                (0u8..16, 0u16..3, any::<u64>(), (0u64..PFN_MAX, any::<bool>())),
+                0..600,
+            ),
+        ) {
+            // Spreads from a few sets' worth to twice L2, so streams both
+            // hit and thrash; `high` puts the VPNs at the packing bound.
+            let (l1, l2) = SHAPES[shape];
+            let spread = [8, l1 as u64, l2 as u64, 2 * l2 as u64][spread as usize];
+            let base = if high { VPN_MAX + 1 - spread } else { 0 };
+            same_as_reference((l1, l2), track, base, spread, &steps)?;
+        }
+    }
+
+    #[test]
+    fn promote_moves_a_way_to_the_head() {
+        // Order 3, 1, 0, 2 (most recent first) in a 4-way set.
+        let order = 0xFFFF_2013;
+        assert_eq!(promote(order, 3), order);
+        assert_eq!(promote(order, 0), 0xFFFF_2130);
+        assert_eq!(promote(order, 2), 0xFFFF_0132);
+        // The eighth nibble of a full 8-way order.
+        assert_eq!(promote(0x7654_3210, 7), 0x6543_2107);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot packing")]
+    fn insert_refuses_a_vpn_past_48_bits() {
+        Tlb::new(64, 512).insert(TlbEntry {
+            pcid: 0,
+            vpn: VPN_MAX + 1,
+            pfn: 1,
+            writable: false,
+        });
+    }
+
+    #[test]
+    fn lookups_past_the_vpn_bound_miss() {
+        let mut tlb = Tlb::new(64, 512);
+        tlb.insert(entry(5));
+        // `5 + 2^48` would alias `5` if the key word truncated it.
+        let alias = 5 + (VPN_MAX + 1);
+        assert!(tlb.peek(PCID_NONE, alias).is_none());
+        assert!(tlb.lookup(PCID_NONE, alias).is_none());
+        assert!(!tlb.invalidate_page(PCID_NONE, alias));
+        assert!(tlb.peek(PCID_NONE, 5).is_some());
     }
 
     #[test]

@@ -39,6 +39,60 @@ fn bench_tlb(c: &mut Criterion) {
     });
 }
 
+/// The TLB layer in serving's shape on the 120-core preset: each
+/// iteration gives every core's TLB one request — two cold misses
+/// filled from the page walk, their invalidation at unmap, and three
+/// invalidations of pages it never cached (the Latr sweeps of peer
+/// requests). Request VPNs roll over the 512 pages above the mmap floor
+/// that a serving address space's lazily blocked VA list cycles through,
+/// beside 32 file pages per core that stay cached, so every set of all
+/// 120 TLBs is in play and the row prices the layer's cache footprint as
+/// well as its probes.
+fn bench_tlb_serving_120(c: &mut Criterion) {
+    const FLOOR: u64 = 0x5_5550;
+    const SPREAD: u64 = 512;
+    let topology = Topology::preset(MachinePreset::LargeNuma8S120C);
+    let (l1, l2) = (
+        topology.l1_dtlb_entries() as usize,
+        topology.l2_tlb_entries() as usize,
+    );
+    let entry = |vpn: u64| TlbEntry {
+        pcid: PCID_NONE,
+        vpn,
+        pfn: vpn ^ 0xF00,
+        writable: true,
+    };
+    let mut tlbs: Vec<Tlb> = (0..topology.num_cpus() as u64)
+        .map(|core| {
+            let mut tlb = Tlb::new(l1, l2);
+            for page in 0..32 {
+                tlb.insert(entry(FLOOR + 0x1_0000 + core * 64 + page));
+            }
+            tlb
+        })
+        .collect();
+    let mut round = 0u64;
+    c.bench_function("tlb_serving_request_120_cores", |b| {
+        b.iter(|| {
+            round += 1;
+            for (core, tlb) in (0u64..).zip(tlbs.iter_mut()) {
+                let v = FLOOR + (round * 2 + core * 37) % SPREAD;
+                for vpn in [v, v + 1] {
+                    if tlb.lookup(PCID_NONE, vpn).is_none() {
+                        tlb.insert(entry(vpn));
+                    }
+                }
+                for vpn in [v, v + 1] {
+                    tlb.invalidate_page(PCID_NONE, vpn);
+                }
+                for k in 1..=3 {
+                    tlb.invalidate_page(PCID_NONE, FLOOR + (v + 82 * k) % SPREAD);
+                }
+            }
+        })
+    });
+}
+
 fn bench_page_table(c: &mut Criterion) {
     let mut pt = PageTable::new();
     let mut v = 0u64;
@@ -95,6 +149,7 @@ fn bench_stats(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_tlb,
+    bench_tlb_serving_120,
     bench_page_table,
     bench_event_queue,
     bench_ipi_schedule,

@@ -84,6 +84,21 @@ impl LatrConfig {
         self
     }
 
+    /// Checks the configuration for values no run can use.
+    ///
+    /// ```
+    /// use latr_core::{LatrConfig, LatrConfigError};
+    /// let config = LatrConfig { states_per_core: 0, ..LatrConfig::default() };
+    /// assert_eq!(config.validate(), Err(LatrConfigError::NoStateSlots));
+    /// assert_eq!(LatrConfig::default().validate(), Ok(()));
+    /// ```
+    pub fn validate(&self) -> Result<(), LatrConfigError> {
+        if self.states_per_core == 0 {
+            return Err(LatrConfigError::NoStateSlots);
+        }
+        Ok(())
+    }
+
     /// Lazy mechanism without the memory-pressure escalation: expedition
     /// and the min-watermark sync fallback disabled, everything else
     /// default. The pressure bench's "bare lazy" arm — an allocation
@@ -94,6 +109,24 @@ impl LatrConfig {
         self
     }
 }
+
+/// Why [`LatrConfig::validate`] refuses a configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LatrConfigError {
+    /// `states_per_core` is zero: every publish would overflow, so the
+    /// policy would be Linux with extra bookkeeping.
+    NoStateSlots,
+}
+
+impl std::fmt::Display for LatrConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LatrConfigError::NoStateSlots => write!(f, "states_per_core must be nonzero"),
+        }
+    }
+}
+
+impl std::error::Error for LatrConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -122,6 +155,31 @@ mod tests {
         assert_eq!(bare.watchdog_ticks, 0);
         assert!(!bare.adaptive_fallback);
         assert!(!bare.gate_reclaim);
+    }
+
+    #[test]
+    fn validate_rejects_zero_state_slots() {
+        let c = LatrConfig::default();
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(c.without_degradation().validate(), Ok(()));
+        let none = LatrConfig {
+            states_per_core: 0,
+            ..c
+        };
+        assert_eq!(none.validate(), Err(LatrConfigError::NoStateSlots));
+        assert_eq!(
+            none.validate().unwrap_err().to_string(),
+            "states_per_core must be nonzero"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LatrConfig: states_per_core must be nonzero")]
+    fn policy_refuses_zero_state_slots() {
+        let _ = crate::LatrPolicy::new(LatrConfig {
+            states_per_core: 0,
+            ..LatrConfig::default()
+        });
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod rt;
 mod state;
 mod sweep_index;
 
-pub use config::LatrConfig;
+pub use config::{LatrConfig, LatrConfigError};
 pub use policy::LatrPolicy;
 pub use reclaim::LazyReclaimQueue;
 pub use state::{LatrState, StateKind, StateQueue, SweepHit};

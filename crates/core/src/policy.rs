@@ -71,10 +71,13 @@ pub struct LatrPolicy {
     /// (feeds the `latr_expedite_latency_ns` tick-bound histogram when
     /// the gated package finally releases).
     expedited_at: HashMap<u64, Time>,
-    /// Reusable gate-id set for the reclaim paths (no per-tick allocation).
-    scratch_blocked: HashSet<u64>,
-    /// Reusable due-package vector for the reclaim paths.
-    scratch_due: Vec<crate::reclaim::DeferredReclaim>,
+    /// Reusable state-id set (no per-tick allocation): the still-blocked
+    /// gates of the reclaim paths, the parked packages' gates of pressure
+    /// expedition.
+    scratch_ids: HashSet<u64>,
+    /// Reusable escalation candidates, `(publish time, state id, queue)`,
+    /// for the watchdog and pressure expedition.
+    scratch_escalate: Vec<(Time, u64, usize)>,
 }
 
 /// Why a gated state is being finished by force: the two callers share
@@ -90,7 +93,14 @@ enum Escalation {
 impl LatrPolicy {
     /// Creates the policy with the given configuration. Queues are sized
     /// lazily on the first call (the machine's CPU count isn't known yet).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`LatrConfig::validate`].
     pub fn new(config: LatrConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid LatrConfig: {e}");
+        }
         LatrPolicy {
             config,
             queues: Vec::new(),
@@ -102,8 +112,8 @@ impl LatrPolicy {
             pending: PendingSweepMap::new(),
             pressure_sync_active: false,
             expedited_at: HashMap::new(),
-            scratch_blocked: HashSet::new(),
-            scratch_due: Vec::new(),
+            scratch_ids: HashSet::new(),
+            scratch_escalate: Vec::new(),
         }
     }
 
@@ -177,7 +187,8 @@ impl LatrPolicy {
         }
         let now = machine.now();
         let threshold = wd as u64 * machine.tick_period();
-        let mut overdue: Vec<(usize, u64)> = Vec::new();
+        let mut overdue = std::mem::take(&mut self.scratch_escalate);
+        overdue.clear();
         for (qi, q) in self.queues.iter().enumerate() {
             if q.active_count() == 0 {
                 continue;
@@ -187,13 +198,14 @@ impl LatrPolicy {
                     && now.saturating_since(s.published) >= threshold
                     && !self.escalated.contains(&s.id)
                 {
-                    overdue.push((qi, s.id));
+                    overdue.push((s.published, s.id, qi));
                 }
             }
         }
-        for (qi, id) in overdue {
+        for &(_, id, qi) in &overdue {
             self.escalate_state(machine, qi, id, Escalation::Watchdog);
         }
+        self.scratch_escalate = overdue;
     }
 
     /// Finishes state `id` of queue `qi` by force: the owning core sweeps
@@ -216,7 +228,6 @@ impl LatrPolicy {
             Escalation::Pressure => machine.stats.inc(metrics::id::LATR_EXPEDITED_SWEEPS),
         }
         let owner = CpuId(qi as u16);
-        let pages: Vec<Vpn> = range.iter().collect();
         if kind == StateKind::Migration && !pte_done {
             // Assume the first-sweeper duty nobody performed.
             machine.apply_numa_hint(owner, mm, range.start);
@@ -224,11 +235,12 @@ impl LatrPolicy {
         let mut laggards = cpus;
         if laggards.test(owner) {
             // The owner sweeps its own bit locally — no self-IPI.
-            machine.invalidate_tlb_pages(owner, mm, &pages);
+            let pcid = machine.sweep_pcid(mm);
+            machine.invalidate_tlb_range_pcid(owner, pcid, range);
             machine.oracle_note_sweep(owner, mm, range);
             machine.charge_debt(
                 owner,
-                machine.costs().local_invalidation(pages.len() as u32),
+                machine.costs().local_invalidation(range.pages as u32),
             );
             laggards.clear(owner);
         }
@@ -260,7 +272,7 @@ impl LatrPolicy {
                 ),
             );
         }
-        let txn = machine.begin_sync_shootdown(owner, mm, &pages, laggards, 0);
+        let txn = machine.begin_sync_shootdown(owner, mm, range.iter(), laggards, 0);
         self.watchdog_rounds.insert(txn.0, id);
         self.escalated.insert(id);
     }
@@ -277,13 +289,13 @@ impl LatrPolicy {
             return;
         }
         self.ensure_queues(machine.topology().num_cpus());
-        let gates: HashSet<u64> = self.reclaim.gate_ids().collect();
-        if gates.is_empty() {
-            return;
-        }
+        let mut gates = std::mem::take(&mut self.scratch_ids);
+        gates.clear();
+        gates.extend(self.reclaim.gate_ids());
         let now = machine.now();
         // (publish time, state id, queue) of every live gated state.
-        let mut oldest: Vec<(Time, u64, usize)> = Vec::new();
+        let mut oldest = std::mem::take(&mut self.scratch_escalate);
+        oldest.clear();
         for (qi, q) in self.queues.iter().enumerate() {
             if q.active_count() == 0 {
                 continue;
@@ -294,21 +306,23 @@ impl LatrPolicy {
                 }
             }
         }
+        self.scratch_ids = gates;
         // Oldest first; state id breaks publish-time ties deterministically.
         oldest.sort_unstable();
         oldest.truncate(EXPEDITE_BATCH);
-        for (_, id, qi) in oldest {
+        for &(_, id, qi) in &oldest {
             self.expedited_at.entry(id).or_insert(now);
             self.escalate_state(machine, qi, id, Escalation::Pressure);
         }
+        self.scratch_escalate = oldest;
     }
 
     /// Ids of states whose CPU bitmask has not cleared — exactly the
     /// gates that must hold their packages. Takes (and refills) the
     /// pooled scratch set so the per-tick reclaim paths allocate nothing
-    /// in steady state; callers hand it back via `scratch_blocked`.
+    /// in steady state; callers hand it back via `scratch_ids`.
     fn blocked_ids(&mut self) -> HashSet<u64> {
-        let mut blocked = std::mem::take(&mut self.scratch_blocked);
+        let mut blocked = std::mem::take(&mut self.scratch_ids);
         blocked.clear();
         blocked.extend(
             self.queues
@@ -328,42 +342,41 @@ impl LatrPolicy {
     fn release_due(&mut self, machine: &mut Machine, blocked: &HashSet<u64>, who: &str) -> u64 {
         let now = machine.now();
         let mut released = 0u64;
-        let mut due = std::mem::take(&mut self.scratch_due);
-        due.clear();
-        self.reclaim
-            .due_into(now, |id| blocked.contains(&id), &mut due);
-        for entry in due.drain(..) {
-            machine.stats.record(
-                metrics::id::LATR_RECLAIM_LATENCY_NS,
-                now.saturating_since(entry.published),
-            );
-            machine.stats.add(
-                metrics::id::LATR_RECLAIM_RELEASED_FRAMES,
-                entry.pkg.frames.len() as u64,
-            );
-            // The escalation tick bound: pressure → release, per package.
-            if let Some(t) = entry.gate.and_then(|g| self.expedited_at.remove(&g)) {
+        let expedited_at = &mut self.expedited_at;
+        self.reclaim.pop_due(
+            now,
+            |id| blocked.contains(&id),
+            |entry| {
+                let frames = u64::from(entry.pkg.frames.len);
                 machine.stats.record(
-                    metrics::id::LATR_EXPEDITE_LATENCY_NS,
-                    now.saturating_since(t),
+                    metrics::id::LATR_RECLAIM_LATENCY_NS,
+                    now.saturating_since(entry.published),
                 );
-            }
-            released += entry.pkg.frames.len() as u64;
-            let pkg = entry.pkg;
-            if machine.trace.is_enabled() {
-                machine.trace.push(
-                    now,
-                    "latr",
-                    format!(
-                        "{who} frees {} frames{}",
-                        pkg.frames.len(),
-                        pkg.va.map(|r| format!(" + VA {r:?}")).unwrap_or_default()
-                    ),
-                );
-            }
-            machine.release_reclaim_deferred(pkg);
-        }
-        self.scratch_due = due;
+                machine
+                    .stats
+                    .add(metrics::id::LATR_RECLAIM_RELEASED_FRAMES, frames);
+                // The escalation tick bound: pressure → release, per package.
+                if let Some(t) = entry.gate.and_then(|g| expedited_at.remove(&g)) {
+                    machine.stats.record(
+                        metrics::id::LATR_EXPEDITE_LATENCY_NS,
+                        now.saturating_since(t),
+                    );
+                }
+                released += frames;
+                let pkg = entry.pkg;
+                if machine.trace.is_enabled() {
+                    machine.trace.push(
+                        now,
+                        "latr",
+                        format!(
+                            "{who} frees {frames} frames{}",
+                            pkg.va.map(|r| format!(" + VA {r:?}")).unwrap_or_default()
+                        ),
+                    );
+                }
+                machine.release_reclaim_deferred(pkg);
+            },
+        );
         released
     }
 
@@ -554,7 +567,7 @@ impl TlbPolicy for LatrPolicy {
                 if let Some(pkg) = machine.take_pending_reclaim() {
                     machine
                         .stats
-                        .add(metrics::id::LATR_DEFERRED_FRAMES, pkg.frames.len() as u64);
+                        .add(metrics::id::LATR_DEFERRED_FRAMES, u64::from(pkg.frames.len));
                     let now = machine.now();
                     let deadline =
                         now + self.config.reclaim_ticks as u64 * machine.tick_period() + 1;
@@ -646,7 +659,7 @@ impl TlbPolicy for LatrPolicy {
             machine.stats.add(metrics::id::LATR_GATE_HELD, held as u64);
         }
         self.release_due(machine, &blocked, "background reclaim");
-        self.scratch_blocked = blocked;
+        self.scratch_ids = blocked;
         // Sustained pressure keeps expediting: `on_memory_pressure` only
         // fires on watermark *edges*, so a node camped below its low
         // watermark would otherwise get exactly one batch. Each tick under
@@ -703,7 +716,7 @@ impl TlbPolicy for LatrPolicy {
         // states so the *next* stall (or tick) can make progress.
         let blocked = self.blocked_ids();
         let released = self.release_due(machine, &blocked, "direct reclaim");
-        self.scratch_blocked = blocked;
+        self.scratch_ids = blocked;
         self.expedite_gated(machine);
         released
     }

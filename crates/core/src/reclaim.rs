@@ -76,7 +76,7 @@ impl LazyReclaimQueue {
                 "reclaim deadlines must be monotone"
             );
         }
-        self.deferred_frames += pkg.frames.len() as u64;
+        self.deferred_frames += u64::from(pkg.frames.len);
         self.entries.push_back(DeferredReclaim {
             deadline,
             published,
@@ -86,23 +86,15 @@ impl LazyReclaimQueue {
     }
 
     /// Pops every package whose deadline is at or before `now` and whose
-    /// gate (if any) reports unblocked. `is_blocked` is queried with the
-    /// gating state id; gated-and-blocked entries stay parked, so the
-    /// queue is scanned past them up to the first not-yet-due deadline.
-    pub fn due(&mut self, now: Time, is_blocked: impl Fn(u64) -> bool) -> Vec<DeferredReclaim> {
-        let mut out = Vec::new();
-        self.due_into(now, is_blocked, &mut out);
-        out
-    }
-
-    /// [`due`](Self::due) appending to a caller-owned scratch vector —
-    /// the reclamation tick passes a pooled one so steady state parks and
-    /// releases packages without heap traffic.
-    pub fn due_into(
+    /// gate (if any) reports unblocked, handing each to `release` in
+    /// queue order. `is_blocked` is queried with the gating state id;
+    /// gated-and-blocked entries stay parked, so the queue is scanned past
+    /// them up to the first not-yet-due deadline.
+    pub fn pop_due(
         &mut self,
         now: Time,
         is_blocked: impl Fn(u64) -> bool,
-        out: &mut Vec<DeferredReclaim>,
+        mut release: impl FnMut(DeferredReclaim),
     ) {
         let mut i = 0;
         while i < self.entries.len() {
@@ -113,7 +105,7 @@ impl LazyReclaimQueue {
                 i += 1;
                 continue;
             }
-            out.push(self.entries.remove(i).expect("index in bounds"));
+            release(self.entries.remove(i).expect("index in bounds"));
         }
     }
 
@@ -138,8 +130,8 @@ impl LazyReclaimQueue {
 
     /// Drains everything regardless of deadline or gate (end of run — the
     /// machine is quiescing, so no TLB can touch the parked frames again).
-    pub fn drain_all(&mut self) -> Vec<ReclaimPackage> {
-        self.entries.drain(..).map(|d| d.pkg).collect()
+    pub fn drain_all(&mut self) -> impl Iterator<Item = ReclaimPackage> + '_ {
+        self.entries.drain(..).map(|d| d.pkg)
     }
 
     /// Packages currently parked.
@@ -162,7 +154,7 @@ impl LazyReclaimQueue {
     pub fn parked_bytes(&self) -> u64 {
         self.entries
             .iter()
-            .map(|d| d.pkg.frames.len() as u64 * latr_mem::PAGE_SIZE)
+            .map(|d| u64::from(d.pkg.frames.len) * latr_mem::PAGE_SIZE)
             .sum()
     }
 }
@@ -170,14 +162,29 @@ impl LazyReclaimQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latr_mem::{MmId, Pfn, VaRange, Vpn};
+    use latr_kernel::FrameSpan;
+    use latr_mem::{MmId, VaRange, Vpn};
 
-    fn pkg(frames: u64) -> ReclaimPackage {
+    fn pkg(frames: u32) -> ReclaimPackage {
         ReclaimPackage {
             mm: MmId(0),
-            frames: (0..frames).map(Pfn).collect(),
-            va: Some(VaRange::new(Vpn(1), frames)),
+            frames: FrameSpan {
+                start: 0,
+                len: frames,
+            },
+            va: Some(VaRange::new(Vpn(1), u64::from(frames))),
         }
+    }
+
+    /// The packages [`LazyReclaimQueue::pop_due`] releases, in order.
+    fn due(
+        q: &mut LazyReclaimQueue,
+        now: Time,
+        is_blocked: impl Fn(u64) -> bool,
+    ) -> Vec<DeferredReclaim> {
+        let mut out = Vec::new();
+        q.pop_due(now, is_blocked, |d| out.push(d));
+        out
     }
 
     #[test]
@@ -185,11 +192,11 @@ mod tests {
         let mut q = LazyReclaimQueue::new();
         q.defer(Time::from_ns(100), pkg(1));
         q.defer(Time::from_ns(200), pkg(2));
-        assert!(q.due(Time::from_ns(99), |_| false).is_empty());
-        let first = q.due(Time::from_ns(100), |_| false);
+        assert!(due(&mut q, Time::from_ns(99), |_| false).is_empty());
+        let first = due(&mut q, Time::from_ns(100), |_| false);
         assert_eq!(first.len(), 1);
         assert_eq!(q.len(), 1);
-        let second = q.due(Time::from_ns(500), |_| false);
+        let second = due(&mut q, Time::from_ns(500), |_| false);
         assert_eq!(second.len(), 1);
         assert!(q.is_empty());
     }
@@ -200,7 +207,7 @@ mod tests {
         q.defer(Time::from_ns(10), pkg(1));
         q.defer(Time::from_ns(20), pkg(1));
         q.defer(Time::from_ns(30), pkg(1));
-        assert_eq!(q.due(Time::from_ns(25), |_| false).len(), 2);
+        assert_eq!(due(&mut q, Time::from_ns(25), |_| false).len(), 2);
     }
 
     #[test]
@@ -210,12 +217,12 @@ mod tests {
         q.defer_gated(Time::from_ns(20), Time::from_ns(5), Some(8), pkg(2));
         // State 7 still has CPUs pending: only state 8's package releases,
         // even though 7's deadline is earlier.
-        let out = q.due(Time::from_ns(100), |id| id == 7);
+        let out = due(&mut q, Time::from_ns(100), |id| id == 7);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].gate, Some(8));
         assert_eq!(q.len(), 1);
         // Once the state retires the held package flows out.
-        let out = q.due(Time::from_ns(100), |_| false);
+        let out = due(&mut q, Time::from_ns(100), |_| false);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].gate, Some(7));
         assert!(q.is_empty());
@@ -229,7 +236,7 @@ mod tests {
         q.defer(Time::from_ns(300), pkg(1));
         // The blocked head must not hide the due ungated entry behind it,
         // and the not-yet-due tail must stay put.
-        let out = q.due(Time::from_ns(50), |_| true);
+        let out = due(&mut q, Time::from_ns(50), |_| true);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].gate, None);
         assert_eq!(q.len(), 2);
@@ -240,7 +247,7 @@ mod tests {
         let mut q = LazyReclaimQueue::new();
         q.defer(Time::from_ns(1_000_000), pkg(3));
         q.defer_gated(Time::from_ns(2_000_000), Time::from_ns(0), Some(1), pkg(1));
-        assert_eq!(q.drain_all().len(), 2);
+        assert_eq!(q.drain_all().count(), 2);
         assert!(q.is_empty());
     }
 
@@ -251,7 +258,7 @@ mod tests {
         q.defer(Time::from_ns(20), pkg(2));
         assert_eq!(q.total_deferred_frames(), 6);
         assert_eq!(q.parked_bytes(), 6 * 4096);
-        q.due(Time::from_ns(15), |_| false);
+        due(&mut q, Time::from_ns(15), |_| false);
         assert_eq!(q.parked_bytes(), 2 * 4096);
         // Total is cumulative, not current.
         assert_eq!(q.total_deferred_frames(), 6);

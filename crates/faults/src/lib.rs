@@ -35,8 +35,8 @@ pub mod rt;
 
 pub use inject::{FaultInjector, IpiFault, TickFault};
 pub use plan::{
-    AllocBurst, FaultPlan, IpiFaults, OverflowStorm, ReclaimStall, StalledCore, TickFaults,
-    WatermarkFlap,
+    AllocBurst, FaultPlan, FaultPlanError, FaultWindow, IpiFaults, OverflowStorm, ReclaimStall,
+    StalledCore, TickFaults, WatermarkFlap,
 };
 pub use rt::{
     ThreadDeath, ThreadFault, ThreadFaultInjector, ThreadFaultPlan, ThreadFaultStream,

@@ -244,12 +244,20 @@ impl FaultPlan {
     /// non-zero magnitude to have any effect. The builders stay unchecked
     /// for ergonomic chaining; [`FaultInjector::new`](crate::FaultInjector::new)
     /// calls this, so no malformed plan ever reaches a run.
-    pub fn validate(&self) -> Result<(), String> {
-        let prob = |name: &str, p: f64| {
-            if (0.0..=1.0).contains(&p) {
+    ///
+    /// ```
+    /// use latr_faults::{FaultPlan, FaultPlanError, FaultWindow};
+    ///
+    /// let plan = FaultPlan::default().with_storm(5, 0);
+    /// let window = FaultWindow::Storm;
+    /// assert_eq!(plan.validate(), Err(FaultPlanError::EmptyWindow { window, at: 5 }));
+    /// ```
+    pub fn validate(&self) -> Result<(), FaultPlanError> {
+        let prob = |name: &'static str, value: f64| {
+            if (0.0..=1.0).contains(&value) {
                 Ok(())
             } else {
-                Err(format!("{name} must be in [0, 1], got {p}"))
+                Err(FaultPlanError::ProbabilityOutOfRange { name, value })
             }
         };
         prob("ipi.drop_prob", self.ipi.drop_prob)?;
@@ -257,54 +265,140 @@ impl FaultPlan {
         prob("tick.miss_prob", self.tick.miss_prob)?;
         prob("tick.jitter_prob", self.tick.jitter_prob)?;
         if self.ipi.delay_prob > 0.0 && self.ipi.delay_max == 0 {
-            return Err("ipi.delay_prob > 0 requires ipi.delay_max > 0".into());
+            return Err(FaultPlanError::DelayWithoutMagnitude);
         }
         if self.tick.jitter_prob > 0.0 && self.tick.jitter_max == 0 {
-            return Err("tick.jitter_prob > 0 requires tick.jitter_max > 0".into());
+            return Err(FaultPlanError::JitterWithoutMagnitude);
         }
-        for s in &self.stalls {
-            if s.duration == 0 {
-                return Err(format!(
-                    "stall of cpu{} at {} has zero duration",
-                    s.cpu, s.at
-                ));
+        let window = |window: FaultWindow, at: Nanos, duration: Nanos| {
+            if duration == 0 {
+                Err(FaultPlanError::EmptyWindow { window, at })
+            } else {
+                Ok(())
             }
+        };
+        for s in &self.stalls {
+            window(FaultWindow::Stall { cpu: s.cpu }, s.at, s.duration)?;
         }
         for s in &self.storms {
-            if s.duration == 0 {
-                return Err(format!("storm at {} has zero duration", s.at));
-            }
+            window(FaultWindow::Storm, s.at, s.duration)?;
         }
         for b in &self.bursts {
-            if b.duration == 0 {
-                return Err(format!(
-                    "burst on node{} at {} has zero duration",
-                    b.node, b.at
-                ));
-            }
+            window(FaultWindow::Burst { node: b.node }, b.at, b.duration)?;
             if b.frames == 0 {
-                return Err(format!(
-                    "burst on node{} at {} grabs zero frames",
-                    b.node, b.at
-                ));
+                let (node, at) = (b.node, b.at);
+                return Err(FaultPlanError::BurstWithoutFrames { node, at });
             }
         }
         for s in &self.reclaim_stalls {
-            if s.duration == 0 {
-                return Err(format!("reclaim stall at {} has zero duration", s.at));
-            }
+            window(FaultWindow::ReclaimStall, s.at, s.duration)?;
         }
         for f in &self.flaps {
-            if f.duration == 0 {
-                return Err(format!("watermark flap at {} has zero duration", f.at));
-            }
+            window(FaultWindow::Flap, f.at, f.duration)?;
             if f.boost == 0 {
-                return Err(format!("watermark flap at {} has zero boost", f.at));
+                return Err(FaultPlanError::FlapWithoutBoost { at: f.at });
             }
         }
         Ok(())
     }
 }
+
+/// Which scheduled window of a [`FaultPlan`] a [`FaultPlanError`] names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultWindow {
+    /// A [`StalledCore`] entry.
+    Stall {
+        /// The stalled core.
+        cpu: u16,
+    },
+    /// An [`OverflowStorm`] entry.
+    Storm,
+    /// An [`AllocBurst`] entry.
+    Burst {
+        /// The drained node.
+        node: u8,
+    },
+    /// A [`ReclaimStall`] entry.
+    ReclaimStall,
+    /// A [`WatermarkFlap`] entry.
+    Flap,
+}
+
+impl std::fmt::Display for FaultWindow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultWindow::Stall { cpu } => write!(f, "stall of cpu{cpu}"),
+            FaultWindow::Storm => write!(f, "storm"),
+            FaultWindow::Burst { node } => write!(f, "burst on node{node}"),
+            FaultWindow::ReclaimStall => write!(f, "reclaim stall"),
+            FaultWindow::Flap => write!(f, "watermark flap"),
+        }
+    }
+}
+
+/// Why [`FaultPlan::validate`] refuses a plan.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum FaultPlanError {
+    /// A probability lies outside `[0, 1]` or is NaN.
+    ProbabilityOutOfRange {
+        /// The plan field, e.g. `"ipi.drop_prob"`.
+        name: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
+    /// `ipi.delay_prob > 0` with `ipi.delay_max == 0`: every delay would
+    /// be zero.
+    DelayWithoutMagnitude,
+    /// `tick.jitter_prob > 0` with `tick.jitter_max == 0`: every jitter
+    /// would be zero.
+    JitterWithoutMagnitude,
+    /// A scheduled window has zero duration, so it injects nothing.
+    EmptyWindow {
+        /// The window.
+        window: FaultWindow,
+        /// Its start (ns).
+        at: Nanos,
+    },
+    /// An allocation burst grabs zero frames.
+    BurstWithoutFrames {
+        /// The burst's node.
+        node: u8,
+        /// Its start (ns).
+        at: Nanos,
+    },
+    /// A watermark flap raises the watermarks by zero frames.
+    FlapWithoutBoost {
+        /// Its start (ns).
+        at: Nanos,
+    },
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultPlanError::ProbabilityOutOfRange { name, value } => {
+                write!(f, "{name} must be in [0, 1], got {value}")
+            }
+            FaultPlanError::DelayWithoutMagnitude => {
+                write!(f, "ipi.delay_prob > 0 requires ipi.delay_max > 0")
+            }
+            FaultPlanError::JitterWithoutMagnitude => {
+                write!(f, "tick.jitter_prob > 0 requires tick.jitter_max > 0")
+            }
+            FaultPlanError::EmptyWindow { window, at } => {
+                write!(f, "{window} at {at} has zero duration")
+            }
+            FaultPlanError::BurstWithoutFrames { node, at } => {
+                write!(f, "burst on node{node} at {at} grabs zero frames")
+            }
+            FaultPlanError::FlapWithoutBoost { at } => {
+                write!(f, "watermark flap at {at} has zero boost")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
 
 #[cfg(test)]
 mod tests {
@@ -336,27 +430,88 @@ mod tests {
     #[test]
     fn validate_rejects_malformed_plans() {
         let d = FaultPlan::default;
+        let out_of_range = |plan: FaultPlan, want: &str| match plan.validate() {
+            Err(FaultPlanError::ProbabilityOutOfRange { name, .. }) => assert_eq!(name, want),
+            other => panic!("{want}: expected ProbabilityOutOfRange, got {other:?}"),
+        };
+        out_of_range(d().with_ipi_drop(1.5), "ipi.drop_prob");
+        out_of_range(d().with_tick_miss(-0.1), "tick.miss_prob");
+        out_of_range(d().with_ipi_delay(f64::NAN, 9), "ipi.delay_prob");
+        out_of_range(d().with_tick_jitter(2.0, 9), "tick.jitter_prob");
+        let empty = |window, at| Err(FaultPlanError::EmptyWindow { window, at });
         let cases = [
-            (d().with_ipi_drop(1.5), "ipi.drop_prob must be in [0, 1]"),
-            (d().with_tick_miss(-0.1), "tick.miss_prob must be in [0, 1]"),
-            (d().with_ipi_delay(f64::NAN, 9), "[0, 1], got NaN"),
-            (d().with_ipi_delay(0.5, 0), "requires ipi.delay_max > 0"),
-            (d().with_tick_jitter(0.5, 0), "requires tick.jitter_max > 0"),
-            (d().with_stall(1, 5, 0), "cpu1 at 5 has zero duration"),
-            (d().with_storm(5, 0), "storm at 5 has zero duration"),
-            (d().with_burst(0, 5, 0, 9), "node0 at 5 has zero duration"),
-            (d().with_burst(0, 5, 9, 0), "node0 at 5 grabs zero frames"),
-            (d().with_reclaim_stall(5, 0), "reclaim stall at 5 has zero"),
-            (d().with_flap(5, 0, 4), "flap at 5 has zero duration"),
-            (d().with_flap(5, 9, 0), "flap at 5 has zero boost"),
+            (
+                d().with_ipi_delay(0.5, 0),
+                Err(FaultPlanError::DelayWithoutMagnitude),
+            ),
+            (
+                d().with_tick_jitter(0.5, 0),
+                Err(FaultPlanError::JitterWithoutMagnitude),
+            ),
+            (
+                d().with_stall(1, 5, 0),
+                empty(FaultWindow::Stall { cpu: 1 }, 5),
+            ),
+            (d().with_storm(5, 0), empty(FaultWindow::Storm, 5)),
+            (
+                d().with_burst(0, 5, 0, 9),
+                empty(FaultWindow::Burst { node: 0 }, 5),
+            ),
+            (
+                d().with_burst(0, 5, 9, 0),
+                Err(FaultPlanError::BurstWithoutFrames { node: 0, at: 5 }),
+            ),
+            (
+                d().with_reclaim_stall(5, 0),
+                empty(FaultWindow::ReclaimStall, 5),
+            ),
+            (d().with_flap(5, 0, 4), empty(FaultWindow::Flap, 5)),
+            (
+                d().with_flap(5, 9, 0),
+                Err(FaultPlanError::FlapWithoutBoost { at: 5 }),
+            ),
         ];
         for (plan, want) in cases {
-            let err = plan.validate().expect_err(want);
-            assert!(err.contains(want), "{err:?} lacks {want:?}");
+            assert_eq!(plan.validate(), want, "{plan:?}");
         }
         // A probability with its magnitude is well-formed.
         assert_eq!(d().with_ipi_delay(0.5, 100).validate(), Ok(()));
         assert_eq!(d().with_tick_jitter(0.5, 100).validate(), Ok(()));
+    }
+
+    #[test]
+    fn plan_errors_read_as_before() {
+        let d = FaultPlan::default;
+        let cases = [
+            (
+                d().with_ipi_drop(1.5),
+                "ipi.drop_prob must be in [0, 1], got 1.5",
+            ),
+            (
+                d().with_ipi_delay(f64::NAN, 9),
+                "ipi.delay_prob must be in [0, 1], got NaN",
+            ),
+            (
+                d().with_ipi_delay(0.5, 0),
+                "ipi.delay_prob > 0 requires ipi.delay_max > 0",
+            ),
+            (
+                d().with_stall(1, 5, 0),
+                "stall of cpu1 at 5 has zero duration",
+            ),
+            (
+                d().with_burst(0, 5, 9, 0),
+                "burst on node0 at 5 grabs zero frames",
+            ),
+            (
+                d().with_reclaim_stall(5, 0),
+                "reclaim stall at 5 has zero duration",
+            ),
+            (d().with_flap(5, 9, 0), "watermark flap at 5 has zero boost"),
+        ];
+        for (plan, want) in cases {
+            assert_eq!(plan.validate().expect_err(want).to_string(), want);
+        }
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //!   faults, and the AutoNUMA scan;
 //! * `vm_ops.rs` — the Table 1 operations and their one flush tail, the
 //!   machine's only [`TlbPolicy::flush_others`] call;
-//! * `txn.rs` — [`ReclaimPackage`], [`Machine::sync_flush`], synchronous
+//! * `txn.rs` — [`ReclaimPackage`] and the reclaim FIFO its
+//!   [`FrameSpan`] points into, [`Machine::sync_flush`], synchronous
 //!   shootdown transactions and reclaim release;
 //! * `pressure.rs` — fault-plan queries, watermarks, reclamation debt,
 //!   the allocation stall and the pressure fault sites;
@@ -56,7 +57,9 @@ mod shootdown;
 mod task;
 
 pub use event::Event;
-pub use machine::{ConfigError, Core, InvariantViolation, Machine, MachineConfig, ReclaimPackage};
+pub use machine::{
+    ConfigError, Core, FrameSpan, InvariantViolation, Machine, MachineConfig, ReclaimPackage,
+};
 pub use mmlock::{LockMode, MmLock};
 pub use numa::{NumaConfig, NumaStats};
 pub use ops::{Op, OpResult, Workload};

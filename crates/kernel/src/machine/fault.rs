@@ -271,7 +271,7 @@ impl Machine {
             self.pending_reclaim.is_none(),
             "a NUMA hint-unmap round carries no reclaim package"
         );
-        self.begin_sync_shootdown(cpu, mm_id, &[vpn], targets, 0);
+        self.begin_sync_shootdown(cpu, mm_id, [vpn], targets, 0);
         // The scanner runs in task context: the initiating CPU eats the
         // synchronous wait as debt.
         let est = self

@@ -20,7 +20,7 @@ mod txn;
 mod vm_ops;
 
 pub use check::InvariantViolation;
-pub use txn::ReclaimPackage;
+pub use txn::{FrameSpan, ReclaimPackage};
 
 use check::{fold_event, FNV_OFFSET};
 use fault::AccessOutcome;
@@ -288,9 +288,9 @@ pub struct Machine {
     scratch_vmas: Vec<latr_mem::Vma>,
     scratch_granted: Vec<TaskId>,
     scratch_deliveries: Vec<(CpuId, Time)>,
-    // Recycled `ReclaimPackage::frames` vectors: `release_reclaim` parks
-    // the emptied vector here and the next unmap reuses it.
-    frame_vec_pool: Vec<Vec<Pfn>>,
+    // The frames of every staged reclaim package; each package holds a
+    // span of it.
+    reclaim_frames: txn::ReclaimFrames,
     // Recycled `ShootdownTxn::pages` vectors, parked when a round
     // completes and refilled by the next one.
     page_vec_pool: Vec<Vec<Vpn>>,
@@ -375,7 +375,7 @@ impl Machine {
             scratch_vmas: Vec::new(),
             scratch_granted: Vec::new(),
             scratch_deliveries: Vec::new(),
-            frame_vec_pool: Vec::new(),
+            reclaim_frames: txn::ReclaimFrames::default(),
             page_vec_pool: Vec::new(),
             fold: FNV_OFFSET,
             injector: config.faults.filter(FaultPlan::is_active).map(|plan| {

@@ -210,7 +210,7 @@ impl Machine {
     /// released through
     /// [`release_reclaim_deferred`](Self::release_reclaim_deferred).
     pub fn note_reclaim_debt(&mut self, pkg: &ReclaimPackage) {
-        for &pfn in &pkg.frames {
+        for pfn in self.reclaim_frames.get(pkg.frames) {
             self.frames.park_debt(pfn);
         }
     }
@@ -220,7 +220,7 @@ impl Machine {
     /// debt ledger, releases the frames, and re-polls the watermarks so a
     /// recovery is signalled as soon as the pool refills.
     pub fn release_reclaim_deferred(&mut self, pkg: ReclaimPackage) {
-        for &pfn in &pkg.frames {
+        for pfn in self.reclaim_frames.get(pkg.frames) {
             self.frames.unpark_debt(pfn);
         }
         self.release_reclaim(pkg);

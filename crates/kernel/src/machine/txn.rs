@@ -11,16 +11,103 @@ use latr_mem::{MmId, Pfn, VaRange, Vpn};
 use latr_sim::{Nanos, Time};
 use std::collections::VecDeque;
 
+/// A run of frames in the machine's reclaim FIFO: the `len` frames
+/// staged from absolute position `start` on. Copying a span copies no
+/// frames.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FrameSpan {
+    /// Absolute FIFO position of the first frame.
+    pub start: u64,
+    /// Frames in the span.
+    pub len: u32,
+}
+
+impl FrameSpan {
+    fn positions(self) -> std::ops::Range<u64> {
+        self.start..self.start + u64::from(self.len)
+    }
+}
+
 /// A deferred-release package: the frames and VA range whose reuse must
 /// wait for the TLB shootdown to complete.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReclaimPackage {
     /// The address space the VA belongs to.
     pub mm: MmId,
-    /// Frame references to drop.
-    pub frames: Vec<Pfn>,
+    /// Frame references to drop, as a span of the machine's reclaim FIFO.
+    pub frames: FrameSpan,
     /// VA range to unblock.
     pub va: Option<VaRange>,
+}
+
+/// The frames of every staged reclaim package, in staging order: one
+/// FIFO for the whole machine, each package a span of it. Packages
+/// release out of order (a synchronous round completes whenever its last
+/// ACK lands, a gated Latr package waits for its sweeps), so a release
+/// overwrites its frames with [`RELEASED`] and the front advances past
+/// released frames only. The deque keeps its capacity, so the steady
+/// state stages and releases without allocating.
+#[derive(Debug, Default)]
+pub(super) struct ReclaimFrames {
+    /// Absolute position of `frames[0]`.
+    base: u64,
+    frames: VecDeque<Pfn>,
+}
+
+/// A FIFO slot whose frame has been released.
+const RELEASED: Pfn = Pfn(u64::MAX);
+
+impl ReclaimFrames {
+    /// Appends `frames` and returns their span.
+    pub(super) fn stage(&mut self, frames: impl Iterator<Item = Pfn>) -> FrameSpan {
+        let start = self.base + self.frames.len() as u64;
+        self.frames.extend(frames);
+        let len = self.base + self.frames.len() as u64 - start;
+        FrameSpan {
+            start,
+            len: u32::try_from(len).expect("a reclaim package stages under 2^32 frames"),
+        }
+    }
+
+    fn slot(&self, pos: u64) -> usize {
+        pos.checked_sub(self.base)
+            .and_then(|i| usize::try_from(i).ok())
+            .filter(|&i| i < self.frames.len())
+            .expect("span lies inside the reclaim FIFO")
+    }
+
+    /// The frames of `span`, which must not have been released.
+    pub(super) fn get(&self, span: FrameSpan) -> impl Iterator<Item = Pfn> + '_ {
+        span.positions().map(|pos| self.frames[self.slot(pos)])
+    }
+
+    /// Releases the frame at absolute position `pos`, returning it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame was already released: every span is released
+    /// exactly once.
+    fn take(&mut self, pos: u64) -> Pfn {
+        let i = self.slot(pos);
+        let pfn = std::mem::replace(&mut self.frames[i], RELEASED);
+        assert_ne!(pfn, RELEASED, "reclaim span released twice");
+        pfn
+    }
+
+    /// Drops released frames off the front.
+    fn advance(&mut self) {
+        while self.frames.front() == Some(&RELEASED) {
+            self.frames.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Frames staged and not yet released, or released behind an older
+    /// unreleased span.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.frames.len()
+    }
 }
 
 /// The synchronous transactions in flight, indexed by id. Ids are handed
@@ -93,16 +180,17 @@ impl Machine {
                 defer_reclaim: false,
             };
         }
-        let mut vpns = self.page_vec_pool.pop().unwrap_or_default();
-        vpns.extend(pages.iter().map(|&(v, _)| v));
-        let txn = self.start_sync_round(initiator, mm, vpns, targets, start_delay);
+        let vpns = pages.iter().map(|&(v, _)| v);
+        let txn = self.begin_sync_shootdown(initiator, mm, vpns, targets, start_delay);
         FlushOutcome::Sync { txn, local_ns: 0 }
     }
 
     /// Creates a synchronous shootdown transaction from `initiator` to
     /// `targets`, scheduling the IPI deliveries after `start_delay` of
     /// initiator-side work. The staged reclaim package (if any) rides on
-    /// the transaction and is applied when the last ACK arrives.
+    /// the transaction and is applied when the last ACK arrives. The page
+    /// list is copied into a vector from `page_vec_pool`, where the round
+    /// returns it when it completes.
     ///
     /// # Panics
     ///
@@ -112,27 +200,13 @@ impl Machine {
         &mut self,
         initiator: CpuId,
         mm: MmId,
-        pages: &[Vpn],
-        targets: CpuMask,
-        start_delay: Nanos,
-    ) -> TxnId {
-        let mut vpns = self.page_vec_pool.pop().unwrap_or_default();
-        vpns.extend_from_slice(pages);
-        self.start_sync_round(initiator, mm, vpns, targets, start_delay)
-    }
-
-    /// [`begin_sync_shootdown`](Self::begin_sync_shootdown) on a page list
-    /// taken from `page_vec_pool`, where the round returns it when it
-    /// completes.
-    fn start_sync_round(
-        &mut self,
-        initiator: CpuId,
-        mm: MmId,
-        pages: Vec<Vpn>,
+        pages: impl IntoIterator<Item = Vpn>,
         targets: CpuMask,
         start_delay: Nanos,
     ) -> TxnId {
         assert!(!targets.is_empty(), "sync shootdown needs targets");
+        let mut vpns = self.page_vec_pool.pop().unwrap_or_default();
+        vpns.extend(pages);
         let id = TxnId(self.next_txn);
         self.next_txn += 1;
         self.stats.inc(crate::metrics::id::SHOOTDOWNS);
@@ -141,7 +215,7 @@ impl Machine {
         let (frames_to_release, va_to_unblock) = self
             .pending_reclaim
             .take()
-            .map_or((Vec::new(), None), |pkg| (pkg.frames, pkg.va));
+            .map_or((FrameSpan::default(), None), |pkg| (pkg.frames, pkg.va));
         self.txns.insert(ShootdownTxn {
             id,
             initiator,
@@ -152,7 +226,7 @@ impl Machine {
                 m.clear(initiator);
                 m
             },
-            pages,
+            pages: vpns,
             frames_to_release,
             va_to_unblock,
             started: self.now(),
@@ -359,17 +433,12 @@ impl Machine {
 
     /// [`release_reclaim`](Self::release_reclaim) with an explicit
     /// releasing core (`None` = the reclamation kthread).
-    fn release_reclaim_on(&mut self, on: Option<CpuId>, mut pkg: ReclaimPackage) {
-        for pfn in pkg.frames.drain(..) {
+    fn release_reclaim_on(&mut self, on: Option<CpuId>, pkg: ReclaimPackage) {
+        for pos in pkg.frames.positions() {
+            let pfn = self.reclaim_frames.take(pos);
             self.frame_dec_ref(on, pfn);
         }
-        // Park the emptied frames vector for the next unmap to reuse.
-        // Every package that stages frames takes its vector from the pool,
-        // and a fresh one only when the pool is empty, so the pool never
-        // holds more than the most packages ever staged at once.
-        if pkg.frames.capacity() > 0 {
-            self.frame_vec_pool.push(pkg.frames);
-        }
+        self.reclaim_frames.advance();
         // Every package blocked its range when it was staged, so a miss
         // means the list and the staged packages disagree: some range is
         // then blocked forever, or was released before its shootdown.
@@ -377,5 +446,51 @@ impl Machine {
             let unblocked = self.mms[pkg.mm.0 as usize].unblock_va(&va);
             assert!(unblocked, "reclaim package's VA {va:?} was not blocked");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn release(fifo: &mut ReclaimFrames, span: FrameSpan) -> Vec<Pfn> {
+        let frames = span.positions().map(|pos| fifo.take(pos)).collect();
+        fifo.advance();
+        frames
+    }
+
+    #[test]
+    fn front_advances_past_released_spans_only() {
+        let mut fifo = ReclaimFrames::default();
+        let a = fifo.stage([Pfn(1), Pfn(2)].into_iter());
+        let b = fifo.stage(std::iter::empty());
+        let c = fifo.stage([Pfn(3)].into_iter());
+        let d = fifo.stage([Pfn(4), Pfn(5)].into_iter());
+        assert_eq!((a.len, b.len, c.len, d.len), (2, 0, 1, 2));
+        assert_eq!(fifo.get(d).collect::<Vec<_>>(), [Pfn(4), Pfn(5)]);
+        // Out of order: `c` goes first, but `a` still holds the front.
+        assert_eq!(release(&mut fifo, c), [Pfn(3)]);
+        assert_eq!(fifo.len(), 5);
+        assert_eq!(release(&mut fifo, b), []);
+        assert_eq!(release(&mut fifo, a), [Pfn(1), Pfn(2)]);
+        assert_eq!(fifo.len(), 2, "the front skips a and the released c");
+        assert_eq!(fifo.get(d).collect::<Vec<_>>(), [Pfn(4), Pfn(5)]);
+        assert_eq!(release(&mut fifo, d), [Pfn(4), Pfn(5)]);
+        assert_eq!(fifo.len(), 0);
+        // Positions stay absolute after the front moved.
+        let e = fifo.stage([Pfn(6)].into_iter());
+        assert_eq!(e.start, 5);
+        assert_eq!(release(&mut fifo, e), [Pfn(6)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "released twice")]
+    fn a_span_releases_once() {
+        let mut fifo = ReclaimFrames::default();
+        let _front = fifo.stage([Pfn(1)].into_iter());
+        let a = fifo.stage([Pfn(2)].into_iter());
+        release(&mut fifo, a);
+        // `_front` holds the front, so `a`'s slot is still there to re-read.
+        fifo.take(a.start);
     }
 }

@@ -5,7 +5,7 @@
 //! initiator's own TLB, and ends in [`Machine::remote_flush`]: the one
 //! place the policy is asked how remote TLBs are flushed.
 
-use super::{Machine, ReclaimPackage};
+use super::{FrameSpan, Machine, ReclaimPackage};
 use crate::ops::Op;
 use crate::shootdown::{FlushKind, FlushOutcome};
 use crate::task::{TaskId, TaskState};
@@ -95,8 +95,9 @@ impl Machine {
         let munmap = matches!(op, Op::Munmap { .. });
 
         // The unmap hot path runs on scratch vectors (capacity retained
-        // across calls) and a recycled frames vector: in steady state it
-        // performs no heap allocation, which `tests/zero_alloc.rs` gates.
+        // across calls) and stages its frames in the reclaim FIFO: in
+        // steady state it performs no heap allocation, which
+        // `tests/zero_alloc.rs` gates.
         // VMA bookkeeping (munmap removes VMAs; madvise keeps them).
         if munmap {
             let mut vmas = std::mem::take(&mut self.scratch_vmas);
@@ -136,11 +137,9 @@ impl Machine {
         } else {
             None
         };
-        let mut frames = self.frame_vec_pool.pop().unwrap_or_default();
-        frames.extend(pages.iter().map(|&(_, p)| p));
         let pkg = ReclaimPackage {
             mm: mm_id,
-            frames,
+            frames: self.reclaim_frames.stage(pages.iter().map(|&(_, p)| p)),
             va: blocked_va,
         };
         self.remote_flush(task_id, op, range, &pages, local, pkg);
@@ -174,7 +173,7 @@ impl Machine {
         }
         let pkg = ReclaimPackage {
             mm: mm_id,
-            frames: Vec::new(),
+            frames: FrameSpan::default(),
             va: None,
         };
         self.remote_flush(task_id, op, range, &pages, local, pkg);
@@ -221,7 +220,7 @@ impl Machine {
         self.mms[mm_id.0 as usize].block_va(range);
         let pkg = ReclaimPackage {
             mm: mm_id,
-            frames: Vec::new(),
+            frames: FrameSpan::default(),
             va: Some(range),
         };
         self.remote_flush(task_id, op, range, &pages, local, pkg);
@@ -247,11 +246,9 @@ impl Machine {
         local += self.costs.local_invalidation(removed.len() as u32);
         let pages: Vec<(Vpn, Pfn)> = removed.iter().map(|&(v, p)| (v, p.pfn)).collect();
         self.invalidate_pages(cpu, pcid, pages.len(), pages.iter().map(|&(v, _)| v));
-        let mut frames = self.frame_vec_pool.pop().unwrap_or_default();
-        frames.extend(pages.iter().map(|&(_, p)| p));
         let pkg = ReclaimPackage {
             mm: mm_id,
-            frames,
+            frames: self.reclaim_frames.stage(pages.iter().map(|&(_, p)| p)),
             va: None,
         };
         self.remote_flush(task_id, op, range, &pages, local, pkg);
@@ -270,7 +267,6 @@ impl Machine {
 
         let mut local = self.costs.syscall_overhead;
         let mut lazy_pages: Vec<(Vpn, Pfn)> = Vec::new();
-        let mut dup_frames = self.frame_vec_pool.pop().unwrap_or_default();
         let mut protected = 0u32;
         let mut k = 0;
         while k + 1 < range.pages {
@@ -303,7 +299,6 @@ impl Machine {
             self.mms[mm_id.0 as usize]
                 .page_table
                 .update(b, |p| p.pfn = pa.pfn);
-            dup_frames.push(pb.pfn);
             lazy_pages.push((b, pb.pfn));
             local += 3 * self.costs.pte_op;
             self.stats.inc(crate::metrics::id::DEDUP_MERGES);
@@ -318,9 +313,12 @@ impl Machine {
                 .collect();
             local += self.ownership_round(cpu, mm_id, &vpns);
         }
+        // The duplicate frames, one per merged pair.
         let pkg = ReclaimPackage {
             mm: mm_id,
-            frames: dup_frames,
+            frames: self
+                .reclaim_frames
+                .stage(lazy_pages.iter().map(|&(_, p)| p)),
             va: None,
         };
         self.remote_flush(task_id, op, range, &lazy_pages, local, pkg);
@@ -403,7 +401,7 @@ impl Machine {
         let range = VaRange::new(first, last.0 - first.0 + 1);
         let pkg = ReclaimPackage {
             mm: parent,
-            frames: Vec::new(),
+            frames: FrameSpan::default(),
             va: None,
         };
         self.remote_flush(task_id, op, range, &downgraded, local, pkg);

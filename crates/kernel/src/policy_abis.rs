@@ -89,9 +89,9 @@ impl TlbPolicy for AbisPolicy {
                 defer_reclaim: false,
             };
         }
-        let vpns: Vec<Vpn> = pages.iter().map(|&(v, _)| v).collect();
+        let vpns = pages.iter().map(|&(v, _)| v);
         let txn =
-            machine.begin_sync_shootdown(initiator, mm, &vpns, targets, start_delay + overhead);
+            machine.begin_sync_shootdown(initiator, mm, vpns, targets, start_delay + overhead);
         FlushOutcome::Sync {
             txn,
             local_ns: overhead,

@@ -7,7 +7,7 @@
 //! Latr). Synchronous rounds are tracked as [`ShootdownTxn`]s by the
 //! machine, which turns them into `IpiDeliver`/`AckArrive` events.
 
-use crate::machine::Machine;
+use crate::machine::{FrameSpan, Machine};
 use crate::task::TaskId;
 use latr_arch::{CpuId, CpuMask};
 use latr_mem::{MmId, Pfn, VaRange, Vpn};
@@ -75,9 +75,10 @@ pub struct ShootdownTxn {
     /// Pages each remote core must invalidate (`INVLPG` each, or a full
     /// flush above the threshold).
     pub pages: Vec<Vpn>,
-    /// Frames to release when the round completes (empty when the caller
-    /// handles frames itself).
-    pub frames_to_release: Vec<Pfn>,
+    /// Frames to release when the round completes, a span of the
+    /// machine's reclaim FIFO (empty when the caller handles frames
+    /// itself).
+    pub frames_to_release: FrameSpan,
     /// VA range to unblock in the mm when the round completes.
     pub va_to_unblock: Option<VaRange>,
     /// When the round started (for shootdown-latency accounting).

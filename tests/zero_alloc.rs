@@ -4,12 +4,12 @@
 //! work is genuinely allocation-free once every pool and scratch buffer
 //! has grown to its working size: the calendar slab reuses freed event
 //! slots, the VMA trees and page-table nodes come from pools, sweep
-//! relevance and reclaim batches reuse scratch vectors, and freed frames
-//! round-trip through the frame-vec pool. These tests pin that property
-//! with a counting global allocator: two runs that differ only in
-//! simulated duration must perform **exactly** the same number of heap
-//! allocations — every allocation belongs to setup or warmup, and the
-//! extra delivered events add zero.
+//! relevance and reclaim batches reuse scratch vectors, and staged
+//! frames live in one reclaim FIFO that keeps its capacity. These tests
+//! pin that property with a counting global allocator: two runs that
+//! differ only in simulated duration must perform **exactly** the same
+//! number of heap allocations — every allocation belongs to setup or
+//! warmup, and the extra delivered events add zero.
 //!
 //! The sweep storm runs on two machine shapes: the 16-core commodity box,
 //! and the benchmark's 120-core storm, whose same-instant wakeup bursts
@@ -17,9 +17,12 @@
 //! coherence oracle off, and with it on. The oracle's shadow TLBs, state
 //! table and clock snapshots reuse their storage once grown, so its
 //! steady state must add no allocations either. The serving workload runs
-//! in the benchmark's shape under Latr and under Linux: thousands of
+//! in the benchmark's shape under Latr, Linux and ABIS: thousands of
 //! packages released per reclaim tick on one side, a synchronous IPI
-//! round per request on the other.
+//! round per request on the others. A fourth serving run puts Latr under
+//! IPI faults, overflow storms and a stalled sweeper, so its fallback
+//! rounds, retransmits and watchdog escalations run in the measured
+//! window too.
 //!
 //! Tracing is off, matching the `BENCH_hotpath.json` configuration.
 
@@ -61,6 +64,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 use latr_arch::{MachinePreset, Topology};
+use latr_faults::FaultPlan;
 use latr_kernel::{Machine, MachineConfig, Workload};
 use latr_sim::{Nanos, QueueBackend, MICROSECOND, MILLISECOND};
 use latr_workloads::{ArrivalProcess, PolicyKind, ServingWorkload, SweepStorm};
@@ -99,22 +103,39 @@ fn serving() -> ServingWorkload {
     })
 }
 
+/// The serving bench's `latr+ipi-chaos` plan (dropped and delayed IPIs
+/// under queue-overflow storms, which force the fallback rounds the
+/// faults bite on) with its second storm moved inside the measured
+/// window, plus a sweeper stalled for the whole run. IPI faults alone
+/// never fire the sweep watchdog; the stall makes it escalate every
+/// state that names the stalled core, each a targeted IPI round.
+fn ipi_chaos_with_stall() -> FaultPlan {
+    FaultPlan::default()
+        .with_ipi_drop(0.25)
+        .with_ipi_delay(0.25, 200 * MICROSECOND)
+        .with_storm(2 * MILLISECOND, 10 * MILLISECOND)
+        .with_storm(60 * MILLISECOND, 10 * MILLISECOND)
+        .with_stall(1, 2 * MILLISECOND, 200 * MILLISECOND)
+}
+
 /// Runs `workload` under `policy` on `preset` for `duration`, with or
-/// without the `oracle`, and returns the number of heap allocations
-/// performed *during the run* (setup — `Machine::new` and the workload
-/// constructor — is excluded; warmup is not, which is exactly why the
-/// short run is subtracted) and the events delivered.
+/// without the `oracle` and a fault plan, and returns the number of heap
+/// allocations performed *during the run* (setup — `Machine::new` and
+/// the workload constructor — is excluded; warmup is not, which is
+/// exactly why the short run is subtracted) and the events delivered.
 fn allocations_during(
     preset: MachinePreset,
     workload: Box<dyn Workload>,
     policy: PolicyKind,
     oracle: bool,
+    faults: Option<FaultPlan>,
     duration: Nanos,
 ) -> (u64, u64) {
     let mut config = MachineConfig::new(Topology::preset(preset));
     config.seed = 0x000a_110c;
     config.trace_capacity = 0;
     config.oracle = oracle;
+    config.faults = faults;
     config.engine = QueueBackend::Fast;
     let mut machine = Machine::new(config);
     let policy = policy.build();
@@ -139,7 +160,15 @@ fn assert_steady_state(
         "{what}: the long run must actually deliver more events \
          ({long_events} vs {short_events}) or the delta proves nothing",
     );
-    let (extra_allocs, extra_events) = (long_allocs - short_allocs, long_events - short_events);
+    // The counter is process-wide: a test failing on another thread
+    // allocates while it reports, which can inflate the short run.
+    let extra_allocs = long_allocs.checked_sub(short_allocs).unwrap_or_else(|| {
+        panic!(
+            "{what}: the short run allocated more ({short_allocs}) than the long \
+             one ({long_allocs}); another thread allocated during it"
+        )
+    });
+    let extra_events = long_events - short_events;
     assert!(
         extra_allocs <= extra_events / events_per_allocation,
         "{what}: steady state on the fast engine may allocate at most once \
@@ -161,7 +190,7 @@ fn sweep_storm_steady_state_allocates_nothing_per_event() {
             // long run ends: the extra window must contain real per-event
             // work, not idle ticks.
             let latr = PolicyKind::latr_default();
-            let run = |d| allocations_during(preset, Box::new(storm()), latr, oracle, d);
+            let run = |d| allocations_during(preset, Box::new(storm()), latr, oracle, None, d);
             let what = format!("{preset:?} (oracle {oracle})");
             assert_steady_state(&what, run(short), run(long), u64::MAX);
         }
@@ -174,18 +203,30 @@ fn sweep_storm_steady_state_allocates_nothing_per_event() {
 /// and each new peak doubles one vector. That growth is logarithmic in
 /// run length, so the serving runs get a budget of one allocation per
 /// 10,000 extra events instead of none. Per-request allocation, which
-/// this guards against, costs hundreds per 10,000 events.
+/// this guards against, costs hundreds per 10,000 events. Under chaos the
+/// watchdog's in-flight rounds (each holding a pooled page list) climb to
+/// their peak for tens of milliseconds after the stall begins, so that
+/// run warms up for 40 ms instead of 20.
 #[test]
 fn serving_steady_state_allocates_nothing_per_request() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let short = 20 * MILLISECOND;
-    let long = 60 * MILLISECOND;
-    for (name, policy) in [
-        ("Latr", PolicyKind::latr_default()),
-        ("Linux", PolicyKind::Linux),
+    let calm = (20 * MILLISECOND, 60 * MILLISECOND);
+    for (name, policy, faults, (short, long)) in [
+        ("Latr", PolicyKind::latr_default(), None, calm),
+        ("Linux", PolicyKind::Linux, None, calm),
+        ("ABIS", PolicyKind::Abis, None, calm),
+        (
+            "Latr with ipi-chaos and a stalled sweeper",
+            PolicyKind::latr_default(),
+            Some(ipi_chaos_with_stall()),
+            (40 * MILLISECOND, 120 * MILLISECOND),
+        ),
     ] {
         let preset = MachinePreset::LargeNuma8S120C;
-        let run = |d| allocations_during(preset, Box::new(serving()), policy, false, d);
+        let run = |d| {
+            let faults = faults.clone();
+            allocations_during(preset, Box::new(serving()), policy, false, faults, d)
+        };
         assert_steady_state(
             &format!("serving under {name}"),
             run(short),
