@@ -1,11 +1,9 @@
-//! Criterion regression gate for the PR-4 hot paths: the publish probe,
-//! the sweep tick, the overflow fallback, the event queue, the
-//! blocked-VA search and the oracle's sweep, each benchmarked on the fast
-//! implementation and (where it survives as an executable spec) its
-//! reference twin. The
-//! fast/reference pairs double as a visible record of what the
-//! optimisation buys; `cargo bench -p latr-bench --bench hotpath` prints
-//! both columns.
+//! Criterion regression gate for the simulator's hot paths: the publish
+//! probe, the sweep tick, the overflow fallback, the event queue, the
+//! blocked-VA search and the oracle's sweep. The rt sweep tick is also
+//! measured on its public full-scan spec, a visible record of what the
+//! pending row buys; `cargo bench -p latr-bench --bench hotpath` prints
+//! both.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use latr_arch::{CpuMask, MachinePreset, Topology};
@@ -13,7 +11,7 @@ use latr_core::rt::{RtInvalidation, RtRegistry};
 use latr_core::{LatrConfig, LatrState, StateKind, StateQueue};
 use latr_kernel::MachineConfig;
 use latr_mem::{MmId, MmStruct, Prot, VaRange, Vpn};
-use latr_sim::{EventQueue, QueueBackend, Time, SECOND};
+use latr_sim::{EventQueue, Time, SECOND};
 use latr_verify::CoherenceOracle;
 use latr_workloads::{PolicyKind, SweepStorm};
 
@@ -91,56 +89,40 @@ fn bench_rt_sweep_tick(c: &mut Criterion) {
 }
 
 /// The event queue under the simulator's actual access pattern —
-/// schedule near-future, pop earliest — on both backends.
-fn bench_event_queue_backends(c: &mut Criterion) {
-    for (name, backend) in [
-        ("event_queue_fast_calendar", QueueBackend::Fast),
-        ("event_queue_reference_heap", QueueBackend::Reference),
-    ] {
-        c.bench_function(name, |b| {
-            let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
-            let mut t = 0u64;
-            // A standing population, as in a live machine.
-            for i in 0..256 {
-                q.schedule(Time::from_ns(i * 37), i);
-            }
-            b.iter(|| {
-                t += 211;
-                q.schedule(Time::from_ns(t), t);
-                black_box(q.pop())
-            })
-        });
-    }
+/// schedule near-future, pop earliest.
+fn bench_event_queue(c: &mut Criterion) {
+    c.bench_function("event_queue_fast_calendar", |b| {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut t = 0u64;
+        // A standing population, as in a live machine.
+        for i in 0..256 {
+            q.schedule(Time::from_ns(i * 37), i);
+        }
+        b.iter(|| {
+            t += 211;
+            q.schedule(Time::from_ns(t), t);
+            black_box(q.pop())
+        })
+    });
 }
 
-/// End-to-end sweep-heavy machine runs on both engine stacks: the
-/// number the `hotpath` binary reports, in regression-gate form.
+/// An end-to-end sweep-heavy machine run: the number the `hotpath`
+/// binary reports, in regression-gate form.
 fn bench_machine_sweep_storm(c: &mut Criterion) {
-    for (name, backend) in [
-        ("machine_sweep_storm_16c_fast", QueueBackend::Fast),
-        ("machine_sweep_storm_16c_reference", QueueBackend::Reference),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let mut config =
-                    MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C));
-                config.seed = 7;
-                config.trace_capacity = 0;
-                config.engine = backend;
-                let latr = LatrConfig {
-                    reference_sweep: backend == QueueBackend::Reference,
-                    ..LatrConfig::default()
-                };
-                let mut machine = latr_kernel::Machine::new(config);
-                machine.run(
-                    Box::new(SweepStorm::new(16, 3)),
-                    PolicyKind::Latr(latr).build(),
-                    SECOND,
-                );
-                black_box(machine.now())
-            })
-        });
-    }
+    c.bench_function("machine_sweep_storm_16c_fast", |b| {
+        b.iter(|| {
+            let mut config = MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C));
+            config.seed = 7;
+            config.trace_capacity = 0;
+            let mut machine = latr_kernel::Machine::new(config);
+            machine.run(
+                Box::new(SweepStorm::new(16, 3)),
+                PolicyKind::Latr(LatrConfig::default()).build(),
+                SECOND,
+            );
+            black_box(machine.now())
+        })
+    });
 }
 
 /// The overflow→IPI fallback under pressure: a 4-slot queue driven past
@@ -245,7 +227,7 @@ criterion_group!(
     benches,
     bench_state_queue_publish,
     bench_rt_sweep_tick,
-    bench_event_queue_backends,
+    bench_event_queue,
     bench_machine_sweep_storm,
     bench_machine_overflow_fallback,
     bench_mm_find_free_va,

@@ -1,12 +1,11 @@
-//! End-to-end hot-path benchmark: fast vs `reference` engines on the
-//! sweep-heavy workload, emitted as `BENCH_hotpath.json`.
+//! End-to-end hot-path benchmark on the sweep-heavy workload, emitted as
+//! `BENCH_hotpath.json`.
 //!
 //! Runs [`latr_workloads::SweepStorm`] at 16, 64 and 120 simulated cores
-//! on both engine stacks — the calendar event queue + pending-bitmap
-//! sweep against the binary heap + full scan — cross-checks that every
-//! pair produced bit-identical fingerprints, and writes the measurements
-//! (ticks/sec, ops/sec, speedups) to `BENCH_hotpath.json` in the current
-//! directory. See EXPERIMENTS.md for how to read the file.
+//! — the calendar event queue and the pending-bitmap sweep under load —
+//! and writes the measurements (ticks/sec, ops/sec, fingerprint) to
+//! `BENCH_hotpath.json` in the current directory. See EXPERIMENTS.md for
+//! how to read the file.
 //!
 //! ```sh
 //! cargo run --release -p latr-bench --bin hotpath          # full run
@@ -14,18 +13,17 @@
 //! cargo run --release -p latr-bench --bin hotpath -- --quick --guard BENCH_hotpath.json
 //! ```
 //!
-//! Exits non-zero if the engines' fingerprints diverge — a broken
-//! equivalence disqualifies any speedup number. With `--guard <path>`,
-//! also exits non-zero if any freshly measured `fast` point's ticks/sec
-//! fell more than 20% below the committed file at `<path>` (read before
-//! the fresh results overwrite it) — the CI bench-regression guard.
+//! Panics if two best-of-N repetitions of a point diverge. With
+//! `--guard <path>`, exits non-zero if any freshly measured point's
+//! ticks/sec fell more than 20% below the committed file at `<path>`
+//! (read before the fresh results overwrite it) — the CI
+//! bench-regression guard.
 
 use latr_bench::hotpath::{
-    committed_fast_ticks, guard_failures, hotpath_json, hotpath_rounds, hotpath_shapes,
+    committed_ticks, guard_failures, hotpath_json, hotpath_rounds, hotpath_shapes,
     run_hotpath_point,
 };
 use latr_bench::print_title;
-use latr_bench::report::{fingerprints_agree, ratios, ENGINES};
 
 /// Fractional ticks/sec drop below the committed file that fails the
 /// `--guard` check.
@@ -41,77 +39,47 @@ fn main() {
         .map(|path| {
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("read guard baseline {path}: {e}"));
-            let baseline = committed_fast_ticks(&text);
-            assert!(!baseline.is_empty(), "no fast points in {path}");
+            let baseline = committed_ticks(&text);
+            assert!(!baseline.is_empty(), "no points in {path}");
             baseline
         });
-    print_title("Hot-path throughput — fast vs reference engines (sweep storm)");
+    print_title("Hot-path throughput (sweep storm)");
     println!(
-        "{:<11} {:>6} {:>12} {:>14} {:>14} {:>12}",
-        "engine", "cores", "wall (ms)", "ticks/sec", "ops/sec", "events"
+        "{:>6} {:>12} {:>14} {:>14} {:>12}",
+        "cores", "wall (ms)", "ticks/sec", "ops/sec", "events"
     );
 
     let mut points = Vec::new();
     for (topology, cores) in hotpath_shapes() {
         let rounds = hotpath_rounds(cores, quick);
-        for backend in ENGINES {
-            let p = run_hotpath_point(
-                backend,
-                topology.clone(),
-                cores,
-                rounds,
-                0xB3 ^ cores as u64,
-            );
-            println!(
-                "{:<11} {:>6} {:>12.2} {:>14.0} {:>14.0} {:>12}",
-                p.engine,
-                p.cores,
-                p.wall_ns as f64 / 1e6,
-                p.ticks_per_sec,
-                p.ops_per_sec,
-                p.events,
-            );
-            points.push(p);
-        }
+        let p = run_hotpath_point(topology, cores, rounds, 0xB3 ^ cores as u64);
+        println!(
+            "{:>6} {:>12.2} {:>14.0} {:>14.0} {:>12}",
+            p.cores,
+            p.wall_ns as f64 / 1e6,
+            p.ticks_per_sec,
+            p.ops_per_sec,
+            p.events,
+        );
+        points.push(p);
     }
-
-    println!();
-    let speedups = ratios(&points, "fast", "reference", |p| {
-        (p.engine.as_str(), p.cores, p.ticks_per_sec)
-    });
-    for (cores, speedup) in speedups {
-        println!("speedup at {cores:>3} cores: {speedup:.2}x (ticks/sec, fast ÷ reference)");
-    }
-    let identical = fingerprints_agree(&points, |p| (p.cores, p.fingerprint));
-    println!(
-        "fingerprints: {}",
-        if identical {
-            "identical on every engine at every size"
-        } else {
-            "DIVERGED — see the differential suite"
-        }
-    );
 
     let json = hotpath_json(&points, quick);
     std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
     println!("wrote BENCH_hotpath.json");
 
-    let mut failed = !identical;
     if let Some(baseline) = committed {
         let failures = guard_failures(&baseline, &points, GUARD_TOLERANCE);
         if failures.is_empty() {
             println!(
-                "regression guard: all fast points within {:.0}% of the committed baseline",
+                "regression guard: all points within {:.0}% of the committed baseline",
                 GUARD_TOLERANCE * 100.0
             );
         } else {
             for f in &failures {
                 eprintln!("regression guard: {f}");
             }
-            failed = true;
+            std::process::exit(1);
         }
-    }
-    if failed {
-        std::process::exit(1);
     }
 }

@@ -4,24 +4,22 @@
 //! 24 processes on the 120-core preset, one mmap/touch/munmap cycle per
 //! request) under Linux, ABIS, and Latr, plus Latr under two fault
 //! plans, and reports the p50/p99/p999 request- and shootdown-latency
-//! percentiles. Every variant is first gated by a small run repeated on
-//! the fast and `reference` engines, which must fingerprint identically —
-//! a divergent engine disqualifies the curves.
+//! percentiles. Every variant is first gated by a small run under the
+//! coherence oracle, which must end without a violation — an incoherent
+//! simulation disqualifies the curves.
 //!
 //! ```sh
 //! cargo run --release -p latr-bench --bin serving           # ~1M requests/policy
 //! cargo run --release -p latr-bench --bin serving -- --quick
 //! ```
 //!
-//! Exits non-zero if any cross-engine gate fails.
+//! Exits non-zero if any gate run draws an oracle violation.
 
 use latr_bench::print_title;
-use latr_bench::report::fingerprints_agree;
 use latr_bench::serving::{
-    run_serving_gate, run_serving_point, serving_json, serving_requests_per_worker,
+    gates_passed, run_serving_gate, run_serving_point, serving_json, serving_requests_per_worker,
     serving_variants,
 };
-use latr_sim::QueueBackend;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -29,18 +27,20 @@ fn main() {
     print_title("Serving tail latency — open loop, 120 cores, per-policy percentiles");
 
     let variants = serving_variants();
-    println!("cross-engine fingerprint gates (small runs):");
-    let mut gates = Vec::new();
-    for v in &variants {
-        let runs = run_serving_gate(v, seed);
-        let agree = fingerprints_agree(&runs, |p| (&p.label, p.fingerprint));
-        println!(
-            "  {:<18} {}",
-            v.label,
-            if agree { "ok" } else { "DIVERGED" }
-        );
-        gates.extend(runs);
-    }
+    println!("oracle gates (small runs):");
+    let gates: Vec<_> = variants
+        .iter()
+        .map(|v| {
+            let g = run_serving_gate(v, seed);
+            let verdict = if g.oracle_clean == Some(true) {
+                "clean"
+            } else {
+                "VIOLATION"
+            };
+            println!("  {:<18} {verdict}", v.label);
+            g
+        })
+        .collect();
 
     println!();
     println!(
@@ -49,12 +49,7 @@ fn main() {
     );
     let mut curves = Vec::new();
     for v in &variants {
-        let p = run_serving_point(
-            QueueBackend::Fast,
-            v,
-            serving_requests_per_worker(quick),
-            seed,
-        );
+        let p = run_serving_point(v, serving_requests_per_worker(quick), seed, false);
         let us = |n: u64| n as f64 / 1e3;
         let s = p.request_ns.expect("requests served");
         println!(
@@ -70,14 +65,14 @@ fn main() {
         curves.push(p);
     }
 
-    let all_passed = fingerprints_agree(&gates, |p| (&p.label, p.fingerprint));
+    let all_passed = gates_passed(&gates);
     println!();
     println!(
         "gates: {}",
         if all_passed {
-            "fingerprints identical on both engines for every variant"
+            "every variant oracle-clean"
         } else {
-            "DIVERGED — see the differential suite"
+            "ORACLE VIOLATION — see the gate lines above"
         }
     );
 

@@ -1,36 +1,25 @@
-//! The hot-path benchmark runner behind `BENCH_hotpath.json` (ISSUE 4).
+//! The hot-path benchmark runner behind `BENCH_hotpath.json`.
 //!
-//! PR 4's tentpole replaced the simulator's two hot loops — the
-//! binary-heap event queue and the scan-every-queue Latr sweep — with a
-//! calendar queue and a pending-bitmap cursor sweep, keeping the
-//! originals runtime-selectable as the `reference` engines. This module
-//! measures both engines end-to-end on the sweep-heavy [`SweepStorm`]
-//! workload at 16, 64 and 120 simulated cores, cross-checks their
-//! [`Machine::fingerprint`]s (any divergence disqualifies the speedup),
-//! and renders the result as the `BENCH_hotpath.json` schema
-//! EXPERIMENTS.md documents.
-//!
-//! The acceptance bar is the 120-core point: the reference sweep visits
-//! every core's 64-slot queue on every one of the 120 cores' ticks —
-//! O(cores² · slots) probes per tick interval — which is exactly the
-//! overhead the pending bitmap removes, so `fast` must be ≥3× the
-//! reference's ticks/sec there.
+//! Measures the simulator's two hot loops — the calendar event queue and
+//! the pending-bitmap Latr sweep — end-to-end on the sweep-heavy
+//! [`SweepStorm`] workload at 16, 64 and 120 simulated cores, and renders
+//! the result as the `BENCH_hotpath.json` schema EXPERIMENTS.md
+//! documents. Each point's [`Machine::fingerprint`] hash pins the
+//! simulated run the wall clock was taken on.
 
 use std::time::Instant;
 
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_kernel::{metrics, Machine, MachineConfig};
-use latr_sim::{QueueBackend, SECOND};
+use latr_sim::SECOND;
 use latr_workloads::{PolicyKind, SweepStorm};
 
-use crate::report::{engine_label, fingerprints_agree, fnv1a, ratios, rows, Float, Object};
+use crate::report::{fnv1a, rows, Object};
 
-/// One engine × machine-size measurement.
+/// One machine-size measurement.
 #[derive(Clone, Debug, Default)]
 pub struct HotpathPoint {
-    /// Engine label: `"fast"` or `"reference"`.
-    pub engine: String,
     /// Simulated cores.
     pub cores: usize,
     /// Wall-clock nanoseconds for the whole run.
@@ -45,8 +34,7 @@ pub struct HotpathPoint {
     pub ticks_per_sec: f64,
     /// `ops` per wall-clock second.
     pub ops_per_sec: f64,
-    /// FNV-1a hash of the run's full fingerprint, for the cross-engine
-    /// identity check.
+    /// FNV-1a hash of the run's full fingerprint.
     pub fingerprint: u64,
 }
 
@@ -62,16 +50,16 @@ pub fn hotpath_shapes() -> [(Topology, usize); 3] {
 /// Publishers per shape: a fixed set of 4 cores unmap while the rest
 /// tick and sweep. Sparse publishing is where laziness pays — most
 /// per-tick queue visits find nothing, which the pending bitmap skips
-/// and the reference scan pays for on every one of the `cores` queues.
+/// and a full scan would pay for on every one of the `cores` queues.
 pub fn hotpath_publishers(cores: usize) -> usize {
     cores.min(4)
 }
 
 /// Rounds per publisher for a shape: enough sim time that the per-tick
 /// sweep cost dominates setup, trimmed in `--quick` mode. Full-mode
-/// counts are sized so the fastest engine still runs for tens of
-/// milliseconds per repetition — below that the sub-1% engine deltas at
-/// small core counts drown in timer and scheduler noise.
+/// counts are sized so every point still runs for tens of milliseconds
+/// per repetition — below that the small deltas at small core counts
+/// drown in timer and scheduler noise.
 pub fn hotpath_rounds(cores: usize, quick: bool) -> u32 {
     let full = match cores {
         0..=16 => 1000,
@@ -89,48 +77,34 @@ pub fn hotpath_rounds(cores: usize, quick: bool) -> u32 {
     }
 }
 
-/// Runs the sweep storm once on the chosen engine and measures it. The
-/// `Reference` engine also runs the reference (scan-every-queue) Latr
-/// sweep, so it measures the full PR-4 baseline stack; `Fast` uses the
-/// pending-bitmap sweep.
+/// Runs the sweep storm and measures it.
 ///
 /// Each point is run [`HOTPATH_REPS`] times and the fastest wall clock
 /// is kept — the standard best-of-N discipline. A single sample of a
 /// few-millisecond run mostly measures the *host*: first-touch page
 /// faults on the machine's freshly-allocated arrays and whatever else
-/// the OS scheduler is doing, noise larger than the engine differences
-/// under test. Every repetition must produce a bit-identical
+/// the OS scheduler is doing, noise larger than the differences under
+/// test. Every repetition must produce a bit-identical
 /// fingerprint, so best-of-N cannot hide nondeterminism.
 ///
 /// # Panics
 ///
 /// Panics if two repetitions of the same configuration diverge.
-pub fn run_hotpath_point(
-    backend: QueueBackend,
-    topology: Topology,
-    cores: usize,
-    rounds: u32,
-    seed: u64,
-) -> HotpathPoint {
+pub fn run_hotpath_point(topology: Topology, cores: usize, rounds: u32, seed: u64) -> HotpathPoint {
     let reps: Vec<HotpathPoint> = (0..HOTPATH_REPS)
         .map(|_| {
             let mut config = MachineConfig::new(topology.clone());
             config.seed = seed;
             // Tracing and the coherence oracle off: both are pure observers
-            // with per-event costs that would drown the engine difference
-            // being measured (the differential suite runs them instead).
+            // with per-event costs that would drown the hot loops being
+            // measured (the differential suite runs them instead).
             config.trace_capacity = 0;
             config.oracle = false;
-            config.engine = backend;
-            let latr = LatrConfig {
-                reference_sweep: backend == QueueBackend::Reference,
-                ..LatrConfig::default()
-            };
             let mut machine = Machine::new(config);
             let start = Instant::now();
             machine.run(
                 Box::new(SweepStorm::new(cores, rounds).with_publishers(hotpath_publishers(cores))),
-                PolicyKind::Latr(latr).build(),
+                PolicyKind::Latr(LatrConfig::default()).build(),
                 10 * SECOND,
             );
             let wall = start.elapsed().as_nanos().max(1);
@@ -138,7 +112,6 @@ pub fn run_hotpath_point(
             let ops = machine.stats.counter(metrics::WORK_UNITS);
             let per_sec = |n: u64| n as f64 * 1e9 / wall as f64;
             HotpathPoint {
-                engine: engine_label(backend).to_string(),
                 cores,
                 wall_ns: wall,
                 sim_ticks,
@@ -153,8 +126,7 @@ pub fn run_hotpath_point(
     assert!(
         reps.windows(2)
             .all(|w| w[0].fingerprint == w[1].fingerprint),
-        "{} at {cores} cores diverged between repetitions",
-        reps[0].engine
+        "{cores} cores diverged between repetitions"
     );
     // The first of the fastest, as a strict best-so-far scan would keep.
     reps.into_iter()
@@ -167,34 +139,22 @@ pub const HOTPATH_REPS: u32 = 5;
 
 /// Renders the measurement set as the `BENCH_hotpath.json` document.
 pub fn hotpath_json(points: &[HotpathPoint], quick: bool) -> String {
-    let speedups = ratios(points, "fast", "reference", |p| {
-        (p.engine.as_str(), p.cores, p.ticks_per_sec)
-    });
     Object::new()
         .field("bench", "hotpath")
         .field("workload", "sweep-storm")
         .field("quick", quick)
         .field(
             "points",
-            rows!(points; engine, cores, wall_ns, sim_ticks, events, ops, ticks_per_sec: 1,
+            rows!(points; cores, wall_ns, sim_ticks, events, ops, ticks_per_sec: 1,
                           ops_per_sec: 1, fingerprint: hex),
-        )
-        .field(
-            "fingerprints_match",
-            fingerprints_agree(points, |p| (p.cores, p.fingerprint)),
-        )
-        .fields(
-            speedups
-                .into_iter()
-                .map(|(cores, s)| (format!("speedup_at_{cores}_cores"), Float(s, 2))),
         )
         .render()
 }
 
-/// Extracts `(cores, ticks_per_sec)` for every `fast` point from a
-/// committed `BENCH_hotpath.json` document, line by line:
-/// [`hotpath_json`] prints one point per line.
-pub fn committed_fast_ticks(json: &str) -> Vec<(usize, f64)> {
+/// Extracts `(cores, ticks_per_sec)` for every point of a committed
+/// `BENCH_hotpath.json` document, line by line: [`hotpath_json`] prints
+/// one point per line.
+pub fn committed_ticks(json: &str) -> Vec<(usize, f64)> {
     let field = |line: &str, key: &str| -> Option<f64> {
         let tail = &line[line.find(key)? + key.len()..];
         let tail = tail.trim_start_matches([':', ' ']);
@@ -204,7 +164,6 @@ pub fn committed_fast_ticks(json: &str) -> Vec<(usize, f64)> {
         tail[..end].parse().ok()
     };
     json.lines()
-        .filter(|l| l.contains("\"engine\": \"fast\""))
         .filter_map(|l| {
             Some((
                 field(l, "\"cores\"")? as usize,
@@ -214,8 +173,8 @@ pub fn committed_fast_ticks(json: &str) -> Vec<(usize, f64)> {
         .collect()
 }
 
-/// The CI bench-regression guard: compares freshly measured `fast`
-/// points against the committed numbers and returns one message per
+/// The CI bench-regression guard: compares freshly measured points
+/// against the committed numbers and returns one message per
 /// point whose ticks/sec fell more than `tolerance` (a fraction, e.g.
 /// `0.2`) below the committed value. Missing committed points are
 /// skipped — the guard checks for regressions, not schema drift.
@@ -225,12 +184,12 @@ pub fn guard_failures(
     tolerance: f64,
 ) -> Vec<String> {
     let mut out = Vec::new();
-    for p in points.iter().filter(|p| p.engine == "fast") {
+    for p in points {
         if let Some(&(_, baseline)) = committed.iter().find(|(c, _)| *c == p.cores) {
             let floor = baseline * (1.0 - tolerance);
             if p.ticks_per_sec < floor {
                 out.push(format!(
-                    "fast at {} cores: {:.0} ticks/sec is more than {:.0}% below the \
+                    "{} cores: {:.0} ticks/sec is more than {:.0}% below the \
                      committed {:.0} (floor {:.0})",
                     p.cores,
                     p.ticks_per_sec,
@@ -248,63 +207,36 @@ pub fn guard_failures(
 mod tests {
     use super::*;
 
-    fn point(engine: &str, cores: usize, tps: f64, fingerprint: u64) -> HotpathPoint {
-        let engine = engine.to_string();
-        let ticks_per_sec = tps;
+    fn point(cores: usize, ticks_per_sec: f64) -> HotpathPoint {
         HotpathPoint {
-            engine,
             cores,
             ticks_per_sec,
-            fingerprint,
             ..HotpathPoint::default()
         }
     }
 
     #[test]
-    fn fingerprint_mismatch_is_reported() {
-        let agree = [
-            point("fast", 16, 300.0, 7),
-            point("reference", 16, 100.0, 7),
-        ];
-        let json = hotpath_json(&agree, true);
-        assert!(json.contains("\"fingerprints_match\": true"));
-        assert!(json.contains("\"speedup_at_16_cores\": 3.00"));
-        let diverged = [
-            point("fast", 16, 300.0, 7),
-            point("reference", 16, 100.0, 8),
-        ];
-        assert!(hotpath_json(&diverged, false).contains("\"fingerprints_match\": false"));
-    }
-
-    #[test]
     fn guard_round_trips_through_the_json_and_flags_regressions() {
-        let committed = [
-            point("fast", 16, 1000.0, 7),
-            point("reference", 16, 400.0, 7),
-            point("fast", 120, 3000.0, 9),
-        ];
-        let parsed = committed_fast_ticks(&hotpath_json(&committed, false));
+        let committed = [point(16, 1000.0), point(120, 3000.0)];
+        let parsed = committed_ticks(&hotpath_json(&committed, false));
         assert_eq!(parsed, vec![(16, 1000.0), (120, 3000.0)]);
 
         // Within tolerance (and above) passes; a >20% drop fails.
-        let fresh_ok = [point("fast", 16, 850.0, 7), point("fast", 120, 3100.0, 9)];
+        let fresh_ok = [point(16, 850.0), point(120, 3100.0)];
         assert!(guard_failures(&parsed, &fresh_ok, 0.2).is_empty());
-        let fresh_bad = [point("fast", 16, 799.0, 7), point("fast", 120, 3100.0, 9)];
+        let fresh_bad = [point(16, 799.0), point(120, 3100.0)];
         let failures = guard_failures(&parsed, &fresh_bad, 0.2);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("16 cores"), "{failures:?}");
         // A shape absent from the committed file is not a failure.
-        let fresh_extra = [point("fast", 64, 1.0, 8)];
+        let fresh_extra = [point(64, 1.0)];
         assert!(guard_failures(&parsed, &fresh_extra, 0.2).is_empty());
     }
 
     #[test]
-    fn engines_agree_on_a_small_point() {
-        let (topology, cores) = (Topology::new(2, 2), 4);
-        let fast = run_hotpath_point(QueueBackend::Fast, topology.clone(), cores, 3, 42);
-        let reference = run_hotpath_point(QueueBackend::Reference, topology, cores, 3, 42);
-        assert_eq!(fast.fingerprint, reference.fingerprint);
-        assert_eq!(fast.ops, (cores as u64) * 3);
-        assert!(fast.sim_ticks > 0);
+    fn a_small_point_runs_every_round() {
+        let p = run_hotpath_point(Topology::new(2, 2), 4, 3, 42);
+        assert_eq!(p.ops, 4 * 3);
+        assert!(p.sim_ticks > 0);
     }
 }

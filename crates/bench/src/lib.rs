@@ -9,7 +9,7 @@
 //! | Binary | Reproduces |
 //! |---|---|
 //! | `paper`     | every §6 table and figure, by name (see [`paper`]) → `results/<name>.txt` |
-//! | `hotpath`   | fast vs `reference` engine throughput → `BENCH_hotpath.json` |
+//! | `hotpath`   | sweep-storm simulator throughput at 16/64/120 cores → `BENCH_hotpath.json` |
 //! | `serving`   | open-loop tail latency per policy (+ chaos) → `BENCH_serving.json` |
 //! | `rt_scale`  | real-thread rt scaling, the rt runtime stack vs sync-IPI → `BENCH_rt_scale.json` |
 //! | `soak`      | the rt runtime stack under injected thread faults → `BENCH_soak.json` |
@@ -20,7 +20,7 @@
 //!
 //! | Shared module | Used by |
 //! |---|---|
-//! | `report`  | every `BENCH_*.json` emitter: JSON writer, FNV-1a, fingerprint gate, ratios |
+//! | `report`  | every `BENCH_*.json` emitter: JSON writer, FNV-1a, percentiles, ratios |
 //! | `rt_loop` | `rt_scale` and `soak`: the one real-thread worker loop (pending-row sweep, sharded reclaimer) and its canary |
 
 pub mod hotpath;

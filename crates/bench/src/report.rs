@@ -1,6 +1,5 @@
 //! The one JSON writer behind every `BENCH_*.json`, plus the helpers the
-//! benches share: FNV-1a, engine labels, percentiles, the
-//! fast-vs-reference fingerprint gate and the per-shape ratio.
+//! benches share: FNV-1a, percentiles and the per-shape ratio.
 //!
 //! A document is an ordered [`Object`]: [`Object::render`] prints one key
 //! per line, [`Rows`] one row per line, and every row or nested object
@@ -9,7 +8,7 @@
 //! field cannot forget its precision. `row!` builds a row from a
 //! struct's fields, keyed by field name; `rows!` maps it over a slice.
 
-use latr_sim::{QueueBackend, Summary};
+use latr_sim::Summary;
 
 /// A value the writer can print.
 pub trait Json {
@@ -140,7 +139,7 @@ macro_rules! json_via_display {
 json_via_display!(bool, u32, u64, u128, usize);
 
 /// Builds an [`Object`] from fields of `$s`, each keyed by its own name:
-/// `row!(p; engine, cores, ticks_per_sec: 1, fingerprint: hex)`. A float
+/// `row!(p; cores, wall_ns, ticks_per_sec: 1, fingerprint: hex)`. A float
 /// field names its decimals, `hex` prints a `u64` as 16 hex digits, and
 /// every other field goes through [`Json`].
 macro_rules! row {
@@ -181,7 +180,7 @@ impl Json for Summary {
 }
 
 /// FNV-1a over a fingerprint's text: compact enough for a JSON field,
-/// collision-proof enough for "did the engines diverge".
+/// collision-proof enough for "did the run change".
 pub fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
@@ -191,17 +190,6 @@ pub fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// The simulator engines every fingerprint-gated bench runs, in order.
-pub const ENGINES: [QueueBackend; 2] = [QueueBackend::Fast, QueueBackend::Reference];
-
-/// The label a bench row carries for an engine.
-pub fn engine_label(backend: QueueBackend) -> &'static str {
-    match backend {
-        QueueBackend::Fast => "fast",
-        QueueBackend::Reference => "reference",
-    }
-}
-
 /// The `q`-quantile of an ascending slice by nearest rank (0 if empty).
 pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -209,19 +197,6 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-/// The fast-vs-reference gate: whether every two points of the same
-/// shape carry the same fingerprint. `key` maps a point to its
-/// `(shape, fingerprint)`.
-pub fn fingerprints_agree<'p, P, S: PartialEq>(
-    points: &'p [P],
-    key: impl Fn(&'p P) -> (S, u64),
-) -> bool {
-    let keyed: Vec<(S, u64)> = points.iter().map(key).collect();
-    keyed
-        .iter()
-        .all(|(s, f)| keyed.iter().all(|(t, g)| s != t || f == g))
 }
 
 /// `(shape, engine a's metric ÷ engine b's)` for every shape measured on
@@ -288,15 +263,18 @@ mod tests {
     }
 
     #[test]
-    fn gate_and_ratios_pair_points_by_shape() {
-        let points = [("fast", 16, 300.0, 7), ("reference", 16, 100.0, 7)];
-        let key = |p: &(&'static str, usize, f64, u64)| (p.0, p.1, p.2);
-        assert_eq!(ratios(&points, "fast", "reference", key), vec![(16, 3.0)]);
-        assert!(ratios(&points, "fast", "sync", key).is_empty());
-        assert!(fingerprints_agree(&points, |p| (p.1, p.3)));
-        let diverged = [("fast", 16, 7), ("reference", 16, 8), ("fast", 64, 9)];
-        assert!(!fingerprints_agree(&diverged, |p| (p.1, p.2)));
-        assert!(fingerprints_agree(&diverged[1..], |p| (p.1, p.2)));
+    fn ratios_pair_points_by_shape() {
+        let points = [
+            ("lazy-sharded", 16, 300.0),
+            ("sync-ipi", 16, 100.0),
+            ("lazy-sharded", 64, 1.0),
+        ];
+        let key = |p: &(&'static str, usize, f64)| (p.0, p.1, p.2);
+        assert_eq!(
+            ratios(&points, "lazy-sharded", "sync-ipi", key),
+            vec![(16, 3.0)]
+        );
+        assert!(ratios(&points, "lazy-sharded", "sync", key).is_empty());
     }
 
     #[test]

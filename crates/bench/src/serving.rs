@@ -10,20 +10,18 @@
 //! percentiles, not the mean, are where the policies separate.
 //!
 //! Before the full-size measurement, every variant is gated: a small run
-//! is repeated on the fast and `reference` engines and must produce
-//! bit-identical [`Machine::fingerprint`]s (the PR-4 pattern — a fast
-//! engine that changes the simulation disqualifies itself).
+//! under the `latr-verify` coherence oracle must end with no violation
+//! (a curve from an incoherent simulation disqualifies itself).
 
 use std::time::Instant;
 
 use latr_arch::{MachinePreset, Topology};
-use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
 use latr_kernel::{metrics, Machine, MachineConfig};
-use latr_sim::{QueueBackend, Summary, MILLISECOND, SECOND};
+use latr_sim::{Summary, MILLISECOND, SECOND};
 use latr_workloads::{ArrivalProcess, PolicyKind, ServingWorkload};
 
-use crate::report::{engine_label, fingerprints_agree, fnv1a, rows, Hex, Object, Rows, ENGINES};
+use crate::report::{fnv1a, rows, Object};
 
 /// Which policy (and faults) one serving curve runs under.
 #[derive(Clone, Debug)]
@@ -58,9 +56,10 @@ pub fn serving_requests_per_worker(quick: bool) -> u64 {
 }
 
 /// The measured curves: three clean policies plus Latr under two fault
-/// plans — dropped/delayed IPIs (stressing the watchdog and retry
-/// paths) and missed ticks + a stalled sweeper (stressing the gated
-/// reclamation and escalation paths).
+/// plans — dropped/delayed IPIs under overflow storms (reaching the IPI
+/// retry and fallback-IPI paths; no sweeper stalls, so the watchdog never
+/// escalates) and missed ticks + a stalled sweeper (reaching gated
+/// reclamation and watchdog escalation).
 pub fn serving_variants() -> Vec<ServingVariant> {
     vec![
         ServingVariant {
@@ -104,13 +103,11 @@ pub fn serving_variants() -> Vec<ServingVariant> {
     ]
 }
 
-/// One variant × engine measurement.
+/// One variant's measurement.
 #[derive(Clone, Debug, Default)]
 pub struct ServingPoint {
     /// Variant label (see [`serving_variants`]).
     pub label: String,
-    /// Engine label: `"fast"` or `"reference"`.
-    pub engine: String,
     /// Simulated cores.
     pub cores: usize,
     /// Requests served.
@@ -125,33 +122,26 @@ pub struct ServingPoint {
     pub shootdown_ns: Option<Summary>,
     /// `munmap()` syscall latency (ns).
     pub munmap_ns: Option<Summary>,
-    /// FNV-1a of the full fingerprint, for the cross-engine gate.
+    /// FNV-1a of the full fingerprint.
     pub fingerprint: u64,
+    /// Whether the run ended with no coherence-oracle violation; `None`
+    /// when the oracle was off.
+    pub oracle_clean: Option<bool>,
 }
 
-/// Runs one serving curve on the chosen engine. The `Reference` engine
-/// also runs the reference (scan-every-queue) Latr sweep, measuring the
-/// full PR-4 baseline stack, exactly as the hotpath bench does.
+/// Runs one serving curve, with the coherence oracle on or off.
 pub fn run_serving_point(
-    backend: QueueBackend,
     variant: &ServingVariant,
     requests_per_worker: u64,
     seed: u64,
+    oracle: bool,
 ) -> ServingPoint {
     let (topology, cores) = serving_shape();
     let mut config = MachineConfig::new(topology);
     config.seed = seed;
     config.trace_capacity = 0;
-    config.oracle = false;
-    config.engine = backend;
+    config.oracle = oracle;
     config.faults = variant.faults.clone();
-    let policy = match variant.policy {
-        PolicyKind::Latr(_) => PolicyKind::Latr(LatrConfig {
-            reference_sweep: backend == QueueBackend::Reference,
-            ..LatrConfig::default()
-        }),
-        other => other,
-    };
     let workload = ServingWorkload::new(cores, SERVING_PROCS, requests_per_worker)
         .with_arrivals(ArrivalProcess::Bursty {
             period: 4 * MILLISECOND,
@@ -161,12 +151,11 @@ pub fn run_serving_point(
         .with_seed(seed ^ 0x5e21);
     let mut machine = Machine::new(config);
     let start = Instant::now();
-    machine.run(Box::new(workload), policy.build(), 60 * SECOND);
+    machine.run(Box::new(workload), variant.policy.build(), 60 * SECOND);
     let wall = start.elapsed().as_nanos().max(1);
     let summary = |name: &str| machine.stats.histogram(name).map(|h| h.summary());
     ServingPoint {
         label: variant.label.to_string(),
-        engine: engine_label(backend).to_string(),
         cores,
         requests: machine.stats.counter(metrics::WORK_UNITS),
         wall_ns: wall,
@@ -175,30 +164,25 @@ pub fn run_serving_point(
         shootdown_ns: summary(metrics::SHOOTDOWN_NS),
         munmap_ns: summary(metrics::MUNMAP_NS),
         fingerprint: fnv1a(&machine.fingerprint()),
+        oracle_clean: oracle.then(|| machine.oracle_violation().is_none()),
     }
 }
 
-/// The cross-engine gate runs for `variant`: the same quick-size run on
-/// every engine, which must fingerprint identically
-/// ([`fingerprints_agree`]).
-pub fn run_serving_gate(variant: &ServingVariant, seed: u64) -> Vec<ServingPoint> {
-    ENGINES
-        .iter()
-        .map(|&e| run_serving_point(e, variant, serving_requests_per_worker(true), seed))
-        .collect()
+/// The gate run for `variant`: the quick-size run under the coherence
+/// oracle, which must end clean.
+pub fn run_serving_gate(variant: &ServingVariant, seed: u64) -> ServingPoint {
+    run_serving_point(variant, serving_requests_per_worker(true), seed, true)
 }
 
-/// Renders the gate runs (grouped by variant, as [`run_serving_gate`]
-/// returns them) and the curves as the `BENCH_serving.json` document.
+/// Whether every gate run ended oracle-clean.
+pub fn gates_passed(gates: &[ServingPoint]) -> bool {
+    gates.iter().all(|g| g.oracle_clean == Some(true))
+}
+
+/// Renders the gate runs and the curves as the `BENCH_serving.json`
+/// document.
 pub fn serving_json(gates: &[ServingPoint], curves: &[ServingPoint], quick: bool) -> String {
     let (_, cores) = serving_shape();
-    let by_label = |p: &ServingPoint| (p.label.clone(), p.fingerprint);
-    let gate_rows = gates.chunk_by(|a, b| a.label == b.label).map(|runs| {
-        let row = Object::new()
-            .field("label", &runs[0].label)
-            .field("fingerprints_match", fingerprints_agree(runs, by_label));
-        row.fields(runs.iter().map(|p| (p.engine.clone(), Hex(p.fingerprint))))
-    });
     Object::new()
         .field("bench", "serving")
         .field("workload", "serving-open-loop")
@@ -209,13 +193,13 @@ pub fn serving_json(gates: &[ServingPoint], curves: &[ServingPoint], quick: bool
             "requests_per_policy",
             cores as u64 * serving_requests_per_worker(quick),
         )
-        .field("gates", Rows(gate_rows.collect()))
+        .field("gates", rows!(gates; label, oracle_clean, fingerprint: hex))
         .field(
             "curves",
-            rows!(curves; label, engine, requests, wall_ns, events, request_ns, shootdown_ns,
+            rows!(curves; label, requests, wall_ns, events, request_ns, shootdown_ns,
                           munmap_ns, fingerprint: hex),
         )
-        .field("gates_passed", fingerprints_agree(gates, by_label))
+        .field("gates_passed", gates_passed(gates))
         .render()
 }
 
@@ -234,23 +218,27 @@ mod tests {
         assert!(labels.contains(&"latr"));
     }
 
-    fn gate_run(engine: &str, fingerprint: u64) -> ServingPoint {
-        let (label, engine) = ("latr".to_string(), engine.to_string());
+    fn gate_run(label: &str, oracle_clean: bool) -> ServingPoint {
         ServingPoint {
-            label,
-            engine,
-            fingerprint,
+            label: label.to_string(),
+            fingerprint: 7,
+            oracle_clean: Some(oracle_clean),
             ..ServingPoint::default()
         }
     }
 
     #[test]
-    fn gate_detects_divergence() {
-        let agree = [gate_run("fast", 7), gate_run("reference", 7)];
-        let json = serving_json(&agree, &agree[..1], true);
-        assert!(json.contains("\"fingerprints_match\": true, \"fast\": \"0000000000000007\""));
+    fn gate_detects_an_oracle_violation() {
+        let clean = [gate_run("linux", true), gate_run("latr", true)];
+        let json = serving_json(&clean, &clean[..1], true);
+        assert!(json.contains(
+            "{\"label\": \"latr\", \"oracle_clean\": true, \"fingerprint\": \"0000000000000007\"}"
+        ));
         assert!(json.contains("\"gates_passed\": true"));
-        let diverged = [gate_run("fast", 7), gate_run("reference", 8)];
-        assert!(serving_json(&diverged, &[], true).contains("\"gates_passed\": false"));
+        let violated = [gate_run("linux", true), gate_run("latr", false)];
+        assert!(serving_json(&violated, &[], true).contains("\"gates_passed\": false"));
+        // A run with the oracle off proves nothing.
+        let unchecked = [ServingPoint::default()];
+        assert!(!gates_passed(&unchecked));
     }
 }

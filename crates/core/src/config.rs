@@ -1,6 +1,8 @@
 //! Latr configuration knobs (§4.1, §8 and the ablation benches).
 
-/// Tunables of the Latr mechanism. Defaults match the paper.
+/// Tunables of the Latr mechanism. Defaults match the paper; the
+/// watchdog and adaptive fallback, robustness extensions beyond it,
+/// default to values calibrated never to engage on healthy runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatrConfig {
     /// Latr states per core (§4.1: 64; §8 notes the trade-off between
@@ -33,11 +35,6 @@ pub struct LatrConfig {
     /// interrupt it is not. Disabling this recovers the paper's
     /// deadline-only release (unsafe under injected faults).
     pub gate_reclaim: bool,
-    /// Run the straightforward full-scan sweep (the executable spec)
-    /// instead of the pending-bitmap fast path. Both produce bit-identical
-    /// event streams — the differential suite asserts it — so this knob
-    /// only trades speed for obviousness. Off by default.
-    pub reference_sweep: bool,
     /// Memory-pressure escalation (DESIGN.md §14). Each pressure event or
     /// allocation stall expedites the policy's `EXPEDITE_BATCH` oldest
     /// gated reclamation packages — owner-local sweep plus targeted IPIs,
@@ -59,21 +56,12 @@ impl Default for LatrConfig {
             watchdog_ticks: 8,
             adaptive_fallback: true,
             gate_reclaim: true,
-            reference_sweep: false,
             pressure_escalation: true,
         }
     }
 }
 
 impl LatrConfig {
-    /// Paper-default configuration. (The watchdog and adaptive fallback
-    /// are robustness extensions beyond the paper; their defaults are
-    /// calibrated never to engage on healthy runs, so paper-figure
-    /// reproductions are unaffected.)
-    pub fn paper() -> Self {
-        Self::default()
-    }
-
     /// Paper mechanism only: watchdog and adaptive fallback disabled.
     /// Used by the chaos suite's negative tests to demonstrate that the
     /// bare mechanism stalls indefinitely under a stalled sweeper.
@@ -139,7 +127,6 @@ mod tests {
         assert_eq!(c.states_per_core, 64);
         assert_eq!(c.reclaim_ticks, 2);
         assert!(c.sweep_on_context_switch);
-        assert_eq!(LatrConfig::paper(), c);
     }
 
     #[test]

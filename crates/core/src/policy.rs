@@ -384,8 +384,7 @@ impl LatrPolicy {
     /// trace every state naming `cpu`, clear our bit, retire emptied
     /// slots — all in the queue's one walk ([`StateQueue::sweep_cpu`]).
     /// Returns `(cost, hits)` — `(sweep_empty, 0)` when nothing in the
-    /// queue named us. Shared by the reference full scan and the
-    /// pending-bitmap fast path so the two cannot drift.
+    /// queue named us.
     fn sweep_queue(&mut self, machine: &mut Machine, cpu: CpuId, qi: usize) -> (Nanos, u64) {
         let mut cost = 0;
         // Consecutive states from the same address space — the common
@@ -439,46 +438,65 @@ impl LatrPolicy {
     /// locally and clear the bit; retire states whose masks emptied.
     /// Returns the CPU time consumed.
     ///
-    /// The reference path scans every core's queue; the fast path visits
-    /// only the queues flagged in `cpu`'s pending-bitmap row (see
+    /// The paper's sweep scans every core's queue; this one visits only
+    /// the queues flagged in `cpu`'s pending-bitmap row (see
     /// [`PendingSweepMap`] for the staleness argument) and charges the
-    /// unvisited queues the same empty-probe cost the reference scan
-    /// would, so cost, traces, stats and oracle calls are bit-identical.
+    /// unvisited queues the same empty-probe cost the full scan would,
+    /// so cost, traces, stats and oracle calls are the full scan's. Debug
+    /// builds check that after every sweep ([`Self::check_full_scan`]).
     fn sweep(&mut self, machine: &mut Machine, cpu: CpuId) -> Nanos {
         self.ensure_queues(machine.topology().num_cpus());
         let nq = self.queues.len();
         let mut cost = 0;
         let mut hits = 0u64;
-        if self.config.reference_sweep {
-            for qi in 0..nq {
-                let (c, h) = self.sweep_queue(machine, cpu, qi);
+        let row = self.pending.take_row(cpu);
+        let mut hit_queues = 0u64;
+        for publisher in row.iter() {
+            let qi = publisher.index();
+            if qi >= nq {
+                continue;
+            }
+            let (c, h) = self.sweep_queue(machine, cpu, qi);
+            if h > 0 {
                 cost += c;
                 hits += h;
+                hit_queues += 1;
             }
-        } else {
-            let row = self.pending.take_row(cpu);
-            let mut hit_queues = 0u64;
-            for publisher in row.iter() {
-                let qi = publisher.index();
-                if qi >= nq {
-                    continue;
-                }
-                let (c, h) = self.sweep_queue(machine, cpu, qi);
-                if h > 0 {
-                    cost += c;
-                    hits += h;
-                    hit_queues += 1;
-                }
-                // A visit that found nothing (stale bit) costs the same
-                // as any other empty probe, folded in below.
-            }
-            cost += machine.costs().latr_sweep_empty * (nq as u64 - hit_queues);
+            // A visit that found nothing (stale bit) costs the same as
+            // any other empty probe, folded in below.
+        }
+        cost += machine.costs().latr_sweep_empty * (nq as u64 - hit_queues);
+        if cfg!(debug_assertions) {
+            self.check_full_scan(cpu, &row);
         }
         machine.llc.charge_latr_sweep(nq as u64);
         if hits > 0 {
             machine.stats.add(metrics::id::LATR_SWEEP_HITS, hits);
         }
         cost
+    }
+
+    /// The executable spec of [`Self::sweep`]: the full scan of §4.1
+    /// visits every queue, so every queue outside `cpu`'s taken `row`
+    /// must be one that visit leaves untouched — no active state names
+    /// `cpu`, and none has an emptied mask for
+    /// [`StateQueue::sweep_cpu`] to retire. Then both sweeps agree on
+    /// hits, cost, trace, oracle calls and retirements.
+    fn check_full_scan(&self, cpu: CpuId, row: &CpuMask) {
+        for (qi, queue) in self.queues.iter().enumerate() {
+            if row.test(CpuId(qi as u16)) {
+                continue;
+            }
+            for s in queue.iter_active() {
+                assert!(
+                    !s.cpus.test(cpu) && !s.cpus.is_empty(),
+                    "sweep diverged from the full scan: {cpu} skipped queue {qi} \
+                     holding state {} (mask {:?})",
+                    s.id,
+                    s.cpus
+                );
+            }
+        }
     }
 }
 
@@ -1172,6 +1190,36 @@ mod tests {
         assert!(m.stats.counter(metrics::SHOOTDOWNS) > 0);
         assert_eq!(m.check_reclamation_invariant(), None);
         assert_eq!(m.check_mapping_coherence(), None);
+    }
+
+    /// The per-sweep spec check fires when the pending bitmap loses a
+    /// target: a state names CPU 1, but CPU 1's row no longer flags the
+    /// publisher's queue, so the sweep would skip a state the full scan
+    /// invalidates.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "sweep diverged from the full scan")
+    )]
+    fn sweep_check_catches_a_lost_pending_bit() {
+        let mut machine = Machine::new(MachineConfig::new(Topology::preset(
+            MachinePreset::Commodity2S16C,
+        )));
+        let mut policy = LatrPolicy::new(LatrConfig::default());
+        policy.ensure_queues(machine.topology().num_cpus());
+        let targets = CpuMask::from_cpus([CpuId(1)]);
+        policy.queues[0].publish(LatrState {
+            id: 0,
+            range: VaRange::new(Vpn(0x100), 1),
+            mm: MmId(0),
+            kind: StateKind::Free,
+            cpus: targets,
+            pte_done: true,
+            published: Time::ZERO,
+        });
+        policy.pending.mark(&targets, CpuId(0));
+        policy.pending.take_row(CpuId(1));
+        policy.sweep(&mut machine, CpuId(1));
     }
 
     /// In healthy runs the degradation machinery must be invisible: no

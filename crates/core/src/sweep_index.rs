@@ -1,9 +1,8 @@
 //! The global pending-sweep bitmap behind the fast sweep path.
 //!
-//! The reference sweep (§4.1, [`crate::LatrPolicy`] with
-//! `reference_sweep`) walks *every* core's state queue on every scheduler
-//! tick and context switch — O(cores × slots) whether or not anything is
-//! pending. This index inverts the relationship: when a core publishes a
+//! The paper's sweep (§4.1) walks *every* core's state queue on every
+//! scheduler tick and context switch — O(cores × slots) whether or not
+//! anything is pending. This index inverts the relationship: when a core publishes a
 //! state, it marks one bit per *target* CPU naming the publisher's queue,
 //! so a sweeping core visits exactly the queues that may still hold a
 //! state whose CPU bitmask includes it.
@@ -16,8 +15,8 @@
 //!   escalation, or its sync round's completion, clears the sweeper's
 //!   mask bit directly (and retires the state if its mask emptied),
 //!   leaving the pending bit set. The next sweep visits the queue, finds
-//!   nothing relevant, and the visit costs the same as the reference
-//!   scan's empty-queue probe. Harmless. Nothing else clears a mask bit:
+//!   nothing relevant, and the visit costs the same as the full scan's
+//!   empty-queue probe. Harmless. Nothing else clears a mask bit:
 //!   [`crate::StateQueue::clear_cpu_everywhere`] has no caller outside
 //!   tests, which use it to model these clears in bulk.
 //! * A bit is never missing while relevant: publishing is the *only*
@@ -25,9 +24,11 @@
 //!   marks all targets; a sweep clears its own row only while also
 //!   clearing the sweeper's bit from every state in every flagged queue.
 //!
-//! This is what makes the fast sweep produce a bit-identical event stream
-//! to the reference scan — asserted by `policy::tests` property tests and
-//! the cross-engine differential suite (`tests/differential.rs`).
+//! This is what makes the fast sweep produce the full scan's event
+//! stream. Debug builds check it after every sweep (`LatrPolicy`'s
+//! per-sweep full-scan check, driven through the fault-plan shapes of
+//! `tests/differential.rs`); `crates/core/tests/sweep_visits.rs` checks
+//! the row against the scan on random op streams.
 
 use latr_arch::{CpuId, CpuMask};
 

@@ -20,9 +20,11 @@
 //! than at the next visit with a hit. No live path leaves such a state
 //! (they all retire what they empty), so simulator runs cannot tell the
 //! two apart; `hitless_visit_retires_an_emptied_leftover` pins the
-//! difference and the property test allows exactly it. The end-to-end
-//! consequence (bit-identical event streams) is covered by
-//! `tests/differential.rs` at the workspace root.
+//! difference and the property test allows exactly it. End to end, the
+//! same agreement is checked at every sweep of every dev-profile machine
+//! run (`LatrPolicy`'s per-sweep full-scan check), which
+//! `tests/differential.rs` at the workspace root drives through its
+//! shapes.
 
 use latr_arch::{CpuId, CpuMask};
 use latr_core::{LatrState, PendingSweepMap, StateKind, StateQueue, SweepHit};

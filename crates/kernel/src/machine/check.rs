@@ -32,9 +32,10 @@ fn fold_finish(h: u64) -> u64 {
 }
 
 /// Folds one delivered event into the running fingerprint: the delivery
-/// time plus a compact `(tag, a, b, c)` encoding of the payload. Both
-/// queue backends deliver the exact same `(time, id)` sequence, so the
-/// fold is bit-identical across `fast` and `reference`.
+/// time plus a compact `(tag, a, b, c)` encoding of the payload. The
+/// event queue delivers the heap reference's `(time, id)` sequence
+/// (`latr-sim`'s `backends_agree_on_random_interleavings`), so the fold
+/// is the one that queue would give.
 pub(super) fn fold_event(fold: &mut u64, time: Time, event: &Event) {
     let (tag, a, b, c) = match *event {
         Event::TaskStep(t) => (1, t.0 as u64, 0, 0),

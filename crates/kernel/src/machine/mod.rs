@@ -34,7 +34,7 @@ use crate::task::{Task, TaskId, TaskState};
 use latr_arch::{CostModel, CpuId, IpiFabric, LlcModel, Tlb, Topology};
 use latr_faults::{FaultInjector, FaultPlan, TickFault};
 use latr_mem::{FileId, FrameAllocator, MmId, MmStruct, PageCache, Pfn, Prot, Vpn};
-use latr_sim::{EventQueue, Nanos, QueueBackend, SimRng, Time, TraceRing};
+use latr_sim::{EventQueue, Nanos, SimRng, Time, TraceRing};
 
 /// Configuration of one simulation run.
 #[derive(Clone, Debug)]
@@ -76,11 +76,6 @@ pub struct MachineConfig {
     /// the injector's RNG is forked off the seed, never the main stream,
     /// and the IPI retransmit timer is only armed while a plan is active.
     pub faults: Option<FaultPlan>,
-    /// Which event queue drives the run: `Fast` (calendar queue, the
-    /// default) or `Reference` (binary heap, the executable spec). Both
-    /// deliver the exact same event order, so fingerprints are
-    /// bit-identical across them.
-    pub engine: QueueBackend,
     /// Per-node low (early-warning) free-frame watermark. Crossing it
     /// fires the policy's [`TlbPolicy::on_memory_pressure`] hook so lazy
     /// reclamation can be expedited before the pool drains. `0` together
@@ -110,7 +105,6 @@ impl MachineConfig {
             numa: NumaConfig::disabled(),
             oracle: true,
             faults: None,
-            engine: QueueBackend::default(),
             low_watermark_frames: 0,
             min_watermark_frames: 0,
         }
@@ -341,7 +335,7 @@ impl Machine {
         let num_nodes = config.topology.num_nodes();
         let mut machine = Machine {
             fabric: IpiFabric::new(config.topology.clone(), config.costs.clone()),
-            queue: EventQueue::with_backend(config.engine),
+            queue: EventQueue::new(),
             cores,
             hot: CoreHot::new(ncpus),
             mms: Vec::new(),

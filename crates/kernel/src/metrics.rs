@@ -189,7 +189,7 @@ const N: usize = NAMES.len();
 ///
 /// A write is an array index, with no hashing and — after a histogram's
 /// first sample allocates its buckets — no allocation, which is what the
-/// zero-steady-state-allocation contract of the fast engine requires
+/// zero-steady-state-allocation contract of the simulator requires
 /// (`tests/zero_alloc.rs`). A slot is `Some` once written, `add(_, 0)`
 /// included, so readout lists exactly the written metrics, in name order.
 ///

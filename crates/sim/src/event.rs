@@ -1,21 +1,16 @@
 //! Deterministic event queue.
 //!
-//! Two interchangeable backends deliver the exact same `(time, sequence)`
-//! order, which makes every simulation run reproducible from its seed and
-//! configuration:
+//! A calendar (bucket) queue keyed on the event instant delivers events
+//! in `(time, sequence)` order, which makes every simulation run
+//! reproducible from its seed and configuration. `schedule`/`pop`/
+//! `pop_until` are O(1) amortised. Each bucket is a FIFO list threaded
+//! through one free-listed event arena, so steady-state operation does
+//! not touch the allocator.
 //!
-//! * [`QueueBackend::Fast`] — a calendar (bucket) queue keyed on the event
-//!   instant. `schedule`/`pop`/`pop_until` are O(1) amortised: the heap
-//!   that used to dominate large-topology runs is gone from the hot path.
-//!   Each bucket is a FIFO list threaded through one free-listed event
-//!   arena, so steady-state operation does not touch the allocator.
-//! * [`QueueBackend::Reference`] — the original binary min-heap, kept
-//!   alive as the executable specification.
-//!   The differential suite (`tests/differential.rs`) runs both backends
-//!   on identical inputs and asserts bit-identical behaviour.
-//!
-//! The default backend is `Fast`. Both backends are always compiled, so
-//! one process can construct and compare the two.
+//! The binary min-heap queue the calendar replaced is the executable
+//! spec, in the `#[cfg(test)]` module `reference`:
+//! `backends_agree_on_random_interleavings` drives both through the same
+//! random interleavings.
 
 use crate::time::Time;
 use std::cmp::Ordering;
@@ -36,39 +31,6 @@ pub struct ScheduledEvent<E> {
     pub id: EventId,
     /// The caller-supplied payload.
     pub payload: E,
-}
-
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.id == other.id
-    }
-}
-impl<E> Eq for ScheduledEvent<E> {}
-
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want earliest-first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-/// Which event-queue implementation an [`EventQueue`] runs on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Calendar/bucket queue: the production hot path and the default.
-    #[default]
-    Fast,
-    /// Binary heap: the executable spec.
-    Reference,
 }
 
 /// Nanoseconds per calendar bucket (512 ns): small enough that a bucket
@@ -134,7 +96,7 @@ impl Bucket {
     };
 }
 
-/// The calendar backend: a ring of time buckets over a far-future
+/// The calendar queue: a ring of time buckets over a far-future
 /// overflow heap, with every pending event in a free-listed arena.
 ///
 /// Invariants (checked in debug builds):
@@ -388,13 +350,6 @@ impl<E> Calendar<E> {
     }
 }
 
-#[derive(Debug)]
-enum Backend<E> {
-    // Boxed: the calendar's inline occupancy words dwarf the heap variant.
-    Fast(Box<Calendar<E>>),
-    Reference(BinaryHeap<ScheduledEvent<E>>),
-}
-
 /// A deterministic discrete-event queue over payload type `E`.
 ///
 /// ```
@@ -408,7 +363,7 @@ enum Backend<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    calendar: Calendar<E>,
     next_id: u64,
     now: Time,
     popped: u64,
@@ -421,30 +376,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue positioned at [`Time::ZERO`] on the default
-    /// backend ([`QueueBackend::default`]).
+    /// Creates an empty queue positioned at [`Time::ZERO`].
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// Creates an empty queue on an explicitly chosen backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::Fast => Backend::Fast(Box::new(Calendar::new())),
-                QueueBackend::Reference => Backend::Reference(BinaryHeap::new()),
-            },
+            calendar: Calendar::new(),
             next_id: 0,
             now: Time::ZERO,
             popped: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Fast(_) => QueueBackend::Fast,
-            Backend::Reference(_) => QueueBackend::Reference,
         }
     }
 
@@ -463,10 +401,7 @@ impl<E> EventQueue<E> {
     /// Number of events currently pending.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Fast(c) => c.len(),
-            Backend::Reference(h) => h.len(),
-        }
+        self.calendar.len()
     }
 
     /// Whether no events are pending.
@@ -492,11 +427,8 @@ impl<E> EventQueue<E> {
         );
         let id = EventId(self.next_id);
         self.next_id += 1;
-        let ev = ScheduledEvent { time, id, payload };
-        match &mut self.backend {
-            Backend::Fast(c) => c.insert(ev, self.now),
-            Backend::Reference(h) => h.push(ev),
-        }
+        self.calendar
+            .insert(ScheduledEvent { time, id, payload }, self.now);
         id
     }
 
@@ -520,15 +452,7 @@ impl<E> EventQueue<E> {
     /// untouched — when the queue is exhausted or its earliest event
     /// lies past `limit`.
     pub fn pop_until(&mut self, limit: Time) -> Option<(Time, E)> {
-        let ev = match &mut self.backend {
-            Backend::Fast(c) => c.pop_min(limit),
-            Backend::Reference(h) => {
-                if h.peek()?.time > limit {
-                    return None;
-                }
-                h.pop()
-            }
-        }?;
+        let ev = self.calendar.pop_min(limit)?;
         debug_assert!(ev.time >= self.now, "event queue time went backwards");
         self.now = ev.time;
         self.popped += 1;
@@ -536,61 +460,135 @@ impl<E> EventQueue<E> {
     }
 }
 
+/// The binary min-heap queue the calendar replaced, kept as the
+/// executable spec: `backends_agree_on_random_interleavings` drives both
+/// through the same schedule/burst/pop streams.
+#[cfg(test)]
+mod reference {
+    use super::{EventId, ScheduledEvent};
+    use crate::time::Time;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    impl<E> PartialEq for ScheduledEvent<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.id == other.id
+        }
+    }
+    impl<E> Eq for ScheduledEvent<E> {}
+
+    impl<E> PartialOrd for ScheduledEvent<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for ScheduledEvent<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: BinaryHeap is a max-heap and we want earliest-first.
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.id.cmp(&self.id))
+        }
+    }
+
+    pub(super) struct HeapQueue<E> {
+        heap: BinaryHeap<ScheduledEvent<E>>,
+        next_id: u64,
+        now: Time,
+        popped: u64,
+    }
+
+    impl<E> HeapQueue<E> {
+        pub(super) fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                next_id: 0,
+                now: Time::ZERO,
+                popped: 0,
+            }
+        }
+
+        pub(super) fn now(&self) -> Time {
+            self.now
+        }
+
+        pub(super) fn delivered(&self) -> u64 {
+            self.popped
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        pub(super) fn schedule(&mut self, time: Time, payload: E) -> EventId {
+            assert!(time >= self.now, "cannot schedule into the past");
+            let id = EventId(self.next_id);
+            self.next_id += 1;
+            self.heap.push(ScheduledEvent { time, id, payload });
+            id
+        }
+
+        pub(super) fn pop(&mut self) -> Option<(Time, E)> {
+            self.pop_until(Time::MAX)
+        }
+
+        pub(super) fn pop_until(&mut self, limit: Time) -> Option<(Time, E)> {
+            if self.heap.peek()?.time > limit {
+                return None;
+            }
+            let ev = self.heap.pop().expect("peeked");
+            self.now = ev.time;
+            self.popped += 1;
+            Some((ev.time, ev.payload))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn backends() -> [QueueBackend; 2] {
-        [QueueBackend::Fast, QueueBackend::Reference]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule(Time::from_ns(30), 3);
-            q.schedule(Time::from_ns(10), 1);
-            q.schedule(Time::from_ns(20), 2);
-            assert_eq!(q.pop().unwrap(), (Time::from_ns(10), 1));
-            assert_eq!(q.pop().unwrap(), (Time::from_ns(20), 2));
-            assert_eq!(q.pop().unwrap(), (Time::from_ns(30), 3));
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_ns(30), 3);
+        q.schedule(Time::from_ns(10), 1);
+        q.schedule(Time::from_ns(20), 2);
+        assert_eq!(q.pop().unwrap(), (Time::from_ns(10), 1));
+        assert_eq!(q.pop().unwrap(), (Time::from_ns(20), 2));
+        assert_eq!(q.pop().unwrap(), (Time::from_ns(30), 3));
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn same_instant_is_fifo() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            for i in 0..100 {
-                q.schedule(Time::from_ns(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop().unwrap().1, i);
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(Time::from_ns(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop().unwrap().1, i);
         }
     }
 
     #[test]
     fn clock_advances_with_pop() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule(Time::from_ns(42), ());
-            assert_eq!(q.now(), Time::ZERO);
-            q.pop();
-            assert_eq!(q.now(), Time::from_ns(42));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_ns(42), ());
+        assert_eq!(q.now(), Time::ZERO);
+        q.pop();
+        assert_eq!(q.now(), Time::from_ns(42));
     }
 
     #[test]
     fn schedule_after_is_relative_to_clock() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule(Time::from_ns(100), 0);
-            q.pop();
-            q.schedule_after(5, 1);
-            assert_eq!(q.pop().unwrap(), (Time::from_ns(105), 1));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_ns(100), 0);
+        q.pop();
+        q.schedule_after(5, 1);
+        assert_eq!(q.pop().unwrap(), (Time::from_ns(105), 1));
     }
 
     #[test]
@@ -604,24 +602,16 @@ mod tests {
 
     #[test]
     fn len_and_is_empty() {
-        for b in backends() {
-            let mut q: EventQueue<()> = EventQueue::with_backend(b);
-            assert!(q.is_empty());
-            q.schedule(Time::from_ns(1), ());
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
-    }
-
-    #[test]
-    fn default_backend_is_fast() {
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::Fast);
+        let mut q: EventQueue<()> = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule(Time::from_ns(1), ());
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn far_future_events_cross_the_ring_horizon() {
-        let mut q = EventQueue::with_backend(QueueBackend::Fast);
+        let mut q = EventQueue::new();
         // Way beyond the 2.1 ms ring horizon.
         q.schedule(Time::from_ns(50_000_000), 'z');
         q.schedule(Time::from_ns(10), 'a');
@@ -638,49 +628,48 @@ mod tests {
 
     #[test]
     fn pop_until_stops_at_the_limit_without_moving_the_cursor() {
-        for b in backends() {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule(Time::from_ns(100), 0);
-            assert_eq!(
-                q.pop_until(Time::from_ns(100)),
-                Some((Time::from_ns(100), 0))
-            );
-            q.schedule(Time::from_ns(2_000_000), 9);
-            q.schedule(Time::from_ns(50_000_000), 8); // beyond the ring
-            assert_eq!(q.pop_until(Time::from_ns(1_999_999)), None);
-            assert_eq!(q.now(), Time::from_ns(100));
-            // A refused pop leaves room for an earlier-but-future event.
-            q.schedule(Time::from_ns(200), 1);
-            assert_eq!(
-                q.pop_until(Time::from_ns(200)),
-                Some((Time::from_ns(200), 1))
-            );
-            assert_eq!(q.pop_until(Time::from_ns(2_000_000)).unwrap().1, 9);
-            assert_eq!(q.pop_until(Time::from_ns(49_999_999)), None);
-            assert_eq!(q.pop_until(Time::MAX).unwrap().1, 8);
-            assert_eq!(q.pop_until(Time::MAX), None);
-            assert_eq!(q.delivered(), 4);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_ns(100), 0);
+        assert_eq!(
+            q.pop_until(Time::from_ns(100)),
+            Some((Time::from_ns(100), 0))
+        );
+        q.schedule(Time::from_ns(2_000_000), 9);
+        q.schedule(Time::from_ns(50_000_000), 8); // beyond the ring
+        assert_eq!(q.pop_until(Time::from_ns(1_999_999)), None);
+        assert_eq!(q.now(), Time::from_ns(100));
+        // A refused pop leaves room for an earlier-but-future event.
+        q.schedule(Time::from_ns(200), 1);
+        assert_eq!(
+            q.pop_until(Time::from_ns(200)),
+            Some((Time::from_ns(200), 1))
+        );
+        assert_eq!(q.pop_until(Time::from_ns(2_000_000)).unwrap().1, 9);
+        assert_eq!(q.pop_until(Time::from_ns(49_999_999)), None);
+        assert_eq!(q.pop_until(Time::MAX).unwrap().1, 8);
+        assert_eq!(q.pop_until(Time::MAX), None);
+        assert_eq!(q.delivered(), 4);
     }
 
-    /// The two backends must deliver identical `(time, id, payload)`
-    /// sequences for arbitrary interleavings of schedule/burst/pop.
+    /// The calendar must deliver the heap reference's `(time, id, payload)`
+    /// sequence for arbitrary interleavings of schedule/burst/pop.
     #[test]
     fn backends_agree_on_random_interleavings() {
         use crate::rng::SimRng;
         for seed in 0..8u64 {
             let mut rng = SimRng::new(0xE4E47 + seed);
-            let mut fast = EventQueue::with_backend(QueueBackend::Fast);
-            let mut refq = EventQueue::with_backend(QueueBackend::Reference);
+            let mut fast = EventQueue::new();
+            let mut refq = reference::HeapQueue::new();
             let mut next_payload = 0u64;
-            let mut schedule = |fast: &mut EventQueue<u64>, refq: &mut EventQueue<u64>, delta| {
-                let t = fast.now() + delta;
-                assert_eq!(
-                    fast.schedule(t, next_payload),
-                    refq.schedule(t, next_payload)
-                );
-                next_payload += 1;
-            };
+            let mut schedule =
+                |fast: &mut EventQueue<u64>, refq: &mut reference::HeapQueue<u64>, delta| {
+                    let t = fast.now() + delta;
+                    assert_eq!(
+                        fast.schedule(t, next_payload),
+                        refq.schedule(t, next_payload)
+                    );
+                    next_payload += 1;
+                };
             for _ in 0..4_000 {
                 match rng.below(10) {
                     // Schedule: mixed deltas spanning sub-bucket offsets
@@ -716,6 +705,7 @@ mod tests {
                         assert_eq!(fast.now(), refq.now());
                     }
                 }
+                assert_eq!(fast.len(), refq.len());
             }
             // Drain both to the end.
             loop {

@@ -31,7 +31,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use event::{EventId, EventQueue, QueueBackend, ScheduledEvent};
+pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use stats::{Histogram, Summary};
 pub use time::{Nanos, Time, MICROSECOND, MILLISECOND, SECOND};

@@ -10,8 +10,8 @@
 //! is still live.
 //!
 //! `tests/chaos.rs` runs this under every `latr_faults::FaultPlan`
-//! class; `tests/differential.rs` replays the same plans on the fast and
-//! `reference` engines and asserts bit-identical fingerprints.
+//! class; `tests/differential.rs` replays the same plans with every Latr
+//! sweep checked against the full scan.
 
 use latr_arch::CpuId;
 use latr_kernel::{Machine, Op, OpResult, TaskId, Workload};

@@ -12,7 +12,7 @@
 //! * [`MigrationWorkload`] + [`MigrationProfile`] — the Fig. 11 AutoNUMA
 //!   applications (graph500, pbzip2, metis, fluidanimate, ocean_cp);
 //! * [`SweepStorm`] — the sweep-heavy workload the hot-path benchmarks
-//!   and the fast-vs-reference differential suite run on;
+//!   and the sweep differential suite run on;
 //! * [`ServingWorkload`] — the open-loop tail-latency workload behind
 //!   `BENCH_serving.json`: Poisson/bursty arrivals across many mms, one
 //!   mmap/touch/munmap cycle per request;

@@ -12,8 +12,8 @@
 //!
 //! Each worker core owns a deterministic arrival stream (Poisson, or an
 //! on/off-modulated bursty variant) generated from a per-worker
-//! [`SimRng`] fork, so runs are bit-identical across engines and the
-//! differential suites can gate on [`Machine::fingerprint`]. Workers are
+//! [`SimRng`] fork, so runs replay bit-identically and the benches can
+//! pin them by [`Machine::fingerprint`]. Workers are
 //! partitioned into several processes (many mms): threads of one process
 //! share an address space — and its `mmap_sem` and shootdown targets —
 //! while separate processes stress the per-`(mm, tick)` sweep grouping.

@@ -1,18 +1,15 @@
-//! The differential suite: the hot-path engine against its executable
-//! spec.
+//! The differential suite: the pending-bitmap sweep against its
+//! executable spec, the full scan of every core's queue (§4.1).
 //!
-//! The simulator has two optimised hot paths, each with a straightforward
-//! twin kept as the executable spec: the calendar event queue
-//! ([`QueueBackend::Fast`]) against the binary heap
-//! ([`QueueBackend::Reference`]), and the pending-bitmap cursor sweep
-//! against the scan-every-queue Latr sweep
-//! (`LatrConfig::reference_sweep`). This suite runs the fast stack and
-//! the reference stack side by side on identical seeds, workloads and
-//! fault plans and asserts the runs are **bit-identical**:
-//! [`latr_kernel::Machine::fingerprint`] covers the end time, the
-//! delivered-event count, every counter, every histogram summary and the
-//! full rendered trace, so any divergence in event order, cost accounting
-//! or sweep behaviour fails loudly.
+//! In the dev profile `LatrPolicy::sweep` checks every sweep against the
+//! full scan: each queue the pending bitmap let it skip must be one the
+//! full scan would leave untouched, so hits, cost, trace, oracle calls
+//! and retirements agree at every sweep, not just in the end-of-run
+//! fingerprint. This suite drives that check through the shapes where a
+//! fast-path shortcut would fall out of step, with tracing and the
+//! coherence oracle on, and asserts every run oracle-clean. (The event
+//! queue's spec, the binary heap, is checked per operation by
+//! `latr-sim`'s `backends_agree_on_random_interleavings`.)
 //!
 //! Coverage: every fault-plan class from `tests/chaos.rs` (drop, delay,
 //! stall, jitter, miss, storm, and the mixed soup), the pressure, serving
@@ -23,15 +20,35 @@ use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
 use latr_kernel::{Machine, MachineConfig, Workload};
-use latr_sim::{QueueBackend, MILLISECOND, SECOND};
+use latr_sim::{MILLISECOND, SECOND};
 use latr_workloads::{ArrivalProcess, ChaosShare, PolicyKind, ServingWorkload, SweepStorm};
 use proptest::prelude::*;
 
-/// Runs one engine. `Reference` selects both reference paths (binary
-/// heap and full-scan sweep); `Fast` runs the hot paths (calendar queue
-/// and pending-bitmap sweep).
-fn run_engine(
-    backend: QueueBackend,
+/// Runs `config` under `latr` with every sweep checked against the full
+/// scan, and asserts the run oracle-clean.
+///
+/// # Panics
+///
+/// Panics in a release build: the per-sweep check compiles away there,
+/// and this suite would pass without comparing anything.
+fn run_checked(config: MachineConfig, latr: LatrConfig, workload: Box<dyn Workload>) -> Machine {
+    if !cfg!(debug_assertions) {
+        panic!("the differential suite needs debug assertions (the dev profile)");
+    }
+    assert!(
+        config.oracle,
+        "the differential suite runs under the oracle"
+    );
+    let mut machine = Machine::new(config);
+    machine.run(workload, PolicyKind::Latr(latr).build(), SECOND);
+    if let Some(v) = machine.oracle_violation() {
+        panic!("oracle violation: {v}");
+    }
+    machine
+}
+
+/// [`run_checked`] on a traced machine over `topology`.
+fn run_traced(
     topology: Topology,
     seed: u64,
     plan: Option<FaultPlan>,
@@ -42,55 +59,7 @@ fn run_engine(
     config.seed = seed;
     config.trace_capacity = 8192;
     config.faults = plan;
-    config.engine = backend;
-    let latr = LatrConfig {
-        reference_sweep: backend == QueueBackend::Reference,
-        ..latr
-    };
-    let mut machine = Machine::new(config);
-    machine.run(workload, PolicyKind::Latr(latr).build(), SECOND);
-    machine
-}
-
-/// Asserts the fast and reference fingerprints are identical, pointing at
-/// the first diverging line rather than dumping both multi-thousand-line
-/// texts.
-fn assert_fingerprints_equal(fast: &str, reference: &str, context: &str) {
-    if fast != reference {
-        let line = fast
-            .lines()
-            .zip(reference.lines())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| fast.lines().count().min(reference.lines().count()));
-        let a = fast.lines().nth(line).unwrap_or("<eof>");
-        let b = reference.lines().nth(line).unwrap_or("<eof>");
-        panic!(
-            "fast and reference engines diverged ({context}) at fingerprint line {line}:\n\
-             fast:      {a}\n\
-             reference: {b}"
-        );
-    }
-}
-
-/// Runs the fast and reference engines and asserts their fingerprints
-/// are bit-identical. Returns the fast machine for any extra
-/// scenario-specific assertions.
-fn assert_engines_agree(
-    topology: Topology,
-    seed: u64,
-    plan: Option<FaultPlan>,
-    latr: LatrConfig,
-    mk: impl Fn() -> Box<dyn Workload>,
-) -> Machine {
-    let run = |backend| run_engine(backend, topology.clone(), seed, plan.clone(), latr, mk());
-    let fast = run(QueueBackend::Fast);
-    let reference = run(QueueBackend::Reference);
-    assert_fingerprints_equal(
-        &fast.fingerprint(),
-        &reference.fingerprint(),
-        &format!("seed {seed:#x}"),
-    );
-    fast
+    run_checked(config, latr, workload)
 }
 
 fn commodity16() -> Topology {
@@ -99,12 +68,12 @@ fn commodity16() -> Topology {
 
 #[test]
 fn sweep_storm_is_identical_across_the_engine_matrix() {
-    let m = assert_engines_agree(
+    let m = run_traced(
         commodity16(),
         0x5EED_0001,
         None,
         LatrConfig::default(),
-        || Box::new(SweepStorm::new(16, 8)),
+        Box::new(SweepStorm::new(16, 8)),
     );
     assert!(
         m.stats.counter(latr_kernel::metrics::LATR_SWEEP_HITS) > 0,
@@ -114,52 +83,35 @@ fn sweep_storm_is_identical_across_the_engine_matrix() {
 
 #[test]
 fn sweep_storm_is_identical_at_120_cores() {
-    let _ = assert_engines_agree(
+    let _ = run_traced(
         Topology::preset(MachinePreset::LargeNuma8S120C),
         0x5EED_0002,
         None,
         LatrConfig::default(),
-        || Box::new(SweepStorm::new(120, 3)),
+        Box::new(SweepStorm::new(120, 3)),
     );
 }
 
 #[test]
 fn sparse_publisher_storm_is_identical_in_bench_configuration() {
-    // Pins the exact shape `BENCH_hotpath.json` measures: 4 publishers
-    // among many sweepers, oracle and tracing off.
-    // The bench bins cross-check fingerprints themselves, but this keeps
-    // the configuration covered by `cargo test` even when they never run.
+    // The shape `BENCH_hotpath.json` measures: 4 publishers among many
+    // sweepers, tracing off (the oracle stays on: it only observes). The
+    // bench never runs in the dev profile, so this keeps its shape under
+    // the per-sweep check.
     for (topology, cores) in [
         (Topology::preset(MachinePreset::Commodity2S16C), 16),
         (Topology::preset(MachinePreset::LargeNuma8S120C), 120),
     ] {
-        let run = |backend: QueueBackend| {
-            let mut config = MachineConfig::new(topology.clone());
-            config.seed = 0x5EED_0004;
-            config.trace_capacity = 0;
-            config.oracle = false;
-            config.engine = backend;
-            let latr = LatrConfig {
-                reference_sweep: backend == QueueBackend::Reference,
-                ..LatrConfig::default()
-            };
-            let mut machine = Machine::new(config);
-            machine.run(
-                Box::new(SweepStorm::new(cores, 4).with_publishers(4)),
-                PolicyKind::Latr(latr).build(),
-                SECOND,
-            );
-            machine
-        };
-        let fast = run(QueueBackend::Fast);
-        let reference = run(QueueBackend::Reference);
-        assert_eq!(
-            fast.fingerprint(),
-            reference.fingerprint(),
-            "bench configuration diverged at {cores} cores"
+        let mut config = MachineConfig::new(topology);
+        config.seed = 0x5EED_0004;
+        config.trace_capacity = 0;
+        let m = run_checked(
+            config,
+            LatrConfig::default(),
+            Box::new(SweepStorm::new(cores, 4).with_publishers(4)),
         );
         assert_eq!(
-            fast.stats.counter(latr_kernel::metrics::WORK_UNITS),
+            m.stats.counter(latr_kernel::metrics::WORK_UNITS),
             4 * 4,
             "all four publishers must finish their rounds at {cores} cores"
         );
@@ -169,15 +121,19 @@ fn sparse_publisher_storm_is_identical_in_bench_configuration() {
 #[test]
 fn overflow_pressure_is_identical_across_the_engine_matrix() {
     // Zero inter-round sleep on a 4-slot queue drives the overflow→IPI
-    // fallback and the adaptive hysteresis on both engines; same-instant
-    // IPI broadcasts exercise the schedule-order id tiebreak.
+    // fallback and the adaptive hysteresis, so sweeps meet queues that
+    // overflowed and drained between them.
     let cfg = LatrConfig {
         states_per_core: 4,
         ..LatrConfig::default()
     };
-    let m = assert_engines_agree(commodity16(), 0x5EED_0003, None, cfg, || {
-        Box::new(SweepStorm::new(8, 30).with_sleep(0))
-    });
+    let m = run_traced(
+        commodity16(),
+        0x5EED_0003,
+        None,
+        cfg,
+        Box::new(SweepStorm::new(8, 30).with_sleep(0)),
+    );
     assert!(
         m.stats.counter(latr_kernel::metrics::LATR_FALLBACK_IPIS) > 0,
         "the comparison must actually have exercised the fallback path"
@@ -186,14 +142,18 @@ fn overflow_pressure_is_identical_across_the_engine_matrix() {
 
 #[test]
 fn chaos_share_is_identical_across_the_engine_matrix() {
-    let _ = assert_engines_agree(commodity16(), 0xCAFE, None, LatrConfig::default(), || {
-        Box::new(ChaosShare::new(4, 24))
-    });
+    let _ = run_traced(
+        commodity16(),
+        0xCAFE,
+        None,
+        LatrConfig::default(),
+        Box::new(ChaosShare::new(4, 24)),
+    );
 }
 
-/// Every fault-plan class exercised by `tests/chaos.rs`, replayed on both
-/// engines: fault injection perturbs event timing and sweep schedules,
-/// so it is exactly where a fast-path shortcut would fall out of step.
+/// Every fault-plan class exercised by `tests/chaos.rs`: fault injection
+/// perturbs event timing and sweep schedules, so it is exactly where a
+/// fast-path shortcut would fall out of step.
 #[test]
 fn chaos_plans_are_identical_across_the_engine_matrix() {
     let plans: [(&str, FaultPlan); 7] = [
@@ -223,21 +183,13 @@ fn chaos_plans_are_identical_across_the_engine_matrix() {
                 .with_storm(8 * MILLISECOND, 2 * MILLISECOND),
         ),
     ];
-    for (name, plan) in plans {
-        let run = |backend| {
-            run_engine(
-                backend,
-                commodity16(),
-                0x5007,
-                Some(plan.clone()),
-                LatrConfig::default(),
-                Box::new(ChaosShare::new(4, 24)),
-            )
-        };
-        assert_fingerprints_equal(
-            &run(QueueBackend::Fast).fingerprint(),
-            &run(QueueBackend::Reference).fingerprint(),
-            &format!("plan `{name}`"),
+    for (_, plan) in plans {
+        let _ = run_traced(
+            commodity16(),
+            0x5007,
+            Some(plan),
+            LatrConfig::default(),
+            Box::new(ChaosShare::new(4, 24)),
         );
     }
 }
@@ -258,36 +210,18 @@ fn pressure_soup_is_identical_across_the_engine_matrix() {
         states_per_core: 4,
         ..LatrConfig::default()
     };
-    let run = |backend| {
-        let mut config = MachineConfig::new(commodity16());
-        config.seed = 0x50DA;
-        config.trace_capacity = 8192;
-        config.faults = Some(plan.clone());
-        config.engine = backend;
-        // Watermarks high enough to trip under the storm's held frames.
-        config.frames_per_node = 1 << 10;
-        config = MachineConfig {
-            low_watermark_frames: 256,
-            min_watermark_frames: 64,
-            ..config
-        };
-        let latr = LatrConfig {
-            reference_sweep: backend == QueueBackend::Reference,
-            ..latr
-        };
-        let mut machine = Machine::new(config);
-        machine.run(
-            Box::new(SweepStorm::new(8, 20).with_sleep(0)),
-            PolicyKind::Latr(latr).build(),
-            SECOND,
-        );
-        machine
+    let mut config = MachineConfig::new(commodity16());
+    config.seed = 0x50DA;
+    config.trace_capacity = 8192;
+    config.faults = Some(plan);
+    // Watermarks high enough to trip under the storm's held frames.
+    config.frames_per_node = 1 << 10;
+    config = MachineConfig {
+        low_watermark_frames: 256,
+        min_watermark_frames: 64,
+        ..config
     };
-    assert_fingerprints_equal(
-        &run(QueueBackend::Fast).fingerprint(),
-        &run(QueueBackend::Reference).fingerprint(),
-        "pressure soup",
-    );
+    let _ = run_checked(config, latr, Box::new(SweepStorm::new(8, 20).with_sleep(0)));
 }
 
 #[test]
@@ -299,9 +233,13 @@ fn watchdog_escalation_is_identical_across_the_engine_matrix() {
         watchdog_ticks: 4,
         ..LatrConfig::default()
     };
-    let m = assert_engines_agree(commodity16(), 0x57A11, Some(plan), cfg, || {
-        Box::new(ChaosShare::new(4, 24))
-    });
+    let m = run_traced(
+        commodity16(),
+        0x57A11,
+        Some(plan),
+        cfg,
+        Box::new(ChaosShare::new(4, 24)),
+    );
     assert!(
         m.stats
             .counter(latr_kernel::metrics::LATR_WATCHDOG_ESCALATIONS)
@@ -315,14 +253,13 @@ fn serving_is_identical_across_the_engine_matrix() {
     // The open-loop serving workload behind `BENCH_serving.json`:
     // Poisson arrivals across shared mms, one mmap/touch/munmap cycle
     // per request. Requests straddle cores sharing an mm, so sweep
-    // relevance, PCID grouping and page-cache reuse all differ per
-    // engine if anything in the batched sweep path diverges.
-    let m = assert_engines_agree(
+    // relevance, PCID grouping and page-cache reuse all meet the check.
+    let m = run_traced(
         commodity16(),
         0x5EED_0005,
         None,
         LatrConfig::default(),
-        || Box::new(ServingWorkload::new(16, 4, 12)),
+        Box::new(ServingWorkload::new(16, 4, 12)),
     );
     assert_eq!(
         m.stats.counter(latr_kernel::metrics::WORK_UNITS),
@@ -341,21 +278,17 @@ fn bursty_serving_under_chaos_is_identical_across_the_engine_matrix() {
         .with_ipi_delay(0.25, 200_000)
         .with_tick_miss(0.20)
         .with_storm(2 * MILLISECOND, 10 * MILLISECOND);
-    let workload = || {
-        Box::new(
-            ServingWorkload::new(16, 4, 10).with_arrivals(ArrivalProcess::Bursty {
-                period: 4 * MILLISECOND,
-                on_pct: 25,
-                factor: 2.0,
-            }),
-        ) as Box<dyn Workload>
-    };
-    let m = assert_engines_agree(
+    let workload = ServingWorkload::new(16, 4, 10).with_arrivals(ArrivalProcess::Bursty {
+        period: 4 * MILLISECOND,
+        on_pct: 25,
+        factor: 2.0,
+    });
+    let m = run_traced(
         commodity16(),
         0x5EED_0006,
         Some(plan),
         LatrConfig::default(),
-        workload,
+        Box::new(workload),
     );
     // Every admitted request completes and lands one latency sample,
     // bursts and dropped IPIs notwithstanding.
@@ -370,8 +303,8 @@ fn bursty_serving_under_chaos_is_identical_across_the_engine_matrix() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
-    /// The acceptance bar: 100 random (seed, shape, plan) tuples, each
-    /// run on both engines, all bit-identical.
+    /// 100 random (seed, shape, plan) tuples, every sweep of each
+    /// checked against the full scan, every run oracle-clean.
     #[test]
     fn engines_agree_on_random_storms_and_plans(
         seed in any::<u64>(),
@@ -386,17 +319,12 @@ proptest! {
             .with_tick_miss(f64::from(miss_pct) / 100.0);
         let cores = usize::from(cores);
         let rounds = u32::from(rounds);
-        let run = |backend| run_engine(
-            backend,
+        let _ = run_traced(
             commodity16(),
             seed,
-            Some(plan.clone()),
+            Some(plan),
             LatrConfig::default(),
             Box::new(SweepStorm::new(cores, rounds)),
-        );
-        prop_assert_eq!(
-            run(QueueBackend::Fast).fingerprint(),
-            run(QueueBackend::Reference).fingerprint()
         );
     }
 }

@@ -11,9 +11,9 @@
 //!
 //! The snapshots are the determinism backstop for the hot-path work: any
 //! change to event ordering, sweep behaviour or cost accounting shows up
-//! as a diff here. Every scenario runs on the fast engine and on the
-//! reference engine (binary-heap queue plus, under Latr, full-scan
-//! sweep), so one set of golden files pins both.
+//! as a diff here. In the dev profile every Latr sweep of every scenario
+//! is also checked against the full scan it replaced (`LatrPolicy`'s
+//! per-sweep spec check).
 //!
 //! To re-bless after an *intentional* behaviour change:
 //!
@@ -31,7 +31,7 @@ use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
 use latr_kernel::{Machine, MachineConfig, Workload};
-use latr_sim::{QueueBackend, MILLISECOND, SECOND};
+use latr_sim::{MILLISECOND, SECOND};
 use latr_workloads::{
     ChaosShare, MigrationProfile, MigrationWorkload, MunmapMicrobench, PolicyKind, SweepStorm,
 };
@@ -80,42 +80,20 @@ fn check_golden(name: &str, machine: &Machine) {
 }
 
 /// Runs one golden scenario: fixed topology, seed, plan, policy and
-/// workload. Every scenario runs on the default (fast) engine *and* the
-/// reference engine — binary-heap queue plus, under Latr, full-scan
-/// sweep; their fingerprints must be bit-identical, so the one committed
-/// golden file pins both. The fast machine is returned for the
-/// byte-for-byte golden comparison.
+/// workload. The machine is returned for the byte-for-byte golden
+/// comparison.
 fn run_scenario(
-    config: MachineConfig,
+    mut config: MachineConfig,
     seed: u64,
     plan: Option<FaultPlan>,
     policy: PolicyKind,
-    workload: &dyn Fn() -> Box<dyn Workload>,
+    workload: Box<dyn Workload>,
 ) -> Machine {
-    let run_one = |engine: QueueBackend| {
-        let mut config = config.clone();
-        config.seed = seed;
-        config.trace_capacity = 4096;
-        config.faults = plan.clone();
-        config.engine = engine;
-        let policy = match policy {
-            PolicyKind::Latr(latr) => PolicyKind::Latr(LatrConfig {
-                reference_sweep: engine == QueueBackend::Reference,
-                ..latr
-            }),
-            other => other,
-        };
-        let mut machine = Machine::new(config);
-        machine.run(workload(), policy.build(), SECOND);
-        machine
-    };
-    let machine = run_one(QueueBackend::default());
-    let reference = run_one(QueueBackend::Reference);
-    assert_eq!(
-        machine.fingerprint(),
-        reference.fingerprint(),
-        "reference engine diverged from the fast engine on a golden scenario"
-    );
+    config.seed = seed;
+    config.trace_capacity = 4096;
+    config.faults = plan;
+    let mut machine = Machine::new(config);
+    machine.run(workload, policy.build(), SECOND);
     machine
 }
 
@@ -130,7 +108,7 @@ fn golden_sweep_storm() {
         0x601D_0001,
         None,
         PolicyKind::latr_default(),
-        &|| Box::new(SweepStorm::new(8, 5)),
+        Box::new(SweepStorm::new(8, 5)),
     );
     check_golden("sweep_storm", &m);
 }
@@ -142,7 +120,7 @@ fn golden_munmap_storm() {
         0x601D_0002,
         None,
         PolicyKind::latr_default(),
-        &|| Box::new(MunmapMicrobench::new(8, 16, 20)),
+        Box::new(MunmapMicrobench::new(8, 16, 20)),
     );
     check_golden("munmap_storm", &m);
 }
@@ -155,7 +133,7 @@ fn golden_migration() {
         0x601D_0003,
         None,
         PolicyKind::latr_default(),
-        &|| Box::new(MigrationWorkload::new(profile, 8, 30)),
+        Box::new(MigrationWorkload::new(profile, 8, 30)),
     );
     check_golden("migration", &m);
 }
@@ -173,7 +151,7 @@ fn golden_overflow_fallback() {
         0x601D_0004,
         None,
         PolicyKind::Latr(latr),
-        &|| Box::new(SweepStorm::new(8, 12).with_sleep(0)),
+        Box::new(SweepStorm::new(8, 12).with_sleep(0)),
     );
     check_golden("overflow_fallback", &m);
 }
@@ -185,7 +163,7 @@ fn golden_chaos_drop() {
         0x601D_0005,
         Some(FaultPlan::default().with_ipi_drop(0.30)),
         PolicyKind::latr_default(),
-        &|| Box::new(ChaosShare::new(4, 12)),
+        Box::new(ChaosShare::new(4, 12)),
     );
     check_golden("chaos_drop", &m);
 }
@@ -204,7 +182,7 @@ fn golden_chaos_soup() {
         0x601D_0006,
         Some(plan),
         PolicyKind::latr_default(),
-        &|| Box::new(ChaosShare::new(4, 12)),
+        Box::new(ChaosShare::new(4, 12)),
     );
     check_golden("chaos_soup", &m);
 }
@@ -217,9 +195,13 @@ fn check_table1(name: &str, seed: u64, script: fn() -> Vec<ScriptStep>) {
         PolicyKind::Abis,
         PolicyKind::latr_default(),
     ] {
-        let m = run_scenario(common::table1_config(), seed, None, policy, &|| {
-            Box::new(Scripted::new(script()))
-        });
+        let m = run_scenario(
+            common::table1_config(),
+            seed,
+            None,
+            policy,
+            Box::new(Scripted::new(script())),
+        );
         assert!(m.oracle_violation().is_none(), "{}", policy.label());
         check_golden(&format!("table1_{name}_{}", policy.label()), &m);
     }

@@ -6,7 +6,7 @@
 use latr_arch::{CpuId, MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_kernel::{metrics, Machine, MachineConfig, Op, TaskId, Workload};
-use latr_sim::{QueueBackend, MILLISECOND, SECOND};
+use latr_sim::{MILLISECOND, SECOND};
 use latr_workloads::PolicyKind;
 
 /// Four busy cores on a 16-core machine; the other twelve stay idle.
@@ -53,38 +53,16 @@ fn machine_last(machine: &Machine, task: TaskId) -> Option<latr_mem::VaRange> {
     machine.task(task).last_mmap
 }
 
-fn run_on(tickless: bool, engine: QueueBackend) -> Machine {
+fn run(tickless: bool) -> Machine {
     let mut config = MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C));
     config.tickless = tickless;
-    config.engine = engine;
-    let latr = LatrConfig {
-        reference_sweep: engine == QueueBackend::Reference,
-        ..LatrConfig::default()
-    };
     let mut machine = Machine::new(config);
     machine.run(
         Box::new(FourBusyCores { remaining: vec![] }),
-        PolicyKind::Latr(latr).build(),
+        PolicyKind::Latr(LatrConfig::default()).build(),
         SECOND,
     );
     machine
-}
-
-fn run(tickless: bool) -> Machine {
-    run_on(tickless, QueueBackend::default())
-}
-
-/// Tickless idle cores produce long event-free stretches — the calendar
-/// queue's far-horizon path — so both engines must agree in both modes.
-#[test]
-fn tickless_is_identical_across_the_engine_matrix() {
-    for tickless in [false, true] {
-        assert_eq!(
-            run_on(tickless, QueueBackend::Reference).fingerprint(),
-            run_on(tickless, QueueBackend::Fast).fingerprint(),
-            "reference diverged with tickless={tickless}"
-        );
-    }
 }
 
 #[test]

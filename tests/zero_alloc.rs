@@ -1,4 +1,4 @@
-//! Steady-state allocation discipline on the fast engine.
+//! Steady-state allocation discipline of the simulator.
 //!
 //! The hot-path optimisations only hold their speedups if the per-event
 //! work is genuinely allocation-free once every pool and scratch buffer
@@ -27,28 +27,40 @@
 //! Tracing is off, matching the `BENCH_hotpath.json` configuration.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 /// Counts every allocation (`alloc`, `alloc_zeroed`, and growth via
-/// `realloc`) routed through the global allocator.
+/// `realloc`) routed through the global allocator, per thread: the
+/// simulator runs on the test's own thread, so neither the other test
+/// nor the harness's reporting thread can inflate a measured window.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down has no counter left to bump.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation to `System` unchanged; the counter
-// is a relaxed atomic with no other side effects.
+// is a const-initialised thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -59,14 +71,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The counter is process-wide, so the tests take turns: one test's runs
-/// must not count another's allocations.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
 use latr_arch::{MachinePreset, Topology};
 use latr_faults::FaultPlan;
 use latr_kernel::{Machine, MachineConfig, Workload};
-use latr_sim::{Nanos, QueueBackend, MICROSECOND, MILLISECOND};
+use latr_sim::{Nanos, MICROSECOND, MILLISECOND};
 use latr_workloads::{ArrivalProcess, PolicyKind, ServingWorkload, SweepStorm};
 
 /// A machine shape and the sweep storm it runs.
@@ -136,12 +144,11 @@ fn allocations_during(
     config.trace_capacity = 0;
     config.oracle = oracle;
     config.faults = faults;
-    config.engine = QueueBackend::Fast;
     let mut machine = Machine::new(config);
     let policy = policy.build();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     machine.run(workload, policy, duration);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     (after - before, machine.events_delivered())
 }
 
@@ -160,18 +167,18 @@ fn assert_steady_state(
         "{what}: the long run must actually deliver more events \
          ({long_events} vs {short_events}) or the delta proves nothing",
     );
-    // The counter is process-wide: a test failing on another thread
-    // allocates while it reports, which can inflate the short run.
+    // Both runs replay the same prefix, so the long one allocates at
+    // least as often as the short one.
     let extra_allocs = long_allocs.checked_sub(short_allocs).unwrap_or_else(|| {
         panic!(
             "{what}: the short run allocated more ({short_allocs}) than the long \
-             one ({long_allocs}); another thread allocated during it"
+             one ({long_allocs})"
         )
     });
     let extra_events = long_events - short_events;
     assert!(
         extra_allocs <= extra_events / events_per_allocation,
-        "{what}: steady state on the fast engine may allocate at most once \
+        "{what}: steady state may allocate at most once \
          per {events_per_allocation} events: {short_allocs} allocations in \
          {short_events} events (warmup included) vs {long_allocs} in \
          {long_events} — the extra {extra_events} events allocated \
@@ -181,7 +188,6 @@ fn assert_steady_state(
 
 #[test]
 fn sweep_storm_steady_state_allocates_nothing_per_event() {
-    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let short = 50 * MILLISECOND;
     let long = 250 * MILLISECOND;
     for (preset, storm) in SHAPES {
@@ -209,7 +215,6 @@ fn sweep_storm_steady_state_allocates_nothing_per_event() {
 /// run warms up for 40 ms instead of 20.
 #[test]
 fn serving_steady_state_allocates_nothing_per_request() {
-    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let calm = (20 * MILLISECOND, 60 * MILLISECOND);
     for (name, policy, faults, (short, long)) in [
         ("Latr", PolicyKind::latr_default(), None, calm),
