@@ -3,8 +3,8 @@
 //! count, every counter, every histogram summary and the rendered trace —
 //! is pinned byte-for-byte against committed files under `tests/golden/`.
 //!
-//! Six Latr scenarios cover sweeps, munmap storms, migration, overflow
-//! fallback and chaos plans. The `table1_*` set runs one op script per
+//! Seven Latr scenarios cover sweeps, munmap storms, migration, overflow
+//! fallback, chaos plans and memory pressure. The `table1_*` set runs one op script per
 //! Table 1 class (free, permission, swap, dedup, compaction, remap, fork)
 //! under Linux, ABIS and Latr, so every PTE-invalidating path in the
 //! machine is pinned under every policy.
@@ -30,10 +30,11 @@ use common::{ScriptStep, Scripted};
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
-use latr_kernel::{Machine, MachineConfig, Workload};
+use latr_kernel::{metrics, Machine, MachineConfig, Workload};
 use latr_sim::{MILLISECOND, SECOND};
 use latr_workloads::{
-    ChaosShare, MigrationProfile, MigrationWorkload, MunmapMicrobench, PolicyKind, SweepStorm,
+    AllocStorm, ChaosShare, MigrationProfile, MigrationWorkload, MunmapMicrobench, PolicyKind,
+    SweepStorm,
 };
 
 fn golden_path(name: &str) -> PathBuf {
@@ -185,6 +186,48 @@ fn golden_chaos_soup() {
         Box::new(ChaosShare::new(4, 12)),
     );
     check_golden("chaos_soup", &m);
+}
+
+/// An allocation storm on 256-frame nodes with watermarks, core 3's
+/// sweeps stalled for 30 ms and a 15-frame burst on each node. It drives
+/// every pressure path of the Latr policy: expedition of the oldest gated
+/// packages, the min-watermark sync fallback and its exit, direct reclaim
+/// on an allocation stall that releases frames, and watchdog escalation
+/// of the states the stalled core never sweeps. The counter checks keep
+/// the scenario from silently losing any of them.
+#[test]
+fn golden_pressure_storm() {
+    let mut config = commodity16().with_watermarks(72, 16);
+    config.frames_per_node = 256;
+    let plan = FaultPlan::default()
+        .with_stall(3, MILLISECOND, 30 * MILLISECOND)
+        .with_burst(0, 1_500_000, 3 * MILLISECOND, 15)
+        .with_burst(1, 1_500_000, 3 * MILLISECOND, 15);
+    let m = run_scenario(
+        config,
+        0x601D_0007,
+        Some(plan),
+        PolicyKind::latr_default(),
+        Box::new(AllocStorm::new(16, 20, 4, 2)),
+    );
+    assert!(m.oracle_violation().is_none());
+    for counter in [
+        metrics::LATR_EXPEDITED_SWEEPS,
+        metrics::LATR_PRESSURE_SYNC_ENTERS,
+        metrics::LATR_ADAPTIVE_EXITS,
+        metrics::ALLOC_STALLS,
+        metrics::LATR_WATCHDOG_ESCALATIONS,
+    ] {
+        assert!(m.stats.counter(counter) > 0, "{counter} never fired");
+    }
+    // A stall that released frames is charged less than the tick a
+    // fruitless stall waits out.
+    let stalls = m.stats.histogram(metrics::ALLOC_STALL_NS).expect("stalls");
+    assert!(
+        stalls.summary().min < m.tick_period(),
+        "no direct reclaim released frames"
+    );
+    check_golden("pressure_storm", &m);
 }
 
 /// Runs one Table 1 script under Linux, ABIS and Latr, checking each
