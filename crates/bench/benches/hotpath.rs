@@ -24,6 +24,7 @@ fn state(id: u64, cpus: CpuMask) -> LatrState {
         cpus,
         pte_done: false,
         published: Time::ZERO,
+        round: None,
     }
 }
 

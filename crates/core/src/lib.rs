@@ -41,5 +41,5 @@ mod sweep_index;
 pub use config::{LatrConfig, LatrConfigError};
 pub use policy::LatrPolicy;
 pub use reclaim::LazyReclaimQueue;
-pub use state::{LatrState, StateKind, StateQueue, SweepHit};
+pub use state::{LatrState, StateKind, StateQueue, StateRef, SweepHit};
 pub use sweep_index::PendingSweepMap;

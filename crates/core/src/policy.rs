@@ -27,14 +27,13 @@
 
 use crate::config::LatrConfig;
 use crate::reclaim::LazyReclaimQueue;
-use crate::state::{LatrState, StateKind, StateQueue};
+use crate::state::{LatrState, StateKind, StateQueue, StateRef};
 use crate::sweep_index::PendingSweepMap;
 use latr_arch::{CpuId, CpuMask};
 use latr_kernel::TaskId;
 use latr_kernel::{metrics, FlushKind, FlushOutcome, Machine, ShootdownTxn, TlbPolicy};
 use latr_mem::{MmId, Pfn, Pressure, VaRange, Vpn};
-use latr_sim::{Nanos, Time};
-use std::collections::{HashMap, HashSet};
+use latr_sim::Nanos;
 
 /// Adaptive fallback high-water mark: enter synchronous mode when a
 /// queue's occupancy reaches this percentage of its capacity.
@@ -58,26 +57,14 @@ pub struct LatrPolicy {
     next_state_id: u64,
     /// Adaptive fallback: currently routing new shootdowns synchronously.
     sync_mode: bool,
-    /// State ids with a watchdog escalation round in flight.
-    escalated: HashSet<u64>,
-    /// In-flight watchdog sync rounds: txn id → escalated state id.
-    watchdog_rounds: HashMap<u64, u64>,
     /// Fast-sweep index: which queues each CPU's next sweep must visit.
     pending: PendingSweepMap,
     /// Sync mode was forced by min-watermark pressure: the exit
     /// hysteresis additionally requires every node back at Normal.
     pressure_sync_active: bool,
-    /// Pressure-expedited states: id → when pressure first expedited it
-    /// (feeds the `latr_expedite_latency_ns` tick-bound histogram when
-    /// the gated package finally releases).
-    expedited_at: HashMap<u64, Time>,
-    /// Reusable state-id set (no per-tick allocation): the still-blocked
-    /// gates of the reclaim paths, the parked packages' gates of pressure
-    /// expedition.
-    scratch_ids: HashSet<u64>,
-    /// Reusable escalation candidates, `(publish time, state id, queue)`,
-    /// for the watchdog and pressure expedition.
-    scratch_escalate: Vec<(Time, u64, usize)>,
+    /// Reusable list of the watchdog's overdue states (no per-tick
+    /// allocation).
+    scratch_overdue: Vec<StateRef>,
 }
 
 /// Why a gated state is being finished by force: the two callers share
@@ -107,31 +94,10 @@ impl LatrPolicy {
             reclaim: LazyReclaimQueue::new(),
             next_state_id: 0,
             sync_mode: false,
-            escalated: HashSet::new(),
-            watchdog_rounds: HashMap::new(),
             pending: PendingSweepMap::new(),
             pressure_sync_active: false,
-            expedited_at: HashMap::new(),
-            scratch_ids: HashSet::new(),
-            scratch_escalate: Vec::new(),
+            scratch_overdue: Vec::new(),
         }
-    }
-
-    /// The policy's configuration.
-    pub fn config(&self) -> &LatrConfig {
-        &self.config
-    }
-
-    /// Frames currently parked on the lazy-reclaim queue (§6.4's memory
-    /// overhead).
-    pub fn parked_bytes(&self) -> u64 {
-        self.reclaim.parked_bytes()
-    }
-
-    /// Whether the adaptive fallback currently routes shootdowns
-    /// synchronously.
-    pub fn in_sync_mode(&self) -> bool {
-        self.sync_mode
     }
 
     fn ensure_queues(&mut self, ncpus: usize) {
@@ -187,94 +153,29 @@ impl LatrPolicy {
         }
         let now = machine.now();
         let threshold = wd as u64 * machine.tick_period();
-        let mut overdue = std::mem::take(&mut self.scratch_escalate);
+        let mut overdue = std::mem::take(&mut self.scratch_overdue);
         overdue.clear();
-        for (qi, q) in self.queues.iter().enumerate() {
+        for (queue, q) in self.queues.iter().enumerate() {
             if q.active_count() == 0 {
                 continue;
             }
-            for s in q.iter_active() {
+            for (slot, s) in q.iter_slots() {
                 if !s.cpus.is_empty()
                     && now.saturating_since(s.published) >= threshold
-                    && !self.escalated.contains(&s.id)
+                    && s.round.is_none()
                 {
-                    overdue.push((s.published, s.id, qi));
+                    overdue.push(StateRef {
+                        queue,
+                        slot,
+                        id: s.id,
+                    });
                 }
             }
         }
-        for &(_, id, qi) in &overdue {
-            self.escalate_state(machine, qi, id, Escalation::Watchdog);
+        for &r in &overdue {
+            escalate_state(&mut self.queues, machine, r, Escalation::Watchdog);
         }
-        self.scratch_escalate = overdue;
-    }
-
-    /// Finishes state `id` of queue `qi` by force: the owning core sweeps
-    /// its own bit locally (no self-IPI), targeted IPIs go to exactly the
-    /// laggard cores, and the in-flight round is tracked so
-    /// [`on_sync_complete`] can retire the state. Shared by the sweep
-    /// watchdog and memory-pressure expedition — one mechanism, two sets
-    /// of books. Callers collect the ids first and escalate them in turn;
-    /// one escalation touches only its own state, and retiring removes
-    /// only empty-mask states, so every collected state is still live.
-    fn escalate_state(&mut self, machine: &mut Machine, qi: usize, id: u64, why: Escalation) {
-        let s = self.queues[qi]
-            .iter_active()
-            .find(|s| s.id == id)
-            .expect("an escalated state is live");
-        let (mm, range, kind, pte_done, cpus) = (s.mm, s.range, s.kind, s.pte_done, s.cpus);
-        let now = machine.now();
-        match why {
-            Escalation::Watchdog => machine.stats.inc(metrics::id::LATR_WATCHDOG_ESCALATIONS),
-            Escalation::Pressure => machine.stats.inc(metrics::id::LATR_EXPEDITED_SWEEPS),
-        }
-        let owner = CpuId(qi as u16);
-        if kind == StateKind::Migration && !pte_done {
-            // Assume the first-sweeper duty nobody performed.
-            machine.apply_numa_hint(owner, mm, range.start);
-        }
-        let mut laggards = cpus;
-        if laggards.test(owner) {
-            // The owner sweeps its own bit locally — no self-IPI.
-            let pcid = machine.sweep_pcid(mm);
-            machine.invalidate_tlb_range_pcid(owner, pcid, range);
-            machine.oracle_note_sweep(owner, mm, range);
-            machine.charge_debt(
-                owner,
-                machine.costs().local_invalidation(range.pages as u32),
-            );
-            laggards.clear(owner);
-        }
-        for s in self.queues[qi].iter_active_mut() {
-            if s.id == id {
-                s.pte_done = true;
-                s.cpus.clear(owner);
-            }
-        }
-        if laggards.is_empty() {
-            self.queues[qi].retire_completed();
-            return;
-        }
-        let (ipi_metric, verb) = match why {
-            Escalation::Watchdog => (metrics::id::LATR_WATCHDOG_IPIS, "watchdog escalates"),
-            Escalation::Pressure => (
-                metrics::id::LATR_EXPEDITED_IPIS,
-                "memory pressure expedites",
-            ),
-        };
-        machine.stats.add(ipi_metric, laggards.count() as u64);
-        if machine.trace.is_enabled() {
-            machine.trace.push(
-                now,
-                "latr",
-                format!(
-                    "{verb} state {id} {range:?}: {} laggard cores get IPIs",
-                    laggards.count()
-                ),
-            );
-        }
-        let txn = machine.begin_sync_shootdown(owner, mm, range.iter(), laggards, 0);
-        self.watchdog_rounds.insert(txn.0, id);
-        self.escalated.insert(id);
+        self.scratch_overdue = overdue;
     }
 
     /// Memory pressure wants parked frames back: finish the oldest states
@@ -284,99 +185,70 @@ impl LatrPolicy {
     /// Bounded work: at most [`EXPEDITE_BATCH`] states per call, states already
     /// being escalated are skipped, and states gating nothing are never
     /// touched (sweeping them frees no memory).
+    ///
+    /// Oldest means first in the reclaim FIFO: each package is deferred
+    /// by the `flush_others` call that published its gate, at deadline =
+    /// publish time + a constant, so FIFO order is (publish time, state
+    /// id) order.
     fn expedite_gated(&mut self, machine: &mut Machine) {
         if !self.config.pressure_escalation {
             return;
         }
         self.ensure_queues(machine.topology().num_cpus());
-        let mut gates = std::mem::take(&mut self.scratch_ids);
-        gates.clear();
-        gates.extend(self.reclaim.gate_ids());
         let now = machine.now();
-        // (publish time, state id, queue) of every live gated state.
-        let mut oldest = std::mem::take(&mut self.scratch_escalate);
-        oldest.clear();
-        for (qi, q) in self.queues.iter().enumerate() {
-            if q.active_count() == 0 {
+        let mut left = EXPEDITE_BATCH;
+        for entry in self.reclaim.iter_mut() {
+            if left == 0 {
+                break;
+            }
+            let Some(gate) = entry.gate else { continue };
+            let live = self.queues[gate.queue].get(gate);
+            if !live.is_some_and(|s| !s.cpus.is_empty() && s.round.is_none()) {
                 continue;
             }
-            for s in q.iter_active() {
-                if !s.cpus.is_empty() && gates.contains(&s.id) && !self.escalated.contains(&s.id) {
-                    oldest.push((s.published, s.id, qi));
-                }
-            }
+            entry.expedited.get_or_insert(now);
+            escalate_state(&mut self.queues, machine, gate, Escalation::Pressure);
+            left -= 1;
         }
-        self.scratch_ids = gates;
-        // Oldest first; state id breaks publish-time ties deterministically.
-        oldest.sort_unstable();
-        oldest.truncate(EXPEDITE_BATCH);
-        for &(_, id, qi) in &oldest {
-            self.expedited_at.entry(id).or_insert(now);
-            self.escalate_state(machine, qi, id, Escalation::Pressure);
-        }
-        self.scratch_escalate = oldest;
-    }
-
-    /// Ids of states whose CPU bitmask has not cleared — exactly the
-    /// gates that must hold their packages. Takes (and refills) the
-    /// pooled scratch set so the per-tick reclaim paths allocate nothing
-    /// in steady state; callers hand it back via `scratch_ids`.
-    fn blocked_ids(&mut self) -> HashSet<u64> {
-        let mut blocked = std::mem::take(&mut self.scratch_ids);
-        blocked.clear();
-        blocked.extend(
-            self.queues
-                .iter()
-                .filter(|q| q.active_count() > 0)
-                .flat_map(StateQueue::iter_active)
-                .filter(|s| !s.cpus.is_empty())
-                .map(|s| s.id),
-        );
-        blocked
     }
 
     /// Releases every parked package past its deadline whose gate (if
     /// any) has cleared. Shared by the background reclamation tick and
     /// the direct-reclaim stall path (`who` labels the trace). Returns
     /// the number of frames released.
-    fn release_due(&mut self, machine: &mut Machine, blocked: &HashSet<u64>, who: &str) -> u64 {
+    fn release_due(&mut self, machine: &mut Machine, who: &str) -> u64 {
         let now = machine.now();
         let mut released = 0u64;
-        let expedited_at = &mut self.expedited_at;
-        self.reclaim.pop_due(
-            now,
-            |id| blocked.contains(&id),
-            |entry| {
-                let frames = u64::from(entry.pkg.frames.len);
+        self.reclaim.pop_due(now, &self.queues, |entry| {
+            let frames = u64::from(entry.pkg.frames.len);
+            machine.stats.record(
+                metrics::id::LATR_RECLAIM_LATENCY_NS,
+                now.saturating_since(entry.published),
+            );
+            machine
+                .stats
+                .add(metrics::id::LATR_RECLAIM_RELEASED_FRAMES, frames);
+            // The escalation tick bound: pressure → release, per package.
+            if let Some(t) = entry.expedited {
                 machine.stats.record(
-                    metrics::id::LATR_RECLAIM_LATENCY_NS,
-                    now.saturating_since(entry.published),
+                    metrics::id::LATR_EXPEDITE_LATENCY_NS,
+                    now.saturating_since(t),
                 );
-                machine
-                    .stats
-                    .add(metrics::id::LATR_RECLAIM_RELEASED_FRAMES, frames);
-                // The escalation tick bound: pressure → release, per package.
-                if let Some(t) = entry.gate.and_then(|g| expedited_at.remove(&g)) {
-                    machine.stats.record(
-                        metrics::id::LATR_EXPEDITE_LATENCY_NS,
-                        now.saturating_since(t),
-                    );
-                }
-                released += frames;
-                let pkg = entry.pkg;
-                if machine.trace.is_enabled() {
-                    machine.trace.push(
-                        now,
-                        "latr",
-                        format!(
-                            "{who} frees {frames} frames{}",
-                            pkg.va.map(|r| format!(" + VA {r:?}")).unwrap_or_default()
-                        ),
-                    );
-                }
-                machine.release_reclaim_deferred(pkg);
-            },
-        );
+            }
+            released += frames;
+            let pkg = entry.pkg;
+            if machine.trace.is_enabled() {
+                machine.trace.push(
+                    now,
+                    "latr",
+                    format!(
+                        "{who} frees {frames} frames{}",
+                        pkg.va.map(|r| format!(" + VA {r:?}")).unwrap_or_default()
+                    ),
+                );
+            }
+            machine.release_reclaim_deferred(pkg);
+        });
         released
     }
 
@@ -500,6 +372,69 @@ impl LatrPolicy {
     }
 }
 
+/// Finishes state `r` by force: the owning core sweeps its own bit
+/// locally (no self-IPI), targeted IPIs go to exactly the laggard cores,
+/// and the round is recorded on the state so
+/// [`LatrPolicy::on_sync_complete`] can retire it. Shared by the sweep
+/// watchdog and memory-pressure expedition — one mechanism, two sets of
+/// books. `r` must be live: one escalation touches only its own state,
+/// and retiring removes only empty-mask states, so a caller escalating a
+/// list of live states in turn finds each still live.
+fn escalate_state(queues: &mut [StateQueue], machine: &mut Machine, r: StateRef, why: Escalation) {
+    let owner = CpuId(r.queue as u16);
+    let s = queues[r.queue]
+        .get_mut(r)
+        .expect("an escalated state is live");
+    let (mm, range) = (s.mm, s.range);
+    match why {
+        Escalation::Watchdog => machine.stats.inc(metrics::id::LATR_WATCHDOG_ESCALATIONS),
+        Escalation::Pressure => machine.stats.inc(metrics::id::LATR_EXPEDITED_SWEEPS),
+    }
+    if s.kind == StateKind::Migration && !s.pte_done {
+        // Assume the first-sweeper duty nobody performed.
+        machine.apply_numa_hint(owner, mm, range.start);
+    }
+    s.pte_done = true;
+    let mut laggards = s.cpus;
+    if laggards.test(owner) {
+        // The owner sweeps its own bit locally — no self-IPI.
+        let pcid = machine.sweep_pcid(mm);
+        machine.invalidate_tlb_range_pcid(owner, pcid, range);
+        machine.oracle_note_sweep(owner, mm, range);
+        machine.charge_debt(
+            owner,
+            machine.costs().local_invalidation(range.pages as u32),
+        );
+        laggards.clear(owner);
+        s.cpus.clear(owner);
+    }
+    if laggards.is_empty() {
+        queues[r.queue].retire_completed();
+        return;
+    }
+    let (ipi_metric, verb) = match why {
+        Escalation::Watchdog => (metrics::id::LATR_WATCHDOG_IPIS, "watchdog escalates"),
+        Escalation::Pressure => (
+            metrics::id::LATR_EXPEDITED_IPIS,
+            "memory pressure expedites",
+        ),
+    };
+    machine.stats.add(ipi_metric, laggards.count() as u64);
+    if machine.trace.is_enabled() {
+        let now = machine.now();
+        machine.trace.push(
+            now,
+            "latr",
+            format!(
+                "{verb} state {} {range:?}: {} laggard cores get IPIs",
+                r.id,
+                laggards.count()
+            ),
+        );
+    }
+    s.round = Some(machine.begin_sync_shootdown(owner, mm, range.iter(), laggards, 0));
+}
+
 impl TlbPolicy for LatrPolicy {
     fn name(&self) -> &'static str {
         "latr"
@@ -551,6 +486,7 @@ impl TlbPolicy for LatrPolicy {
             cpus: targets,
             pte_done: true,
             published: machine.now(),
+            round: None,
         };
         let state_id = state.id;
         // An injected overflow storm forces the publish to fail as if the
@@ -589,7 +525,11 @@ impl TlbPolicy for LatrPolicy {
                     let now = machine.now();
                     let deadline =
                         now + self.config.reclaim_ticks as u64 * machine.tick_period() + 1;
-                    let gate = self.config.gate_reclaim.then_some(state_id);
+                    let gate = self.config.gate_reclaim.then_some(StateRef {
+                        queue: initiator.index(),
+                        slot,
+                        id: state_id,
+                    });
                     // Parked frames are reclamation debt: the allocator's
                     // per-node ledger must know memory exists that a sweep
                     // (not an OOM kill) will recover.
@@ -665,19 +605,15 @@ impl TlbPolicy for LatrPolicy {
         machine
             .stats
             .record(metrics::id::LATR_PARKED_BYTES, self.reclaim.parked_bytes());
-        // Release everything past its deadline whose covering state has
-        // retired (empty mask). Blocked ids are the still-live states.
-        let blocked = self.blocked_ids();
         // Honest gate accounting (whether or not a watchdog runs): count
         // packages overdue but still held by an uncleared bitmask.
-        let held = self
-            .reclaim
-            .overdue_gated(machine.now(), |id| blocked.contains(&id));
+        let held = self.reclaim.overdue_gated(machine.now(), &self.queues);
         if held > 0 {
             machine.stats.add(metrics::id::LATR_GATE_HELD, held as u64);
         }
-        self.release_due(machine, &blocked, "background reclaim");
-        self.scratch_ids = blocked;
+        // Release everything past its deadline whose covering state has
+        // retired (empty mask).
+        self.release_due(machine, "background reclaim");
         // Sustained pressure keeps expediting: `on_memory_pressure` only
         // fires on watermark *edges*, so a node camped below its low
         // watermark would otherwise get exactly one batch. Each tick under
@@ -732,47 +668,37 @@ impl TlbPolicy for LatrPolicy {
         // whose gate has cleared — frames a background tick would have
         // freed moments later anyway — then expedite the oldest gated
         // states so the *next* stall (or tick) can make progress.
-        let blocked = self.blocked_ids();
-        let released = self.release_due(machine, &blocked, "direct reclaim");
-        self.scratch_ids = blocked;
+        let released = self.release_due(machine, "direct reclaim");
         self.expedite_gated(machine);
         released
     }
 
     fn on_sync_complete(&mut self, machine: &mut Machine, txn: &ShootdownTxn) {
-        // Only watchdog escalation rounds concern us; ordinary sync
-        // shootdowns (mprotect, overflow fallback) have no covering state.
-        let Some(state_id) = self.watchdog_rounds.remove(&txn.id.0) else {
+        // Only escalation rounds concern us, and an escalated state sits
+        // in the queue of the round's initiator, its owning core. Ordinary
+        // sync shootdowns (mprotect, overflow fallback) match no state, and
+        // neither does a round whose state was swept naturally while it
+        // was in flight.
+        let Some(q) = self.queues.get_mut(txn.initiator.index()) else {
             return;
         };
-        self.escalated.remove(&state_id);
-        // The state may have been swept naturally while the round was in
-        // flight — then there is nothing left to clear.
-        let Some((qi, mm, range, cpus)) = self.queues.iter().enumerate().find_map(|(qi, q)| {
-            let s = q.iter_active().find(|s| s.id == state_id)?;
-            Some((qi, s.mm, s.range, s.cpus))
-        }) else {
+        let Some(s) = q.iter_active_mut().find(|s| s.round == Some(txn.id)) else {
             return;
         };
         // Every laggard's TLB was invalidated by the IPI handler (which
         // happened-before this last ACK): their sweep duty is done.
-        for cpu in cpus.iter() {
-            machine.oracle_note_sweep(cpu, mm, range);
+        for cpu in s.cpus.iter() {
+            machine.oracle_note_sweep(cpu, s.mm, s.range);
         }
-        for s in self.queues[qi].iter_active_mut() {
-            if s.id == state_id {
-                for cpu in cpus.iter() {
-                    s.cpus.clear(cpu);
-                }
-            }
-        }
-        self.queues[qi].retire_completed();
+        s.cpus.reset();
+        let id = s.id;
+        q.retire_completed();
         if machine.trace.is_enabled() {
             let now = machine.now();
             machine.trace.push(
                 now,
                 "latr",
-                format!("watchdog round for state {state_id} complete; state retired"),
+                format!("watchdog round for state {id} complete; state retired"),
             );
         }
     }
@@ -805,6 +731,7 @@ impl TlbPolicy for LatrPolicy {
             cpus: targets,
             pte_done: false,
             published: machine.now(),
+            round: None,
         };
         match self.queues[cpu.index()].publish(state) {
             Some(slot) => {
@@ -860,9 +787,6 @@ impl TlbPolicy for LatrPolicy {
             q.clear();
         }
         self.pending.clear();
-        self.escalated.clear();
-        self.watchdog_rounds.clear();
-        self.expedited_at.clear();
         self.pressure_sync_active = false;
     }
 }
@@ -872,7 +796,7 @@ mod tests {
     use super::*;
     use latr_arch::{MachinePreset, Topology};
     use latr_kernel::{Machine, MachineConfig, Op, Workload};
-    use latr_sim::{MICROSECOND, SECOND};
+    use latr_sim::{Time, MICROSECOND, SECOND};
 
     /// Every task maps one page, touches it, unmaps it, repeats — then
     /// lingers a few scheduler ticks so the lazy machinery (sweeps,
@@ -1216,6 +1140,7 @@ mod tests {
             cpus: targets,
             pte_done: true,
             published: Time::ZERO,
+            round: None,
         });
         policy.pending.mark(&targets, CpuId(0));
         policy.pending.take_row(CpuId(1));

@@ -12,6 +12,7 @@
 //! contains the lock-free concurrent twin.
 
 use latr_arch::{CpuId, CpuMask};
+use latr_kernel::TxnId;
 use latr_mem::{MmId, VaRange};
 use latr_sim::Time;
 
@@ -29,9 +30,8 @@ pub enum StateKind {
 /// One Latr state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatrState {
-    /// Run-unique id assigned by the publisher. Reclamation packages gate
-    /// on it (a gated package is not released while this state's mask is
-    /// non-empty) and the sweep watchdog tracks escalations by it.
+    /// Run-unique id assigned by the publisher: the generation check of
+    /// a [`StateRef`] to this state.
     pub id: u64,
     /// The virtual range to invalidate.
     pub range: VaRange,
@@ -46,6 +46,23 @@ pub struct LatrState {
     pub pte_done: bool,
     /// When the state was published (for bounded-staleness checks).
     pub published: Time,
+    /// The escalation round (watchdog or memory pressure) finishing this
+    /// state by IPI, while one is in flight.
+    pub round: Option<TxnId>,
+}
+
+/// A handle to one published state: its owning core's queue, the slot
+/// it was published into, and its id. The id is the generation check: a
+/// slot that a newer state reuses after this one retired no longer
+/// matches, so [`StateQueue::get`] answers `None`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StateRef {
+    /// Index of the owning core's queue.
+    pub queue: usize,
+    /// Slot index within that queue.
+    pub slot: usize,
+    /// The state's [`LatrState::id`].
+    pub id: u64,
 }
 
 /// The slot indices named by occupancy word `w`, whose bits are `word`,
@@ -93,6 +110,7 @@ pub struct SweepHit {
 ///     cpus: CpuMask::from_cpus([CpuId(1)]),
 ///     pte_done: true,
 ///     published: Time::ZERO,
+///     round: None,
 /// };
 /// assert!(q.publish(state.clone()).is_some());
 /// assert!(q.publish(state.clone()).is_some());
@@ -193,6 +211,16 @@ impl StateQueue {
         Some(idx)
     }
 
+    /// The state `r` names, if its slot still holds it.
+    pub fn get(&self, r: StateRef) -> Option<&LatrState> {
+        self.slots[r.slot].as_ref().filter(|s| s.id == r.id)
+    }
+
+    /// [`get`](StateQueue::get), mutably.
+    pub fn get_mut(&mut self, r: StateRef) -> Option<&mut LatrState> {
+        self.slots[r.slot].as_mut().filter(|s| s.id == r.id)
+    }
+
     /// Iterates over active states mutably (the sweep path).
     pub fn iter_active_mut(&mut self) -> impl Iterator<Item = &mut LatrState> {
         self.slots.iter_mut().filter_map(|s| s.as_mut())
@@ -201,14 +229,20 @@ impl StateQueue {
     /// Iterates over active states in slot order, walking the occupancy
     /// bitmap: a mostly-empty queue costs one word read per 64 slots.
     pub fn iter_active(&self) -> impl Iterator<Item = &LatrState> {
+        self.iter_slots().map(|(_, s)| s)
+    }
+
+    /// [`iter_active`](StateQueue::iter_active), with each state's slot.
+    pub fn iter_slots(&self) -> impl Iterator<Item = (usize, &LatrState)> {
         self.occ
             .iter()
             .enumerate()
             .flat_map(|(w, &word)| occupied(w, word))
             .map(|idx| {
-                self.slots[idx]
+                let s = self.slots[idx]
                     .as_ref()
-                    .expect("occupancy bit names an active slot")
+                    .expect("occupancy bit names an active slot");
+                (idx, s)
             })
     }
 
@@ -316,6 +350,7 @@ mod tests {
             cpus: cpu_bits.iter().map(|&c| CpuId(c)).collect(),
             pte_done: true,
             published: Time::ZERO,
+            round: None,
         }
     }
 
@@ -388,6 +423,26 @@ mod tests {
         assert_eq!((q.active_count(), q.active_migrations()), (2, 0));
         assert_eq!(q.sweep_cpu(CpuId(1), |_| unreachable!()), 0);
         assert_eq!(q.publish(state(&[1])), Some(0));
+    }
+
+    #[test]
+    fn a_reused_slot_no_longer_matches_the_old_handle() {
+        let mut q = StateQueue::new(1);
+        let slot = q.publish(state(&[1])).unwrap();
+        let old = StateRef {
+            queue: 0,
+            slot,
+            id: 0,
+        };
+        assert!(q.get(old).is_some());
+        q.clear_cpu_everywhere(CpuId(1));
+        q.retire_completed();
+        assert!(q.get(old).is_none());
+        let mut newer = state(&[2]);
+        newer.id = 1;
+        assert_eq!(q.publish(newer), Some(slot));
+        assert!(q.get(old).is_none() && q.get_mut(old).is_none());
+        assert_eq!(q.get(StateRef { id: 1, ..old }).map(|s| s.id), Some(1));
     }
 
     #[test]

@@ -106,6 +106,7 @@ fn state(id: u64, cpus: CpuMask, migration: bool) -> LatrState {
         cpus,
         pte_done: !migration,
         published: Time::ZERO,
+        round: None,
     }
 }
 

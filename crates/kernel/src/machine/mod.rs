@@ -332,6 +332,14 @@ impl Machine {
             .faults
             .as_ref()
             .map_or((0, 0), |p| (p.bursts.len(), p.flaps.len()));
+        // Each burst's hold list is sized up front (a burst grabs at most
+        // one node's frames), so applying a burst mid-run allocates nothing.
+        let burst_held = config.faults.as_ref().map_or_else(Vec::new, |p| {
+            p.bursts
+                .iter()
+                .map(|b| Vec::with_capacity(b.frames.min(config.frames_per_node) as usize))
+                .collect()
+        });
         let num_nodes = config.topology.num_nodes();
         let mut machine = Machine {
             fabric: IpiFabric::new(config.topology.clone(), config.costs.clone()),
@@ -380,7 +388,7 @@ impl Machine {
                 FaultInjector::new(plan, root.fork(latr_faults::FAULT_STREAM))
             }),
             pressure_level: vec![latr_mem::Pressure::Normal; num_nodes],
-            burst_held: vec![Vec::new(); num_bursts],
+            burst_held,
             burst_applied: vec![false; num_bursts],
             flap_counted: vec![false; num_flaps],
             oracle: config

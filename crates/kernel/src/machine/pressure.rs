@@ -233,18 +233,20 @@ impl Machine {
     /// rising edge; reclaim-stall windows count each tick they suppress.
     pub(super) fn pressure_faults_tick(&mut self) {
         let now = self.now();
-        let (bursts, flaps, stalled) = match self.injector.as_ref() {
-            Some(inj) => (
-                inj.plan().bursts.clone(),
-                inj.plan().flaps.clone(),
-                inj.reclaim_stalled(now),
-            ),
-            None => return,
+        let Some(inj) = self.injector.as_ref() else {
+            return;
         };
-        if stalled {
+        let (num_bursts, num_flaps) = (inj.plan().bursts.len(), inj.plan().flaps.len());
+        if inj.reclaim_stalled(now) {
             self.stats.inc(crate::metrics::id::FAULTS_RECLAIM_STALLS);
         }
-        for (i, b) in bursts.iter().enumerate() {
+        // The sites are read by index, one copy at a time: cloning the
+        // plan's lists would allocate at every tick.
+        fn plan(m: &Machine) -> &latr_faults::FaultPlan {
+            m.injector.as_ref().expect("injector attached").plan()
+        }
+        for i in 0..num_bursts {
+            let b = plan(self).bursts[i];
             let active = b.active_at(now.as_ns());
             if active && !self.burst_applied[i] {
                 self.burst_applied[i] = true;
@@ -283,7 +285,8 @@ impl Machine {
                 }
             }
         }
-        for (i, f) in flaps.iter().enumerate() {
+        for i in 0..num_flaps {
+            let f = plan(self).flaps[i];
             if f.active_at(now.as_ns()) && !self.flap_counted[i] {
                 self.flap_counted[i] = true;
                 self.stats.inc(crate::metrics::id::FAULTS_WATERMARK_FLAPS);

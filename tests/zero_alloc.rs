@@ -22,7 +22,10 @@
 //! round per request on the others. A fourth serving run puts Latr under
 //! IPI faults, overflow storms and a stalled sweeper, so its fallback
 //! rounds, retransmits and watchdog escalations run in the measured
-//! window too.
+//! window too. A Latr allocation storm under watermarks, a stalled
+//! sweeper and repeated allocation bursts puts pressure expedition,
+//! direct reclaim on allocation stalls and the min-watermark sync
+//! fallback in the measured window.
 //!
 //! Tracing is off, matching the `BENCH_hotpath.json` configuration.
 
@@ -73,9 +76,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 use latr_arch::{MachinePreset, Topology};
 use latr_faults::FaultPlan;
-use latr_kernel::{Machine, MachineConfig, Workload};
-use latr_sim::{Nanos, MICROSECOND, MILLISECOND};
-use latr_workloads::{ArrivalProcess, PolicyKind, ServingWorkload, SweepStorm};
+use latr_kernel::{metrics, Machine, MachineConfig, Workload};
+use latr_sim::{Nanos, MICROSECOND, MILLISECOND, SECOND};
+use latr_workloads::{AllocStorm, ArrivalProcess, PolicyKind, ServingWorkload, SweepStorm};
 
 /// A machine shape and the sweep storm it runs.
 type Shape = (MachinePreset, fn() -> SweepStorm);
@@ -140,16 +143,29 @@ fn allocations_during(
     duration: Nanos,
 ) -> (u64, u64) {
     let mut config = MachineConfig::new(Topology::preset(preset));
-    config.seed = 0x000a_110c;
-    config.trace_capacity = 0;
     config.oracle = oracle;
     config.faults = faults;
+    let (allocs, machine) = run_counted(config, workload, policy, duration);
+    (allocs, machine.events_delivered())
+}
+
+/// Runs `workload` under `policy` on a machine built from `config` (with
+/// the fixed seed and tracing off) for `duration`, and returns the heap
+/// allocations performed during the run and the machine.
+fn run_counted(
+    mut config: MachineConfig,
+    workload: Box<dyn Workload>,
+    policy: PolicyKind,
+    duration: Nanos,
+) -> (u64, Machine) {
+    config.seed = 0x000a_110c;
+    config.trace_capacity = 0;
     let mut machine = Machine::new(config);
     let policy = policy.build();
     let before = allocations();
     machine.run(workload, policy, duration);
     let after = allocations();
-    (after - before, machine.events_delivered())
+    (after - before, machine)
 }
 
 /// Asserts that the run from `short` to `long` adds real work and at most
@@ -239,4 +255,59 @@ fn serving_steady_state_allocates_nothing_per_request() {
             10_000,
         );
     }
+}
+
+/// A Latr allocation storm that keeps squeezing memory: 16 tasks churn
+/// 4-page mappings on 256-frame nodes with low/min watermarks of 72/16,
+/// core 3's sweeps stay stalled, and every 5 ms both nodes lose 15 frames
+/// to a 3 ms allocation burst. The measured window from 20 to 60 ms must
+/// contain pressure expedition, the min-watermark sync fallback and
+/// allocation stalls that direct reclaim satisfied (a stall whose retry
+/// succeeds), and it gets serving's budget of one allocation per 10,000
+/// extra events.
+#[test]
+fn pressure_storm_steady_state_allocates_nothing_per_event() {
+    let run = |duration| {
+        let mut config = MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C))
+            .with_watermarks(72, 16);
+        config.frames_per_node = 256;
+        config.oracle = false;
+        let mut plan = FaultPlan::default().with_stall(3, MILLISECOND, SECOND);
+        for k in 0..20 {
+            let at = 1_500_000 + k * 5 * MILLISECOND;
+            plan =
+                plan.with_burst(0, at, 3 * MILLISECOND, 15)
+                    .with_burst(1, at, 3 * MILLISECOND, 15);
+        }
+        config.faults = Some(plan);
+        let storm = AllocStorm::new(16, 1_000_000, 4, 2);
+        run_counted(
+            config,
+            Box::new(storm),
+            PolicyKind::latr_default(),
+            duration,
+        )
+    };
+    let (short, long) = (run(20 * MILLISECOND), run(60 * MILLISECOND));
+    let grew = |counter| long.1.stats.counter(counter) > short.1.stats.counter(counter);
+    let satisfied =
+        |m: &Machine| m.stats.counter(metrics::ALLOC_STALLS) - m.stats.counter(metrics::OOM_EVENTS);
+    assert!(
+        grew(metrics::LATR_EXPEDITED_SWEEPS),
+        "no expedition in the window"
+    );
+    assert!(
+        grew(metrics::LATR_PRESSURE_SYNC_ENTERS),
+        "no pressure sync in the window"
+    );
+    assert!(
+        satisfied(&long.1) > satisfied(&short.1),
+        "no stall in the window was satisfied by direct reclaim"
+    );
+    assert_steady_state(
+        "Latr pressure storm",
+        (short.0, short.1.events_delivered()),
+        (long.0, long.1.events_delivered()),
+        10_000,
+    );
 }
