@@ -115,19 +115,10 @@ impl Machine {
         self.queue.delivered()
     }
 
-    /// The incremental event-stream fingerprint: a polynomial fold over
-    /// every delivered event's `(time, payload)`, updated in O(1) per
-    /// event and finalized on read. Two runs deliver identical event
-    /// streams iff their folds match — the determinism gate the benches
-    /// use without paying for the full [`fingerprint`](Self::fingerprint)
-    /// render. The fold is also a line of the rendered fingerprint, so
-    /// the differential suites gate it automatically.
-    pub fn fingerprint_fold(&self) -> u64 {
-        fold_finish(self.fold)
-    }
-
     /// Fingerprints the run for determinism and differential comparisons:
-    /// final clock, delivered-event count, every counter, every histogram
+    /// final clock, delivered-event count, the event-stream fold (a
+    /// polynomial fold over every delivered event's `(time, payload)`,
+    /// updated in O(1) per event), every counter, every histogram
     /// summary, and the rendered trace ring. Two runs are event-identical
     /// iff their fingerprints are byte-identical — counters and histograms
     /// print in name order (the metric table's order), so the rendering is

@@ -363,7 +363,6 @@ impl Machine {
                 });
                 self.frame_dec_ref(Some(cpu), old);
                 self.stats.inc(crate::metrics::id::MIGRATIONS);
-                self.numa.note_migration();
             } else {
                 // Target node full: abort the migration, keep the page.
                 self.mms[mm_id.0 as usize]

@@ -27,14 +27,15 @@ use fault::AccessOutcome;
 
 use crate::event::Event;
 use crate::mmlock::{LockMode, MmLock};
-use crate::numa::{NumaConfig, NumaRuntime, NumaStats};
+use crate::numa::{NumaConfig, NumaRuntime};
 use crate::ops::{Op, OpResult, Workload};
 use crate::shootdown::TlbPolicy;
 use crate::task::{Task, TaskId, TaskState};
+use crate::trace::{TraceRecord, TraceRing};
 use latr_arch::{CostModel, CpuId, IpiFabric, LlcModel, Tlb, Topology};
 use latr_faults::{FaultInjector, FaultPlan, TickFault};
 use latr_mem::{FileId, FrameAllocator, MmId, MmStruct, PageCache, Pfn, Prot, Vpn};
-use latr_sim::{EventQueue, Nanos, SimRng, Time, TraceRing};
+use latr_sim::{EventQueue, Nanos, SimRng, Time};
 
 /// Configuration of one simulation run.
 #[derive(Clone, Debug)]
@@ -252,7 +253,7 @@ pub struct Machine {
     slots: Vec<TaskSlot>,
     /// Metric counters and histograms for the run.
     pub stats: crate::metrics::Registry,
-    /// Debug trace ring.
+    /// The trace ring: typed records, rendered only when read.
     pub trace: TraceRing,
     /// The run's deterministic RNG.
     pub rng: SimRng,
@@ -412,6 +413,16 @@ impl Machine {
         self.queue.now()
     }
 
+    /// Records `record` in the trace ring at the current instant (a
+    /// branch when tracing is off; never allocates).
+    #[inline]
+    pub fn emit(&mut self, record: TraceRecord) {
+        if self.trace.is_enabled() {
+            let now = self.now();
+            self.trace.push(now, record);
+        }
+    }
+
     /// The machine's topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -454,18 +465,6 @@ impl Machine {
     /// All tasks (for workloads to enumerate).
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
-    }
-
-    /// The address space currently active on `cpu`.
-    pub fn current_mm(&self, cpu: CpuId) -> Option<MmId> {
-        self.cores[cpu.index()]
-            .current
-            .map(|t| self.tasks[t.index()].mm)
-    }
-
-    /// NUMA balancing statistics for the run.
-    pub fn numa_stats(&self) -> &NumaStats {
-        self.numa.stats()
     }
 
     // ---- setup -------------------------------------------------------------

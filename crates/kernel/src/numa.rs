@@ -37,33 +37,12 @@ impl NumaConfig {
             fault_retry: MILLISECOND / 10,
         }
     }
-
-    /// Balancing on with defaults resembling Linux's
-    /// `numa_balancing_scan_period_min` scaled to simulation horizons.
-    pub fn enabled_default() -> Self {
-        NumaConfig {
-            enabled: true,
-            scan_period: 10 * MILLISECOND,
-            pages_per_scan: 64,
-            fault_retry: MILLISECOND / 10,
-        }
-    }
-}
-
-/// Counters kept by the NUMA runtime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NumaStats {
-    /// Hint-unmaps performed (sync or lazy).
-    pub hint_unmaps: u64,
-    /// Pages migrated.
-    pub migrations: u64,
 }
 
 /// Internal scanning/migration state (owned by the machine).
 #[derive(Debug)]
 pub(crate) struct NumaRuntime {
     config: NumaConfig,
-    stats: NumaStats,
     cursors: HashMap<u32, u64>,
     fault_history: HashMap<(u32, u64), NodeId>,
 }
@@ -72,7 +51,6 @@ impl NumaRuntime {
     pub(crate) fn new(config: NumaConfig) -> Self {
         NumaRuntime {
             config,
-            stats: NumaStats::default(),
             cursors: HashMap::new(),
             fault_history: HashMap::new(),
         }
@@ -80,14 +58,6 @@ impl NumaRuntime {
 
     pub(crate) fn config(&self) -> &NumaConfig {
         &self.config
-    }
-
-    pub(crate) fn stats(&self) -> &NumaStats {
-        &self.stats
-    }
-
-    pub(crate) fn note_migration(&mut self) {
-        self.stats.migrations += 1;
     }
 
     /// Picks the next chunk of anonymous, present, un-hinted pages of `mm`
@@ -132,7 +102,6 @@ impl NumaRuntime {
             wrapped = true;
             pos = 0;
         }
-        self.stats.hint_unmaps += batch.len() as u64;
         batch
     }
 
@@ -203,7 +172,6 @@ mod tests {
         // Remaining 2 pages, then wraps to the front for 2 more.
         assert_eq!(b2.len(), 4);
         assert_ne!(b1[0], b2[0]);
-        assert_eq!(rt.stats().hint_unmaps, 8);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! This crate provides the foundation every other crate in the Latr
 //! reproduction builds on: simulated time, a deterministic event queue,
-//! a seedable random-number generator, log-scale histograms with their
-//! summaries, and a lightweight trace ring for debugging. The metric
-//! registry that names the machine's counters and histograms lives in
-//! `latr-kernel`, its only user.
+//! a seedable random-number generator, and log-scale histograms with
+//! their summaries. The metric registry that names the machine's counters
+//! and histograms, and the typed trace ring its events are recorded in,
+//! live in `latr-kernel`, their only user.
 //!
 //! The engine is deliberately generic: it knows nothing about cores, TLBs or
 //! page tables. The kernel crate defines the event payload type and drives
@@ -29,10 +29,8 @@ mod event;
 mod rng;
 mod stats;
 mod time;
-mod trace;
 
 pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use stats::{Histogram, Summary};
 pub use time::{Nanos, Time, MICROSECOND, MILLISECOND, SECOND};
-pub use trace::{TraceEntry, TraceRing};

@@ -62,13 +62,6 @@ impl ApacheWorkload {
         }
     }
 
-    /// Overrides the compute portion of a request (ablations).
-    pub fn with_compute(mut self, parse_ns: Nanos, send_ns: Nanos) -> Self {
-        self.parse_ns = parse_ns;
-        self.send_ns = send_ns;
-        self
-    }
-
     /// Number of worker cores.
     pub fn workers(&self) -> usize {
         self.workers
