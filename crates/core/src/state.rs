@@ -12,7 +12,7 @@
 //! contains the lock-free concurrent twin.
 
 use latr_arch::{CpuId, CpuMask};
-use latr_kernel::TxnId;
+use latr_kernel::{Escalation, TxnId};
 use latr_mem::{MmId, VaRange};
 use latr_sim::Time;
 
@@ -46,9 +46,10 @@ pub struct LatrState {
     pub pte_done: bool,
     /// When the state was published (for bounded-staleness checks).
     pub published: Time,
-    /// The escalation round (watchdog or memory pressure) finishing this
-    /// state by IPI, while one is in flight.
-    pub round: Option<TxnId>,
+    /// The escalation round finishing this state by IPI, while one is in
+    /// flight, and why it was sent (the cause shares the id's padding, so
+    /// the state stays 88 bytes).
+    pub round: Option<(TxnId, Escalation)>,
 }
 
 /// A handle to one published state: its owning core's queue, the slot
@@ -340,6 +341,11 @@ impl StateQueue {
 mod tests {
     use super::*;
     use latr_mem::Vpn;
+
+    #[test]
+    fn a_state_stays_88_bytes() {
+        assert_eq!(std::mem::size_of::<LatrState>(), 88);
+    }
 
     fn state(cpu_bits: &[u16]) -> LatrState {
         LatrState {
