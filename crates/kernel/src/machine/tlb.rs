@@ -220,3 +220,35 @@ impl Machine {
         self.invalidate_pages(cpu, pcid, range.pages as usize, range.iter())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MachineConfig;
+    use latr_arch::{MachinePreset, Topology};
+
+    /// A page list of exactly `full_flush_threshold` pages is invalidated
+    /// page by page, and one page more flushes the whole TLB (Linux's
+    /// `tlb_single_page_flush_ceiling`): an entry outside the list
+    /// survives the first and not the second.
+    #[test]
+    fn full_flush_starts_one_page_past_the_threshold() {
+        let mut config = MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C));
+        config.oracle = false;
+        let mut m = Machine::new(config);
+        let (cpu, pcid) = (CpuId(0), 0);
+        let threshold = m.costs.full_flush_threshold as usize;
+        let bystander = TlbEntry {
+            pcid,
+            vpn: 1 << 20,
+            pfn: 7,
+            writable: false,
+        };
+        for (count, survives) in [(threshold, true), (threshold + 1, false)] {
+            m.cores[cpu.index()].tlb.insert(bystander);
+            m.invalidate_pages(cpu, pcid, count, (0..count as u64).map(Vpn));
+            let cached = m.cores[cpu.index()].tlb.peek(pcid, bystander.vpn);
+            assert_eq!(cached.is_some(), survives, "a {count}-page invalidation");
+        }
+    }
+}

@@ -67,7 +67,7 @@ fn commodity16() -> Topology {
 }
 
 #[test]
-fn sweep_storm_is_identical_across_the_engine_matrix() {
+fn sweep_storm_matches_the_full_scan_spec() {
     let m = run_traced(
         commodity16(),
         0x5EED_0001,
@@ -119,7 +119,7 @@ fn sparse_publisher_storm_is_identical_in_bench_configuration() {
 }
 
 #[test]
-fn overflow_pressure_is_identical_across_the_engine_matrix() {
+fn overflow_pressure_matches_the_full_scan_spec() {
     // Zero inter-round sleep on a 4-slot queue drives the overflow→IPI
     // fallback and the adaptive hysteresis, so sweeps meet queues that
     // overflowed and drained between them.
@@ -141,7 +141,7 @@ fn overflow_pressure_is_identical_across_the_engine_matrix() {
 }
 
 #[test]
-fn chaos_share_is_identical_across_the_engine_matrix() {
+fn chaos_share_matches_the_full_scan_spec() {
     let _ = run_traced(
         commodity16(),
         0xCAFE,
@@ -155,7 +155,7 @@ fn chaos_share_is_identical_across_the_engine_matrix() {
 /// perturbs event timing and sweep schedules, so it is exactly where a
 /// fast-path shortcut would fall out of step.
 #[test]
-fn chaos_plans_are_identical_across_the_engine_matrix() {
+fn chaos_plans_match_the_full_scan_spec() {
     let plans: [(&str, FaultPlan); 7] = [
         ("drop", FaultPlan::default().with_ipi_drop(0.30)),
         ("delay", FaultPlan::default().with_ipi_delay(0.50, 300_000)),
@@ -198,7 +198,7 @@ fn chaos_plans_are_identical_across_the_engine_matrix() {
 /// tight per-node watermarks, so allocation-storm escalation, debt
 /// parking and expedited sweeps all fire while IPIs drop and ticks miss.
 #[test]
-fn pressure_soup_is_identical_across_the_engine_matrix() {
+fn pressure_soup_matches_the_full_scan_spec() {
     let plan = FaultPlan::default()
         .with_ipi_drop(0.10)
         .with_ipi_delay(0.30, 200_000)
@@ -225,7 +225,7 @@ fn pressure_soup_is_identical_across_the_engine_matrix() {
 }
 
 #[test]
-fn watchdog_escalation_is_identical_across_the_engine_matrix() {
+fn watchdog_escalation_matches_the_full_scan_spec() {
     // A stalled core forces the watchdog's targeted-IPI escalation — a
     // sweep-adjacent path with its own cost accounting.
     let plan = FaultPlan::default().with_stall(1, MILLISECOND, 8 * MILLISECOND);
@@ -249,7 +249,7 @@ fn watchdog_escalation_is_identical_across_the_engine_matrix() {
 }
 
 #[test]
-fn serving_is_identical_across_the_engine_matrix() {
+fn serving_matches_the_full_scan_spec() {
     // The open-loop serving workload behind `BENCH_serving.json`:
     // Poisson arrivals across shared mms, one mmap/touch/munmap cycle
     // per request. Requests straddle cores sharing an mm, so sweep
@@ -269,7 +269,7 @@ fn serving_is_identical_across_the_engine_matrix() {
 }
 
 #[test]
-fn bursty_serving_under_chaos_is_identical_across_the_engine_matrix() {
+fn bursty_serving_under_chaos_matches_the_full_scan_spec() {
     // Bursty arrivals pile same-instant admissions onto shared mms
     // while IPIs drop and an overflow storm forces the fallback path —
     // the harshest serving shape the bench measures.
