@@ -1,4 +1,4 @@
-//! The hot-path benchmark runner behind `BENCH_hotpath.json`.
+//! The hot-path benchmark behind `BENCH_hotpath.json`.
 //!
 //! Measures the simulator's two hot loops — the calendar event queue and
 //! the pending-bitmap Latr sweep — end-to-end on the sweep-heavy
@@ -15,31 +15,50 @@ use latr_kernel::{metrics, Machine, MachineConfig};
 use latr_sim::SECOND;
 use latr_workloads::{PolicyKind, SweepStorm};
 
-use crate::report::{fnv1a, rows, Object};
+use crate::bench::Report;
+use crate::report::{each, fnv1a, row, Object, Rows};
 
 /// One machine-size measurement.
 #[derive(Clone, Debug, Default)]
-pub struct HotpathPoint {
+struct HotpathPoint {
     /// Simulated cores.
-    pub cores: usize,
+    cores: usize,
     /// Wall-clock nanoseconds for the whole run.
-    pub wall_ns: u128,
+    wall_ns: u128,
     /// Scheduler ticks simulated.
-    pub sim_ticks: u64,
+    sim_ticks: u64,
     /// Events the queue delivered.
-    pub events: u64,
+    events: u64,
     /// Workload operations completed (munmap rounds).
-    pub ops: u64,
+    ops: u64,
     /// `sim_ticks` per wall-clock second — the sweep-path figure of merit.
-    pub ticks_per_sec: f64,
+    ticks_per_sec: f64,
     /// `ops` per wall-clock second.
-    pub ops_per_sec: f64,
+    ops_per_sec: f64,
     /// FNV-1a hash of the run's full fingerprint.
-    pub fingerprint: u64,
+    fingerprint: u64,
+}
+
+/// Fractional ticks/sec drop below the committed file that fails the
+/// `--guard` check.
+const GUARD_TOLERANCE: f64 = 0.2;
+
+/// Runs every shape; panics if two best-of-N repetitions of a point
+/// diverge.
+pub(crate) fn run(quick: bool) -> Report {
+    let points = each(
+        hotpath_shapes(),
+        |(topo, cores)| run_hotpath_point(topo, cores, hotpath_rounds(cores, quick)),
+        point_row,
+    );
+    Report {
+        document: hotpath_json(&points, quick),
+        failure: None,
+    }
 }
 
 /// The machine sizes `BENCH_hotpath.json` reports.
-pub fn hotpath_shapes() -> [(Topology, usize); 3] {
+fn hotpath_shapes() -> [(Topology, usize); 3] {
     [
         (Topology::preset(MachinePreset::Commodity2S16C), 16),
         (Topology::new(4, 16), 64),
@@ -47,20 +66,12 @@ pub fn hotpath_shapes() -> [(Topology, usize); 3] {
     ]
 }
 
-/// Publishers per shape: a fixed set of 4 cores unmap while the rest
-/// tick and sweep. Sparse publishing is where laziness pays — most
-/// per-tick queue visits find nothing, which the pending bitmap skips
-/// and a full scan would pay for on every one of the `cores` queues.
-pub fn hotpath_publishers(cores: usize) -> usize {
-    cores.min(4)
-}
-
 /// Rounds per publisher for a shape: enough sim time that the per-tick
 /// sweep cost dominates setup, trimmed in `--quick` mode. Full-mode
 /// counts are sized so every point still runs for tens of milliseconds
 /// per repetition — below that the small deltas at small core counts
 /// drown in timer and scheduler noise.
-pub fn hotpath_rounds(cores: usize, quick: bool) -> u32 {
+fn hotpath_rounds(cores: usize, quick: bool) -> u32 {
     let full = match cores {
         0..=16 => 1000,
         17..=64 => 600,
@@ -84,17 +95,13 @@ pub fn hotpath_rounds(cores: usize, quick: bool) -> u32 {
 /// few-millisecond run mostly measures the *host*: first-touch page
 /// faults on the machine's freshly-allocated arrays and whatever else
 /// the OS scheduler is doing, noise larger than the differences under
-/// test. Every repetition must produce a bit-identical
-/// fingerprint, so best-of-N cannot hide nondeterminism.
-///
-/// # Panics
-///
-/// Panics if two repetitions of the same configuration diverge.
-pub fn run_hotpath_point(topology: Topology, cores: usize, rounds: u32, seed: u64) -> HotpathPoint {
+/// test. Every repetition must produce a bit-identical fingerprint, so
+/// best-of-N cannot hide nondeterminism: a divergence panics.
+fn run_hotpath_point(topology: Topology, cores: usize, rounds: u32) -> HotpathPoint {
     let reps: Vec<HotpathPoint> = (0..HOTPATH_REPS)
         .map(|_| {
             let mut config = MachineConfig::new(topology.clone());
-            config.seed = seed;
+            config.seed = 0xB3 ^ cores as u64;
             // Tracing and the coherence oracle off: both are pure observers
             // with per-event costs that would drown the hot loops being
             // measured (the differential suite runs them instead).
@@ -103,7 +110,12 @@ pub fn run_hotpath_point(topology: Topology, cores: usize, rounds: u32, seed: u6
             let mut machine = Machine::new(config);
             let start = Instant::now();
             machine.run(
-                Box::new(SweepStorm::new(cores, rounds).with_publishers(hotpath_publishers(cores))),
+                // A fixed set of 4 cores unmap while the rest tick and
+                // sweep. Sparse publishing is where laziness pays: most
+                // per-tick queue visits find nothing, which the pending
+                // bitmap skips and a full scan would pay for on every one
+                // of the `cores` queues.
+                Box::new(SweepStorm::new(cores, rounds).with_publishers(cores.min(4))),
                 PolicyKind::Latr(LatrConfig::default()).build(),
                 10 * SECOND,
             );
@@ -135,72 +147,67 @@ pub fn run_hotpath_point(topology: Topology, cores: usize, rounds: u32, seed: u6
 }
 
 /// Repetitions per measured point (best wall clock wins).
-pub const HOTPATH_REPS: u32 = 5;
+const HOTPATH_REPS: u32 = 5;
 
-/// Renders the measurement set as the `BENCH_hotpath.json` document.
-pub fn hotpath_json(points: &[HotpathPoint], quick: bool) -> String {
+/// One point's row of the document.
+fn point_row(p: &HotpathPoint) -> Object {
+    row!(p; cores, wall_ns, sim_ticks, events, ops, ticks_per_sec: 1, ops_per_sec: 1,
+            fingerprint: hex)
+}
+
+/// The measurement set as the `BENCH_hotpath.json` document.
+fn hotpath_json(points: &[HotpathPoint], quick: bool) -> Object {
     Object::new()
         .field("bench", "hotpath")
         .field("workload", "sweep-storm")
         .field("quick", quick)
-        .field(
-            "points",
-            rows!(points; cores, wall_ns, sim_ticks, events, ops, ticks_per_sec: 1,
-                          ops_per_sec: 1, fingerprint: hex),
-        )
-        .render()
+        .field("points", Rows::of(points, point_row))
 }
 
-/// Extracts `(cores, ticks_per_sec)` for every point of a committed
-/// `BENCH_hotpath.json` document, line by line: [`hotpath_json`] prints
-/// one point per line.
-pub fn committed_ticks(json: &str) -> Vec<(usize, f64)> {
-    let field = |line: &str, key: &str| -> Option<f64> {
-        let tail = &line[line.find(key)? + key.len()..];
-        let tail = tail.trim_start_matches([':', ' ']);
-        let end = tail
-            .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-            .unwrap_or(tail.len());
-        tail[..end].parse().ok()
-    };
+/// Extracts `(cores, ticks_per_sec)` for every point of a
+/// `BENCH_hotpath.json` document, line by line: the document prints one
+/// point per line.
+pub(crate) fn committed_ticks(json: &str) -> Vec<(usize, f64)> {
     json.lines()
-        .filter_map(|l| {
+        .filter_map(|line| {
+            let point = line.trim().trim_matches(['{', '}', ',']);
+            let field = |key: &str| -> Option<f64> {
+                point
+                    .split(", ")
+                    .find_map(|pair| pair.strip_prefix(key))?
+                    .parse()
+                    .ok()
+            };
             Some((
-                field(l, "\"cores\"")? as usize,
-                field(l, "\"ticks_per_sec\"")?,
+                field("\"cores\": ")? as usize,
+                field("\"ticks_per_sec\": ")?,
             ))
         })
         .collect()
 }
 
-/// The CI bench-regression guard: compares freshly measured points
-/// against the committed numbers and returns one message per
-/// point whose ticks/sec fell more than `tolerance` (a fraction, e.g.
-/// `0.2`) below the committed value. Missing committed points are
-/// skipped — the guard checks for regressions, not schema drift.
-pub fn guard_failures(
-    committed: &[(usize, f64)],
-    points: &[HotpathPoint],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for p in points {
-        if let Some(&(_, baseline)) = committed.iter().find(|(c, _)| *c == p.cores) {
-            let floor = baseline * (1.0 - tolerance);
-            if p.ticks_per_sec < floor {
-                out.push(format!(
-                    "{} cores: {:.0} ticks/sec is more than {:.0}% below the \
-                     committed {:.0} (floor {:.0})",
-                    p.cores,
-                    p.ticks_per_sec,
-                    tolerance * 100.0,
-                    baseline,
-                    floor,
-                ));
-            }
-        }
-    }
-    out
+/// The CI bench-regression guard: compares the freshly written
+/// document `fresh` against the committed `(cores, ticks_per_sec)` points
+/// and names every point whose ticks/sec fell more than
+/// [`GUARD_TOLERANCE`] below its committed value, or `None` if none did.
+/// A point missing from the committed file is skipped: the guard checks
+/// for regressions, not schema drift.
+pub(crate) fn guard(committed: &[(usize, f64)], fresh: &str) -> Option<String> {
+    let failures: Vec<String> = committed_ticks(fresh)
+        .into_iter()
+        .filter_map(|(cores, ticks)| {
+            let &(_, baseline) = committed.iter().find(|(c, _)| *c == cores)?;
+            let floor = baseline * (1.0 - GUARD_TOLERANCE);
+            (ticks < floor).then(|| {
+                format!(
+                    "{cores} cores: {ticks:.0} ticks/sec is more than {:.0}% below the \
+                     committed {baseline:.0} (floor {floor:.0})",
+                    GUARD_TOLERANCE * 100.0
+                )
+            })
+        })
+        .collect();
+    (!failures.is_empty()).then(|| format!("regression guard: {}", failures.join("; ")))
 }
 
 #[cfg(test)]
@@ -217,25 +224,24 @@ mod tests {
 
     #[test]
     fn guard_round_trips_through_the_json_and_flags_regressions() {
-        let committed = [point(16, 1000.0), point(120, 3000.0)];
-        let parsed = committed_ticks(&hotpath_json(&committed, false));
-        assert_eq!(parsed, vec![(16, 1000.0), (120, 3000.0)]);
+        let json = |points: &[HotpathPoint]| hotpath_json(points, false).render();
+        let committed = committed_ticks(&json(&[point(16, 1000.0), point(120, 3000.0)]));
+        assert_eq!(committed, vec![(16, 1000.0), (120, 3000.0)]);
 
         // Within tolerance (and above) passes; a >20% drop fails.
-        let fresh_ok = [point(16, 850.0), point(120, 3100.0)];
-        assert!(guard_failures(&parsed, &fresh_ok, 0.2).is_empty());
-        let fresh_bad = [point(16, 799.0), point(120, 3100.0)];
-        let failures = guard_failures(&parsed, &fresh_bad, 0.2);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("16 cores"), "{failures:?}");
+        let fresh_ok = json(&[point(16, 850.0), point(120, 3100.0)]);
+        assert_eq!(guard(&committed, &fresh_ok), None);
+        let fresh_bad = json(&[point(16, 799.0), point(120, 3100.0)]);
+        let failure = guard(&committed, &fresh_bad).expect("a 20% drop fails");
+        assert!(failure.contains("16 cores"), "{failure}");
+        assert!(!failure.contains("120 cores"), "{failure}");
         // A shape absent from the committed file is not a failure.
-        let fresh_extra = [point(64, 1.0)];
-        assert!(guard_failures(&parsed, &fresh_extra, 0.2).is_empty());
+        assert_eq!(guard(&committed, &json(&[point(64, 1.0)])), None);
     }
 
     #[test]
     fn a_small_point_runs_every_round() {
-        let p = run_hotpath_point(Topology::new(2, 2), 4, 3, 42);
+        let p = run_hotpath_point(Topology::new(2, 2), 4, 3);
         assert_eq!(p.ops, 4 * 3);
         assert!(p.sim_ticks > 0);
     }

@@ -9,9 +9,12 @@
 //! ```
 //!
 //! Each entry re-runs one table or figure on the simulated machines and
-//! prints the rows the paper reports. Every experiment runs in simulated
-//! time only, so its output is deterministic: `results/<name>.txt` holds
-//! each entry's full-scale output, and CI diffs the two.
+//! prints the rows the paper reports, then one `oracle:` line: every run
+//! behind it keeps the coherence oracle on, and the line reads
+//! `oracle: clean (N runs)` or names the first violation, which makes the
+//! binary exit 1. Every experiment runs in simulated time only, so its
+//! output is deterministic: `results/<name>.txt` holds each entry's
+//! full-scale output, and CI diffs the two.
 //!
 //! | Name | Reproduces |
 //! |---|---|
@@ -28,16 +31,19 @@
 //! | `timelines`          | Figs. 2 & 3 — munmap / AutoNUMA event timelines |
 //! | `ablations`          | §4.1/§4.5/§8 design-choice ablations |
 
-use crate::print_title;
+use std::cell::RefCell;
+
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
 use latr_kernel::{metrics, Machine, MachineConfig, NumaConfig, Workload};
 use latr_sim::{Nanos, MILLISECOND, SECOND};
 use latr_workloads::{
-    run_experiment, ApacheWorkload, ExperimentResult, MigrationProfile, MigrationWorkload,
-    MunmapMicrobench, ParsecProfile, ParsecWorkload, PolicyKind,
+    ApacheWorkload, ExperimentResult, MigrationProfile, MigrationWorkload, MunmapMicrobench,
+    ParsecProfile, ParsecWorkload, PolicyKind,
 };
+
+use crate::Entry;
 
 /// Scale factors for a run: `--quick` trades smoothness for speed.
 #[derive(Clone, Copy, Debug)]
@@ -75,12 +81,10 @@ impl RunScale {
     };
 }
 
-/// One paper experiment: its name (the stem of its `results/` file) and
-/// the function that runs and prints it.
-type Experiment = (&'static str, fn(RunScale));
-
-/// Every paper experiment, in the order a bare `paper` runs them.
-const EXPERIMENTS: [Experiment; 12] = [
+/// Every paper experiment, in the order a bare `paper` runs them: its
+/// name (the stem of its `results/` file) and the function that runs and
+/// prints it.
+const EXPERIMENTS: [Entry<RunScale, ()>; 12] = [
     ("fig6_munmap_cores", fig6),
     ("fig7_munmap_large", fig7),
     ("fig8_munmap_pages", fig8),
@@ -97,39 +101,55 @@ const EXPERIMENTS: [Experiment; 12] = [
 
 /// Runs `paper [--quick] [NAME...]`: the named experiments in argument
 /// order, or every experiment when no name is given. An unknown name or
-/// flag runs nothing and returns the usage text, which lists the names.
+/// flag runs nothing and returns the usage text, which lists the names;
+/// an oracle violation returns the experiments that drew one.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (scale, chosen) = parse(args)?;
-    for (_, experiment) in chosen {
+    let (quick, chosen) = crate::parse("paper [--quick] [NAME...]", &EXPERIMENTS, args)?;
+    let scale = if quick {
+        RunScale::QUICK
+    } else {
+        RunScale::FULL
+    };
+    let mut violated = Vec::new();
+    for (name, experiment) in chosen {
         experiment(scale);
-    }
-    Ok(())
-}
-
-/// Parses `[--quick] [NAME...]` into the run scale and the experiments to
-/// run, in argument order (every experiment when no name is given).
-fn parse(args: &[String]) -> Result<(RunScale, Vec<&'static Experiment>), String> {
-    let mut scale = RunScale::FULL;
-    let mut chosen = Vec::new();
-    for arg in args {
-        if arg == "--quick" {
-            scale = RunScale::QUICK;
-        } else if let Some(experiment) = EXPERIMENTS.iter().find(|(name, _)| name == arg) {
-            chosen.push(experiment);
-        } else {
-            let names: Vec<_> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-            return Err(format!(
-                "unknown experiment or flag `{arg}`\n\
-                 usage: paper [--quick] [NAME...]\n\
-                 names: {}",
-                names.join(" ")
-            ));
+        let verdicts = VERDICTS.take();
+        match verdicts.iter().find_map(|v| v.as_ref().err()) {
+            None => println!("oracle: clean ({} runs)", verdicts.len()),
+            Some(violation) => {
+                println!("oracle: {violation}");
+                violated.push(name);
+            }
         }
     }
-    if chosen.is_empty() {
-        chosen = EXPERIMENTS.iter().collect();
+    if violated.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("oracle violation in: {}", violated.join(" ")))
     }
-    Ok((scale, chosen))
+}
+
+thread_local! {
+    /// The oracle verdicts of the running experiment's runs so far.
+    static VERDICTS: RefCell<Vec<Result<(), String>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// [`latr_workloads::run_experiment`], with the run's oracle verdict
+/// added to the running experiment's. Every paper run goes through here.
+fn run_experiment(
+    config: MachineConfig,
+    policy: PolicyKind,
+    workload: Box<dyn Workload>,
+    limit: Nanos,
+) -> (ExperimentResult, Machine) {
+    let (res, machine) = latr_workloads::run_experiment(config, policy, workload, limit);
+    VERDICTS.with_borrow_mut(|v| v.extend(res.oracle.clone()));
+    (res, machine)
+}
+
+/// Prints a separator + title for a table.
+fn print_title(title: &str) {
+    println!("\n=== {title} ===");
 }
 
 /// The 2-socket, 16-core machine most experiments run on.
@@ -830,10 +850,22 @@ mod tests {
 
     #[test]
     fn scales_parse() {
-        let (full, all) = parse(&[]).unwrap();
-        let (quick, one) = parse(&["--quick".into(), "fig9_apache".into()]).unwrap();
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let (quick, chosen) = crate::parse("paper", &EXPERIMENTS, &args).unwrap();
+            (
+                quick,
+                chosen.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+            )
+        };
+        let (quick, all) = parse(&[]);
+        assert!(!quick);
         assert_eq!(all.len(), EXPERIMENTS.len());
-        assert_eq!(one.len(), 1);
+        assert_eq!(
+            parse(&["--quick", "fig9_apache"]),
+            (true, vec!["fig9_apache"])
+        );
+        let (full, quick) = (RunScale::FULL, RunScale::QUICK);
         assert!(quick.micro_iters < full.micro_iters);
         assert!(quick.apache_window < full.apache_window);
         assert!(quick.fixed_iters < full.fixed_iters);

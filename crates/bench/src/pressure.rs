@@ -27,56 +27,63 @@ use latr_kernel::{metrics, Machine, MachineConfig};
 use latr_sim::SECOND;
 use latr_workloads::{AllocStorm, PolicyKind};
 
-use crate::report::{fnv1a, row, rows, Object};
+use crate::bench::Report;
+use crate::report::{each, fnv1a, row, Object, Rows};
 
 /// Shape of one benchmark run (scaled down by `--quick` for CI).
 #[derive(Clone, Copy, Debug)]
-pub struct StormShape {
+struct StormShape {
     /// Cores (== storm tasks).
-    pub cores: usize,
+    cores: usize,
     /// Map/touch/unmap rounds per task.
-    pub rounds: u32,
+    rounds: u32,
     /// Pages per mapping.
-    pub pages: u64,
+    pages: u64,
     /// Held-mapping window depth.
-    pub hold: usize,
+    hold: usize,
     /// Physical frames per NUMA node.
-    pub frames_per_node: u64,
+    frames_per_node: u64,
     /// Low watermark (frames, per node).
-    pub low_watermark: u64,
+    low_watermark: u64,
     /// Min watermark (frames, per node).
-    pub min_watermark: u64,
+    min_watermark: u64,
     /// RNG seed for the machine.
-    pub seed: u64,
+    seed: u64,
 }
 
-/// The full-scale shape: the paper's 8-socket, 120-core machine, sized
-/// so the storm's held working set plus parked frames squeezes every
-/// node through its low watermark.
-pub fn full_shape() -> StormShape {
+/// Runs every arm of the storm at full or `--quick` shape.
+pub(crate) fn run(quick: bool) -> Report {
+    let shape = storm_shape(quick);
+    let points = each(
+        arms(),
+        |(arm, policy)| run_pressure_point(arm, policy, &shape),
+        arm_row,
+    );
+    let why = "the pressure gate did not hold (bare-lazy must breach its min watermark; \
+               escalation must sustain the storm stall-free)";
+    let document = pressure_json(&points, &shape, quick);
+    Report::new(document, pressure_passed(&points), why)
+}
+
+/// The storm's shape. Full scale is the paper's 8-socket, 120-core
+/// machine, sized so the storm's held working set plus parked frames
+/// squeezes every node through its low watermark; `--quick` is the CI
+/// shape, two sockets and 16 cores with the same storm signature in a
+/// fraction of the wall time.
+fn storm_shape(quick: bool) -> StormShape {
+    let (cores, frames_per_node, low_watermark, min_watermark) = if quick {
+        (16, 224, 72, 16)
+    } else {
+        (120, 256, 96, 24)
+    };
     StormShape {
-        cores: 120,
+        cores,
         rounds: 24,
         pages: 4,
         hold: 2,
-        frames_per_node: 256,
-        low_watermark: 96,
-        min_watermark: 24,
-        seed: 42,
-    }
-}
-
-/// The `--quick` CI shape: two sockets, 16 cores, same storm signature
-/// in a fraction of the wall time.
-pub fn quick_shape() -> StormShape {
-    StormShape {
-        cores: 16,
-        rounds: 24,
-        pages: 4,
-        hold: 2,
-        frames_per_node: 224,
-        low_watermark: 72,
-        min_watermark: 16,
+        frames_per_node,
+        low_watermark,
+        min_watermark,
         seed: 42,
     }
 }
@@ -87,7 +94,7 @@ pub fn quick_shape() -> StormShape {
 /// All sites are pure functions of simulated time, so every arm sees
 /// the identical storm. No reclaim-kthread stalls and no IPI faults:
 /// the expedite tick bound is part of what the suite asserts.
-pub fn pressure_plan(shape: &StormShape) -> FaultPlan {
+fn pressure_plan(shape: &StormShape) -> FaultPlan {
     let nodes = if shape.cores > 16 { 8u8 } else { 2 };
     let burst = shape.frames_per_node / 5;
     let mut plan = FaultPlan::default().with_flap(3_000_000, 2_000_000, shape.min_watermark / 2);
@@ -103,52 +110,48 @@ pub fn pressure_plan(shape: &StormShape) -> FaultPlan {
 
 /// One arm's results.
 #[derive(Clone, Debug)]
-pub struct PressurePoint {
+struct PressurePoint {
     /// Arm name (`linux`, `latr-bare`, `latr-escalation`).
-    pub arm: &'static str,
+    arm: &'static str,
     /// Lowest any node's free list got (frames).
-    pub min_free: u64,
+    min_free: u64,
     /// Low-watermark crossings (edge events).
-    pub low_events: u64,
+    low_events: u64,
     /// Min-watermark crossings (edge events).
-    pub min_events: u64,
+    min_events: u64,
     /// Allocation stalls (direct-reclaim entries).
-    pub alloc_stalls: u64,
+    alloc_stalls: u64,
     /// Allocations that failed even after direct reclaim.
-    pub oom_events: u64,
+    oom_events: u64,
     /// Alloc-stall latency percentiles (ns; 0 when no stalls).
-    pub stall_p50_ns: u64,
+    stall_p50_ns: u64,
     /// 99th percentile stall (ns).
-    pub stall_p99_ns: u64,
+    stall_p99_ns: u64,
     /// 99.9th percentile stall (ns).
-    pub stall_p999_ns: u64,
+    stall_p999_ns: u64,
     /// Pressure-expedited sweep escalations.
-    pub expedited_sweeps: u64,
+    expedited_sweeps: u64,
     /// IPIs those escalations cost.
-    pub expedited_ipis: u64,
+    expedited_ipis: u64,
     /// Worst pressure-expedite release latency (ns).
-    pub expedite_latency_max_ns: u64,
+    expedite_latency_max_ns: u64,
     /// Min-watermark forced entries into sync mode.
-    pub pressure_sync_enters: u64,
+    pressure_sync_enters: u64,
     /// Package-ticks overdue frames sat gated (reclamation debt held up).
-    pub gate_held: u64,
+    gate_held: u64,
     /// Frames released through lazy reclamation.
-    pub released_frames: u64,
+    released_frames: u64,
     /// Oracle verdict: true = no coherence violation observed.
-    pub oracle_clean: bool,
+    oracle_clean: bool,
     /// Frames still allocated at the end (must be 0).
-    pub leaked: usize,
+    leaked: usize,
     /// FNV-1a of the machine fingerprint — identical across reruns of
     /// the arm.
-    pub fingerprint: u64,
+    fingerprint: u64,
 }
 
 /// Runs one arm of the storm and collects its point.
-pub fn run_pressure_point(
-    arm: &'static str,
-    policy: PolicyKind,
-    shape: &StormShape,
-) -> PressurePoint {
+fn run_pressure_point(arm: &'static str, policy: PolicyKind, shape: &StormShape) -> PressurePoint {
     let preset = if shape.cores > 16 {
         MachinePreset::LargeNuma8S120C
     } else {
@@ -194,20 +197,15 @@ pub fn run_pressure_point(
     }
 }
 
-/// Runs all three arms on a shape.
-pub fn run_pressure_bench(shape: &StormShape) -> Vec<PressurePoint> {
-    vec![
-        run_pressure_point("linux", PolicyKind::Linux, shape),
-        run_pressure_point(
+/// The three arms, by name and policy.
+fn arms() -> [(&'static str, PolicyKind); 3] {
+    [
+        ("linux", PolicyKind::Linux),
+        (
             "latr-bare",
             PolicyKind::Latr(LatrConfig::default().without_escalation()),
-            shape,
         ),
-        run_pressure_point(
-            "latr-escalation",
-            PolicyKind::Latr(LatrConfig::default()),
-            shape,
-        ),
+        ("latr-escalation", PolicyKind::Latr(LatrConfig::default())),
     ]
 }
 
@@ -221,7 +219,7 @@ pub fn run_pressure_bench(shape: &StormShape) -> Vec<PressurePoint> {
 ///   `tests/pressure.rs`; on the 2-node quick machine cross-node
 ///   fallback can momentarily drain a node even under a healthy
 ///   policy, so the smoke gate sticks to the stall/OOM claim.)
-pub fn pressure_passed(points: &[PressurePoint]) -> bool {
+fn pressure_passed(points: &[PressurePoint]) -> bool {
     let all_safe = points.iter().all(|p| p.oracle_clean && p.leaked == 0);
     let Some(bare) = points.iter().find(|p| p.arm == "latr-bare") else {
         return false;
@@ -237,8 +235,16 @@ pub fn pressure_passed(points: &[PressurePoint]) -> bool {
         && full.gate_held <= bare.gate_held / 10
 }
 
-/// Renders the arms as the `BENCH_pressure.json` document.
-pub fn pressure_json(points: &[PressurePoint], shape: &StormShape, quick: bool) -> String {
+/// One arm's row of the document.
+fn arm_row(p: &PressurePoint) -> Object {
+    row!(p; arm, min_free, low_events, min_events, alloc_stalls, oom_events, stall_p50_ns,
+            stall_p99_ns, stall_p999_ns, expedited_sweeps, expedited_ipis,
+            expedite_latency_max_ns, pressure_sync_enters, gate_held, released_frames,
+            oracle_clean, leaked, fingerprint: hex)
+}
+
+/// The arms as the `BENCH_pressure.json` document.
+fn pressure_json(points: &[PressurePoint], shape: &StormShape, quick: bool) -> Object {
     Object::new()
         .field("bench", "pressure")
         .field(
@@ -252,14 +258,7 @@ pub fn pressure_json(points: &[PressurePoint], shape: &StormShape, quick: bool) 
                  min_watermark, seed),
         )
         .field("passed", pressure_passed(points))
-        .field(
-            "arms",
-            rows!(points; arm, min_free, low_events, min_events, alloc_stalls, oom_events,
-                          stall_p50_ns, stall_p99_ns, stall_p999_ns, expedited_sweeps,
-                          expedited_ipis, expedite_latency_max_ns, pressure_sync_enters,
-                          gate_held, released_frames, oracle_clean, leaked, fingerprint: hex),
-        )
-        .render()
+        .field("arms", Rows::of(points, arm_row))
 }
 
 #[cfg(test)]
@@ -268,8 +267,11 @@ mod tests {
 
     #[test]
     fn quick_bench_passes_and_is_deterministic() {
-        let shape = quick_shape();
-        let points = run_pressure_bench(&shape);
+        let shape = storm_shape(true);
+        let points: Vec<_> = arms()
+            .into_iter()
+            .map(|(arm, policy)| run_pressure_point(arm, policy, &shape))
+            .collect();
         assert!(
             pressure_passed(&points),
             "quick pressure bench must pass its own gate: {points:#?}"

@@ -1,53 +1,80 @@
 //! The one JSON writer behind every `BENCH_*.json`, plus the helpers the
-//! benches share: FNV-1a, percentiles and the per-shape ratio.
+//! benches share: per-point progress rows, FNV-1a and percentiles.
 //!
 //! A document is an ordered [`Object`]: [`Object::render`] prints one key
 //! per line, [`Rows`] one row per line, and every row or nested object
 //! inline. Strings are escaped; a float prints through [`Float`] with the
 //! decimals its field names — `f64` has no [`Json`] impl, so a float
 //! field cannot forget its precision. `row!` builds a row from a
-//! struct's fields, keyed by field name; `rows!` maps it over a slice.
+//! struct's fields, keyed by field name. Each bench names its row once,
+//! as a `fn(&Point) -> Object`: [`each`] prints it as a point finishes,
+//! and [`Rows::of`] puts it in the document.
 
 use latr_sim::Summary;
 
 /// A value the writer can print.
-pub trait Json {
+pub(crate) trait Json {
     /// The value as JSON text.
     fn json(&self) -> String;
 }
 
 /// A float with a fixed number of decimals (`null` if not finite).
-pub struct Float(pub f64, pub usize);
+pub(crate) struct Float(pub(crate) f64, pub(crate) usize);
 
 /// A 64-bit fingerprint as a 16-hex-digit string.
-pub struct Hex(pub u64);
+pub(crate) struct Hex(pub(crate) u64);
 
 /// An array printed one row per line, as every bench file lists its rows.
-pub struct Rows(pub Vec<Object>);
+pub(crate) struct Rows(Vec<Object>);
+
+impl Rows {
+    /// `row` of every point, in order.
+    pub(crate) fn of<P>(points: &[P], row: fn(&P) -> Object) -> Self {
+        Rows(points.iter().map(row).collect())
+    }
+}
+
+/// Runs `point` on each shape in turn and prints each point's `row` as
+/// it finishes, so a long bench reports as it goes, in its document's
+/// own rows.
+pub(crate) fn each<S, P>(
+    shapes: impl IntoIterator<Item = S>,
+    mut point: impl FnMut(S) -> P,
+    row: fn(&P) -> Object,
+) -> Vec<P> {
+    shapes
+        .into_iter()
+        .map(|shape| {
+            let p = point(shape);
+            println!("{}", row(&p).json());
+            p
+        })
+        .collect()
+}
 
 /// An ordered JSON object.
 #[derive(Clone, Debug, Default)]
-pub struct Object(Vec<(String, String)>);
+pub(crate) struct Object(Vec<(String, String)>);
 
 impl Object {
     /// An empty object.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Object::default()
     }
 
     /// Appends `key: value`.
-    pub fn field(mut self, key: &str, value: impl Json) -> Self {
+    pub(crate) fn field(mut self, key: &str, value: impl Json) -> Self {
         self.0.push((key.json(), value.json()));
         self
     }
 
     /// Appends every `(key, value)` pair in order.
-    pub fn fields<V: Json>(self, pairs: impl IntoIterator<Item = (String, V)>) -> Self {
+    pub(crate) fn fields<V: Json>(self, pairs: impl IntoIterator<Item = (String, V)>) -> Self {
         pairs.into_iter().fold(self, |o, (k, v)| o.field(&k, v))
     }
 
     /// Renders the object as a bench document: one key per line.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!("{{\n  {}\n}}\n", self.join(",\n  "))
     }
 
@@ -108,12 +135,6 @@ impl Json for str {
     }
 }
 
-impl Json for String {
-    fn json(&self) -> String {
-        self.as_str().json()
-    }
-}
-
 impl<T: Json + ?Sized> Json for &T {
     fn json(&self) -> String {
         (**self).json()
@@ -150,13 +171,6 @@ macro_rules! row {
     }};
 }
 
-/// [`Rows`] holding `row!(p; ..)` for every `p` in `$items`.
-macro_rules! rows {
-    ($items:expr; $($spec:tt)*) => {
-        $crate::report::Rows($items.iter().map(|p| $crate::report::row!(p; $($spec)*)).collect())
-    };
-}
-
 /// One [`row!`] cell.
 macro_rules! cell {
     ($v:expr) => {
@@ -170,7 +184,7 @@ macro_rules! cell {
     };
 }
 
-pub(crate) use {cell, row, rows};
+pub(crate) use {cell, row};
 
 /// A latency summary as the serving bench nests it (`min` omitted).
 impl Json for Summary {
@@ -181,7 +195,7 @@ impl Json for Summary {
 
 /// FNV-1a over a fingerprint's text: compact enough for a JSON field,
 /// collision-proof enough for "did the run change".
-pub fn fnv1a(s: &str) -> u64 {
+pub(crate) fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= u64::from(b);
@@ -191,32 +205,12 @@ pub fn fnv1a(s: &str) -> u64 {
 }
 
 /// The `q`-quantile of an ascending slice by nearest rank (0 if empty).
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-/// `(shape, engine a's metric ÷ engine b's)` for every shape measured on
-/// both, in `a`'s order. `key` maps a point to its
-/// `(engine, shape, metric)`.
-pub fn ratios<'p, P, S: PartialEq + Copy>(
-    points: &'p [P],
-    a: &str,
-    b: &str,
-    key: impl Fn(&'p P) -> (&'p str, S, f64),
-) -> Vec<(S, f64)> {
-    let keyed: Vec<_> = points.iter().map(key).collect();
-    keyed
-        .iter()
-        .filter(|k| k.0 == a)
-        .filter_map(|&(_, shape, x)| {
-            let other = keyed.iter().find(|k| k.0 == b && k.1 == shape)?;
-            Some((shape, x / other.2.max(1e-9)))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -245,7 +239,10 @@ mod tests {
         let json = Object::new()
             .field(
                 "rows",
-                Rows(vec![row!(p; name, rate: 2, missing, fingerprint: hex)]),
+                Rows::of(
+                    std::slice::from_ref(&p),
+                    |p| row!(p; name, rate: 2, missing, fingerprint: hex),
+                ),
             )
             .field("nested", row!(p; latency))
             .field("empty", Rows(Vec::new()))
@@ -260,21 +257,6 @@ mod tests {
              \"p99\": 5, \"p999\": 5, \"max\": 5}},\n  \"empty\": [],\n  \
              \"ratio_at_4\": 2.00,\n  \"nan\": null\n}\n"
         );
-    }
-
-    #[test]
-    fn ratios_pair_points_by_shape() {
-        let points = [
-            ("lazy-sharded", 16, 300.0),
-            ("sync-ipi", 16, 100.0),
-            ("lazy-sharded", 64, 1.0),
-        ];
-        let key = |p: &(&'static str, usize, f64)| (p.0, p.1, p.2);
-        assert_eq!(
-            ratios(&points, "lazy-sharded", "sync-ipi", key),
-            vec![(16, 3.0)]
-        );
-        assert!(ratios(&points, "lazy-sharded", "sync", key).is_empty());
     }
 
     #[test]

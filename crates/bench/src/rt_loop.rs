@@ -27,43 +27,43 @@ use latr_core::rt::{RtRegistry, ShardedReclaimer, SoftTlb, SoftTlbTable};
 use latr_faults::{ThreadFault, ThreadFaultStream};
 
 /// Keys in the shared table; lookups and unmaps cycle over this space.
-pub const KEYSPACE: u64 = 256;
+pub(crate) const KEYSPACE: u64 = 256;
 /// Lookups per loop round, between sweeps.
-pub const LOOKUPS_PER_ROUND: u64 = 32;
+pub(crate) const LOOKUPS_PER_ROUND: u64 = 32;
 /// Reclamation grace in sweep ticks (§4.2's two cycles).
-pub const GRACE: u64 = 2;
+pub(crate) const GRACE: u64 = 2;
 /// Per-core queue capacity — deep enough that overflow is rare noise on
 /// a healthy run. Between a thread's death and its exclusion the dead
 /// queue fills and publishers overflow; the reap-on-exclusion path then
 /// clears it.
-pub const QUEUE_SLOTS: usize = 512;
+const QUEUE_SLOTS: usize = 512;
 /// How often (in rounds) a worker samples its sweep latency and its
 /// collect re-derives the ground-truth frontier with an O(cores) scan.
 /// Sampling keeps the measurement from taxing the lazy path it checks;
 /// the exhaustive versions of the same property live in the loom and
 /// differential suites.
-pub const SAMPLE_ROUNDS: u64 = 8;
+const SAMPLE_ROUNDS: u64 = 8;
 
 /// One worker's tallies.
 #[derive(Default)]
-pub struct ThreadStats {
+pub(crate) struct ThreadStats {
     /// Lookups + unmaps completed.
-    pub ops: u64,
+    pub(crate) ops: u64,
     /// Loop rounds completed.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Unmap rounds completed.
-    pub unmaps: u64,
+    pub(crate) unmaps: u64,
     /// Items the reclaimer handed back.
-    pub collected: u64,
+    pub(crate) collected: u64,
     /// Sampled reclaim lags (ticks past due at collection).
-    pub lag: Vec<u64>,
+    pub(crate) lag: Vec<u64>,
     /// Sampled sweep latencies (ns).
-    pub sweep_ns: Vec<u64>,
+    pub(crate) sweep_ns: Vec<u64>,
 }
 
 impl ThreadStats {
     /// Sums every worker's tallies; the samples come back sorted.
-    pub fn total(per_thread: impl IntoIterator<Item = ThreadStats>) -> ThreadStats {
+    pub(crate) fn total(per_thread: impl IntoIterator<Item = ThreadStats>) -> ThreadStats {
         let mut sum = ThreadStats::default();
         for s in per_thread {
             sum.ops += s.ops;
@@ -80,23 +80,23 @@ impl ThreadStats {
 }
 
 /// The state one lazy run shares across its workers.
-pub struct Rig {
+pub(crate) struct Rig {
     /// Per-core queues, ticks and the exclusion set.
-    pub registry: Arc<RtRegistry>,
+    pub(crate) registry: Arc<RtRegistry>,
     /// The soft-TLB table, every key mapped.
-    pub table: Arc<SoftTlbTable>,
+    table: Arc<SoftTlbTable>,
     /// Items carry `(conservative due tick, exclusion epoch at defer)`.
-    pub reclaimer: ShardedReclaimer<(u64, u64)>,
+    reclaimer: ShardedReclaimer<(u64, u64)>,
     /// Raised when the measured window closes.
-    pub stop: AtomicBool,
+    pub(crate) stop: AtomicBool,
     /// Cleared by the first sampled collect that fails the canary.
-    pub canary_ok: AtomicBool,
+    pub(crate) canary_ok: AtomicBool,
 }
 
 impl Rig {
     /// A rig for `threads` cores, with the frontier watchdog armed at
     /// `watchdog` if given.
-    pub fn new(threads: usize, watchdog: Option<Duration>) -> Self {
+    pub(crate) fn new(threads: usize, watchdog: Option<Duration>) -> Self {
         let registry = Arc::new(match watchdog {
             Some(t) => RtRegistry::with_watchdog(threads, QUEUE_SLOTS, t.as_nanos() as u64),
             None => RtRegistry::new(threads, QUEUE_SLOTS),
@@ -130,7 +130,7 @@ impl Rig {
     /// `stop` ticks once more if it was excluded, so a watchdog exclusion
     /// right before the window closed rejoins rather than reading as a
     /// stuck stall.
-    pub fn worker(
+    pub(crate) fn worker(
         &self,
         core: usize,
         mut faults: Option<ThreadFaultStream>,
@@ -222,7 +222,7 @@ impl Rig {
 /// the monitor and the workers. Returns the monitor's result, each
 /// worker's (a panicked worker's is `Err`), and the window's wall-clock
 /// ns.
-pub fn run_window<T: Send, M: Send>(
+pub(crate) fn run_window<T: Send, M: Send>(
     threads: usize,
     duration: Duration,
     stop: &AtomicBool,

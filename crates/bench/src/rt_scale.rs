@@ -1,4 +1,4 @@
-//! The rt scaling benchmark behind `BENCH_rt_scale.json` (ISSUE 5).
+//! The rt scaling benchmark behind `BENCH_rt_scale.json`.
 //!
 //! Unlike the simulator benches, this one runs *real* `std::thread`
 //! threads — one per "core" at 4, 16, 64 and 120 — through the
@@ -17,7 +17,7 @@
 //! core excluded it checks sampled collects against the ground truth
 //! `min_tick() ≥ due`. A trip means the cached frontier (or a shard)
 //! released memory while some core could still hold a stale
-//! translation; the binary aborts rather than report a tainted speedup.
+//! translation, and the bench fails rather than report a tainted speedup.
 //!
 //! The machine running this is almost certainly smaller than 120
 //! hardware threads; the point of the oversubscribed shapes is the
@@ -32,75 +32,78 @@ use std::time::Duration;
 use latr_core::rt::CachePadded;
 use parking_lot::RwLock;
 
-use crate::report::{percentile, ratios, rows, Float, Object};
+use crate::bench::Report;
+use crate::report::{each, percentile, row, Float, Object, Rows};
 use crate::rt_loop::{run_window, Rig, ThreadStats, GRACE, KEYSPACE, LOOKUPS_PER_ROUND};
 
-/// The engines the benchmark compares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScaleEngine {
-    /// The rt runtime stack, run through the shared worker loop.
-    Lazy,
-    /// Synchronous mailbox rendezvous on every unmap.
-    SyncIpi,
+/// Runs both engines at every thread count.
+pub(crate) fn run(quick: bool) -> Report {
+    let shapes = rt_scale_threads(quick)
+        .iter()
+        .flat_map(|&threads| ENGINES.map(|engine| (engine, threads)));
+    let points = each(
+        shapes,
+        |(engine, threads)| run_rt_scale_point(engine, threads, rt_scale_duration(quick, threads)),
+        point_row,
+    );
+    let why = "canary violated: an item was reclaimed before its grace elapsed; the run is unsafe";
+    Report::new(rt_scale_json(&points, quick), canary_passed(&points), why)
 }
 
-impl ScaleEngine {
-    /// The label used in rows and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScaleEngine::Lazy => "lazy-sharded",
-            ScaleEngine::SyncIpi => "sync-ipi",
-        }
-    }
+/// What one engine's window measured: each thread's tallies, the
+/// window's wall-clock ns, whether the canary held, and the publishes
+/// refused on a full queue.
+type Window = (Vec<ThreadStats>, u128, bool, u64);
 
-    /// All engines, in report order.
-    pub fn all() -> [ScaleEngine; 2] {
-        [ScaleEngine::Lazy, ScaleEngine::SyncIpi]
-    }
-}
+/// An engine: its label and the function that runs it on `threads`
+/// threads for a window.
+type Engine = (&'static str, fn(usize, Duration) -> Window);
+
+/// The engines the benchmark compares, in report order.
+const ENGINES: [Engine; 2] = [("lazy-sharded", run_lazy), ("sync-ipi", run_sync)];
 
 /// One engine × thread-count measurement.
 #[derive(Clone, Debug, Default)]
-pub struct RtScalePoint {
+struct RtScalePoint {
     /// Engine label.
-    pub engine: &'static str,
+    engine: &'static str,
     /// Real OS threads driven.
-    pub threads: usize,
+    threads: usize,
     /// Wall-clock nanoseconds for the measured window.
-    pub wall_ns: u128,
+    wall_ns: u128,
     /// Lookups + unmaps completed across all threads.
-    pub ops: u64,
+    ops: u64,
     /// Unmap rounds completed.
-    pub unmaps: u64,
+    unmaps: u64,
     /// Publishes refused on a full queue (lazy engine only).
-    pub overflows: u64,
+    overflows: u64,
     /// Items the reclaimer handed back during the window.
-    pub collected: u64,
+    collected: u64,
     /// `ops` per wall-clock second — the headline number.
-    pub ops_per_sec: f64,
+    ops_per_sec: f64,
     /// Median sampled sweep latency (ns; 0 for sync-ipi).
-    pub sweep_p50_ns: u64,
+    sweep_p50_ns: u64,
     /// 99th-percentile sampled sweep latency (ns; 0 for sync-ipi).
-    pub sweep_p99_ns: u64,
+    sweep_p99_ns: u64,
     /// Mean ticks between an item's due and its collection.
-    pub reclaim_lag_ticks: f64,
+    reclaim_lag_ticks: f64,
     /// Whether every collected item passed the ground-truth due check.
-    pub canary_ok: bool,
+    canary_ok: bool,
 }
 
 /// The thread counts a run measures.
-pub fn rt_scale_threads(quick: bool) -> Vec<usize> {
+fn rt_scale_threads(quick: bool) -> &'static [usize] {
     if quick {
-        vec![4, 16]
+        &[4, 16]
     } else {
-        vec![4, 16, 64, 120]
+        &[4, 16, 64, 120]
     }
 }
 
 /// The measured window per (engine, shape) point. Oversubscribed shapes
 /// get a longer window so every thread still sees meaningful CPU time —
 /// otherwise OS scheduling noise drowns the engine difference.
-pub fn rt_scale_duration(quick: bool, threads: usize) -> Duration {
+fn rt_scale_duration(quick: bool, threads: usize) -> Duration {
     let base = if quick { 80 } else { 400 };
     Duration::from_millis(base * (threads as u64).div_ceil(32).max(1))
 }
@@ -119,27 +122,15 @@ fn measure(
 }
 
 /// Runs one (engine, thread-count) point for `duration` and measures it.
-pub fn run_rt_scale_point(engine: ScaleEngine, threads: usize, duration: Duration) -> RtScalePoint {
-    let (per_thread, wall_ns, canary_ok, overflows) = match engine {
-        ScaleEngine::Lazy => {
-            let rig = Rig::new(threads, None);
-            let worker = |core| rig.worker(core, None).0;
-            let (per_thread, wall_ns) = measure(threads, duration, &rig.stop, worker);
-            // Queue-side counters come from the registry's unified
-            // snapshot; a fault-free run also ends with no core excluded.
-            let reg_stats = rig.registry.stats();
-            debug_assert_eq!(reg_stats.excluded_cores, 0);
-            let canary_ok = rig.canary_ok.load(Ordering::Acquire);
-            (per_thread, wall_ns, canary_ok, reg_stats.overflows)
-        }
-        ScaleEngine::SyncIpi => {
-            let (per_thread, wall_ns) = run_sync(threads, duration);
-            (per_thread, wall_ns, true, 0)
-        }
-    };
+fn run_rt_scale_point(
+    (engine, window): Engine,
+    threads: usize,
+    duration: Duration,
+) -> RtScalePoint {
+    let (per_thread, wall_ns, canary_ok, overflows) = window(threads, duration);
     let t = ThreadStats::total(per_thread);
     RtScalePoint {
-        engine: engine.name(),
+        engine,
         threads,
         wall_ns,
         ops: t.ops,
@@ -156,6 +147,19 @@ pub fn run_rt_scale_point(engine: ScaleEngine, threads: usize, duration: Duratio
         },
         canary_ok,
     }
+}
+
+/// The rt runtime stack, run through the shared worker loop.
+fn run_lazy(threads: usize, duration: Duration) -> Window {
+    let rig = Rig::new(threads, None);
+    let worker = |core| rig.worker(core, None).0;
+    let (per_thread, wall_ns) = measure(threads, duration, &rig.stop, worker);
+    // Queue-side counters come from the registry's unified snapshot; a
+    // fault-free run also ends with no core excluded.
+    let reg_stats = rig.registry.stats();
+    debug_assert_eq!(reg_stats.excluded_cores, 0);
+    let canary_ok = rig.canary_ok.load(Ordering::Acquire);
+    (per_thread, wall_ns, canary_ok, reg_stats.overflows)
 }
 
 /// One thread's shootdown mailbox: request/ack sequence numbers on their
@@ -190,7 +194,8 @@ fn service_mailbox(mailbox: &Mailbox, cache: &mut HashMap<u64, u64>) {
     }
 }
 
-fn run_sync(threads: usize, duration: Duration) -> (Vec<ThreadStats>, u128) {
+/// Synchronous mailbox rendezvous on every unmap.
+fn run_sync(threads: usize, duration: Duration) -> Window {
     let table: RwLock<HashMap<u64, u64>> = RwLock::new(HashMap::new());
     for k in 0..KEYSPACE {
         table.write().insert(k, k + 1000);
@@ -256,35 +261,38 @@ fn run_sync(threads: usize, duration: Duration) -> (Vec<ThreadStats>, u128) {
         }
         stats
     };
-    measure(threads, duration, &stop, worker)
+    let (per_thread, wall_ns) = measure(threads, duration, &stop, worker);
+    (per_thread, wall_ns, true, 0)
 }
 
 /// Whether every point's canary held.
-pub fn canary_passed(points: &[RtScalePoint]) -> bool {
+fn canary_passed(points: &[RtScalePoint]) -> bool {
     points.iter().all(|p| p.canary_ok)
 }
 
-/// Renders the measurement set as the `BENCH_rt_scale.json` document.
-pub fn rt_scale_json(points: &[RtScalePoint], quick: bool) -> String {
+/// One point's row of the document.
+fn point_row(p: &RtScalePoint) -> Object {
+    row!(p; engine, threads, wall_ns, ops, unmaps, overflows, collected, ops_per_sec: 1,
+            sweep_p50_ns, sweep_p99_ns, reclaim_lag_ticks: 2, canary_ok)
+}
+
+/// The measurement set as the `BENCH_rt_scale.json` document.
+fn rt_scale_json(points: &[RtScalePoint], quick: bool) -> Object {
     // lazy-sharded ops/sec ÷ sync-ipi's, per thread count.
-    let lazy_vs_sync = ratios(points, "lazy-sharded", "sync-ipi", |p| {
-        (p.engine, p.threads, p.ops_per_sec)
-    })
-    .into_iter()
-    .map(|(threads, r)| (format!("lazy_vs_sync_at_{threads}"), Float(r, 2)));
+    let engine = |name: &'static str| points.iter().filter(move |p| p.engine == name);
+    let lazy_vs_sync = engine("lazy-sharded").filter_map(|lazy| {
+        let sync = engine("sync-ipi").find(|s| s.threads == lazy.threads)?;
+        let ratio = lazy.ops_per_sec / sync.ops_per_sec.max(1e-9);
+        Some((format!("lazy_vs_sync_at_{}", lazy.threads), Float(ratio, 2)))
+    });
     Object::new()
         .field("bench", "rt_scale")
         .field("workload", "munmap-heavy soft-tlb loop")
         .field("quick", quick)
         .field("grace_ticks", GRACE)
-        .field(
-            "points",
-            rows!(points; engine, threads, wall_ns, ops, unmaps, overflows, collected, ops_per_sec:
-                          1, sweep_p50_ns, sweep_p99_ns, reclaim_lag_ticks: 2, canary_ok),
-        )
+        .field("points", Rows::of(points, point_row))
         .field("canary_passed", canary_passed(points))
         .fields(lazy_vs_sync)
-        .render()
 }
 
 #[cfg(test)]
@@ -312,22 +320,27 @@ mod tests {
             point("lazy-sharded", 16, 400.0, true),
             point("sync-ipi", 16, 50.0, true),
         ];
-        let json = rt_scale_json(&healthy, true);
+        let json = rt_scale_json(&healthy, true).render();
         assert!(json.contains("\"canary_passed\": true"));
         assert!(json.contains("\"lazy_vs_sync_at_16\": 8.00"));
         let points = [point("lazy-sharded", 4, 1.0, false)];
         assert!(!canary_passed(&points));
-        assert!(rt_scale_json(&points, false).contains("\"canary_passed\": false"));
+        let json = rt_scale_json(&points, false).render();
+        assert!(json.contains("\"canary_passed\": false"));
+        assert!(
+            !json.contains("lazy_vs_sync"),
+            "no sync-ipi point to pair with"
+        );
     }
 
     #[test]
     fn tiny_live_run_on_every_engine() {
-        for engine in ScaleEngine::all() {
+        for engine in ENGINES {
             let p = run_rt_scale_point(engine, 3, Duration::from_millis(25));
             assert_eq!(p.threads, 3);
             assert!(p.ops > 0, "{} did no work", p.engine);
             assert!(p.canary_ok, "{} tripped the canary", p.engine);
-            if engine != ScaleEngine::SyncIpi {
+            if p.engine != "sync-ipi" {
                 assert!(p.unmaps > 0, "{} never unmapped", p.engine);
                 assert!(p.sweep_p99_ns >= p.sweep_p50_ns);
             }

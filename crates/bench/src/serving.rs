@@ -1,5 +1,4 @@
-//! The open-loop tail-latency benchmark behind `BENCH_serving.json`
-//! (PR 10).
+//! The open-loop tail-latency benchmark behind `BENCH_serving.json`.
 //!
 //! Runs [`latr_workloads::ServingWorkload`] on the 120-core preset under
 //! each TLB-coherence policy (Linux, ABIS, Latr) plus Latr under two
@@ -11,7 +10,8 @@
 //!
 //! Before the full-size measurement, every variant is gated: a small run
 //! under the `latr-verify` coherence oracle must end with no violation
-//! (a curve from an incoherent simulation disqualifies itself).
+//! (a curve from an incoherent simulation disqualifies itself, and the
+//! bench fails).
 
 use std::time::Instant;
 
@@ -21,33 +21,54 @@ use latr_kernel::{metrics, Machine, MachineConfig};
 use latr_sim::{Summary, MILLISECOND, SECOND};
 use latr_workloads::{ArrivalProcess, PolicyKind, ServingWorkload};
 
-use crate::report::{fnv1a, rows, Object};
+use crate::bench::Report;
+use crate::report::{each, fnv1a, row, Object, Rows};
 
 /// Which policy (and faults) one serving curve runs under.
 #[derive(Clone, Debug)]
-pub struct ServingVariant {
+struct ServingVariant {
     /// Curve label: `"linux"`, `"abis"`, `"latr"`, `"latr+ipi-chaos"`,
     /// `"latr+sweep-chaos"`.
-    pub label: &'static str,
+    label: &'static str,
     /// The TLB-coherence policy.
-    pub policy: PolicyKind,
+    policy: PolicyKind,
     /// Fault plan for the degraded-mode curves.
-    pub faults: Option<FaultPlan>,
+    faults: Option<FaultPlan>,
 }
 
-/// The benchmark's shape: the paper's 8-socket, 120-core machine.
-pub fn serving_shape() -> (Topology, usize) {
-    (Topology::preset(MachinePreset::LargeNuma8S120C), 120)
+/// Seed of every run.
+const SEED: u64 = 0xC0FF;
+
+/// Runs every variant's oracle gate, then every variant's curve.
+pub(crate) fn run(quick: bool) -> Report {
+    let variants = serving_variants();
+    let gates = each(
+        &variants,
+        |v| run_serving_point(v, serving_requests_per_worker(true), SEED, true),
+        gate_row,
+    );
+    let curves = each(
+        &variants,
+        |v| run_serving_point(v, serving_requests_per_worker(quick), SEED, false),
+        curve_row,
+    );
+    let why = "a gate run drew a coherence-oracle violation";
+    let document = serving_json(&gates, &curves, quick);
+    Report::new(document, gates_passed(&gates), why)
 }
+
+/// Cores of the benchmark's machine: the paper's 8-socket, 120-core
+/// preset.
+const CORES: usize = 120;
 
 /// Worker processes: 24 address spaces × 5 worker threads each — many
 /// mms for the per-`(mm, tick)` sweep grouping, few enough workers per
 /// mm that `mmap_sem` contention stays Apache-shaped.
-pub const SERVING_PROCS: usize = 24;
+const SERVING_PROCS: usize = 24;
 
 /// Requests each worker admits. Full mode totals 120 × 8400 = 1,008,000
 /// simulated connections per policy; quick mode trims to a smoke run.
-pub fn serving_requests_per_worker(quick: bool) -> u64 {
+fn serving_requests_per_worker(quick: bool) -> u64 {
     if quick {
         50
     } else {
@@ -60,7 +81,7 @@ pub fn serving_requests_per_worker(quick: bool) -> u64 {
 /// retry and fallback-IPI paths; no sweeper stalls, so the watchdog never
 /// escalates) and missed ticks + a stalled sweeper (reaching gated
 /// reclamation and watchdog escalation).
-pub fn serving_variants() -> Vec<ServingVariant> {
+fn serving_variants() -> Vec<ServingVariant> {
     vec![
         ServingVariant {
             label: "linux",
@@ -105,44 +126,41 @@ pub fn serving_variants() -> Vec<ServingVariant> {
 
 /// One variant's measurement.
 #[derive(Clone, Debug, Default)]
-pub struct ServingPoint {
+struct ServingPoint {
     /// Variant label (see [`serving_variants`]).
-    pub label: String,
-    /// Simulated cores.
-    pub cores: usize,
+    label: &'static str,
     /// Requests served.
-    pub requests: u64,
+    requests: u64,
     /// Wall-clock nanoseconds for the run.
-    pub wall_ns: u128,
+    wall_ns: u128,
     /// Events the queue delivered.
-    pub events: u64,
+    events: u64,
     /// Request latency (arrival → munmap completion, ns).
-    pub request_ns: Option<Summary>,
+    request_ns: Option<Summary>,
     /// Remote-shootdown wait (sync rounds only, ns).
-    pub shootdown_ns: Option<Summary>,
+    shootdown_ns: Option<Summary>,
     /// `munmap()` syscall latency (ns).
-    pub munmap_ns: Option<Summary>,
+    munmap_ns: Option<Summary>,
     /// FNV-1a of the full fingerprint.
-    pub fingerprint: u64,
+    fingerprint: u64,
     /// Whether the run ended with no coherence-oracle violation; `None`
     /// when the oracle was off.
-    pub oracle_clean: Option<bool>,
+    oracle_clean: Option<bool>,
 }
 
 /// Runs one serving curve, with the coherence oracle on or off.
-pub fn run_serving_point(
+fn run_serving_point(
     variant: &ServingVariant,
     requests_per_worker: u64,
     seed: u64,
     oracle: bool,
 ) -> ServingPoint {
-    let (topology, cores) = serving_shape();
-    let mut config = MachineConfig::new(topology);
+    let mut config = MachineConfig::new(Topology::preset(MachinePreset::LargeNuma8S120C));
     config.seed = seed;
     config.trace_capacity = 0;
     config.oracle = oracle;
     config.faults = variant.faults.clone();
-    let workload = ServingWorkload::new(cores, SERVING_PROCS, requests_per_worker)
+    let workload = ServingWorkload::new(CORES, SERVING_PROCS, requests_per_worker)
         .with_arrivals(ArrivalProcess::Bursty {
             period: 4 * MILLISECOND,
             on_pct: 25,
@@ -155,8 +173,7 @@ pub fn run_serving_point(
     let wall = start.elapsed().as_nanos().max(1);
     let summary = |name: &str| machine.stats.histogram(name).map(|h| h.summary());
     ServingPoint {
-        label: variant.label.to_string(),
-        cores,
+        label: variant.label,
         requests: machine.stats.counter(metrics::WORK_UNITS),
         wall_ns: wall,
         events: machine.events_delivered(),
@@ -168,39 +185,37 @@ pub fn run_serving_point(
     }
 }
 
-/// The gate run for `variant`: the quick-size run under the coherence
-/// oracle, which must end clean.
-pub fn run_serving_gate(variant: &ServingVariant, seed: u64) -> ServingPoint {
-    run_serving_point(variant, serving_requests_per_worker(true), seed, true)
-}
-
 /// Whether every gate run ended oracle-clean.
-pub fn gates_passed(gates: &[ServingPoint]) -> bool {
+fn gates_passed(gates: &[ServingPoint]) -> bool {
     gates.iter().all(|g| g.oracle_clean == Some(true))
 }
 
-/// Renders the gate runs and the curves as the `BENCH_serving.json`
-/// document.
-pub fn serving_json(gates: &[ServingPoint], curves: &[ServingPoint], quick: bool) -> String {
-    let (_, cores) = serving_shape();
+/// A gate run's row: the quick-size run under the coherence oracle.
+fn gate_row(g: &ServingPoint) -> Object {
+    row!(g; label, oracle_clean, fingerprint: hex)
+}
+
+/// A curve's row.
+fn curve_row(p: &ServingPoint) -> Object {
+    row!(p; label, requests, wall_ns, events, request_ns, shootdown_ns, munmap_ns,
+            fingerprint: hex)
+}
+
+/// The gate runs and the curves as the `BENCH_serving.json` document.
+fn serving_json(gates: &[ServingPoint], curves: &[ServingPoint], quick: bool) -> Object {
     Object::new()
         .field("bench", "serving")
         .field("workload", "serving-open-loop")
         .field("quick", quick)
-        .field("cores", cores)
+        .field("cores", CORES)
         .field("procs", SERVING_PROCS)
         .field(
             "requests_per_policy",
-            cores as u64 * serving_requests_per_worker(quick),
+            CORES as u64 * serving_requests_per_worker(quick),
         )
-        .field("gates", rows!(gates; label, oracle_clean, fingerprint: hex))
-        .field(
-            "curves",
-            rows!(curves; label, requests, wall_ns, events, request_ns, shootdown_ns,
-                          munmap_ns, fingerprint: hex),
-        )
+        .field("gates", Rows::of(gates, gate_row))
+        .field("curves", Rows::of(curves, curve_row))
         .field("gates_passed", gates_passed(gates))
-        .render()
 }
 
 #[cfg(test)]
@@ -218,9 +233,9 @@ mod tests {
         assert!(labels.contains(&"latr"));
     }
 
-    fn gate_run(label: &str, oracle_clean: bool) -> ServingPoint {
+    fn gate_run(label: &'static str, oracle_clean: bool) -> ServingPoint {
         ServingPoint {
-            label: label.to_string(),
+            label,
             fingerprint: 7,
             oracle_clean: Some(oracle_clean),
             ..ServingPoint::default()
@@ -230,13 +245,14 @@ mod tests {
     #[test]
     fn gate_detects_an_oracle_violation() {
         let clean = [gate_run("linux", true), gate_run("latr", true)];
-        let json = serving_json(&clean, &clean[..1], true);
+        let json = serving_json(&clean, &clean[..1], true).render();
         assert!(json.contains(
             "{\"label\": \"latr\", \"oracle_clean\": true, \"fingerprint\": \"0000000000000007\"}"
         ));
         assert!(json.contains("\"gates_passed\": true"));
         let violated = [gate_run("linux", true), gate_run("latr", false)];
-        assert!(serving_json(&violated, &[], true).contains("\"gates_passed\": false"));
+        let json = serving_json(&violated, &[], true).render();
+        assert!(json.contains("\"gates_passed\": false"));
         // A run with the oracle off proves nothing.
         let unchecked = [ServingPoint::default()];
         assert!(!gates_passed(&unchecked));

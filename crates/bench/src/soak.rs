@@ -1,4 +1,4 @@
-//! The long-running robustness soak behind `BENCH_soak.json` (ISSUE 6).
+//! The long-running robustness soak behind `BENCH_soak.json`.
 //!
 //! Where `rt_scale` measures *throughput* of a healthy runtime, the soak
 //! measures *survival* of a faulted one: real worker threads drive the
@@ -21,11 +21,9 @@
 //! still hold a stale translation, and the soak fails.
 //!
 //! Pass criteria ([`soak_passed`]): zero canary trips, every *fired*
-//! thread death excluded within the recovery bound (twice the watchdog
-//! timeout plus generous oversubscription slack — the container running
-//! this likely has far fewer hardware threads than the 120 the largest
-//! shape drives), and no live core stuck excluded past that same bound
-//! (a healthy excluded core rejoins on its very next tick).
+//! thread death excluded within the recovery bound ([`soak_timeouts`]),
+//! and no live core stuck excluded past that same bound (a healthy
+//! excluded core rejoins on its very next tick).
 //!
 //! [`SweepGuard`]: latr_core::rt::SweepGuard
 //! [`FrontierWatchdog`]: latr_core::rt::FrontierWatchdog
@@ -36,107 +34,110 @@ use std::time::{Duration, Instant};
 
 use latr_faults::{ThreadFaultInjector, ThreadFaultPlan};
 
-use crate::report::{percentile, rows, Object};
+use crate::bench::Report;
+use crate::report::{each, percentile, row, Object, Rows};
 use crate::rt_loop::{run_window, Rig, ThreadStats, GRACE};
 
 /// Monitor (watchdog scan) cadence.
 const MONITOR_PERIOD: Duration = Duration::from_millis(25);
 
+/// Soaks every thread count.
+pub(crate) fn run(quick: bool) -> Report {
+    let points = each(
+        soak_threads(quick),
+        |&threads| {
+            let seed = 0xA5_0AC + threads as u64;
+            run_soak_point(threads, soak_duration(quick), soak_plan(threads), seed)
+        },
+        point_row,
+    );
+    let why = "canary trip, unrecovered thread death, or stuck exclusion";
+    Report::new(soak_json(&points, quick), soak_passed(&points), why)
+}
+
 /// One thread-count soak measurement.
 #[derive(Clone, Debug, Default)]
-pub struct SoakPoint {
+struct SoakPoint {
     /// Engine label (always `sharded`, so rows pair with earlier files).
-    pub engine: &'static str,
+    engine: &'static str,
     /// Real OS threads driven.
-    pub threads: usize,
+    threads: usize,
     /// Wall-clock nanoseconds for the measured window.
-    pub wall_ns: u128,
+    wall_ns: u128,
     /// Lookups + unmaps completed across all threads.
-    pub ops: u64,
+    ops: u64,
     /// Loop rounds completed across all threads.
-    pub rounds: u64,
+    rounds: u64,
     /// Unmap rounds completed.
-    pub unmaps: u64,
+    unmaps: u64,
     /// Items the reclaimer handed back.
-    pub collected: u64,
+    collected: u64,
     /// Publishes refused on a full queue (from the registry snapshot).
-    pub overflows: u64,
+    overflows: u64,
     /// `overflows / (overflows + states_saved)`.
-    pub overflow_rate: f64,
+    overflow_rate: f64,
     /// Median sampled reclaim lag (ticks past due at collection).
-    pub reclaim_lag_p50: u64,
+    reclaim_lag_p50: u64,
     /// 99th-percentile sampled reclaim lag.
-    pub reclaim_lag_p99: u64,
+    reclaim_lag_p99: u64,
     /// Maximum sampled reclaim lag.
-    pub reclaim_lag_max: u64,
+    reclaim_lag_max: u64,
     /// Whether every sampled collect passed the ground-truth due check.
-    pub canary_ok: bool,
+    canary_ok: bool,
     /// Scheduled deaths that actually fired during the window.
-    pub deaths_fired: usize,
+    deaths_fired: usize,
     /// Fired deaths whose core the runtime excluded.
-    pub deaths_recovered: usize,
+    deaths_recovered: usize,
     /// Worst death-to-exclusion latency, in milliseconds.
-    pub max_recovery_ms: f64,
+    max_recovery_ms: f64,
     /// The bound `max_recovery_ms` is held to.
-    pub recovery_bound_ms: f64,
+    recovery_bound_ms: f64,
     /// Watchdog exclusions of stalled (not dead) cores.
-    pub stall_exclusions: u64,
+    stall_exclusions: u64,
     /// Panic-fence poisons (should cover exactly the panic deaths).
-    pub panic_poisons: u64,
+    panic_poisons: u64,
     /// Excluded cores that flushed and rejoined — every one of these is
     /// a recovered frontier stall.
-    pub frontier_stall_recoveries: u64,
+    frontier_stall_recoveries: u64,
     /// Undelivered states reaped from dead cores' queue slots.
-    pub reaped_states: u64,
+    reaped_states: u64,
     /// Live (non-dead) cores that stayed excluded past the recovery
     /// bound without rejoining — a genuine stuck frontier stall, as
     /// observed by the monitor during the window (teardown-time
     /// exclusions of already-exited workers never count).
-    pub unrecovered_stalls: usize,
+    unrecovered_stalls: usize,
 }
 
 /// The thread counts a soak run drives.
-pub fn soak_threads(quick: bool) -> Vec<usize> {
+fn soak_threads(quick: bool) -> &'static [usize] {
     if quick {
-        vec![16]
+        &[16]
     } else {
-        vec![16, 64, 120]
+        &[16, 64, 120]
     }
 }
 
 /// The soak window per shape.
-pub fn soak_duration(quick: bool) -> Duration {
-    if quick {
-        Duration::from_secs(4)
-    } else {
-        Duration::from_secs(20)
-    }
+fn soak_duration(quick: bool) -> Duration {
+    Duration::from_secs(if quick { 4 } else { 20 })
 }
 
-/// Watchdog timeout for a shape: oversubscribed shapes get a longer
-/// leash, since on a small host a perfectly healthy thread can go
-/// unscheduled for hundreds of milliseconds.
-pub fn soak_watchdog_timeout(threads: usize) -> Duration {
-    if threads > 64 {
-        Duration::from_secs(1)
-    } else {
-        Duration::from_millis(500)
-    }
-}
-
-/// The recovery bound a fired death is held to: twice the watchdog
-/// timeout (ageing past the timeout, plus one full monitor scan of
-/// slack) plus a large constant for scheduling noise on oversubscribed
-/// hosts.
-pub fn soak_recovery_bound(threads: usize) -> Duration {
-    soak_watchdog_timeout(threads) * 2 + Duration::from_secs(5)
+/// A shape's watchdog timeout, and the recovery bound a fired death is
+/// held to. Oversubscribed shapes get a longer leash, since on a small
+/// host a perfectly healthy thread can go unscheduled for hundreds of
+/// milliseconds. The bound is twice the timeout (ageing past the
+/// timeout, plus one full monitor scan of slack) plus a large constant
+/// for scheduling noise on oversubscribed hosts.
+fn soak_timeouts(threads: usize) -> (Duration, Duration) {
+    let watchdog = Duration::from_millis(if threads > 64 { 1000 } else { 500 });
+    (watchdog, watchdog * 2 + Duration::from_secs(5))
 }
 
 /// The default fault plan for a shape: background stalls, wakeup drops
 /// and announce suppression on every thread, plus (when the shape has
 /// threads to spare) one panic death and one silent death early in the
 /// run.
-pub fn soak_plan(threads: usize) -> ThreadFaultPlan {
+fn soak_plan(threads: usize) -> ThreadFaultPlan {
     let mut plan = ThreadFaultPlan::default()
         .with_stalls(0.002, 200)
         .with_wakeup_drops(0.01)
@@ -153,14 +154,14 @@ pub fn soak_plan(threads: usize) -> ThreadFaultPlan {
 
 /// Runs one thread-count soak point for `duration` under `plan`,
 /// seeded with `seed`.
-pub fn run_soak_point(
+fn run_soak_point(
     threads: usize,
     duration: Duration,
     plan: ThreadFaultPlan,
     seed: u64,
 ) -> SoakPoint {
-    let recovery_bound = soak_recovery_bound(threads);
-    let rig = Rig::new(threads, Some(soak_watchdog_timeout(threads)));
+    let (watchdog, recovery_bound) = soak_timeouts(threads);
+    let rig = Rig::new(threads, Some(watchdog));
     let registry = &rig.registry;
     let injector = ThreadFaultInjector::new(plan.clone(), seed);
     let dead: Vec<usize> = plan
@@ -328,7 +329,7 @@ pub fn run_soak_point(
 
 /// Whether every point survived: no canary trip, every fired death
 /// recovered within its bound, no live core stuck excluded past it.
-pub fn soak_passed(points: &[SoakPoint]) -> bool {
+fn soak_passed(points: &[SoakPoint]) -> bool {
     points.iter().all(|p| {
         p.canary_ok
             && p.unrecovered_stalls == 0
@@ -337,23 +338,24 @@ pub fn soak_passed(points: &[SoakPoint]) -> bool {
     })
 }
 
-/// Renders the measurement set as the `BENCH_soak.json` document.
-pub fn soak_json(points: &[SoakPoint], quick: bool) -> String {
+/// One point's row of the document.
+fn point_row(p: &SoakPoint) -> Object {
+    row!(p; engine, threads, wall_ns, ops, rounds, unmaps, collected, overflows,
+            overflow_rate: 4, reclaim_lag_p50, reclaim_lag_p99, reclaim_lag_max, canary_ok,
+            deaths_fired, deaths_recovered, max_recovery_ms: 1, recovery_bound_ms: 1,
+            stall_exclusions, panic_poisons, frontier_stall_recoveries, reaped_states,
+            unrecovered_stalls)
+}
+
+/// The measurement set as the `BENCH_soak.json` document.
+fn soak_json(points: &[SoakPoint], quick: bool) -> Object {
     Object::new()
         .field("bench", "soak")
         .field("workload", "munmap-heavy soft-tlb loop under thread faults")
         .field("quick", quick)
         .field("grace_ticks", GRACE)
-        .field(
-            "points",
-            rows!(points; engine, threads, wall_ns, ops, rounds, unmaps, collected, overflows,
-                          overflow_rate: 4, reclaim_lag_p50, reclaim_lag_p99, reclaim_lag_max,
-                          canary_ok, deaths_fired, deaths_recovered, max_recovery_ms: 1,
-                          recovery_bound_ms: 1, stall_exclusions, panic_poisons,
-                          frontier_stall_recoveries, reaped_states, unrecovered_stalls),
-        )
+        .field("points", Rows::of(points, point_row))
         .field("soak_passed", soak_passed(points))
-        .render()
 }
 
 #[cfg(test)]
@@ -373,17 +375,18 @@ mod tests {
     #[test]
     fn pass_criteria_cover_each_failure_mode() {
         assert!(soak_passed(&[point(true, 0, 2, 2)]));
-        assert!(soak_json(&[point(true, 0, 2, 2)], true).contains("\"soak_passed\": true"));
+        let json = |p| soak_json(&[p], true).render();
+        assert!(json(point(true, 0, 2, 2)).contains("\"soak_passed\": true"));
         assert!(!soak_passed(&[point(false, 0, 2, 2)])); // canary
         assert!(!soak_passed(&[point(true, 1, 2, 2)])); // stuck stall
         assert!(!soak_passed(&[point(true, 0, 2, 1)])); // lost death
-        assert!(soak_json(&[point(false, 0, 2, 2)], true).contains("\"soak_passed\": false"));
+        assert!(json(point(false, 0, 2, 2)).contains("\"soak_passed\": false"));
     }
 
     #[test]
     fn default_plans_validate_at_every_shape() {
         for quick in [true, false] {
-            for threads in soak_threads(quick) {
+            for &threads in soak_threads(quick) {
                 assert_eq!(soak_plan(threads).validate(), Ok(()));
             }
         }

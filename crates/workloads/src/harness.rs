@@ -67,6 +67,10 @@ pub struct ExperimentResult {
     pub ipis_sent: u64,
     /// Latr fallback shootdown rounds (0 for other policies).
     pub latr_fallbacks: u64,
+    /// The coherence oracle's verdict: `None` when the oracle was off,
+    /// `Some(Ok(()))` when the run ended clean, otherwise the first
+    /// violation it drew.
+    pub oracle: Option<Result<(), String>>,
 }
 
 /// Runs `workload` on a fresh machine under `policy` for `duration`
@@ -79,6 +83,7 @@ pub fn run_experiment(
 ) -> (ExperimentResult, Machine) {
     // Make runs comparable across policies: identical seed and topology.
     config.seed ^= 0x5eed;
+    let oracle = config.oracle;
     let mut machine = Machine::new(config);
     let start = machine.now();
     machine.run(workload, policy.build(), duration);
@@ -106,6 +111,11 @@ pub fn run_experiment(
         llc_miss_ratio: machine.llc.stats().miss_ratio(),
         ipis_sent: machine.stats.counter(metrics::IPIS_SENT),
         latr_fallbacks: machine.stats.counter(metrics::LATR_FALLBACK_IPIS),
+        oracle: oracle.then(|| {
+            machine
+                .oracle_violation()
+                .map_or(Ok(()), |v| Err(v.to_string()))
+        }),
     };
     (result, machine)
 }
@@ -136,6 +146,19 @@ mod tests {
         assert_eq!(res.work_units, 5);
         assert!(res.throughput > 0.0);
         assert!(res.munmap_ns.is_some());
+        assert_eq!(
+            res.oracle,
+            Some(Ok(())),
+            "MachineConfig::new keeps the oracle on"
+        );
         assert_eq!(machine.check_reclamation_invariant(), None);
+
+        let unchecked = MachineConfig {
+            oracle: false,
+            ..MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C))
+        };
+        let wl = crate::MunmapMicrobench::new(2, 1, 5);
+        let (res, _) = run_experiment(unchecked, PolicyKind::Linux, Box::new(wl), latr_sim::SECOND);
+        assert_eq!(res.oracle, None, "an oracle-off run has no verdict");
     }
 }

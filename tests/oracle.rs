@@ -200,3 +200,26 @@ fn gate_alone_keeps_the_zero_grace_window_safe_and_is_counted() {
         "no watchdog may have helped: this run proves the gate alone"
     );
 }
+
+#[test]
+fn run_experiment_carries_the_first_violation() {
+    let broken = LatrConfig {
+        reclaim_ticks: 0,
+        ..LatrConfig::default()
+    }
+    .without_degradation();
+    let (res, _) = latr_workloads::run_experiment(
+        MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
+        PolicyKind::Latr(broken),
+        Box::new(WindowRace::new()),
+        SECOND,
+    );
+    let violation = res
+        .oracle
+        .expect("MachineConfig::new keeps the oracle on")
+        .expect_err("the verdict carries the race the oracle caught");
+    assert!(
+        violation.contains("frame freed while cached"),
+        "{violation}"
+    );
+}

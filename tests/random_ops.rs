@@ -11,7 +11,7 @@
 use latr_arch::{CpuId, MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_kernel::{Machine, MachineConfig, Op, TaskId, Workload};
-use latr_mem::{Prot, VaRange};
+use latr_mem::{MmId, Prot, VaRange};
 use latr_sim::{SimRng, SECOND};
 use latr_workloads::PolicyKind;
 use proptest::prelude::*;
@@ -22,6 +22,9 @@ struct RandomOps {
     ops_per_task: u32,
     rng: SimRng,
     issued: Vec<u32>,
+    /// Each task's address space.
+    mm_of: Vec<MmId>,
+    /// The ranges each task mapped and has not unmapped.
     live: Vec<Vec<VaRange>>,
 }
 
@@ -32,6 +35,7 @@ impl RandomOps {
             ops_per_task,
             rng: SimRng::new(seed),
             issued: vec![0; cores],
+            mm_of: Vec::with_capacity(cores),
             live: vec![Vec::new(); cores],
         }
     }
@@ -46,6 +50,7 @@ impl Workload for RandomOps {
         for c in 0..self.cores {
             let mm = if c % 3 == 2 { mm_b } else { mm_a };
             machine.spawn_task(mm, CpuId(c as u16));
+            self.mm_of.push(mm);
         }
     }
 
@@ -57,13 +62,20 @@ impl Workload for RandomOps {
         self.issued[i] += 1;
         let _ = machine;
         let roll = self.rng.below(100);
+        // Accesses reach every range mapped in the task's mm, not only its
+        // own: remote TLBs then cache pages that their owner later unmaps,
+        // which every shootdown and sweep must reach.
+        let shared: Vec<VaRange> = (0..self.cores)
+            .filter(|&j| self.mm_of[j] == self.mm_of[i])
+            .flat_map(|j| self.live[j].iter().copied())
+            .collect();
         let live = &mut self.live[i];
         match roll {
             0..=24 => Op::MmapAnon {
                 pages: self.rng.range(1, 40),
             },
-            25..=54 if !live.is_empty() => {
-                let r = live[self.rng.index(live.len())];
+            25..=54 if !shared.is_empty() => {
+                let r = shared[self.rng.index(shared.len())];
                 let page = r.start.0 + self.rng.below(r.pages);
                 Op::Access {
                     vpn: latr_mem::Vpn(page),
