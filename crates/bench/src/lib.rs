@@ -4,7 +4,7 @@
 //! own benches on the simulated machines and real threads; criterion
 //! microbenches sit beside them. Each binary runs one table of named
 //! entries: [`paper`]'s experiments print the paper's tables and figures,
-//! [`bench`]'s benches each write one committed `BENCH_<name>.json`.
+//! [`bench`](mod@bench)'s benches each write one committed `BENCH_<name>.json`.
 //!
 //! | Binary | Entries | Output |
 //! |---|---|---|

@@ -47,6 +47,9 @@ pub const REFRESH_TICKS: u64 = 32;
 /// minimum tick.
 #[derive(Debug)]
 pub struct ReclaimFrontier {
+    /// The AcqRel CAS publishes a new frontier and the Acquire load lets
+    /// a collector trust it without re-scanning the ticks (loom:
+    /// `cached_frontier_publishes_what_the_sweepers_did`).
     cached: CachePadded<AtomicU64>,
 }
 
@@ -114,10 +117,13 @@ impl ReclaimFrontier {
 pub struct FrontierWatchdog {
     timeout_ns: u64,
     /// Last-sweep timestamp per core, one cache line each: written by the
-    /// owning sweeper every sweep, read only by watchdog scans.
+    /// owning sweeper every sweep, read only by watchdog scans. The
+    /// Release store pairs with the watchdog's Acquire read, so a stall
+    /// verdict never precedes the sweep it indicts.
     last_sweep_ns: Box<[CachePadded<AtomicU64>]>,
     #[cfg(not(loom))]
     epoch: std::time::Instant,
+    /// The deterministic loom clock, advanced AcqRel.
     #[cfg(loom)]
     clock_ns: CachePadded<AtomicU64>,
 }

@@ -12,6 +12,9 @@ const WORDS: usize = 4; // up to 256 CPUs, same as latr_arch::MAX_CPUS
 /// A 256-bit atomic CPU mask.
 #[derive(Debug, Default)]
 pub struct AtomicCpuMask {
+    /// Word operations take their ordering from the caller; the fixed
+    /// ones are the AcqRel RMWs of set, clear and take and the Acquire
+    /// cross-word scan in `clear`.
     words: [AtomicU64; WORDS],
 }
 

@@ -52,10 +52,20 @@ impl std::error::Error for PublishError {}
 /// One slot: the Latr state of §4.1 with an atomic activation flag.
 #[derive(Debug)]
 struct Slot {
+    /// Payload word, stored and loaded Relaxed: the `active` flip
+    /// publishes it.
     start: AtomicU64,
+    /// Payload word, published by the `active` flip.
     end: AtomicU64,
+    /// Payload word, published by the `active` flip.
     mm: AtomicU64,
+    /// Target mask: stored Relaxed before the `active` flip publishes it;
+    /// sweepers re-test membership with Acquire after observing `active`.
     cpus: AtomicCpuMask,
+    /// The publication flag: the Release store after the payload writes
+    /// publishes them, the sweep's Acquire load receives them, and the
+    /// AcqRel CAS retires the slot exactly once (loom:
+    /// `slot_activation_publishes_the_payload_and_what_preceded_it`).
     active: AtomicBool,
 }
 
@@ -82,7 +92,12 @@ pub struct RtQueue {
     // Head and active counter each own a cache line: the publisher's
     // head bump must not invalidate the line every sweeper polls for the
     // idle-queue fast path (and vice versa).
+    /// Ring cursor, Relaxed: only a probe hint, since each slot's
+    /// `active` flag decides whether it is free.
     head: CachePadded<AtomicUsize>,
+    /// Occupancy count: Release increments and decrements pair with the
+    /// Acquire fast-path load, so an observed zero means every slot is
+    /// visibly idle.
     active: CachePadded<AtomicUsize>,
 }
 
@@ -212,7 +227,8 @@ impl RtQueue {
 
 /// Cold robustness counters. They are bumped only on exclusion events
 /// (rare by construction), so they share one padded line instead of
-/// taking five.
+/// taking five. All but the epoch are Relaxed event counts, read fuzzily
+/// by [`RtRegistry::stats`] and never used to synchronize.
 #[derive(Debug, Default)]
 struct RobustCounters {
     /// Cores excluded by the frontier watchdog (stall detection).
@@ -226,7 +242,9 @@ struct RobustCounters {
     /// Exclusion *epoch*: bumped on every exclusion AND every rejoin, so
     /// an unchanged value brackets a window with a stable live set (the
     /// soak canary compares epochs to know its ground-truth recheck is
-    /// race-free).
+    /// race-free). AcqRel bumps and Acquire reads order a canary's
+    /// observation of the mask and counters after the event that bumped
+    /// it.
     exclusion_events: AtomicU64,
 }
 
@@ -318,19 +336,28 @@ pub struct RtRegistry {
     ///
     /// Each row is cache-line-padded: a publisher flagging core A's row
     /// must not ping-pong the line core B drains every tick.
+    ///
+    /// Rows change only through the mask's AcqRel `set_bit` and
+    /// `take_words`, so a sweeper that takes a bit sees the activation
+    /// the publisher made before setting it (loom:
+    /// `pending_bitmap_publish_and_drain_race_loses_nothing`).
     pending: Box<[CachePadded<AtomicCpuMask>]>,
     /// CPUs `0..cores` as mask words: publish targets are clipped to it,
     /// since no sweep would ever clear a bit at or above `cores`.
     core_words: [u64; 4],
     /// Per-core tick counters, one cache line each — the hottest state in
     /// the registry (bumped on every sweep, scanned by the frontier).
+    /// A sweep announces itself with a Release bump and frontier scans
+    /// load ticks Acquire, so a collector that sees a tick pass a due
+    /// sees the sweep behind it (loom:
+    /// `tick_announce_publishes_what_the_sweeper_did`).
     ticks: Box<[CachePadded<AtomicU64>]>,
     /// Cached lower bound of [`min_tick`](Self::min_tick), advanced by
     /// sweepers (see [`ReclaimFrontier`]).
     frontier: ReclaimFrontier,
     /// Per-core publish counters (indexed by the publishing core, summed
     /// on read) so the single shared `fetch_add` line disappears from the
-    /// publish path.
+    /// publish path. Relaxed statistics, never used to synchronize.
     saved: Box<[CachePadded<AtomicU64>]>,
     /// Per-core overflow counters, same layout as `saved`.
     overflows: Box<[CachePadded<AtomicU64>]>,
@@ -338,10 +365,16 @@ pub struct RtRegistry {
     /// A set bit means the core's tick no longer gates reclamation and
     /// its queue bits are reaped; the owner must flush its local cache
     /// and [`rejoin`](Self::rejoin) before sweeping normally again.
+    ///
+    /// Updated with AcqRel RMWs under `transition` and read Acquire, so a
+    /// scan that sees a rejoined core's bit clear also sees its
+    /// fast-forwarded tick (loom:
+    /// `exclusion_mask_publishes_the_rejoin_fast_forward`).
     excluded: CachePadded<AtomicCpuMask>,
     /// Fast-path mirror of `excluded.count()`: publishers check one
     /// relaxed load of this (a line that is never written in healthy
-    /// runs) before paying the mask filter.
+    /// runs) before paying the mask filter; a stale zero only skips that
+    /// filter. Updated AcqRel beside the mask.
     excluded_count: CachePadded<AtomicUsize>,
     /// Real-time stall detector, present only when constructed via
     /// [`with_watchdog`](Self::with_watchdog). `None` keeps the fault-free
@@ -354,7 +387,9 @@ pub struct RtRegistry {
     /// frontier over a live core — the one way "leak, never corrupt"
     /// could turn into corruption. Scans take it with `try_lock` (skip
     /// on contention, the forced refresh retries), so the healthy sweep
-    /// path never blocks; transitions are rare and may.
+    /// path never blocks; transitions are rare and may
+    /// (`sweep_never_blocks_behind_a_held_transition_lock` holds the lock
+    /// across a sweep).
     transition: Mutex<()>,
     robust: CachePadded<RobustCounters>,
 }
@@ -473,9 +508,9 @@ impl RtRegistry {
     /// # Errors
     ///
     /// Returns [`PublishError`] on queue overflow.
-    // Hot-path root: the publish every unmap takes (`publish` and
-    // `publish_broadcast` funnel here).
-    #[latr::hot_path]
+    // Hot path: the publish every unmap takes (`publish` and
+    // `publish_broadcast` funnel here). `tests/zero_alloc.rs` checks that
+    // it allocates nothing, overflow and excluded targets included.
     pub fn publish_wide(
         &self,
         core: usize,
@@ -553,7 +588,7 @@ impl RtRegistry {
     /// slots, so every state naming `core` is covered by a bit; a
     /// stale-set bit just costs one empty queue scan. Bits set
     /// concurrently with the drain survive into the next sweep.
-    #[latr::hot_path]
+    // Hot path, allocation-free (`tests/zero_alloc.rs`).
     pub fn sweep_into(&self, core: usize, out: &mut Vec<RtInvalidation>) {
         self.sweep_inner(core, out, true);
     }
@@ -657,7 +692,7 @@ impl RtRegistry {
     /// advancement path uses the exact live scan under the transition
     /// lock instead ([`advance_frontier`](Self::advance_frontier)), so
     /// dead cores still stop gating reclamation.
-    #[latr::hot_path]
+    // Hot path, allocation-free (`tests/zero_alloc.rs`).
     pub fn min_live_tick(&self) -> u64 {
         if self.excluded_count.load(Ordering::Relaxed) == 0 {
             return self.min_tick();
@@ -1248,6 +1283,33 @@ mod tests {
         // without an overflow even though the queue *was* full.
         assert!(r.publish(0, inv(3), 0b010).is_ok());
         assert_eq!(r.overflows(), 0);
+    }
+
+    #[test]
+    fn sweep_never_blocks_behind_a_held_transition_lock() {
+        // With a core excluded, the frontier refresh a sweep triggers
+        // runs under the transition lock. An exclude or rejoin holding it
+        // (here: for as long as the test likes) must not stall the sweep.
+        let r = Arc::new(RtRegistry::new(2, 4));
+        assert!(r.exclude_core(1));
+        let held = r.transition.lock();
+        let (done, swept) = std::sync::mpsc::channel();
+        let sweeper = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || {
+                for _ in 0..REFRESH_TICKS {
+                    r.sweep(0);
+                }
+                done.send(()).expect("test waits for the sweeps");
+            })
+        };
+        let returned = swept.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        sweeper.join().unwrap();
+        assert!(
+            returned.is_ok(),
+            "a sweep blocked behind the held transition lock"
+        );
     }
 
     #[test]

@@ -61,6 +61,8 @@ use std::collections::VecDeque;
 pub struct RtReclaimer<T> {
     /// Grace in sweep cycles.
     grace: u64,
+    /// The reference engine's single queue; held briefly and never
+    /// nested with another rt lock.
     pending: Mutex<VecDeque<(u64, T)>>,
 }
 
@@ -164,6 +166,8 @@ type Shard<T> = VecDeque<(u64, T)>;
 pub struct ShardedReclaimer<T> {
     /// Grace in sweep cycles.
     grace: u64,
+    /// Per-core FIFOs of parked items, each held briefly and never
+    /// nested with another rt lock.
     shards: Box<[CachePadded<Mutex<Shard<T>>>]>,
 }
 

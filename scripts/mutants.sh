@@ -7,7 +7,9 @@
 # edits to them) into a scratch directory once, then for each patch:
 # applies it, runs only the named test, and reverts it. It fails if a
 # patch no longer applies, if a patch names no test, or if the named
-# test passes (the mutant survived).
+# test passes (the mutant survived). A kill line that needs the loom
+# model builds with it through `cargo test --config
+# 'build.rustflags=["--cfg","loom"]' ...`.
 #
 # Usage: scripts/mutants.sh [scratch-dir]
 # The scratch directory (default: a fresh temporary one) keeps the copy

@@ -60,7 +60,7 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/san-$SAN"
 export CARGO_TARGET_DIR RUSTFLAGS
 
 echo "RUSTFLAGS=$RUSTFLAGS" >&2
-# The rt unit tests are where every atomic in PROTOCOL.toml is
-# exercised; --target (see above) scopes RUSTFLAGS to target code.
+# The rt unit tests are where every rt atomic and lock is exercised
+# under real threads; --target (see above) scopes RUSTFLAGS to target code.
 # shellcheck disable=SC2086  # BUILD_STD intentionally word-splits away when empty
 exec cargo +nightly test -p latr-core --lib $BUILD_STD --target "$HOST" -- rt::

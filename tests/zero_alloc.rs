@@ -355,3 +355,74 @@ fn traced_runs_allocate_nothing_per_event() {
         10_000,
     );
 }
+
+/// The rt runtime's hot path in steady state: `publish_wide` (once with
+/// an excluded core in its mask, and once more on a full queue so it
+/// returns `PublishError`), `sweep_into`, `min_live_tick` on the masked
+/// path an exclusion forces, and `SoftTlb` ticks applying point
+/// invalidations. Once the scratch buffers and maps have reached their
+/// working size, a round allocates nothing.
+#[test]
+fn rt_hot_path_allocates_nothing_in_steady_state() {
+    use latr_core::rt::{PublishError, RtInvalidation, RtRegistry, SoftTlb, SoftTlbTable};
+    use std::sync::Arc;
+
+    const SLOTS: usize = 4;
+    let registry = Arc::new(RtRegistry::new(4, SLOTS));
+    // Core 3 is dead: publishes drop its bit and the live frontier scan
+    // takes the masked path.
+    assert!(registry.exclude_core(3));
+    let table = Arc::new(SoftTlbTable::new(Arc::clone(&registry)));
+    let mut tlbs: Vec<SoftTlb> = (0..3)
+        .map(|c| SoftTlb::new(c, Arc::clone(&table)))
+        .collect();
+    for key in 0..8 {
+        table.map_key(key, key);
+    }
+    let mut out = Vec::new();
+    let mut round = |r: u64| {
+        // Core 0 fills its queue for cores 1-3 and overflows once.
+        for i in 0..=SLOTS as u64 {
+            let inv = RtInvalidation {
+                mm: r,
+                start: i << 12,
+                end: (i + 1) << 12,
+            };
+            let published = registry.publish_wide(0, inv, [0b1110, 0, 0, 0]);
+            assert_eq!(published.err(), (i == SLOTS as u64).then_some(PublishError));
+        }
+        // Core 1 lazily unmaps a key cores 0 and 2 cached.
+        let key = r % 8;
+        tlbs[0].lookup(key);
+        tlbs[2].lookup(key);
+        table
+            .unmap_lazy(1, key)
+            .expect("core 1's queue drains every round");
+        table.map_key(key, key);
+        out.clear();
+        registry.sweep_into(2, &mut out);
+        for tlb in &mut tlbs {
+            tlb.tick();
+        }
+        registry.min_live_tick()
+    };
+    for r in 0..100 {
+        round(r);
+    }
+    let before = allocations();
+    let overflows = registry.overflows();
+    for r in 100..1_100 {
+        round(r);
+    }
+    let allocated = allocations() - before;
+    assert_eq!(
+        registry.overflows() - overflows,
+        1_000,
+        "every round overflows once"
+    );
+    assert!(registry.is_excluded(3));
+    assert_eq!(
+        allocated, 0,
+        "1,000 steady-state rt rounds allocated {allocated} times"
+    );
+}
