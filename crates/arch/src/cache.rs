@@ -55,7 +55,8 @@ pub struct LlcModel {
     /// LLC lines an IPI interrupt handler touches (code + stack + APIC
     /// bookkeeping) on the interrupted core.
     pub interrupt_lines: u64,
-    /// Fraction of handler lines that miss and evict useful data.
+    /// Fraction of handler lines that miss and evict useful data, within
+    /// `[0, 1]`.
     pub interrupt_miss_fraction: f64,
     /// Extra application misses caused by each interrupt's evictions.
     pub interrupt_pollution_misses: u64,
@@ -64,7 +65,8 @@ pub struct LlcModel {
     /// Lines touched when sweeping one remote core's queue.
     pub latr_sweep_lines: u64,
     /// Fraction of Latr state lines that miss (cross-socket coherence
-    /// reads); the states total < 1.3 % of the LLC so most stay resident.
+    /// reads), within `[0, 1]`; the states total < 1.3 % of the LLC so
+    /// most stay resident.
     pub latr_miss_fraction: f64,
 }
 
@@ -92,22 +94,29 @@ impl LlcModel {
         }
     }
 
+    /// Adds `accesses` at `miss_ratio` and moves the whole misses out of
+    /// the carry. Every ratio is within `[0, 1]`, so the carry is never
+    /// negative and truncating it to an integer is its floor — without
+    /// `f64::floor`, a library call on x86-64 without SSE4.1.
+    #[inline]
     fn charge(&mut self, accesses: u64, miss_ratio: f64) {
         self.stats.accesses += accesses;
         self.fractional_misses += accesses as f64 * miss_ratio;
-        let whole = self.fractional_misses.floor();
-        self.stats.misses += whole as u64;
-        self.fractional_misses -= whole;
+        let whole = self.fractional_misses as u64;
+        self.stats.misses += whole;
+        self.fractional_misses -= whole as f64;
     }
 
     /// Charges `n` ordinary application LLC accesses at the baseline miss
     /// ratio.
+    #[inline]
     pub fn charge_app_accesses(&mut self, n: u64) {
         self.charge(n, self.base_miss_ratio);
     }
 
     /// Charges one IPI interrupt on a core: the handler's own accesses plus
     /// the application misses its evictions cause afterwards.
+    #[inline]
     pub fn charge_interrupt(&mut self) {
         self.charge(self.interrupt_lines, self.interrupt_miss_fraction);
         // Pollution: application lines the handler evicted will miss when
@@ -118,11 +127,13 @@ impl LlcModel {
     }
 
     /// Charges one Latr state save.
+    #[inline]
     pub fn charge_latr_save(&mut self) {
         self.charge(self.latr_save_lines, self.latr_miss_fraction);
     }
 
     /// Charges one Latr sweep over `cores` remote queues.
+    #[inline]
     pub fn charge_latr_sweep(&mut self, cores: u64) {
         self.charge(self.latr_sweep_lines * cores, self.latr_miss_fraction);
     }
@@ -147,6 +158,48 @@ impl LlcModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The carry as it was written before the truncating form: the
+    /// executable spec of [`LlcModel::charge`].
+    fn charge_with_floor(stats: &mut CacheStats, carry: &mut f64, accesses: u64, miss_ratio: f64) {
+        stats.accesses += accesses;
+        *carry += accesses as f64 * miss_ratio;
+        let whole = carry.floor();
+        stats.misses += whole as u64;
+        *carry -= whole;
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random charge sequences, from single accesses to 2^40 of them
+        /// at ratios across `[0, 1]` (both ends included): the truncating
+        /// carry leaves the same statistics and the same carry bits as
+        /// the floor after every charge.
+        #[test]
+        fn the_carry_matches_the_floor_form(
+            charges in prop::collection::vec(
+                (0u8..4, 0u64..1 << 40, 0u64..64, 0.0f64..1.0),
+                0..200,
+            ),
+        ) {
+            let mut llc = LlcModel::new(0.05);
+            let (mut stats, mut carry) = (CacheStats::default(), 0.0f64);
+            for (n, &(shape, large, small, ratio)) in charges.iter().enumerate() {
+                let (accesses, ratio) = match shape {
+                    0 => (large, ratio),
+                    1 => (small, ratio),
+                    2 => (small, if small % 2 == 0 { 0.0 } else { 1.0 }),
+                    _ => (small, ratio * 1e-3),
+                };
+                llc.charge(accesses, ratio);
+                charge_with_floor(&mut stats, &mut carry, accesses, ratio);
+                prop_assert_eq!(llc.stats(), stats, "charge {}", n);
+                prop_assert_eq!(llc.fractional_misses.to_bits(), carry.to_bits(), "charge {}", n);
+            }
+        }
+    }
 
     #[test]
     fn baseline_ratio_is_reproduced() {

@@ -197,6 +197,7 @@ impl CostModel {
 
     /// Local TLB invalidation cost for `pages` pages, applying the
     /// full-flush threshold exactly as Linux does.
+    #[inline]
     pub fn local_invalidation(&self, pages: u32) -> Nanos {
         if pages > self.full_flush_threshold {
             self.full_flush

@@ -256,8 +256,16 @@ impl<const WAYS: usize> SetAssoc<WAYS> {
         displaced
     }
 
-    fn invalidate(&mut self, pcid: u16, vpn: u64) -> bool {
-        let Some((set, way)) = self.probe(pcid, vpn) else {
+    /// Drops the translation of `(pcid, vpn)`, if cached. Unlike
+    /// [`probe`](Self::probe) it does not test `count(pcid)`: the page-list
+    /// caller tests that once per list.
+    #[inline]
+    fn remove(&mut self, pcid: u16, vpn: u64) -> bool {
+        if vpn > VPN_MAX {
+            return false;
+        }
+        let set = self.set_of(vpn);
+        let Some(way) = self.find(set, key(pcid, vpn)) else {
             return false;
         };
         self.valid[set] &= !(1 << way);
@@ -366,6 +374,7 @@ impl Tlb {
     /// Looks up a translation, promoting L2 hits into L1 and updating
     /// hit/miss statistics. Returns `None` on a full miss (the caller walks
     /// the page table and calls [`insert`](Self::insert)).
+    #[inline]
     pub fn lookup(&mut self, pcid: u16, vpn: u64) -> Option<TlbEntry> {
         if let Some(e) = self.l1.lookup(pcid, vpn) {
             self.stats.l1_hits += 1;
@@ -386,6 +395,7 @@ impl Tlb {
     /// Checks for a translation without touching LRU state or statistics.
     /// Used by invariant checkers and by ABIS's sharer-set lookup; probes
     /// only the two sets `vpn` can live in, so it is O(associativity).
+    #[inline]
     pub fn peek(&self, pcid: u16, vpn: u64) -> Option<TlbEntry> {
         self.l1.peek(pcid, vpn).or_else(|| self.l2.peek(pcid, vpn))
     }
@@ -396,6 +406,7 @@ impl Tlb {
     ///
     /// Panics if `entry.vpn` needs more than 48 bits or `entry.pfn` more
     /// than 63: the packed slot words would truncate them.
+    #[inline]
     pub fn insert(&mut self, entry: TlbEntry) {
         assert!(
             entry.vpn <= VPN_MAX && entry.pfn <= PFN_MAX,
@@ -410,11 +421,53 @@ impl Tlb {
 
     /// Invalidates one page (`INVLPG`). Returns whether any entry was
     /// present.
+    #[inline]
     pub fn invalidate_page(&mut self, pcid: u16, vpn: u64) -> bool {
-        self.stats.invalidations += 1;
-        let a = self.l1.invalidate(pcid, vpn);
-        let b = self.l2.invalidate(pcid, vpn);
-        a || b
+        self.invalidate_pages(pcid, 1, [vpn]) == 1
+    }
+
+    /// Invalidates a list of `count` pages of `pcid`, one `INVLPG` each,
+    /// and returns how many of them either level cached. The result,
+    /// statistics, contents and recency order are those of invalidating
+    /// the pages one at a time in list order. `pages` must yield exactly
+    /// `count` pages; debug builds check it whenever the list is walked.
+    ///
+    /// A level caching nothing under `pcid` cannot hold any page of the
+    /// list, so the per-PCID counts are tested once per list, and a list
+    /// neither level can hit is not walked at all — the common case for a
+    /// sweeping core that never touched the address space.
+    ///
+    /// ```
+    /// use latr_arch::{Tlb, TlbEntry};
+    /// let mut tlb = Tlb::new(64, 1024);
+    /// tlb.insert(TlbEntry { pcid: 1, vpn: 0x10, pfn: 0x99, writable: true });
+    /// assert_eq!(tlb.invalidate_pages(1, 3, [0x10, 0x11, 0x10]), 1);
+    /// assert_eq!(tlb.invalidate_pages(2, 2, [0x10, 0x11]), 0); // uncached PCID
+    /// assert_eq!(tlb.stats().invalidations, 5);
+    /// ```
+    pub fn invalidate_pages(
+        &mut self,
+        pcid: u16,
+        count: usize,
+        pages: impl IntoIterator<Item = u64>,
+    ) -> usize {
+        self.stats.invalidations += count as u64;
+        let (in_l1, in_l2) = (self.l1.count(pcid) != 0, self.l2.count(pcid) != 0);
+        if !in_l1 && !in_l2 {
+            return 0;
+        }
+        let mut walked = 0;
+        let present = pages
+            .into_iter()
+            .inspect(|_| walked += 1)
+            .filter(|&vpn| {
+                let a = in_l1 && self.l1.remove(pcid, vpn);
+                let b = in_l2 && self.l2.remove(pcid, vpn);
+                a || b
+            })
+            .count();
+        debug_assert_eq!(walked, count, "page list length differs from its count");
+        present
     }
 
     /// Flushes every entry (CR3 write without PCID).
@@ -763,6 +816,102 @@ mod tests {
             let base = if high { VPN_MAX + 1 - spread } else { 0 };
             same_as_reference((l1, l2), track, base, spread, &steps)?;
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `invalidate_pages` against [`Tlb::invalidate_page`] called page
+        /// by page in list order, and against the stamped reference: the
+        /// same return value, statistics and surviving entries after every
+        /// step, and the same recency order in the two packed TLBs.
+        /// Contents carry PCIDs 0..3 and lists name PCIDs 0..4, so some
+        /// lists hit no cached PCID; 96 VPNs make duplicates within a list
+        /// common, and inserts and lookups between lists make the recency
+        /// order pick later victims.
+        #[test]
+        fn page_lists_match_page_by_page(
+            shape in 0usize..SHAPES.len(),
+            steps in prop::collection::vec(
+                (0u8..5, 0u16..4, prop::collection::vec(0u64..96, 0..40)),
+                0..120,
+            ),
+        ) {
+            let (l1, l2) = SHAPES[shape];
+            let mut list = Tlb::new(l1, l2);
+            let mut paged = Tlb::new(l1, l2);
+            let mut spec = reference::Tlb::new(l1, l2);
+            for (n, (op, pcid, pages)) in steps.iter().enumerate() {
+                let at = format!("step {n} of {l1}/{l2}: op {op} pcid {pcid} pages {pages:?}");
+                match op {
+                    0 | 1 => {
+                        for &vpn in pages {
+                            let e = TlbEntry {
+                                pcid: pcid % 3,
+                                vpn,
+                                pfn: vpn + 1000 * u64::from(pcid % 3),
+                                writable: vpn % 2 == 0,
+                            };
+                            list.insert(e);
+                            paged.insert(e);
+                            spec.insert(e);
+                        }
+                    }
+                    2 => {
+                        for &vpn in pages {
+                            let hit = list.lookup(pcid % 3, vpn);
+                            prop_assert_eq!(hit, paged.lookup(pcid % 3, vpn), "{}", at);
+                            prop_assert_eq!(hit, spec.lookup(pcid % 3, vpn), "{}", at);
+                        }
+                    }
+                    _ => {
+                        let got = list.invalidate_pages(*pcid, pages.len(), pages.iter().copied());
+                        let one_by_one = pages
+                            .iter()
+                            .filter(|&&vpn| paged.invalidate_page(*pcid, vpn))
+                            .count();
+                        let by_spec = pages
+                            .iter()
+                            .filter(|&&vpn| spec.invalidate_page(*pcid, vpn))
+                            .count();
+                        prop_assert_eq!(got, one_by_one, "{}", at);
+                        prop_assert_eq!(got, by_spec, "{}", at);
+                    }
+                }
+                prop_assert_eq!(list.stats(), paged.stats(), "{}", at);
+                prop_assert_eq!(list.stats(), spec.stats(), "{}", at);
+                prop_assert!(list.iter_entries().eq(paged.iter_entries()), "{}: entries differ", at);
+                prop_assert!(list.iter_entries().eq(spec.iter_entries()), "{}: entries differ", at);
+                prop_assert_eq!(&list.l1.order, &paged.l1.order, "{}: L1 recency", at);
+                prop_assert_eq!(&list.l2.order, &paged.l2.order, "{}: L2 recency", at);
+            }
+        }
+    }
+
+    /// A page list removes only its own address space's translations: a
+    /// page that another PCID caches survives, and a list under a PCID
+    /// neither level caches removes nothing.
+    #[test]
+    fn a_page_list_spares_other_pcids() {
+        let mut tlb = Tlb::new(64, 1024);
+        let tagged = |pcid: u16, vpn: u64| TlbEntry {
+            pcid,
+            vpn,
+            pfn: 100 * u64::from(pcid) + vpn,
+            writable: false,
+        };
+        tlb.insert(tagged(2, 9));
+        tlb.insert(tagged(1, 9));
+        tlb.insert(tagged(1, 5));
+        tlb.insert(tagged(3, 7));
+        assert_eq!(tlb.invalidate_pages(1, 3, [5, 7, 9]), 2);
+        assert!(tlb.peek(1, 5).is_none() && tlb.peek(1, 9).is_none());
+        assert_eq!(tlb.peek(2, 9), Some(tagged(2, 9)));
+        assert_eq!(tlb.peek(3, 7), Some(tagged(3, 7)));
+        assert_eq!(tlb.invalidate_pages(4, 2, [7, 9]), 0);
+        assert_eq!(tlb.peek(2, 9), Some(tagged(2, 9)));
+        assert_eq!(tlb.peek(3, 7), Some(tagged(3, 7)));
+        assert_eq!(tlb.stats().invalidations, 5);
     }
 
     #[test]

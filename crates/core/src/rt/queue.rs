@@ -681,8 +681,11 @@ impl RtRegistry {
 
     /// The minimum tick across *live* (non-excluded) cores — the frontier
     /// the hardened runtime gates reclamation on. With nothing excluded
-    /// this is exactly [`min_tick`](Self::min_tick) (one relaxed load
-    /// decides, so the healthy path is unchanged). With exclusions, a
+    /// this is exactly [`min_tick`](Self::min_tick): one Acquire load of
+    /// the exclusion count decides, and it pairs with the AcqRel decrement
+    /// in [`rejoin`](Self::rejoin), so a scan that sees the count reach
+    /// zero also sees the rejoined core's fast-forwarded tick. With
+    /// exclusions, a
     /// core observed as excluded contributes the *cached frontier* as its
     /// stand-in tick instead of being skipped: this read is lock-free and
     /// can race a concurrent [`rejoin`](Self::rejoin), and the cached
@@ -694,7 +697,7 @@ impl RtRegistry {
     /// dead cores still stop gating reclamation.
     // Hot path, allocation-free (`tests/zero_alloc.rs`).
     pub fn min_live_tick(&self) -> u64 {
-        if self.excluded_count.load(Ordering::Relaxed) == 0 {
+        if self.excluded_count.load(Ordering::Acquire) == 0 {
             return self.min_tick();
         }
         let floor = self.frontier.get();

@@ -422,6 +422,29 @@ fn cached_frontier_publishes_what_the_sweepers_did() {
     });
 }
 
+/// The exclusion-count edge: [`RtRegistry::rejoin`] fast-forwards the
+/// core's tick to the cached frontier and then decrements the exclusion
+/// count. With no other core excluded, a [`RtRegistry::min_live_tick`]
+/// that reads the count at zero takes the unmasked fast path, so it
+/// must see the fast-forwarded tick through that load alone.
+#[test]
+fn excluded_count_publishes_the_rejoin_fast_forward() {
+    loom::model(|| {
+        let reg = Arc::new(RtRegistry::new(2, 1));
+        reg.full_scan_into(0, &mut Vec::new());
+        reg.full_scan_into(0, &mut Vec::new());
+        assert!(reg.exclude_core(1));
+        assert_eq!(reg.cached_frontier(), 2);
+        let rejoiner = {
+            let reg = Arc::clone(&reg);
+            thread::spawn(move || assert!(reg.rejoin(1)))
+        };
+        let live = reg.min_live_tick();
+        assert!(live >= 2, "live minimum {live} fell below the frontier 2");
+        rejoiner.join().unwrap();
+    });
+}
+
 /// The exclusion-mask edge: [`RtRegistry::rejoin`] fast-forwards the
 /// core's tick to the cached frontier and then clears its exclusion bit.
 /// A live-set scan that sees the bit clear must see the fast-forwarded

@@ -128,10 +128,16 @@ impl MachineConfig {
     /// assert_eq!(config.validate(), Ok(()));
     /// config.costs.sched_tick_period = 0;
     /// assert_eq!(config.validate(), Err(ConfigError::ZeroTickPeriod));
+    /// config.costs.sched_tick_period = 1_000_000;
+    /// config.llc_base_miss_ratio = f64::NAN;
+    /// assert_eq!(config.validate(), Err(ConfigError::MissRatioOutOfRange));
     /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.costs.sched_tick_period == 0 {
             return Err(ConfigError::ZeroTickPeriod);
+        }
+        if !(0.0..=1.0).contains(&self.llc_base_miss_ratio) {
+            return Err(ConfigError::MissRatioOutOfRange);
         }
         let (low, min) = (self.low_watermark_frames, self.min_watermark_frames);
         if min > low {
@@ -148,6 +154,10 @@ pub enum ConfigError {
     /// tick would reschedule itself at the same instant, so a run would
     /// never end.
     ZeroTickPeriod,
+    /// `llc_base_miss_ratio` is NaN or outside `[0, 1]`: no access stream
+    /// misses a negative or above-total share of the time, and the LLC
+    /// model's miss carry is exact only for ratios in range.
+    MissRatioOutOfRange,
     /// The min (reserve floor) watermark sits above the low
     /// (early-warning) one.
     MinWatermarkAboveLow {
@@ -162,6 +172,9 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroTickPeriod => write!(f, "costs.sched_tick_period must be nonzero"),
+            ConfigError::MissRatioOutOfRange => {
+                write!(f, "llc_base_miss_ratio must be within [0, 1]")
+            }
             ConfigError::MinWatermarkAboveLow { low, min } => {
                 write!(f, "min watermark {min} above low watermark {low}")
             }
@@ -409,6 +422,7 @@ impl Machine {
     // ---- accessors --------------------------------------------------------
 
     /// Current simulated time.
+    #[inline]
     pub fn now(&self) -> Time {
         self.queue.now()
     }
@@ -429,6 +443,7 @@ impl Machine {
     }
 
     /// The cost model.
+    #[inline]
     pub fn costs(&self) -> &CostModel {
         &self.costs
     }
@@ -831,6 +846,7 @@ impl Machine {
     }
 
     /// Adds interrupt-style time debt to whatever `cpu` is executing.
+    #[inline]
     pub fn charge_debt(&mut self, cpu: CpuId, ns: Nanos) {
         if self.hot.busy[cpu.index()] {
             self.hot.debt[cpu.index()] += ns;
@@ -903,6 +919,11 @@ mod tests {
     fn validate_accepts_the_defaults() {
         assert_eq!(config().validate(), Ok(()));
         assert_eq!(config().with_watermarks(16, 16).validate(), Ok(()));
+        for ratio in [0.0, 1.0] {
+            let mut config = config();
+            config.llc_base_miss_ratio = ratio;
+            assert_eq!(config.validate(), Ok(()));
+        }
     }
 
     #[test]
@@ -910,6 +931,27 @@ mod tests {
         let mut config = config();
         config.costs.sched_tick_period = 0;
         assert_eq!(config.validate(), Err(ConfigError::ZeroTickPeriod));
+    }
+
+    #[test]
+    fn validate_rejects_a_negative_miss_ratio() {
+        let mut config = config();
+        config.llc_base_miss_ratio = -0.01;
+        assert_eq!(config.validate(), Err(ConfigError::MissRatioOutOfRange));
+    }
+
+    #[test]
+    fn validate_rejects_a_miss_ratio_above_one() {
+        let mut config = config();
+        config.llc_base_miss_ratio = 1.01;
+        assert_eq!(config.validate(), Err(ConfigError::MissRatioOutOfRange));
+    }
+
+    #[test]
+    fn validate_rejects_a_nan_miss_ratio() {
+        let mut config = config();
+        config.llc_base_miss_ratio = f64::NAN;
+        assert_eq!(config.validate(), Err(ConfigError::MissRatioOutOfRange));
     }
 
     #[test]

@@ -40,6 +40,7 @@ impl Machine {
 
     /// Called by the policy when `cpu` sweeps the states covering
     /// `(mm, range)`: its local invalidations are done and its bits clear.
+    #[inline]
     pub fn oracle_note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange) {
         if let Some(o) = self.oracle.as_mut() {
             o.note_sweep(cpu, mm, range, self.queue.now());
@@ -87,7 +88,9 @@ impl Machine {
         hit
     }
 
-    /// Invalidates one page of `cpu`'s TLB (`INVLPG`).
+    /// Invalidates one page of `cpu`'s TLB (`INVLPG`) with no full-flush
+    /// threshold: the single-page sites (a write fault's stale entry, a
+    /// NUMA hint, and the per-page loops of mprotect, dedup and fork).
     pub(super) fn tlb_invalidate(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn) -> bool {
         let any = self.cores[cpu.index()].tlb.invalidate_page(pcid, vpn.0);
         if let Some(o) = self.oracle.as_mut() {
@@ -173,25 +176,38 @@ impl Machine {
     /// `cpu`'s TLB with Linux's full-flush heuristic: above
     /// `full_flush_threshold` pages one full flush replaces the per-page
     /// `INVLPG`s. Every page-list invalidation — the initiator's local
-    /// one, the IPI handler's and the Latr sweep's — goes through here.
-    /// Returns how many entries were present (all `count` under a full
-    /// flush).
-    pub(super) fn invalidate_pages(
+    /// one, the IPI handler's and the Latr sweep's — goes through here,
+    /// as one [`Tlb::invalidate_pages`](latr_arch::Tlb::invalidate_pages)
+    /// call; the oracle then sees one invalidation per page, in list
+    /// order (it never reads the TLB model, so noting them after the
+    /// whole list is noting them page by page). Returns how many entries
+    /// were present (all `count` under a full flush).
+    pub(super) fn invalidate_pages<I>(
         &mut self,
         cpu: CpuId,
         pcid: u16,
         count: usize,
-        pages: impl IntoIterator<Item = Vpn>,
-    ) -> usize {
+        pages: I,
+    ) -> usize
+    where
+        I: IntoIterator<Item = Vpn> + Clone,
+    {
         if count as u32 > self.costs.full_flush_threshold {
             self.tlb_flush_all(cpu);
-            count
-        } else {
-            pages
-                .into_iter()
-                .filter(|&vpn| self.tlb_invalidate(cpu, pcid, vpn))
-                .count()
+            return count;
         }
+        let present = self.cores[cpu.index()].tlb.invalidate_pages(
+            pcid,
+            count,
+            pages.clone().into_iter().map(|vpn| vpn.0),
+        );
+        if let Some(o) = self.oracle.as_mut() {
+            let now = self.queue.now();
+            for vpn in pages {
+                o.note_invalidate(cpu, pcid, vpn, now);
+            }
+        }
+        present
     }
 
     /// Invalidates `pages` of `mm` in `cpu`'s TLB, applying the full-flush
@@ -206,6 +222,7 @@ impl Machine {
     /// of consecutive same-mm hits by the policy's sweep and fed to
     /// [`invalidate_tlb_range_pcid`](Self::invalidate_tlb_range_pcid)
     /// for every state in the run.
+    #[inline]
     pub fn sweep_pcid(&self, mm: MmId) -> u16 {
         self.pcid_of(mm)
     }
@@ -216,6 +233,7 @@ impl Machine {
     /// the same per-page stream, so a grouped sweep is bit-identical to
     /// the one-call-per-state form — it just skips the per-state
     /// `mm → pcid` lookup and the scratch page vector.
+    #[inline]
     pub fn invalidate_tlb_range_pcid(&mut self, cpu: CpuId, pcid: u16, range: VaRange) -> usize {
         self.invalidate_pages(cpu, pcid, range.pages as usize, range.iter())
     }

@@ -161,7 +161,7 @@ impl VaRange {
     }
 
     /// Iterates over the pages of the range in order.
-    pub fn iter(&self) -> impl Iterator<Item = Vpn> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = Vpn> + Clone + '_ {
         (self.start.0..self.end().0).map(Vpn)
     }
 
