@@ -151,15 +151,6 @@ impl CpuMask {
         out
     }
 
-    /// Set-intersection with `other`.
-    pub fn intersect(&self, other: &CpuMask) -> CpuMask {
-        let mut out = *self;
-        for (a, b) in out.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-        out
-    }
-
     /// Bits set in `self` but not in `other`.
     pub fn difference(&self, other: &CpuMask) -> CpuMask {
         let mut out = *self;
@@ -314,7 +305,6 @@ mod tests {
             a.union(&b),
             CpuMask::from_cpus([CpuId(1), CpuId(2), CpuId(3)])
         );
-        assert_eq!(a.intersect(&b), CpuMask::from_cpus([CpuId(2)]));
         assert_eq!(a.difference(&b), CpuMask::from_cpus([CpuId(1)]));
     }
 

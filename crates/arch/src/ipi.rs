@@ -70,14 +70,6 @@ impl IpiFabric {
     pub fn ack_latency(&self, initiator: CpuId, responder: CpuId) -> Nanos {
         self.costs.ack(self.topology.cpu_hops(initiator, responder))
     }
-
-    /// Latency for a plain cache-line write by `writer` to become visible
-    /// to `reader` — how Latr states propagate (§4.1: "the state updates
-    /// are available to all other cores using the cache-coherence
-    /// protocol").
-    pub fn coherence_latency(&self, writer: CpuId, reader: CpuId) -> Nanos {
-        self.costs.ack(self.topology.cpu_hops(writer, reader))
-    }
 }
 
 #[cfg(test)]
@@ -168,15 +160,11 @@ mod tests {
     }
 
     #[test]
-    fn ack_and_coherence_latencies() {
+    fn ack_latencies() {
         let f = fabric(MachinePreset::Commodity2S16C);
         assert_eq!(f.ack_latency(CpuId(0), CpuId(1)), f.costs().ack_same_socket);
         assert_eq!(
             f.ack_latency(CpuId(0), CpuId(9)),
-            f.costs().ack_cross_socket
-        );
-        assert_eq!(
-            f.coherence_latency(CpuId(0), CpuId(9)),
             f.costs().ack_cross_socket
         );
     }

@@ -52,8 +52,6 @@ pub struct Topology {
     cores_per_socket: u16,
     l1_dtlb_entries: u16,
     l2_tlb_entries: u16,
-    ram_gb: u32,
-    llc_mb_per_socket: u32,
 }
 
 impl Topology {
@@ -71,8 +69,6 @@ impl Topology {
             cores_per_socket,
             l1_dtlb_entries: 64,
             l2_tlb_entries: 1024,
-            ram_gb: 128,
-            llc_mb_per_socket: 20,
         }
     }
 
@@ -84,16 +80,12 @@ impl Topology {
                 cores_per_socket: 8,
                 l1_dtlb_entries: 64,
                 l2_tlb_entries: 1024,
-                ram_gb: 128,
-                llc_mb_per_socket: 20,
             },
             MachinePreset::LargeNuma8S120C => Topology {
                 sockets: 8,
                 cores_per_socket: 15,
                 l1_dtlb_entries: 64,
                 l2_tlb_entries: 512,
-                ram_gb: 768,
-                llc_mb_per_socket: 30,
             },
         }
     }
@@ -129,18 +121,6 @@ impl Topology {
         self.l2_tlb_entries
     }
 
-    /// Installed RAM in GiB.
-    #[inline]
-    pub fn ram_gb(&self) -> u32 {
-        self.ram_gb
-    }
-
-    /// Last-level cache size per socket in MiB.
-    #[inline]
-    pub fn llc_mb_per_socket(&self) -> u32 {
-        self.llc_mb_per_socket
-    }
-
     /// The socket a CPU belongs to. CPUs are numbered socket-major:
     /// socket 0 holds CPUs `0..cores_per_socket`, and so on.
     #[inline]
@@ -155,24 +135,11 @@ impl Topology {
         NodeId(self.socket_of(cpu).0)
     }
 
-    /// All CPUs of one socket, lowest first.
-    pub fn cpus_of_socket(&self, socket: SocketId) -> impl Iterator<Item = CpuId> + '_ {
-        let base = socket.0 as usize * self.cores_per_socket as usize;
-        (base..base + self.cores_per_socket as usize).map(|i| CpuId(i as u16))
-    }
-
     /// How many CPUs of `mask` sit on `socket`.
     #[inline]
     pub fn count_on_socket(&self, mask: &CpuMask, socket: SocketId) -> usize {
         let base = socket.0 as usize * self.cores_per_socket as usize;
         mask.count_in(base..base + self.cores_per_socket as usize)
-    }
-
-    /// A mask of the first `n` CPUs, the convention all experiments use for
-    /// "running on n cores".
-    pub fn cpu_mask_first(&self, n: usize) -> CpuMask {
-        assert!(n <= self.num_cpus());
-        CpuMask::first_n(n)
     }
 
     /// Number of QPI hops between two sockets.
@@ -204,12 +171,6 @@ impl Topology {
     pub fn cpu_hops(&self, a: CpuId, b: CpuId) -> u8 {
         self.socket_hops(self.socket_of(a), self.socket_of(b))
     }
-
-    /// Whether two CPUs share a socket (and therefore an LLC).
-    #[inline]
-    pub fn same_socket(&self, a: CpuId, b: CpuId) -> bool {
-        self.socket_of(a) == self.socket_of(b)
-    }
 }
 
 #[cfg(test)]
@@ -223,8 +184,6 @@ mod tests {
         assert_eq!(t.num_sockets(), 2);
         assert_eq!(t.l1_dtlb_entries(), 64);
         assert_eq!(t.l2_tlb_entries(), 1024);
-        assert_eq!(t.ram_gb(), 128);
-        assert_eq!(t.llc_mb_per_socket(), 20);
     }
 
     #[test]
@@ -234,8 +193,6 @@ mod tests {
         assert_eq!(t.num_sockets(), 8);
         assert_eq!(t.num_nodes(), 8);
         assert_eq!(t.l2_tlb_entries(), 512);
-        assert_eq!(t.ram_gb(), 768);
-        assert_eq!(t.llc_mb_per_socket(), 30);
     }
 
     #[test]
@@ -248,19 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn cpus_of_socket_are_contiguous() {
-        let t = Topology::preset(MachinePreset::Commodity2S16C);
-        let cpus: Vec<u16> = t.cpus_of_socket(SocketId(1)).map(|c| c.0).collect();
-        assert_eq!(cpus, (8..16).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn two_socket_hops() {
         let t = Topology::preset(MachinePreset::Commodity2S16C);
         assert_eq!(t.socket_hops(SocketId(0), SocketId(0)), 0);
         assert_eq!(t.socket_hops(SocketId(0), SocketId(1)), 1);
-        assert!(t.same_socket(CpuId(0), CpuId(1)));
-        assert!(!t.same_socket(CpuId(0), CpuId(9)));
     }
 
     #[test]
@@ -317,14 +265,5 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn oversized_topology_panics() {
         let _ = Topology::new(8, 64);
-    }
-
-    #[test]
-    fn cpu_mask_first_prefix() {
-        let t = Topology::preset(MachinePreset::Commodity2S16C);
-        let m = t.cpu_mask_first(12);
-        assert_eq!(m.count(), 12);
-        assert!(m.test(CpuId(11)));
-        assert!(!m.test(CpuId(12)));
     }
 }

@@ -29,8 +29,8 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
+use latr_core::rt::sync::RwLock;
 use latr_core::rt::CachePadded;
-use parking_lot::RwLock;
 
 use crate::bench::Report;
 use crate::report::{each, percentile, row, Float, Object, Rows};

@@ -13,8 +13,8 @@ const WORDS: usize = 4; // up to 256 CPUs, same as latr_arch::MAX_CPUS
 #[derive(Debug, Default)]
 pub struct AtomicCpuMask {
     /// Word operations take their ordering from the caller; the fixed
-    /// ones are the AcqRel RMWs of set, clear and take and the Acquire
-    /// cross-word scan in `clear`.
+    /// ones are the AcqRel RMWs of set and take, and `clear`'s SeqCst
+    /// RMW and cross-word scan.
     words: [AtomicU64; WORDS],
 }
 
@@ -56,16 +56,21 @@ impl AtomicCpuMask {
     /// `fetch_and` is atomic): exactly one clearer sees it. Across words
     /// more than one clearer may observe emptiness — only clears race and
     /// emptiness is stable once reached, so retirement acting on it must
-    /// be idempotent (ours is: a plain `store(false)` of the active flag).
+    /// be idempotent (ours is: a compare-and-swap of the active flag, which
+    /// exactly one observer wins). At least one clearer does observe it:
+    /// the RMW and the scan are SeqCst, so the last two clears of
+    /// different words cannot each miss the other's (with AcqRel and
+    /// Acquire, C11 allows both to read the other word's stale bit and
+    /// nobody retires the state).
     pub fn clear(&self, cpu: usize) -> (bool, bool) {
         let w = cpu / 64;
         let bit = 1u64 << (cpu % 64);
-        let old = self.words[w].fetch_and(!bit, Ordering::AcqRel);
+        let old = self.words[w].fetch_and(!bit, Ordering::SeqCst);
         let was_set = old & bit != 0;
         let mut empty = old & !bit == 0;
         if empty {
             for (i, word) in self.words.iter().enumerate() {
-                if i != w && word.load(Ordering::Acquire) != 0 {
+                if i != w && word.load(Ordering::SeqCst) != 0 {
                     empty = false;
                     break;
                 }

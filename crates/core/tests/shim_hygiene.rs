@@ -1,8 +1,9 @@
 //! Shim hygiene: the rt runtime takes every atomic and lock from
 //! `rt/sync.rs`, so the `--cfg loom` build model-checks all of them. An
-//! rt file that names `std::sync`/`core::sync` atomics or locks, or
-//! `parking_lot`, directly would keep that primitive out of the loom
-//! model without any build noticing.
+//! rt file that names `std::sync`/`core::sync` atomics or locks directly
+//! would keep that primitive out of the loom model without any build
+//! noticing. (No other lock crate is a dependency of latr-core, so the
+//! compiler rejects any other spelling.)
 
 use std::path::Path;
 
@@ -10,13 +11,10 @@ use std::path::Path;
 const SHIMMED: [&str; 6] = ["atomic", "Mutex", "RwLock", "Condvar", "Barrier", "Once"];
 
 /// The shimmed items `line` names through a `std::sync`/`core::sync`
-/// path or a `parking_lot` path, comments excluded.
+/// path, comments excluded.
 fn raw_primitives(line: &str) -> Vec<String> {
     let code = line.split("//").next().unwrap_or("");
     let mut found = Vec::new();
-    if code.contains("parking_lot") {
-        found.push("parking_lot".to_owned());
-    }
     let words = |s: &str| {
         s.split(|c: char| !(c.is_alphanumeric() || c == '_'))
             .filter(|w| !w.is_empty())
@@ -78,7 +76,6 @@ fn the_scan_sees_every_spelling() {
         "use core::sync::atomic::AtomicBool;",
         "use std::sync::{Arc, Mutex};",
         "let m = std::sync::RwLock::new(0);",
-        "use parking_lot::RwLock;",
     ] {
         assert!(!raw_primitives(line).is_empty(), "missed: {line}");
     }

@@ -38,19 +38,9 @@ impl MmLock {
         Self::default()
     }
 
-    /// Whether any holder exists.
-    pub fn is_held(&self) -> bool {
-        self.writer.is_some() || !self.readers.is_empty()
-    }
-
     /// Current writer, if any.
     pub fn writer(&self) -> Option<TaskId> {
         self.writer
-    }
-
-    /// Tasks waiting.
-    pub fn waiters(&self) -> usize {
-        self.queue.len()
     }
 
     /// Attempts to acquire; on failure the task is queued and will be
@@ -153,10 +143,8 @@ mod tests {
         let mut l = MmLock::new();
         assert!(l.acquire(t(1), LockMode::Read));
         assert!(l.acquire(t(2), LockMode::Read));
-        assert!(l.is_held());
         assert_eq!(l.release(t(1)), vec![]);
         assert_eq!(l.release(t(2)), vec![]);
-        assert!(!l.is_held());
         assert!(l.acquire(t(3), LockMode::Write));
         assert_eq!(l.writer(), Some(t(3)));
     }
@@ -167,7 +155,6 @@ mod tests {
         assert!(l.acquire(t(1), LockMode::Write));
         assert!(!l.acquire(t(2), LockMode::Read));
         assert!(!l.acquire(t(3), LockMode::Write));
-        assert_eq!(l.waiters(), 2);
         // Release grants the first waiter (a reader batch of one).
         assert_eq!(l.release(t(1)), vec![t(2)]);
         assert_eq!(l.release(t(2)), vec![t(3)]);

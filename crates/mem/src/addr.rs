@@ -2,9 +2,9 @@
 //!
 //! The simulation works at 4 KiB page granularity throughout (the machines
 //! are configured without transparent huge pages, as in the paper's §6.1).
-//! [`Vpn`]/[`Pfn`] are virtual/physical page numbers; [`VirtAddr`]/
-//! [`PhysAddr`] are byte addresses; [`VaRange`] is a contiguous,
-//! page-aligned virtual range — the unit every unmap/shootdown operates on.
+//! [`Vpn`]/[`Pfn`] are virtual/physical page numbers; [`VaRange`] is a
+//! contiguous, page-aligned virtual range — the unit every unmap/shootdown
+//! operates on.
 
 use std::fmt;
 
@@ -13,87 +13,19 @@ pub const PAGE_SHIFT: u64 = 12;
 /// Page size in bytes (4 KiB).
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 
-/// A virtual byte address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct VirtAddr(pub u64);
-
-/// A physical byte address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PhysAddr(pub u64);
-
-/// A virtual page number (`VirtAddr >> PAGE_SHIFT`).
+/// A virtual page number (a virtual byte address `>> PAGE_SHIFT`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Vpn(pub u64);
 
-/// A physical frame number (`PhysAddr >> PAGE_SHIFT`).
+/// A physical frame number (a physical byte address `>> PAGE_SHIFT`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pfn(pub u64);
 
-impl VirtAddr {
-    /// The page containing this address.
-    #[inline]
-    pub fn vpn(self) -> Vpn {
-        Vpn(self.0 >> PAGE_SHIFT)
-    }
-
-    /// Whether the address is page-aligned.
-    #[inline]
-    pub fn is_page_aligned(self) -> bool {
-        self.0 & (PAGE_SIZE - 1) == 0
-    }
-}
-
-impl PhysAddr {
-    /// The frame containing this address.
-    #[inline]
-    pub fn pfn(self) -> Pfn {
-        Pfn(self.0 >> PAGE_SHIFT)
-    }
-}
-
 impl Vpn {
-    /// The first byte address of this page.
-    #[inline]
-    pub fn addr(self) -> VirtAddr {
-        VirtAddr(self.0 << PAGE_SHIFT)
-    }
-
     /// The page `n` pages after this one.
     #[inline]
     pub fn offset(self, n: u64) -> Vpn {
         Vpn(self.0 + n)
-    }
-}
-
-impl Pfn {
-    /// The first byte address of this frame.
-    #[inline]
-    pub fn addr(self) -> PhysAddr {
-        PhysAddr(self.0 << PAGE_SHIFT)
-    }
-}
-
-impl From<VirtAddr> for Vpn {
-    fn from(a: VirtAddr) -> Vpn {
-        a.vpn()
-    }
-}
-
-impl From<Vpn> for VirtAddr {
-    fn from(v: Vpn) -> VirtAddr {
-        v.addr()
-    }
-}
-
-impl fmt::Debug for VirtAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "va:{:#x}", self.0)
-    }
-}
-
-impl fmt::Debug for PhysAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pa:{:#x}", self.0)
     }
 }
 
@@ -191,32 +123,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn addr_page_roundtrip() {
-        let a = VirtAddr(0x1234_5000);
-        assert!(a.is_page_aligned());
-        assert_eq!(a.vpn(), Vpn(0x1_2345));
-        assert_eq!(a.vpn().addr(), a);
-        assert!(!VirtAddr(0x1234_5001).is_page_aligned());
-    }
-
-    #[test]
-    fn phys_roundtrip() {
-        let p = PhysAddr(0x9000);
-        assert_eq!(p.pfn(), Pfn(9));
-        assert_eq!(Pfn(9).addr(), p);
-    }
-
-    #[test]
     fn vpn_offset() {
         assert_eq!(Vpn(10).offset(5), Vpn(15));
-    }
-
-    #[test]
-    fn conversions() {
-        let v: Vpn = VirtAddr(0x3000).into();
-        assert_eq!(v, Vpn(3));
-        let a: VirtAddr = Vpn(3).into();
-        assert_eq!(a, VirtAddr(0x3000));
     }
 
     #[test]
@@ -264,7 +172,6 @@ mod tests {
 
     #[test]
     fn debug_formats() {
-        assert_eq!(format!("{:?}", VirtAddr(0x1000)), "va:0x1000");
         assert_eq!(format!("{:?}", Vpn(0x10)), "vpn:0x10");
         assert_eq!(format!("{:?}", Pfn(0x10)), "pfn:0x10");
         assert_eq!(format!("{:?}", VaRange::new(Vpn(1), 2)), "[0x1..0x3)");

@@ -142,7 +142,6 @@ pub struct FrameAllocator {
     low_watermark: u64,
     min_watermark: u64,
     allocations: u64,
-    frees: u64,
 }
 
 /// A frame slot's parked bit: the frame's final reference sits in a lazy
@@ -201,7 +200,6 @@ impl FrameAllocator {
             low_watermark: 0,
             min_watermark: 0,
             allocations: 0,
-            frees: 0,
         }
     }
 
@@ -365,7 +363,6 @@ impl FrameAllocator {
             let node = &mut self.nodes[(pfn.0 / self.frames_per_node) as usize];
             node.freed.push(pfn);
             node.allocated -= 1;
-            self.frees += 1;
         }
         Ok(rc)
     }
@@ -478,11 +475,6 @@ impl FrameAllocator {
         self.allocations
     }
 
-    /// Total frames fully freed.
-    pub fn total_frees(&self) -> u64 {
-        self.frees
-    }
-
     /// Number of currently allocated frames.
     pub fn allocated_count(&self) -> usize {
         self.nodes.iter().map(|n| n.allocated as usize).sum()
@@ -557,7 +549,6 @@ mod tests {
         let g = fa.alloc(NodeId(0)).unwrap();
         assert_eq!(f, g);
         assert_eq!(fa.total_allocations(), 2);
-        assert_eq!(fa.total_frees(), 1);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! The virtual-memory machinery the simulated kernel (and the Latr policy)
 //! operates on:
 //!
-//! * [`addr`] — page-granular address newtypes ([`VirtAddr`], [`PhysAddr`],
-//!   [`Vpn`], [`Pfn`], [`VaRange`]);
+//! * [`addr`] — page-granular address newtypes ([`Vpn`], [`Pfn`],
+//!   [`VaRange`]);
 //! * [`frame`] — a per-NUMA-node physical frame allocator with reference
 //!   counts ([`FrameAllocator`]);
-//! * [`page_table`] — a real 4-level, 512-way radix page table with
-//!   accessed/dirty bits and NUMA-hint PTEs ([`PageTable`]);
+//! * [`page_table`] — the 512-entry leaf tables of an address space, kept
+//!   sorted by index, with accessed/dirty bits and NUMA-hint PTEs
+//!   ([`PageTable`]); the upper walk levels are priced, not built;
 //! * [`vma`] — virtual memory areas and the per-address-space VMA tree
 //!   ([`Vma`], [`VmaTree`]);
 //! * [`mm`] — the address space (`mm_struct` analogue) tying the above
@@ -26,7 +27,7 @@ pub mod page_cache;
 pub mod page_table;
 pub mod vma;
 
-pub use addr::{Pfn, PhysAddr, VaRange, VirtAddr, Vpn, PAGE_SHIFT, PAGE_SIZE};
+pub use addr::{Pfn, VaRange, Vpn, PAGE_SHIFT, PAGE_SIZE};
 pub use frame::{AllocError, FrameAllocator, FreeError, Pressure};
 pub use mm::{MmId, MmStruct};
 pub use page_cache::{FileId, PageCache};

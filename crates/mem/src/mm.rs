@@ -32,7 +32,7 @@ const EDGES_RESERVED: usize = 8;
 pub struct MmStruct {
     /// This address space's id.
     pub id: MmId,
-    /// The 4-level page table.
+    /// The page table.
     pub page_table: PageTable,
     /// The VMA tree.
     pub vmas: VmaTree,

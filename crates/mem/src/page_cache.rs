@@ -113,14 +113,6 @@ impl PageCache {
         Ok(pfn)
     }
 
-    /// Whether `(file, page)` is resident.
-    pub fn is_resident(&self, file: FileId, page: u64) -> bool {
-        self.files
-            .get(file.0 as usize)
-            .and_then(|f| f.frames.get(usize::try_from(page).ok()?))
-            .is_some_and(Option::is_some)
-    }
-
     /// Evicts one file page, dropping the cache's frame reference. Returns
     /// the frame that backed it, if it was resident.
     pub fn evict(&mut self, file: FileId, page: u64, frames: &mut FrameAllocator) -> Option<Pfn> {
@@ -189,9 +181,7 @@ mod tests {
         let mut pc = PageCache::new();
         let f = pc.register_file(1);
         let pfn = pc.frame_for(f, 0, NodeId(0), &mut fa).unwrap();
-        assert!(pc.is_resident(f, 0));
         assert_eq!(pc.evict(f, 0, &mut fa), Some(pfn));
-        assert!(!pc.is_resident(f, 0));
         assert!(!fa.is_allocated(pfn));
         assert_eq!(pc.evict(f, 0, &mut fa), None);
     }

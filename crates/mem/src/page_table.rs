@@ -1,20 +1,12 @@
-//! A 4-level, 512-way radix page table with x86-style status bits.
-//!
-//! Levels mirror x86-64: PGD → PUD → PMD → PTE, each indexed by 9 bits of
-//! the virtual page number. Leaf entries carry the frame number plus the
-//! `accessed`/`dirty` bits (which the ABIS baseline samples) and a
-//! `numa_hint` bit modelling the `PROT_NONE`-style protection AutoNUMA uses
-//! to provoke hint faults.
-//!
-//! Intermediate tables are allocated on first use and freed when they
-//! become empty, so sparse address spaces stay cheap.
+//! The page table of one address space, as 512-entry x86-style leaves only:
+//! nothing reads an upper walk level (a walk costs `tlb_miss_walk` flat). An
+//! emptied leaf goes to a spare pool for the next new leaf index, so map and
+//! unmap allocate nothing once the sorted leaf vector has its peak length.
 
 use crate::addr::{Pfn, VaRange, Vpn};
 
-const LEVEL_BITS: u64 = 9;
-const FANOUT: usize = 1 << LEVEL_BITS; // 512
-const LEVELS: u32 = 4;
-const INDEX_MASK: u64 = FANOUT as u64 - 1;
+const LEAF_BITS: u32 = 9;
+const LEAF_SLOTS: usize = 1 << LEAF_BITS; // 512
 
 /// Permission and status bits of one leaf PTE.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -39,74 +31,33 @@ pub struct Pte {
     pub flags: PteFlags,
 }
 
-enum Node {
-    Interior {
-        children: Vec<Option<Box<Node>>>,
-        live: usize,
-    },
-    Leaf {
-        entries: Vec<Option<Pte>>,
-        live: usize,
-    },
-}
+/// The 512 PTEs of the pages that share one `vpn >> 9`.
+type Leaf = [Option<Pte>; LEAF_SLOTS];
+const EMPTY_LEAF: Leaf = [None; LEAF_SLOTS];
 
-impl Node {
-    fn interior() -> Box<Node> {
-        Box::new(Node::Interior {
-            children: (0..FANOUT).map(|_| None).collect(),
-            live: 0,
-        })
-    }
-
-    fn leaf() -> Box<Node> {
-        Box::new(Node::Leaf {
-            entries: vec![None; FANOUT],
-            live: 0,
-        })
-    }
-}
-
-/// The 4-level radix page table of one address space.
+/// The page table of one address space.
 ///
 /// ```
-/// use latr_mem::{PageTable, Pte, PteFlags, Pfn, Vpn};
+/// use latr_mem::{PageTable, PteFlags, Pfn, Vpn};
 /// let mut pt = PageTable::new();
-/// pt.map(Vpn(0x12345), Pfn(7), PteFlags { writable: true, ..Default::default() });
-/// assert_eq!(pt.lookup(Vpn(0x12345)).unwrap().pfn, Pfn(7));
-/// let old = pt.unmap(Vpn(0x12345)).unwrap();
-/// assert_eq!(old.pfn, Pfn(7));
-/// assert!(pt.lookup(Vpn(0x12345)).is_none());
+/// pt.map(Vpn(0x12345), Pfn(7), PteFlags::default());
+/// assert_eq!(pt.unmap(Vpn(0x12345)).unwrap().pfn, Pfn(7));
+/// assert_eq!(pt.lookup(Vpn(0x12345)), None);
 /// ```
+#[derive(Default)]
 pub struct PageTable {
-    root: Box<Node>,
+    /// `(vpn >> 9, mapped entries, leaf)` by ascending index, none empty.
+    /// Boxed, so inserts shift 24 bytes and pooling copies no 8 KiB leaf.
+    leaves: Vec<(u64, usize, Box<Leaf>)>,
+    /// Emptied leaves, every entry `None`.
+    spare: Vec<Box<Leaf>>,
     mapped: u64,
-    // Pruned (empty) nodes parked for reuse: a map/unmap steady state
-    // cycles tables through these pools instead of the heap, so the unmap
-    // hot path performs no allocation. Pool size is bounded by the peak
-    // tree size. The pools hold `Box<Node>` on purpose — tree children
-    // are boxed, and recycling the box is the whole point; `Vec<Node>`
-    // would re-box (allocate) on every reuse.
-    #[allow(clippy::vec_box)]
-    free_interiors: Vec<Box<Node>>,
-    #[allow(clippy::vec_box)]
-    free_leaves: Vec<Box<Node>>,
-}
-
-impl Default for PageTable {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PageTable {
     /// Creates an empty page table.
     pub fn new() -> Self {
-        PageTable {
-            root: Node::interior(),
-            mapped: 0,
-            free_interiors: Vec::new(),
-            free_leaves: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Number of currently mapped pages.
@@ -114,149 +65,83 @@ impl PageTable {
         self.mapped
     }
 
-    #[inline]
-    fn index(vpn: Vpn, level: u32) -> usize {
-        // level 0 is the root; level 3 holds leaves.
-        let shift = LEVEL_BITS * (LEVELS - 1 - level) as u64;
-        ((vpn.0 >> shift) & INDEX_MASK) as usize
+    /// `vpn`'s leaf position in `leaves` (`Err`: where it would go) and slot.
+    fn find(&self, vpn: Vpn) -> (Result<usize, usize>, usize) {
+        let index = vpn.0 >> LEAF_BITS;
+        let at = self.leaves.binary_search_by_key(&index, |&(i, ..)| i);
+        (at, vpn.0 as usize % LEAF_SLOTS)
+    }
+
+    /// The positions in `leaves` of the leaves `range` touches.
+    fn span(&self, range: &VaRange) -> std::ops::Range<usize> {
+        let (first, end) = (range.start.0 >> LEAF_BITS, range.end().0);
+        let lo = self.leaves.partition_point(|&(i, ..)| i < first);
+        lo..self.leaves.partition_point(|&(i, ..)| i << LEAF_BITS < end)
+    }
+
+    /// The pages of leaf `index` inside `range`, each with its slot.
+    fn pages(index: u64, range: &VaRange) -> impl Iterator<Item = (usize, Vpn)> {
+        let base = index << LEAF_BITS;
+        let end = range.end().0.min(base + LEAF_SLOTS as u64);
+        (range.start.0.max(base)..end).map(move |v| ((v - base) as usize, Vpn(v)))
     }
 
     /// Installs (or replaces) the mapping for `vpn`. Returns the previous
     /// PTE if one existed.
     pub fn map(&mut self, vpn: Vpn, pfn: Pfn, flags: PteFlags) -> Option<Pte> {
-        let mut node = &mut self.root;
-        for level in 0..LEVELS - 1 {
-            let idx = Self::index(vpn, level);
-            match node.as_mut() {
-                Node::Interior { children, live } => {
-                    if children[idx].is_none() {
-                        children[idx] = Some(if level == LEVELS - 2 {
-                            self.free_leaves.pop().unwrap_or_else(Node::leaf)
-                        } else {
-                            self.free_interiors.pop().unwrap_or_else(Node::interior)
-                        });
-                        *live += 1;
-                    }
-                    node = children[idx].as_mut().unwrap();
-                }
-                Node::Leaf { .. } => unreachable!("leaf at interior level"),
-            }
+        let (at, slot) = self.find(vpn);
+        let at = at.unwrap_or_else(|at| {
+            let leaf = self.spare.pop().unwrap_or_else(|| Box::new(EMPTY_LEAF));
+            self.leaves.insert(at, (vpn.0 >> LEAF_BITS, 0, leaf));
+            at
+        });
+        let (_, live, leaf) = &mut self.leaves[at];
+        let prev = leaf[slot].replace(Pte { pfn, flags });
+        if prev.is_none() {
+            *live += 1;
+            self.mapped += 1;
         }
-        let idx = Self::index(vpn, LEVELS - 1);
-        match node.as_mut() {
-            Node::Leaf { entries, live } => {
-                let prev = entries[idx].replace(Pte { pfn, flags });
-                if prev.is_none() {
-                    *live += 1;
-                    self.mapped += 1;
-                }
-                prev
-            }
-            Node::Interior { .. } => unreachable!("interior at leaf level"),
-        }
+        prev
     }
 
     /// Reads the PTE for `vpn` without modifying anything.
     pub fn lookup(&self, vpn: Vpn) -> Option<Pte> {
-        let mut node = &self.root;
-        for level in 0..LEVELS - 1 {
-            let idx = Self::index(vpn, level);
-            match node.as_ref() {
-                Node::Interior { children, .. } => node = children[idx].as_ref()?,
-                Node::Leaf { .. } => unreachable!(),
-            }
-        }
-        match node.as_ref() {
-            Node::Leaf { entries, .. } => entries[Self::index(vpn, LEVELS - 1)],
-            Node::Interior { .. } => unreachable!(),
-        }
+        let (at, slot) = self.find(vpn);
+        self.leaves[at.ok()?].2[slot]
     }
 
     /// Applies `f` to the PTE for `vpn`, if mapped, returning the updated
-    /// entry. Used for permission changes, access-bit maintenance and NUMA
-    /// hinting.
+    /// entry (permission changes, access bits, NUMA hints).
     pub fn update<F: FnOnce(&mut Pte)>(&mut self, vpn: Vpn, f: F) -> Option<Pte> {
-        let mut node = &mut self.root;
-        for level in 0..LEVELS - 1 {
-            let idx = Self::index(vpn, level);
-            match node.as_mut() {
-                Node::Interior { children, .. } => node = children[idx].as_mut()?,
-                Node::Leaf { .. } => unreachable!(),
-            }
-        }
-        match node.as_mut() {
-            Node::Leaf { entries, .. } => {
-                let pte = entries[Self::index(vpn, LEVELS - 1)].as_mut()?;
-                f(pte);
-                Some(*pte)
-            }
-            Node::Interior { .. } => unreachable!(),
-        }
+        let (at, slot) = self.find(vpn);
+        let pte = self.leaves[at.ok()?].2[slot].as_mut()?;
+        f(pte);
+        Some(*pte)
     }
 
-    /// Removes the mapping for `vpn`, returning the old PTE. Empty
-    /// intermediate tables are pruned.
+    /// Removes the mapping for `vpn`, returning the old PTE; an emptied leaf
+    /// goes to the spare pool.
     pub fn unmap(&mut self, vpn: Vpn) -> Option<Pte> {
-        let removed = Self::unmap_rec(
-            &mut self.root,
-            vpn,
-            0,
-            &mut self.free_interiors,
-            &mut self.free_leaves,
-        );
-        if removed.is_some() {
-            self.mapped -= 1;
+        let (at, slot) = self.find(vpn);
+        let at = at.ok()?;
+        let (_, live, leaf) = &mut self.leaves[at];
+        let prev = leaf[slot].take()?;
+        *live -= 1;
+        self.mapped -= 1;
+        if *live == 0 {
+            self.spare.push(self.leaves.remove(at).2);
         }
-        removed
-    }
-
-    #[allow(clippy::vec_box)] // recycles the boxes themselves; see the pool fields
-    fn unmap_rec(
-        node: &mut Node,
-        vpn: Vpn,
-        level: u32,
-        free_interiors: &mut Vec<Box<Node>>,
-        free_leaves: &mut Vec<Box<Node>>,
-    ) -> Option<Pte> {
-        let idx = Self::index(vpn, level);
-        match node {
-            Node::Leaf { entries, live } => {
-                let prev = entries[idx].take();
-                if prev.is_some() {
-                    *live -= 1;
-                }
-                prev
-            }
-            Node::Interior { children, live } => {
-                let child = children[idx].as_mut()?;
-                let prev = Self::unmap_rec(child, vpn, level + 1, free_interiors, free_leaves);
-                if prev.is_some() {
-                    let empty = match child.as_ref() {
-                        Node::Leaf { live, .. } => *live == 0,
-                        Node::Interior { live, .. } => *live == 0,
-                    };
-                    if empty {
-                        // Park the pruned (already-empty) table for reuse
-                        // rather than freeing it.
-                        let pruned = children[idx].take().expect("child present above");
-                        match pruned.as_ref() {
-                            Node::Leaf { .. } => free_leaves.push(pruned),
-                            Node::Interior { .. } => free_interiors.push(pruned),
-                        }
-                        *live -= 1;
-                    }
-                }
-                prev
-            }
-        }
+        Some(prev)
     }
 
     /// Collects the mapped pages of `range` as `(vpn, pte)` pairs, in
     /// ascending page order.
     pub fn mapped_in(&self, range: &VaRange) -> Vec<(Vpn, Pte)> {
-        range
-            .iter()
-            .filter_map(|vpn| self.lookup(vpn).map(|pte| (vpn, pte)))
+        let leaves = self.leaves[self.span(range)].iter();
+        leaves
+            .flat_map(|(index, _, leaf)| {
+                Self::pages(*index, range).filter_map(|(slot, vpn)| Some((vpn, leaf[slot]?)))
+            })
             .collect()
     }
 
@@ -272,11 +157,18 @@ impl PageTable {
     /// `out` instead of allocating — the unmap hot path passes a scratch
     /// vector whose capacity survives across calls.
     pub fn unmap_range_into(&mut self, range: &VaRange, out: &mut Vec<(Vpn, Pte)>) {
-        for vpn in range.iter() {
-            if let Some(pte) = self.unmap(vpn) {
-                out.push((vpn, pte));
+        let span = self.span(range);
+        for (index, live, leaf) in &mut self.leaves[span.clone()] {
+            for (slot, vpn) in Self::pages(*index, range) {
+                if let Some(pte) = leaf[slot].take() {
+                    *live -= 1;
+                    self.mapped -= 1;
+                    out.push((vpn, pte));
+                }
             }
         }
+        let emptied = self.leaves.extract_if(span, |&mut (_, live, _)| live == 0);
+        self.spare.extend(emptied.map(|(.., leaf)| leaf));
     }
 }
 
@@ -320,11 +212,10 @@ mod tests {
     }
 
     #[test]
-    fn distinct_subtrees_do_not_interfere() {
+    fn distant_leaves_do_not_interfere() {
         let mut pt = PageTable::new();
-        // Pages that differ only in the top-level index.
         let a = Vpn(0);
-        let b = Vpn(1 << 27); // different PGD slot
+        let b = Vpn(1 << 27);
         pt.map(a, Pfn(1), flags());
         pt.map(b, Pfn(2), flags());
         assert_eq!(pt.lookup(a).unwrap().pfn, Pfn(1));
@@ -334,13 +225,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_addresses_across_all_levels() {
+    fn sparse_addresses_in_any_order() {
         let mut pt = PageTable::new();
-        let pages: Vec<Vpn> = (0..100).map(|i| Vpn(i * 0x100_0007)).collect();
+        let pages: Vec<Vpn> = (0..100).map(|i| Vpn((i * 37 % 100) * 0x100_0007)).collect();
         for (i, &v) in pages.iter().enumerate() {
             pt.map(v, Pfn(i as u64), flags());
         }
         assert_eq!(pt.mapped_pages(), 100);
+        assert!(pt.leaves.windows(2).all(|w| w[0].0 < w[1].0));
         for (i, &v) in pages.iter().enumerate() {
             assert_eq!(pt.lookup(v).unwrap().pfn, Pfn(i as u64));
         }
@@ -389,18 +281,33 @@ mod tests {
     }
 
     #[test]
-    fn interior_tables_are_pruned() {
+    fn ranges_straddle_leaves() {
         let mut pt = PageTable::new();
-        // Map and unmap a page; the root should have no live children left,
-        // observable by mapping a sibling afterwards still working.
+        for v in [510, 511, 512, 513, 1030, 1536] {
+            pt.map(Vpn(v), Pfn(v), flags());
+        }
+        let r = VaRange::new(Vpn(511), 1025); // [511, 1536)
+        let pages = |pairs: Vec<(Vpn, Pte)>| pairs.iter().map(|p| p.0 .0).collect::<Vec<_>>();
+        assert_eq!(pages(pt.mapped_in(&r)), [511, 512, 513, 1030]);
+        assert_eq!(pages(pt.unmap_range(&r)), [511, 512, 513, 1030]);
+        assert_eq!(pt.mapped_pages(), 2);
+        assert_eq!(pt.lookup(Vpn(510)).unwrap().pfn, Pfn(510));
+        assert_eq!(pt.lookup(Vpn(1536)).unwrap().pfn, Pfn(1536));
+        assert_eq!(pt.leaves.len(), 2);
+        assert!(pt.mapped_in(&VaRange::new(Vpn(510), 0)).is_empty());
+    }
+
+    #[test]
+    fn emptied_leaves_are_pooled_and_reused() {
+        let mut pt = PageTable::new();
         pt.map(Vpn(0xABCDE), Pfn(1), flags());
         pt.unmap(Vpn(0xABCDE));
-        match pt.root.as_ref() {
-            Node::Interior { live, .. } => assert_eq!(*live, 0),
-            Node::Leaf { .. } => panic!("root must be interior"),
-        }
-        pt.map(Vpn(0xABCDE), Pfn(2), flags());
-        assert_eq!(pt.lookup(Vpn(0xABCDE)).unwrap().pfn, Pfn(2));
+        assert!(pt.leaves.is_empty());
+        assert_eq!(pt.spare.len(), 1);
+        pt.map(Vpn(0x12345), Pfn(2), flags());
+        assert!(pt.spare.is_empty());
+        assert_eq!(pt.lookup(Vpn(0x12345)).unwrap().pfn, Pfn(2));
+        assert!(pt.lookup(Vpn(0xABCDE)).is_none());
     }
 
     #[test]
@@ -408,6 +315,7 @@ mod tests {
         let mut pt = PageTable::new();
         pt.map(Vpn(512), Pfn(1), flags());
         pt.map(Vpn(513), Pfn(2), flags());
+        assert_eq!(pt.leaves.len(), 1);
         pt.unmap(Vpn(512));
         // 513 must survive its neighbour's unmap.
         assert_eq!(pt.lookup(Vpn(513)).unwrap().pfn, Pfn(2));

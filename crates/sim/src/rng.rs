@@ -106,15 +106,6 @@ impl SimRng {
         v.max(1.0) as u64
     }
 
-    /// Sample a normally distributed value (Box–Muller) with the given mean
-    /// and standard deviation, clamped at zero.
-    pub fn gauss(&mut self, mean: f64, sd: f64) -> f64 {
-        let u1 = 1.0 - self.f64();
-        let u2 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (mean + sd * z).max(0.0)
-    }
-
     /// Pick a uniformly random element index for a slice of length `len`.
     #[inline]
     pub fn index(&mut self, len: usize) -> usize {
@@ -212,15 +203,6 @@ mod tests {
         let total: u64 = (0..n).map(|_| r.exp(1000.0)).sum();
         let mean = total as f64 / n as f64;
         assert!((900.0..1100.0).contains(&mean), "mean {mean}");
-    }
-
-    #[test]
-    fn gauss_mean_is_close() {
-        let mut r = SimRng::new(19);
-        let n = 100_000;
-        let total: f64 = (0..n).map(|_| r.gauss(500.0, 50.0)).sum();
-        let mean = total / n as f64;
-        assert!((490.0..510.0).contains(&mean), "mean {mean}");
     }
 
     #[test]

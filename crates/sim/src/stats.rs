@@ -86,19 +86,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let idx = Self::bucket_index(value).min(N_BUCKETS - 1);
-        self.buckets[idx] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -251,15 +238,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.percentile(0.5), 0);
-    }
-
-    #[test]
-    fn histogram_record_n() {
-        let mut h = Histogram::new();
-        h.record_n(500, 10);
-        h.record_n(500, 0);
-        assert_eq!(h.count(), 10);
-        assert!((h.mean() - 500.0).abs() < 5.0);
     }
 
     #[test]

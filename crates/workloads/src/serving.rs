@@ -30,6 +30,10 @@ use latr_kernel::{metrics, Machine, Op, OpResult, TaskId, Workload};
 use latr_mem::{FileId, VaRange};
 use latr_sim::{Nanos, SimRng, MILLISECOND};
 
+/// Mean inter-arrival time per worker (ns): 60 µs is moderate load on the
+/// calibrated cost model, so the tail is queueing-driven, not saturation.
+const MEAN_INTERARRIVAL_NS: f64 = 60_000.0;
+
 /// How request arrivals are spread over time.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ArrivalProcess {
@@ -66,7 +70,6 @@ pub struct ServingWorkload {
     workers: usize,
     procs: usize,
     requests_per_worker: u64,
-    mean_interarrival: f64,
     arrivals: ArrivalProcess,
     parse_ns: Nanos,
     send_ns: Nanos,
@@ -89,8 +92,7 @@ impl ServingWorkload {
     /// An open-loop server: `workers` worker cores split round-robin
     /// across `procs` processes, each worker admitting
     /// `requests_per_worker` requests from its own Poisson stream
-    /// (mean inter-arrival 60 µs — moderate load on the calibrated
-    /// cost model, so the tail is queueing-driven, not saturation).
+    /// (mean inter-arrival 60 µs).
     ///
     /// # Panics
     ///
@@ -105,7 +107,6 @@ impl ServingWorkload {
             workers,
             procs,
             requests_per_worker,
-            mean_interarrival: 60_000.0,
             arrivals: ArrivalProcess::Poisson,
             parse_ns: 4_000,
             send_ns: 7_000,
@@ -134,14 +135,6 @@ impl ServingWorkload {
         self
     }
 
-    /// Overrides the mean inter-arrival time per worker (ns).
-    #[must_use]
-    pub fn with_mean_interarrival(mut self, ns: Nanos) -> Self {
-        assert!(ns > 0, "mean inter-arrival must be positive");
-        self.mean_interarrival = ns as f64;
-        self
-    }
-
     /// Overrides the arrival-stream seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -158,7 +151,7 @@ impl ServingWorkload {
     /// arriving at absolute time `at`.
     fn interarrival(&mut self, i: usize, at: u64) -> u64 {
         let mean = match self.arrivals {
-            ArrivalProcess::Poisson => self.mean_interarrival,
+            ArrivalProcess::Poisson => MEAN_INTERARRIVAL_NS,
             ArrivalProcess::Bursty {
                 period,
                 on_pct,
@@ -166,9 +159,9 @@ impl ServingWorkload {
             } => {
                 let in_burst = (at % period) * 100 < period * u64::from(on_pct);
                 if in_burst {
-                    self.mean_interarrival / factor
+                    MEAN_INTERARRIVAL_NS / factor
                 } else {
-                    self.mean_interarrival * factor
+                    MEAN_INTERARRIVAL_NS * factor
                 }
             }
         };
@@ -200,7 +193,7 @@ impl Workload for ServingWorkload {
         // First arrivals are themselves exponential draws, staggering the
         // streams from t=0.
         self.next_arrival = (0..self.workers)
-            .map(|i| self.rng[i].exp(self.mean_interarrival))
+            .map(|i| self.rng[i].exp(MEAN_INTERARRIVAL_NS))
             .collect();
         self.arrival = vec![0; self.workers];
         self.served = vec![0; self.workers];
@@ -368,9 +361,14 @@ mod tests {
 
     #[test]
     fn latency_includes_queueing_delay() {
-        // Overloaded: arrivals far faster than service — latency must
-        // grow well past the per-request service time.
-        let wl = ServingWorkload::new(4, 2, 30).with_mean_interarrival(2_000);
+        // Overloaded: a 2 µs mean inter-arrival (a 30× burst over the
+        // whole run), far faster than service, so latency must grow well
+        // past the per-request service time.
+        let wl = ServingWorkload::new(4, 2, 30).with_arrivals(ArrivalProcess::Bursty {
+            period: 10 * SECOND,
+            on_pct: 99,
+            factor: 30.0,
+        });
         let (res, machine) = run_experiment(
             MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C)),
             PolicyKind::Linux,

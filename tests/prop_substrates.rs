@@ -4,7 +4,8 @@
 
 use latr_arch::{CpuId, CpuMask, NodeId, Tlb, TlbEntry, PCID_NONE};
 use latr_mem::{
-    AllocError, FrameAllocator, MapKind, PageTable, Pfn, Prot, PteFlags, VaRange, Vma, VmaTree, Vpn,
+    AllocError, FrameAllocator, MapKind, PageTable, Pfn, Prot, Pte, PteFlags, VaRange, Vma,
+    VmaTree, Vpn,
 };
 use latr_sim::Histogram;
 use proptest::prelude::*;
@@ -63,16 +64,33 @@ enum PtOp {
     Map(u64, u64),
     Unmap(u64),
     Update(u64),
+    MappedIn(u64, u64),
+    UnmapRange(u64, u64),
+}
+
+/// The `i`-th page of a small universe: a dense run of 48 pages that
+/// straddles the leaf boundary at page 512, so leaves hold several PTEs
+/// and empty while a neighbour leaf stays, plus 16 far pages with a leaf
+/// each.
+fn pt_vpn(i: u64) -> u64 {
+    if i < 48 {
+        500 + i
+    } else {
+        (i - 47) * 0x40_0001
+    }
 }
 
 fn pt_ops() -> impl Strategy<Value = Vec<PtOp>> {
-    // A small vpn universe so collisions are frequent.
-    let vpn = 0u64..64;
+    let vpn = (0u64..64).prop_map(pt_vpn);
+    let len = 0u64..64;
     prop::collection::vec(
         prop_oneof![
-            (vpn.clone(), 0u64..1000).prop_map(|(v, p)| PtOp::Map(v * 0x40_0001, p)),
-            vpn.clone().prop_map(|v| PtOp::Unmap(v * 0x40_0001)),
-            vpn.prop_map(|v| PtOp::Update(v * 0x40_0001)),
+            (vpn.clone(), 0u64..1000).prop_map(|(v, p)| PtOp::Map(v, p)),
+            (vpn.clone(), 0u64..1000).prop_map(|(v, p)| PtOp::Map(v, p)),
+            vpn.clone().prop_map(PtOp::Unmap),
+            vpn.clone().prop_map(PtOp::Update),
+            (vpn.clone(), len.clone()).prop_map(|(v, l)| PtOp::MappedIn(v, l)),
+            (vpn, len).prop_map(|(v, l)| PtOp::UnmapRange(v, l)),
         ],
         0..250,
     )
@@ -83,6 +101,8 @@ proptest! {
     fn page_table_matches_btreemap(ops in pt_ops()) {
         let mut pt = PageTable::new();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let pairs =
+            |got: Vec<(Vpn, Pte)>| got.iter().map(|(v, e)| (v.0, e.pfn.0)).collect::<Vec<_>>();
         for op in ops {
             match op {
                 PtOp::Map(v, p) => {
@@ -97,12 +117,26 @@ proptest! {
                     let updated = pt.update(Vpn(v), |e| e.flags.accessed = true);
                     prop_assert_eq!(updated.is_some(), model.contains_key(&v));
                 }
+                PtOp::MappedIn(v, l) => {
+                    let want: Vec<_> = model.range(v..v + l).map(|(&v, &p)| (v, p)).collect();
+                    prop_assert_eq!(pairs(pt.mapped_in(&VaRange::new(Vpn(v), l))), want);
+                }
+                PtOp::UnmapRange(v, l) => {
+                    let want: Vec<_> = model.range(v..v + l).map(|(&v, &p)| (v, p)).collect();
+                    for (v, _) in &want {
+                        model.remove(v);
+                    }
+                    prop_assert_eq!(pairs(pt.unmap_range(&VaRange::new(Vpn(v), l))), want);
+                }
             }
             prop_assert_eq!(pt.mapped_pages(), model.len() as u64);
         }
         for (&v, &p) in &model {
             prop_assert_eq!(pt.lookup(Vpn(v)).map(|e| e.pfn.0), Some(p));
         }
+        let everything = VaRange::new(Vpn(0), pt_vpn(63) + 1);
+        let want: Vec<_> = model.iter().map(|(&v, &p)| (v, p)).collect();
+        prop_assert_eq!(pairs(pt.mapped_in(&everything)), want);
     }
 }
 

@@ -3,7 +3,8 @@
 //! The hot-path optimisations only hold their speedups if the per-event
 //! work is genuinely allocation-free once every pool and scratch buffer
 //! has grown to its working size: the calendar slab reuses freed event
-//! slots, the VMA trees and page-table nodes come from pools, sweep
+//! slots, the VMA trees take nodes from pools, page tables park emptied
+//! leaves in a spare pool and stop growing at their peak leaf count, sweep
 //! relevance and reclaim batches reuse scratch vectors, and staged
 //! frames live in one reclaim FIFO that keeps its capacity. These tests
 //! pin that property with a counting global allocator: two runs that
