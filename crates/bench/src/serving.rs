@@ -8,10 +8,10 @@
 //! synchronous shootdown keeps accumulating queueing delay — so the tail
 //! percentiles, not the mean, are where the policies separate.
 //!
-//! Before the full-size measurement, every variant is gated: a small run
-//! under the `latr-verify` coherence oracle must end with no violation
-//! (a curve from an incoherent simulation disqualifies itself, and the
-//! bench fails).
+//! Every curve runs under the `latr-verify` coherence oracle, which
+//! checks it on a worker thread beside the simulation, and each row
+//! records whether the run ended with no violation: a curve from an
+//! incoherent simulation disqualifies itself, and the bench fails.
 
 use std::time::Instant;
 
@@ -39,22 +39,16 @@ struct ServingVariant {
 /// Seed of every run.
 const SEED: u64 = 0xC0FF;
 
-/// Runs every variant's oracle gate, then every variant's curve.
+/// Runs every variant's curve under the oracle.
 pub(crate) fn run(quick: bool) -> Report {
-    let variants = serving_variants();
-    let gates = each(
-        &variants,
-        |v| run_serving_point(v, serving_requests_per_worker(true), SEED, true),
-        gate_row,
-    );
     let curves = each(
-        &variants,
-        |v| run_serving_point(v, serving_requests_per_worker(quick), SEED, false),
+        &serving_variants(),
+        |v| run_serving_point(v, serving_requests_per_worker(quick), SEED),
         curve_row,
     );
-    let why = "a gate run drew a coherence-oracle violation";
-    let document = serving_json(&gates, &curves, quick);
-    Report::new(document, gates_passed(&gates), why)
+    let why = "a curve drew a coherence-oracle violation";
+    let document = serving_json(&curves, quick);
+    Report::new(document, all_clean(&curves), why)
 }
 
 /// Cores of the benchmark's machine: the paper's 8-socket, 120-core
@@ -141,24 +135,22 @@ struct ServingPoint {
     shootdown_ns: Option<Summary>,
     /// `munmap()` syscall latency (ns).
     munmap_ns: Option<Summary>,
+    /// Whether the run ended with no coherence-oracle violation.
+    oracle_clean: bool,
     /// FNV-1a of the full fingerprint.
     fingerprint: u64,
-    /// Whether the run ended with no coherence-oracle violation; `None`
-    /// when the oracle was off.
-    oracle_clean: Option<bool>,
 }
 
-/// Runs one serving curve, with the coherence oracle on or off.
+/// Runs one serving curve under the coherence oracle.
 fn run_serving_point(
     variant: &ServingVariant,
     requests_per_worker: u64,
     seed: u64,
-    oracle: bool,
 ) -> ServingPoint {
     let mut config = MachineConfig::new(Topology::preset(MachinePreset::LargeNuma8S120C));
     config.seed = seed;
     config.trace_capacity = 0;
-    config.oracle = oracle;
+    config.oracle = true;
     config.faults = variant.faults.clone();
     let workload = ServingWorkload::new(CORES, SERVING_PROCS, requests_per_worker)
         .with_arrivals(ArrivalProcess::Bursty {
@@ -180,29 +172,24 @@ fn run_serving_point(
         request_ns: summary(metrics::SERVING_REQUEST_NS),
         shootdown_ns: summary(metrics::SHOOTDOWN_NS),
         munmap_ns: summary(metrics::MUNMAP_NS),
+        oracle_clean: machine.oracle_violation().is_none(),
         fingerprint: fnv1a(&machine.fingerprint()),
-        oracle_clean: oracle.then(|| machine.oracle_violation().is_none()),
     }
 }
 
-/// Whether every gate run ended oracle-clean.
-fn gates_passed(gates: &[ServingPoint]) -> bool {
-    gates.iter().all(|g| g.oracle_clean == Some(true))
-}
-
-/// A gate run's row: the quick-size run under the coherence oracle.
-fn gate_row(g: &ServingPoint) -> Object {
-    row!(g; label, oracle_clean, fingerprint: hex)
+/// Whether every curve ended oracle-clean.
+fn all_clean(curves: &[ServingPoint]) -> bool {
+    curves.iter().all(|c| c.oracle_clean)
 }
 
 /// A curve's row.
 fn curve_row(p: &ServingPoint) -> Object {
     row!(p; label, requests, wall_ns, events, request_ns, shootdown_ns, munmap_ns,
-            fingerprint: hex)
+            oracle_clean, fingerprint: hex)
 }
 
-/// The gate runs and the curves as the `BENCH_serving.json` document.
-fn serving_json(gates: &[ServingPoint], curves: &[ServingPoint], quick: bool) -> Object {
+/// The curves as the `BENCH_serving.json` document.
+fn serving_json(curves: &[ServingPoint], quick: bool) -> Object {
     Object::new()
         .field("bench", "serving")
         .field("workload", "serving-open-loop")
@@ -213,9 +200,7 @@ fn serving_json(gates: &[ServingPoint], curves: &[ServingPoint], quick: bool) ->
             "requests_per_policy",
             CORES as u64 * serving_requests_per_worker(quick),
         )
-        .field("gates", Rows::of(gates, gate_row))
         .field("curves", Rows::of(curves, curve_row))
-        .field("gates_passed", gates_passed(gates))
 }
 
 #[cfg(test)]
@@ -233,28 +218,28 @@ mod tests {
         assert!(labels.contains(&"latr"));
     }
 
-    fn gate_run(label: &'static str, oracle_clean: bool) -> ServingPoint {
+    fn curve(label: &'static str, oracle_clean: bool) -> ServingPoint {
         ServingPoint {
             label,
             fingerprint: 7,
-            oracle_clean: Some(oracle_clean),
+            oracle_clean,
             ..ServingPoint::default()
         }
     }
 
     #[test]
-    fn gate_detects_an_oracle_violation() {
-        let clean = [gate_run("linux", true), gate_run("latr", true)];
-        let json = serving_json(&clean, &clean[..1], true).render();
-        assert!(json.contains(
-            "{\"label\": \"latr\", \"oracle_clean\": true, \"fingerprint\": \"0000000000000007\"}"
-        ));
-        assert!(json.contains("\"gates_passed\": true"));
-        let violated = [gate_run("linux", true), gate_run("latr", false)];
-        let json = serving_json(&violated, &[], true).render();
-        assert!(json.contains("\"gates_passed\": false"));
-        // A run with the oracle off proves nothing.
-        let unchecked = [ServingPoint::default()];
-        assert!(!gates_passed(&unchecked));
+    fn a_curve_with_an_oracle_violation_fails_the_bench() {
+        let clean = [curve("linux", true), curve("latr", true)];
+        let json = serving_json(&clean, true).render();
+        assert!(
+            json.contains("\"oracle_clean\": true, \"fingerprint\": \"0000000000000007\"}"),
+            "{json}"
+        );
+        assert!(all_clean(&clean));
+        let violated = [curve("linux", true), curve("latr", false)];
+        assert!(serving_json(&violated, true)
+            .render()
+            .contains("\"oracle_clean\": false"));
+        assert!(!all_clean(&violated));
     }
 }

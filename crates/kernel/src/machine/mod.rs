@@ -65,11 +65,15 @@ pub struct MachineConfig {
     pub numa: NumaConfig,
     /// Whether the translation-coherence oracle shadows the run (on by
     /// default). The oracle is a pure observer; it costs some memory and
-    /// time but never changes behaviour. Measured on a 2-vCPU x86-64 host:
-    /// ~130 ns of host time per simulated event on the 120-core
-    /// `serving-latr-oracle` benchmark (~1.5× the oracle-off run), and
-    /// 1.0–2.6× the oracle-off time across the `paper` experiments (1.7×
-    /// for the whole bin at full scale).
+    /// time but never changes behaviour. During [`Machine::run`] it checks
+    /// on a worker thread of its own, and its verdict is read after the
+    /// run; the worker takes a second core for as long as the run lasts.
+    /// Measured on a shared 2-vCPU x86-64 host: the traced
+    /// `serving-latr-oracle` pass prices it at a median ~33 ns of the
+    /// simulation thread's time per event (~1.1× the oracle-off run; 211
+    /// ns, ~1.8×, while it ran on the simulation thread), and the full
+    /// `paper` bin, every experiment under the oracle, runs in ~9.3 s
+    /// (~10.3 s in place).
     pub oracle: bool,
     /// Deterministic fault plan to inject (chaos testing). `None` — and
     /// any plan for which [`FaultPlan::is_active`] is false — leaves the
@@ -535,6 +539,11 @@ impl Machine {
     /// Runs `workload` under `policy` for `duration` simulated nanoseconds
     /// (or until all tasks exit). Returns the boxes for post-run
     /// inspection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload creates no task, and re-raises a panic of
+    /// the coherence oracle's worker thread.
     pub fn run(
         &mut self,
         mut workload: Box<dyn Workload>,
@@ -543,6 +552,11 @@ impl Machine {
     ) -> (Box<dyn Workload>, Box<dyn TlbPolicy>) {
         workload.setup(self);
         assert!(self.live_tasks > 0, "workload created no tasks");
+        // The oracle feeds nothing back, so it checks the run on a worker
+        // thread of its own (joined below).
+        if let Some(o) = self.oracle.as_mut() {
+            o.start_worker();
+        }
         self.workload = Some(workload);
         self.policy = Some(policy);
         self.end_time = self.now() + duration;
@@ -593,6 +607,9 @@ impl Machine {
             if self.mms[i].cpumask.is_empty() {
                 self.exit_mmap(MmId(i as u32), None);
             }
+        }
+        if let Some(o) = self.oracle.as_mut() {
+            o.join_worker();
         }
         let workload = self.workload.take().expect("workload present");
         (workload, policy)

@@ -15,6 +15,13 @@
 //! instead of a copy of the clock. A join into a slot that records still
 //! share writes a fresh slot (copy on write); the old one stays frozen
 //! except for its owner's component, which every stamp overrides.
+//!
+//! The arena's components are `u32`, half the bytes of the public
+//! [`VClock`]'s: a slot is as wide as the machine has contexts (121 on
+//! the 120-core preset), and the slots are the oracle's largest memory.
+//! A context would need four billion events of its own to run out; a
+//! tick that would pass `u32::MAX` is refused rather than wrapped, and
+//! the oracle reports it.
 
 use std::fmt;
 
@@ -64,8 +71,14 @@ impl VClock {
     }
 }
 
+/// Whether some component of `b` exceeds the matching one of `a`, as a
+/// branch-free fold the compiler vectorizes.
+fn exceeds(b: &[u32], a: &[u32]) -> bool {
+    b.iter().zip(a).fold(false, |any, (&b, &a)| any | (b > a))
+}
+
 /// Pointwise maximum of `b` into `a`.
-fn join_words(a: &mut [u64], b: &[u64]) {
+fn join_words<T: Copy + Ord>(a: &mut [T], b: &[T]) {
     for (a, &b) in a.iter_mut().zip(b) {
         *a = (*a).max(b);
     }
@@ -74,10 +87,10 @@ fn join_words(a: &mut [u64], b: &[u64]) {
 /// Refcounted clock slots of one width. A released slot goes on a free
 /// list and the next allocation overwrites it, so once a run has reached
 /// its high-water mark of live slots nothing here allocates.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ClockArena {
     width: usize,
-    slots: Vec<Box<[u64]>>,
+    slots: Vec<Box<[u32]>>,
     refs: Vec<u32>,
     free: Vec<u32>,
 }
@@ -115,7 +128,7 @@ impl ClockArena {
     }
 
     /// Slot `dst` for writing beside slot `src` for reading; `dst != src`.
-    fn pair(&mut self, dst: u32, src: u32) -> (&mut [u64], &[u64]) {
+    fn pair(&mut self, dst: u32, src: u32) -> (&mut [u32], &[u32]) {
         let (dst, src) = (dst as usize, src as usize);
         if dst < src {
             let (lo, hi) = self.slots.split_at_mut(src);
@@ -141,15 +154,22 @@ impl ClockArena {
     }
 
     /// Slot `h`'s components.
-    pub(crate) fn get(&self, h: u32) -> &[u64] {
+    pub(crate) fn get(&self, h: u32) -> &[u32] {
         &self.slots[h as usize]
     }
 
-    /// Advances component `i` of slot `h` in place and returns it.
-    pub(crate) fn tick(&mut self, h: u32, i: usize) -> u64 {
+    /// Advances component `i` of slot `h` in place and returns it, or
+    /// `None`, leaving it at `u32::MAX`, when it is already there.
+    pub(crate) fn tick(&mut self, h: u32, i: usize) -> Option<u32> {
         let c = &mut self.slots[h as usize][i];
-        *c += 1;
-        *c
+        *c = c.checked_add(1)?;
+        Some(*c)
+    }
+
+    /// Sets component `i` of slot `h`.
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, h: u32, i: usize, value: u32) {
+        self.slots[h as usize][i] = value;
     }
 
     /// The stamp of the clock held in slot `live` by its owner `ctx`, as
@@ -172,20 +192,24 @@ impl ClockArena {
         let c = src.ctx as usize;
         let (dst, from) = (self.get(*live), self.get(src.snap));
         let grows = src.own > dst[c]
-            || from
-                .iter()
-                .zip(dst)
-                .enumerate()
-                .any(|(j, (&b, &a))| b > a && j != c);
+            || exceeds(&from[..c], &dst[..c])
+            || exceeds(&from[c + 1..], &dst[c + 1..]);
         if !grows {
             return;
         }
         if self.refs[*live as usize] > 1 {
+            // Copy and join in one pass.
             let fresh = self.alloc();
-            let (copy, shared) = self.pair(fresh, *live);
-            copy.copy_from_slice(shared);
+            let mut copy = std::mem::take(&mut self.slots[fresh as usize]);
+            let (shared, from) = (self.get(*live), self.get(src.snap));
+            for ((to, &a), &b) in copy.iter_mut().zip(shared).zip(from) {
+                *to = a.max(b);
+            }
+            copy[c] = shared[c].max(src.own);
+            self.slots[fresh as usize] = copy;
             self.release(*live);
             *live = fresh;
+            return;
         }
         let (dst, from) = self.pair(*live, src.snap);
         join_words(&mut dst[..c], &from[..c]);
@@ -206,14 +230,14 @@ impl ClockArena {
 pub(crate) struct Stamp {
     pub(crate) snap: u32,
     pub(crate) ctx: u32,
-    pub(crate) own: u64,
+    pub(crate) own: u32,
 }
 
 impl Stamp {
     /// The clock this stamp stands for.
     pub(crate) fn clock(self, arena: &ClockArena) -> VClock {
-        let mut clock = VClock(arena.get(self.snap).to_vec());
-        clock.0[self.ctx as usize] = self.own;
+        let mut clock = VClock(arena.get(self.snap).iter().map(|&c| c.into()).collect());
+        clock.0[self.ctx as usize] = self.own.into();
         clock
     }
 }

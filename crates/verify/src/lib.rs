@@ -28,6 +28,7 @@
 pub mod clock;
 pub mod event;
 pub mod oracle;
+mod pipe;
 
 pub use clock::VClock;
 pub use event::{Ctx, EventKind, EventRecord};

@@ -11,9 +11,9 @@
 //! event, the history establishing the race, and whether the conflicting
 //! pair was ordered by any happens-before edge at all.
 //!
-//! The oracle is a pure observer — it never mutates the machine and never
-//! panics, so enabling it cannot perturb a run's determinism. Tests read
-//! the verdict via `violation()`.
+//! The oracle is a pure observer — it never mutates the machine and its
+//! checks never panic, so enabling it cannot perturb a run's determinism.
+//! Tests read the verdict via `violation()`.
 //!
 //! The bookkeeping is sized for the common case, where nothing fires:
 //! - The shadow TLBs, the state table and the shootdown clocks hash their
@@ -26,9 +26,16 @@
 //!   copied only when a join changes it while records still share it.
 //!   Publish and IPI-send clocks are stamps too, so the steady state
 //!   allocates nothing.
+//! - All of that is the `Shadow`, which applies one `Note` at a time.
+//!   [`CoherenceOracle`] turns each `note_*` call into a note and applies
+//!   it in place, or, between [`CoherenceOracle::start_worker`] and
+//!   [`CoherenceOracle::join_worker`], batches it to a worker thread that
+//!   owns the shadow and applies the notes in the same order (`pipe`).
+//!   The verdict is read only while the shadow is in place.
 
 use crate::clock::{ClockArena, Stamp};
 use crate::event::{Ctx, EventKind, EventRecord};
+use crate::pipe::{Note, Pipe};
 use latr_arch::{CpuId, CpuMask, TlbEntry};
 use latr_mem::{MmId, Pfn, VaRange, Vpn};
 use latr_sim::Time;
@@ -36,6 +43,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::slice;
 
 /// How many event records the history ring keeps.
 const HISTORY_CAPACITY: usize = 4096;
@@ -100,6 +108,9 @@ pub enum ViolationKind {
     /// A NUMA migration fault proceeded while some core named in the
     /// migration state's bitmask had not yet invalidated (§4.4).
     MigrationBeforeSweepComplete,
+    /// A context's vector-clock component would have passed `u32::MAX`:
+    /// past it the oracle can no longer order that context's events.
+    ClockOverflow,
 }
 
 impl fmt::Display for ViolationKind {
@@ -110,6 +121,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::AccessThroughFreedFrame => "access through freed frame",
             ViolationKind::FillOfFreedFrame => "fill of freed frame",
             ViolationKind::MigrationBeforeSweepComplete => "migration before sweep complete",
+            ViolationKind::ClockOverflow => "clock overflow",
         };
         f.write_str(s)
     }
@@ -148,7 +160,7 @@ struct ShadowEntry {
     pfn: u64,
     /// The caching core's own clock component when the fill happened —
     /// the fill's position in that core's local order.
-    filled_component: u64,
+    filled_component: u32,
 }
 
 /// How many shadow entries translate to each frame; a frame with none
@@ -199,11 +211,12 @@ struct Record {
     kind: EventKind,
 }
 
-/// The coherence oracle. One per [`Machine`]; see the module docs.
-///
-/// [`Machine`]: ../latr_kernel/struct.Machine.html
-#[derive(Debug)]
-pub struct CoherenceOracle {
+/// The oracle's state: the shadow TLBs, states, transactions, clocks and
+/// history, fed one [`Note`] at a time by [`Shadow::apply`]. The
+/// default is an empty placeholder over no cores, which allocates
+/// nothing: what a moved-out shadow leaves behind.
+#[derive(Debug, Default)]
+pub(crate) struct Shadow {
     ncpus: usize,
     seq: u64,
     /// Per-context clocks, as the slot each context owns in `clocks`: one
@@ -231,12 +244,11 @@ pub struct CoherenceOracle {
     closed: bool,
 }
 
-impl CoherenceOracle {
-    /// An oracle over `ncpus` cores.
-    pub fn new(ncpus: usize) -> Self {
+impl Shadow {
+    pub(crate) fn new(ncpus: usize) -> Self {
         let nctx = ncpus + 1;
         let mut clocks = ClockArena::new(nctx);
-        CoherenceOracle {
+        Shadow {
             ncpus,
             seq: 0,
             live: (0..nctx).map(|_| clocks.zero()).collect(),
@@ -253,27 +265,60 @@ impl CoherenceOracle {
         }
     }
 
-    /// Stops checking (events still record). The machine calls this right
-    /// before the policy's shutdown drain: that drain runs after the final
-    /// event, so the frames it frees can no longer be reached through any
-    /// TLB — flagging them would be noise, not a race.
-    pub fn close(&mut self) {
-        self.closed = true;
-    }
-
-    /// The first violation detected, if any.
-    pub fn violation(&self) -> Option<&Violation> {
-        self.violation.as_ref()
-    }
-
-    /// How many further checks fired after the first violation.
-    pub fn suppressed_count(&self) -> u64 {
-        self.suppressed
-    }
-
-    /// Total events observed.
-    pub fn events_observed(&self) -> u64 {
-        self.seq
+    /// Applies one note. A publish or an IPI send takes its targets from
+    /// `masks`, which holds the masked notes' masks in note order.
+    pub(crate) fn apply(&mut self, at: Time, note: Note, masks: &mut slice::Iter<'_, CpuMask>) {
+        match note {
+            Note::Fill {
+                cpu,
+                pcid,
+                vpn,
+                pfn,
+                allocated,
+            } => self.note_fill(cpu, pcid, Vpn(vpn), Pfn(pfn), allocated, at),
+            Note::Hit {
+                cpu,
+                pcid,
+                vpn,
+                pfn,
+                allocated,
+            } => self.note_hit(cpu, pcid, Vpn(vpn), Pfn(pfn), allocated, at),
+            Note::Invalidate { cpu, pcid, vpn } => self.note_invalidate(cpu, pcid, vpn, at),
+            Note::FlushAll { cpu } => self.note_flush_all(cpu, at),
+            Note::Evict {
+                cpu,
+                pcid,
+                vpn,
+                pfn,
+            } => self.note_evict(cpu, pcid, vpn, pfn, at),
+            Note::Alloc { ctx, pfn } => self.note_alloc(ctx, Pfn(pfn), at),
+            Note::Free { ctx, pfn } => self.note_free(ctx, Pfn(pfn), at),
+            Note::Publish {
+                initiator,
+                mm,
+                range,
+                migration,
+            } => {
+                let targets = *masks.next().expect("a publish has its mask");
+                self.note_publish(initiator, mm, range, targets, migration, at);
+            }
+            Note::Sweep { cpu, mm, range } => self.note_sweep(cpu, mm, range, at),
+            Note::MigrationProceed { cpu, mm, vpn } => {
+                self.note_migration_proceed(cpu, mm, vpn, at)
+            }
+            Note::IpiSend { initiator, txn } => {
+                let targets = *masks.next().expect("an IPI send has its mask");
+                self.note_ipi_send(initiator, txn, targets, at);
+            }
+            Note::IpiDeliver { target, txn } => self.note_ipi_deliver(target, txn, at),
+            Note::Ack {
+                initiator,
+                from,
+                txn,
+                done,
+            } => self.note_ack(initiator, from, txn, done, at),
+            Note::Close => self.closed = true,
+        }
     }
 
     fn ctx_index(&self, ctx: Ctx) -> usize {
@@ -287,10 +332,13 @@ impl CoherenceOracle {
     /// the stamp of `ctx`'s clock after it (`self.seq` is the event's
     /// sequence number). Once the ring is full the oldest record is
     /// dropped, releasing its clock, so recording allocates nothing.
+    /// A tick past `u32::MAX` leaves the component there and reports a
+    /// [`ViolationKind::ClockOverflow`] on the event.
     fn record(&mut self, ctx: Ctx, at: Time, kind: EventKind) -> Stamp {
         let i = self.ctx_index(ctx);
         let live = self.live[i];
-        let own = self.clocks.tick(live, i);
+        let ticked = self.clocks.tick(live, i);
+        let own = ticked.unwrap_or(u32::MAX);
         self.clocks.retain(live);
         self.seq += 1;
         let clock = Stamp {
@@ -303,6 +351,15 @@ impl CoherenceOracle {
             self.clocks.release(old.clock.snap);
         }
         self.history.push_back(Record { at, clock, kind });
+        if ticked.is_none() && self.reporting() {
+            self.flag(
+                ViolationKind::ClockOverflow,
+                format!("{ctx}'s vector-clock component passed u32::MAX"),
+                "no later event of this context can be ordered".to_owned(),
+                None,
+                None,
+            );
+        }
         clock
     }
 
@@ -381,7 +438,7 @@ impl CoherenceOracle {
     /// `ctx`) and a fill on `core` at local component `filled_component`:
     /// did any happens-before edge order the fill before the conflicting
     /// action?
-    fn race_verdict(&self, ctx: Ctx, core: usize, filled_component: u64) -> String {
+    fn race_verdict(&self, ctx: Ctx, core: usize, filled_component: u32) -> String {
         let i = self.ctx_index(ctx);
         if self.clocks.get(self.live[i])[core] >= filled_component {
             format!(
@@ -448,15 +505,7 @@ impl CoherenceOracle {
 
     /// A translation was installed into `cpu`'s TLB. `allocated` is the
     /// allocator's verdict on the frame at this instant.
-    pub fn note_fill(
-        &mut self,
-        cpu: CpuId,
-        pcid: u16,
-        vpn: Vpn,
-        pfn: Pfn,
-        allocated: bool,
-        at: Time,
-    ) {
+    fn note_fill(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn, pfn: Pfn, allocated: bool, at: Time) {
         let core = cpu.index();
         let stamp = self.record(
             Ctx::Cpu(cpu),
@@ -499,15 +548,7 @@ impl CoherenceOracle {
     /// clock component) as it is, and `pfn` only labels the record and
     /// the report. A hit on a page the shadow lacks installs it at `pfn`,
     /// healing a mirror whose fill predated the oracle.
-    pub fn note_hit(
-        &mut self,
-        cpu: CpuId,
-        pcid: u16,
-        vpn: Vpn,
-        pfn: Pfn,
-        allocated: bool,
-        at: Time,
-    ) {
+    fn note_hit(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn, pfn: Pfn, allocated: bool, at: Time) {
         let core = cpu.index();
         let stamp = self.record(
             Ctx::Cpu(cpu),
@@ -546,18 +587,13 @@ impl CoherenceOracle {
     }
 
     /// `cpu` invalidated one page.
-    pub fn note_invalidate(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn, at: Time) {
-        let core = cpu.index();
-        self.record(
-            Ctx::Cpu(cpu),
-            at,
-            EventKind::Invalidate { pcid, vpn: vpn.0 },
-        );
-        self.shadow_remove(core, pcid, vpn.0);
+    fn note_invalidate(&mut self, cpu: CpuId, pcid: u16, vpn: u64, at: Time) {
+        self.record(Ctx::Cpu(cpu), at, EventKind::Invalidate { pcid, vpn });
+        self.shadow_remove(cpu.index(), pcid, vpn);
     }
 
     /// `cpu` flushed its whole TLB.
-    pub fn note_flush_all(&mut self, cpu: CpuId, at: Time) {
+    fn note_flush_all(&mut self, cpu: CpuId, at: Time) {
         let core = cpu.index();
         self.record(Ctx::Cpu(cpu), at, EventKind::FlushAll);
         for (_, e) in self.shadow[core].drain() {
@@ -565,27 +601,16 @@ impl CoherenceOracle {
         }
     }
 
-    /// Capacity evictions the TLB model reported for `cpu`.
-    pub fn note_evictions(&mut self, cpu: CpuId, evicted: &[TlbEntry], at: Time) {
-        let core = cpu.index();
-        for e in evicted {
-            self.record(
-                Ctx::Cpu(cpu),
-                at,
-                EventKind::Evict {
-                    pcid: e.pcid,
-                    vpn: e.vpn,
-                    pfn: e.pfn,
-                },
-            );
-            self.shadow_remove(core, e.pcid, e.vpn);
-        }
+    /// A capacity eviction the TLB model reported for `cpu`.
+    fn note_evict(&mut self, cpu: CpuId, pcid: u16, vpn: u64, pfn: u64, at: Time) {
+        self.record(Ctx::Cpu(cpu), at, EventKind::Evict { pcid, vpn, pfn });
+        self.shadow_remove(cpu.index(), pcid, vpn);
     }
 
     // ---- allocator mirror -----------------------------------------------
 
     /// A frame left the free list.
-    pub fn note_alloc(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
+    fn note_alloc(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
         self.record(ctx, at, EventKind::Alloc { pfn: pfn.0 });
         self.flag_cached(
             ViolationKind::ReusedWhileCached,
@@ -596,7 +621,7 @@ impl CoherenceOracle {
     }
 
     /// A frame's last reference was dropped (it is reusable from now on).
-    pub fn note_free(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
+    fn note_free(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
         self.record(ctx, at, EventKind::Free { pfn: pfn.0 });
         self.flag_cached(ViolationKind::FreedWhileCached, ctx, pfn.0, "freed");
     }
@@ -604,7 +629,7 @@ impl CoherenceOracle {
     // ---- Latr protocol edges ---------------------------------------------
 
     /// A Latr state was published by `initiator`.
-    pub fn note_publish(
+    fn note_publish(
         &mut self,
         initiator: CpuId,
         mm: MmId,
@@ -649,7 +674,7 @@ impl CoherenceOracle {
 
     /// `cpu` swept every active state naming it that covers `(mm, range)`:
     /// it invalidated locally and cleared its bit.
-    pub fn note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange, at: Time) {
+    fn note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange, at: Time) {
         self.record(Ctx::Cpu(cpu), at, EventKind::Sweep { mm, range });
         let Some(bucket) = self.states.get_mut(&(mm, range)) else {
             return;
@@ -675,7 +700,7 @@ impl CoherenceOracle {
     }
 
     /// A NUMA hint fault on `(mm, vpn)` was allowed to proceed.
-    pub fn note_migration_proceed(&mut self, cpu: CpuId, mm: MmId, vpn: Vpn, at: Time) {
+    fn note_migration_proceed(&mut self, cpu: CpuId, mm: MmId, vpn: Vpn, at: Time) {
         self.record(Ctx::Cpu(cpu), at, EventKind::MigrationProceed { mm, vpn });
         let blocking = self
             .states
@@ -721,7 +746,7 @@ impl CoherenceOracle {
     // ---- synchronous shootdown edges ------------------------------------
 
     /// A shootdown's IPIs were multicast by `initiator`.
-    pub fn note_ipi_send(&mut self, initiator: CpuId, txn: u64, targets: CpuMask, at: Time) {
+    fn note_ipi_send(&mut self, initiator: CpuId, txn: u64, targets: CpuMask, at: Time) {
         let stamp = self.record(Ctx::Cpu(initiator), at, EventKind::IpiSend { txn, targets });
         let stamp = self.hold(stamp);
         if let Some(old) = self.txn_clocks.insert(txn, stamp) {
@@ -730,7 +755,7 @@ impl CoherenceOracle {
     }
 
     /// A shootdown IPI was handled on `target`.
-    pub fn note_ipi_deliver(&mut self, target: CpuId, txn: u64, at: Time) {
+    fn note_ipi_deliver(&mut self, target: CpuId, txn: u64, at: Time) {
         self.record(Ctx::Cpu(target), at, EventKind::IpiDeliver { txn });
         if let Some(&sent) = self.txn_clocks.get(&txn) {
             self.clocks.join_live(&mut self.live[target.index()], sent);
@@ -739,7 +764,7 @@ impl CoherenceOracle {
 
     /// The last ACK of `txn` arrived: `initiator` now happens-after every
     /// target's handler.
-    pub fn note_ack(&mut self, initiator: CpuId, from: CpuId, txn: u64, done: bool, at: Time) {
+    fn note_ack(&mut self, initiator: CpuId, from: CpuId, txn: u64, done: bool, at: Time) {
         self.record(Ctx::Cpu(initiator), at, EventKind::Ack { txn, from });
         let handler = self.clocks.stamp(self.live[from.index()], from.index());
         self.clocks
@@ -749,6 +774,271 @@ impl CoherenceOracle {
                 self.clocks.release(old.snap);
             }
         }
+    }
+}
+
+/// The coherence oracle. One per [`Machine`]; see the module docs.
+///
+/// Each `note_*` call is applied in place, or, while a worker runs
+/// ([`start_worker`](Self::start_worker) to
+/// [`join_worker`](Self::join_worker)), batched to it. The verdict reads
+/// the same either way, and only once the worker is joined: the readers
+/// panic while it runs.
+///
+/// [`Machine`]: ../latr_kernel/struct.Machine.html
+#[derive(Debug)]
+pub struct CoherenceOracle {
+    place: Place,
+}
+
+/// Where the shadow state is.
+#[derive(Debug)]
+enum Place {
+    /// On the caller's thread, applying each note as it comes.
+    Here(Box<Shadow>),
+    /// On a worker thread, fed through the pipe.
+    Worker(Pipe),
+}
+
+impl CoherenceOracle {
+    /// An oracle over `ncpus` cores.
+    pub fn new(ncpus: usize) -> Self {
+        CoherenceOracle {
+            place: Place::Here(Box::new(Shadow::new(ncpus))),
+        }
+    }
+
+    /// Moves the shadow state onto a worker thread of its own: from here
+    /// to [`join_worker`](Self::join_worker) the notes travel to it in
+    /// batches and the caller's thread only appends them. Does nothing
+    /// while a worker already runs, and leaves the checks in place if
+    /// the host cannot start a thread.
+    pub fn start_worker(&mut self) {
+        if let Place::Here(shadow) = &mut self.place {
+            if let Some(pipe) = Pipe::start(shadow) {
+                self.place = Place::Worker(pipe);
+            }
+        }
+    }
+
+    /// Sends the worker the notes it has not seen, waits for it to apply
+    /// them and takes the shadow state back. Does nothing without a
+    /// worker.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the worker.
+    pub fn join_worker(&mut self) {
+        if let Place::Worker(pipe) = &mut self.place {
+            self.place = Place::Here(Box::new(pipe.join()));
+        }
+    }
+
+    /// The shadow state, for the readers.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a worker holds it: the verdict is not known until
+    /// the worker has applied every note.
+    fn here(&self) -> &Shadow {
+        match &self.place {
+            Place::Here(shadow) => shadow,
+            Place::Worker(_) => panic!("the oracle is read before join_worker"),
+        }
+    }
+
+    /// Applies `note` in place or sends it to the worker. A publish or
+    /// an IPI send carries its targets in `mask`.
+    #[inline]
+    fn note(&mut self, at: Time, note: Note, mask: Option<CpuMask>) {
+        match &mut self.place {
+            Place::Here(shadow) => shadow.apply(at, note, &mut mask.as_slice().iter()),
+            Place::Worker(pipe) => pipe.push(at, note, mask),
+        }
+    }
+
+    /// Stops checking (events still record). The machine calls this right
+    /// before the policy's shutdown drain: that drain runs after the final
+    /// event, so the frames it frees can no longer be reached through any
+    /// TLB — flagging them would be noise, not a race.
+    pub fn close(&mut self) {
+        self.note(Time::ZERO, Note::Close, None);
+    }
+
+    /// The first violation detected, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a worker runs.
+    pub fn violation(&self) -> Option<&Violation> {
+        self.here().violation.as_ref()
+    }
+
+    /// How many further checks fired after the first violation.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a worker runs.
+    pub fn suppressed_count(&self) -> u64 {
+        self.here().suppressed
+    }
+
+    /// Total events observed.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a worker runs.
+    pub fn events_observed(&self) -> u64 {
+        self.here().seq
+    }
+
+    // ---- TLB mirror -----------------------------------------------------
+
+    /// A translation was installed into `cpu`'s TLB. `allocated` is the
+    /// allocator's verdict on the frame at this instant.
+    pub fn note_fill(
+        &mut self,
+        cpu: CpuId,
+        pcid: u16,
+        vpn: Vpn,
+        pfn: Pfn,
+        allocated: bool,
+        at: Time,
+    ) {
+        let (vpn, pfn) = (vpn.0, pfn.0);
+        self.note(
+            at,
+            Note::Fill {
+                cpu,
+                pcid,
+                vpn,
+                pfn,
+                allocated,
+            },
+            None,
+        );
+    }
+
+    /// An access was served from `cpu`'s TLB without a walk. A shadow
+    /// entry for the page wins over `pfn`, which then only labels the
+    /// record and the report.
+    pub fn note_hit(
+        &mut self,
+        cpu: CpuId,
+        pcid: u16,
+        vpn: Vpn,
+        pfn: Pfn,
+        allocated: bool,
+        at: Time,
+    ) {
+        let (vpn, pfn) = (vpn.0, pfn.0);
+        self.note(
+            at,
+            Note::Hit {
+                cpu,
+                pcid,
+                vpn,
+                pfn,
+                allocated,
+            },
+            None,
+        );
+    }
+
+    /// `cpu` invalidated one page.
+    pub fn note_invalidate(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn, at: Time) {
+        let vpn = vpn.0;
+        self.note(at, Note::Invalidate { cpu, pcid, vpn }, None);
+    }
+
+    /// `cpu` flushed its whole TLB.
+    pub fn note_flush_all(&mut self, cpu: CpuId, at: Time) {
+        self.note(at, Note::FlushAll { cpu }, None);
+    }
+
+    /// Capacity evictions the TLB model reported for `cpu`.
+    pub fn note_evictions(&mut self, cpu: CpuId, evicted: &[TlbEntry], at: Time) {
+        for e in evicted {
+            let (pcid, vpn, pfn) = (e.pcid, e.vpn, e.pfn);
+            self.note(
+                at,
+                Note::Evict {
+                    cpu,
+                    pcid,
+                    vpn,
+                    pfn,
+                },
+                None,
+            );
+        }
+    }
+
+    // ---- allocator mirror -----------------------------------------------
+
+    /// A frame left the free list.
+    pub fn note_alloc(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
+        self.note(at, Note::Alloc { ctx, pfn: pfn.0 }, None);
+    }
+
+    /// A frame's last reference was dropped (it is reusable from now on).
+    pub fn note_free(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
+        self.note(at, Note::Free { ctx, pfn: pfn.0 }, None);
+    }
+
+    // ---- Latr protocol edges ---------------------------------------------
+
+    /// A Latr state was published by `initiator`.
+    pub fn note_publish(
+        &mut self,
+        initiator: CpuId,
+        mm: MmId,
+        range: VaRange,
+        targets: CpuMask,
+        migration: bool,
+        at: Time,
+    ) {
+        let note = Note::Publish {
+            initiator,
+            mm,
+            range,
+            migration,
+        };
+        self.note(at, note, Some(targets));
+    }
+
+    /// `cpu` swept every active state naming it that covers `(mm, range)`:
+    /// it invalidated locally and cleared its bit.
+    pub fn note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange, at: Time) {
+        self.note(at, Note::Sweep { cpu, mm, range }, None);
+    }
+
+    /// A NUMA hint fault on `(mm, vpn)` was allowed to proceed.
+    pub fn note_migration_proceed(&mut self, cpu: CpuId, mm: MmId, vpn: Vpn, at: Time) {
+        self.note(at, Note::MigrationProceed { cpu, mm, vpn }, None);
+    }
+
+    // ---- synchronous shootdown edges ------------------------------------
+
+    /// A shootdown's IPIs were multicast by `initiator`.
+    pub fn note_ipi_send(&mut self, initiator: CpuId, txn: u64, targets: CpuMask, at: Time) {
+        self.note(at, Note::IpiSend { initiator, txn }, Some(targets));
+    }
+
+    /// A shootdown IPI was handled on `target`.
+    pub fn note_ipi_deliver(&mut self, target: CpuId, txn: u64, at: Time) {
+        self.note(at, Note::IpiDeliver { target, txn }, None);
+    }
+
+    /// The last ACK of `txn` arrived: `initiator` now happens-after every
+    /// target's handler.
+    pub fn note_ack(&mut self, initiator: CpuId, from: CpuId, txn: u64, done: bool, at: Time) {
+        let note = Note::Ack {
+            initiator,
+            from,
+            txn,
+            done,
+        };
+        self.note(at, note, None);
     }
 }
 
@@ -767,17 +1057,17 @@ mod reference {
         publish_clock: Stamp,
     }
 
-    /// A [`CoherenceOracle`] whose Latr states live in the linear list;
-    /// every other event goes to the wrapped oracle unchanged.
+    /// A [`Shadow`] whose Latr states live in the linear list; every
+    /// other event goes to the wrapped shadow unchanged.
     pub(super) struct ReferenceOracle {
-        pub(super) inner: CoherenceOracle,
+        pub(super) inner: Shadow,
         states: Vec<LinearState>,
     }
 
     impl ReferenceOracle {
         pub(super) fn new(ncpus: usize) -> Self {
             ReferenceOracle {
-                inner: CoherenceOracle::new(ncpus),
+                inner: Shadow::new(ncpus),
                 states: Vec::new(),
             }
         }
@@ -848,7 +1138,7 @@ mod tests {
     const T: Time = Time::ZERO;
 
     /// Every context's clock as it stands.
-    fn clocks(o: &CoherenceOracle) -> Vec<crate::VClock> {
+    fn clocks(o: &Shadow) -> Vec<crate::VClock> {
         (0..o.live.len())
             .map(|i| o.clocks.stamp(o.live[i], i).clock(&o.clocks))
             .collect()
@@ -989,6 +1279,33 @@ mod tests {
     }
 
     #[test]
+    fn a_tick_past_u32_max_is_the_first_violation() {
+        let mut o = CoherenceOracle::new(2);
+        let Place::Here(s) = &mut o.place else {
+            unreachable!("no worker started")
+        };
+        s.clocks.set(s.live[1], 1, u32::MAX - 1);
+        // The last tick that fits.
+        o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(3), true, T);
+        assert!(o.violation().is_none(), "{:?}", o.violation());
+        o.note_invalidate(CpuId(1), 0, vpn(0x11), T);
+        let v = o.violation().expect("the overflow is reported");
+        assert_eq!(v.kind, ViolationKind::ClockOverflow);
+        assert_eq!(v.headline, "cpu1's vector-clock component passed u32::MAX");
+        assert_eq!(
+            v.offending.to_string(),
+            "[seq 2 @ 0ns] cpu1: invalidate vpn 0x11 (pcid 0) vclock [0 4294967295 0]"
+        );
+        assert_eq!(o.suppressed_count(), 0);
+        // A race and a further overflowing tick on cpu1 only count.
+        o.note_free(Ctx::Kthread, Pfn(3), T);
+        o.note_hit(CpuId(1), 0, vpn(0x10), Pfn(3), false, T);
+        assert_eq!(o.suppressed_count(), 3);
+        assert_eq!(o.violation().unwrap().kind, ViolationKind::ClockOverflow);
+        assert_eq!(o.events_observed(), 4);
+    }
+
+    #[test]
     fn multi_cacher_free_verdict_is_deterministic() {
         // cpu1's fill is ordered before the free by an ACK edge; cpu2's
         // and cpu10's are not. The verdict must name the smallest cacher
@@ -1022,13 +1339,14 @@ mod tests {
         for i in 0..HISTORY_CAPACITY as u64 + 3 {
             o.note_invalidate(CpuId(0), 0, vpn(i), T);
         }
-        assert_eq!(o.history.len(), HISTORY_CAPACITY);
-        let oldest = o.render(HISTORY_CAPACITY - 1);
+        let s = o.here();
+        assert_eq!(s.history.len(), HISTORY_CAPACITY);
+        let oldest = s.render(HISTORY_CAPACITY - 1);
         assert_eq!(oldest.seq, 4);
         assert_eq!(oldest.kind, EventKind::Invalidate { pcid: 0, vpn: 3 });
-        let newest = o.render(0);
+        let newest = s.render(0);
         assert_eq!(newest.seq, HISTORY_CAPACITY as u64 + 3);
-        assert_eq!(newest.clock, clocks(&o)[0]);
+        assert_eq!(newest.clock, clocks(s)[0]);
     }
 
     #[test]
@@ -1060,7 +1378,7 @@ mod tests {
 
     /// Every clock slot's refcount equals the number of holders: history
     /// records, contexts, live states and in-flight transactions.
-    fn assert_refcounts_match_holders(o: &CoherenceOracle) {
+    fn assert_refcounts_match_holders(o: &Shadow) {
         let mut holders = vec![0u32; o.clocks.refcounts().len()];
         let held = o
             .history
@@ -1096,10 +1414,10 @@ mod tests {
                 _ => o.note_invalidate(cpu, 0, vpn(step as u64), T),
             }
             if step % 97 == 0 {
-                assert_refcounts_match_holders(&o);
+                assert_refcounts_match_holders(o.here());
             }
         }
-        assert_refcounts_match_holders(&o);
+        assert_refcounts_match_holders(o.here());
     }
 
     #[test]
@@ -1115,7 +1433,7 @@ mod tests {
         o.note_ack(CpuId(0), CpuId(1), 7, true, T);
         o.note_free(Ctx::Cpu(CpuId(0)), Pfn(3), T);
         assert!(o.violation().is_none());
-        let clocks = clocks(&o);
+        let clocks = clocks(o.here());
         assert!(clocks[0].dominates(&clocks[1]));
     }
 
@@ -1254,16 +1572,16 @@ mod tests {
                         reference.inner.note_free(ctx, Pfn(pfn), T);
                     }
                 }
-                proptest::prop_assert_eq!(clocks(&keyed), clocks(&reference.inner), "clocks after step {}", step);
+                proptest::prop_assert_eq!(clocks(keyed.here()), clocks(&reference.inner), "clocks after step {}", step);
                 proptest::prop_assert_eq!(
                     keyed.violation().map(|v| v.to_string()),
-                    reference.inner.violation().map(|v| v.to_string()),
+                    reference.inner.violation.as_ref().map(|v| v.to_string()),
                     "violation after step {}",
                     step
                 );
                 proptest::prop_assert_eq!(
                     keyed.suppressed_count(),
-                    reference.inner.suppressed_count(),
+                    reference.inner.suppressed,
                     "suppressed after step {}",
                     step
                 );

@@ -12,6 +12,11 @@
 //! byte-identity gate for the oracle's internal layout: any change to its
 //! bookkeeping must reproduce it exactly.
 //!
+//! Every stream runs twice: in place, and handed to the oracle's worker
+//! thread a quarter of the way in, as `Machine::run` hands it over after
+//! the workload's setup. Both must render the file, the observed and
+//! suppressed counts included.
+//!
 //! To re-bless after an *intentional* change to the reports:
 //!
 //! ```sh
@@ -78,12 +83,14 @@ impl Model {
     }
 }
 
-/// Runs one seeded stream and renders what the oracle reports.
-fn run(seed: u64) -> (String, Option<ViolationKind>) {
+/// Runs one seeded stream and renders what the oracle reports, in place
+/// or, with `worker`, from a quarter of the way in on the worker thread.
+fn run(seed: u64, worker: bool) -> (String, Option<ViolationKind>) {
     let mut rng = SimRng::new(seed);
     let ncpus = [2u16, 3, 4, 6, 8, 12, 16][rng.below(7) as usize];
     let steps = 6_000 + rng.below(12_001);
     let tail_start = steps - TAIL;
+    let handover = if worker { steps / 4 } else { steps };
     let mut o = CoherenceOracle::new(ncpus.into());
     let mut m = Model {
         ncpus,
@@ -92,6 +99,9 @@ fn run(seed: u64) -> (String, Option<ViolationKind>) {
         next_txn: 1,
     };
     for step in 0..steps {
+        if step == handover {
+            o.start_worker();
+        }
         let at = Time::from_ns(step * 100);
         let tail = step >= tail_start;
         let cpu = m.cpu(&mut rng);
@@ -196,6 +206,7 @@ fn run(seed: u64) -> (String, Option<ViolationKind>) {
             }
         }
     }
+    o.join_worker();
     let mut out = String::new();
     writeln!(out, "=== seed {seed}: {ncpus} cpus, {steps} steps ===").unwrap();
     match o.violation() {
@@ -215,11 +226,13 @@ fn run(seed: u64) -> (String, Option<ViolationKind>) {
 #[test]
 fn violation_reports_match_the_golden_file() {
     let mut got = String::new();
+    let mut via_worker = String::new();
     let mut kinds = Vec::new();
     for seed in 0..SEEDS {
-        let (text, kind) = run(seed);
+        let (text, kind) = run(seed, false);
         got.push_str(&text);
         kinds.extend(kind);
+        via_worker.push_str(&run(seed, true).0);
     }
     for want in [
         ViolationKind::FreedWhileCached,
@@ -244,18 +257,20 @@ fn violation_reports_match_the_golden_file() {
             path.display()
         )
     });
-    if got != want {
-        let line = got
-            .lines()
-            .zip(want.lines())
-            .position(|(g, w)| g != w)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        panic!(
-            "violation reports drifted from {} at line {}:\n  got:  {:?}\n  want: {:?}",
-            path.display(),
-            line + 1,
-            got.lines().nth(line),
-            want.lines().nth(line)
-        );
+    for (how, got) in [("in place", &got), ("through the worker", &via_worker)] {
+        if *got != want {
+            let line = got
+                .lines()
+                .zip(want.lines())
+                .position(|(g, w)| g != w)
+                .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+            panic!(
+                "violation reports {how} drifted from {} at line {}:\n  got:  {:?}\n  want: {:?}",
+                path.display(),
+                line + 1,
+                got.lines().nth(line),
+                want.lines().nth(line)
+            );
+        }
     }
 }

@@ -7,8 +7,8 @@
 //! no other state — here, invalidating a page no TLB caches — must
 //! allocate nothing. A counting global allocator pins that; this file
 //! holds a single test so no other test thread allocates while it
-//! counts. `tests/zero_alloc.rs` at the workspace root pins the same for
-//! whole oracle-on machine runs.
+//! counts. `tests/zero_alloc_oracle.rs` at the workspace root pins the
+//! same for whole oracle-on machine runs, worker thread included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

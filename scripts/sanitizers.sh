@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Runs the rt test suite under a sanitizer (EXPERIMENTS.md "Sanitizers").
+# Runs the rt test suite and the coherence oracle's worker-thread tests
+# under a sanitizer (EXPERIMENTS.md "Sanitizers").
 #
 #   scripts/sanitizers.sh thread    # ThreadSanitizer (default)
 #   scripts/sanitizers.sh address   # AddressSanitizer
@@ -63,4 +64,11 @@ echo "RUSTFLAGS=$RUSTFLAGS" >&2
 # The rt unit tests are where every rt atomic and lock is exercised
 # under real threads; --target (see above) scopes RUSTFLAGS to target code.
 # shellcheck disable=SC2086  # BUILD_STD intentionally word-splits away when empty
-exec cargo +nightly test -p latr-core --lib $BUILD_STD --target "$HOST" -- rt::
+cargo +nightly test -p latr-core --lib $BUILD_STD --target "$HOST" -- rt::
+# The simulator's one cross-thread hand-off: the oracle's batched pipe to
+# its worker thread (`pipe::` unit tests, and the golden violation
+# reports driven through the worker).
+# shellcheck disable=SC2086
+cargo +nightly test -p latr-verify --lib $BUILD_STD --target "$HOST" -- pipe::
+# shellcheck disable=SC2086
+exec cargo +nightly test -p latr-verify --test violation_golden $BUILD_STD --target "$HOST"

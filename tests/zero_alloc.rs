@@ -14,13 +14,13 @@
 //!
 //! The sweep storm runs on two machine shapes: the 16-core commodity box,
 //! and the benchmark's 120-core storm, whose same-instant wakeup bursts
-//! are what once grew calendar buckets. Each runs twice: with the
-//! coherence oracle off, and with it on. The oracle's shadow TLBs, state
-//! table and clock snapshots reuse their storage once grown, so its
-//! steady state must add no allocations either. The serving workload runs
-//! in the benchmark's shape under Latr, Linux and ABIS: thousands of
-//! packages released per reclaim tick on one side, a synchronous IPI
-//! round per request on the others. A fourth serving run puts Latr under
+//! are what once grew calendar buckets. The same storms with the
+//! coherence oracle on are in `tests/zero_alloc_oracle.rs`: the oracle
+//! runs on a worker thread during a run, which this file's per-thread
+//! count cannot see. The serving workload runs in the benchmark's
+//! shape under Latr, Linux and ABIS: thousands of packages released per
+//! reclaim tick on one side, a synchronous IPI round per request on the
+//! others. A fourth serving run puts Latr under
 //! IPI faults, overflow storms and a stalled sweeper, so its fallback
 //! rounds, retransmits and watchdog escalations run in the measured
 //! window too. A Latr allocation storm under watermarks, a stalled
@@ -135,8 +135,8 @@ fn ipi_chaos_with_stall() -> FaultPlan {
         .with_stall(1, 2 * MILLISECOND, 200 * MILLISECOND)
 }
 
-/// Runs `workload` under `policy` on `preset` for `duration`, with or
-/// without the `oracle` and a fault plan, and returns the number of heap
+/// Runs `workload` under `policy` on `preset` for `duration`, with the
+/// oracle off and with or without a fault plan, and returns the number of heap
 /// allocations performed *during the run* (setup — `Machine::new` and
 /// the workload constructor — is excluded; warmup is not, which is
 /// exactly why the short run is subtracted) and the events delivered.
@@ -144,12 +144,11 @@ fn allocations_during(
     preset: MachinePreset,
     workload: Box<dyn Workload>,
     policy: PolicyKind,
-    oracle: bool,
     faults: Option<FaultPlan>,
     duration: Nanos,
 ) -> (u64, u64) {
     let mut config = MachineConfig::new(Topology::preset(preset));
-    config.oracle = oracle;
+    config.oracle = false;
     config.faults = faults;
     let (allocs, machine) = run_counted(config, workload, policy, duration);
     (allocs, machine.events_delivered())
@@ -212,15 +211,12 @@ fn sweep_storm_steady_state_allocates_nothing_per_event() {
     let short = 50 * MILLISECOND;
     let long = 250 * MILLISECOND;
     for (preset, storm) in SHAPES {
-        for oracle in [false, true] {
-            // Enough rounds that the storm is still publishing when the
-            // long run ends: the extra window must contain real per-event
-            // work, not idle ticks.
-            let latr = PolicyKind::latr_default();
-            let run = |d| allocations_during(preset, Box::new(storm()), latr, oracle, None, d);
-            let what = format!("{preset:?} (oracle {oracle})");
-            assert_steady_state(&what, run(short), run(long), u64::MAX);
-        }
+        // Enough rounds that the storm is still publishing when the long
+        // run ends: the extra window must contain real per-event work,
+        // not idle ticks.
+        let latr = PolicyKind::latr_default();
+        let run = |d| allocations_during(preset, Box::new(storm()), latr, None, d);
+        assert_steady_state(&format!("{preset:?}"), run(short), run(long), u64::MAX);
     }
 }
 
@@ -251,7 +247,7 @@ fn serving_steady_state_allocates_nothing_per_request() {
         let preset = MachinePreset::LargeNuma8S120C;
         let run = |d| {
             let faults = faults.clone();
-            allocations_during(preset, Box::new(serving()), policy, false, faults, d)
+            allocations_during(preset, Box::new(serving()), policy, faults, d)
         };
         assert_steady_state(
             &format!("serving under {name}"),
