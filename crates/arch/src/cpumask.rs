@@ -68,6 +68,18 @@ impl CpuMask {
         m
     }
 
+    /// The mask whose bit *i* of `words[w]` is CPU `w*64+i`.
+    #[inline]
+    pub const fn from_words(words: [u64; WORDS]) -> Self {
+        CpuMask { words }
+    }
+
+    /// The mask as words: bit *i* of word *w* is CPU `w*64+i`.
+    #[inline]
+    pub const fn words(&self) -> [u64; WORDS] {
+        self.words
+    }
+
     /// Builds a mask from an iterator of CPU ids.
     pub fn from_cpus<I: IntoIterator<Item = CpuId>>(iter: I) -> Self {
         let mut m = CpuMask::empty();
@@ -147,6 +159,16 @@ impl CpuMask {
         let mut out = *self;
         for (a, b) in out.words.iter_mut().zip(&other.words) {
             *a |= b;
+        }
+        out
+    }
+
+    /// Bits set in both `self` and `other`.
+    #[inline]
+    pub fn intersection(&self, other: &CpuMask) -> CpuMask {
+        let mut out = *self;
+        for (a, b) in out.words.iter_mut().zip(&other.words) {
+            *a &= b;
         }
         out
     }
@@ -292,6 +314,13 @@ mod tests {
     }
 
     #[test]
+    fn words_name_cpus_word_by_word() {
+        let m = CpuMask::from_cpus([CpuId(1), CpuId(64), CpuId(255)]);
+        assert_eq!(m.words(), [0b10, 1, 0, 1 << 63]);
+        assert_eq!(CpuMask::from_words(m.words()), m);
+    }
+
+    #[test]
     fn first_finds_lowest() {
         let m = CpuMask::from_cpus([CpuId(130), CpuId(64)]);
         assert_eq!(m.first(), Some(CpuId(64)));
@@ -306,6 +335,7 @@ mod tests {
             CpuMask::from_cpus([CpuId(1), CpuId(2), CpuId(3)])
         );
         assert_eq!(a.difference(&b), CpuMask::from_cpus([CpuId(1)]));
+        assert_eq!(a.intersection(&b), CpuMask::from_cpus([CpuId(2)]));
     }
 
     #[test]

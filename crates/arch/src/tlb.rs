@@ -133,9 +133,9 @@ struct SetAssoc<const WAYS: usize> {
     /// 0 otherwise, falling back to the modulo.
     set_mask: usize,
     /// Valid-entry count per PCID, grown on demand. `count(p) == 0`
-    /// proves no valid slot is tagged `p`, which lets lookups,
-    /// invalidations and PCID flushes for an uncached address space skip
-    /// the set probe entirely — the common case for a sweeping core that
+    /// proves no valid slot is tagged `p`, which lets lookups and
+    /// invalidations for an uncached address space skip the set probe
+    /// entirely — the common case for a sweeping core that
     /// never touched the publisher's pages. Pure accounting: slot
     /// contents, LRU state and statistics are unchanged by the skip.
     pcid_count: Vec<u32>,
@@ -276,24 +276,6 @@ impl<const WAYS: usize> SetAssoc<WAYS> {
     fn flush_all(&mut self) {
         self.valid.fill(0);
         self.pcid_count.fill(0);
-    }
-
-    fn flush_pcid(&mut self, pcid: u16) {
-        if self.count(pcid) == 0 {
-            return;
-        }
-        for (set, valid) in self.valid.iter_mut().enumerate() {
-            let keys = &self.keys[set * WAYS..(set + 1) * WAYS];
-            let mut live = *valid;
-            while live != 0 {
-                let way = live.trailing_zeros() as usize;
-                live &= live - 1;
-                if keys[way] as u16 == pcid {
-                    *valid &= !(1 << way);
-                }
-            }
-        }
-        self.pcid_count[pcid as usize] = 0;
     }
 
     fn iter_valid(&self) -> impl Iterator<Item = TlbEntry> + '_ {
@@ -477,13 +459,6 @@ impl Tlb {
         self.l2.flush_all();
     }
 
-    /// Flushes all entries tagged with `pcid`.
-    pub fn flush_pcid(&mut self, pcid: u16) {
-        self.stats.full_flushes += 1;
-        self.l1.flush_pcid(pcid);
-        self.l2.flush_pcid(pcid);
-    }
-
     /// Iterates over every valid cached translation (both levels,
     /// duplicates possible). For invariant checking and debugging.
     pub fn iter_entries(&self) -> impl Iterator<Item = TlbEntry> + '_ {
@@ -596,11 +571,9 @@ mod reference {
             any
         }
 
-        fn flush(&mut self, pcid: Option<u16>) {
+        fn flush(&mut self) {
             for slot in &mut self.slots {
-                if pcid.is_none_or(|p| slot.entry.pcid == p) {
-                    slot.valid = false;
-                }
+                slot.valid = false;
             }
         }
 
@@ -689,14 +662,8 @@ mod reference {
 
         pub(super) fn flush_all(&mut self) {
             self.stats.full_flushes += 1;
-            self.l1.flush(None);
-            self.l2.flush(None);
-        }
-
-        pub(super) fn flush_pcid(&mut self, pcid: u16) {
-            self.stats.full_flushes += 1;
-            self.l1.flush(Some(pcid));
-            self.l2.flush(Some(pcid));
+            self.l1.flush();
+            self.l2.flush();
         }
 
         pub(super) fn iter_entries(&self) -> impl Iterator<Item = TlbEntry> + '_ {
@@ -767,13 +734,9 @@ mod tests {
                     "{}",
                     at
                 ),
-                14 => {
+                _ => {
                     tlb.flush_all();
                     spec.flush_all();
-                }
-                _ => {
-                    tlb.flush_pcid(pcid);
-                    spec.flush_pcid(pcid);
                 }
             }
             prop_assert_eq!(tlb.stats(), spec.stats(), "{}", at);
@@ -795,7 +758,7 @@ mod tests {
         fn matches_the_stamped_reference(
             (shape, track, high, spread) in (0usize..SHAPES.len(), any::<bool>(), any::<bool>(), 0u32..4),
             steps in prop::collection::vec(
-                (0u8..16, 0u16..3, any::<u64>(), (0u64..PFN_MAX, any::<bool>())),
+                (0u8..15, 0u16..3, any::<u64>(), (0u64..PFN_MAX, any::<bool>())),
                 0..600,
             ),
         ) {
@@ -1019,7 +982,7 @@ mod tests {
         });
         assert_eq!(tlb.lookup(1, 9).unwrap().pfn, 100);
         assert_eq!(tlb.lookup(2, 9).unwrap().pfn, 200);
-        tlb.flush_pcid(1);
+        assert!(tlb.invalidate_page(1, 9));
         assert!(tlb.peek(1, 9).is_none());
         assert_eq!(tlb.peek(2, 9).unwrap().pfn, 200);
     }

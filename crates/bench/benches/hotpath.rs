@@ -62,6 +62,7 @@ fn bench_rt_sweep_tick(c: &mut Criterion) {
         ("rt_sweep_tick_120c_reference_scan", false),
     ] {
         let registry = RtRegistry::new(cores, 64);
+        let core_1 = CpuMask::from_cpus([latr_arch::CpuId(1)]);
         let mut buf = Vec::with_capacity(1);
         c.bench_function(name, |b| {
             b.iter(|| {
@@ -74,7 +75,7 @@ fn bench_rt_sweep_tick(c: &mut Criterion) {
                             start: 0x1000,
                             end: 0x2000,
                         },
-                        0b10,
+                        core_1,
                     )
                     .unwrap();
                 buf.clear();

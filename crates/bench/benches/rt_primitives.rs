@@ -5,6 +5,7 @@
 //! Linux's IPI round).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use latr_arch::{CpuId, CpuMask};
 use latr_core::rt::{
     CachePadded, RtInvalidation, RtRegistry, ShardedReclaimer, SoftTlb, SoftTlbTable,
 };
@@ -25,10 +26,11 @@ fn inv() -> RtInvalidation {
 /// save alone.
 fn bench_publish(c: &mut Criterion) {
     let registry = RtRegistry::new(4, 64);
+    let targets = CpuMask::from_cpus([1, 2, 3].map(CpuId));
     let mut drained = Vec::new();
     c.bench_function("rt_publish_and_drain_3_sweeps", |b| {
         b.iter(|| {
-            let idx = registry.publish(0, black_box(inv()), 0b1110).unwrap();
+            let idx = registry.publish(0, black_box(inv()), targets).unwrap();
             drained.clear();
             for core in 1..4 {
                 registry.sweep_into(core, &mut drained);
@@ -40,9 +42,10 @@ fn bench_publish(c: &mut Criterion) {
 
 fn bench_sweep_hit(c: &mut Criterion) {
     let registry = RtRegistry::new(2, 64);
+    let core_1 = CpuMask::from_cpus([CpuId(1)]);
     c.bench_function("rt_sweep_one_hit (Table 5: sweep ~158ns)", |b| {
         b.iter(|| {
-            registry.publish(0, inv(), 0b10).unwrap();
+            registry.publish(0, inv(), core_1).unwrap();
             black_box(registry.sweep(1));
         })
     });
@@ -97,6 +100,7 @@ fn bench_contended_sweep(c: &mut Criterion) {
     for publishers in [2usize, 6] {
         let cores = publishers + 1;
         let registry = Arc::new(RtRegistry::new(cores, 256));
+        let sweeper = CpuMask::from_cpus([CpuId(0)]);
         let stop = Arc::new(AtomicBool::new(false));
         let threads: Vec<_> = (1..cores)
             .map(|core| {
@@ -106,7 +110,7 @@ fn bench_contended_sweep(c: &mut Criterion) {
                     while !stop.load(Ordering::Relaxed) {
                         // Target only the sweeper (core 0); on overflow
                         // spin until it drains.
-                        let _ = r.publish(core, inv(), 0b1);
+                        let _ = r.publish(core, inv(), sweeper);
                         std::hint::spin_loop();
                     }
                 })

@@ -4,9 +4,9 @@
 //! and unmaps/remaps one key per round — deferring the "page" into the
 //! [`ShardedReclaimer`] and collecting it back once its grace elapses.
 //! This is the one rt runtime stack: the pending-row sweep, the sharded
-//! reclaimer gated on the cached frontier, and `publish_wide`. `rt_scale`
-//! runs the loop healthy and measures throughput; `soak` hands each
-//! worker a [`ThreadFaultStream`] and measures survival.
+//! reclaimer gated on the cached frontier, and `RtRegistry::publish`.
+//! `rt_scale` runs the loop healthy and measures throughput; `soak` hands
+//! each worker a [`ThreadFaultStream`] and measures survival.
 //!
 //! Every run carries the **canary**: each deferred item records
 //! `min_live_tick() + grace` and the exclusion epoch at defer time, and

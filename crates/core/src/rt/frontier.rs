@@ -145,11 +145,6 @@ impl FrontierWatchdog {
         }
     }
 
-    /// The stall timeout in nanoseconds.
-    pub fn timeout_ns(&self) -> u64 {
-        self.timeout_ns
-    }
-
     /// Nanoseconds since construction.
     #[cfg(not(loom))]
     pub fn now_ns(&self) -> u64 {
@@ -176,7 +171,7 @@ impl FrontierWatchdog {
 
     /// `core`'s last recorded sweep, in nanoseconds since construction
     /// (0 if it never swept).
-    pub fn last_sweep_ns(&self, core: usize) -> u64 {
+    fn last_sweep_ns(&self, core: usize) -> u64 {
         self.last_sweep_ns[core].load(Ordering::Acquire)
     }
 
@@ -219,7 +214,7 @@ mod tests {
         // A generous timeout never trips in-test.
         let w = FrontierWatchdog::new(1, 60_000_000_000);
         assert!(!w.timed_out(0, w.now_ns()));
-        assert_eq!(w.timeout_ns(), 60_000_000_000);
+        assert_eq!(w.timeout_ns, 60_000_000_000);
     }
 
     #[test]

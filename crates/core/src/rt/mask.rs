@@ -1,13 +1,15 @@
 //! An atomic CPU bitmask.
 //!
-//! The concurrent twin of [`latr_arch::CpuMask`]: remote cores clear their
-//! bit with a single `fetch_and`, and the one whose clear empties the mask
-//! learns it atomically — that core retires the state, exactly the "last
-//! core resets the active flag" step of §4.1 without any lock.
+//! The concurrent twin of [`latr_arch::CpuMask`], which is what it stores,
+//! loads and takes whole: remote cores clear their bit with a single
+//! `fetch_and`, and the one whose clear empties the mask learns it
+//! atomically — that core retires the state, exactly the "last core
+//! resets the active flag" step of §4.1 without any lock.
 
 use crate::rt::sync::atomic::{AtomicU64, Ordering};
+use latr_arch::{CpuMask, MAX_CPUS};
 
-const WORDS: usize = 4; // up to 256 CPUs, same as latr_arch::MAX_CPUS
+const WORDS: usize = MAX_CPUS / 64;
 
 /// A 256-bit atomic CPU mask.
 #[derive(Debug, Default)]
@@ -24,23 +26,22 @@ impl AtomicCpuMask {
         Self::default()
     }
 
-    /// Non-atomically stores a plain bitmask where bit *i* of `bits[w]`
-    /// is CPU `w*64+i`. Used by the publisher before the release-store of
-    /// the active flag.
-    pub fn store_words(&self, bits: [u64; WORDS], order: Ordering) {
-        for (a, b) in self.words.iter().zip(bits) {
+    /// Stores `mask` word by word (not one atomic snapshot). Used by the
+    /// publisher before the release-store of the active flag.
+    pub fn store(&self, mask: CpuMask, order: Ordering) {
+        for (a, b) in self.words.iter().zip(mask.words()) {
             a.store(b, order);
         }
     }
 
-    /// Loads the current bits.
-    pub fn load_words(&self, order: Ordering) -> [u64; WORDS] {
-        [
+    /// Loads the current bits, word by word.
+    pub fn load(&self, order: Ordering) -> CpuMask {
+        CpuMask::from_words([
             self.words[0].load(order),
             self.words[1].load(order),
             self.words[2].load(order),
             self.words[3].load(order),
-        ]
+        ])
     }
 
     /// Whether `cpu`'s bit is set.
@@ -81,7 +82,7 @@ impl AtomicCpuMask {
 
     /// Atomically sets `cpu`'s bit (release semantics: everything the
     /// setter did before — e.g. activating a state slot — is visible to
-    /// whoever takes the bit with [`take_words`](Self::take_words)).
+    /// whoever takes the bit with [`take`](Self::take)).
     pub fn set_bit(&self, cpu: usize) {
         self.words[cpu / 64].fetch_or(1 << (cpu % 64), Ordering::AcqRel);
     }
@@ -98,13 +99,13 @@ impl AtomicCpuMask {
     /// semantics pairing with [`set_bit`](Self::set_bit)). Bits set
     /// concurrently with the drain land either in the returned snapshot
     /// or in the mask for the next take — never lost.
-    pub fn take_words(&self) -> [u64; WORDS] {
-        [
+    pub fn take(&self) -> CpuMask {
+        CpuMask::from_words([
             self.words[0].swap(0, Ordering::AcqRel),
             self.words[1].swap(0, Ordering::AcqRel),
             self.words[2].swap(0, Ordering::AcqRel),
             self.words[3].swap(0, Ordering::AcqRel),
-        ]
+        ])
     }
 
     /// Whether no bits are set.
@@ -121,18 +122,6 @@ impl AtomicCpuMask {
     }
 }
 
-/// Builds the word representation of "CPUs `0..n` except `skip`".
-pub(crate) fn mask_first_n_except(n: usize, skip: usize) -> [u64; WORDS] {
-    let mut words = [0u64; WORDS];
-    for cpu in 0..n {
-        if cpu == skip {
-            continue;
-        }
-        words[cpu / 64] |= 1 << (cpu % 64);
-    }
-    words
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +130,9 @@ mod tests {
     #[test]
     fn store_test_clear() {
         let m = AtomicCpuMask::new();
-        m.store_words([0b110, 0, 0, 1], Ordering::Release);
+        let stored = CpuMask::from_words([0b110, 0, 0, 1]);
+        m.store(stored, Ordering::Release);
+        assert_eq!(m.load(Ordering::Acquire), stored);
         assert!(m.test(1, Ordering::Acquire));
         assert!(m.test(2, Ordering::Acquire));
         assert!(m.test(192, Ordering::Acquire));
@@ -161,12 +152,22 @@ mod tests {
     }
 
     #[test]
+    fn take_drains_every_word() {
+        let m = AtomicCpuMask::new();
+        m.set_bit(3);
+        m.set_bit(200);
+        assert_eq!(m.take(), CpuMask::from_words([0b1000, 0, 0, 1 << 8]));
+        assert!(m.is_empty(Ordering::Acquire));
+        assert_eq!(m.take(), CpuMask::empty());
+    }
+
+    #[test]
     fn exactly_one_clear_observes_emptiness() {
         // 64 threads each clear their own bit; exactly one must see the
         // mask become empty (that thread retires the slot).
         for _ in 0..50 {
             let m = Arc::new(AtomicCpuMask::new());
-            m.store_words([u64::MAX, 0, 0, 0], Ordering::Release);
+            m.store(CpuMask::first_n(64), Ordering::Release);
             let saw_empty = Arc::new(AtomicU64::new(0));
             let handles: Vec<_> = (0..64)
                 .map(|cpu| {
@@ -191,15 +192,5 @@ mod tests {
             );
             assert!(m.is_empty(Ordering::Acquire));
         }
-    }
-
-    #[test]
-    fn mask_builder_skips_initiator() {
-        let words = mask_first_n_except(5, 2);
-        assert_eq!(words[0], 0b11011);
-        let words = mask_first_n_except(130, 129);
-        assert_eq!(words[0], u64::MAX);
-        assert_eq!(words[1], u64::MAX);
-        assert_eq!(words[2], 0b1);
     }
 }

@@ -11,18 +11,25 @@
 //! [`RtReclaimer`] stay public only as the executable specs the tests
 //! compare it against.
 //!
+//! CPU sets are the simulator's own [`latr_arch::CpuMask`]: a publish
+//! names its targets with one, and [`AtomicCpuMask`], its concurrent
+//! twin, stores, loads and takes whole masks. A mask the simulated policy
+//! publishes can be fed to [`RtRegistry::publish`] as it is.
+//!
 //! The criterion benches in `latr-bench` measure these primitives to
 //! reproduce Table 5's costs (state save ≈ 130 ns, sweep ≈ 160 ns) against
 //! a synchronous cross-thread "IPI" baseline.
 //!
 //! ```
+//! use latr_arch::{CpuId, CpuMask};
 //! use latr_core::rt::{RtInvalidation, RtRegistry, ShardedReclaimer};
 //!
 //! let registry = RtRegistry::new(4, 64); // 4 cores, 64 states each
 //! let reclaimer = ShardedReclaimer::new(2, 4); // §4.2's two-tick grace
 //! // Core 0 lazily invalidates a range for cores 1..4 and parks the page.
+//! let targets = CpuMask::from_cpus([1, 2, 3].map(CpuId));
 //! registry
-//!     .publish(0, RtInvalidation { mm: 7, start: 0x1000, end: 0x2000 }, 0b1110)
+//!     .publish(0, RtInvalidation { mm: 7, start: 0x1000, end: 0x2000 }, targets)
 //!     .unwrap();
 //! reclaimer.defer(&registry, 0, "page");
 //! // Core 2 sweeps at its "tick": it learns what to invalidate locally.

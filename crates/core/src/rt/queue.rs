@@ -9,13 +9,14 @@
 //! loads in the sweep.
 
 use crate::rt::frontier::{FrontierWatchdog, ReclaimFrontier, REFRESH_TICKS};
-use crate::rt::mask::{mask_first_n_except, AtomicCpuMask};
+use crate::rt::mask::AtomicCpuMask;
 use crate::rt::pad::CachePadded;
 use crate::rt::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::rt::sync::Mutex;
+use latr_arch::CpuMask;
 
 /// Sentinel slot index returned by a publish whose target mask named no
-/// live core — only excluded cores or bits at or above the core count:
+/// live core — only excluded cores or CPUs at or above the core count:
 /// the invalidation is moot (a dead core has no cache to keep coherent,
 /// an excluded core must flush before rejoining, and a missing core has
 /// nothing to sweep), so no queue slot was consumed.
@@ -121,14 +122,14 @@ impl RtQueue {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Publishes an invalidation for the CPUs in `cpu_words`. Only the
+    /// Publishes an invalidation for the CPUs in `targets`. Only the
     /// owning core may call this (single producer).
     ///
     /// # Errors
     ///
     /// Returns [`PublishError`] when all slots are active; the caller
     /// falls back to its synchronous path.
-    pub fn publish(&self, inv: RtInvalidation, cpu_words: [u64; 4]) -> Result<usize, PublishError> {
+    pub fn publish(&self, inv: RtInvalidation, targets: CpuMask) -> Result<usize, PublishError> {
         let n = self.slots.len();
         let head = self.head.load(Ordering::Relaxed);
         for probe in 0..n {
@@ -141,7 +142,7 @@ impl RtQueue {
             slot.start.store(inv.start, Ordering::Relaxed);
             slot.end.store(inv.end, Ordering::Relaxed);
             slot.mm.store(inv.mm, Ordering::Relaxed);
-            slot.cpus.store_words(cpu_words, Ordering::Relaxed);
+            slot.cpus.store(targets, Ordering::Relaxed);
             // ...then the activation with release ordering (§4.1's barrier).
             self.active.fetch_add(1, Ordering::Release);
             slot.active.store(true, Ordering::Release);
@@ -154,10 +155,24 @@ impl RtQueue {
     /// Sweeps this queue on behalf of `cpu`: collects every active state
     /// naming it, clears the bit, and retires slots whose masks emptied.
     /// Idle queues cost one atomic load.
+    #[inline]
     pub fn sweep_for(&self, cpu: usize, out: &mut Vec<RtInvalidation>) {
+        self.clear_for(cpu, Some(out));
+    }
+
+    /// The one slot walk: clears `cpu`'s bit from every active state
+    /// naming it and retires the slots whose masks empty. With `out` it is
+    /// the sweep and appends each cleared state's payload; without, it is
+    /// the "leak, never corrupt" reap done on behalf of an excluded core,
+    /// whose local cache either no longer exists (dead thread) or will be
+    /// flushed wholesale before it rejoins, and reads no payload. Returns
+    /// the number of states cleared.
+    #[inline]
+    fn clear_for(&self, cpu: usize, mut out: Option<&mut Vec<RtInvalidation>>) -> u64 {
         if self.active.load(Ordering::Acquire) == 0 {
-            return;
+            return 0;
         }
+        let mut cleared = 0;
         for slot in self.slots.iter() {
             if !slot.active.load(Ordering::Acquire) {
                 continue;
@@ -167,61 +182,32 @@ impl RtQueue {
             }
             // Read the payload before clearing our bit: once the mask
             // empties the slot may be recycled by the publisher.
-            let inv = RtInvalidation {
+            let inv = out.is_some().then(|| RtInvalidation {
                 mm: slot.mm.load(Ordering::Relaxed),
                 start: slot.start.load(Ordering::Relaxed),
                 end: slot.end.load(Ordering::Relaxed),
-            };
+            });
             let (was_set, now_empty) = slot.cpus.clear(cpu);
-            if was_set {
+            if !was_set {
+                continue;
+            }
+            cleared += 1;
+            if let (Some(out), Some(inv)) = (out.as_deref_mut(), inv) {
                 out.push(inv);
-                if now_empty {
-                    // Last core out retires the state; the CAS makes the
-                    // cross-word emptiness race benign — exactly one
-                    // retirer decrements the counter.
-                    if slot
-                        .active
-                        .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        self.active.fetch_sub(1, Ordering::Release);
-                    }
-                }
+            }
+            // Last core out retires the state; the CAS makes the
+            // cross-word emptiness race benign — exactly one retirer
+            // decrements the counter.
+            if now_empty
+                && slot
+                    .active
+                    .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            {
+                self.active.fetch_sub(1, Ordering::Release);
             }
         }
-    }
-
-    /// Clears `cpu`'s bit from every active state *without* delivering the
-    /// payload, retiring slots whose masks empty — the "leak, never
-    /// corrupt" reap done on behalf of an excluded core whose local cache
-    /// either no longer exists (dead thread) or will be flushed wholesale
-    /// before it rejoins. Returns the number of states cleared.
-    fn reap_for(&self, cpu: usize) -> u64 {
-        if self.active.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        let mut reaped = 0;
-        for slot in self.slots.iter() {
-            if !slot.active.load(Ordering::Acquire) {
-                continue;
-            }
-            if !slot.cpus.test(cpu, Ordering::Acquire) {
-                continue;
-            }
-            let (was_set, now_empty) = slot.cpus.clear(cpu);
-            if was_set {
-                reaped += 1;
-                if now_empty
-                    && slot
-                        .active
-                        .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    self.active.fetch_sub(1, Ordering::Release);
-                }
-            }
-        }
-        reaped
+        cleared
     }
 }
 
@@ -248,9 +234,9 @@ struct RobustCounters {
     exclusion_events: AtomicU64,
 }
 
-/// Unified snapshot of every rt runtime counter, taken in one pass with
-/// saturating aggregation. This is the one API benches, tests and
-/// monitors read instead of poking individual counters.
+/// Unified snapshot of every rt runtime counter, with saturating
+/// aggregation. This is the one API benches, tests and monitors read
+/// instead of poking individual counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RtStats {
     /// Number of cores in the registry.
@@ -262,8 +248,9 @@ pub struct RtStats {
     /// Minimum tick over **all** cores (excluded ones included — this is
     /// the PR-5 reference frontier and stops advancing once a core dies).
     pub min_tick: u64,
-    /// Minimum tick over live (non-excluded) cores; equals `min_tick`
-    /// when nothing is excluded.
+    /// [`RtRegistry::min_live_tick`]: the minimum over live cores, with
+    /// the cached frontier standing in for an excluded one; equals
+    /// `min_tick` when nothing is excluded.
     pub min_live_tick: u64,
     /// Maximum tick over all cores.
     pub max_tick: u64,
@@ -338,13 +325,13 @@ pub struct RtRegistry {
     /// must not ping-pong the line core B drains every tick.
     ///
     /// Rows change only through the mask's AcqRel `set_bit` and
-    /// `take_words`, so a sweeper that takes a bit sees the activation
+    /// `take`, so a sweeper that takes a bit sees the activation
     /// the publisher made before setting it (loom:
     /// `pending_bitmap_publish_and_drain_race_loses_nothing`).
     pending: Box<[CachePadded<AtomicCpuMask>]>,
-    /// CPUs `0..cores` as mask words: publish targets are clipped to it,
-    /// since no sweep would ever clear a bit at or above `cores`.
-    core_words: [u64; 4],
+    /// CPUs `0..cores`: publish targets are clipped to it, since no sweep
+    /// would ever clear a bit at or above `cores`.
+    core_mask: CpuMask,
     /// Per-core tick counters, one cache line each — the hottest state in
     /// the registry (bumped on every sweep, scanned by the frontier).
     /// A sweep announces itself with a Release bump and frontier scans
@@ -427,14 +414,14 @@ impl RtRegistry {
     fn build(cores: usize, states_per_core: usize, watchdog: Option<FrontierWatchdog>) -> Self {
         assert!(
             cores <= 256,
-            "RtRegistry supports at most 256 cores (4 mask words), got {cores}"
+            "RtRegistry supports at most 256 cores (the width of a CpuMask), got {cores}"
         );
         RtRegistry {
             queues: (0..cores).map(|_| RtQueue::new(states_per_core)).collect(),
             pending: (0..cores)
                 .map(|_| CachePadded::new(AtomicCpuMask::new()))
                 .collect(),
-            core_words: mask_first_n_except(cores, usize::MAX),
+            core_mask: CpuMask::first_n(cores),
             ticks: (0..cores)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -453,19 +440,14 @@ impl RtRegistry {
         }
     }
 
-    /// Flags `core`'s queue in the pending row of every CPU named in
-    /// `target_words` (already clipped to `0..cores`). Must run *after*
-    /// the slots were activated: the release `fetch_or` pairs with the
-    /// sweep's draining swap, so a sweeper that takes a bit is guaranteed
-    /// to see the activation.
-    fn mark_pending(&self, core: usize, target_words: [u64; 4]) {
-        for (w, word) in target_words.into_iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let cpu = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.pending[cpu].set_bit(core);
-            }
+    /// Flags `core`'s queue in the pending row of every CPU in `targets`
+    /// (already clipped to `0..cores`). Must run *after* the slots were
+    /// activated: the release `fetch_or` pairs with the sweep's draining
+    /// swap, so a sweeper that takes a bit is guaranteed to see the
+    /// activation.
+    fn mark_pending(&self, core: usize, targets: CpuMask) {
+        for cpu in targets.iter() {
+            self.pending[cpu.index()].set_bit(core);
         }
     }
 
@@ -479,22 +461,8 @@ impl RtRegistry {
         &self.queues[core]
     }
 
-    /// Publishes an invalidation from `core` targeting the CPUs whose bits
-    /// are set in `target_bits` (bit *i* of word *w* = CPU `w*64+i`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PublishError`] on queue overflow.
-    pub fn publish(
-        &self,
-        core: usize,
-        inv: RtInvalidation,
-        target_bits: u64,
-    ) -> Result<usize, PublishError> {
-        self.publish_wide(core, inv, [target_bits, 0, 0, 0])
-    }
-
-    /// [`publish`](Self::publish) with a full 256-bit target mask.
+    /// Publishes an invalidation from `core` targeting the CPUs in
+    /// `targets`.
     ///
     /// Targets at or above [`cores`](Self::cores) are dropped (no sweep
     /// would ever clear them, so they would pin the slot forever), and so
@@ -508,68 +476,36 @@ impl RtRegistry {
     /// # Errors
     ///
     /// Returns [`PublishError`] on queue overflow.
-    // Hot path: the publish every unmap takes (`publish` and
-    // `publish_broadcast` funnel here). `tests/zero_alloc.rs` checks that
-    // it allocates nothing, overflow and excluded targets included.
-    pub fn publish_wide(
+    // Hot path: the publish every unmap takes. `tests/zero_alloc.rs`
+    // checks that it allocates nothing, overflow and excluded targets
+    // included.
+    pub fn publish(
         &self,
         core: usize,
         inv: RtInvalidation,
-        target_words: [u64; 4],
+        targets: CpuMask,
     ) -> Result<usize, PublishError> {
-        let mut words = target_words;
-        for (w, c) in words.iter_mut().zip(self.core_words) {
-            *w &= c;
-        }
+        let mut targets = targets.intersection(&self.core_mask);
         let degraded = self.excluded_count.load(Ordering::Relaxed) > 0;
         if degraded {
-            let ex = self.excluded.load_words(Ordering::Acquire);
-            for (w, e) in words.iter_mut().zip(ex) {
-                *w &= !e;
-            }
+            targets = targets.difference(&self.excluded.load(Ordering::Acquire));
         }
-        if words == [0u64; 4] {
+        if targets.is_empty() {
             self.saved[core].fetch_add(1, Ordering::Relaxed);
             return Ok(NO_SLOT);
         }
-        match self.queues[core].publish(inv, words) {
-            Ok(idx) => {
-                self.mark_pending(core, words);
-                self.saved[core].fetch_add(1, Ordering::Relaxed);
-                Ok(idx)
-            }
-            Err(_) if degraded && self.reap_queue_of_excluded(core) > 0 => {
-                // Dead-core bits were pinning slots; retry once post-reap.
-                match self.queues[core].publish(inv, words) {
-                    Ok(idx) => {
-                        self.mark_pending(core, words);
-                        self.saved[core].fetch_add(1, Ordering::Relaxed);
-                        Ok(idx)
-                    }
-                    Err(e) => {
-                        self.overflows[core].fetch_add(1, Ordering::Relaxed);
-                        Err(e)
-                    }
-                }
-            }
-            Err(e) => {
-                self.overflows[core].fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
+        let mut published = self.queues[core].publish(inv, targets);
+        if published.is_err() && degraded && self.reap_queue_of_excluded(core) > 0 {
+            // Dead-core bits were pinning slots; retry once post-reap.
+            published = self.queues[core].publish(inv, targets);
         }
-    }
-
-    /// Publishes to every core except the initiator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PublishError`] on queue overflow.
-    pub fn publish_broadcast(
-        &self,
-        core: usize,
-        inv: RtInvalidation,
-    ) -> Result<usize, PublishError> {
-        self.publish_wide(core, inv, mask_first_n_except(self.cores(), core))
+        if published.is_ok() {
+            self.mark_pending(core, targets);
+            self.saved[core].fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.overflows[core].fetch_add(1, Ordering::Relaxed);
+        }
+        published
     }
 
     /// The sweep (§4.1): drains `core`'s pending row, visits only the
@@ -605,15 +541,9 @@ impl RtRegistry {
     }
 
     fn sweep_inner(&self, core: usize, out: &mut Vec<RtInvalidation>, announce: bool) {
-        let row = self.pending[core].take_words();
-        for (w, word) in row.into_iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let qi = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if qi < self.queues.len() {
-                    self.queues[qi].sweep_for(core, out);
-                }
+        for q in self.pending[core].take().iter() {
+            if let Some(queue) = self.queues.get(q.index()) {
+                queue.sweep_for(core, out);
             }
         }
         self.finish_sweep(core, announce);
@@ -826,7 +756,7 @@ impl RtRegistry {
 
     /// [`exclude_core`](Self::exclude_core) with the panic-poison reason,
     /// used by [`SweepGuard`] when a sweep unwinds.
-    pub fn poison_core(&self, core: usize) -> bool {
+    fn poison_core(&self, core: usize) -> bool {
         self.exclude_inner(core, true)
     }
 
@@ -855,7 +785,7 @@ impl RtRegistry {
         // or must flush it wholesale before rejoining.
         let mut reaped = 0;
         for q in &self.queues {
-            reaped += q.reap_for(core);
+            reaped += q.clear_for(core, None);
         }
         self.robust
             .reaped_states
@@ -871,15 +801,9 @@ impl RtRegistry {
     /// while exclusions are active, so a dead core can't permanently pin
     /// a live publisher's slots between exclusion-time reaps.
     fn reap_queue_of_excluded(&self, core: usize) -> u64 {
-        let ex = self.excluded.load_words(Ordering::Acquire);
         let mut reaped = 0;
-        for (w, word) in ex.into_iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let cpu = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                reaped += self.queues[core].reap_for(cpu);
-            }
+        for cpu in self.excluded.load(Ordering::Acquire).iter() {
+            reaped += self.queues[core].clear_for(cpu.index(), None);
         }
         self.robust
             .reaped_states
@@ -932,46 +856,25 @@ impl RtRegistry {
         }
     }
 
-    /// One-pass snapshot of every runtime counter (see [`RtStats`]).
-    /// Aggregation saturates; the snapshot is racy per-field but each
-    /// field is internally consistent enough for monitoring and tuning.
+    /// Snapshot of every runtime counter (see [`RtStats`]), a cold
+    /// observer: the frontier fields are [`min_tick`](Self::min_tick) and
+    /// [`min_live_tick`](Self::min_live_tick) themselves. Aggregation
+    /// saturates; the snapshot is racy per-field but each field is
+    /// internally consistent enough for monitoring and tuning.
     pub fn stats(&self) -> RtStats {
-        let mut min_tick = u64::MAX;
-        let mut min_live = u64::MAX;
-        let mut max_tick = 0u64;
-        let mut any = false;
-        let mut any_live = false;
-        let mut any_excluded = false;
-        for (core, t) in self.ticks.iter().enumerate() {
-            let v = t.load(Ordering::Acquire);
-            min_tick = min_tick.min(v);
-            max_tick = max_tick.max(v);
-            any = true;
-            if self.excluded.test(core, Ordering::Acquire) {
-                any_excluded = true;
-            } else {
-                min_live = min_live.min(v);
-                any_live = true;
-            }
-        }
+        let max_tick = self
+            .ticks
+            .iter()
+            .map(|t| t.load(Ordering::Acquire))
+            .max()
+            .unwrap_or(0);
         let cached_frontier = self.frontier.get();
-        if !any {
-            min_tick = 0;
-        }
-        if !any_live {
-            min_live = cached_frontier;
-        } else if any_excluded {
-            // Same cached-frontier floor as `min_live_tick()`: the
-            // snapshot races mask transitions, and the floor is the one
-            // stand-in that never passes a rejoining core's tick.
-            min_live = min_live.min(cached_frontier);
-        }
         RtStats {
             cores: self.queues.len(),
             states_saved: self.states_saved(),
             overflows: self.overflows(),
-            min_tick,
-            min_live_tick: min_live,
+            min_tick: self.min_tick(),
+            min_live_tick: self.min_live_tick(),
             max_tick,
             cached_frontier,
             reclaim_lag_ticks: max_tick.saturating_sub(cached_frontier),
@@ -988,6 +891,7 @@ impl RtRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use latr_arch::CpuId;
     use std::sync::Arc;
 
     fn inv(mm: u64) -> RtInvalidation {
@@ -998,10 +902,15 @@ mod tests {
         }
     }
 
+    /// The CPUs among `0..64` whose bits are set in `bits`.
+    fn cpus(bits: u64) -> CpuMask {
+        CpuMask::from_words([bits, 0, 0, 0])
+    }
+
     #[test]
     fn publish_sweep_retire_roundtrip() {
         let r = RtRegistry::new(3, 4);
-        r.publish(0, inv(1), 0b110).unwrap();
+        r.publish(0, inv(1), cpus(0b110)).unwrap();
         assert_eq!(r.queue(0).active_count(), 1);
 
         let w1 = r.sweep(1);
@@ -1021,7 +930,7 @@ mod tests {
     #[test]
     fn sweep_skips_unrelated_cores() {
         let r = RtRegistry::new(4, 4);
-        r.publish(0, inv(1), 0b0010).unwrap(); // only core 1
+        r.publish(0, inv(1), cpus(0b0010)).unwrap(); // only core 1
         assert!(r.sweep(2).is_empty());
         assert!(r.sweep(3).is_empty());
         assert_eq!(r.sweep(1), vec![inv(1)]);
@@ -1030,19 +939,21 @@ mod tests {
     #[test]
     fn overflow_reports_error() {
         let r = RtRegistry::new(2, 2);
-        r.publish(0, inv(1), 0b10).unwrap();
-        r.publish(0, inv(2), 0b10).unwrap();
-        assert_eq!(r.publish(0, inv(3), 0b10), Err(PublishError));
+        r.publish(0, inv(1), cpus(0b10)).unwrap();
+        r.publish(0, inv(2), cpus(0b10)).unwrap();
+        assert_eq!(r.publish(0, inv(3), cpus(0b10)), Err(PublishError));
         assert_eq!(r.overflows(), 1);
         // After core 1 sweeps, slots recycle.
         assert_eq!(r.sweep(1).len(), 2);
-        assert!(r.publish(0, inv(3), 0b10).is_ok());
+        assert!(r.publish(0, inv(3), cpus(0b10)).is_ok());
     }
 
     #[test]
     fn broadcast_targets_everyone_else() {
         let r = RtRegistry::new(5, 4);
-        r.publish_broadcast(2, inv(9)).unwrap();
+        let mut others = CpuMask::first_n(5);
+        others.clear(CpuId(2));
+        r.publish(2, inv(9), others).unwrap();
         for core in [0, 1, 3, 4] {
             assert_eq!(r.sweep(core).len(), 1, "core {core} must see it");
         }
@@ -1087,10 +998,10 @@ mod tests {
     fn sweep_into_appends_without_clearing() {
         let r = RtRegistry::new(2, 4);
         let mut buf = vec![inv(99)];
-        r.publish(0, inv(1), 0b10).unwrap();
+        r.publish(0, inv(1), cpus(0b10)).unwrap();
         r.sweep_into(1, &mut buf);
         assert_eq!(buf, vec![inv(99), inv(1)]);
-        r.publish(0, inv(2), 0b10).unwrap();
+        r.publish(0, inv(2), cpus(0b10)).unwrap();
         r.full_scan_into(1, &mut buf);
         assert_eq!(buf, vec![inv(99), inv(1), inv(2)]);
     }
@@ -1098,12 +1009,12 @@ mod tests {
     #[test]
     fn per_core_counters_aggregate_on_read() {
         let r = RtRegistry::new(4, 1);
-        r.publish(0, inv(1), 0b10).unwrap();
-        r.publish(1, inv(2), 0b100).unwrap();
-        r.publish(2, inv(3), 0b10).unwrap();
+        r.publish(0, inv(1), cpus(0b10)).unwrap();
+        r.publish(1, inv(2), cpus(0b100)).unwrap();
+        r.publish(2, inv(3), cpus(0b10)).unwrap();
         assert_eq!(r.states_saved(), 3);
-        assert_eq!(r.publish(0, inv(4), 0b10), Err(PublishError));
-        assert_eq!(r.publish(2, inv(5), 0b10), Err(PublishError));
+        assert_eq!(r.publish(0, inv(4), cpus(0b10)), Err(PublishError));
+        assert_eq!(r.publish(2, inv(5), cpus(0b10)), Err(PublishError));
         assert_eq!(r.overflows(), 2);
     }
 
@@ -1115,10 +1026,10 @@ mod tests {
         // does.
         let build = || {
             let r = RtRegistry::new(8, 8);
-            r.publish(0, inv(1), 0b0000_0110).unwrap();
-            r.publish(3, inv(2), 0b0000_0010).unwrap();
-            r.publish(5, inv(3), 0b1111_1110).unwrap();
-            r.publish(7, inv(4), 0b0000_1000).unwrap(); // not core 1
+            r.publish(0, inv(1), cpus(0b0000_0110)).unwrap();
+            r.publish(3, inv(2), cpus(0b0000_0010)).unwrap();
+            r.publish(5, inv(3), cpus(0b1111_1110)).unwrap();
+            r.publish(7, inv(4), cpus(0b0000_1000)).unwrap(); // not core 1
             r
         };
         let full = build();
@@ -1138,7 +1049,7 @@ mod tests {
     #[test]
     fn stale_pending_bits_are_harmless() {
         let r = RtRegistry::new(4, 4);
-        r.publish(0, inv(1), 0b0110).unwrap();
+        r.publish(0, inv(1), cpus(0b0110)).unwrap();
         // Core 2 sweeps via the full scan, which clears its mask bit but
         // leaves its pending bit stale-set.
         let mut buf = Vec::new();
@@ -1161,7 +1072,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut published = 0;
                 while published < total {
-                    if r.publish(0, inv(published), 0b1110).is_ok() {
+                    if r.publish(0, inv(published), cpus(0b1110)).is_ok() {
                         published += 1;
                     } else {
                         std::thread::yield_now();
@@ -1199,7 +1110,7 @@ mod tests {
     #[test]
     fn excluding_a_core_reaps_and_unpins_the_frontier() {
         let r = RtRegistry::new(3, 4);
-        r.publish(0, inv(1), 0b110).unwrap();
+        r.publish(0, inv(1), cpus(0b110)).unwrap();
         // Cores 1 sweeps, core 2 never does: frontier pinned at 0 and the
         // slot stays active on core 2's behalf.
         for _ in 0..4 {
@@ -1228,7 +1139,7 @@ mod tests {
         let r = RtRegistry::new(3, 2);
         r.exclude_core(2);
         // Mask reduced to live cores only.
-        let idx = r.publish(0, inv(1), 0b110).unwrap();
+        let idx = r.publish(0, inv(1), cpus(0b110)).unwrap();
         assert_ne!(idx, NO_SLOT);
         assert_eq!(r.sweep(1).len(), 1);
         assert_eq!(
@@ -1237,7 +1148,7 @@ mod tests {
             "core 2's bit was filtered out, core 1's sweep retires the slot"
         );
         // Fully-excluded target: no slot consumed, still counted saved.
-        assert_eq!(r.publish(0, inv(2), 0b100).unwrap(), NO_SLOT);
+        assert_eq!(r.publish(0, inv(2), cpus(0b100)).unwrap(), NO_SLOT);
         assert_eq!(r.queue(0).active_count(), 0);
         assert_eq!(r.states_saved(), 2);
     }
@@ -1247,18 +1158,19 @@ mod tests {
         // Bit 5 names no core of a 4-core registry: no sweep would ever
         // clear it, so it must not reach the slot's mask.
         let r = RtRegistry::new(4, 2);
-        assert_ne!(r.publish(0, inv(1), 0b10_0010).unwrap(), NO_SLOT);
+        assert_ne!(r.publish(0, inv(1), cpus(0b10_0010)).unwrap(), NO_SLOT);
         for core in 0..4 {
             r.sweep(core);
         }
         assert_eq!(r.queue(0).active_count(), 0, "core 1's sweep retires it");
         // A mask naming only missing cores consumes no slot at all.
-        assert_eq!(r.publish(0, inv(2), 0b11_0000).unwrap(), NO_SLOT);
-        assert_eq!(r.publish_wide(0, inv(3), [0, 1, 0, 0]).unwrap(), NO_SLOT);
+        assert_eq!(r.publish(0, inv(2), cpus(0b11_0000)).unwrap(), NO_SLOT);
+        let cpu_64 = CpuMask::from_cpus([CpuId(64)]);
+        assert_eq!(r.publish(0, inv(3), cpu_64).unwrap(), NO_SLOT);
         assert_eq!(r.queue(0).active_count(), 0);
         // Both slots stay free for valid publishes.
-        r.publish(0, inv(4), 0b10).unwrap();
-        r.publish(0, inv(5), 0b100).unwrap();
+        r.publish(0, inv(4), cpus(0b10)).unwrap();
+        r.publish(0, inv(5), cpus(0b100)).unwrap();
         assert_eq!(r.overflows(), 0);
         assert_eq!(r.states_saved(), 5);
     }
@@ -1274,12 +1186,12 @@ mod tests {
         let r = RtRegistry::new(3, 2);
         // Fill both slots targeting core 2, then kill core 2: its bits pin
         // the queue.
-        r.publish(0, inv(1), 0b100).unwrap();
-        r.publish(0, inv(2), 0b100).unwrap();
+        r.publish(0, inv(1), cpus(0b100)).unwrap();
+        r.publish(0, inv(2), cpus(0b100)).unwrap();
         r.exclude_core(2);
         // Exclusion-time reap already freed the slots; publish succeeds
         // without an overflow even though the queue *was* full.
-        assert!(r.publish(0, inv(3), 0b010).is_ok());
+        assert!(r.publish(0, inv(3), cpus(0b010)).is_ok());
         assert_eq!(r.overflows(), 0);
     }
 
@@ -1380,7 +1292,7 @@ mod tests {
     fn unannounced_sweeps_bump_ticks_but_not_the_frontier() {
         let r = RtRegistry::new(2, 4);
         let mut buf = Vec::new();
-        r.publish(0, inv(1), 0b10).unwrap();
+        r.publish(0, inv(1), cpus(0b10)).unwrap();
         r.sweep_into_unannounced(1, &mut buf);
         assert_eq!(buf, vec![inv(1)], "invalidations still delivered");
         r.sweep_into_unannounced(0, &mut buf);
@@ -1396,9 +1308,9 @@ mod tests {
     #[test]
     fn stats_snapshot_is_consistent() {
         let r = RtRegistry::new(3, 2);
-        r.publish(0, inv(1), 0b110).unwrap();
-        r.publish(0, inv(2), 0b110).unwrap();
-        assert!(r.publish(0, inv(3), 0b110).is_err());
+        r.publish(0, inv(1), cpus(0b110)).unwrap();
+        r.publish(0, inv(2), cpus(0b110)).unwrap();
+        assert!(r.publish(0, inv(3), cpus(0b110)).is_err());
         r.sweep(1);
         r.sweep(1);
         let st = r.stats();

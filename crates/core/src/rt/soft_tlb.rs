@@ -11,6 +11,7 @@
 
 use crate::rt::queue::{PublishError, RtInvalidation, RtRegistry};
 use crate::rt::sync::RwLock;
+use latr_arch::{CpuId, CpuMask};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -18,6 +19,8 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct SoftTlbTable {
     registry: Arc<RtRegistry>,
+    /// The registry's cores, every one a target of an unmap but its own.
+    cores: CpuMask,
     map: RwLock<HashMap<u64, u64>>,
 }
 
@@ -25,6 +28,7 @@ impl SoftTlbTable {
     /// Creates a table whose invalidations flow through `registry`.
     pub fn new(registry: Arc<RtRegistry>) -> Self {
         SoftTlbTable {
+            cores: CpuMask::first_n(registry.cores()),
             registry,
             map: RwLock::new(HashMap::new()),
         }
@@ -57,14 +61,14 @@ impl SoftTlbTable {
     pub fn unmap_lazy(&self, core: usize, key: u64) -> Result<Option<u64>, PublishError> {
         // Publish first: if the queue is full we must not remove the
         // mapping without a pending invalidation.
-        self.registry.publish_broadcast(
-            core,
-            RtInvalidation {
-                mm: 0,
-                start: key,
-                end: key + 1,
-            },
-        )?;
+        let mut others = self.cores;
+        others.clear(CpuId(core as u16));
+        let inv = RtInvalidation {
+            mm: 0,
+            start: key,
+            end: key + 1,
+        };
+        self.registry.publish(core, inv, others)?;
         Ok(self.map.write().remove(&key))
     }
 }

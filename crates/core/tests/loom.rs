@@ -26,6 +26,7 @@
 //! drain.
 #![cfg(loom)]
 
+use latr_arch::CpuMask;
 use latr_core::rt::{RtInvalidation, RtQueue, RtReclaimer, RtRegistry, ShardedReclaimer};
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
@@ -39,6 +40,11 @@ fn inv(mm: u64) -> RtInvalidation {
     }
 }
 
+/// The CPUs among `0..64` whose bits are set in `bits`.
+fn cpus(bits: u64) -> CpuMask {
+    CpuMask::from_words([bits, 0, 0, 0])
+}
+
 /// §4.1's activation protocol: a sweep racing a publish must see either
 /// nothing or the *complete* payload — never a torn/partial state. The
 /// publisher writes the payload fields before the activation store; the
@@ -49,7 +55,7 @@ fn activation_protocol_is_never_torn() {
         let q = Arc::new(RtQueue::new(2));
         let q2 = Arc::clone(&q);
         let publisher = thread::spawn(move || {
-            q2.publish(inv(7), [0b10, 0, 0, 0]).unwrap();
+            q2.publish(inv(7), cpus(0b10)).unwrap();
         });
         let mut seen = Vec::new();
         q.sweep_for(1, &mut seen);
@@ -81,7 +87,8 @@ fn cross_word_retirement_is_exactly_once() {
     loom::model(|| {
         let q = Arc::new(RtQueue::new(1));
         // CPUs 0 (word 0) and 64 (word 1).
-        q.publish(inv(9), [1, 1, 0, 0]).unwrap();
+        q.publish(inv(9), CpuMask::from_words([1, 1, 0, 0]))
+            .unwrap();
         let sweepers: Vec<_> = [0usize, 64]
             .into_iter()
             .map(|cpu| {
@@ -101,7 +108,7 @@ fn cross_word_retirement_is_exactly_once() {
             "exactly one sweeper may retire the slot (no double fetch_sub)"
         );
         // The slot must be cleanly reusable after retirement.
-        q.publish(inv(10), [1, 0, 0, 0]).unwrap();
+        q.publish(inv(10), cpus(1)).unwrap();
         assert_eq!(q.active_count(), 1);
     });
 }
@@ -112,7 +119,7 @@ fn cross_word_retirement_is_exactly_once() {
 fn same_word_retirement_is_exactly_once() {
     loom::model(|| {
         let q = Arc::new(RtQueue::new(1));
-        q.publish(inv(3), [0b11, 0, 0, 0]).unwrap();
+        q.publish(inv(3), cpus(0b11)).unwrap();
         let sweepers: Vec<_> = [0usize, 1]
             .into_iter()
             .map(|cpu| {
@@ -145,7 +152,7 @@ fn pending_bitmap_publish_and_drain_race_loses_nothing() {
         let publisher = {
             let reg = Arc::clone(&reg);
             thread::spawn(move || {
-                reg.publish(0, inv(5), 0b10).unwrap();
+                reg.publish(0, inv(5), cpus(0b10)).unwrap();
             })
         };
         let mut seen = reg.sweep(1);
@@ -344,9 +351,9 @@ fn slot_activation_publishes_the_payload_and_what_preceded_it() {
         let publisher = {
             let (q, witness) = (Arc::clone(&q), Arc::clone(&witness));
             thread::spawn(move || {
-                q.publish(inv(1), [0b10, 0, 0, 0]).unwrap();
+                q.publish(inv(1), cpus(0b10)).unwrap();
                 witness.store(1, Ordering::Relaxed);
-                q.publish(inv(2), [0b10, 0, 0, 0]).unwrap();
+                q.publish(inv(2), cpus(0b10)).unwrap();
             })
         };
         let mut seen = Vec::new();

@@ -68,12 +68,7 @@ pub struct MachineConfig {
     /// time but never changes behaviour. During [`Machine::run`] it checks
     /// on a worker thread of its own, and its verdict is read after the
     /// run; the worker takes a second core for as long as the run lasts.
-    /// Measured on a shared 2-vCPU x86-64 host: the traced
-    /// `serving-latr-oracle` pass prices it at a median ~33 ns of the
-    /// simulation thread's time per event (~1.1× the oracle-off run; 211
-    /// ns, ~1.8×, while it ran on the simulation thread), and the full
-    /// `paper` bin, every experiment under the oracle, runs in ~9.3 s
-    /// (~10.3 s in place).
+    /// What that costs on a measured host is in DESIGN §8.1.
     pub oracle: bool,
     /// Deterministic fault plan to inject (chaos testing). `None` — and
     /// any plan for which [`FaultPlan::is_active`] is false — leaves the

@@ -26,15 +26,11 @@
 use std::fmt;
 
 /// A vector clock: `clock[i]` counts events attributed to context `i`.
+/// The oracle builds one for each event a violation report shows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VClock(Vec<u64>);
 
 impl VClock {
-    /// A zero clock over `n` contexts.
-    pub fn new(n: usize) -> Self {
-        VClock(vec![0; n])
-    }
-
     /// Number of contexts.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -45,29 +41,9 @@ impl VClock {
         self.0.is_empty()
     }
 
-    /// Advances context `i`'s component and returns the new value.
-    pub fn tick(&mut self, i: usize) -> u64 {
-        self.0[i] += 1;
-        self.0[i]
-    }
-
     /// Component `i`.
     pub fn get(&self, i: usize) -> u64 {
         self.0.get(i).copied().unwrap_or(0)
-    }
-
-    /// Pointwise maximum with `other` (receiving a message).
-    pub fn join(&mut self, other: &VClock) {
-        if self.0.len() < other.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        join_words(&mut self.0, &other.0);
-    }
-
-    /// Whether every component of `self` is ≥ the matching component of
-    /// `other` — i.e. everything `other` had seen happens-before `self`.
-    pub fn dominates(&self, other: &VClock) -> bool {
-        (0..self.0.len().max(other.0.len())).all(|i| self.get(i) >= other.get(i))
     }
 }
 
@@ -260,29 +236,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tick_join_dominate() {
-        let mut a = VClock::new(3);
-        let mut b = VClock::new(3);
-        a.tick(0);
-        a.tick(0);
-        b.tick(1);
-        assert!(!a.dominates(&b));
-        assert!(!b.dominates(&a));
-        b.join(&a);
-        assert!(b.dominates(&a));
-        assert_eq!(b.get(0), 2);
-        assert_eq!(b.get(1), 1);
-        assert_eq!(format!("{b}"), "[2 1 0]");
-    }
-
-    #[test]
-    fn join_grows_shorter_clock() {
-        let mut a = VClock::new(1);
-        let mut b = VClock::new(3);
-        b.tick(2);
-        a.join(&b);
-        assert_eq!(a.len(), 3);
-        assert!(a.dominates(&b));
+    fn components_read_and_print_in_context_order() {
+        let c = VClock(vec![2, 1, 0]);
+        assert_eq!(c.len(), 3);
+        assert_eq!((c.get(0), c.get(1), c.get(2)), (2, 1, 0));
+        assert_eq!(c.get(7), 0, "a context past the width has seen nothing");
+        assert_eq!(format!("{c}"), "[2 1 0]");
     }
 
     #[test]

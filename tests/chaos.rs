@@ -23,6 +23,9 @@
 //! pin down that identical plans and seeds reproduce identical runs,
 //! counter for counter and trace line for trace line.
 
+#[path = "common/plans.rs"]
+mod plans;
+
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
@@ -74,17 +77,6 @@ fn assert_latency_bounded(m: &Machine, cfg: &LatrConfig) {
     }
 }
 
-/// The mixed plan shared by the soup and determinism tests.
-fn mixed_plan() -> FaultPlan {
-    FaultPlan::default()
-        .with_ipi_drop(0.10)
-        .with_ipi_delay(0.30, 200_000)
-        .with_tick_miss(0.20)
-        .with_tick_jitter(0.30, 200_000)
-        .with_stall(2, 2 * MILLISECOND, 4 * MILLISECOND)
-        .with_storm(8 * MILLISECOND, 2 * MILLISECOND)
-}
-
 #[test]
 fn armed_but_empty_plan_changes_nothing() {
     // An inactive plan must not even construct the injector: the run is
@@ -115,7 +107,7 @@ fn armed_but_empty_plan_changes_nothing() {
 
 #[test]
 fn dropped_ipis_are_retried_and_safe() {
-    let plan = FaultPlan::default().with_ipi_drop(0.30);
+    let plan = plans::ipi_drop();
     let cfg = LatrConfig::default();
     let m = run_chaos(0xD201, plan, cfg);
     assert_safe(&m);
@@ -132,7 +124,7 @@ fn dropped_ipis_are_retried_and_safe() {
 
 #[test]
 fn delayed_ipis_stay_safe() {
-    let plan = FaultPlan::default().with_ipi_delay(0.50, 300_000);
+    let plan = plans::ipi_delay();
     let cfg = LatrConfig::default();
     let m = run_chaos(0xDE1A1, plan, cfg);
     assert_safe(&m);
@@ -145,7 +137,7 @@ fn stalled_core_is_bounded_by_the_watchdog() {
     // Core 1's sweeps stop for 8 ms — four times the healthy sweep bound.
     // The watchdog (4 ticks here) must escalate and keep reclaim latency
     // within (4 + 2 + 1) ticks.
-    let plan = FaultPlan::default().with_stall(1, MILLISECOND, 8 * MILLISECOND);
+    let plan = plans::sweep_stall();
     let cfg = LatrConfig {
         watchdog_ticks: 4,
         ..LatrConfig::default()
@@ -202,7 +194,7 @@ fn without_the_watchdog_a_stall_is_unbounded() {
 
 #[test]
 fn jittered_ticks_stay_safe() {
-    let plan = FaultPlan::default().with_tick_jitter(0.50, 400_000);
+    let plan = plans::tick_jitter();
     let cfg = LatrConfig::default();
     let m = run_chaos(0x117E1, plan, cfg);
     assert_safe(&m);
@@ -212,7 +204,7 @@ fn jittered_ticks_stay_safe() {
 
 #[test]
 fn missed_ticks_stay_safe() {
-    let plan = FaultPlan::default().with_tick_miss(0.35);
+    let plan = plans::tick_miss();
     let cfg = LatrConfig::default();
     let m = run_chaos(0x5EED1, plan, cfg);
     assert_safe(&m);
@@ -222,7 +214,7 @@ fn missed_ticks_stay_safe() {
 
 #[test]
 fn overflow_storm_enters_sync_mode_and_recovers() {
-    let plan = FaultPlan::default().with_storm(2 * MILLISECOND, 3 * MILLISECOND);
+    let plan = plans::overflow_storm();
     let cfg = LatrConfig::default();
     let m = run_chaos(0x57081, plan, cfg);
     assert_safe(&m);
@@ -245,7 +237,7 @@ fn overflow_storm_enters_sync_mode_and_recovers() {
 #[test]
 fn mixed_fault_soup_stays_safe_and_bounded() {
     let cfg = LatrConfig::default();
-    let m = run_chaos(0x5007, mixed_plan(), cfg);
+    let m = run_chaos(0x5007, plans::soup(), cfg);
     assert_safe(&m);
     assert_latency_bounded(&m, &cfg);
     // Every fault class in the plan must have fired at least once.
@@ -263,8 +255,8 @@ fn mixed_fault_soup_stays_safe_and_bounded() {
 
 #[test]
 fn identical_plans_and_seeds_reproduce_identical_runs() {
-    let a = run_chaos(0xCAFE, mixed_plan(), LatrConfig::default());
-    let b = run_chaos(0xCAFE, mixed_plan(), LatrConfig::default());
+    let a = run_chaos(0xCAFE, plans::soup(), LatrConfig::default());
+    let b = run_chaos(0xCAFE, plans::soup(), LatrConfig::default());
     assert_eq!(a.fingerprint(), b.fingerprint());
 }
 

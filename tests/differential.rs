@@ -16,6 +16,9 @@
 //! and watchdog shapes, and 100 proptest cases over random seeds, shapes
 //! and plans.
 
+#[path = "common/plans.rs"]
+mod plans;
+
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
 use latr_faults::FaultPlan;
@@ -156,34 +159,7 @@ fn chaos_share_matches_the_full_scan_spec() {
 /// fast-path shortcut would fall out of step.
 #[test]
 fn chaos_plans_match_the_full_scan_spec() {
-    let plans: [(&str, FaultPlan); 7] = [
-        ("drop", FaultPlan::default().with_ipi_drop(0.30)),
-        ("delay", FaultPlan::default().with_ipi_delay(0.50, 300_000)),
-        (
-            "stall",
-            FaultPlan::default().with_stall(1, MILLISECOND, 8 * MILLISECOND),
-        ),
-        (
-            "jitter",
-            FaultPlan::default().with_tick_jitter(0.50, 400_000),
-        ),
-        ("miss", FaultPlan::default().with_tick_miss(0.35)),
-        (
-            "storm",
-            FaultPlan::default().with_storm(2 * MILLISECOND, 3 * MILLISECOND),
-        ),
-        (
-            "soup",
-            FaultPlan::default()
-                .with_ipi_drop(0.10)
-                .with_ipi_delay(0.30, 200_000)
-                .with_tick_miss(0.20)
-                .with_tick_jitter(0.30, 200_000)
-                .with_stall(2, 2 * MILLISECOND, 4 * MILLISECOND)
-                .with_storm(8 * MILLISECOND, 2 * MILLISECOND),
-        ),
-    ];
-    for (_, plan) in plans {
+    for plan in plans::all() {
         let _ = run_traced(
             commodity16(),
             0x5007,
@@ -199,13 +175,7 @@ fn chaos_plans_match_the_full_scan_spec() {
 /// parking and expedited sweeps all fire while IPIs drop and ticks miss.
 #[test]
 fn pressure_soup_matches_the_full_scan_spec() {
-    let plan = FaultPlan::default()
-        .with_ipi_drop(0.10)
-        .with_ipi_delay(0.30, 200_000)
-        .with_tick_miss(0.20)
-        .with_tick_jitter(0.30, 200_000)
-        .with_stall(2, 2 * MILLISECOND, 4 * MILLISECOND)
-        .with_storm(8 * MILLISECOND, 2 * MILLISECOND);
+    let plan = plans::soup();
     let latr = LatrConfig {
         states_per_core: 4,
         ..LatrConfig::default()
@@ -228,7 +198,7 @@ fn pressure_soup_matches_the_full_scan_spec() {
 fn watchdog_escalation_matches_the_full_scan_spec() {
     // A stalled core forces the watchdog's targeted-IPI escalation — a
     // sweep-adjacent path with its own cost accounting.
-    let plan = FaultPlan::default().with_stall(1, MILLISECOND, 8 * MILLISECOND);
+    let plan = plans::sweep_stall();
     let cfg = LatrConfig {
         watchdog_ticks: 4,
         ..LatrConfig::default()

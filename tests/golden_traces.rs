@@ -23,6 +23,8 @@
 //! ```
 
 mod common;
+#[path = "common/plans.rs"]
+mod plans;
 
 use std::path::PathBuf;
 
@@ -162,7 +164,7 @@ fn golden_chaos_drop() {
     let m = run_scenario(
         commodity16(),
         0x601D_0005,
-        Some(FaultPlan::default().with_ipi_drop(0.30)),
+        Some(plans::ipi_drop()),
         PolicyKind::latr_default(),
         Box::new(ChaosShare::new(4, 12)),
     );
@@ -171,17 +173,10 @@ fn golden_chaos_drop() {
 
 #[test]
 fn golden_chaos_soup() {
-    let plan = FaultPlan::default()
-        .with_ipi_drop(0.10)
-        .with_ipi_delay(0.30, 200_000)
-        .with_tick_miss(0.20)
-        .with_tick_jitter(0.30, 200_000)
-        .with_stall(2, 2 * MILLISECOND, 4 * MILLISECOND)
-        .with_storm(8 * MILLISECOND, 2 * MILLISECOND);
     let m = run_scenario(
         commodity16(),
         0x601D_0006,
-        Some(plan),
+        Some(plans::soup()),
         PolicyKind::latr_default(),
         Box::new(ChaosShare::new(4, 12)),
     );

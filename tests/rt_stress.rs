@@ -4,6 +4,7 @@
 //! recycling under pressure. Every sweep loop goes through the `_into`
 //! variants with a reused buffer — the steady state allocates nothing.
 
+use latr_arch::{CpuId, CpuMask};
 use latr_core::rt::{RtInvalidation, RtReclaimer, RtRegistry, ShardedReclaimer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -49,12 +50,14 @@ fn wide_mask_retirement_at(cores: usize, sweep: fn(&RtRegistry, usize, &mut Vec<
     let total = if cores >= 120 { 300u64 } else { 600u64 };
 
     // Targets: every core except 0.
+    let mut others = CpuMask::first_n(cores);
+    others.clear(CpuId(0));
     let publisher = {
         let r = Arc::clone(&registry);
         std::thread::spawn(move || {
             let mut published = 0u64;
             while published < total {
-                if r.publish_broadcast(0, inv(published)).is_ok() {
+                if r.publish(0, inv(published), others).is_ok() {
                     published += 1;
                 } else {
                     std::thread::yield_now();
@@ -295,14 +298,10 @@ fn recycled_slots_at(cores: usize, rounds: u64) {
             }
         })
     };
-    let mut target_words = [0u64; 4];
-    target_words[target / 64] = 1 << (target % 64);
+    let targets = CpuMask::from_cpus([CpuId(target as u16)]);
     let mut published = 0u64;
     while published < rounds {
-        if registry
-            .publish_wide(0, inv(published), target_words)
-            .is_ok()
-        {
+        if registry.publish(0, inv(published), targets).is_ok() {
             published += 1;
         } else {
             std::thread::yield_now();

@@ -34,48 +34,17 @@
 //! ring's slots are allocated when the machine is built, so recording
 //! must allocate nothing either, even once the ring is full and each
 //! push overwrites the oldest entry.
+//!
+//! Allocations are counted per thread (`tests/common/zero_alloc.rs`): the
+//! simulator runs on the test's own thread, so neither another test nor
+//! the harness's reporting thread can inflate a measured window. The rt
+//! runtime's hot path and the oracle's record path, each driven in place
+//! on the test's thread, are held to zero allocations too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "common/zero_alloc.rs"]
+mod fixtures;
 
-/// Counts every allocation (`alloc`, `alloc_zeroed`, and growth via
-/// `realloc`) routed through the global allocator, per thread: the
-/// simulator runs on the test's own thread, so neither the other test
-/// nor the harness's reporting thread can inflate a measured window.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: a thread being torn down has no counter left to bump.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// is a const-initialised thread-local `Cell`, which never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use fixtures::{commodity_storm, thread_allocations as allocations, CountingAlloc, STORMS};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -84,30 +53,7 @@ use latr_arch::{MachinePreset, Topology};
 use latr_faults::FaultPlan;
 use latr_kernel::{metrics, Machine, MachineConfig, Workload};
 use latr_sim::{Nanos, MICROSECOND, MILLISECOND, SECOND};
-use latr_workloads::{AllocStorm, ArrivalProcess, PolicyKind, ServingWorkload, SweepStorm};
-
-/// A machine shape and the sweep storm it runs.
-type Shape = (MachinePreset, fn() -> SweepStorm);
-
-/// The 16-core commodity box, every core publishing.
-fn commodity_storm() -> SweepStorm {
-    SweepStorm::new(16, 1_000_000)
-}
-
-/// The benchmark's `sweep-storm` shape: 4 publishers and 116 idle
-/// sweepers on 120 cores, whose same-instant wakeups land 116 events in
-/// one calendar bucket every round as the burst's phase drifts across
-/// the ring.
-fn large_storm() -> SweepStorm {
-    SweepStorm::new(120, 1_000_000)
-        .with_publishers(4)
-        .with_sleep(MILLISECOND + 3 * MICROSECOND)
-}
-
-const SHAPES: [Shape; 2] = [
-    (MachinePreset::Commodity2S16C, commodity_storm),
-    (MachinePreset::LargeNuma8S120C, large_storm),
-];
+use latr_workloads::{AllocStorm, ArrivalProcess, PolicyKind, ServingWorkload};
 
 /// The benchmark's serving shape: 120 workers in 24 processes with
 /// bursty arrivals, admitting more requests than either run can serve,
@@ -210,7 +156,7 @@ fn assert_steady_state(
 fn sweep_storm_steady_state_allocates_nothing_per_event() {
     let short = 50 * MILLISECOND;
     let long = 250 * MILLISECOND;
-    for (preset, storm) in SHAPES {
+    for (preset, storm) in STORMS {
         // Enough rounds that the storm is still publishing when the long
         // run ends: the extra window must contain real per-event work,
         // not idle ticks.
@@ -353,7 +299,7 @@ fn traced_runs_allocate_nothing_per_event() {
     );
 }
 
-/// The rt runtime's hot path in steady state: `publish_wide` (once with
+/// The rt runtime's hot path in steady state: `publish` (once with
 /// an excluded core in its mask, and once more on a full queue so it
 /// returns `PublishError`), `sweep_into`, `min_live_tick` on the masked
 /// path an exclusion forces, and `SoftTlb` ticks applying point
@@ -361,6 +307,7 @@ fn traced_runs_allocate_nothing_per_event() {
 /// working size, a round allocates nothing.
 #[test]
 fn rt_hot_path_allocates_nothing_in_steady_state() {
+    use latr_arch::CpuMask;
     use latr_core::rt::{PublishError, RtInvalidation, RtRegistry, SoftTlb, SoftTlbTable};
     use std::sync::Arc;
 
@@ -377,6 +324,7 @@ fn rt_hot_path_allocates_nothing_in_steady_state() {
         table.map_key(key, key);
     }
     let mut out = Vec::new();
+    let targets = CpuMask::from_words([0b1110, 0, 0, 0]);
     let mut round = |r: u64| {
         // Core 0 fills its queue for cores 1-3 and overflows once.
         for i in 0..=SLOTS as u64 {
@@ -385,7 +333,7 @@ fn rt_hot_path_allocates_nothing_in_steady_state() {
                 start: i << 12,
                 end: (i + 1) << 12,
             };
-            let published = registry.publish_wide(0, inv, [0b1110, 0, 0, 0]);
+            let published = registry.publish(0, inv, targets);
             assert_eq!(published.err(), (i == SLOTS as u64).then_some(PublishError));
         }
         // Core 1 lazily unmaps a key cores 0 and 2 cached.
@@ -422,4 +370,39 @@ fn rt_hot_path_allocates_nothing_in_steady_state() {
         allocated, 0,
         "1,000 steady-state rt rounds allocated {allocated} times"
     );
+}
+
+/// The oracle's record path, driven in place: every observed event
+/// appends one record to a bounded history ring. A record holds a stamp
+/// into a shared arena of clock snapshots, not a copy of its context's
+/// vector clock. Once the ring is full the oldest record is dropped and
+/// its snapshot released, so an event that touches no other state — here,
+/// invalidating a page no TLB caches — must allocate nothing.
+#[test]
+fn full_oracle_ring_records_uncached_invalidations_without_allocating() {
+    use latr_arch::CpuId;
+    use latr_mem::Vpn;
+    use latr_sim::Time;
+    use latr_verify::CoherenceOracle;
+
+    /// The history ring's capacity (`HISTORY_CAPACITY` in the oracle).
+    const RING: u64 = 4096;
+
+    // The 120-core preset's clock width: one component per core plus the
+    // reclamation kthread.
+    let mut oracle = CoherenceOracle::new(120);
+    let cpu = CpuId(3);
+    for vpn in 0..RING {
+        oracle.note_invalidate(cpu, 0, Vpn(vpn), Time::ZERO);
+    }
+    let before = allocations();
+    for vpn in RING..RING + 10_000 {
+        oracle.note_invalidate(cpu, 0, Vpn(vpn), Time::ZERO);
+    }
+    let allocated = allocations() - before;
+    assert_eq!(
+        allocated, 0,
+        "10,000 invalidations on a full ring allocated {allocated} times"
+    );
+    assert_eq!(oracle.events_observed(), RING + 10_000);
 }

@@ -6,7 +6,8 @@
 //! would see only the simulation's half of the run. Here a counting
 //! global allocator counts every thread's allocations, and the binary
 //! holds this single test so that no other test allocates in its
-//! windows.
+//! windows. The counting allocator and the storm shapes are the ones
+//! `tests/zero_alloc.rs` uses (`tests/common/zero_alloc.rs`).
 //!
 //! The sweep storm runs on the 16-core commodity box and in the
 //! benchmark's 120-core shape, each twice with the oracle on: two runs
@@ -18,55 +19,18 @@
 //! discarded run takes the process's one-time initialisation out of the
 //! windows.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "common/zero_alloc.rs"]
+mod fixtures;
 
-/// Counts every allocation (`alloc`, `alloc_zeroed`, and growth via
-/// `realloc`) routed through the global allocator, on any thread.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// is a relaxed atomic with no other side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use fixtures::{commodity_storm, process_allocations, CountingAlloc, STORMS};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use latr_arch::{MachinePreset, Topology};
 use latr_kernel::{Machine, MachineConfig};
-use latr_sim::{Nanos, MICROSECOND, MILLISECOND};
+use latr_sim::{Nanos, MILLISECOND};
 use latr_workloads::{PolicyKind, SweepStorm};
-
-/// The 16-core commodity box, every core publishing.
-fn commodity_storm() -> SweepStorm {
-    SweepStorm::new(16, 1_000_000)
-}
-
-/// The benchmark's `sweep-storm` shape: 4 publishers and 116 idle
-/// sweepers on 120 cores.
-fn large_storm() -> SweepStorm {
-    SweepStorm::new(120, 1_000_000)
-        .with_publishers(4)
-        .with_sleep(MILLISECOND + 3 * MICROSECOND)
-}
 
 /// Runs `storm` under Latr on `preset` with the oracle on for `duration`
 /// and returns the allocations the run made, on every thread, and the
@@ -79,9 +43,9 @@ fn allocations_during(preset: MachinePreset, storm: SweepStorm, duration: Nanos)
     config.seed = 0x000a_110c;
     let mut machine = Machine::new(config);
     let policy = PolicyKind::latr_default().build();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = process_allocations();
     machine.run(Box::new(storm), policy, duration);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = process_allocations();
     assert!(
         machine.oracle_violation().is_none(),
         "{:?}",
@@ -94,13 +58,7 @@ fn allocations_during(preset: MachinePreset, storm: SweepStorm, duration: Nanos)
 fn oracle_on_sweep_storms_allocate_nothing_per_event() {
     let (short, long) = (50 * MILLISECOND, 250 * MILLISECOND);
     allocations_during(MachinePreset::Commodity2S16C, commodity_storm(), short);
-    for (preset, storm) in [
-        (
-            MachinePreset::Commodity2S16C,
-            commodity_storm as fn() -> SweepStorm,
-        ),
-        (MachinePreset::LargeNuma8S120C, large_storm),
-    ] {
+    for (preset, storm) in STORMS {
         let (short_allocs, short_events) = allocations_during(preset, storm(), short);
         let (long_allocs, long_events) = allocations_during(preset, storm(), long);
         assert!(
