@@ -1,4 +1,4 @@
-//! `bench [--quick] [--guard PATH] [NAME...]`: the repository's own
+//! `bench [--quick] [NAME...]`: the repository's own
 //! benches by name, each writing `BENCH_<name>.json`. See
 //! [`latr_bench::bench`].
 

@@ -4,10 +4,10 @@
 //! the pending-bitmap Latr sweep — end-to-end on the sweep-heavy
 //! [`SweepStorm`] workload at 16, 64 and 120 simulated cores, and renders
 //! the result as the `BENCH_hotpath.json` schema EXPERIMENTS.md
-//! documents. Each point's [`Machine::fingerprint`] hash pins the
-//! simulated run the wall clock was taken on.
-
-use std::time::Instant;
+//! documents. Each point's counted work (ticks, events, ops and the
+//! [`Machine::fingerprint`] hash) is exact on every host, and a unit test
+//! checks it against the committed file; the wall clock beside it is
+//! reported, not gated.
 
 use latr_arch::{MachinePreset, Topology};
 use latr_core::LatrConfig;
@@ -16,39 +16,36 @@ use latr_sim::SECOND;
 use latr_workloads::{PolicyKind, SweepStorm};
 
 use crate::bench::Report;
-use crate::report::{each, fnv1a, row, Object, Rows};
+use crate::report::{each, fnv1a, host_cpus, row, time, Float, Object, Rows, Spread};
 
-/// One machine-size measurement.
-#[derive(Clone, Debug, Default)]
-struct HotpathPoint {
+/// One sweep-storm run's counted work: identical on every host.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Counted {
     /// Simulated cores.
     cores: usize,
-    /// Wall-clock nanoseconds for the whole run.
-    wall_ns: u128,
     /// Scheduler ticks simulated.
     sim_ticks: u64,
     /// Events the queue delivered.
     events: u64,
     /// Workload operations completed (munmap rounds).
     ops: u64,
-    /// `sim_ticks` per wall-clock second — the sweep-path figure of merit.
-    ticks_per_sec: f64,
-    /// `ops` per wall-clock second.
-    ops_per_sec: f64,
     /// FNV-1a hash of the run's full fingerprint.
     fingerprint: u64,
 }
 
-/// Fractional ticks/sec drop below the committed file that fails the
-/// `--guard` check.
-const GUARD_TOLERANCE: f64 = 0.2;
+/// One machine-size measurement.
+struct HotpathPoint {
+    /// The run's counted work.
+    counted: Counted,
+    /// Wall-clock ns per build-and-run of the machine.
+    wall_ns: Spread,
+}
 
-/// Runs every shape; panics if two best-of-N repetitions of a point
-/// diverge.
+/// Runs every shape; panics if two timed repetitions of a point diverge.
 pub(crate) fn run(quick: bool) -> Report {
     let points = each(
         hotpath_shapes(),
-        |(topo, cores)| run_hotpath_point(topo, cores, hotpath_rounds(cores, quick)),
+        |(topology, cores)| run_hotpath_point(&topology, cores, quick),
         point_row,
     );
     Report {
@@ -67,92 +64,76 @@ fn hotpath_shapes() -> [(Topology, usize); 3] {
 }
 
 /// Rounds per publisher for a shape: enough sim time that the per-tick
-/// sweep cost dominates setup, trimmed in `--quick` mode. Full-mode
-/// counts are sized so every point still runs for tens of milliseconds
-/// per repetition — below that the small deltas at small core counts
-/// drown in timer and scheduler noise.
-fn hotpath_rounds(cores: usize, quick: bool) -> u32 {
-    let full = match cores {
+/// sweep cost dominates setup, so every point runs for milliseconds. One
+/// size serves `--quick` too, which keeps every run's counted work the
+/// committed file's.
+fn hotpath_rounds(cores: usize) -> u32 {
+    match cores {
         0..=16 => 1000,
         17..=64 => 600,
         _ => 400,
-    };
-    if quick {
-        // A quarter of the full count keeps quick runs in the same
-        // throughput regime as the committed numbers (run-time startup
-        // is still amortized), which is what lets the CI regression
-        // guard compare quick ticks/sec against the committed file.
-        (full / 4).max(2)
-    } else {
-        full
     }
 }
 
-/// Runs the sweep storm and measures it.
-///
-/// Each point is run [`HOTPATH_REPS`] times and the fastest wall clock
-/// is kept — the standard best-of-N discipline. A single sample of a
-/// few-millisecond run mostly measures the *host*: first-touch page
-/// faults on the machine's freshly-allocated arrays and whatever else
-/// the OS scheduler is doing, noise larger than the differences under
-/// test. Every repetition must produce a bit-identical fingerprint, so
-/// best-of-N cannot hide nondeterminism: a divergence panics.
-fn run_hotpath_point(topology: Topology, cores: usize, rounds: u32) -> HotpathPoint {
-    let reps: Vec<HotpathPoint> = (0..HOTPATH_REPS)
-        .map(|_| {
-            let mut config = MachineConfig::new(topology.clone());
-            config.seed = 0xB3 ^ cores as u64;
-            // Tracing and the coherence oracle off: both are pure observers
-            // with per-event costs that would drown the hot loops being
-            // measured (the differential suite runs them instead).
-            config.trace_capacity = 0;
-            config.oracle = false;
-            let mut machine = Machine::new(config);
-            let start = Instant::now();
-            machine.run(
-                // A fixed set of 4 cores unmap while the rest tick and
-                // sweep. Sparse publishing is where laziness pays: most
-                // per-tick queue visits find nothing, which the pending
-                // bitmap skips and a full scan would pay for on every one
-                // of the `cores` queues.
-                Box::new(SweepStorm::new(cores, rounds).with_publishers(cores.min(4))),
-                PolicyKind::Latr(LatrConfig::default()).build(),
-                10 * SECOND,
-            );
-            let wall = start.elapsed().as_nanos().max(1);
-            let sim_ticks = machine.stats.counter(metrics::SCHED_TICKS);
-            let ops = machine.stats.counter(metrics::WORK_UNITS);
-            let per_sec = |n: u64| n as f64 * 1e9 / wall as f64;
-            HotpathPoint {
-                cores,
-                wall_ns: wall,
-                sim_ticks,
-                events: machine.events_delivered(),
-                ops,
-                ticks_per_sec: per_sec(sim_ticks),
-                ops_per_sec: per_sec(ops),
-                fingerprint: fnv1a(&machine.fingerprint()),
-            }
-        })
-        .collect();
-    assert!(
-        reps.windows(2)
-            .all(|w| w[0].fingerprint == w[1].fingerprint),
-        "{cores} cores diverged between repetitions"
+/// Builds the sweep-storm machine for a shape, runs it and counts its work.
+fn sweep_storm(topology: &Topology, cores: usize) -> Counted {
+    let mut config = MachineConfig::new(topology.clone());
+    config.seed = 0xB3 ^ cores as u64;
+    // Tracing and the coherence oracle off: both are pure observers
+    // with per-event costs that would drown the hot loops being measured
+    // (the differential suite runs them instead).
+    config.trace_capacity = 0;
+    config.oracle = false;
+    let mut machine = Machine::new(config);
+    machine.run(
+        // A fixed set of 4 cores unmap while the rest tick and sweep.
+        // Sparse publishing is where laziness pays: most per-tick queue
+        // visits find nothing, which the pending bitmap skips and a full
+        // scan would pay for on every one of the `cores` queues.
+        Box::new(SweepStorm::new(cores, hotpath_rounds(cores)).with_publishers(cores.min(4))),
+        PolicyKind::Latr(LatrConfig::default()).build(),
+        10 * SECOND,
     );
-    // The first of the fastest, as a strict best-so-far scan would keep.
-    reps.into_iter()
-        .min_by_key(|p| p.wall_ns)
-        .expect("HOTPATH_REPS > 0")
+    Counted {
+        cores,
+        sim_ticks: machine.stats.counter(metrics::SCHED_TICKS),
+        events: machine.events_delivered(),
+        ops: machine.stats.counter(metrics::WORK_UNITS),
+        fingerprint: fnv1a(&machine.fingerprint()),
+    }
 }
 
-/// Repetitions per measured point (best wall clock wins).
-const HOTPATH_REPS: u32 = 5;
+/// Times the sweep storm, one build-and-run per batch. Every repetition
+/// must count the same work, so a divergence panics.
+fn run_hotpath_point(topology: &Topology, cores: usize, quick: bool) -> HotpathPoint {
+    let mut first = None;
+    let wall_ns = time(quick, 1, || {
+        let counted = sweep_storm(topology, cores);
+        assert_eq!(
+            *first.get_or_insert(counted),
+            counted,
+            "{cores} cores diverged between repetitions"
+        );
+    });
+    HotpathPoint {
+        counted: first.expect("time runs at least once"),
+        wall_ns,
+    }
+}
 
-/// One point's row of the document.
+/// The exact part of a point's row: its shape and counted work.
+fn counted_row(c: &Counted) -> Object {
+    row!(c; cores, sim_ticks, events, ops, fingerprint: hex)
+}
+
+/// One point's row of the document: the counted work, the wall time, and
+/// the ticks and ops per second of its median.
 fn point_row(p: &HotpathPoint) -> Object {
-    row!(p; cores, wall_ns, sim_ticks, events, ops, ticks_per_sec: 1, ops_per_sec: 1,
-            fingerprint: hex)
+    let per_sec = |n: u64| Float(n as f64 * 1e9 / p.wall_ns.median, 1);
+    counted_row(&p.counted)
+        .field("wall_ns", p.wall_ns)
+        .field("ticks_per_sec", per_sec(p.counted.sim_ticks))
+        .field("ops_per_sec", per_sec(p.counted.ops))
 }
 
 /// The measurement set as the `BENCH_hotpath.json` document.
@@ -161,88 +142,28 @@ fn hotpath_json(points: &[HotpathPoint], quick: bool) -> Object {
         .field("bench", "hotpath")
         .field("workload", "sweep-storm")
         .field("quick", quick)
+        .field("host_cpus", host_cpus())
         .field("points", Rows::of(points, point_row))
-}
-
-/// Extracts `(cores, ticks_per_sec)` for every point of a
-/// `BENCH_hotpath.json` document, line by line: the document prints one
-/// point per line.
-pub(crate) fn committed_ticks(json: &str) -> Vec<(usize, f64)> {
-    json.lines()
-        .filter_map(|line| {
-            let point = line.trim().trim_matches(['{', '}', ',']);
-            let field = |key: &str| -> Option<f64> {
-                point
-                    .split(", ")
-                    .find_map(|pair| pair.strip_prefix(key))?
-                    .parse()
-                    .ok()
-            };
-            Some((
-                field("\"cores\": ")? as usize,
-                field("\"ticks_per_sec\": ")?,
-            ))
-        })
-        .collect()
-}
-
-/// The CI bench-regression guard: compares the freshly written
-/// document `fresh` against the committed `(cores, ticks_per_sec)` points
-/// and names every point whose ticks/sec fell more than
-/// [`GUARD_TOLERANCE`] below its committed value, or `None` if none did.
-/// A point missing from the committed file is skipped: the guard checks
-/// for regressions, not schema drift.
-pub(crate) fn guard(committed: &[(usize, f64)], fresh: &str) -> Option<String> {
-    let failures: Vec<String> = committed_ticks(fresh)
-        .into_iter()
-        .filter_map(|(cores, ticks)| {
-            let &(_, baseline) = committed.iter().find(|(c, _)| *c == cores)?;
-            let floor = baseline * (1.0 - GUARD_TOLERANCE);
-            (ticks < floor).then(|| {
-                format!(
-                    "{cores} cores: {ticks:.0} ticks/sec is more than {:.0}% below the \
-                     committed {baseline:.0} (floor {floor:.0})",
-                    GUARD_TOLERANCE * 100.0
-                )
-            })
-        })
-        .collect();
-    (!failures.is_empty()).then(|| format!("regression guard: {}", failures.join("; ")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Json;
 
-    fn point(cores: usize, ticks_per_sec: f64) -> HotpathPoint {
-        HotpathPoint {
-            cores,
-            ticks_per_sec,
-            ..HotpathPoint::default()
+    /// The gate on the hot path: every shape's counted work equals the
+    /// committed file's, field for field. A change that moves it
+    /// regenerates the file and says why.
+    #[test]
+    fn counted_work_matches_the_committed_file() {
+        let committed = include_str!("../../../BENCH_hotpath.json");
+        for (topology, cores) in hotpath_shapes() {
+            let json = counted_row(&sweep_storm(&topology, cores)).json();
+            let want = json.strip_suffix('}').expect("an object ends in a brace");
+            assert!(
+                committed.lines().any(|l| l.trim_start().starts_with(want)),
+                "{cores} cores counted {json}, not the committed BENCH_hotpath.json row"
+            );
         }
-    }
-
-    #[test]
-    fn guard_round_trips_through_the_json_and_flags_regressions() {
-        let json = |points: &[HotpathPoint]| hotpath_json(points, false).render();
-        let committed = committed_ticks(&json(&[point(16, 1000.0), point(120, 3000.0)]));
-        assert_eq!(committed, vec![(16, 1000.0), (120, 3000.0)]);
-
-        // Within tolerance (and above) passes; a >20% drop fails.
-        let fresh_ok = json(&[point(16, 850.0), point(120, 3100.0)]);
-        assert_eq!(guard(&committed, &fresh_ok), None);
-        let fresh_bad = json(&[point(16, 799.0), point(120, 3100.0)]);
-        let failure = guard(&committed, &fresh_bad).expect("a 20% drop fails");
-        assert!(failure.contains("16 cores"), "{failure}");
-        assert!(!failure.contains("120 cores"), "{failure}");
-        // A shape absent from the committed file is not a failure.
-        assert_eq!(guard(&committed, &json(&[point(64, 1.0)])), None);
-    }
-
-    #[test]
-    fn a_small_point_runs_every_round() {
-        let p = run_hotpath_point(Topology::new(2, 2), 4, 3);
-        assert_eq!(p.ops, 4 * 3);
-        assert!(p.sim_ticks > 0);
     }
 }

@@ -1,15 +1,16 @@
 //! # latr-bench — the benchmark harness
 //!
 //! Two binaries re-run the paper's evaluation (§6) and the repository's
-//! own benches on the simulated machines and real threads; criterion
-//! microbenches sit beside them. Each binary runs one table of named
-//! entries: [`paper`]'s experiments print the paper's tables and figures,
-//! [`bench`](mod@bench)'s benches each write one committed `BENCH_<name>.json`.
+//! own benches on the simulated machines and real threads. Each binary
+//! runs one table of named entries: [`paper`]'s experiments print the
+//! paper's tables and figures, [`bench`](mod@bench)'s benches each write
+//! one committed `BENCH_<name>.json`.
 //!
 //! | Binary | Entries | Output |
 //! |---|---|---|
 //! | `paper` | every §6 table and figure (see [`paper`]) | `results/<name>.txt` |
 //! | `bench` | `hotpath` sweep-storm simulator throughput at 16/64/120 cores | `BENCH_hotpath.json` |
+//! | | `micro` ns per operation: the rt Table 5 rows, simulator hot paths and substrates | `BENCH_micro.json` |
 //! | | `serving` open-loop tail latency per policy (+ chaos) | `BENCH_serving.json` |
 //! | | `pressure` allocation storms vs watermark escalation | `BENCH_pressure.json` |
 //! | | `rt_scale` real-thread rt scaling, the rt runtime stack vs sync-IPI | `BENCH_rt_scale.json` |
@@ -20,11 +21,12 @@
 //!
 //! | Shared module | Used by |
 //! |---|---|
-//! | `report`  | every bench: the JSON writer, FNV-1a, percentiles, per-point progress rows |
+//! | `report`  | every bench: the JSON writer, FNV-1a, percentiles, per-point progress rows; `hotpath` and `micro`: the wall-clock timer |
 //! | `rt_loop` | `rt_scale` and `soak`: the one real-thread worker loop (pending-row sweep, sharded reclaimer) and its canary |
 
 pub mod bench;
 mod hotpath;
+mod micro;
 pub mod paper;
 mod pressure;
 mod report;

@@ -503,9 +503,10 @@ fn table4(scale: RunScale) {
 /// Paper: saving a Latr state 132.3 ns; a single state sweep 158.0 ns; a
 /// single Linux shootdown 1594.2 ns — Latr reduces the time for a
 /// shootdown by up to 81.8 %. The real-thread `latr_core::rt` costs of
-/// the same operations are criterion's `rt_publish_and_drain_3_sweeps`
-/// (a save plus the three sweeps that clear it) and `rt_sweep_one_hit`
-/// (`benches/rt_primitives.rs`).
+/// the same operations are `bench micro`'s rows
+/// `rt_publish_and_drain_3_sweeps` (a save plus the three sweeps that
+/// clear it), `rt_sweep_one_hit` and `sync_shootdown_baseline`
+/// (`crates/bench/src/micro.rs`).
 fn table5(scale: RunScale) {
     print_title("Table 5 — breakdown of operations (Apache on 12 cores)");
     let [linux, latr] =

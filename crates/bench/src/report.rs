@@ -1,5 +1,6 @@
 //! The one JSON writer behind every `BENCH_*.json`, plus the helpers the
-//! benches share: per-point progress rows, FNV-1a and percentiles.
+//! benches share: per-point progress rows, FNV-1a, percentiles and the
+//! one wall-clock timer, [`time`].
 //!
 //! A document is an ordered [`Object`]: [`Object::render`] prints one key
 //! per line, [`Rows`] one row per line, and every row or nested object
@@ -9,6 +10,9 @@
 //! struct's fields, keyed by field name. Each bench names its row once,
 //! as a `fn(&Point) -> Object`: [`each`] prints it as a point finishes,
 //! and [`Rows::of`] puts it in the document.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use latr_sim::Summary;
 
@@ -213,6 +217,72 @@ pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// The first quartile, median and third quartile of an ascending slice.
+pub(crate) fn quartiles(sorted: &[u64]) -> [u64; 3] {
+    [0.25, 0.5, 0.75].map(|q| percentile(sorted, q))
+}
+
+/// Wall-clock ns per iteration over a row's timed batches.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Spread {
+    /// Iterations per batch.
+    pub(crate) iters: u64,
+    /// Batches timed.
+    pub(crate) batches: usize,
+    /// Median batch, ns per iteration.
+    pub(crate) median: f64,
+    /// First-quartile batch, ns per iteration.
+    pub(crate) q1: f64,
+    /// Third-quartile batch, ns per iteration.
+    pub(crate) q3: f64,
+}
+
+impl Json for Spread {
+    fn json(&self) -> String {
+        row!(self; iters, batches, median: 1, q1: 1, q3: 1).json()
+    }
+}
+
+/// Batches [`time`] runs: enough that one preempted batch shifts each
+/// quartile by at most one rank.
+const BATCHES: usize = 11;
+
+/// Times `f`: [`BATCHES`] batches of `iters` back-to-back calls, each
+/// batch between one `Instant` pair, so the fixed count, not the first
+/// call's speed, sets every batch's length. Each result goes through
+/// `black_box`, so the optimizer cannot drop the timed work. `--quick`
+/// (`quick`) times 3 batches of a hundredth as many calls, at least one.
+pub(crate) fn time<R>(quick: bool, iters: u64, mut f: impl FnMut() -> R) -> Spread {
+    let (batches, iters) = if quick {
+        (3, iters.div_ceil(100))
+    } else {
+        (BATCHES, iters)
+    };
+    let mut ns: Vec<u64> = (0..batches)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            u64::try_from(start.elapsed().as_nanos()).expect("a batch lasts under 584 years")
+        })
+        .collect();
+    ns.sort_unstable();
+    let [q1, median, q3] = quartiles(&ns).map(|n| n as f64 / iters as f64);
+    Spread {
+        iters,
+        batches,
+        median,
+        q1,
+        q3,
+    }
+}
+
+/// Hardware threads the host offers, as each timed document records.
+pub(crate) fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,5 +336,10 @@ mod tests {
         assert_eq!(percentile(&v, 0.50), 51);
         assert_eq!(percentile(&v, 0.99), 99);
         assert_eq!(percentile(&v, 1.0), 100);
+        // Quartiles of the batch counts `time` runs: 11 full, 3 quick.
+        let v: Vec<u64> = (1..=11).collect();
+        assert_eq!(quartiles(&v), [4, 6, 9]);
+        assert_eq!(quartiles(&[1, 2, 3]), [2, 2, 3]);
+        assert_eq!(quartiles(&[7]), [7, 7, 7]);
     }
 }

@@ -14,8 +14,8 @@
 //!    implementation of the same data structures — atomic CPU masks,
 //!    cyclic state queues, cross-core sweeps and epoch/tick-based deferred
 //!    reclamation — usable as a user-space library for "lazy invalidation
-//!    with bounded staleness" patterns, and benchmarked with criterion to
-//!    reproduce Table 5's nanosecond-scale costs on real hardware.
+//!    with bounded staleness" patterns, and benchmarked by `bench micro`
+//!    to reproduce Table 5's nanosecond-scale costs on real hardware.
 //!
 //! ## Quick start (simulation)
 //!

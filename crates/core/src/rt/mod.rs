@@ -16,7 +16,7 @@
 //! twin, stores, loads and takes whole masks. A mask the simulated policy
 //! publishes can be fed to [`RtRegistry::publish`] as it is.
 //!
-//! The criterion benches in `latr-bench` measure these primitives to
+//! `latr-bench`'s `bench micro` rows measure these primitives to
 //! reproduce Table 5's costs (state save ≈ 130 ns, sweep ≈ 160 ns) against
 //! a synchronous cross-thread "IPI" baseline.
 //!
