@@ -113,6 +113,12 @@ fn promote(order: u32, way: usize) -> u32 {
 /// order. A probe reads only the set's key words — one cache line for
 /// eight ways.
 ///
+/// The arrays are built on the level's first insert: until then they are
+/// empty, and every reader answers as for a level with no valid slot —
+/// `probe` stops at the zero PCID count, `remove` is reached only through
+/// a nonzero one, and `flush_all` and `iter_valid` find no slots. A core
+/// that never fills its TLB (an idle sweeper) holds none of it.
+///
 /// Replacement is LRU, exact: the victim is the first invalid way, else
 /// the tail of the recency order. Every lookup hit and insert moves its
 /// way to the head, so the valid ways stand in the order of their last
@@ -146,19 +152,28 @@ impl<const WAYS: usize> SetAssoc<WAYS> {
         const { assert!(WAYS > 0 && WAYS <= MAX_WAYS) };
         assert!(entries > 0 && entries.is_multiple_of(WAYS));
         let sets = entries / WAYS;
-        // Identity order 0, 1, .., WAYS - 1 from the low nibble up.
-        let order = (0..MAX_WAYS).fold(0u32, |o, w| {
-            o | (if w < WAYS { w as u32 } else { 0xF }) << (4 * w)
-        });
         SetAssoc {
-            keys: vec![0; entries],
-            vals: vec![0; entries],
-            valid: vec![0; sets],
-            order: vec![order; sets],
+            keys: Vec::new(),
+            vals: Vec::new(),
+            valid: Vec::new(),
+            order: Vec::new(),
             sets,
             set_mask: if sets.is_power_of_two() { sets - 1 } else { 0 },
             pcid_count: Vec::new(),
         }
+    }
+
+    /// Builds the arrays, every slot invalid, every set in identity
+    /// recency order 0, 1, .., WAYS - 1 from the low nibble up.
+    #[cold]
+    fn materialize(&mut self) {
+        let order = (0..MAX_WAYS).fold(0u32, |o, w| {
+            o | (if w < WAYS { w as u32 } else { 0xF }) << (4 * w)
+        });
+        self.keys = vec![0; self.sets * WAYS];
+        self.vals = vec![0; self.sets * WAYS];
+        self.valid = vec![0; self.sets];
+        self.order = vec![order; self.sets];
     }
 
     #[inline]
@@ -225,6 +240,9 @@ impl<const WAYS: usize> SetAssoc<WAYS> {
     /// if any (a capacity eviction at this level). The caller has checked
     /// the packing bounds.
     fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
+        if self.keys.is_empty() {
+            self.materialize();
+        }
         let set = self.set_of(entry.vpn);
         let key = key(entry.pcid, entry.vpn);
         let val = entry.pfn << 1 | u64::from(entry.writable);
@@ -308,7 +326,8 @@ pub struct Tlb {
 
 impl Tlb {
     /// Creates a TLB with the given L1 and L2 capacities (entries).
-    /// L1 is 4-way; L2 is 8-way, matching contemporary Xeons.
+    /// L1 is 4-way; L2 is 8-way, matching contemporary Xeons. Allocates
+    /// nothing: each level builds its arrays on its first insert.
     ///
     /// # Panics
     ///
@@ -698,23 +717,29 @@ mod tests {
     /// with `op` weighting inserts and lookups over the rest.
     type Step = (u8, u16, u64, (u64, bool));
 
-    /// Runs `steps` on the packed TLB and the stamped reference and
-    /// compares every return value, the statistics, the cached entries
-    /// way for way and the eviction logs after each step.
+    /// Runs `cold` and then `steps` on the packed TLB and the stamped
+    /// reference and compares every return value, the statistics, the
+    /// cached entries way for way and the eviction logs after each step.
+    /// `cold` holds no insert, so it runs on levels whose arrays are not
+    /// built yet, and checks that they stay unbuilt.
     fn same_as_reference(
         (l1, l2): (usize, usize),
         track: bool,
         vpn_base: u64,
         vpn_spread: u64,
+        cold: &[Step],
         steps: &[Step],
     ) -> Result<(), TestCaseError> {
         let mut tlb = Tlb::new(l1, l2);
         let mut spec = reference::Tlb::new(l1, l2);
         tlb.set_eviction_tracking(track);
         spec.set_eviction_tracking(track);
-        for (n, &(op, pcid, vpn, (pfn, writable))) in steps.iter().enumerate() {
+        for (n, &(op, pcid, vpn, (pfn, writable))) in cold.iter().chain(steps).enumerate() {
             let vpn = vpn_base + vpn % vpn_spread;
             let at = format!("step {n} of {l1}/{l2}: op {op} pcid {pcid} vpn {vpn:#x}");
+            if n < cold.len() {
+                prop_assert!(op > 5, "{}: a cold step inserts", at);
+            }
             match op {
                 0..=5 => {
                     let e = TlbEntry {
@@ -747,6 +772,13 @@ mod tests {
             );
             let evicted: Vec<TlbEntry> = tlb.drain_evicted().collect();
             prop_assert_eq!(evicted, spec.drain_evicted(), "{}", at);
+            if n < cold.len() {
+                prop_assert!(
+                    tlb.l1.keys.is_empty() && tlb.l2.keys.is_empty(),
+                    "{}: a cold step built a level's arrays",
+                    at
+                );
+            }
         }
         Ok(())
     }
@@ -757,6 +789,10 @@ mod tests {
         #[test]
         fn matches_the_stamped_reference(
             (shape, track, high, spread) in (0usize..SHAPES.len(), any::<bool>(), any::<bool>(), 0u32..4),
+            cold in prop::collection::vec(
+                (6u8..15, 0u16..3, any::<u64>(), (0u64..PFN_MAX, any::<bool>())),
+                1..12,
+            ),
             steps in prop::collection::vec(
                 (0u8..15, 0u16..3, any::<u64>(), (0u64..PFN_MAX, any::<bool>())),
                 0..600,
@@ -764,10 +800,12 @@ mod tests {
         ) {
             // Spreads from a few sets' worth to twice L2, so streams both
             // hit and thrash; `high` puts the VPNs at the packing bound.
+            // Every stream opens with lookups, peeks, invalidations and
+            // flushes on the unbuilt levels.
             let (l1, l2) = SHAPES[shape];
             let spread = [8, l1 as u64, l2 as u64, 2 * l2 as u64][spread as usize];
             let base = if high { VPN_MAX + 1 - spread } else { 0 };
-            same_as_reference((l1, l2), track, base, spread, &steps)?;
+            same_as_reference((l1, l2), track, base, spread, &cold, &steps)?;
         }
     }
 

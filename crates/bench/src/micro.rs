@@ -32,65 +32,126 @@ use latr_verify::CoherenceOracle;
 use latr_workloads::{PolicyKind, SweepStorm};
 
 use crate::bench::Report;
-use crate::report::{each, host_cpus, row, time, Object, Rows, Spread};
-use crate::Entry;
+use crate::report::{each, host_cpus, row, time, Float, Object, Rows, Spread};
+
+/// How a row is measured: its timer alone, or its timer and the sweep
+/// hits the timed batches found, per iteration (the contended sweep rows,
+/// whose price depends on whether their sweeps found states at all).
+#[derive(Clone, Copy)]
+enum Measure {
+    Timed(fn(bool) -> Spread),
+    TimedWithHits(fn(bool) -> (Spread, f64)),
+}
+
+use Measure::{Timed, TimedWithHits};
+
+impl Measure {
+    /// The row's timing, and its sweep hits per iteration if it counts
+    /// them.
+    fn run(self, quick: bool) -> (Spread, Option<f64>) {
+        match self {
+            Timed(row) => (row(quick), None),
+            TimedWithHits(row) => {
+                let (spread, hits) = row(quick);
+                (spread, Some(hits))
+            }
+        }
+    }
+}
 
 /// Every row, in report order: its name (EXPERIMENTS.md and DESIGN.md
-/// cite rows by it) and the function that times it at full (`false`) or
+/// cite rows by it) and how it is measured at full (`false`) or
 /// `--quick` (`true`) size.
-const ROWS: [Entry<bool, Spread>; 29] = [
-    ("rt_publish_and_drain_3_sweeps", rt_publish_and_drain),
-    ("rt_sweep_one_hit", rt_sweep_one_hit),
-    ("rt_sweep_empty_16_queues", rt_sweep_empty),
-    ("sync_shootdown_baseline", sync_shootdown_baseline),
-    ("rt_reclaim_defer_collect", rt_reclaim_defer_collect),
-    ("soft_tlb_cached_lookup", soft_tlb_cached_lookup),
-    ("rt_sweep_contended_2_publishers", |q| {
-        rt_sweep_contended(q, 2)
-    }),
-    ("rt_sweep_contended_6_publishers", |q| {
-        rt_sweep_contended(q, 6)
-    }),
-    ("tick_counter_unpadded_contended", tick_counter_unpadded),
-    ("tick_counter_padded_contended", tick_counter_padded),
-    ("rt_sweep_tick_120c_fast_pending", |q| {
-        rt_sweep_tick(q, true)
-    }),
-    ("rt_sweep_tick_120c_reference_scan", |q| {
-        rt_sweep_tick(q, false)
-    }),
-    ("state_queue_publish_retire_half_full", state_queue_publish),
-    ("event_queue_fast_calendar", event_queue_fast_calendar),
-    ("machine_overflow_fallback_8c", machine_overflow_fallback),
-    ("mm_find_free_va_depth_0", |q| mm_find_free_va(q, 0)),
-    ("mm_find_free_va_depth_160", |q| mm_find_free_va(q, 160)),
-    ("mm_find_free_va_depth_300", |q| mm_find_free_va(q, 300)),
-    ("mm_block_unblock_depth_160", |q| mm_block_unblock(q, 160)),
-    ("mm_block_unblock_depth_300", |q| mm_block_unblock(q, 300)),
-    ("oracle_sweep_live_0", |q| oracle_sweep(q, 0)),
-    ("oracle_sweep_live_3000", |q| oracle_sweep(q, 3000)),
-    ("tlb_lookup_hit", tlb_lookup_hit),
-    ("tlb_insert", tlb_insert),
-    ("tlb_serving_request_120_cores", tlb_serving_request_120),
-    ("page_table_map_unmap", page_table_map_unmap),
-    ("page_table_range_scan_512", page_table_range_scan),
-    ("ipi_multicast_schedule_120", ipi_multicast_schedule),
-    ("histogram_record", histogram_record),
+const ROWS: [(&str, Measure); 30] = [
+    ("rt_publish_and_drain_3_sweeps", Timed(rt_publish_and_drain)),
+    ("rt_sweep_one_hit", Timed(rt_sweep_one_hit)),
+    ("rt_sweep_empty_16_queues", Timed(rt_sweep_empty)),
+    ("sync_shootdown_baseline", Timed(sync_shootdown_baseline)),
+    ("rt_reclaim_defer_collect", Timed(rt_reclaim_defer_collect)),
+    ("soft_tlb_cached_lookup", Timed(soft_tlb_cached_lookup)),
+    (
+        "rt_sweep_contended_2_publishers",
+        TimedWithHits(|q| rt_sweep_contended(q, 2)),
+    ),
+    (
+        "rt_sweep_contended_6_publishers",
+        TimedWithHits(|q| rt_sweep_contended(q, 6)),
+    ),
+    (
+        "tick_counter_unpadded_contended",
+        Timed(tick_counter_unpadded),
+    ),
+    ("tick_counter_padded_contended", Timed(tick_counter_padded)),
+    (
+        "rt_sweep_tick_120c_fast_pending",
+        Timed(|q| rt_sweep_tick(q, true)),
+    ),
+    (
+        "rt_sweep_tick_120c_reference_scan",
+        Timed(|q| rt_sweep_tick(q, false)),
+    ),
+    (
+        "state_queue_publish_retire_half_full",
+        Timed(state_queue_publish),
+    ),
+    (
+        "event_queue_fast_calendar",
+        Timed(event_queue_fast_calendar),
+    ),
+    ("machine_new_120c", Timed(machine_new_120c)),
+    (
+        "machine_overflow_fallback_8c",
+        Timed(machine_overflow_fallback),
+    ),
+    ("mm_find_free_va_depth_0", Timed(|q| mm_find_free_va(q, 0))),
+    (
+        "mm_find_free_va_depth_160",
+        Timed(|q| mm_find_free_va(q, 160)),
+    ),
+    (
+        "mm_find_free_va_depth_300",
+        Timed(|q| mm_find_free_va(q, 300)),
+    ),
+    (
+        "mm_block_unblock_depth_160",
+        Timed(|q| mm_block_unblock(q, 160)),
+    ),
+    (
+        "mm_block_unblock_depth_300",
+        Timed(|q| mm_block_unblock(q, 300)),
+    ),
+    ("oracle_sweep_live_0", Timed(|q| oracle_sweep(q, 0))),
+    ("oracle_sweep_live_3000", Timed(|q| oracle_sweep(q, 3000))),
+    ("tlb_lookup_hit", Timed(tlb_lookup_hit)),
+    ("tlb_insert", Timed(tlb_insert)),
+    (
+        "tlb_serving_request_120_cores",
+        Timed(tlb_serving_request_120),
+    ),
+    ("page_table_map_unmap", Timed(page_table_map_unmap)),
+    ("page_table_range_scan_512", Timed(page_table_range_scan)),
+    ("ipi_multicast_schedule_120", Timed(ipi_multicast_schedule)),
+    ("histogram_record", Timed(histogram_record)),
 ];
 
 /// One timed row of the document.
 struct MicroRow {
     name: &'static str,
     ns_per_iter: Spread,
+    sweep_hits_per_iter: Option<f64>,
 }
 
 /// Times every row.
 pub(crate) fn run(quick: bool) -> Report {
     let rows = each(
         ROWS,
-        |(name, row)| MicroRow {
-            name,
-            ns_per_iter: row(quick),
+        |(name, measure)| {
+            let (ns_per_iter, sweep_hits_per_iter) = measure.run(quick);
+            MicroRow {
+                name,
+                ns_per_iter,
+                sweep_hits_per_iter,
+            }
         },
         micro_row,
     );
@@ -106,7 +167,11 @@ pub(crate) fn run(quick: bool) -> Report {
 }
 
 fn micro_row(r: &MicroRow) -> Object {
-    row!(r; name, ns_per_iter)
+    let row = row!(r; name, ns_per_iter);
+    match r.sweep_hits_per_iter {
+        Some(hits) => row.field("sweep_hits_per_iter", Float(hits, 3)),
+        None => row,
+    }
 }
 
 /// Times `body` while `neighbours` threads each call `spin(i)`, for `i`
@@ -233,21 +298,27 @@ fn soft_tlb_cached_lookup(quick: bool) -> Spread {
 
 /// `publishers` threads hammer one sweeper's queue set while the timed
 /// thread sweeps: how much the sweep degrades against
-/// `rt_sweep_one_hit`'s quiet run.
-fn rt_sweep_contended(quick: bool, publishers: usize) -> Spread {
+/// `rt_sweep_one_hit`'s quiet run. Also returns the states the timed
+/// sweeps found, per sweep: near 0 means the publishers rarely ran
+/// beside the sweeper and the row priced mostly-empty sweeps.
+fn rt_sweep_contended(quick: bool, publishers: usize) -> (Spread, f64) {
     let registry = RtRegistry::new(publishers + 1, 256);
     let sweeper = CpuMask::from_cpus([CpuId(0)]);
     let mut buf = Vec::new();
+    let mut hits = 0usize;
     let publish = |core| {
         // On overflow, spin until the sweeper drains.
         let _ = registry.publish(core, inv(), sweeper);
         spin_loop();
     };
-    time_beside(quick, 2_000, publishers, publish, || {
+    let spread = time_beside(quick, 2_000, publishers, publish, || {
         buf.clear();
         registry.sweep_into(0, &mut buf);
+        hits += buf.len();
         buf.len()
-    })
+    });
+    let sweeps = spread.iters * spread.batches as u64;
+    (spread, hits as f64 / sweeps as f64)
 }
 
 /// Three neighbours bump the counters beside the timed thread's own.
@@ -345,6 +416,19 @@ fn event_queue_fast_calendar(quick: bool) -> Spread {
         t += 211;
         q.schedule(Time::from_ns(t), t);
         q.pop()
+    })
+}
+
+/// The benchmark's set-up on the 120-core preset: `Machine::new` from a
+/// clone of one configuration (oracle and trace ring off), then the
+/// default Latr policy's build, and both dropped again.
+fn machine_new_120c(quick: bool) -> Spread {
+    let mut config = MachineConfig::new(Topology::preset(MachinePreset::LargeNuma8S120C));
+    config.trace_capacity = 0;
+    config.oracle = false;
+    time(quick, 2_000, || {
+        let machine = Machine::new(config.clone());
+        (machine, PolicyKind::latr_default().build())
     })
 }
 
@@ -570,10 +654,14 @@ mod tests {
     /// uncompiled or unrun.
     #[test]
     fn quick_mode_runs_every_row() {
-        for (name, row) in ROWS {
-            let s = row(true);
+        for (name, measure) in ROWS {
+            let (s, hits) = measure.run(true);
             assert!(s.iters >= 1 && s.batches >= 1, "{name}: {s:?}");
             assert!(s.median.is_finite(), "{name}: {s:?}");
+            assert!(
+                hits.is_none_or(|h| h.is_finite() && h >= 0.0),
+                "{name}: {hits:?}"
+            );
         }
     }
 }

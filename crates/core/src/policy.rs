@@ -72,7 +72,8 @@ pub struct LatrPolicy {
 
 impl LatrPolicy {
     /// Creates the policy with the given configuration. Queues are sized
-    /// lazily on the first call (the machine's CPU count isn't known yet).
+    /// lazily on the first call (the machine's CPU count isn't known yet),
+    /// and each queue builds its slots on its first publish.
     ///
     /// # Panics
     ///

@@ -96,6 +96,11 @@ pub struct SweepHit {
 
 /// A per-core cyclic queue of Latr states with a fixed number of slots.
 ///
+/// The slots and occupancy words are built on the first publish: a queue
+/// that never held a state (an idle sweeper's) holds no storage, and
+/// sweeps, [`iter_active`](StateQueue::iter_active) and
+/// [`get`](StateQueue::get) find nothing in it.
+///
 /// ```
 /// use latr_core::{StateQueue, LatrState, StateKind};
 /// use latr_arch::{CpuMask, CpuId};
@@ -117,9 +122,11 @@ pub struct SweepHit {
 /// assert!(q.publish(state.clone()).is_some());
 /// assert!(q.publish(state).is_none()); // full -> caller falls back to IPIs
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, Eq)]
 pub struct StateQueue {
+    /// Empty until the first publish, then `capacity` slots.
     slots: Vec<Option<LatrState>>,
+    capacity: usize,
     head: usize,
     /// Occupancy bitmap — bit `i` set iff `slots[i]` is active. Publish
     /// probes and active-slot iteration run on words instead of walking
@@ -132,20 +139,18 @@ pub struct StateQueue {
 }
 
 impl StateQueue {
-    /// Creates a queue with `capacity` slots (64 in the paper).
+    /// Creates a queue with `capacity` slots (64 in the paper). Allocates
+    /// nothing: the first publish builds the slots.
     pub fn new(capacity: usize) -> Self {
         StateQueue {
-            slots: vec![None; capacity],
-            head: 0,
-            occ: vec![0; capacity.div_ceil(64)],
-            active: 0,
-            migrations: 0,
+            capacity,
+            ..StateQueue::default()
         }
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Number of active states.
@@ -180,9 +185,13 @@ impl StateQueue {
     /// Returns the slot index, or `None` when every slot is active — the
     /// caller must fall back to IPIs (§4.2).
     pub fn publish(&mut self, state: LatrState) -> Option<usize> {
-        let n = self.slots.len();
+        let n = self.capacity;
         if self.active == n {
             return None;
+        }
+        if self.slots.is_empty() {
+            self.slots = vec![None; n];
+            self.occ = vec![0; n.div_ceil(64)];
         }
         // Word-scan for the first free slot at or after the head,
         // wrapping. Equivalent to the per-slot probe loop, minus the
@@ -214,12 +223,15 @@ impl StateQueue {
 
     /// The state `r` names, if its slot still holds it.
     pub fn get(&self, r: StateRef) -> Option<&LatrState> {
-        self.slots[r.slot].as_ref().filter(|s| s.id == r.id)
+        self.slots.get(r.slot)?.as_ref().filter(|s| s.id == r.id)
     }
 
     /// [`get`](StateQueue::get), mutably.
     pub fn get_mut(&mut self, r: StateRef) -> Option<&mut LatrState> {
-        self.slots[r.slot].as_mut().filter(|s| s.id == r.id)
+        self.slots
+            .get_mut(r.slot)?
+            .as_mut()
+            .filter(|s| s.id == r.id)
     }
 
     /// Iterates over active states mutably (the sweep path).
@@ -325,7 +337,7 @@ impl StateQueue {
         }
     }
 
-    /// Removes every state (end of run).
+    /// Removes every state (end of run). Built slots stay built.
     pub fn clear(&mut self) {
         for slot in &mut self.slots {
             *slot = None;
@@ -334,6 +346,17 @@ impl StateQueue {
         self.active = 0;
         self.migrations = 0;
         self.head = 0;
+    }
+}
+
+/// Equal when the two queues hold the same states in the same slots with
+/// the same head: a queue whose slots were built and emptied equals one
+/// that never built them.
+impl PartialEq for StateQueue {
+    fn eq(&self, other: &Self) -> bool {
+        (self.capacity, self.head, self.active, self.migrations)
+            == (other.capacity, other.head, other.active, other.migrations)
+            && self.iter_slots().eq(other.iter_slots())
     }
 }
 
@@ -458,6 +481,33 @@ mod tests {
         q.clear();
         assert_eq!(q.active_count(), 0);
         assert_eq!(q.publish(state(&[1])), Some(0));
+    }
+
+    #[test]
+    fn a_never_published_queue_holds_nothing_until_its_first_publish() {
+        let mut q = StateQueue::new(64);
+        assert_eq!(q.capacity(), 64);
+        assert!(q.slots.is_empty() && q.occ.is_empty(), "slots built early");
+        assert_eq!(q.sweep_cpu(CpuId(1), |_| unreachable!()), 0);
+        assert_eq!(q.retire_completed(), 0);
+        q.clear_cpu_everywhere(CpuId(1));
+        assert_eq!(q.iter_active().count(), 0);
+        let r = StateRef {
+            queue: 0,
+            slot: 5,
+            id: 0,
+        };
+        assert!(q.get(r).is_none() && q.get_mut(r).is_none());
+        q.clear();
+        assert!(q.slots.is_empty(), "sweeps and clears build no slots");
+        assert_eq!(q, StateQueue::new(64));
+        let head = q.head;
+        assert_eq!(q.publish(state(&[1])), Some(head));
+        assert_eq!((q.slots.len(), q.occ.len(), q.head), (64, 1, 1));
+        assert!(q.get(StateRef { slot: 0, ..r }).is_some());
+        // Built and emptied again, it equals a queue that never built.
+        q.clear();
+        assert_eq!(q, StateQueue::new(64));
     }
 
     #[test]

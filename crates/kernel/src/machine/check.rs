@@ -91,7 +91,7 @@ impl Machine {
         // where the checkers execute inside test loops).
         for core in &self.cores {
             for entry in core.tlb.iter_entries() {
-                for &i in &self.pcid_mms[entry.pcid as usize] {
+                for &i in self.pcid_mms.get(entry.pcid as usize).into_iter().flatten() {
                     let i = i as usize;
                     if let Some(pte) = self.mms[i].page_table.lookup(Vpn(entry.vpn)) {
                         if !pte.flags.numa_hint && pte.pfn.0 != entry.pfn {

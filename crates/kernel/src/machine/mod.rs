@@ -252,9 +252,9 @@ pub struct Machine {
     /// TLB paths read a PCID on every access, and a `u16` array is
     /// cache-dense where `MmStruct` is hundreds of bytes wide.
     mm_pcid: Vec<u16>,
-    /// Persistent PCID → address-space index (slot per PCID value, which
-    /// is 12-bit). Maintained by `create_process`; replaces the per-call
-    /// map the coherence checker used to build.
+    /// Persistent PCID → address-space index, one slot per PCID value up
+    /// to the highest in use. Maintained by `create_process`; replaces the
+    /// per-call map the coherence checker used to build.
     pcid_mms: Vec<Vec<u32>>,
     /// The physical frame allocator.
     pub frames: FrameAllocator,
@@ -361,7 +361,7 @@ impl Machine {
             hot: CoreHot::new(ncpus),
             mms: Vec::new(),
             mm_pcid: Vec::new(),
-            pcid_mms: vec![Vec::new(); 1 << 12],
+            pcid_mms: Vec::new(),
             frames,
             page_cache: PageCache::new(),
             tasks: Vec::new(),
@@ -492,7 +492,11 @@ impl Machine {
             mm.pcid = (id.0 % 4094 + 1) as u16;
         }
         self.mm_pcid.push(mm.pcid);
-        self.pcid_mms[mm.pcid as usize].push(id.0);
+        let pcid = mm.pcid as usize;
+        if self.pcid_mms.len() <= pcid {
+            self.pcid_mms.resize_with(pcid + 1, Vec::new);
+        }
+        self.pcid_mms[pcid].push(id.0);
         self.mms.push(mm);
         self.locks.push(MmLock::new());
         id

@@ -2,6 +2,8 @@
 //! nothing reads an upper walk level (a walk costs `tlb_miss_walk` flat). An
 //! emptied leaf goes to a spare pool for the next new leaf index, so map and
 //! unmap allocate nothing once the sorted leaf vector has its peak length.
+//! A leaf slot is one packed `u64` (`pfn << 5 | flags << 1 | present`), so
+//! a leaf is 4 KiB.
 
 use crate::addr::{Pfn, VaRange, Vpn};
 
@@ -31,9 +33,52 @@ pub struct Pte {
     pub flags: PteFlags,
 }
 
-/// The 512 PTEs of the pages that share one `vpn >> 9`.
-type Leaf = [Option<Pte>; LEAF_SLOTS];
-const EMPTY_LEAF: Leaf = [None; LEAF_SLOTS];
+/// Bits of a slot word below the PFN: the present bit and four flags.
+const PFN_SHIFT: u32 = 5;
+
+/// Largest PFN a slot word holds: 59 bits.
+const PFN_MAX: u64 = u64::MAX >> PFN_SHIFT;
+
+impl Pte {
+    /// The slot word of a present PTE.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PFN needs more than 59 bits.
+    #[inline]
+    fn pack(self) -> u64 {
+        let Pte { pfn, flags } = self;
+        assert!(
+            pfn.0 <= PFN_MAX,
+            "{pfn:?} exceeds the 59-bit PFN slot packing"
+        );
+        pfn.0 << PFN_SHIFT
+            | u64::from(flags.numa_hint) << 4
+            | u64::from(flags.dirty) << 3
+            | u64::from(flags.accessed) << 2
+            | u64::from(flags.writable) << 1
+            | 1
+    }
+
+    /// The PTE a slot word holds, if present.
+    #[inline]
+    fn unpack(word: u64) -> Option<Pte> {
+        (word & 1 != 0).then_some(Pte {
+            pfn: Pfn(word >> PFN_SHIFT),
+            flags: PteFlags {
+                writable: word & 1 << 1 != 0,
+                accessed: word & 1 << 2 != 0,
+                dirty: word & 1 << 3 != 0,
+                numa_hint: word & 1 << 4 != 0,
+            },
+        })
+    }
+}
+
+/// The 512 slot words of the pages that share one `vpn >> 9`; 0 is an
+/// absent PTE.
+type Leaf = [u64; LEAF_SLOTS];
+const EMPTY_LEAF: Leaf = [0; LEAF_SLOTS];
 
 /// The page table of one address space.
 ///
@@ -47,9 +92,9 @@ const EMPTY_LEAF: Leaf = [None; LEAF_SLOTS];
 #[derive(Default)]
 pub struct PageTable {
     /// `(vpn >> 9, mapped entries, leaf)` by ascending index, none empty.
-    /// Boxed, so inserts shift 24 bytes and pooling copies no 8 KiB leaf.
+    /// Boxed, so inserts shift 24 bytes and pooling copies no 4 KiB leaf.
     leaves: Vec<(u64, usize, Box<Leaf>)>,
-    /// Emptied leaves, every entry `None`.
+    /// Emptied leaves, every slot 0.
     spare: Vec<Box<Leaf>>,
     mapped: u64,
 }
@@ -88,7 +133,13 @@ impl PageTable {
 
     /// Installs (or replaces) the mapping for `vpn`. Returns the previous
     /// PTE if one existed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pfn` needs more than 59 bits: the packed slot word
+    /// would truncate it.
     pub fn map(&mut self, vpn: Vpn, pfn: Pfn, flags: PteFlags) -> Option<Pte> {
+        let word = Pte { pfn, flags }.pack();
         let (at, slot) = self.find(vpn);
         let at = at.unwrap_or_else(|at| {
             let leaf = self.spare.pop().unwrap_or_else(|| Box::new(EMPTY_LEAF));
@@ -96,7 +147,7 @@ impl PageTable {
             at
         });
         let (_, live, leaf) = &mut self.leaves[at];
-        let prev = leaf[slot].replace(Pte { pfn, flags });
+        let prev = Pte::unpack(std::mem::replace(&mut leaf[slot], word));
         if prev.is_none() {
             *live += 1;
             self.mapped += 1;
@@ -107,16 +158,22 @@ impl PageTable {
     /// Reads the PTE for `vpn` without modifying anything.
     pub fn lookup(&self, vpn: Vpn) -> Option<Pte> {
         let (at, slot) = self.find(vpn);
-        self.leaves[at.ok()?].2[slot]
+        Pte::unpack(self.leaves[at.ok()?].2[slot])
     }
 
     /// Applies `f` to the PTE for `vpn`, if mapped, returning the updated
     /// entry (permission changes, access bits, NUMA hints).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` sets a PFN past 59 bits, as [`map`](Self::map) does.
     pub fn update<F: FnOnce(&mut Pte)>(&mut self, vpn: Vpn, f: F) -> Option<Pte> {
         let (at, slot) = self.find(vpn);
-        let pte = self.leaves[at.ok()?].2[slot].as_mut()?;
-        f(pte);
-        Some(*pte)
+        let word = &mut self.leaves[at.ok()?].2[slot];
+        let mut pte = Pte::unpack(*word)?;
+        f(&mut pte);
+        *word = pte.pack();
+        Some(pte)
     }
 
     /// Removes the mapping for `vpn`, returning the old PTE; an emptied leaf
@@ -125,7 +182,7 @@ impl PageTable {
         let (at, slot) = self.find(vpn);
         let at = at.ok()?;
         let (_, live, leaf) = &mut self.leaves[at];
-        let prev = leaf[slot].take()?;
+        let prev = Pte::unpack(std::mem::take(&mut leaf[slot]))?;
         *live -= 1;
         self.mapped -= 1;
         if *live == 0 {
@@ -140,7 +197,8 @@ impl PageTable {
         let leaves = self.leaves[self.span(range)].iter();
         leaves
             .flat_map(|(index, _, leaf)| {
-                Self::pages(*index, range).filter_map(|(slot, vpn)| Some((vpn, leaf[slot]?)))
+                Self::pages(*index, range)
+                    .filter_map(|(slot, vpn)| Some((vpn, Pte::unpack(leaf[slot])?)))
             })
             .collect()
     }
@@ -160,7 +218,7 @@ impl PageTable {
         let span = self.span(range);
         for (index, live, leaf) in &mut self.leaves[span.clone()] {
             for (slot, vpn) in Self::pages(*index, range) {
-                if let Some(pte) = leaf[slot].take() {
+                if let Some(pte) = Pte::unpack(std::mem::take(&mut leaf[slot])) {
                     *live -= 1;
                     self.mapped -= 1;
                     out.push((vpn, pte));
@@ -319,6 +377,51 @@ mod tests {
         pt.unmap(Vpn(512));
         // 513 must survive its neighbour's unmap.
         assert_eq!(pt.lookup(Vpn(513)).unwrap().pfn, Pfn(2));
+    }
+
+    /// Every flag combination, with the smallest and the largest PFN a
+    /// slot word holds, reads back as it was mapped and as `update` set it.
+    #[test]
+    fn every_flag_combination_and_the_largest_pfn_round_trip() {
+        let mut pt = PageTable::new();
+        for bits in 0..16u8 {
+            let flags = PteFlags {
+                writable: bits & 1 != 0,
+                accessed: bits & 2 != 0,
+                dirty: bits & 4 != 0,
+                numa_hint: bits & 8 != 0,
+            };
+            for (vpn, pfn) in [(u64::from(bits), Pfn(0)), (1000, Pfn(PFN_MAX))] {
+                pt.map(Vpn(vpn), pfn, flags);
+                assert_eq!(pt.lookup(Vpn(vpn)), Some(Pte { pfn, flags }));
+            }
+            let cleared = pt.update(Vpn(1000), |pte| pte.flags = PteFlags::default());
+            let flipped = pt.update(Vpn(1000), |pte| pte.flags = flags).unwrap();
+            assert_eq!(cleared.unwrap().flags, PteFlags::default());
+            assert_eq!(
+                flipped,
+                Pte {
+                    pfn: Pfn(PFN_MAX),
+                    flags
+                }
+            );
+            assert_eq!(pt.lookup(Vpn(1000)), Some(flipped));
+        }
+        assert_eq!(pt.mapped_pages(), 17);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot packing")]
+    fn map_refuses_a_pfn_past_59_bits() {
+        PageTable::new().map(Vpn(1), Pfn(PFN_MAX + 1), flags());
+    }
+
+    #[test]
+    #[should_panic(expected = "slot packing")]
+    fn update_refuses_a_pfn_past_59_bits() {
+        let mut pt = PageTable::new();
+        pt.map(Vpn(1), Pfn(PFN_MAX), flags());
+        pt.update(Vpn(1), |pte| pte.pfn.0 += 1);
     }
 
     #[test]

@@ -61,9 +61,9 @@ proptest! {
 
 #[derive(Debug, Clone)]
 enum PtOp {
-    Map(u64, u64),
+    Map(u64, u64, u8),
     Unmap(u64),
-    Update(u64),
+    Update(u64, u8),
     MappedIn(u64, u64),
     UnmapRange(u64, u64),
 }
@@ -80,15 +80,28 @@ fn pt_vpn(i: u64) -> u64 {
     }
 }
 
+/// The four flag bits of `bits`' low nibble.
+fn pt_flags(bits: u8) -> PteFlags {
+    PteFlags {
+        writable: bits & 1 != 0,
+        accessed: bits & 2 != 0,
+        dirty: bits & 4 != 0,
+        numa_hint: bits & 8 != 0,
+    }
+}
+
 fn pt_ops() -> impl Strategy<Value = Vec<PtOp>> {
     let vpn = (0u64..64).prop_map(pt_vpn);
     let len = 0u64..64;
+    // Small frames, and frames at the top of the 59 bits a slot packs.
+    let pfn = || prop_oneof![0u64..1000, (1u64 << 59) - 1000..1 << 59];
+    let flags = 0u8..16;
     prop::collection::vec(
         prop_oneof![
-            (vpn.clone(), 0u64..1000).prop_map(|(v, p)| PtOp::Map(v, p)),
-            (vpn.clone(), 0u64..1000).prop_map(|(v, p)| PtOp::Map(v, p)),
+            (vpn.clone(), pfn(), flags.clone()).prop_map(|(v, p, f)| PtOp::Map(v, p, f)),
+            (vpn.clone(), pfn(), flags.clone()).prop_map(|(v, p, f)| PtOp::Map(v, p, f)),
             vpn.clone().prop_map(PtOp::Unmap),
-            vpn.clone().prop_map(PtOp::Update),
+            (vpn.clone(), flags).prop_map(|(v, f)| PtOp::Update(v, f)),
             (vpn.clone(), len.clone()).prop_map(|(v, l)| PtOp::MappedIn(v, l)),
             (vpn, len).prop_map(|(v, l)| PtOp::UnmapRange(v, l)),
         ],
@@ -100,29 +113,38 @@ proptest! {
     #[test]
     fn page_table_matches_btreemap(ops in pt_ops()) {
         let mut pt = PageTable::new();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        let pairs =
-            |got: Vec<(Vpn, Pte)>| got.iter().map(|(v, e)| (v.0, e.pfn.0)).collect::<Vec<_>>();
+        let mut model: BTreeMap<u64, Pte> = BTreeMap::new();
+        let pairs = |got: Vec<(Vpn, Pte)>| got.iter().map(|&(v, e)| (v.0, e)).collect::<Vec<_>>();
         for op in ops {
             match op {
-                PtOp::Map(v, p) => {
-                    let prev = pt.map(Vpn(v), Pfn(p), PteFlags::default());
-                    prop_assert_eq!(prev.map(|e| e.pfn.0), model.insert(v, p));
+                PtOp::Map(v, p, f) => {
+                    let pte = Pte { pfn: Pfn(p), flags: pt_flags(f) };
+                    let prev = pt.map(Vpn(v), pte.pfn, pte.flags);
+                    prop_assert_eq!(prev, model.insert(v, pte));
                 }
                 PtOp::Unmap(v) => {
                     let prev = pt.unmap(Vpn(v));
-                    prop_assert_eq!(prev.map(|e| e.pfn.0), model.remove(&v));
+                    prop_assert_eq!(prev, model.remove(&v));
                 }
-                PtOp::Update(v) => {
-                    let updated = pt.update(Vpn(v), |e| e.flags.accessed = true);
-                    prop_assert_eq!(updated.is_some(), model.contains_key(&v));
+                PtOp::Update(v, f) => {
+                    // Sets the drawn flags and flips the frame's low bit.
+                    let set = |e: &mut Pte| {
+                        e.flags = pt_flags(f);
+                        e.pfn.0 ^= 1;
+                    };
+                    let updated = pt.update(Vpn(v), set);
+                    let want = model.get_mut(&v).map(|e| {
+                        set(e);
+                        *e
+                    });
+                    prop_assert_eq!(updated, want);
                 }
                 PtOp::MappedIn(v, l) => {
-                    let want: Vec<_> = model.range(v..v + l).map(|(&v, &p)| (v, p)).collect();
+                    let want: Vec<_> = model.range(v..v + l).map(|(&v, &e)| (v, e)).collect();
                     prop_assert_eq!(pairs(pt.mapped_in(&VaRange::new(Vpn(v), l))), want);
                 }
                 PtOp::UnmapRange(v, l) => {
-                    let want: Vec<_> = model.range(v..v + l).map(|(&v, &p)| (v, p)).collect();
+                    let want: Vec<_> = model.range(v..v + l).map(|(&v, &e)| (v, e)).collect();
                     for (v, _) in &want {
                         model.remove(v);
                     }
@@ -131,11 +153,11 @@ proptest! {
             }
             prop_assert_eq!(pt.mapped_pages(), model.len() as u64);
         }
-        for (&v, &p) in &model {
-            prop_assert_eq!(pt.lookup(Vpn(v)).map(|e| e.pfn.0), Some(p));
+        for (&v, &e) in &model {
+            prop_assert_eq!(pt.lookup(Vpn(v)), Some(e));
         }
         let everything = VaRange::new(Vpn(0), pt_vpn(63) + 1);
-        let want: Vec<_> = model.iter().map(|(&v, &p)| (v, p)).collect();
+        let want: Vec<_> = model.iter().map(|(&v, &e)| (v, e)).collect();
         prop_assert_eq!(pairs(pt.mapped_in(&everything)), want);
     }
 }

@@ -40,11 +40,19 @@
 //! the harness's reporting thread can inflate a measured window. The rt
 //! runtime's hot path and the oracle's record path, each driven in place
 //! on the test's thread, are held to zero allocations too.
+//!
+//! Two footprint gates count bytes instead: set-up on the 120-core preset
+//! allocates an exact byte count, and a sweep storm's idle sweepers
+//! allocate no TLB arrays or state-queue slots, which are built on first
+//! use.
 
 #[path = "common/zero_alloc.rs"]
 mod fixtures;
 
-use fixtures::{commodity_storm, thread_allocations as allocations, CountingAlloc, STORMS};
+use fixtures::{
+    commodity_storm, reset_thread_peak, thread_allocations as allocations, thread_bytes,
+    CountingAlloc, STORMS,
+};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -53,7 +61,7 @@ use latr_arch::{MachinePreset, Topology};
 use latr_faults::FaultPlan;
 use latr_kernel::{metrics, Machine, MachineConfig, Workload};
 use latr_sim::{Nanos, MICROSECOND, MILLISECOND, SECOND};
-use latr_workloads::{AllocStorm, ArrivalProcess, PolicyKind, ServingWorkload};
+use latr_workloads::{AllocStorm, ArrivalProcess, PolicyKind, ServingWorkload, SweepStorm};
 
 /// The benchmark's serving shape: 120 workers in 24 processes with
 /// bursty arrivals, admitting more requests than either run can serve,
@@ -405,4 +413,84 @@ fn full_oracle_ring_records_uncached_invalidations_without_allocating() {
         "10,000 invalidations on a full ring allocated {allocated} times"
     );
     assert_eq!(oracle.events_observed(), RING + 10_000);
+}
+
+/// The bytes that set-up allocates in the benchmark's configuration on the
+/// 120-core preset (oracle and trace ring off): `Machine::new` plus the
+/// default Latr policy's build. Derived once by running this test with
+/// the constant at 0 and reading the failure message. Every core's TLB
+/// levels and state queue are built on first use, so none of this is
+/// per-core TLB or queue storage: a 64/512-entry TLB's first insert
+/// allocates 9,728 B, which for 120 cores would be 1,167,360 B alone.
+const SET_UP_BYTES_120C: u64 = 79_760;
+
+#[test]
+fn set_up_allocates_the_counted_bytes() {
+    let mut config = MachineConfig::new(Topology::preset(MachinePreset::LargeNuma8S120C));
+    config.oracle = false;
+    config.trace_capacity = 0;
+    let before = thread_bytes().allocated;
+    let machine = Machine::new(config);
+    let policy = PolicyKind::latr_default().build();
+    let allocated = thread_bytes().allocated - before;
+    drop((machine, policy));
+    assert_eq!(allocated, SET_UP_BYTES_120C, "set-up bytes moved");
+}
+
+/// Run-phase bytes of a 4-publisher sweep storm of 50 rounds on 8 sockets
+/// of 2 and of 15 cores (16 and 120 cores with the same TLB shapes and
+/// nodes), derived once as [`SET_UP_BYTES_120C`] is.
+const STORM_RUN_BYTES: [(u16, u64); 2] = [(2, 199_712), (15, 233_376)];
+
+/// What an extra core may add to the storm's run-phase bytes: its
+/// per-core bookkeeping, namely a state-queue header (80 B) and a
+/// pending-sweep row (32 B), its task and task slot, and its share of the
+/// event calendar's growth, whose vectors double. Building one idle
+/// sweeper's 64/1024-entry TLB (18,304 B) or one state queue's 64 slots
+/// (5,640 B) would exceed it.
+const PER_CORE_BOOKKEEPING: u64 = 512;
+
+/// Idle sweepers allocate no TLB or state-queue storage: they sweep
+/// every publish and are flushed when their task exits, but never fill a
+/// TLB entry or publish a state, so 104 more of them add only their
+/// bookkeeping to the run's bytes, and to its peak of live bytes (the
+/// heap's share of the benchmark's `peak_rss_mib`).
+#[test]
+fn idle_sweepers_allocate_no_tlb_or_queue_storage() {
+    let run_bytes = |cores_per_socket: u16| {
+        let topology = Topology::new(8, cores_per_socket);
+        let cores = topology.num_cpus() as u64;
+        let mut config = MachineConfig::new(topology);
+        config.oracle = false;
+        config.trace_capacity = 0;
+        config.seed = 7;
+        let mut machine = Machine::new(config);
+        let policy = PolicyKind::latr_default().build();
+        let storm = SweepStorm::new(cores as usize, 50).with_publishers(4);
+        reset_thread_peak();
+        let before = thread_bytes();
+        machine.run(Box::new(storm), policy, SECOND);
+        let after = thread_bytes();
+        let peak_growth = u64::try_from(after.peak_live - before.peak_live)
+            .expect("a peak never falls below the live bytes it was reset to");
+        (cores, after.allocated - before.allocated, peak_growth)
+    };
+    let runs = STORM_RUN_BYTES.map(|(per_socket, _)| run_bytes(per_socket));
+    for ((per_socket, want), (cores, got, _)) in STORM_RUN_BYTES.into_iter().zip(runs) {
+        assert_eq!(
+            got, want,
+            "run-phase bytes at {cores} cores ({per_socket} per socket)"
+        );
+    }
+    let [(few, few_bytes, few_peak), (many, many_bytes, many_peak)] = runs;
+    for (what, few_cores_bytes, many_cores_bytes) in [
+        ("allocated", few_bytes, many_bytes),
+        ("peak live", few_peak, many_peak),
+    ] {
+        let per_core = many_cores_bytes.saturating_sub(few_cores_bytes) / (many - few);
+        assert!(
+            per_core < PER_CORE_BOOKKEEPING,
+            "each idle sweeper added {per_core} B to the run's {what} bytes"
+        );
+    }
 }
