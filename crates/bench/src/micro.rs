@@ -28,7 +28,7 @@ use latr_core::{LatrConfig, LatrState, StateKind, StateQueue};
 use latr_kernel::{Machine, MachineConfig};
 use latr_mem::{MmId, MmStruct, PageTable, Pfn, Prot, PteFlags, VaRange, Vpn};
 use latr_sim::{EventQueue, Histogram, SimRng, Time, SECOND};
-use latr_verify::CoherenceOracle;
+use latr_verify::{CoherenceOracle, Note};
 use latr_workloads::{PolicyKind, SweepStorm};
 
 use crate::bench::Report;
@@ -504,15 +504,26 @@ fn mm_block_unblock(quick: bool, depth: usize) -> Spread {
 fn oracle_sweep(quick: bool, live: u64) -> Spread {
     let (cpu1, cpu2) = (CpuId(1), CpuId(2));
     let (only1, only2) = (CpuMask::from_cpus([cpu1]), CpuMask::from_cpus([cpu2]));
-    let swept = VaRange::new(Vpn(0x10), 1);
+    let (mm, swept) = (MmId(1), VaRange::new(Vpn(0x10), 1));
+    let publish = |range| Note::Publish {
+        initiator: cpu2,
+        mm,
+        range,
+        migration: false,
+    };
     let mut oracle = CoherenceOracle::new(120);
     for i in 0..live {
         let range = VaRange::new(Vpn(0x1000 + i), 1);
-        oracle.note_publish(cpu2, MmId(1), range, only2, false, Time::ZERO);
+        oracle.note(Time::ZERO, publish(range), Some(only2));
     }
     time(quick, 50_000, || {
-        oracle.note_publish(cpu2, MmId(1), swept, only1, false, Time::ZERO);
-        oracle.note_sweep(cpu1, MmId(1), black_box(swept), Time::ZERO);
+        oracle.note(Time::ZERO, publish(swept), Some(only1));
+        let sweep = Note::Sweep {
+            cpu: cpu1,
+            mm,
+            range: black_box(swept),
+        };
+        oracle.note(Time::ZERO, sweep, None);
     })
 }
 

@@ -30,11 +30,11 @@ use crate::reclaim::LazyReclaimQueue;
 use crate::state::{LatrState, StateKind, StateQueue, StateRef};
 use crate::sweep_index::PendingSweepMap;
 use latr_arch::{CpuId, CpuMask};
-use latr_kernel::TaskId;
 use latr_kernel::{
     metrics, Escalation, FlushKind, FlushOutcome, Machine, Reclaimer, ShootdownTxn, SyncCause,
     TlbPolicy, TraceRecord,
 };
+use latr_kernel::{Note, TaskId};
 use latr_mem::{MmId, Pfn, Pressure, VaRange, Vpn};
 use latr_sim::Nanos;
 
@@ -178,7 +178,13 @@ impl LatrPolicy {
         };
         self.pending.mark(&targets, owner);
         let migration = kind == StateKind::Migration;
-        machine.oracle_note_publish(owner, mm, range, targets, migration);
+        let publish = Note::Publish {
+            initiator: owner,
+            mm,
+            range,
+            migration,
+        };
+        machine.oracle_note(publish, Some(targets));
         machine.stats.inc(metrics::id::LATR_STATES_SAVED);
         machine.llc.charge_latr_save();
         machine.emit(if migration {
@@ -328,7 +334,14 @@ impl LatrPolicy {
                 machine.emit(TraceRecord::Sweep(cpu, range));
             }
             machine.invalidate_tlb_range_pcid(cpu, pcid, range);
-            machine.oracle_note_sweep(cpu, hit.mm, range);
+            machine.oracle_note(
+                Note::Sweep {
+                    cpu,
+                    mm: hit.mm,
+                    range,
+                },
+                None,
+            );
             cost += machine.costs().local_invalidation(range.pages as u32);
         });
         if hits == 0 {
@@ -431,7 +444,14 @@ fn escalate_state(queues: &mut [StateQueue], machine: &mut Machine, r: StateRef,
         // The owner sweeps its own bit locally — no self-IPI.
         let pcid = machine.sweep_pcid(mm);
         machine.invalidate_tlb_range_pcid(owner, pcid, range);
-        machine.oracle_note_sweep(owner, mm, range);
+        machine.oracle_note(
+            Note::Sweep {
+                cpu: owner,
+                mm,
+                range,
+            },
+            None,
+        );
         machine.charge_debt(
             owner,
             machine.costs().local_invalidation(range.pages as u32),
@@ -640,7 +660,8 @@ impl TlbPolicy for LatrPolicy {
         // Every laggard's TLB was invalidated by the IPI handler (which
         // happened-before this last ACK): their sweep duty is done.
         for cpu in s.cpus.iter() {
-            machine.oracle_note_sweep(cpu, s.mm, s.range);
+            let (mm, range) = (s.mm, s.range);
+            machine.oracle_note(Note::Sweep { cpu, mm, range }, None);
         }
         s.cpus.reset();
         let id = s.id;

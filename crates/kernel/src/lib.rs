@@ -63,6 +63,8 @@ mod task;
 mod trace;
 
 pub use event::Event;
+/// The coherence oracle's observation, for [`Machine::oracle_note`].
+pub use latr_verify::Note;
 pub use machine::{
     ConfigError, Core, FrameSpan, InvariantViolation, Machine, MachineConfig, ReclaimPackage,
 };

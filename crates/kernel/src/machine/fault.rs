@@ -7,6 +7,7 @@ use crate::task::TaskId;
 use latr_arch::{CpuId, TlbEntry};
 use latr_mem::{MapKind, MmId, PteFlags, Vpn};
 use latr_sim::Nanos;
+use latr_verify::Note;
 
 impl Machine {
     pub(super) fn access_page(&mut self, task_id: TaskId, vpn: Vpn, write: bool) -> AccessOutcome {
@@ -330,9 +331,12 @@ impl Machine {
         // The policy has just allowed this hint fault to proceed; the
         // oracle checks every bit of any covering migration state cleared
         // first (§4.4).
-        if let Some(o) = self.oracle.as_mut() {
-            o.note_migration_proceed(cpu, mm_id, vpn, self.queue.now());
-        }
+        let proceed = Note::MigrationProceed {
+            cpu,
+            mm: mm_id,
+            vpn,
+        };
+        self.oracle_note(proceed, None);
 
         let Some(pte) = self.mms[mm_id.0 as usize].page_table.lookup(vpn) else {
             return cost;

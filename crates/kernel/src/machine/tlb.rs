@@ -2,13 +2,16 @@
 //! helpers the policies call.
 //!
 //! Every TLB and frame-lifetime mutation goes through a thin wrapper
-//! here that mirrors the action into the shadow oracle (`latr-verify`)
-//! when it is enabled. Policies call the `oracle_note_*` methods
-//! unconditionally; they do nothing while the oracle is off.
+//! here that hands the shadow oracle (`latr-verify`) one [`Note`] per
+//! action when it is enabled, through [`Machine::oracle_note`]. The
+//! policies call that method too, for their publishes and sweeps; it
+//! does nothing while the oracle is off. The oracle keeps the same note
+//! in its history, and a violation report prints it.
 
 use super::Machine;
 use latr_arch::{CpuId, CpuMask, TlbEntry};
 use latr_mem::{AllocError, FileId, MmId, Pfn, VaRange, Vpn};
+use latr_verify::{Ctx, Note};
 
 impl Machine {
     /// The oracle's verdict: the first coherence violation detected, if
@@ -23,27 +26,13 @@ impl Machine {
         self.oracle.as_ref().map_or(0, |o| o.events_observed())
     }
 
-    /// Called by the policy when it publishes a Latr state, so the oracle
-    /// tracks the pending bitmask and the publish→sweep ordering edge.
-    pub fn oracle_note_publish(
-        &mut self,
-        initiator: CpuId,
-        mm: MmId,
-        range: VaRange,
-        targets: CpuMask,
-        migration: bool,
-    ) {
-        if let Some(o) = self.oracle.as_mut() {
-            o.note_publish(initiator, mm, range, targets, migration, self.queue.now());
-        }
-    }
-
-    /// Called by the policy when `cpu` sweeps the states covering
-    /// `(mm, range)`: its local invalidations are done and its bits clear.
+    /// Hands the oracle `note` at the current instant; `targets` are the
+    /// target cores of a publish or an IPI send, and `None` for every
+    /// other kind. Does nothing while the oracle is off.
     #[inline]
-    pub fn oracle_note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange) {
+    pub fn oracle_note(&mut self, note: Note, targets: Option<CpuMask>) {
         if let Some(o) = self.oracle.as_mut() {
-            o.note_sweep(cpu, mm, range, self.queue.now());
+            o.note(self.queue.now(), note, targets);
         }
     }
 
@@ -51,21 +40,19 @@ impl Machine {
     /// any capacity evictions it displaced — into the oracle.
     pub(super) fn tlb_insert(&mut self, cpu: CpuId, entry: TlbEntry) {
         self.cores[cpu.index()].tlb.insert(entry);
-        if self.oracle.is_some() {
-            let now = self.now();
-            let allocated = self.frames.is_allocated(Pfn(entry.pfn));
-            let evicted = self.cores[cpu.index()].tlb.drain_evicted();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_evictions(cpu, evicted.as_slice(), now);
-                o.note_fill(
-                    cpu,
-                    entry.pcid,
-                    Vpn(entry.vpn),
-                    Pfn(entry.pfn),
-                    allocated,
-                    now,
-                );
+        if let Some(o) = self.oracle.as_mut() {
+            let now = self.queue.now();
+            for e in self.cores[cpu.index()].tlb.drain_evicted() {
+                o.note(now, evict(cpu, e), None);
             }
+            let fill = Note::Fill {
+                cpu,
+                pcid: entry.pcid,
+                vpn: Vpn(entry.vpn),
+                pfn: Pfn(entry.pfn),
+                allocated: self.frames.is_allocated(Pfn(entry.pfn)),
+            };
+            o.note(now, fill, None);
         }
     }
 
@@ -73,16 +60,21 @@ impl Machine {
     /// cached translation (the oracle checks the frame is still live).
     pub(super) fn tlb_lookup(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn) -> Option<TlbEntry> {
         let hit = self.cores[cpu.index()].tlb.lookup(pcid, vpn.0);
-        if self.oracle.is_some() {
-            let now = self.now();
-            let allocated = hit.map(|e| self.frames.is_allocated(Pfn(e.pfn)));
+        if let Some(o) = self.oracle.as_mut() {
+            let now = self.queue.now();
             // An L2→L1 promotion can itself displace an L1 slot.
-            let evicted = self.cores[cpu.index()].tlb.drain_evicted();
-            if let Some(o) = self.oracle.as_mut() {
-                o.note_evictions(cpu, evicted.as_slice(), now);
-                if let (Some(e), Some(allocated)) = (hit, allocated) {
-                    o.note_hit(cpu, pcid, vpn, Pfn(e.pfn), allocated, now);
-                }
+            for e in self.cores[cpu.index()].tlb.drain_evicted() {
+                o.note(now, evict(cpu, e), None);
+            }
+            if let Some(e) = hit {
+                let hit = Note::Hit {
+                    cpu,
+                    pcid,
+                    vpn,
+                    pfn: Pfn(e.pfn),
+                    allocated: self.frames.is_allocated(Pfn(e.pfn)),
+                };
+                o.note(now, hit, None);
             }
         }
         hit
@@ -93,18 +85,14 @@ impl Machine {
     /// NUMA hint, and the per-page loops of mprotect, dedup and fork).
     pub(super) fn tlb_invalidate(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn) -> bool {
         let any = self.cores[cpu.index()].tlb.invalidate_page(pcid, vpn.0);
-        if let Some(o) = self.oracle.as_mut() {
-            o.note_invalidate(cpu, pcid, vpn, self.queue.now());
-        }
+        self.oracle_note(Note::Invalidate { cpu, pcid, vpn }, None);
         any
     }
 
     /// Flushes `cpu`'s whole TLB.
     pub(super) fn tlb_flush_all(&mut self, cpu: CpuId) {
         self.cores[cpu.index()].tlb.flush_all();
-        if let Some(o) = self.oracle.as_mut() {
-            o.note_flush_all(cpu, self.queue.now());
-        }
+        self.oracle_note(Note::FlushAll { cpu }, None);
     }
 
     /// Allocates a frame on `node` — or, unless `exact`, on any other
@@ -114,7 +102,7 @@ impl Machine {
     /// draining the node (another subsystem's storm).
     pub(super) fn frame_alloc(
         &mut self,
-        ctx: latr_verify::Ctx,
+        ctx: Ctx,
         node: latr_arch::NodeId,
         exact: bool,
     ) -> Result<Pfn, AllocError> {
@@ -123,8 +111,8 @@ impl Machine {
         } else {
             self.frames.alloc(node)
         };
-        if let (Ok(p), Some(o)) = (pfn, self.oracle.as_mut()) {
-            o.note_alloc(ctx, p, self.queue.now());
+        if let Ok(pfn) = pfn {
+            self.oracle_note(Note::Alloc { ctx, pfn }, None);
         }
         pfn
     }
@@ -143,9 +131,9 @@ impl Machine {
             .frames
             .dec_ref(pfn)
             .unwrap_or_else(|e| panic!("kernel frame bookkeeping broken: {e}"));
-        if let (0, Some(o)) = (rc, self.oracle.as_mut()) {
-            let ctx = cpu.map_or(latr_verify::Ctx::Kthread, latr_verify::Ctx::Cpu);
-            o.note_free(ctx, pfn, self.queue.now());
+        if rc == 0 {
+            let ctx = cpu.map_or(Ctx::Kthread, Ctx::Cpu);
+            self.oracle_note(Note::Free { ctx, pfn }, None);
         }
         rc
     }
@@ -164,9 +152,16 @@ impl Machine {
         let pfn = self
             .page_cache
             .frame_for(file, page, node, &mut self.frames);
-        if let (Ok(p), Some(o)) = (pfn, self.oracle.as_mut()) {
+        if let (Ok(pfn), Some(o)) = (pfn, self.oracle.as_mut()) {
             if self.frames.total_allocations() > before {
-                o.note_alloc(latr_verify::Ctx::Cpu(cpu), p, self.queue.now());
+                o.note(
+                    self.queue.now(),
+                    Note::Alloc {
+                        ctx: Ctx::Cpu(cpu),
+                        pfn,
+                    },
+                    None,
+                );
             }
         }
         pfn
@@ -178,7 +173,7 @@ impl Machine {
     /// `INVLPG`s. Every page-list invalidation — the initiator's local
     /// one, the IPI handler's and the Latr sweep's — goes through here,
     /// as one [`Tlb::invalidate_pages`](latr_arch::Tlb::invalidate_pages)
-    /// call; the oracle then sees one invalidation per page, in list
+    /// call; the oracle then gets one invalidation note per page, in list
     /// order (it never reads the TLB model, so noting them after the
     /// whole list is noting them page by page). Returns how many entries
     /// were present (all `count` under a full flush).
@@ -204,7 +199,7 @@ impl Machine {
         if let Some(o) = self.oracle.as_mut() {
             let now = self.queue.now();
             for vpn in pages {
-                o.note_invalidate(cpu, pcid, vpn, now);
+                o.note(now, Note::Invalidate { cpu, pcid, vpn }, None);
             }
         }
         present
@@ -239,6 +234,16 @@ impl Machine {
     }
 }
 
+/// The oracle's note for an entry `cpu`'s TLB evicted.
+fn evict(cpu: CpuId, e: TlbEntry) -> Note {
+    Note::Evict {
+        cpu,
+        pcid: e.pcid,
+        vpn: Vpn(e.vpn),
+        pfn: Pfn(e.pfn),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,5 +273,36 @@ mod tests {
             let cached = m.cores[cpu.index()].tlb.peek(pcid, bystander.vpn);
             assert_eq!(cached.is_some(), survives, "a {count}-page invalidation");
         }
+    }
+
+    /// A translation invalidated through the single-page wrapper is gone
+    /// from the oracle's shadow when its frame is freed; one left cached
+    /// is reported. Both frames come from a fresh allocator on node 0.
+    #[test]
+    fn a_single_page_invalidation_reaches_the_oracle() {
+        let config = MachineConfig::new(Topology::preset(MachinePreset::Commodity2S16C));
+        let mut m = Machine::new(config);
+        let cpu = CpuId(1);
+        let cached_then_freed = |m: &mut Machine, vpn: u64, invalidate: bool| {
+            let pfn = m
+                .frame_alloc(Ctx::Kthread, latr_arch::NodeId(0), false)
+                .expect("a free frame");
+            let entry = TlbEntry {
+                pcid: 0,
+                vpn,
+                pfn: pfn.0,
+                writable: false,
+            };
+            m.tlb_insert(cpu, entry);
+            if invalidate {
+                m.tlb_invalidate(cpu, 0, Vpn(vpn));
+            }
+            m.frame_dec_ref(None, pfn);
+        };
+        cached_then_freed(&mut m, 0x10, true);
+        assert!(m.oracle_violation().is_none(), "{:?}", m.oracle_violation());
+        cached_then_freed(&mut m, 0x11, false);
+        let v = m.oracle_violation().expect("a frame freed while cached");
+        assert_eq!(v.kind, latr_verify::ViolationKind::FreedWhileCached);
     }
 }

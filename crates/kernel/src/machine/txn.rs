@@ -10,6 +10,7 @@ use latr_arch::{CpuId, CpuMask};
 use latr_faults::{FaultInjector, IpiFault};
 use latr_mem::{MmId, Pfn, VaRange, Vpn};
 use latr_sim::{Nanos, Time};
+use latr_verify::Note;
 use std::collections::VecDeque;
 
 /// A run of frames in the machine's reclaim FIFO: the `len` frames
@@ -275,9 +276,11 @@ impl Machine {
             self.queue
                 .schedule(start + self.costs.sched_tick_period, Event::TxnRetry(txn));
         }
-        if let Some(o) = self.oracle.as_mut() {
-            o.note_ipi_send(initiator, txn.0, targets, self.queue.now());
-        }
+        let send = Note::IpiSend {
+            initiator,
+            txn: txn.0,
+        };
+        self.oracle_note(send, Some(targets));
     }
 
     /// Retransmit timer: while a synchronous round still has un-ACKed
@@ -324,9 +327,13 @@ impl Machine {
         };
         // The handler happens-after the initiator's send: join clocks
         // before mirroring the handler's invalidations.
-        if let Some(o) = self.oracle.as_mut() {
-            o.note_ipi_deliver(target, txn_id.0, self.queue.now());
-        }
+        self.oracle_note(
+            Note::IpiDeliver {
+                target,
+                txn: txn_id.0,
+            },
+            None,
+        );
         self.invalidate_pages(target, pcid, pages.len(), pages.iter().copied());
         let handler =
             self.costs.interrupt_overhead + self.costs.local_invalidation(pages.len() as u32);
@@ -355,9 +362,13 @@ impl Machine {
         txn.pending.clear(from);
         let (initiator, done) = (txn.initiator, txn.pending.is_empty());
         // The initiator happens-after the acknowledging core's handler.
-        if let Some(o) = self.oracle.as_mut() {
-            o.note_ack(initiator, from, txn_id.0, done, self.queue.now());
-        }
+        let ack = Note::Ack {
+            initiator,
+            from,
+            txn: txn_id.0,
+            done,
+        };
+        self.oracle_note(ack, None);
         if !done {
             return;
         }

@@ -28,7 +28,7 @@ use std::fmt;
 /// A vector clock: `clock[i]` counts events attributed to context `i`.
 /// The oracle builds one for each event a violation report shows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VClock(Vec<u64>);
+pub struct VClock(pub(crate) Vec<u64>);
 
 impl VClock {
     /// Number of contexts.

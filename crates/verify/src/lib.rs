@@ -31,5 +31,5 @@ pub mod oracle;
 mod pipe;
 
 pub use clock::VClock;
-pub use event::{Ctx, EventKind, EventRecord};
+pub use event::{Ctx, EventRecord, Note};
 pub use oracle::{CoherenceOracle, Violation, ViolationKind};

@@ -26,17 +26,20 @@
 //!   copied only when a join changes it while records still share it.
 //!   Publish and IPI-send clocks are stamps too, so the steady state
 //!   allocates nothing.
-//! - All of that is the `Shadow`, which applies one `Note` at a time.
-//!   [`CoherenceOracle`] turns each `note_*` call into a note and applies
-//!   it in place, or, between [`CoherenceOracle::start_worker`] and
-//!   [`CoherenceOracle::join_worker`], batches it to a worker thread that
+//! - All of that is the `Shadow`. The kernel hands the oracle one
+//!   [`Note`] per action through [`CoherenceOracle::note`], and the
+//!   shadow records that same note in its history ring and then applies
+//!   it. It is applied in place, or, between
+//!   [`CoherenceOracle::start_worker`] and
+//!   [`CoherenceOracle::join_worker`], batched to a worker thread that
 //!   owns the shadow and applies the notes in the same order (`pipe`).
-//!   The verdict is read only while the shadow is in place.
+//!   The verdict is read only while the shadow is in place, and a report
+//!   prints the notes the ring kept.
 
 use crate::clock::{ClockArena, Stamp};
-use crate::event::{Ctx, EventKind, EventRecord};
-use crate::pipe::{Note, Pipe};
-use latr_arch::{CpuId, CpuMask, TlbEntry};
+use crate::event::{Ctx, EventRecord, Note};
+use crate::pipe::Pipe;
+use latr_arch::{CpuId, CpuMask};
 use latr_mem::{MmId, Pfn, VaRange, Vpn};
 use latr_sim::Time;
 use std::collections::hash_map::Entry;
@@ -201,15 +204,19 @@ struct TrackedState {
     publish_clock: Stamp,
 }
 
-/// One entry of the history ring: an event and its context's clock after
-/// it. The ring's records have consecutive sequence numbers, ending at
-/// the oracle's, and the stamp names the context.
+/// One entry of the history ring: a note, its context's clock after it,
+/// and how many cores a publish or an IPI send targeted (what a report
+/// prints of the mask). The ring's records have consecutive sequence
+/// numbers, ending at the oracle's, and the stamp names the context.
 #[derive(Debug)]
 struct Record {
     at: Time,
     clock: Stamp,
-    kind: EventKind,
+    note: Note,
+    cores: u16,
 }
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 48);
 
 /// The oracle's state: the shadow TLBs, states, transactions, clocks and
 /// history, fed one [`Note`] at a time by [`Shadow::apply`]. The
@@ -265,9 +272,26 @@ impl Shadow {
         }
     }
 
-    /// Applies one note. A publish or an IPI send takes its targets from
-    /// `masks`, which holds the masked notes' masks in note order.
-    pub(crate) fn apply(&mut self, at: Time, note: Note, masks: &mut slice::Iter<'_, CpuMask>) {
+    /// Records one note and applies it, or closes the shadow on `None`
+    /// (events still record, checks no longer fire). A publish or an IPI
+    /// send takes its targets from `masks`, which holds the masked notes'
+    /// masks in note order.
+    pub(crate) fn apply(
+        &mut self,
+        at: Time,
+        note: Option<Note>,
+        masks: &mut slice::Iter<'_, CpuMask>,
+    ) {
+        let Some(note) = note else {
+            self.closed = true;
+            return;
+        };
+        let targets = match note {
+            Note::Publish { .. } => *masks.next().expect("a publish has its mask"),
+            Note::IpiSend { .. } => *masks.next().expect("an IPI send has its mask"),
+            _ => CpuMask::empty(),
+        };
+        let stamp = self.record(at, note, targets.count() as u16);
         match note {
             Note::Fill {
                 cpu,
@@ -275,49 +299,56 @@ impl Shadow {
                 vpn,
                 pfn,
                 allocated,
-            } => self.note_fill(cpu, pcid, Vpn(vpn), Pfn(pfn), allocated, at),
+            } => self.fill(cpu, pcid, vpn, pfn, allocated, stamp),
             Note::Hit {
                 cpu,
                 pcid,
                 vpn,
                 pfn,
                 allocated,
-            } => self.note_hit(cpu, pcid, Vpn(vpn), Pfn(pfn), allocated, at),
-            Note::Invalidate { cpu, pcid, vpn } => self.note_invalidate(cpu, pcid, vpn, at),
-            Note::FlushAll { cpu } => self.note_flush_all(cpu, at),
-            Note::Evict {
-                cpu,
-                pcid,
-                vpn,
-                pfn,
-            } => self.note_evict(cpu, pcid, vpn, pfn, at),
-            Note::Alloc { ctx, pfn } => self.note_alloc(ctx, Pfn(pfn), at),
-            Note::Free { ctx, pfn } => self.note_free(ctx, Pfn(pfn), at),
+            } => self.hit(cpu, pcid, vpn, pfn, allocated, stamp),
+            Note::Invalidate { cpu, pcid, vpn } | Note::Evict { cpu, pcid, vpn, .. } => {
+                self.shadow_remove(cpu.index(), pcid, vpn.0)
+            }
+            Note::FlushAll { cpu } => {
+                for (_, e) in self.shadow[cpu.index()].drain() {
+                    self.cachers.remove(e.pfn);
+                }
+            }
+            Note::Alloc { ctx, pfn } => self.flag_cached(
+                ViolationKind::ReusedWhileCached,
+                ctx,
+                pfn.0,
+                "handed out again",
+            ),
+            Note::Free { ctx, pfn } => {
+                self.flag_cached(ViolationKind::FreedWhileCached, ctx, pfn.0, "freed")
+            }
             Note::Publish {
-                initiator,
                 mm,
                 range,
                 migration,
-            } => {
-                let targets = *masks.next().expect("a publish has its mask");
-                self.note_publish(initiator, mm, range, targets, migration, at);
+                ..
+            } => self.publish(mm, range, targets, migration, stamp),
+            Note::Sweep { cpu, mm, range } => self.sweep(cpu, mm, range),
+            Note::MigrationProceed { mm, vpn, .. } => self.migration_proceed(mm, vpn),
+            Note::IpiSend { txn, .. } => {
+                let stamp = self.hold(stamp);
+                if let Some(old) = self.txn_clocks.insert(txn, stamp) {
+                    self.clocks.release(old.snap);
+                }
             }
-            Note::Sweep { cpu, mm, range } => self.note_sweep(cpu, mm, range, at),
-            Note::MigrationProceed { cpu, mm, vpn } => {
-                self.note_migration_proceed(cpu, mm, vpn, at)
+            Note::IpiDeliver { target, txn } => {
+                if let Some(&sent) = self.txn_clocks.get(&txn) {
+                    self.clocks.join_live(&mut self.live[target.index()], sent);
+                }
             }
-            Note::IpiSend { initiator, txn } => {
-                let targets = *masks.next().expect("an IPI send has its mask");
-                self.note_ipi_send(initiator, txn, targets, at);
-            }
-            Note::IpiDeliver { target, txn } => self.note_ipi_deliver(target, txn, at),
             Note::Ack {
                 initiator,
                 from,
                 txn,
                 done,
-            } => self.note_ack(initiator, from, txn, done, at),
-            Note::Close => self.closed = true,
+            } => self.ack(initiator, from, txn, done),
         }
     }
 
@@ -328,13 +359,14 @@ impl Shadow {
         }
     }
 
-    /// Advances `ctx`'s clock, appends the event to the ring, and returns
-    /// the stamp of `ctx`'s clock after it (`self.seq` is the event's
-    /// sequence number). Once the ring is full the oldest record is
-    /// dropped, releasing its clock, so recording allocates nothing.
-    /// A tick past `u32::MAX` leaves the component there and reports a
-    /// [`ViolationKind::ClockOverflow`] on the event.
-    fn record(&mut self, ctx: Ctx, at: Time, kind: EventKind) -> Stamp {
+    /// Advances the clock of `note`'s context, appends the note to the
+    /// ring, and returns the stamp of that clock after it (`self.seq` is
+    /// the event's sequence number). Once the ring is full the oldest
+    /// record is dropped, releasing its clock, so recording allocates
+    /// nothing. A tick past `u32::MAX` leaves the component there and
+    /// reports a [`ViolationKind::ClockOverflow`] on the event.
+    fn record(&mut self, at: Time, note: Note, cores: u16) -> Stamp {
+        let ctx = note.ctx();
         let i = self.ctx_index(ctx);
         let live = self.live[i];
         let ticked = self.clocks.tick(live, i);
@@ -350,7 +382,12 @@ impl Shadow {
             let old = self.history.pop_front().expect("the ring is full");
             self.clocks.release(old.clock.snap);
         }
-        self.history.push_back(Record { at, clock, kind });
+        self.history.push_back(Record {
+            at,
+            clock,
+            note,
+            cores,
+        });
         if ticked.is_none() && self.reporting() {
             self.flag(
                 ViolationKind::ClockOverflow,
@@ -373,17 +410,12 @@ impl Shadow {
     /// The record `back` places before the newest, as a report shows it.
     fn render(&self, back: usize) -> EventRecord {
         let r = &self.history[self.history.len() - 1 - back];
-        let i = r.clock.ctx as usize;
         EventRecord {
             seq: self.seq - back as u64,
             at: r.at,
-            ctx: if i == self.ncpus {
-                Ctx::Kthread
-            } else {
-                Ctx::Cpu(CpuId(i as u16))
-            },
             clock: r.clock.clock(&self.clocks),
-            kind: r.kind.clone(),
+            note: r.note,
+            cores: r.cores,
         }
     }
 
@@ -411,8 +443,8 @@ impl Shadow {
         kind: ViolationKind,
         headline: String,
         race: String,
-        pfn: Option<u64>,
-        vpn: Option<u64>,
+        pfn: Option<Pfn>,
+        vpn: Option<Vpn>,
     ) {
         let offending = self.render(0);
         let history: Vec<EventRecord> = self
@@ -421,7 +453,7 @@ impl Shadow {
             .rev()
             .enumerate()
             .skip(1)
-            .filter(|(_, r)| r.kind.touches(pfn, vpn))
+            .filter(|(_, r)| r.note.touches(pfn, vpn))
             .take(TRACE_EVENTS)
             .map(|(back, _)| self.render(back))
             .collect();
@@ -492,7 +524,7 @@ impl Shadow {
             names.join(", ")
         );
         let race = self.race_verdict(ctx, core, entry.filled_component);
-        self.flag(kind, headline, race, Some(pfn), Some(vpn));
+        self.flag(kind, headline, race, Some(Pfn(pfn)), Some(Vpn(vpn)));
     }
 
     fn shadow_remove(&mut self, core: usize, pcid: u16, vpn: u64) {
@@ -501,27 +533,13 @@ impl Shadow {
         }
     }
 
-    // ---- TLB mirror -----------------------------------------------------
-
-    /// A translation was installed into `cpu`'s TLB. `allocated` is the
-    /// allocator's verdict on the frame at this instant.
-    fn note_fill(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn, pfn: Pfn, allocated: bool, at: Time) {
-        let core = cpu.index();
-        let stamp = self.record(
-            Ctx::Cpu(cpu),
-            at,
-            EventKind::Fill {
-                pcid,
-                vpn: vpn.0,
-                pfn: pfn.0,
-            },
-        );
-        // Overwriting fill of the same page = invalidate + fill.
+    /// A fill: overwriting the same page is an invalidate plus a fill.
+    fn fill(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn, pfn: Pfn, allocated: bool, stamp: Stamp) {
         let entry = ShadowEntry {
             pfn: pfn.0,
             filled_component: stamp.own,
         };
-        if let Some(old) = self.shadow[core].insert((pcid, vpn.0), entry) {
+        if let Some(old) = self.shadow[cpu.index()].insert((pcid, vpn.0), entry) {
             self.cachers.remove(old.pfn);
         }
         self.cachers.add(pfn.0);
@@ -535,30 +553,19 @@ impl Shadow {
                 ViolationKind::FillOfFreedFrame,
                 headline,
                 "the page table still maps a frame whose last reference was dropped".to_owned(),
-                Some(pfn.0),
-                Some(vpn.0),
+                Some(pfn),
+                Some(vpn),
             );
         }
     }
 
-    /// An access was served from `cpu`'s TLB without a walk.
-    ///
-    /// The shadow entry wins over the hit's `pfn`: a hit on a page the
-    /// shadow already caches leaves that entry (its frame and its fill's
-    /// clock component) as it is, and `pfn` only labels the record and
-    /// the report. A hit on a page the shadow lacks installs it at `pfn`,
-    /// healing a mirror whose fill predated the oracle.
-    fn note_hit(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn, pfn: Pfn, allocated: bool, at: Time) {
+    /// A hit. The shadow entry wins over the hit's `pfn`: a hit on a page
+    /// the shadow already caches leaves that entry (its frame and its
+    /// fill's clock component) as it is, and `pfn` only labels the record
+    /// and the report. A hit on a page the shadow lacks installs it at
+    /// `pfn`, healing a mirror whose fill predated the oracle.
+    fn hit(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn, pfn: Pfn, allocated: bool, stamp: Stamp) {
         let core = cpu.index();
-        let stamp = self.record(
-            Ctx::Cpu(cpu),
-            at,
-            EventKind::Hit {
-                pcid,
-                vpn: vpn.0,
-                pfn: pfn.0,
-            },
-        );
         let entry = match self.shadow[core].entry((pcid, vpn.0)) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
@@ -580,74 +587,21 @@ impl Shadow {
                 ViolationKind::AccessThroughFreedFrame,
                 headline,
                 race,
-                Some(pfn.0),
-                Some(vpn.0),
+                Some(pfn),
+                Some(vpn),
             );
         }
     }
 
-    /// `cpu` invalidated one page.
-    fn note_invalidate(&mut self, cpu: CpuId, pcid: u16, vpn: u64, at: Time) {
-        self.record(Ctx::Cpu(cpu), at, EventKind::Invalidate { pcid, vpn });
-        self.shadow_remove(cpu.index(), pcid, vpn);
-    }
-
-    /// `cpu` flushed its whole TLB.
-    fn note_flush_all(&mut self, cpu: CpuId, at: Time) {
-        let core = cpu.index();
-        self.record(Ctx::Cpu(cpu), at, EventKind::FlushAll);
-        for (_, e) in self.shadow[core].drain() {
-            self.cachers.remove(e.pfn);
-        }
-    }
-
-    /// A capacity eviction the TLB model reported for `cpu`.
-    fn note_evict(&mut self, cpu: CpuId, pcid: u16, vpn: u64, pfn: u64, at: Time) {
-        self.record(Ctx::Cpu(cpu), at, EventKind::Evict { pcid, vpn, pfn });
-        self.shadow_remove(cpu.index(), pcid, vpn);
-    }
-
-    // ---- allocator mirror -----------------------------------------------
-
-    /// A frame left the free list.
-    fn note_alloc(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
-        self.record(ctx, at, EventKind::Alloc { pfn: pfn.0 });
-        self.flag_cached(
-            ViolationKind::ReusedWhileCached,
-            ctx,
-            pfn.0,
-            "handed out again",
-        );
-    }
-
-    /// A frame's last reference was dropped (it is reusable from now on).
-    fn note_free(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
-        self.record(ctx, at, EventKind::Free { pfn: pfn.0 });
-        self.flag_cached(ViolationKind::FreedWhileCached, ctx, pfn.0, "freed");
-    }
-
-    // ---- Latr protocol edges ---------------------------------------------
-
-    /// A Latr state was published by `initiator`.
-    fn note_publish(
+    /// A Latr state's publish: tracked until every target has swept it.
+    fn publish(
         &mut self,
-        initiator: CpuId,
         mm: MmId,
         range: VaRange,
         targets: CpuMask,
         migration: bool,
-        at: Time,
+        stamp: Stamp,
     ) {
-        let stamp = self.record(
-            Ctx::Cpu(initiator),
-            at,
-            EventKind::Publish {
-                mm,
-                range,
-                targets,
-                migration,
-            },
-        );
         // A state naming no core is already retired: no sweep can join it
         // and no migration check can be blocked by it.
         if targets.is_empty() {
@@ -672,10 +626,8 @@ impl Shadow {
         bucket.push(state);
     }
 
-    /// `cpu` swept every active state naming it that covers `(mm, range)`:
-    /// it invalidated locally and cleared its bit.
-    fn note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange, at: Time) {
-        self.record(Ctx::Cpu(cpu), at, EventKind::Sweep { mm, range });
+    /// `cpu` swept every active state naming it that covers `(mm, range)`.
+    fn sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange) {
         let Some(bucket) = self.states.get_mut(&(mm, range)) else {
             return;
         };
@@ -699,9 +651,9 @@ impl Shadow {
         }
     }
 
-    /// A NUMA hint fault on `(mm, vpn)` was allowed to proceed.
-    fn note_migration_proceed(&mut self, cpu: CpuId, mm: MmId, vpn: Vpn, at: Time) {
-        self.record(Ctx::Cpu(cpu), at, EventKind::MigrationProceed { mm, vpn });
+    /// A NUMA hint fault on `(mm, vpn)` proceeded: no migration state
+    /// covering the page may still have pending bits.
+    fn migration_proceed(&mut self, mm: MmId, vpn: Vpn) {
         let blocking = self
             .states
             .iter()
@@ -739,33 +691,13 @@ impl Shadow {
             headline,
             race,
             None,
-            Some(vpn.0),
+            Some(vpn),
         );
     }
 
-    // ---- synchronous shootdown edges ------------------------------------
-
-    /// A shootdown's IPIs were multicast by `initiator`.
-    fn note_ipi_send(&mut self, initiator: CpuId, txn: u64, targets: CpuMask, at: Time) {
-        let stamp = self.record(Ctx::Cpu(initiator), at, EventKind::IpiSend { txn, targets });
-        let stamp = self.hold(stamp);
-        if let Some(old) = self.txn_clocks.insert(txn, stamp) {
-            self.clocks.release(old.snap);
-        }
-    }
-
-    /// A shootdown IPI was handled on `target`.
-    fn note_ipi_deliver(&mut self, target: CpuId, txn: u64, at: Time) {
-        self.record(Ctx::Cpu(target), at, EventKind::IpiDeliver { txn });
-        if let Some(&sent) = self.txn_clocks.get(&txn) {
-            self.clocks.join_live(&mut self.live[target.index()], sent);
-        }
-    }
-
-    /// The last ACK of `txn` arrived: `initiator` now happens-after every
-    /// target's handler.
-    fn note_ack(&mut self, initiator: CpuId, from: CpuId, txn: u64, done: bool, at: Time) {
-        self.record(Ctx::Cpu(initiator), at, EventKind::Ack { txn, from });
+    /// An ACK of `txn` from `from` reached `initiator`, which joins the
+    /// handler's clock; the last one retires the send clock.
+    fn ack(&mut self, initiator: CpuId, from: CpuId, txn: u64, done: bool) {
         let handler = self.clocks.stamp(self.live[from.index()], from.index());
         self.clocks
             .join_live(&mut self.live[initiator.index()], handler);
@@ -779,7 +711,7 @@ impl Shadow {
 
 /// The coherence oracle. One per [`Machine`]; see the module docs.
 ///
-/// Each `note_*` call is applied in place, or, while a worker runs
+/// Each [`note`](Self::note) is applied in place, or, while a worker runs
 /// ([`start_worker`](Self::start_worker) to
 /// [`join_worker`](Self::join_worker)), batched to it. The verdict reads
 /// the same either way, and only once the worker is joined: the readers
@@ -847,10 +779,22 @@ impl CoherenceOracle {
         }
     }
 
-    /// Applies `note` in place or sends it to the worker. A publish or
-    /// an IPI send carries its targets in `mask`.
+    /// Observes `note` at `at`: applies it in place, or sends it to the
+    /// worker. A publish or an IPI send carries its target cores in
+    /// `targets`, and no other kind does.
     #[inline]
-    fn note(&mut self, at: Time, note: Note, mask: Option<CpuMask>) {
+    pub fn note(&mut self, at: Time, note: Note, targets: Option<CpuMask>) {
+        debug_assert_eq!(
+            targets.is_some(),
+            matches!(note, Note::Publish { .. } | Note::IpiSend { .. }),
+            "targets travel with a publish or an IPI send only: {note:?}"
+        );
+        self.send(at, Some(note), targets);
+    }
+
+    /// Applies `note` (`None` closes) in place or sends it to the worker.
+    #[inline]
+    fn send(&mut self, at: Time, note: Option<Note>, mask: Option<CpuMask>) {
         match &mut self.place {
             Place::Here(shadow) => shadow.apply(at, note, &mut mask.as_slice().iter()),
             Place::Worker(pipe) => pipe.push(at, note, mask),
@@ -862,7 +806,7 @@ impl CoherenceOracle {
     /// event, so the frames it frees can no longer be reached through any
     /// TLB — flagging them would be noise, not a race.
     pub fn close(&mut self) {
-        self.note(Time::ZERO, Note::Close, None);
+        self.send(Time::ZERO, None, None);
     }
 
     /// The first violation detected, if any.
@@ -891,155 +835,6 @@ impl CoherenceOracle {
     pub fn events_observed(&self) -> u64 {
         self.here().seq
     }
-
-    // ---- TLB mirror -----------------------------------------------------
-
-    /// A translation was installed into `cpu`'s TLB. `allocated` is the
-    /// allocator's verdict on the frame at this instant.
-    pub fn note_fill(
-        &mut self,
-        cpu: CpuId,
-        pcid: u16,
-        vpn: Vpn,
-        pfn: Pfn,
-        allocated: bool,
-        at: Time,
-    ) {
-        let (vpn, pfn) = (vpn.0, pfn.0);
-        self.note(
-            at,
-            Note::Fill {
-                cpu,
-                pcid,
-                vpn,
-                pfn,
-                allocated,
-            },
-            None,
-        );
-    }
-
-    /// An access was served from `cpu`'s TLB without a walk. A shadow
-    /// entry for the page wins over `pfn`, which then only labels the
-    /// record and the report.
-    pub fn note_hit(
-        &mut self,
-        cpu: CpuId,
-        pcid: u16,
-        vpn: Vpn,
-        pfn: Pfn,
-        allocated: bool,
-        at: Time,
-    ) {
-        let (vpn, pfn) = (vpn.0, pfn.0);
-        self.note(
-            at,
-            Note::Hit {
-                cpu,
-                pcid,
-                vpn,
-                pfn,
-                allocated,
-            },
-            None,
-        );
-    }
-
-    /// `cpu` invalidated one page.
-    pub fn note_invalidate(&mut self, cpu: CpuId, pcid: u16, vpn: Vpn, at: Time) {
-        let vpn = vpn.0;
-        self.note(at, Note::Invalidate { cpu, pcid, vpn }, None);
-    }
-
-    /// `cpu` flushed its whole TLB.
-    pub fn note_flush_all(&mut self, cpu: CpuId, at: Time) {
-        self.note(at, Note::FlushAll { cpu }, None);
-    }
-
-    /// Capacity evictions the TLB model reported for `cpu`.
-    pub fn note_evictions(&mut self, cpu: CpuId, evicted: &[TlbEntry], at: Time) {
-        for e in evicted {
-            let (pcid, vpn, pfn) = (e.pcid, e.vpn, e.pfn);
-            self.note(
-                at,
-                Note::Evict {
-                    cpu,
-                    pcid,
-                    vpn,
-                    pfn,
-                },
-                None,
-            );
-        }
-    }
-
-    // ---- allocator mirror -----------------------------------------------
-
-    /// A frame left the free list.
-    pub fn note_alloc(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
-        self.note(at, Note::Alloc { ctx, pfn: pfn.0 }, None);
-    }
-
-    /// A frame's last reference was dropped (it is reusable from now on).
-    pub fn note_free(&mut self, ctx: Ctx, pfn: Pfn, at: Time) {
-        self.note(at, Note::Free { ctx, pfn: pfn.0 }, None);
-    }
-
-    // ---- Latr protocol edges ---------------------------------------------
-
-    /// A Latr state was published by `initiator`.
-    pub fn note_publish(
-        &mut self,
-        initiator: CpuId,
-        mm: MmId,
-        range: VaRange,
-        targets: CpuMask,
-        migration: bool,
-        at: Time,
-    ) {
-        let note = Note::Publish {
-            initiator,
-            mm,
-            range,
-            migration,
-        };
-        self.note(at, note, Some(targets));
-    }
-
-    /// `cpu` swept every active state naming it that covers `(mm, range)`:
-    /// it invalidated locally and cleared its bit.
-    pub fn note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange, at: Time) {
-        self.note(at, Note::Sweep { cpu, mm, range }, None);
-    }
-
-    /// A NUMA hint fault on `(mm, vpn)` was allowed to proceed.
-    pub fn note_migration_proceed(&mut self, cpu: CpuId, mm: MmId, vpn: Vpn, at: Time) {
-        self.note(at, Note::MigrationProceed { cpu, mm, vpn }, None);
-    }
-
-    // ---- synchronous shootdown edges ------------------------------------
-
-    /// A shootdown's IPIs were multicast by `initiator`.
-    pub fn note_ipi_send(&mut self, initiator: CpuId, txn: u64, targets: CpuMask, at: Time) {
-        self.note(at, Note::IpiSend { initiator, txn }, Some(targets));
-    }
-
-    /// A shootdown IPI was handled on `target`.
-    pub fn note_ipi_deliver(&mut self, target: CpuId, txn: u64, at: Time) {
-        self.note(at, Note::IpiDeliver { target, txn }, None);
-    }
-
-    /// The last ACK of `txn` arrived: `initiator` now happens-after every
-    /// target's handler.
-    pub fn note_ack(&mut self, initiator: CpuId, from: CpuId, txn: u64, done: bool, at: Time) {
-        let note = Note::Ack {
-            initiator,
-            from,
-            txn,
-            done,
-        };
-        self.note(at, note, None);
-    }
 }
 
 /// The linear state list the keyed table replaced, kept as its executable
@@ -1058,7 +853,7 @@ mod reference {
     }
 
     /// A [`Shadow`] whose Latr states live in the linear list; every
-    /// other event goes to the wrapped shadow unchanged.
+    /// other note goes to the wrapped shadow unchanged.
     pub(super) struct ReferenceOracle {
         pub(super) inner: Shadow,
         states: Vec<LinearState>,
@@ -1072,60 +867,58 @@ mod reference {
             }
         }
 
-        pub(super) fn note_publish(
-            &mut self,
-            initiator: CpuId,
-            mm: MmId,
-            range: VaRange,
-            targets: CpuMask,
-            migration: bool,
-            at: Time,
-        ) {
-            let kind = EventKind::Publish {
-                mm,
-                range,
-                targets,
-                migration,
-            };
-            let stamp = self.inner.record(Ctx::Cpu(initiator), at, kind);
-            self.states.push(LinearState {
-                mm,
-                range,
-                pending: targets,
-                migration,
-                publish_clock: self.inner.hold(stamp),
-            });
-        }
-
-        pub(super) fn note_sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange, at: Time) {
-            self.inner
-                .record(Ctx::Cpu(cpu), at, EventKind::Sweep { mm, range });
-            let mut joins: Vec<Stamp> = Vec::new();
-            self.states.retain_mut(|s| {
-                if s.mm == mm && s.range == range && s.pending.test(cpu) {
-                    s.pending.clear(cpu);
-                    joins.push(s.publish_clock);
+        pub(super) fn note(&mut self, at: Time, note: Note, targets: Option<CpuMask>) {
+            match note {
+                Note::Publish {
+                    mm,
+                    range,
+                    migration,
+                    ..
+                } => {
+                    let targets = targets.expect("a publish has its mask");
+                    let stamp = self.inner.record(at, note, targets.count() as u16);
+                    self.states.push(LinearState {
+                        mm,
+                        range,
+                        pending: targets,
+                        migration,
+                        publish_clock: self.inner.hold(stamp),
+                    });
                 }
-                !s.pending.is_empty()
-            });
-            let inner = &mut self.inner;
-            for c in joins {
-                inner.clocks.join_live(&mut inner.live[cpu.index()], c);
-            }
-        }
-
-        pub(super) fn note_migration_proceed(&mut self, cpu: CpuId, mm: MmId, vpn: Vpn, at: Time) {
-            self.inner
-                .record(Ctx::Cpu(cpu), at, EventKind::MigrationProceed { mm, vpn });
-            let blocking = self
-                .states
-                .iter()
-                .find(|s| {
-                    s.migration && s.mm == mm && s.range.contains(vpn) && !s.pending.is_empty()
-                })
-                .map(|s| s.pending);
-            if let Some(mask) = blocking {
-                self.inner.flag_migration(mm, vpn, mask);
+                Note::Sweep { cpu, mm, range } => {
+                    self.inner.record(at, note, 0);
+                    let mut joins: Vec<Stamp> = Vec::new();
+                    self.states.retain_mut(|s| {
+                        if s.mm == mm && s.range == range && s.pending.test(cpu) {
+                            s.pending.clear(cpu);
+                            joins.push(s.publish_clock);
+                        }
+                        !s.pending.is_empty()
+                    });
+                    let inner = &mut self.inner;
+                    for c in joins {
+                        inner.clocks.join_live(&mut inner.live[cpu.index()], c);
+                    }
+                }
+                Note::MigrationProceed { mm, vpn, .. } => {
+                    self.inner.record(at, note, 0);
+                    let blocking = self
+                        .states
+                        .iter()
+                        .find(|s| {
+                            s.migration
+                                && s.mm == mm
+                                && s.range.contains(vpn)
+                                && !s.pending.is_empty()
+                        })
+                        .map(|s| s.pending);
+                    if let Some(mask) = blocking {
+                        self.inner.flag_migration(mm, vpn, mask);
+                    }
+                }
+                _ => self
+                    .inner
+                    .apply(at, Some(note), &mut targets.as_slice().iter()),
             }
         }
     }
@@ -1148,19 +941,63 @@ mod tests {
         Vpn(v)
     }
 
+    /// Fixtures for the kinds these tests note most, under PCID 0.
+    fn fill(cpu: CpuId, vpn: Vpn, pfn: Pfn) -> Note {
+        let allocated = true;
+        Note::Fill {
+            cpu,
+            pcid: 0,
+            vpn,
+            pfn,
+            allocated,
+        }
+    }
+
+    fn hit(cpu: CpuId, vpn: Vpn, pfn: Pfn, allocated: bool) -> Note {
+        Note::Hit {
+            cpu,
+            pcid: 0,
+            vpn,
+            pfn,
+            allocated,
+        }
+    }
+
+    fn invalidate(cpu: CpuId, vpn: Vpn) -> Note {
+        Note::Invalidate { cpu, pcid: 0, vpn }
+    }
+
+    fn alloc(ctx: Ctx, pfn: Pfn) -> Note {
+        Note::Alloc { ctx, pfn }
+    }
+
+    fn free(ctx: Ctx, pfn: Pfn) -> Note {
+        Note::Free { ctx, pfn }
+    }
+
+    fn publish(initiator: CpuId, mm: MmId, range: VaRange, migration: bool) -> Note {
+        Note::Publish {
+            initiator,
+            mm,
+            range,
+            migration,
+        }
+    }
+
+    fn sweep(cpu: CpuId, mm: MmId, range: VaRange) -> Note {
+        Note::Sweep { cpu, mm, range }
+    }
+
     #[test]
     fn free_while_cached_is_flagged_with_trace() {
         let mut o = CoherenceOracle::new(2);
-        o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(0x2a), true, T);
-        o.note_publish(
-            CpuId(0),
-            MmId(0),
-            VaRange::new(vpn(0x10), 1),
-            CpuMask::from_cpus([CpuId(1)]),
-            false,
+        o.note(T, fill(CpuId(1), vpn(0x10), Pfn(0x2a)), None);
+        o.note(
             T,
+            publish(CpuId(0), MmId(0), VaRange::new(vpn(0x10), 1), false),
+            Some(CpuMask::from_cpus([CpuId(1)])),
         );
-        o.note_free(Ctx::Kthread, Pfn(0x2a), T);
+        o.note(T, free(Ctx::Kthread, Pfn(0x2a)), None);
         let v = o.violation().expect("violation detected");
         assert_eq!(v.kind, ViolationKind::FreedWhileCached);
         assert!(v.headline.contains("cpu1"), "{}", v.headline);
@@ -1176,26 +1013,23 @@ mod tests {
     fn sweep_before_free_is_clean_and_ordered() {
         let mut o = CoherenceOracle::new(2);
         let r = VaRange::new(vpn(0x10), 1);
-        o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(0x2a), true, T);
-        o.note_publish(
-            CpuId(0),
-            MmId(0),
-            r,
-            CpuMask::from_cpus([CpuId(1)]),
-            false,
+        o.note(T, fill(CpuId(1), vpn(0x10), Pfn(0x2a)), None);
+        o.note(
             T,
+            publish(CpuId(0), MmId(0), r, false),
+            Some(CpuMask::from_cpus([CpuId(1)])),
         );
-        o.note_invalidate(CpuId(1), 0, vpn(0x10), T);
-        o.note_sweep(CpuId(1), MmId(0), r, T);
-        o.note_free(Ctx::Kthread, Pfn(0x2a), T);
+        o.note(T, invalidate(CpuId(1), vpn(0x10)), None);
+        o.note(T, sweep(CpuId(1), MmId(0), r), None);
+        o.note(T, free(Ctx::Kthread, Pfn(0x2a)), None);
         assert!(o.violation().is_none());
     }
 
     #[test]
     fn reuse_while_cached_is_flagged() {
         let mut o = CoherenceOracle::new(1);
-        o.note_fill(CpuId(0), 0, vpn(0x5), Pfn(9), true, T);
-        o.note_alloc(Ctx::Cpu(CpuId(0)), Pfn(9), T);
+        o.note(T, fill(CpuId(0), vpn(0x5), Pfn(9)), None);
+        o.note(T, alloc(Ctx::Cpu(CpuId(0)), Pfn(9)), None);
         let v = o.violation().expect("violation");
         assert_eq!(v.kind, ViolationKind::ReusedWhileCached);
     }
@@ -1203,8 +1037,8 @@ mod tests {
     #[test]
     fn stale_hit_on_freed_frame_is_flagged() {
         let mut o = CoherenceOracle::new(1);
-        o.note_fill(CpuId(0), 0, vpn(0x5), Pfn(9), true, T);
-        o.note_hit(CpuId(0), 0, vpn(0x5), Pfn(9), false, T);
+        o.note(T, fill(CpuId(0), vpn(0x5), Pfn(9)), None);
+        o.note(T, hit(CpuId(0), vpn(0x5), Pfn(9), false), None);
         let v = o.violation().expect("violation");
         assert_eq!(v.kind, ViolationKind::AccessThroughFreedFrame);
     }
@@ -1213,17 +1047,22 @@ mod tests {
     fn migration_proceed_with_pending_bits_is_flagged() {
         let mut o = CoherenceOracle::new(3);
         let r = VaRange::new(vpn(0x40), 1);
-        o.note_publish(
-            CpuId(0),
-            MmId(1),
-            r,
-            CpuMask::from_cpus([CpuId(0), CpuId(1), CpuId(2)]),
-            true,
+        o.note(
             T,
+            publish(CpuId(0), MmId(1), r, true),
+            Some(CpuMask::from_cpus([CpuId(0), CpuId(1), CpuId(2)])),
         );
-        o.note_sweep(CpuId(0), MmId(1), r, T);
+        o.note(T, sweep(CpuId(0), MmId(1), r), None);
         // cpu1 and cpu2 have not swept: the fault must not proceed.
-        o.note_migration_proceed(CpuId(1), MmId(1), vpn(0x40), T);
+        o.note(
+            T,
+            Note::MigrationProceed {
+                cpu: CpuId(1),
+                mm: MmId(1),
+                vpn: vpn(0x40),
+            },
+            None,
+        );
         let v = o.violation().expect("violation");
         assert_eq!(v.kind, ViolationKind::MigrationBeforeSweepComplete);
         assert!(v.headline.contains("cpu2"), "{}", v.headline);
@@ -1233,47 +1072,49 @@ mod tests {
     fn migration_proceed_after_all_sweeps_is_clean() {
         let mut o = CoherenceOracle::new(2);
         let r = VaRange::new(vpn(0x40), 1);
-        o.note_publish(
-            CpuId(0),
-            MmId(1),
-            r,
-            CpuMask::from_cpus([CpuId(0), CpuId(1)]),
-            true,
+        o.note(
             T,
+            publish(CpuId(0), MmId(1), r, true),
+            Some(CpuMask::from_cpus([CpuId(0), CpuId(1)])),
         );
-        o.note_sweep(CpuId(0), MmId(1), r, T);
-        o.note_sweep(CpuId(1), MmId(1), r, T);
-        o.note_migration_proceed(CpuId(1), MmId(1), vpn(0x40), T);
+        o.note(T, sweep(CpuId(0), MmId(1), r), None);
+        o.note(T, sweep(CpuId(1), MmId(1), r), None);
+        o.note(
+            T,
+            Note::MigrationProceed {
+                cpu: CpuId(1),
+                mm: MmId(1),
+                vpn: vpn(0x40),
+            },
+            None,
+        );
         assert!(o.violation().is_none());
     }
 
     #[test]
     fn flush_and_eviction_clear_the_mirror() {
         let mut o = CoherenceOracle::new(2);
-        o.note_fill(CpuId(0), 0, vpn(1), Pfn(7), true, T);
-        o.note_fill(CpuId(1), 0, vpn(1), Pfn(7), true, T);
-        o.note_flush_all(CpuId(0), T);
-        o.note_evictions(
-            CpuId(1),
-            &[TlbEntry {
-                pcid: 0,
-                vpn: 1,
-                pfn: 7,
-                writable: false,
-            }],
-            T,
-        );
-        o.note_free(Ctx::Kthread, Pfn(7), T);
+        o.note(T, fill(CpuId(0), vpn(1), Pfn(7)), None);
+        o.note(T, fill(CpuId(1), vpn(1), Pfn(7)), None);
+        o.note(T, Note::FlushAll { cpu: CpuId(0) }, None);
+        let evict = Note::Evict {
+            cpu: CpuId(1),
+            pcid: 0,
+            vpn: vpn(1),
+            pfn: Pfn(7),
+        };
+        o.note(T, evict, None);
+        o.note(T, free(Ctx::Kthread, Pfn(7)), None);
         assert!(o.violation().is_none(), "{:?}", o.violation());
     }
 
     #[test]
     fn first_violation_freezes_later_ones_suppressed() {
         let mut o = CoherenceOracle::new(1);
-        o.note_fill(CpuId(0), 0, vpn(1), Pfn(7), true, T);
-        o.note_free(Ctx::Kthread, Pfn(7), T);
+        o.note(T, fill(CpuId(0), vpn(1), Pfn(7)), None);
+        o.note(T, free(Ctx::Kthread, Pfn(7)), None);
         assert!(o.violation().is_some());
-        o.note_free(Ctx::Kthread, Pfn(7), T);
+        o.note(T, free(Ctx::Kthread, Pfn(7)), None);
         assert_eq!(o.suppressed_count(), 1);
         assert_eq!(o.violation().unwrap().kind, ViolationKind::FreedWhileCached);
     }
@@ -1286,9 +1127,9 @@ mod tests {
         };
         s.clocks.set(s.live[1], 1, u32::MAX - 1);
         // The last tick that fits.
-        o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(3), true, T);
+        o.note(T, fill(CpuId(1), vpn(0x10), Pfn(3)), None);
         assert!(o.violation().is_none(), "{:?}", o.violation());
-        o.note_invalidate(CpuId(1), 0, vpn(0x11), T);
+        o.note(T, invalidate(CpuId(1), vpn(0x11)), None);
         let v = o.violation().expect("the overflow is reported");
         assert_eq!(v.kind, ViolationKind::ClockOverflow);
         assert_eq!(v.headline, "cpu1's vector-clock component passed u32::MAX");
@@ -1298,8 +1139,8 @@ mod tests {
         );
         assert_eq!(o.suppressed_count(), 0);
         // A race and a further overflowing tick on cpu1 only count.
-        o.note_free(Ctx::Kthread, Pfn(3), T);
-        o.note_hit(CpuId(1), 0, vpn(0x10), Pfn(3), false, T);
+        o.note(T, free(Ctx::Kthread, Pfn(3)), None);
+        o.note(T, hit(CpuId(1), vpn(0x10), Pfn(3), false), None);
         assert_eq!(o.suppressed_count(), 3);
         assert_eq!(o.violation().unwrap().kind, ViolationKind::ClockOverflow);
         assert_eq!(o.events_observed(), 4);
@@ -1313,11 +1154,20 @@ mod tests {
         // each fresh oracle's hash seeds are.
         for _ in 0..20 {
             let mut o = CoherenceOracle::new(11);
-            o.note_fill(CpuId(10), 0, vpn(0x30), Pfn(0x2a), true, T);
-            o.note_fill(CpuId(2), 0, vpn(0x20), Pfn(0x2a), true, T);
-            o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(0x2a), true, T);
-            o.note_ack(CpuId(0), CpuId(1), 1, true, T);
-            o.note_free(Ctx::Cpu(CpuId(0)), Pfn(0x2a), T);
+            o.note(T, fill(CpuId(10), vpn(0x30), Pfn(0x2a)), None);
+            o.note(T, fill(CpuId(2), vpn(0x20), Pfn(0x2a)), None);
+            o.note(T, fill(CpuId(1), vpn(0x10), Pfn(0x2a)), None);
+            o.note(
+                T,
+                Note::Ack {
+                    initiator: CpuId(0),
+                    from: CpuId(1),
+                    txn: 1,
+                    done: true,
+                },
+                None,
+            );
+            o.note(T, free(Ctx::Cpu(CpuId(0)), Pfn(0x2a)), None);
             let v = o.violation().expect("violation");
             assert_eq!(
                 v.headline,
@@ -1337,13 +1187,13 @@ mod tests {
     fn full_history_ring_overwrites_the_oldest_record() {
         let mut o = CoherenceOracle::new(1);
         for i in 0..HISTORY_CAPACITY as u64 + 3 {
-            o.note_invalidate(CpuId(0), 0, vpn(i), T);
+            o.note(T, invalidate(CpuId(0), vpn(i)), None);
         }
         let s = o.here();
         assert_eq!(s.history.len(), HISTORY_CAPACITY);
         let oldest = s.render(HISTORY_CAPACITY - 1);
         assert_eq!(oldest.seq, 4);
-        assert_eq!(oldest.kind, EventKind::Invalidate { pcid: 0, vpn: 3 });
+        assert_eq!(oldest.note, invalidate(CpuId(0), vpn(3)));
         let newest = s.render(0);
         assert_eq!(newest.seq, HISTORY_CAPACITY as u64 + 3);
         assert_eq!(newest.clock, clocks(s)[0]);
@@ -1355,20 +1205,20 @@ mod tests {
         // shadow entry wins: pfn 4 was never cached, and after the
         // invalidation nothing is.
         let mut o = CoherenceOracle::new(2);
-        o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(3), true, T);
-        o.note_hit(CpuId(1), 0, vpn(0x10), Pfn(4), true, T);
-        o.note_invalidate(CpuId(1), 0, vpn(0x10), T);
-        o.note_alloc(Ctx::Kthread, Pfn(4), T);
-        o.note_alloc(Ctx::Kthread, Pfn(3), T);
+        o.note(T, fill(CpuId(1), vpn(0x10), Pfn(3)), None);
+        o.note(T, hit(CpuId(1), vpn(0x10), Pfn(4), true), None);
+        o.note(T, invalidate(CpuId(1), vpn(0x10)), None);
+        o.note(T, alloc(Ctx::Kthread, Pfn(4)), None);
+        o.note(T, alloc(Ctx::Kthread, Pfn(3)), None);
         assert!(o.violation().is_none(), "{:?}", o.violation());
 
         // Before the invalidation the page is cached at pfn 3 alone.
         let mut o = CoherenceOracle::new(2);
-        o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(3), true, T);
-        o.note_hit(CpuId(1), 0, vpn(0x10), Pfn(4), true, T);
-        o.note_alloc(Ctx::Kthread, Pfn(4), T);
+        o.note(T, fill(CpuId(1), vpn(0x10), Pfn(3)), None);
+        o.note(T, hit(CpuId(1), vpn(0x10), Pfn(4), true), None);
+        o.note(T, alloc(Ctx::Kthread, Pfn(4)), None);
         assert!(o.violation().is_none(), "{:?}", o.violation());
-        o.note_alloc(Ctx::Kthread, Pfn(3), T);
+        o.note(T, alloc(Ctx::Kthread, Pfn(3)), None);
         let v = o.violation().expect("pfn 3 is still cached");
         assert_eq!(
             v.headline,
@@ -1403,15 +1253,31 @@ mod tests {
             let r = VaRange::new(vpn(rng.below(3)), 1);
             let targets = CpuMask::from_cpus((0..4).filter(|_| rng.below(2) == 0).map(CpuId));
             match rng.below(6) {
-                0 => o.note_publish(cpu, MmId(0), r, targets, false, T),
-                1 => o.note_sweep(cpu, MmId(0), r, T),
+                0 => o.note(T, publish(cpu, MmId(0), r, false), Some(targets)),
+                1 => o.note(T, sweep(cpu, MmId(0), r), None),
                 2 => {
                     txn += 1;
-                    o.note_ipi_send(cpu, txn, targets, T);
+                    o.note(
+                        T,
+                        Note::IpiSend {
+                            initiator: cpu,
+                            txn,
+                        },
+                        Some(targets),
+                    );
                 }
-                3 => o.note_ipi_deliver(cpu, txn, T),
-                4 => o.note_ack(cpu, CpuId(rng.below(4) as u16), txn, rng.below(2) == 0, T),
-                _ => o.note_invalidate(cpu, 0, vpn(step as u64), T),
+                3 => o.note(T, Note::IpiDeliver { target: cpu, txn }, None),
+                4 => o.note(
+                    T,
+                    Note::Ack {
+                        initiator: cpu,
+                        from: CpuId(rng.below(4) as u16),
+                        txn,
+                        done: rng.below(2) == 0,
+                    },
+                    None,
+                ),
+                _ => o.note(T, invalidate(cpu, vpn(step as u64)), None),
             }
             if step % 97 == 0 {
                 assert_refcounts_match_holders(o.here());
@@ -1426,12 +1292,35 @@ mod tests {
         // the free — ordered, no violation; and the initiator's clock
         // dominates cpu1's handler clock.
         let mut o = CoherenceOracle::new(2);
-        o.note_fill(CpuId(1), 0, vpn(0x10), Pfn(3), true, T);
-        o.note_ipi_send(CpuId(0), 7, CpuMask::from_cpus([CpuId(1)]), T);
-        o.note_ipi_deliver(CpuId(1), 7, T);
-        o.note_invalidate(CpuId(1), 0, vpn(0x10), T);
-        o.note_ack(CpuId(0), CpuId(1), 7, true, T);
-        o.note_free(Ctx::Cpu(CpuId(0)), Pfn(3), T);
+        o.note(T, fill(CpuId(1), vpn(0x10), Pfn(3)), None);
+        o.note(
+            T,
+            Note::IpiSend {
+                initiator: CpuId(0),
+                txn: 7,
+            },
+            Some(CpuMask::from_cpus([CpuId(1)])),
+        );
+        o.note(
+            T,
+            Note::IpiDeliver {
+                target: CpuId(1),
+                txn: 7,
+            },
+            None,
+        );
+        o.note(T, invalidate(CpuId(1), vpn(0x10)), None);
+        o.note(
+            T,
+            Note::Ack {
+                initiator: CpuId(0),
+                from: CpuId(1),
+                txn: 7,
+                done: true,
+            },
+            None,
+        );
+        o.note(T, free(Ctx::Cpu(CpuId(0)), Pfn(3)), None);
         assert!(o.violation().is_none());
         let clocks = clocks(o.here());
         assert!((0..clocks[1].len()).all(|i| clocks[0].get(i) >= clocks[1].get(i)));
@@ -1540,27 +1429,23 @@ mod tests {
             let mut keyed = CoherenceOracle::new(NCPUS.into());
             let mut reference = reference::ReferenceOracle::new(NCPUS.into());
             for (step, op) in ops.iter().enumerate() {
-                match *op {
+                let (note, targets) = match *op {
                     Op::Publish { cpu, mm, range, targets, migration } => {
-                        let (cpu, mm, range) = (CpuId(cpu), MmId(mm), spec_range(range));
-                        let targets = targets_mask(targets);
-                        keyed.note_publish(cpu, mm, range, targets, migration, T);
-                        reference.note_publish(cpu, mm, range, targets, migration, T);
+                        let (initiator, mm, range) = (CpuId(cpu), MmId(mm), spec_range(range));
+                        let note = Note::Publish { initiator, mm, range, migration };
+                        (note, Some(targets_mask(targets)))
                     }
                     Op::Sweep { cpu, mm, range } => {
                         let (cpu, mm, range) = (CpuId(cpu), MmId(mm), spec_range(range));
-                        keyed.note_sweep(cpu, mm, range, T);
-                        reference.note_sweep(cpu, mm, range, T);
+                        (Note::Sweep { cpu, mm, range }, None)
                     }
                     Op::MigrationProceed { cpu, mm, vpn: v } => {
-                        keyed.note_migration_proceed(CpuId(cpu), MmId(mm), vpn(v), T);
-                        reference.note_migration_proceed(CpuId(cpu), MmId(mm), vpn(v), T);
+                        let (cpu, mm, vpn) = (CpuId(cpu), MmId(mm), vpn(v));
+                        (Note::MigrationProceed { cpu, mm, vpn }, None)
                     }
                     Op::Fill { cpu, vpn: v, pfn, allocated } => {
-                        keyed.note_fill(CpuId(cpu), 0, vpn(v), Pfn(pfn), allocated, T);
-                        reference
-                            .inner
-                            .note_fill(CpuId(cpu), 0, vpn(v), Pfn(pfn), allocated, T);
+                        let (cpu, vpn, pfn) = (CpuId(cpu), vpn(v), Pfn(pfn));
+                        (Note::Fill { cpu, pcid: 0, vpn, pfn, allocated }, None)
                     }
                     Op::Free { ctx, pfn } => {
                         let ctx = if ctx == NCPUS {
@@ -1568,10 +1453,11 @@ mod tests {
                         } else {
                             Ctx::Cpu(CpuId(ctx))
                         };
-                        keyed.note_free(ctx, Pfn(pfn), T);
-                        reference.inner.note_free(ctx, Pfn(pfn), T);
+                        (Note::Free { ctx, pfn: Pfn(pfn) }, None)
                     }
-                }
+                };
+                keyed.note(T, note, targets);
+                reference.note(T, note, targets);
                 proptest::prop_assert_eq!(clocks(keyed.here()), clocks(&reference.inner), "clocks after step {}", step);
                 proptest::prop_assert_eq!(
                     keyed.violation().map(|v| v.to_string()),

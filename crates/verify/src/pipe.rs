@@ -2,11 +2,11 @@
 //!
 //! The oracle never feeds anything back into the machine, so while
 //! `Machine::run` runs its shadow state can live on a thread of its own.
-//! Each `note_*` call then becomes one [`Note`], a `Copy` record of at
-//! most 32 bytes with its time, appended to the batch being filled. The
-//! two notes that carry a [`CpuMask`] (publish and IPI send) keep it out
-//! of line: the batch's mask list holds them in note order, and the
-//! worker takes the next one for each such note.
+//! Each [`Note`] the kernel hands the oracle is then appended, with its
+//! time, to the batch being filled; `close()` appends `None`. The two
+//! kinds that name target cores (publish and IPI send) keep their
+//! [`CpuMask`] out of line: the batch's mask list holds them in note
+//! order, and the worker takes the next one for each such note.
 //!
 //! [`BATCHES`] batches exist, each allocated once. A full one travels to
 //! the worker over one `sync_channel`, and the worker applies its notes
@@ -29,10 +29,9 @@
 //! unparks the simulation thread after every batch it returns and when
 //! it exits, by return or by panic.
 
-use crate::event::Ctx;
+use crate::event::Note;
 use crate::oracle::Shadow;
-use latr_arch::{CpuId, CpuMask};
-use latr_mem::{MmId, VaRange, Vpn};
+use latr_arch::CpuMask;
 use latr_sim::Time;
 use std::mem;
 use std::panic;
@@ -61,87 +60,13 @@ const BATCHES: usize = 3;
 /// run lasts.
 const SPIN: Duration = Duration::from_millis(1);
 
-/// One `note_*` call, as the shadow state applies it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Note {
-    Fill {
-        cpu: CpuId,
-        pcid: u16,
-        vpn: u64,
-        pfn: u64,
-        allocated: bool,
-    },
-    Hit {
-        cpu: CpuId,
-        pcid: u16,
-        vpn: u64,
-        pfn: u64,
-        allocated: bool,
-    },
-    Invalidate {
-        cpu: CpuId,
-        pcid: u16,
-        vpn: u64,
-    },
-    FlushAll {
-        cpu: CpuId,
-    },
-    /// One capacity eviction.
-    Evict {
-        cpu: CpuId,
-        pcid: u16,
-        vpn: u64,
-        pfn: u64,
-    },
-    Alloc {
-        ctx: Ctx,
-        pfn: u64,
-    },
-    Free {
-        ctx: Ctx,
-        pfn: u64,
-    },
-    /// Its targets are the next out-of-line mask.
-    Publish {
-        initiator: CpuId,
-        mm: MmId,
-        range: VaRange,
-        migration: bool,
-    },
-    Sweep {
-        cpu: CpuId,
-        mm: MmId,
-        range: VaRange,
-    },
-    MigrationProceed {
-        cpu: CpuId,
-        mm: MmId,
-        vpn: Vpn,
-    },
-    /// Its targets are the next out-of-line mask.
-    IpiSend {
-        initiator: CpuId,
-        txn: u64,
-    },
-    IpiDeliver {
-        target: CpuId,
-        txn: u64,
-    },
-    Ack {
-        initiator: CpuId,
-        from: CpuId,
-        txn: u64,
-        done: bool,
-    },
-    Close,
-}
-
-const _: () = assert!(mem::size_of::<(Time, Note)>() <= 32);
+// A batch entry: a note, or `None` for `close()`.
+const _: () = assert!(mem::size_of::<(Time, Option<Note>)>() <= 32);
 
 /// Notes in order, and the masks of the masked ones in the same order.
 #[derive(Debug, Default)]
 struct Batch {
-    notes: Vec<(Time, Note)>,
+    notes: Vec<(Time, Option<Note>)>,
     masks: Vec<CpuMask>,
 }
 
@@ -199,10 +124,10 @@ impl Pipe {
         })
     }
 
-    /// Appends a note, and the targets `mask` of a publish or an IPI
-    /// send; sends the batch once it is full.
+    /// Appends a note (`None` closes the shadow), and the targets `mask`
+    /// of a publish or an IPI send; sends the batch once it is full.
     #[inline]
-    pub(crate) fn push(&mut self, at: Time, note: Note, mask: Option<CpuMask>) {
+    pub(crate) fn push(&mut self, at: Time, note: Option<Note>, mask: Option<CpuMask>) {
         self.batch.masks.extend(mask);
         self.batch.notes.push((at, note));
         if self.batch.notes.len() == BATCH {
@@ -322,8 +247,9 @@ fn work(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CoherenceOracle;
-    use latr_mem::Pfn;
+    use crate::{CoherenceOracle, Ctx};
+    use latr_arch::CpuId;
+    use latr_mem::{MmId, Pfn, VaRange, Vpn};
 
     const T: Time = Time::ZERO;
 
@@ -339,17 +265,63 @@ mod tests {
             for i in 0..3 * BATCH as u64 + 17 {
                 let cpu = CpuId((i % 4) as u16);
                 let other = CpuMask::from_cpus([CpuId(((i + 1) % 4) as u16)]);
-                let range = VaRange::new(Vpn(i % 8), 1);
-                match i % 5 {
-                    0 => o.note_publish(cpu, MmId(0), range, other, false, T),
-                    1 => o.note_sweep(cpu, MmId(0), range, T),
-                    2 => o.note_ipi_send(cpu, i, other, T),
-                    3 => o.note_fill(cpu, 0, Vpn(i % 8), Pfn(i % 8), true, T),
-                    _ => o.note_invalidate(cpu, 0, Vpn(i % 7), T),
-                }
+                let (mm, range) = (MmId(0), VaRange::new(Vpn(i % 8), 1));
+                let (note, mask) = match i % 5 {
+                    0 => {
+                        let migration = false;
+                        let initiator = cpu;
+                        (
+                            Note::Publish {
+                                initiator,
+                                mm,
+                                range,
+                                migration,
+                            },
+                            Some(other),
+                        )
+                    }
+                    1 => (Note::Sweep { cpu, mm, range }, None),
+                    2 => (
+                        Note::IpiSend {
+                            initiator: cpu,
+                            txn: i,
+                        },
+                        Some(other),
+                    ),
+                    3 => {
+                        let (pcid, vpn, pfn) = (0, Vpn(i % 8), Pfn(i % 8));
+                        let allocated = true;
+                        (
+                            Note::Fill {
+                                cpu,
+                                pcid,
+                                vpn,
+                                pfn,
+                                allocated,
+                            },
+                            None,
+                        )
+                    }
+                    _ => (
+                        Note::Invalidate {
+                            cpu,
+                            pcid: 0,
+                            vpn: Vpn(i % 7),
+                        },
+                        None,
+                    ),
+                };
+                o.note(T, note, mask);
             }
             for pfn in 0..8 {
-                o.note_free(Ctx::Kthread, Pfn(pfn), T);
+                o.note(
+                    T,
+                    Note::Free {
+                        ctx: Ctx::Kthread,
+                        pfn: Pfn(pfn),
+                    },
+                    None,
+                );
             }
             o.join_worker();
             let report = o.violation().map(|v| v.to_string());
@@ -377,7 +349,7 @@ mod tests {
             range: VaRange::new(Vpn(0), 1),
             migration: false,
         };
-        pipe.push(T, note, None);
+        pipe.push(T, Some(note), None);
     }
 
     #[test]
@@ -397,9 +369,9 @@ mod tests {
                 let note = Note::Invalidate {
                     cpu: CpuId(1),
                     pcid: 0,
-                    vpn,
+                    vpn: Vpn(vpn),
                 };
-                pipe.push(T, note, None);
+                pipe.push(T, Some(note), None);
             }
         }));
         let payload = pushed.expect_err("the worker's panic reaches the simulation");

@@ -1,8 +1,10 @@
-//! Golden violation reports: seeded random note streams, driven through
-//! the oracle's public API, whose rendered verdicts are pinned byte for
-//! byte against `tests/golden/violations.txt`.
+//! Golden violation reports: seeded random streams of [`Note`]s, fed to
+//! the oracle's one entry, `CoherenceOracle::note`, as the kernel feeds
+//! it, whose rendered verdicts are pinned byte for byte against
+//! `tests/golden/violations.txt`. The report shows the same notes the
+//! stream handed in, as its history ring kept them.
 //!
-//! Each seed feeds every `note_*` kind for 6k–18k steps. Frame
+//! Each seed feeds every `Note` kind for 6k–18k steps. Frame
 //! allocations, frees, migration faults and fills or hits of unallocated
 //! frames come only in the last ~300 steps, so the first report fires
 //! after the 4,096-record history ring has wrapped, and its trace shows
@@ -28,10 +30,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use latr_arch::{CpuId, CpuMask, TlbEntry};
+use latr_arch::{CpuId, CpuMask};
 use latr_mem::{MmId, Pfn, VaRange, Vpn};
 use latr_sim::{SimRng, Time};
-use latr_verify::{CoherenceOracle, Ctx, ViolationKind};
+use latr_verify::{CoherenceOracle, Ctx, Note, ViolationKind};
 
 const SEEDS: u64 = 40;
 /// Steps at the end of a stream in which frame-lifetime notes may fire.
@@ -111,64 +113,108 @@ fn run(seed: u64, worker: bool) -> (String, Option<ViolationKind>) {
                 let vpn = rng.below(PAGES);
                 let pfn = rng.below(FRAMES);
                 let allocated = !tail || rng.below(8) != 0;
-                o.note_fill(cpu, pcid, Vpn(vpn), Pfn(pfn), allocated, at);
+                o.note(
+                    at,
+                    Note::Fill {
+                        cpu,
+                        pcid,
+                        vpn: Vpn(vpn),
+                        pfn: Pfn(pfn),
+                        allocated,
+                    },
+                    None,
+                );
                 m.cached[cpu.index()].insert((pcid, vpn), pfn);
             }
             2 => {
                 // A hit through the cached entry, or one that self-heals
                 // a page the shadow does not hold.
                 let allocated = !tail || rng.below(8) != 0;
-                if let Some(((pcid, vpn), pfn)) = m.pick(cpu, &mut rng) {
-                    o.note_hit(cpu, pcid, Vpn(vpn), Pfn(pfn), allocated, at);
-                } else {
-                    let (pcid, vpn, pfn) = (0, rng.below(PAGES), rng.below(FRAMES));
-                    o.note_hit(cpu, pcid, Vpn(vpn), Pfn(pfn), allocated, at);
-                    m.cached[cpu.index()].insert((pcid, vpn), pfn);
-                }
+                let ((pcid, vpn), pfn) = m.pick(cpu, &mut rng).unwrap_or_else(|| {
+                    let (vpn, pfn) = (rng.below(PAGES), rng.below(FRAMES));
+                    m.cached[cpu.index()].insert((0, vpn), pfn);
+                    ((0, vpn), pfn)
+                });
+                let (vpn, pfn) = (Vpn(vpn), Pfn(pfn));
+                let note = Note::Hit {
+                    cpu,
+                    pcid,
+                    vpn,
+                    pfn,
+                    allocated,
+                };
+                o.note(at, note, None);
             }
             3 => {
                 let (pcid, vpn) = match m.pick(cpu, &mut rng) {
                     Some((key, _)) if rng.below(4) != 0 => key,
                     _ => (rng.below(PCIDS) as u16, rng.below(PAGES)),
                 };
-                o.note_invalidate(cpu, pcid, Vpn(vpn), at);
+                o.note(
+                    at,
+                    Note::Invalidate {
+                        cpu,
+                        pcid,
+                        vpn: Vpn(vpn),
+                    },
+                    None,
+                );
                 m.cached[cpu.index()].remove(&(pcid, vpn));
             }
             4 => {
                 if rng.below(6) == 0 {
-                    o.note_flush_all(cpu, at);
+                    o.note(at, Note::FlushAll { cpu }, None);
                     m.cached[cpu.index()].clear();
                 } else {
-                    let mut evicted = Vec::new();
                     for _ in 0..rng.below(4) {
                         if let Some(((pcid, vpn), pfn)) = m.pick(cpu, &mut rng) {
                             m.cached[cpu.index()].remove(&(pcid, vpn));
-                            evicted.push(TlbEntry {
-                                pcid,
-                                vpn,
-                                pfn,
-                                writable: false,
-                            });
+                            let (vpn, pfn) = (Vpn(vpn), Pfn(pfn));
+                            o.note(
+                                at,
+                                Note::Evict {
+                                    cpu,
+                                    pcid,
+                                    vpn,
+                                    pfn,
+                                },
+                                None,
+                            );
                         }
                     }
-                    o.note_evictions(cpu, &evicted, at);
                 }
             }
             5 | 6 => {
                 let targets = m.mask(&mut rng);
                 let migration = rng.below(3) == 0;
                 let (mm, r) = (MmId(rng.below(2) as u32), range(rng.below(6)));
-                o.note_publish(cpu, mm, r, targets, migration, at);
+                o.note(
+                    at,
+                    Note::Publish {
+                        initiator: cpu,
+                        mm,
+                        range: r,
+                        migration,
+                    },
+                    Some(targets),
+                );
             }
             7 | 8 => {
                 let (mm, r) = (MmId(rng.below(2) as u32), range(rng.below(7)));
-                o.note_sweep(cpu, mm, r, at);
+                o.note(at, Note::Sweep { cpu, mm, range: r }, None);
             }
             9 => {
                 let txn = m.next_txn;
                 m.next_txn += 1;
                 let targets = m.mask(&mut rng);
-                o.note_ipi_send(cpu, txn, targets, at);
+                o.note(
+                    at,
+                    Note::IpiSend {
+                        initiator: cpu,
+                        txn,
+                    },
+                    Some(targets),
+                );
                 let list: Vec<CpuId> = targets.iter().collect();
                 if !list.is_empty() {
                     m.txns.insert(txn, list);
@@ -180,9 +226,16 @@ fn run(seed: u64, worker: bool) -> (String, Option<ViolationKind>) {
                 if live > 0 && rng.below(8) != 0 {
                     let (&txn, targets) = m.txns.iter().nth(rng.below(live) as usize).unwrap();
                     let target = targets[rng.below(targets.len() as u64) as usize];
-                    o.note_ipi_deliver(target, txn, at);
+                    o.note(at, Note::IpiDeliver { target, txn }, None);
                 } else {
-                    o.note_ipi_deliver(cpu, m.next_txn + 7, at);
+                    o.note(
+                        at,
+                        Note::IpiDeliver {
+                            target: cpu,
+                            txn: m.next_txn + 7,
+                        },
+                        None,
+                    );
                 }
             }
             11 => {
@@ -195,14 +248,37 @@ fn run(seed: u64, worker: bool) -> (String, Option<ViolationKind>) {
                     if done {
                         m.txns.remove(&txn);
                     }
-                    o.note_ack(cpu, from, txn, done, at);
+                    o.note(
+                        at,
+                        Note::Ack {
+                            initiator: cpu,
+                            from,
+                            txn,
+                            done,
+                        },
+                        None,
+                    );
                 }
             }
-            12 => o.note_alloc(m.ctx(&mut rng), Pfn(rng.below(FRAMES)), at),
-            13 => o.note_free(m.ctx(&mut rng), Pfn(rng.below(FRAMES)), at),
+            12 => o.note(
+                at,
+                Note::Alloc {
+                    ctx: m.ctx(&mut rng),
+                    pfn: Pfn(rng.below(FRAMES)),
+                },
+                None,
+            ),
+            13 => o.note(
+                at,
+                Note::Free {
+                    ctx: m.ctx(&mut rng),
+                    pfn: Pfn(rng.below(FRAMES)),
+                },
+                None,
+            ),
             _ => {
                 let (mm, vpn) = (MmId(rng.below(2) as u32), Vpn(rng.below(PAGES)));
-                o.note_migration_proceed(cpu, mm, vpn, at);
+                o.note(at, Note::MigrationProceed { cpu, mm, vpn }, None);
             }
         }
     }

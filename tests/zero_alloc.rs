@@ -391,7 +391,7 @@ fn full_oracle_ring_records_uncached_invalidations_without_allocating() {
     use latr_arch::CpuId;
     use latr_mem::Vpn;
     use latr_sim::Time;
-    use latr_verify::CoherenceOracle;
+    use latr_verify::{CoherenceOracle, Note};
 
     /// The history ring's capacity (`HISTORY_CAPACITY` in the oracle).
     const RING: u64 = 4096;
@@ -401,11 +401,27 @@ fn full_oracle_ring_records_uncached_invalidations_without_allocating() {
     let mut oracle = CoherenceOracle::new(120);
     let cpu = CpuId(3);
     for vpn in 0..RING {
-        oracle.note_invalidate(cpu, 0, Vpn(vpn), Time::ZERO);
+        oracle.note(
+            Time::ZERO,
+            Note::Invalidate {
+                cpu,
+                pcid: 0,
+                vpn: Vpn(vpn),
+            },
+            None,
+        );
     }
     let before = allocations();
     for vpn in RING..RING + 10_000 {
-        oracle.note_invalidate(cpu, 0, Vpn(vpn), Time::ZERO);
+        oracle.note(
+            Time::ZERO,
+            Note::Invalidate {
+                cpu,
+                pcid: 0,
+                vpn: Vpn(vpn),
+            },
+            None,
+        );
     }
     let allocated = allocations() - before;
     assert_eq!(
