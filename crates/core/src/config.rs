@@ -84,6 +84,9 @@ impl LatrConfig {
         if self.states_per_core == 0 {
             return Err(LatrConfigError::NoStateSlots);
         }
+        if self.states_per_core > MAX_STATES_PER_CORE {
+            return Err(LatrConfigError::TooManyStateSlots);
+        }
         Ok(())
     }
 
@@ -98,18 +101,27 @@ impl LatrConfig {
     }
 }
 
+/// The most state slots a core's queue may have: a parked reclaim
+/// package names its gate's slot in 16 bits.
+pub const MAX_STATES_PER_CORE: usize = 1 << 16;
+
 /// Why [`LatrConfig::validate`] refuses a configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LatrConfigError {
     /// `states_per_core` is zero: every publish would overflow, so the
     /// policy would be Linux with extra bookkeeping.
     NoStateSlots,
+    /// `states_per_core` exceeds [`MAX_STATES_PER_CORE`].
+    TooManyStateSlots,
 }
 
 impl std::fmt::Display for LatrConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LatrConfigError::NoStateSlots => write!(f, "states_per_core must be nonzero"),
+            LatrConfigError::TooManyStateSlots => {
+                write!(f, "states_per_core must be at most {MAX_STATES_PER_CORE}")
+            }
         }
     }
 }
@@ -157,6 +169,20 @@ mod tests {
         assert_eq!(
             none.validate().unwrap_err().to_string(),
             "states_per_core must be nonzero"
+        );
+        let most = LatrConfig {
+            states_per_core: MAX_STATES_PER_CORE,
+            ..c
+        };
+        assert_eq!(most.validate(), Ok(()));
+        let past = LatrConfig {
+            states_per_core: MAX_STATES_PER_CORE + 1,
+            ..c
+        };
+        assert_eq!(past.validate(), Err(LatrConfigError::TooManyStateSlots));
+        assert_eq!(
+            past.validate().unwrap_err().to_string(),
+            "states_per_core must be at most 65536"
         );
     }
 

@@ -38,8 +38,8 @@ pub mod rt;
 mod state;
 mod sweep_index;
 
-pub use config::{LatrConfig, LatrConfigError};
+pub use config::{LatrConfig, LatrConfigError, MAX_STATES_PER_CORE};
 pub use policy::LatrPolicy;
-pub use reclaim::LazyReclaimQueue;
+pub use reclaim::{DeferredReclaim, LazyReclaimQueue};
 pub use state::{LatrState, StateKind, StateQueue, StateRef, SweepHit};
 pub use sweep_index::PendingSweepMap;

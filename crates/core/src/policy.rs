@@ -94,10 +94,17 @@ impl LatrPolicy {
         }
     }
 
-    fn ensure_queues(&mut self, ncpus: usize) {
+    /// Sizes the queues for `machine`'s CPUs. Their first build also
+    /// fixes the reclaim grace: a freed package waits `reclaim_ticks`
+    /// scheduler ticks past its publish, and 1 ns more to break exact
+    /// ties with the sweep events at the deadline instant.
+    fn ensure_queues(&mut self, machine: &Machine) {
+        let ncpus = machine.topology().num_cpus();
         if self.queues.len() < ncpus {
             self.queues
                 .resize_with(ncpus, || StateQueue::new(self.config.states_per_core));
+            let grace = u64::from(self.config.reclaim_ticks) * machine.tick_period() + 1;
+            self.reclaim.fix_grace(grace);
         }
         self.pending.ensure(ncpus);
     }
@@ -252,19 +259,19 @@ impl LatrPolicy {
         if !self.config.pressure_escalation {
             return;
         }
-        self.ensure_queues(machine.topology().num_cpus());
+        self.ensure_queues(machine);
         let now = machine.now();
         let mut left = EXPEDITE_BATCH;
         for entry in self.reclaim.iter_mut() {
             if left == 0 {
                 break;
             }
-            let Some(gate) = entry.gate else { continue };
+            let Some(gate) = entry.gate() else { continue };
             let live = self.queues[gate.queue].get(gate);
             if !live.is_some_and(|s| !s.cpus.is_empty() && s.round.is_none()) {
                 continue;
             }
-            entry.expedited.get_or_insert(now);
+            entry.expedite(now);
             escalate_state(&mut self.queues, machine, gate, Escalation::Pressure);
             left -= 1;
         }
@@ -278,23 +285,23 @@ impl LatrPolicy {
         let now = machine.now();
         let mut released = 0u64;
         self.reclaim.pop_due(now, &self.queues, |entry| {
-            let frames = u64::from(entry.pkg.frames.len);
+            let pkg = entry.package();
+            let frames = u64::from(pkg.frames.len);
             machine.stats.record(
                 metrics::id::LATR_RECLAIM_LATENCY_NS,
-                now.saturating_since(entry.published),
+                now.saturating_since(entry.published()),
             );
             machine
                 .stats
                 .add(metrics::id::LATR_RECLAIM_RELEASED_FRAMES, frames);
             // The escalation tick bound: pressure → release, per package.
-            if let Some(t) = entry.expedited {
+            if let Some(t) = entry.expedited() {
                 machine.stats.record(
                     metrics::id::LATR_EXPEDITE_LATENCY_NS,
                     now.saturating_since(t),
                 );
             }
             released += frames;
-            let pkg = entry.pkg;
             machine.emit(TraceRecord::Frees(by, frames, pkg.va));
             machine.release_reclaim_deferred(pkg);
         });
@@ -361,7 +368,7 @@ impl LatrPolicy {
     /// so cost, traces, stats and oracle calls are the full scan's. Debug
     /// builds check that after every sweep ([`Self::check_full_scan`]).
     fn sweep(&mut self, machine: &mut Machine, cpu: CpuId) -> Nanos {
-        self.ensure_queues(machine.topology().num_cpus());
+        self.ensure_queues(machine);
         let nq = self.queues.len();
         let mut cost = 0;
         let mut hits = 0u64;
@@ -489,7 +496,7 @@ impl TlbPolicy for LatrPolicy {
         kind: FlushKind,
         start_delay: Nanos,
     ) -> FlushOutcome {
-        self.ensure_queues(machine.topology().num_cpus());
+        self.ensure_queues(machine);
 
         // Permission changes must be visible system-wide before the
         // syscall returns (Table 1): pure Linux behaviour.
@@ -512,22 +519,19 @@ impl TlbPolicy for LatrPolicy {
         else {
             return machine.sync_flush(initiator, mm, pages, start_delay);
         };
-        // Park the freed VA + frames for two scheduler ticks, gated on the
-        // state's bitmask clearing (the deadline alone is unsafe under
-        // stalled sweepers or lost IPIs). The +1 ns breaks exact ties with
-        // the sweep events at the deadline instant.
+        // Park the freed VA + frames for the reclaim grace (two scheduler
+        // ticks), gated on the state's bitmask clearing (the deadline
+        // alone is unsafe under stalled sweepers or lost IPIs).
         if let Some(pkg) = machine.take_pending_reclaim() {
             machine
                 .stats
                 .add(metrics::id::LATR_DEFERRED_FRAMES, u64::from(pkg.frames.len));
-            let now = machine.now();
-            let deadline = now + self.config.reclaim_ticks as u64 * machine.tick_period() + 1;
             let gate = self.config.gate_reclaim.then_some(state);
             // Parked frames are reclamation debt: the allocator's per-node
             // ledger must know memory exists that a sweep (not an OOM
             // kill) will recover.
             machine.note_reclaim_debt(&pkg);
-            self.reclaim.defer_gated(deadline, now, gate, pkg);
+            self.reclaim.defer_gated(machine.now(), gate, pkg);
         }
         FlushOutcome::Deferred {
             local_ns: machine.costs().latr_state_save,
@@ -548,7 +552,7 @@ impl TlbPolicy for LatrPolicy {
     }
 
     fn on_reclaim_tick(&mut self, machine: &mut Machine) {
-        self.ensure_queues(machine.topology().num_cpus());
+        self.ensure_queues(machine);
         // An injected reclaim stall pins the kthread: simulated time
         // passes but nothing is escalated or released this tick (the
         // machine counts the suppressed tick in `faults_reclaim_stalls`).
@@ -632,7 +636,7 @@ impl TlbPolicy for LatrPolicy {
         _cpu: CpuId,
         _node: latr_arch::NodeId,
     ) -> u64 {
-        self.ensure_queues(machine.topology().num_cpus());
+        self.ensure_queues(machine);
         // Direct reclaim: release everything already past its deadline
         // whose gate has cleared — frames a background tick would have
         // freed moments later anyway — then expedite the oldest gated
@@ -670,7 +674,7 @@ impl TlbPolicy for LatrPolicy {
     }
 
     fn numa_hint_unmap(&mut self, machine: &mut Machine, cpu: CpuId, mm: MmId, vpn: Vpn) -> bool {
-        self.ensure_queues(machine.topology().num_cpus());
+        self.ensure_queues(machine);
         // "This state includes the CPU bitmask of all the cores" —
         // including the recording core, which unmaps at its own next tick.
         let targets: CpuMask = machine.mm(mm).cpumask;
@@ -1069,7 +1073,7 @@ mod tests {
             MachinePreset::Commodity2S16C,
         )));
         let mut policy = LatrPolicy::new(LatrConfig::default());
-        policy.ensure_queues(machine.topology().num_cpus());
+        policy.ensure_queues(&machine);
         let targets = CpuMask::from_cpus([CpuId(1)]);
         policy.queues[0].publish(LatrState {
             id: 0,

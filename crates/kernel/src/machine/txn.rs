@@ -32,7 +32,14 @@ impl FrameSpan {
 
 /// A deferred-release package: the frames and VA range whose reuse must
 /// wait for the TLB shootdown to complete.
-#[derive(Debug, Clone, Copy)]
+///
+/// A synchronous round carries it until its last ACK; the Latr policy
+/// parks it for two ticks, thousands at once in a serving run, and so
+/// stores it flat rather than as this struct (`latr-core`'s
+/// `DeferredReclaim`: the mm as a `u32`, the span's start and length,
+/// and the VA range's start and a `u32` page count with "no VA" encoded
+/// in the start, 28 of the record's 56 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReclaimPackage {
     /// The address space the VA belongs to.
     pub mm: MmId,

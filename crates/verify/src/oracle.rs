@@ -192,7 +192,7 @@ impl Cachers {
 }
 
 /// A published Latr state the oracle still tracks. Its `(mm, range)` is
-/// the key of the bucket holding it; `pending` is never empty.
+/// the key of the chain holding it; `pending` is never empty.
 #[derive(Clone, Debug)]
 struct TrackedState {
     /// The publish event's sequence number: a migration violation names
@@ -202,6 +202,119 @@ struct TrackedState {
     migration: bool,
     /// Publisher's clock at publish time; sweepers join it.
     publish_clock: Stamp,
+    /// The slab index of the next state in the chain (or on the free
+    /// list), or [`NIL`].
+    next: u32,
+}
+
+/// The end of a chain of [`StateTable`] slots.
+const NIL: u32 = u32::MAX;
+
+/// The first and last slab slots of one `(mm, range)` key's states.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    first: u32,
+    last: u32,
+}
+
+/// The published states still carrying pending CPU bits, in one slab.
+/// Each `(mm, range)` key maps to a chain of its states in publish order,
+/// threaded through [`TrackedState::next`], so a sweep walks only its
+/// own key's states; a key goes once its chain empties. Freed slots form
+/// a free list that the next publish reuses, so a key costs a table
+/// entry and no allocation of its own, and the slab stops growing at the
+/// most states live at once.
+#[derive(Debug, Default)]
+struct StateTable {
+    chains: FastMap<(MmId, VaRange), Chain>,
+    slab: Vec<TrackedState>,
+    /// The first free slab slot, or [`NIL`] (with an empty slab too).
+    free: u32,
+}
+
+impl StateTable {
+    fn new() -> Self {
+        StateTable {
+            free: NIL,
+            ..StateTable::default()
+        }
+    }
+
+    /// Appends `state` to the end of `key`'s chain.
+    fn push(&mut self, key: (MmId, VaRange), state: TrackedState) {
+        let state = TrackedState { next: NIL, ..state };
+        let at = if self.free == NIL {
+            let at = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("the oracle tracks under 2^32 - 1 states");
+            self.slab.push(state);
+            at
+        } else {
+            let at = self.free;
+            self.free = self.slab[at as usize].next;
+            self.slab[at as usize] = state;
+            at
+        };
+        match self.chains.entry(key) {
+            Entry::Occupied(mut chain) => {
+                let chain = chain.get_mut();
+                self.slab[chain.last as usize].next = at;
+                chain.last = at;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Chain {
+                    first: at,
+                    last: at,
+                });
+            }
+        }
+    }
+
+    /// Walks `key`'s chain in publish order, dropping each state for which
+    /// `keep` answers false onto the free list.
+    fn retain(&mut self, key: (MmId, VaRange), mut keep: impl FnMut(&mut TrackedState) -> bool) {
+        let Some(chain) = self.chains.get_mut(&key) else {
+            return;
+        };
+        let (mut prev, mut at) = (NIL, chain.first);
+        while at != NIL {
+            let state = &mut self.slab[at as usize];
+            let next = state.next;
+            if keep(state) {
+                prev = at;
+            } else {
+                state.next = self.free;
+                self.free = at;
+                match prev {
+                    NIL => chain.first = next,
+                    _ => self.slab[prev as usize].next = next,
+                }
+            }
+            at = next;
+        }
+        chain.last = prev;
+        if chain.first == NIL {
+            self.chains.remove(&key);
+        }
+    }
+
+    /// The states of the chain starting at `first`, in publish order.
+    fn chain(&self, first: u32) -> impl Iterator<Item = &TrackedState> {
+        let mut at = first;
+        std::iter::from_fn(move || {
+            let state = self.slab.get(at as usize)?;
+            at = state.next;
+            Some(state)
+        })
+    }
+
+    /// Every key and its states, each key's in publish order.
+    fn iter(&self) -> impl Iterator<Item = (&(MmId, VaRange), &TrackedState)> {
+        self.chains
+            .iter()
+            .flat_map(|(key, c)| self.chain(c.first).map(move |s| (key, s)))
+    }
 }
 
 /// One entry of the history ring: a note, its context's clock after it,
@@ -235,12 +348,9 @@ pub(crate) struct Shadow {
     shadow: Vec<FastMap<(u16, u64), ShadowEntry>>,
     /// Reverse index: how many shadow entries cache each frame.
     cachers: Cachers,
-    /// Published states still carrying pending CPU bits, keyed by
-    /// `(mm, range)` so a sweep touches only its own bucket. Each bucket is
-    /// in publish order and is removed once empty.
-    states: FastMap<(MmId, VaRange), Vec<TrackedState>>,
-    /// Emptied buckets, kept for the next new `(mm, range)`.
-    spare_buckets: Vec<Vec<TrackedState>>,
+    /// Published states still carrying pending CPU bits, chained by
+    /// `(mm, range)` so a sweep touches only its own key's states.
+    states: StateTable,
     /// Initiator clocks of in-flight shootdown transactions.
     txn_clocks: FastMap<u64, Stamp>,
     history: VecDeque<Record>,
@@ -262,8 +372,7 @@ impl Shadow {
             clocks,
             shadow: (0..ncpus).map(|_| FastMap::default()).collect(),
             cachers: Cachers::default(),
-            states: FastMap::default(),
-            spare_buckets: Vec::new(),
+            states: StateTable::new(),
             txn_clocks: FastMap::default(),
             history: VecDeque::new(),
             violation: None,
@@ -612,29 +721,17 @@ impl Shadow {
             pending: targets,
             migration,
             publish_clock: self.hold(stamp),
+            next: NIL,
         };
-        let buckets = self.states.len() + self.spare_buckets.len();
-        let spare = &mut self.spare_buckets;
-        let bucket = self.states.entry((mm, range)).or_insert_with(|| {
-            spare.pop().unwrap_or_else(|| {
-                // Room for every bucket to be spare at once, so retiring
-                // one never allocates.
-                spare.reserve(buckets + 1);
-                Vec::with_capacity(1)
-            })
-        });
-        bucket.push(state);
+        self.states.push((mm, range), state);
     }
 
     /// `cpu` swept every active state naming it that covers `(mm, range)`.
     fn sweep(&mut self, cpu: CpuId, mm: MmId, range: VaRange) {
-        let Some(bucket) = self.states.get_mut(&(mm, range)) else {
-            return;
-        };
         // Joins are pointwise maxima, so their order cannot matter.
         let live = &mut self.live[cpu.index()];
         let clocks = &mut self.clocks;
-        bucket.retain_mut(|s| {
+        self.states.retain((mm, range), |s| {
             if s.pending.test(cpu) {
                 s.pending.clear(cpu);
                 clocks.join_live(live, s.publish_clock);
@@ -645,10 +742,6 @@ impl Shadow {
             }
             pending
         });
-        if bucket.is_empty() {
-            let bucket = self.states.remove(&(mm, range)).expect("present");
-            self.spare_buckets.push(bucket);
-        }
     }
 
     /// A NUMA hint fault on `(mm, vpn)` proceeded: no migration state
@@ -657,9 +750,8 @@ impl Shadow {
         let blocking = self
             .states
             .iter()
-            .filter(|((m, r), _)| *m == mm && r.contains(vpn))
-            .flat_map(|(_, bucket)| bucket)
-            .filter(|s| s.migration)
+            .filter(|((m, r), s)| *m == mm && r.contains(vpn) && s.migration)
+            .map(|(_, s)| s)
             .min_by_key(|s| s.order)
             .map(|s| s.pending);
         if let Some(mask) = blocking {
@@ -1235,12 +1327,58 @@ mod tests {
             .iter()
             .map(|r| r.clock.snap)
             .chain(o.live.iter().copied())
-            .chain(o.states.values().flatten().map(|s| s.publish_clock.snap))
+            .chain(o.states.iter().map(|(_, s)| s.publish_clock.snap))
             .chain(o.txn_clocks.values().map(|s| s.snap));
         for snap in held {
             holders[snap as usize] += 1;
         }
         assert_eq!(o.clocks.refcounts(), holders);
+    }
+
+    /// The state table keeps each key's chain in publish order through
+    /// removals at its front, middle and back, reuses freed slots before
+    /// growing the slab, and forgets a key whose chain empties.
+    #[test]
+    fn state_chains_keep_publish_order_and_reuse_freed_slots() {
+        let key = |start| (MmId(1), VaRange::new(Vpn(start), 1));
+        let state = |order| TrackedState {
+            order,
+            pending: CpuMask::from_cpus([CpuId(0)]),
+            migration: false,
+            publish_clock: Stamp {
+                snap: 0,
+                ctx: 0,
+                own: 0,
+            },
+            next: NIL,
+        };
+        let orders = |t: &StateTable, k| -> Vec<u64> {
+            t.chains
+                .get(&k)
+                .map_or(Vec::new(), |c| t.chain(c.first).map(|s| s.order).collect())
+        };
+        let mut t = StateTable::new();
+        for order in 0..5 {
+            t.push(key(order % 2), state(order));
+        }
+        assert_eq!(orders(&t, key(0)), [0, 2, 4]);
+        assert_eq!(orders(&t, key(1)), [1, 3]);
+        t.retain(key(0), |s| s.order == 2);
+        assert_eq!(orders(&t, key(0)), [2]);
+        t.push(key(0), state(5));
+        t.push(key(0), state(6));
+        assert_eq!(t.slab.len(), 5, "two freed slots were reused");
+        assert_eq!(orders(&t, key(0)), [2, 5, 6]);
+        t.retain(key(0), |s| s.order != 5);
+        t.push(key(0), state(7));
+        assert_eq!(orders(&t, key(0)), [2, 6, 7], "the chain's last moved");
+        t.retain(key(1), |_| false);
+        assert!(!t.chains.contains_key(&key(1)));
+        assert_eq!(t.iter().count(), 3);
+        t.retain(key(0), |_| false);
+        assert!(t.chains.is_empty());
+        t.push(key(9), state(8));
+        assert_eq!(t.slab.len(), 5);
     }
 
     #[test]

@@ -223,3 +223,75 @@ fn run_experiment_carries_the_first_violation() {
         "{violation}"
     );
 }
+
+/// One task alone in its address space maps two pages, writes both (each
+/// fill caches its own frame in the core's TLB), then dedups the pair:
+/// the merge write-protects both pages with single-page invalidations
+/// (`INVLPG`, `Machine::tlb_invalidate`) and, with no other core in the
+/// mm, frees the odd page's duplicate frame at once. Nothing else
+/// uncached that frame before its free.
+struct DedupAlone {
+    step: usize,
+    pair: Option<VaRange>,
+}
+
+impl Workload for DedupAlone {
+    fn setup(&mut self, machine: &mut Machine) {
+        let mm = machine.create_process();
+        machine.spawn_task(mm, CpuId(0));
+    }
+
+    fn next_op(&mut self, _: &mut Machine, _: TaskId) -> Op {
+        self.step += 1;
+        let pair = || self.pair.expect("mapped");
+        match self.step {
+            1 => Op::MmapAnon { pages: 2 },
+            2 => Op::Access {
+                vpn: pair().start,
+                write: true,
+            },
+            3 => Op::Access {
+                vpn: pair().start.offset(1),
+                write: true,
+            },
+            4 => Op::Dedup { range: pair() },
+            _ => Op::Exit,
+        }
+    }
+
+    fn on_op_complete(&mut self, machine: &mut Machine, task: TaskId, result: OpResult) {
+        if let Op::MmapAnon { .. } = result.op {
+            self.pair = machine.task(task).last_mmap;
+        }
+    }
+}
+
+/// A frame freed after only the kernel's single-page invalidation
+/// uncached it leaves the oracle clean under every policy. An oracle that
+/// missed `INVLPG` would still see the frame cached at its free.
+#[test]
+fn a_frame_freed_after_a_single_page_invalidation_is_clean() {
+    for policy in [PolicyKind::Linux, PolicyKind::latr_default()] {
+        let policy = policy.build();
+        let name = policy.name();
+        let mut machine = Machine::new(MachineConfig::new(Topology::preset(
+            MachinePreset::Commodity2S16C,
+        )));
+        machine.run(
+            Box::new(DedupAlone {
+                step: 0,
+                pair: None,
+            }),
+            policy,
+            SECOND,
+        );
+        if let Some(v) = machine.oracle_violation() {
+            panic!("{name}: the INVLPG uncached the frame before its free, got:\n{v}");
+        }
+        assert_eq!(
+            machine.stats.counter(latr_kernel::metrics::DEDUP_MERGES),
+            1,
+            "the pair was merged and its duplicate frame freed"
+        );
+    }
+}

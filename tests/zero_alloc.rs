@@ -41,10 +41,11 @@
 //! runtime's hot path and the oracle's record path, each driven in place
 //! on the test's thread, are held to zero allocations too.
 //!
-//! Two footprint gates count bytes instead: set-up on the 120-core preset
-//! allocates an exact byte count, and a sweep storm's idle sweepers
+//! Three footprint gates count bytes instead: set-up on the 120-core
+//! preset allocates an exact byte count, a sweep storm's idle sweepers
 //! allocate no TLB arrays or state-queue slots, which are built on first
-//! use.
+//! use, and a small serving-latr run, which parks thousands of reclaim
+//! packages at once, peaks at an exact count of live bytes.
 
 #[path = "common/zero_alloc.rs"]
 mod fixtures;
@@ -438,7 +439,7 @@ fn full_oracle_ring_records_uncached_invalidations_without_allocating() {
 /// levels and state queue are built on first use, so none of this is
 /// per-core TLB or queue storage: a 64/512-entry TLB's first insert
 /// allocates 9,728 B, which for 120 cores would be 1,167,360 B alone.
-const SET_UP_BYTES_120C: u64 = 79_760;
+const SET_UP_BYTES_120C: u64 = 79_776;
 
 #[test]
 fn set_up_allocates_the_counted_bytes() {
@@ -456,7 +457,7 @@ fn set_up_allocates_the_counted_bytes() {
 /// Run-phase bytes of a 4-publisher sweep storm of 50 rounds on 8 sockets
 /// of 2 and of 15 cores (16 and 120 cores with the same TLB shapes and
 /// nodes), derived once as [`SET_UP_BYTES_120C`] is.
-const STORM_RUN_BYTES: [(u16, u64); 2] = [(2, 199_712), (15, 233_376)];
+const STORM_RUN_BYTES: [(u16, u64); 2] = [(2, 198_816), (15, 232_480)];
 
 /// What an extra core may add to the storm's run-phase bytes: its
 /// per-core bookkeeping, namely a state-queue header (80 B) and a
@@ -509,4 +510,61 @@ fn idle_sweepers_allocate_no_tlb_or_queue_storage() {
             "each idle sweeper added {per_core} B to the run's {what} bytes"
         );
     }
+}
+
+/// Requests per worker of the serving-latr shape whose heap peak is
+/// pinned: a tenth of the benchmark's 500. Arrivals keep the benchmark's
+/// rate, so packages park as densely as in the benchmark's run.
+const SERVING_PEAK_REQUESTS_PER_WORKER: u64 = 50;
+
+/// The peak of live heap bytes of that run, set-up included, derived as
+/// [`SET_UP_BYTES_120C`] is. The parked reclaim records are its largest
+/// growing owner: 4,097 to 8,192 packages parked at once leave the
+/// reclaim queue's buffer at 8,192 records, 458,752 B of 56-byte records
+/// (a 112-byte record peaked the run at 3,531,072 B).
+const SERVING_PEAK_LIVE_BYTES: u64 = 3_072_336;
+
+/// The heap peak of a small serving-latr run (oracle and trace ring off)
+/// is an exact byte count, and the run parks thousands of reclaim
+/// packages at once, so a record that grows by a byte moves the count by
+/// 8,192 B.
+#[test]
+fn serving_latr_heap_peak_is_the_counted_bytes() {
+    let mut config = MachineConfig::new(Topology::preset(MachinePreset::LargeNuma8S120C));
+    config.oracle = false;
+    config.trace_capacity = 0;
+    config.seed = 0x000a_110c;
+    reset_thread_peak();
+    let before = thread_bytes().peak_live;
+    let mut machine = Machine::new(config);
+    let workload = ServingWorkload::new(120, 24, SERVING_PEAK_REQUESTS_PER_WORKER).with_arrivals(
+        ArrivalProcess::Bursty {
+            period: 4 * MILLISECOND,
+            on_pct: 25,
+            factor: 2.0,
+        },
+    );
+    machine.run(
+        Box::new(workload),
+        PolicyKind::latr_default().build(),
+        SECOND,
+    );
+    let peak = thread_bytes().peak_live - before;
+    // Every package holds one or two frames, so more than 8,192 parked
+    // frames at a reclamation tick mean more than 4,096 packages.
+    let parked_frames = machine
+        .stats
+        .histogram(metrics::LATR_PARKED_BYTES)
+        .expect("reclamation ticks sampled the parked bytes")
+        .max()
+        / latr_mem::PAGE_SIZE;
+    assert!(
+        parked_frames > 2 * 4096,
+        "the run parked at most {parked_frames} frames at a tick"
+    );
+    assert_eq!(
+        u64::try_from(peak).expect("a peak is never below its start"),
+        SERVING_PEAK_LIVE_BYTES,
+        "serving-latr heap peak moved"
+    );
 }
